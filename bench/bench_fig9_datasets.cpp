@@ -19,9 +19,9 @@
 //                           runs; the scheduler swimlanes live under the
 //                           pid-2 "scheduler" process, one tid per worker —
 //                           docs/OBSERVABILITY.md has the viewing recipe)
-//        --report=FILE     (write an obs::RunReport with the last pipelined
-//                           run's AlgorithmStats, worker_utilization, and
-//                           histogram percentiles)
+//        --report=FILE     (write an obs::RunReport with the last speedup-
+//                           sweep run's AlgorithmStats, worker_utilization,
+//                           and histogram percentiles)
 
 #include <algorithm>
 #include <cstdio>
@@ -29,7 +29,7 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "core/parallel.h"
+#include "core/incognito.h"
 #include "data/adults.h"
 #include "data/landsend.h"
 #include "obs/report.h"
@@ -163,17 +163,17 @@ int main(int argc, char** argv) {
       PrintRow("adults", config.k, qid.size(), algorithm, r, &report);
     }
 
-    // Parallel speedup sweep: RunIncognitoParallel is bit-identical to the
-    // serial search (docs/PARALLELISM.md), so wall time is the only axis
-    // worth plotting. The 1-thread run is the speedup baseline.
+    // Parallel speedup sweep: every thread count is bit-identical
+    // (docs/PARALLELISM.md), so wall time is the only axis worth plotting.
+    // The 1-thread run is the speedup baseline.
     printf("\n--- parallel search speedup (Adults, QID 3, k=2) ---\n");
     double base_seconds = 0;
     for (int threads = 1; threads <= max_threads; threads *= 2) {
       obs::MetricsSnapshot before = obs::MetricsSnapshot::Take();
       Stopwatch timer;
       PartialResult<IncognitoResult> r =
-          RunIncognitoParallel(adults->table, qid, config, parallel_opts,
-                               RunContext::WithThreads(threads));
+          RunIncognito(adults->table, qid, config, parallel_opts,
+                       RunContext::WithThreads(threads));
       double seconds = timer.ElapsedSeconds();
       if (!r.ok()) {
         fprintf(stderr, "parallel search (%d threads) failed: %s\n", threads,
@@ -192,61 +192,6 @@ int main(int argc, char** argv) {
                  seconds, r->anonymous_nodes.size(), r->stats,
                  obs::MetricsSnapshot::Take().DeltaSince(before));
       report.SetDerived(StringPrintf("speedup_threads_%d", threads), speedup);
-    }
-
-    // Scheduler comparison: the pipelined subset DAG vs the barrier
-    // schedule at the same thread counts (both bit-identical to serial;
-    // docs/PARALLELISM.md "Pipelined subset DAG"). A 5-attribute QID: the
-    // subset DAG then has 31 tasks across 5 tiers, enough cross-tier work
-    // for pipelining to overlap (at QID 3 the DAG is 7 tasks and the two
-    // schedules are indistinguishable). The derived key
-    // pipeline_speedup_threads_N is barrier wall time over pipelined wall
-    // time — > 1 means pipelining won.
-    QuasiIdentifier sched_qid = adults->qid.Prefix(5);
-    printf("\n--- pipelined vs barrier schedule (Adults, QID 5, k=2) ---\n");
-    for (int threads = 2; threads <= max_threads; threads *= 2) {
-      RunContext pipelined = RunContext::WithThreads(threads);
-      RunContext barrier = RunContext::WithThreads(threads);
-      barrier.scheduling = SchedulingMode::kBarrier;
-      // Best-of-3 per schedule: these runs are tens of milliseconds, so a
-      // single sample is dominated by thread-pool spin-up jitter.
-      constexpr int kRepeats = 3;
-      obs::MetricsSnapshot before = obs::MetricsSnapshot::Take();
-      Stopwatch barrier_timer;
-      PartialResult<IncognitoResult> b = RunIncognitoParallel(
-          adults->table, sched_qid, config, parallel_opts, barrier);
-      double barrier_seconds = barrier_timer.ElapsedSeconds();
-      Stopwatch pipelined_timer;
-      PartialResult<IncognitoResult> p = RunIncognitoParallel(
-          adults->table, sched_qid, config, parallel_opts, pipelined);
-      double pipelined_seconds = pipelined_timer.ElapsedSeconds();
-      for (int rep = 1; rep < kRepeats && b.ok() && p.ok(); ++rep) {
-        Stopwatch bt;
-        b = RunIncognitoParallel(adults->table, sched_qid, config,
-                                 parallel_opts, barrier);
-        barrier_seconds = std::min(barrier_seconds, bt.ElapsedSeconds());
-        Stopwatch pt;
-        p = RunIncognitoParallel(adults->table, sched_qid, config,
-                                 parallel_opts, pipelined);
-        pipelined_seconds = std::min(pipelined_seconds, pt.ElapsedSeconds());
-      }
-      if (!b.ok() || !p.ok()) {
-        fprintf(stderr, "schedule comparison (%d threads) failed\n", threads);
-        continue;
-      }
-      last_stats = p->stats;
-      last_utilization = p->worker_utilization;
-      have_parallel_run = true;
-      double ratio =
-          pipelined_seconds > 0 ? barrier_seconds / pipelined_seconds : 0;
-      printf("threads=%-2d  barrier=%8.3fs  pipelined=%8.3fs  ratio=%.2fx\n",
-             threads, barrier_seconds, pipelined_seconds, ratio);
-      report.Add("adults", config.k, sched_qid.size(),
-                 StringPrintf("Pipelined Incognito (%d threads)", threads),
-                 pipelined_seconds, p->anonymous_nodes.size(), p->stats,
-                 obs::MetricsSnapshot::Take().DeltaSince(before));
-      report.SetDerived(StringPrintf("pipeline_speedup_threads_%d", threads),
-                        ratio);
     }
   }
 

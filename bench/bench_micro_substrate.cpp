@@ -15,7 +15,7 @@
 #include "bench_util.h"
 #include "common/random.h"
 #include "core/matrix_checker.h"
-#include "core/parallel.h"
+#include "core/incognito.h"
 #include "core/worker_pool.h"
 #include "data/adults.h"
 #include "freq/cube.h"
@@ -74,9 +74,9 @@ void BM_GroupByScanParallel(benchmark::State& state) {
   SubsetNode node = ZeroNode(9);
   WorkerPool pool(static_cast<int>(state.range(0)));
   for (auto _ : state) {
-    FrequencySet fs =
-        FrequencySet::ComputeParallel(ds.table, ds.qid, node, pool);
-    benchmark::DoNotOptimize(fs.NumGroups());
+    std::vector<FrequencySet> fs =
+        FrequencySet::ComputeBatch(ds.table, ds.qid, {node}, &pool);
+    benchmark::DoNotOptimize(fs.front().NumGroups());
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(ds.table.num_rows()));
@@ -333,10 +333,9 @@ BENCHMARK(BM_GroupByScanTraced);
 #endif  // INCOGNITO_OBS_DISABLED
 
 // ---------------------------------------------------------------------------
-// Parallel level-wise search: the same Adults instance at increasing
-// worker counts (Arg = threads). The 1-thread run prices the pool's
-// coordination overhead against the serial search; higher counts show the
-// per-level fan-out's scaling (docs/PARALLELISM.md).
+// Subset-DAG search: the same Adults instance at increasing worker counts
+// (Arg = threads). The 1-thread run is the serial case; higher counts show
+// the DAG's scaling (docs/PARALLELISM.md).
 // ---------------------------------------------------------------------------
 void BM_ParallelLevelSearch(benchmark::State& state) {
   const SyntheticDataset& ds = SharedAdults();
@@ -346,7 +345,7 @@ void BM_ParallelLevelSearch(benchmark::State& state) {
   int threads = static_cast<int>(state.range(0));
   for (auto _ : state) {
     PartialResult<IncognitoResult> r =
-        RunIncognitoParallel(ds.table, qid, config, {}, RunContext::WithThreads(threads));
+        RunIncognito(ds.table, qid, config, {}, RunContext::WithThreads(threads));
     benchmark::DoNotOptimize(r.ok());
   }
 }
@@ -412,7 +411,7 @@ int main(int argc, char** argv) {
           incognito::obs::MetricsSnapshot::Take();
       incognito::Stopwatch timer;
       incognito::PartialResult<incognito::IncognitoResult> r =
-          incognito::RunIncognitoParallel(
+          incognito::RunIncognito(
               ds.table, qid, config, {},
               incognito::RunContext::WithThreads(threads));
       double seconds = timer.ElapsedSeconds();
@@ -431,7 +430,7 @@ int main(int argc, char** argv) {
     }
 
     // Per-thread speedup of the intra-node parallel scan itself: the
-    // chunked FrequencySet::ComputeParallel at the full 9-attribute
+    // chunked FrequencySet::ComputeBatch at the full 9-attribute
     // zero-generalization node, against the serial scan it must match
     // bit-for-bit.
     incognito::SubsetNode scan_node = incognito::ZeroNode(9);
@@ -442,8 +441,10 @@ int main(int argc, char** argv) {
     for (int threads = 1; threads <= max_threads; threads *= 2) {
       incognito::WorkerPool pool(threads);
       incognito::Stopwatch timer;
-      incognito::FrequencySet fs = incognito::FrequencySet::ComputeParallel(
-          ds.table, ds.qid, scan_node, pool);
+      incognito::FrequencySet fs = std::move(
+          incognito::FrequencySet::ComputeBatch(ds.table, ds.qid, {scan_node},
+                                                &pool)
+              .front());
       double seconds = timer.ElapsedSeconds();
       if (fs.NumGroups() != serial_fs.NumGroups()) {
         fprintf(stderr, "parallel scan mismatch at %d threads\n", threads);
@@ -522,8 +523,8 @@ int main(int argc, char** argv) {
         std::remove(ckpt_path.c_str());
         incognito::Stopwatch timer;
         incognito::PartialResult<incognito::IncognitoResult> r =
-            incognito::RunIncognitoParallel(overhead_ds.table, overhead_qid,
-                                            config, {}, ctx);
+            incognito::RunIncognito(overhead_ds.table, overhead_qid,
+                                    config, {}, ctx);
         if (!r.ok()) return 0.0;
         double seconds = timer.ElapsedSeconds();
         if (ctx.checkpoint != nullptr) {

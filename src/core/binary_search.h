@@ -52,8 +52,7 @@ struct BinarySearchResult {
 /// probe's frequency set against its memory budget; a budget trip stops
 /// the search and returns PartialResult::Partial with found == false and
 /// the bracket proven so far (see BinarySearchResult::bracket_low/_high).
-/// The algorithm is single-threaded: ctx.num_threads and ctx.scheduling
-/// are ignored.
+/// The algorithm is single-threaded: ctx.num_threads is ignored.
 PartialResult<BinarySearchResult> RunSamaratiBinarySearch(
     const Table& table, const QuasiIdentifier& qid,
     const AnonymizationConfig& config, const RunContext& ctx = {});

@@ -55,7 +55,7 @@ struct BottomUpResult {
 /// and returns PartialResult::Partial whose anonymous_nodes are the nodes
 /// confirmed so far (a subset of the complete answer; see
 /// BottomUpResult::completed_heights). The algorithm is single-threaded:
-/// ctx.num_threads and ctx.scheduling are ignored.
+/// ctx.num_threads is ignored.
 PartialResult<BottomUpResult> RunBottomUpBfs(const Table& table,
                                              const QuasiIdentifier& qid,
                                              const AnonymizationConfig& config,

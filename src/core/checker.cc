@@ -16,12 +16,10 @@ namespace {
 FrequencySet CheckScan(const Table& table, const QuasiIdentifier& qid,
                        const SubsetNode& node, int num_threads,
                        ExecutionGovernor* governor, SubstrateMode substrate) {
-  if (num_threads <= 1) {
-    return FrequencySet::Compute(table, qid, node, substrate);
-  }
   WorkerPool pool(num_threads);
-  return FrequencySet::ComputeParallel(table, qid, node, pool, governor,
-                                       substrate);
+  return std::move(FrequencySet::ComputeBatch(table, qid, {node}, &pool,
+                                              governor, substrate)
+                       .front());
 }
 
 }  // namespace

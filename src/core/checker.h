@@ -47,12 +47,13 @@ struct AlgorithmStats {
   int64_t memory_trips = 0;     ///< memory-budget charges refused
   int64_t cancel_trips = 0;     ///< checkpoints that saw cancellation
 
-  /// Worker count of a parallel run (core/parallel.h); 0 for the serial
-  /// path. Merged with max, not sum — it describes the pool, not work.
+  /// Worker count of an Incognito run's pool (core/parallel.h); 0 for
+  /// algorithms without one. Merged with max, not sum — it describes the
+  /// pool, not work.
   int64_t parallel_workers = 0;
 
-  // Scheduler telemetry derived from a parallel run's TaskTimeline
-  // (obs/timeline.h); zero on the serial path.
+  // Scheduler telemetry derived from an Incognito run's TaskTimeline
+  // (obs/timeline.h); zero for algorithms without a pool.
   int64_t tasks_scheduled = 0;       ///< tasks the scheduler dispatched
   double critical_path_seconds = 0;  ///< longest dependency chain of tasks
   double scheduler_idle_seconds = 0; ///< worker-seconds spent waiting
@@ -63,15 +64,15 @@ struct AlgorithmStats {
   int64_t checkpoint_writes = 0;          ///< snapshots written successfully
   int64_t checkpoint_bytes = 0;           ///< bytes across written snapshots
   int64_t checkpoint_write_failures = 0;  ///< writes that failed (non-fatal)
-  int64_t restored_iterations = 0;  ///< subset-size levels skipped on resume
-  int64_t restored_subsets = 0;     ///< pipelined subset tasks skipped on resume
+  int64_t restored_iterations = 0;  ///< subset sizes fully restored on resume
+  int64_t restored_subsets = 0;     ///< subset searches skipped on resume
 
   // Scan-sharing batch evaluation (FrequencySet::ComputeBatch;
   // docs/PARALLELISM.md). batched_scan_nodes counts nodes whose frequency
   // set came out of a shared scan — with batching on, table_scans counts
   // one scan per (subset, level) batch, so batched_scan_nodes /
   // table_scans is the amortization factor. Deterministic at any thread
-  // count and schedule.
+  // count.
   int64_t batched_scan_nodes = 0;  ///< nodes fed from shared batch scans
   double batch_scan_seconds = 0;   ///< wall clock inside shared batch scans
 
@@ -90,7 +91,7 @@ struct AlgorithmStats {
 /// and the oracle the property tests compare the algorithms against.
 /// When `stats` is non-null, the check's costs are accumulated into it.
 /// `num_threads` > 1 fans the scan out across a worker pool
-/// (FrequencySet::ComputeParallel) with a bit-identical verdict and stats.
+/// (FrequencySet::ComputeBatch) with a bit-identical verdict and stats.
 /// `substrate` selects the group-by engine for the scan (freq/substrate.h);
 /// every mode returns the identical verdict and stats.
 bool IsKAnonymous(const Table& table, const QuasiIdentifier& qid,
@@ -103,8 +104,7 @@ bool IsKAnonymous(const Table& table, const QuasiIdentifier& qid,
 /// (released after the check); kDeadlineExceeded / kResourceExhausted /
 /// kCancelled replace the answer when a budget trips. An ungoverned
 /// context never trips. ctx.num_threads > 1 runs the scan across a worker
-/// pool with per-worker shard charges; ctx.scheduling is ignored (a single
-/// check has no lattice to schedule); ctx.substrate picks the group-by
+/// pool with per-worker shard charges; ctx.substrate picks the group-by
 /// engine.
 Result<bool> IsKAnonymous(const Table& table, const QuasiIdentifier& qid,
                           const SubsetNode& node,

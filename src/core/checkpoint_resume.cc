@@ -3,8 +3,6 @@
 #include <set>
 #include <utility>
 
-#include "lattice/candidate_gen.h"
-
 namespace incognito {
 
 CheckpointCounters CountersFrom(const AlgorithmStats& stats) {
@@ -84,35 +82,6 @@ Result<CandidateGraph> RebuildSurvivorGraph(
         "graph (checkpoint is from a different dataset or hierarchy)");
   }
   return candidates.InducedSubgraph(keep);
-}
-
-Result<SerialResumeState> RestoreSerialPrefix(
-    const CheckpointSnapshot& snapshot, const QuasiIdentifier& qid) {
-  const int n = static_cast<int>(qid.size());
-  std::vector<CheckpointLevel> levels = LevelsFromSnapshot(snapshot, n);
-  SerialResumeState state;
-  for (int s = 1; s <= n; ++s) {
-    if (!levels[s].complete) break;
-    state.completed = s;
-  }
-  if (state.completed == 0) return state;
-
-  // Regenerate the candidate-graph chain with no stats counted — the
-  // restored deltas already carry every counter these levels contributed.
-  CandidateGraph graph = MakeSingleAttributeGraph(qid);
-  for (int s = 1; s <= state.completed; ++s) {
-    Result<CandidateGraph> survivors =
-        RebuildSurvivorGraph(graph, levels[s].survivors);
-    if (!survivors.ok()) return survivors.status();
-    state.per_iteration_survivors.push_back(levels[s].survivors);
-    state.restored += levels[s].counters;
-    if (s < state.completed) {
-      graph = GenerateNextGraph(survivors.value());
-    } else {
-      state.survivors = std::move(survivors).value();
-    }
-  }
-  return state;
 }
 
 }  // namespace incognito

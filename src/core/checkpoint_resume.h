@@ -12,15 +12,14 @@
 
 namespace incognito {
 
-/// Resume machinery shared by the serial, barrier, and pipelined Incognito
-/// search loops (robust/checkpoint.h holds the format; this header holds
-/// the search-side reconstruction).
+/// Resume machinery of the Incognito subset-DAG search (core/parallel.h;
+/// robust/checkpoint.h holds the format, this header the search-side
+/// reconstruction).
 ///
 /// Soundness rests on two properties of the algorithm:
-///   - Monotonicity: a finished unit's survivor set is final — later work
-///     only reads it (via GenerateNextGraph / GenerateSubsetGraph), never
-///     revises it — so skipping a checkpointed unit cannot change any
-///     downstream answer.
+///   - Monotonicity: a finished subset's survivor set is final — later
+///     work only reads it (via GenerateSubsetGraph), never revises it — so
+///     skipping a checkpointed subset cannot change any downstream answer.
 ///   - Determinism: candidate graphs are pure functions of the QID and the
 ///     previous survivor sets, so they can be regenerated on resume (with
 ///     no stats counted) and the checkpointed survivors re-anchored into
@@ -28,7 +27,7 @@ namespace incognito {
 ///     totals bit-identical to an uninterrupted one.
 
 /// The bit-identity counters of a stats object, for snapshot diffing
-/// around one unit of work.
+/// around one subset's search.
 CheckpointCounters CountersFrom(const AlgorithmStats& stats);
 
 /// counters(after) - counters(before) for the checkpointed fields.
@@ -53,30 +52,11 @@ struct ResumeDecision {
 Result<ResumeDecision> DecideResume(const CheckpointPolicy* policy,
                                     const CheckpointFingerprint& fingerprint);
 
-/// The longest fully-completed subset-size prefix of a snapshot,
-/// reconstructed for the serial/barrier iteration loops.
-struct SerialResumeState {
-  int completed = 0;  ///< subset-size levels restored (0 = nothing usable)
-  /// Survivor graph of level `completed`, adjacency built; meaningful only
-  /// when completed >= 1 and completed < n (the next GenerateNextGraph
-  /// input).
-  CandidateGraph survivors;
-  std::vector<std::vector<SubsetNode>> per_iteration_survivors;
-  CheckpointCounters restored;  ///< summed deltas of the restored levels
-};
-
-/// Restores the longest complete level prefix: regenerates each level's
-/// candidate graph deterministically, re-anchors the checkpointed
-/// survivors into it, and fails with FailedPrecondition if any
-/// checkpointed survivor is not a node of the regenerated graph (a
+/// Re-anchors one subset's checkpointed survivors into its regenerated
+/// candidate graph: keep[id] = (node in survivors). Fails with
+/// FailedPrecondition when a survivor is missing from the graph (a
 /// checkpoint from a different dataset that happened to pass the
 /// fingerprint cannot slip through).
-Result<SerialResumeState> RestoreSerialPrefix(
-    const CheckpointSnapshot& snapshot, const QuasiIdentifier& qid);
-
-/// Re-anchors one unit's checkpointed survivors into its regenerated
-/// candidate graph: keep[id] = (node in survivors). Fails with
-/// FailedPrecondition when a survivor is missing from the graph.
 Result<CandidateGraph> RebuildSurvivorGraph(
     const CandidateGraph& candidates,
     const std::vector<SubsetNode>& survivors);

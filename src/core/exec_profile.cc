@@ -11,25 +11,8 @@ RunContext ExecProfile::MakeContext(ExecutionGovernor* governor) const {
         .WithCancel(cancel);
   }
   return ctx.WithWorkers(num_threads)
-      .WithScheduling(scheduling)
       .WithSubstrate(substrate)
       .WithCheckpoint(checkpoint.enabled() ? &checkpoint : nullptr);
-}
-
-bool ParseSchedulingMode(const std::string& text, SchedulingMode* mode) {
-  if (text == "pipelined") {
-    *mode = SchedulingMode::kPipelined;
-    return true;
-  }
-  if (text == "barrier") {
-    *mode = SchedulingMode::kBarrier;
-    return true;
-  }
-  return false;
-}
-
-const char* SchedulingModeName(SchedulingMode mode) {
-  return mode == SchedulingMode::kBarrier ? "barrier" : "pipelined";
 }
 
 }  // namespace incognito

@@ -2,15 +2,18 @@
 #define INCOGNITO_CORE_EXEC_PROFILE_H_
 
 #include <cstdint>
-#include <string>
 
 #include "core/run_context.h"
 #include "robust/checkpoint.h"
 
 namespace incognito {
 
+/// The most worker threads one run may ask for: the range of the CLI's
+/// --threads flag and of the JobSpec "threads" field.
+inline constexpr int kMaxThreads = 256;
+
 /// One value-typed description of HOW a run should execute — budgets,
-/// threads, scheduling, substrate, checkpointing — independent of WHAT it
+/// threads, substrate, checkpointing — independent of WHAT it
 /// runs. This is the single JobSpec/flag → RunContext translation shared by
 /// the CLI (tools/incognito_cli.cpp), the benches, and the service daemon
 /// (src/service/), so the arming rules live in exactly one place.
@@ -25,9 +28,9 @@ struct ExecProfile {
   int64_t memory_budget_bytes = 0;
   /// Optional caller-owned cancellation token, pollable from any thread.
   const CancelToken* cancel = nullptr;
-  /// Worker threads (0 defers to the algorithm's own option).
+  /// Worker threads (0 defers to the algorithm's own option); at most
+  /// kMaxThreads.
   int num_threads = 0;
-  SchedulingMode scheduling = SchedulingMode::kPipelined;
   SubstrateMode substrate = SubstrateMode::kAuto;
   /// Owned checkpoint policy; inert unless a path is set.
   CheckpointPolicy checkpoint;
@@ -45,13 +48,6 @@ struct ExecProfile {
   /// callers making several governed runs arm a fresh governor per run.
   RunContext MakeContext(ExecutionGovernor* governor) const;
 };
-
-/// Parses "pipelined" or "barrier" (the --schedule flag and the JobSpec
-/// "schedule" field). Returns false on anything else.
-bool ParseSchedulingMode(const std::string& text, SchedulingMode* mode);
-
-/// Canonical spelling of a scheduling mode ("pipelined" / "barrier").
-const char* SchedulingModeName(SchedulingMode mode);
 
 }  // namespace incognito
 

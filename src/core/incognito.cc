@@ -1,22 +1,9 @@
 #include "core/incognito.h"
 
 #include <algorithm>
-#include <cassert>
-#include <map>
-#include <memory>
-#include <set>
-#include <unordered_map>
 
-#include "common/stopwatch.h"
-#include "core/checkpoint_resume.h"
+#include "common/strings.h"
 #include "core/parallel.h"
-#include "robust/checkpoint.h"
-#include "freq/cube.h"
-#include "freq/frequency_set.h"
-#include "lattice/candidate_gen.h"
-#include "lattice/graph_tables.h"
-#include "obs/obs.h"
-#include "robust/fault_injector.h"
 
 namespace incognito {
 
@@ -32,415 +19,11 @@ const char* IncognitoVariantName(IncognitoVariant variant) {
   return "Incognito";
 }
 
-namespace {
-
-/// Runs the modified breadth-first search of paper §3.1.1 over one
-/// candidate graph, returning per-node k-anonymity outcomes. A node's
-/// frequency set comes from (in preference order) a failed direct
-/// specialization via rollup, a family super-root / the cube via rollup,
-/// or a scan of T.
-class GraphSearch {
- public:
-  GraphSearch(const Table& table, const QuasiIdentifier& qid,
-              const AnonymizationConfig& config,
-              const IncognitoOptions& options, const ZeroGenCube* cube,
-              AlgorithmStats* stats, ExecutionGovernor* governor)
-      : table_(table),
-        qid_(qid),
-        config_(config),
-        options_(options),
-        cube_(cube),
-        stats_(stats),
-        governor_(governor) {}
-
-  /// Returns failed[id] == true iff T was checked and found NOT
-  /// k-anonymous w.r.t. node id; every other node is k-anonymous (checked,
-  /// marked, or implied). This is exactly the deletion set for S_i.
-  /// Under a governor, a budget trip aborts the walk and returns the trip
-  /// status instead; all charged memory is released first.
-  Result<std::vector<bool>> Run(const CandidateGraph& graph) {
-    INCOGNITO_SPAN("incognito.graph_search");
-    const size_t n = graph.num_nodes();
-    std::vector<bool> failed(n, false);
-    std::vector<bool> marked(n, false);
-    std::vector<bool> processed(n, false);
-    // Frequency sets of failed nodes, kept for their generalizations to
-    // roll up from; freed once every direct generalization is processed.
-    std::unordered_map<int64_t, FrequencySet> stored;
-    std::unordered_map<int64_t, int64_t> pending_uses;
-
-    // Super-roots: frequency sets of the greatest common specialization of
-    // each multi-root family (computed lazily, one scan per family).
-    std::map<std::vector<int32_t>, FrequencySet> family_freq;
-    std::vector<int64_t> roots = graph.Roots();
-    std::map<std::vector<int32_t>, std::vector<int64_t>> families;
-    if (options_.variant == IncognitoVariant::kSuperRoots) {
-      for (int64_t r : roots) {
-        families[graph.node(r).ToSubsetNode().dims].push_back(r);
-      }
-    }
-
-    // Queue ordered by height (paper: "keeping queue sorted by height"),
-    // with node id as tie-breaker; the set also deduplicates.
-    std::set<std::pair<int32_t, int64_t>> queue;
-    for (int64_t r : roots) {
-      queue.insert({graph.node(r).Height(), r});
-    }
-
-    auto release_parents = [&](int64_t id) {
-      for (int64_t spec : graph.InEdges(id)) {
-        auto it = pending_uses.find(spec);
-        if (it != pending_uses.end() && --it->second == 0) {
-          auto sit = stored.find(spec);
-          if (sit != stored.end() && governor_ != nullptr) {
-            governor_->ReleaseMemory(
-                static_cast<int64_t>(sit->second.MemoryBytes()));
-          }
-          stored.erase(spec);
-          pending_uses.erase(it);
-        }
-      }
-    };
-
-    // Frequency sets pre-built by the shared batch scans — the minimal-
-    // front pre-pass below plus each level's top-up (options_.batch_scans)
-    // — keyed by node id; each node takes — and un-charges — its set when
-    // processed. Front entries for higher levels persist across levels.
-    std::unordered_map<int64_t, BatchEntry> batch;
-
-    // Returns every byte this walk still holds charged (retained rollup
-    // sources, lazily built super-root sets, and untaken batch sets) to
-    // the governor's budget.
-    auto release_all = [&]() {
-      if (governor_ == nullptr) return;
-      for (const auto& [sid, fs] : stored) {
-        (void)sid;
-        governor_->ReleaseMemory(static_cast<int64_t>(fs.MemoryBytes()));
-      }
-      for (const auto& [dims, fs] : family_freq) {
-        (void)dims;
-        governor_->ReleaseMemory(static_cast<int64_t>(fs.MemoryBytes()));
-      }
-      for (const auto& [bid, entry] : batch) {
-        (void)bid;
-        governor_->ReleaseMemory(entry.bytes);
-      }
-    };
-
-    if (options_.batch_scans) {
-      // Minimal-front pre-pass: a root has no in-lattice parent, so it can
-      // never gain a rollup source and MarkGeneralizations (which walks
-      // out-edges) can never mark it — its scan-required classification is
-      // immutable from the first level on. Batching the whole front here
-      // shares one scan per attribute subset even when a subset's roots
-      // sit at different heights, which per-level batching cannot merge.
-      std::vector<int64_t> front;
-      front.reserve(queue.size());
-      for (const auto& [height, id] : queue) {
-        (void)height;
-        front.push_back(id);
-      }
-      Status batched = BuildScanBatches(graph, front, marked, processed,
-                                        families, stored, &batch);
-      if (!batched.ok()) {
-        release_all();
-        return batched;
-      }
-    }
-
-    while (!queue.empty()) {
-      // Drain one whole height level. Every effect of processing a node —
-      // marks, enqueued generalizations, retained rollup sources — lands
-      // only on strictly greater heights, so a node's frequency-set source
-      // at level start equals its source at processing time and the
-      // level's scan-required set can be batched up front.
-      const int32_t level = queue.begin()->first;
-      std::vector<int64_t> ids;  // ascending — set order within one height
-      while (!queue.empty() && queue.begin()->first == level) {
-        ids.push_back(queue.begin()->second);
-        queue.erase(queue.begin());
-      }
-
-      if (options_.batch_scans) {
-        Status batched = BuildScanBatches(graph, ids, marked, processed,
-                                          families, stored, &batch);
-        if (!batched.ok()) {
-          release_all();
-          return batched;
-        }
-      }
-
-      for (int64_t id : ids) {
-      if (governor_ != nullptr) {
-        Status checkpoint = governor_->Check();
-        if (!checkpoint.ok()) {
-          release_all();
-          return checkpoint;
-        }
-      }
-      if (processed[static_cast<size_t>(id)]) continue;
-      processed[static_cast<size_t>(id)] = true;
-      if (marked[static_cast<size_t>(id)]) {
-        release_parents(id);
-        continue;
-      }
-
-      SubsetNode node = graph.node(id).ToSubsetNode();
-      FrequencySet freq;
-      auto bit = batch.find(id);
-      if (bit != batch.end()) {
-        // The shared scan already built (and charged) this node's set;
-        // release the batch charge — the normal per-node charge below
-        // takes over the accounting unchanged.
-        freq = std::move(bit->second.freq);
-        if (governor_ != nullptr) {
-          governor_->ReleaseMemory(bit->second.bytes);
-        }
-        batch.erase(bit);
-      } else {
-        freq = ComputeFrequencySet(graph, id, node, families, &family_freq,
-                                   stored);
-      }
-      int64_t freq_bytes = static_cast<int64_t>(freq.MemoryBytes());
-      if (governor_ != nullptr) {
-        // Covers both this transient set and any super-root set
-        // ComputeFrequencySet just latched a refusal for.
-        Status charged = governor_->ChargeMemory(freq_bytes);
-        if (!charged.ok()) {
-          release_all();
-          return charged;
-        }
-      }
-      ++stats_->nodes_checked;
-      stats_->freq_groups_built += static_cast<int64_t>(freq.NumGroups());
-      INCOGNITO_COUNT("incognito.kchecks");
-
-      bool anonymous;
-      {
-        INCOGNITO_PHASE_TIMER("phase.kcheck_seconds");
-        anonymous = freq.IsKAnonymous(config_.k, config_.max_suppressed);
-      }
-      bool retained = false;
-      if (anonymous) {
-        // Generalization property: every generalization is k-anonymous.
-        INCOGNITO_PHASE_TIMER("phase.mark_seconds");
-        MarkGeneralizations(graph, id, &marked);
-      } else {
-        failed[static_cast<size_t>(id)] = true;
-        const auto& gens = graph.OutEdges(id);
-        if (!gens.empty() && options_.use_rollup) {
-          pending_uses[id] = static_cast<int64_t>(gens.size());
-          stored.emplace(id, std::move(freq));
-          retained = true;  // charge stays until release_parents frees it
-        }
-        for (int64_t g : gens) {
-          queue.insert({graph.node(g).Height(), g});
-        }
-      }
-      if (!retained && governor_ != nullptr) {
-        governor_->ReleaseMemory(freq_bytes);
-      }
-      release_parents(id);
-      }
-    }
-    release_all();
-    return failed;
-  }
-
- private:
-  /// A frequency set pre-built by a level's shared batch scan, plus the
-  /// bytes currently charged to the governor for retaining it.
-  struct BatchEntry {
-    FrequencySet freq;
-    int64_t bytes = 0;
-  };
-
-  /// True iff ComputeFrequencySet would fall through to its own table scan
-  /// for this node — no stored specialization to roll up from, no cube,
-  /// and no multi-root super-root family covering its attribute subset.
-  bool NeedsScan(
-      const CandidateGraph& graph, int64_t id, const SubsetNode& node,
-      const std::map<std::vector<int32_t>, std::vector<int64_t>>& families,
-      const std::unordered_map<int64_t, FrequencySet>& stored) const {
-    if (options_.use_rollup) {
-      for (int64_t spec : graph.InEdges(id)) {
-        if (stored.count(spec) != 0) return false;
-      }
-    }
-    if (cube_ != nullptr) return false;
-    if (options_.variant == IncognitoVariant::kSuperRoots) {
-      auto fam = families.find(node.dims);
-      if (fam != families.end() && fam->second.size() > 1) return false;
-    }
-    return true;
-  }
-
-  /// Batch pre-pass over a node list — the whole minimal front at walk
-  /// start, then each height level (docs/PARALLELISM.md "Scan-sharing
-  /// batch evaluation"): classifies the nodes by frequency-set source,
-  /// groups the scan-required ones by attribute subset, and feeds each
-  /// group from ONE shared pass over the table. One table scan is counted
-  /// per (subset, front-or-level) group — the same grouping the pipelined
-  /// scheduler's per-subset walks produce, so table_scans stays
-  /// schedule-independent. Every produced set's bytes stay charged until
-  /// its node takes the set (or release_all unwinds).
-  Status BuildScanBatches(
-      const CandidateGraph& graph, const std::vector<int64_t>& ids,
-      const std::vector<bool>& marked, const std::vector<bool>& processed,
-      const std::map<std::vector<int32_t>, std::vector<int64_t>>& families,
-      const std::unordered_map<int64_t, FrequencySet>& stored,
-      std::unordered_map<int64_t, BatchEntry>* batch) {
-    std::map<std::vector<int32_t>, std::vector<int64_t>> groups;
-    for (int64_t id : ids) {
-      if (processed[static_cast<size_t>(id)] ||
-          marked[static_cast<size_t>(id)] || batch->count(id) != 0) {
-        continue;
-      }
-      SubsetNode node = graph.node(id).ToSubsetNode();
-      if (!NeedsScan(graph, id, node, families, stored)) continue;
-      groups[node.dims].push_back(id);
-    }
-    for (const auto& [dims, group] : groups) {
-      (void)dims;
-      std::vector<SubsetNode> nodes;
-      nodes.reserve(group.size());
-      for (int64_t id : group) nodes.push_back(graph.node(id).ToSubsetNode());
-      ++stats_->table_scans;
-      stats_->batched_scan_nodes += static_cast<int64_t>(group.size());
-      Stopwatch timer;
-      std::vector<FrequencySet> sets = FrequencySet::ComputeBatch(
-          table_, qid_, nodes, nullptr, governor_, options_.substrate);
-      stats_->batch_scan_seconds += timer.ElapsedSeconds();
-      if (governor_ != nullptr) {
-        Status trip = governor_->SharedTrip();
-        if (!trip.ok()) return trip;
-        for (size_t j = 0; j < group.size(); ++j) {
-          int64_t bytes = static_cast<int64_t>(sets[j].MemoryBytes());
-          Status charged = governor_->ChargeMemory(bytes);
-          if (!charged.ok()) {
-            // Entries already in `batch` are released by the caller's
-            // release_all; the uncharged tail is simply dropped.
-            return charged;
-          }
-          batch->emplace(group[j], BatchEntry{std::move(sets[j]), bytes});
-        }
-      } else {
-        for (size_t j = 0; j < group.size(); ++j) {
-          batch->emplace(group[j], BatchEntry{std::move(sets[j]), 0});
-        }
-      }
-    }
-    return Status::OK();
-  }
-
-  FrequencySet ComputeFrequencySet(
-      const CandidateGraph& graph, int64_t id, const SubsetNode& node,
-      const std::map<std::vector<int32_t>, std::vector<int64_t>>& families,
-      std::map<std::vector<int32_t>, FrequencySet>* family_freq,
-      const std::unordered_map<int64_t, FrequencySet>& stored) {
-    // Preferred source: a failed direct specialization's frequency set
-    // (Rollup Property) — the cheapest, since it is already partially
-    // aggregated.
-    if (options_.use_rollup) {
-      for (int64_t spec : graph.InEdges(id)) {
-        auto it = stored.find(spec);
-        if (it != stored.end()) {
-          // Fault site "incognito.rollup": an injected allocation failure
-          // while aggregating the rollup latches like a refused charge;
-          // Run unwinds at its next ChargeMemory.
-          if (governor_ != nullptr &&
-              INCOGNITO_FAULT_FIRED("incognito.rollup")) {
-            governor_->LatchInjectedFailure("incognito.rollup");
-          }
-          ++stats_->rollups;
-          return it->second.RollupTo(node, qid_);
-        }
-      }
-    }
-    // Cube Incognito: roll up from the pre-computed zero-generalization
-    // frequency set of this attribute subset instead of scanning T.
-    if (cube_ != nullptr) {
-      ++stats_->rollups;
-      return cube_->Get(node.dims).RollupTo(node, qid_);
-    }
-    // Super-roots Incognito: families with several roots share one scan
-    // via their greatest common specialization (componentwise-minimum
-    // levels; the paper's "super-root").
-    if (options_.variant == IncognitoVariant::kSuperRoots) {
-      auto fam = families.find(node.dims);
-      if (fam != families.end() && fam->second.size() > 1) {
-        auto it = family_freq->find(node.dims);
-        if (it == family_freq->end()) {
-          SubsetNode super;
-          super.dims = node.dims;
-          // The super-root is the componentwise minimum over the family's
-          // roots — their greatest common specialization, from which each
-          // root's frequency set can be produced by rollup.
-          std::vector<int32_t> min_levels(node.dims.size(), INT32_MAX);
-          for (int64_t r : fam->second) {
-            const NodeRow& row = graph.node(r);
-            for (size_t i = 0; i < row.pairs.size(); ++i) {
-              min_levels[i] = std::min(min_levels[i], row.pairs[i].index);
-            }
-          }
-          super.levels = std::move(min_levels);
-          ++stats_->table_scans;
-          FrequencySet super_freq =
-              FrequencySet::Compute(table_, qid_, super, options_.substrate);
-          stats_->freq_groups_built +=
-              static_cast<int64_t>(super_freq.NumGroups());
-          if (governor_ != nullptr &&
-              !governor_
-                   ->ChargeMemory(
-                       static_cast<int64_t>(super_freq.MemoryBytes()))
-                   .ok()) {
-            // Refused: the trip is latched (Run unwinds at its next charge).
-            // Roll up from the uncached set so byte accounting stays exact.
-            ++stats_->rollups;
-            return super_freq.RollupTo(node, qid_);
-          }
-          it = family_freq->emplace(node.dims, std::move(super_freq)).first;
-        }
-        ++stats_->rollups;
-        return it->second.RollupTo(node, qid_);
-      }
-    }
-    // Fallback: scan the table (Basic Incognito roots).
-    ++stats_->table_scans;
-    return FrequencySet::Compute(table_, qid_, node, options_.substrate);
-  }
-
-  void MarkGeneralizations(const CandidateGraph& graph, int64_t id,
-                           std::vector<bool>* marked) {
-    for (int64_t g : graph.OutEdges(id)) {
-      if (!(*marked)[static_cast<size_t>(g)]) {
-        (*marked)[static_cast<size_t>(g)] = true;
-        ++stats_->nodes_marked;
-        INCOGNITO_COUNT("incognito.nodes_marked");
-        if (options_.mark_transitively) {
-          MarkGeneralizations(graph, g, marked);
-        }
-      }
-    }
-  }
-
-  const Table& table_;
-  const QuasiIdentifier& qid_;
-  const AnonymizationConfig& config_;
-  const IncognitoOptions& options_;
-  const ZeroGenCube* cube_;
-  AlgorithmStats* stats_;
-  ExecutionGovernor* governor_;  // null = ungoverned
-};
-
-/// Shared implementation behind both public entry points. With a null
-/// governor this is exactly the original ungoverned algorithm; with one,
-/// every budget trip unwinds into PartialResult::Partial carrying the
-/// iterations completed before the trip.
-PartialResult<IncognitoResult> RunIncognitoImpl(
-    const Table& table, const QuasiIdentifier& qid,
-    const AnonymizationConfig& config, const IncognitoOptions& options,
-    ExecutionGovernor* governor, const CheckpointPolicy* checkpoint_policy) {
+PartialResult<IncognitoResult> RunIncognito(const Table& table,
+                                            const QuasiIdentifier& qid,
+                                            const AnonymizationConfig& config,
+                                            const IncognitoOptions& options,
+                                            const RunContext& ctx) {
   if (config.k < 1) {
     return Status::InvalidArgument("k must be >= 1");
   }
@@ -450,181 +33,21 @@ PartialResult<IncognitoResult> RunIncognitoImpl(
   if (qid.size() == 0) {
     return Status::InvalidArgument("quasi-identifier must be non-empty");
   }
-
-  INCOGNITO_SPAN("incognito.run");
-  INCOGNITO_COUNT("incognito.runs");
-  Stopwatch total_timer;
-  IncognitoResult result;
-
-  // Crash-safe checkpointing (robust/checkpoint.h): records completed
-  // iterations and spills them per the policy; on a trip the snapshot is
-  // written before the partial result is released.
-  std::unique_ptr<CheckpointManager> ckpt;
-  CheckpointFingerprint fingerprint;
-  if (checkpoint_policy != nullptr && checkpoint_policy->enabled()) {
-    fingerprint = MakeCheckpointFingerprint(table, qid, config, options);
-    ckpt = std::make_unique<CheckpointManager>(*checkpoint_policy,
-                                               fingerprint);
+  if (qid.size() > kMaxQidAttributes) {
+    return Status::InvalidArgument(StringPrintf(
+        "quasi-identifier has %zu attributes; at most %zu are supported",
+        qid.size(), kMaxQidAttributes));
   }
-  auto export_checkpoint_stats = [&] {
-    if (ckpt == nullptr) return;
-    result.stats.checkpoint_writes = ckpt->writes();
-    result.stats.checkpoint_bytes = ckpt->bytes_written();
-    result.stats.checkpoint_write_failures = ckpt->write_failures();
-  };
-
-  // Finalizes stats and wraps a budget trip into a partial result; hard
-  // errors pass through value-less.
-  auto stop_early = [&](Status trip) -> PartialResult<IncognitoResult> {
-    if (ckpt != nullptr) ckpt->WriteNow();  // spill before dying
-    export_checkpoint_stats();
-    result.stats.total_seconds = total_timer.ElapsedSeconds();
-    if (governor != nullptr) governor->ExportTrips(&result.stats);
-    if (IsResourceGovernance(trip.code())) {
-      return PartialResult<IncognitoResult>::Partial(std::move(trip),
-                                                     std::move(result));
-    }
-    return trip;
-  };
-
-  // Resume decision — before any expensive setup, so a kRequire failure
-  // costs nothing. The restored prefix is re-anchored into regenerated
-  // candidate graphs with no stats counted (the restored deltas already
-  // carry those counters).
-  SerialResumeState resumed;
-  if (ckpt != nullptr) {
-    Result<ResumeDecision> decision =
-        DecideResume(checkpoint_policy, fingerprint);
-    if (!decision.ok()) return stop_early(decision.status());
-    if (decision->restore) {
-      Result<SerialResumeState> state =
-          RestoreSerialPrefix(decision->snapshot, qid);
-      if (!state.ok()) {
-        if (checkpoint_policy->resume == ResumeMode::kRequire) {
-          return stop_early(state.status());
-        }
-      } else {
-        resumed = std::move(state).value();
-        if (resumed.completed > 0) ckpt->Seed(decision->snapshot);
-      }
-    }
-  }
-
-  // Cube Incognito pre-computes all zero-generalization frequency sets.
-  ZeroGenCube cube;
-  const ZeroGenCube* cube_ptr = nullptr;
-  if (options.variant == IncognitoVariant::kCube) {
-    Stopwatch cube_timer;
-    ZeroGenCube::BuildInfo info;
-    cube = ZeroGenCube::Build(table, qid, &info, governor, options.substrate);
-    cube_ptr = &cube;
-    result.stats.cube_build_seconds = cube_timer.ElapsedSeconds();
-    result.stats.table_scans += info.table_scans;
-    result.stats.freq_groups_built += static_cast<int64_t>(info.total_groups);
-    if (governor != nullptr && governor->Tripped()) {
-      cube.ReleaseMemory(governor);
-      return stop_early(governor->TripStatus());
-    }
-  }
-
-  GraphSearch search(table, qid, config, options, cube_ptr, &result.stats,
-                     governor);
-
-  const size_t n = qid.size();
-  size_t start_iteration = 1;
-  CandidateGraph graph;
-  if (resumed.completed > 0) {
-    result.per_iteration_survivors = resumed.per_iteration_survivors;
-    result.completed_iterations = resumed.completed;
-    result.stats.restored_iterations = resumed.completed;
-    AddCounters(resumed.restored, &result.stats);
-    if (static_cast<size_t>(resumed.completed) == n) {
-      // The checkpoint covers the whole search.
-      result.anonymous_nodes = result.per_iteration_survivors.back();
-      cube.ReleaseMemory(governor);
-      export_checkpoint_stats();
-      result.stats.total_seconds = total_timer.ElapsedSeconds();
-      if (governor != nullptr) governor->ExportTrips(&result.stats);
-      return result;
-    }
-    start_iteration = static_cast<size_t>(resumed.completed) + 1;
-    graph = GenerateNextGraph(resumed.survivors, nullptr, governor);
-  } else {
-    // C_1, E_1: the single-attribute hierarchies.
-    graph = MakeSingleAttributeGraph(qid);
-  }
-  for (size_t i = start_iteration; i <= n; ++i) {
-    INCOGNITO_SPAN("incognito.iteration");
-    INCOGNITO_COUNT("incognito.iterations");
-    const AlgorithmStats before_iteration = result.stats;
-    result.stats.candidate_nodes += static_cast<int64_t>(graph.num_nodes());
-    Result<std::vector<bool>> failed_or = search.Run(graph);
-    if (!failed_or.ok()) {
-      cube.ReleaseMemory(governor);
-      return stop_early(failed_or.status());
-    }
-    const std::vector<bool>& failed = failed_or.value();
-
-    // S_i = C_i minus the failed nodes.
-    std::vector<bool> keep(failed.size());
-    for (size_t j = 0; j < failed.size(); ++j) keep[j] = !failed[j];
-    CandidateGraph survivors = graph.InducedSubgraph(keep);
-
-    std::vector<SubsetNode> survivor_nodes;
-    survivor_nodes.reserve(survivors.num_nodes());
-    for (const NodeRow& row : survivors.nodes()) {
-      survivor_nodes.push_back(row.ToSubsetNode());
-    }
-    std::sort(survivor_nodes.begin(), survivor_nodes.end());
-    result.per_iteration_survivors.push_back(survivor_nodes);
-    result.completed_iterations = static_cast<int64_t>(i);
-
-    if (ckpt != nullptr) {
-      ckpt->AddIteration(static_cast<uint32_t>(i), survivor_nodes,
-                         CounterDelta(before_iteration, result.stats));
-      ckpt->MaybeWrite();
-    }
-
-    if (i == n) {
-      result.anonymous_nodes = std::move(survivor_nodes);
-      break;
-    }
-    // C_{i+1}, E_{i+1} from S_i (join, prune, edge generation). A memory
-    // refusal inside latches in the governor; the next iteration's first
-    // checkpoint unwinds it.
-    graph = GenerateNextGraph(survivors, nullptr, governor);
-  }
-  cube.ReleaseMemory(governor);
-
-  if (ckpt != nullptr) ckpt->WriteNow();  // make the final iteration durable
-  export_checkpoint_stats();
-  result.stats.total_seconds = total_timer.ElapsedSeconds();
-  if (governor != nullptr) governor->ExportTrips(&result.stats);
-  return result;
-}
-
-}  // namespace
-
-PartialResult<IncognitoResult> RunIncognito(const Table& table,
-                                            const QuasiIdentifier& qid,
-                                            const AnonymizationConfig& config,
-                                            const IncognitoOptions& options,
-                                            const RunContext& ctx) {
-  const int num_threads =
-      ctx.num_threads > 0 ? ctx.num_threads : options.num_threads;
+  const int num_threads = std::max(
+      1, ctx.num_threads > 0 ? ctx.num_threads : options.num_threads);
   // A non-kAuto context substrate overrides the option, mirroring the
   // thread-count precedence above.
   IncognitoOptions effective = options;
   if (ctx.substrate != SubstrateMode::kAuto) {
     effective.substrate = ctx.substrate;
   }
-  if (num_threads > 1) {
-    RunContext parallel_ctx = ctx;
-    parallel_ctx.num_threads = num_threads;
-    return RunIncognitoParallel(table, qid, config, effective, parallel_ctx);
-  }
-  return RunIncognitoImpl(table, qid, config, effective, ctx.governor,
-                          ctx.checkpoint);
+  return RunSubsetDag(table, qid, config, effective, ctx.governor,
+                      num_threads, ctx.checkpoint);
 }
 
 }  // namespace incognito

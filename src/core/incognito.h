@@ -45,9 +45,9 @@ struct IncognitoOptions {
   /// frequency set (isolates the Rollup Property's contribution).
   bool use_rollup = true;
 
-  /// Worker threads for the level-wise candidate evaluation. 1 (default)
-  /// runs the serial path; > 1 dispatches to RunIncognitoParallel
-  /// (core/parallel.h), which is bit-identical to serial on complete runs.
+  /// Worker threads of the subset-DAG search (core/parallel.h). 1
+  /// (default) is the serial case; every thread count gives bit-identical
+  /// results.
   int num_threads = 1;
 
   /// When true (default), all scan-required nodes of a lattice level that
@@ -87,18 +87,22 @@ struct IncognitoResult {
 
   AlgorithmStats stats;
 
-  /// Parallel runs only (empty otherwise): each worker shard's high-water
-  /// lease against the shared memory budget, in bytes. Because shard
-  /// leases are monotonic until drain, the sum of these marks never
-  /// exceeds the governor's global memory limit (docs/PARALLELISM.md).
+  /// Each worker shard's high-water lease against the shared memory
+  /// budget, in bytes, indexed by worker id. Because shard leases are
+  /// monotonic until drain, the sum of these marks never exceeds the
+  /// governor's global memory limit (docs/PARALLELISM.md).
   std::vector<int64_t> shard_high_water_bytes;
 
-  /// Parallel runs only (empty otherwise): fraction of the run's makespan
-  /// each worker spent executing tasks, indexed by worker id (worker 0 is
-  /// the calling thread). Derived from the scheduler's TaskTimeline
-  /// (obs/timeline.h); empty when observability is compiled out.
+  /// Fraction of the run's makespan each worker spent executing tasks,
+  /// indexed by worker id (worker 0 is the calling thread). Derived from
+  /// the scheduler's TaskTimeline (obs/timeline.h); empty when
+  /// observability is compiled out.
   std::vector<double> worker_utilization;
 };
+
+/// The widest quasi-identifier RunIncognito accepts: the subset search
+/// indexes attribute subsets by bitmask and keeps one task slot per subset.
+inline constexpr size_t kMaxQidAttributes = 32;
 
 /// Runs Incognito: produces the set of ALL k-anonymous full-domain
 /// generalizations of `table` with respect to `qid` (sound and complete,
@@ -116,12 +120,13 @@ struct IncognitoResult {
 ///     IncognitoResult::completed_iterations) with status
 ///     kDeadlineExceeded, kResourceExhausted, or kCancelled. Construct a
 ///     fresh governor per call.
-///   - An effective thread count > 1 (ctx.num_threads, or
-///     options.num_threads when ctx leaves it 0) dispatches to
-///     RunIncognitoParallel (core/parallel.h) under ctx.scheduling —
-///     pipelined subset DAG by default — returning the identical answer
+///   - The effective thread count (ctx.num_threads, or options.num_threads
+///     when ctx leaves it 0) sizes the worker pool of the subset-DAG
+///     search (core/parallel.h); every count returns the identical answer
 ///     set, survivor sets, and node-count statistics, with each worker
 ///     charging a GovernorShard leased from ctx.governor.
+///   - A QID wider than kMaxQidAttributes is InvalidArgument, before any
+///     work.
 PartialResult<IncognitoResult> RunIncognito(const Table& table,
                                             const QuasiIdentifier& qid,
                                             const AnonymizationConfig& config,

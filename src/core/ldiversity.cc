@@ -18,13 +18,14 @@ namespace {
 
 /// The modified breadth-first search of paper §3.1.1, evaluating the
 /// combined k-anonymity + distinct ℓ-diversity predicate on sensitive
-/// frequency sets. Mirrors the k-anonymity GraphSearch; kept separate
-/// because the measure it carries (per-group sensitive sets) differs.
-class DiversityGraphSearch {
+/// frequency sets. Mirrors the k-anonymity LatticeWalk (core/parallel.cc);
+/// kept separate because the measure it carries (per-group sensitive sets)
+/// differs.
+class DiversityWalk {
  public:
-  DiversityGraphSearch(const Table& table, const QuasiIdentifier& qid,
-                       const LDiversityConfig& config, size_t sensitive_column,
-                       AlgorithmStats* stats, ExecutionGovernor* governor)
+  DiversityWalk(const Table& table, const QuasiIdentifier& qid,
+                const LDiversityConfig& config, size_t sensitive_column,
+                AlgorithmStats* stats, ExecutionGovernor* governor)
       : table_(table),
         qid_(qid),
         config_(config),
@@ -183,7 +184,7 @@ PartialResult<LDiversityResult> RunLDiversityIncognito(
 
   Stopwatch timer;
   LDiversityResult result;
-  DiversityGraphSearch search(table, qid, config, sensitive.value(),
+  DiversityWalk search(table, qid, config, sensitive.value(),
                               &result.stats, governor);
 
   // Wraps a budget trip into a partial result: completed_iterations

@@ -57,8 +57,8 @@ struct LDiversityResult {
 /// the search cleanly and returns PartialResult::Partial with
 /// diverse_nodes EMPTY and completed_iterations recording how many
 /// subset-size iterations finished (the same contract as RunIncognito's
-/// governed path). The algorithm is single-threaded: ctx.num_threads and
-/// ctx.scheduling are ignored.
+/// governed path). The algorithm is single-threaded: ctx.num_threads is
+/// ignored.
 PartialResult<LDiversityResult> RunLDiversityIncognito(
     const Table& table, const QuasiIdentifier& qid,
     const LDiversityConfig& config, const RunContext& ctx = {});

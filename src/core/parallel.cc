@@ -1,6 +1,7 @@
 #include "core/parallel.h"
 
 #include <algorithm>
+#include <climits>
 #include <condition_variable>
 #include <cstdint>
 #include <map>
@@ -13,6 +14,7 @@
 
 #include "common/stopwatch.h"
 #include "core/checkpoint_resume.h"
+#include "core/worker_pool.h"
 #include "freq/cube.h"
 #include "freq/frequency_set.h"
 #include "lattice/candidate_gen.h"
@@ -25,44 +27,56 @@
 
 namespace incognito {
 
-// ---------------------------------------------------------------------------
-// Parallel graph search
-// ---------------------------------------------------------------------------
-
 namespace {
 
-/// The level-synchronous parallel twin of incognito.cc's GraphSearch
-/// (docs/PARALLELISM.md). The serial search processes its queue in strict
-/// (height, id) order, and every effect of processing a node — marks,
-/// newly enqueued generalizations, retained rollup sources — lands only on
-/// strictly greater heights. So processing one whole height level at a
-/// time, with a deterministic id-ordered merge between levels, visits the
-/// exact node sequence the serial walk does and produces bit-identical
-/// marked sets, failed sets, and node-count statistics.
-class ParallelGraphSearch {
- public:
-  ParallelGraphSearch(const Table& table, const QuasiIdentifier& qid,
-                      const AnonymizationConfig& config,
-                      const IncognitoOptions& options, const ZeroGenCube* cube,
-                      AlgorithmStats* stats, ExecutionGovernor* governor,
-                      WorkerPool* pool,
-                      std::vector<std::unique_ptr<GovernorShard>>* shards,
-                      std::vector<AlgorithmStats>* worker_stats)
-      : table_(table),
-        qid_(qid),
-        config_(config),
-        options_(options),
-        cube_(cube),
-        stats_(stats),
-        governor_(governor),
-        pool_(pool),
-        shards_(shards),
-        worker_stats_(worker_stats) {}
+int Popcount(uint64_t mask) { return __builtin_popcountll(mask); }
 
-  /// Same contract as the serial GraphSearch::Run: failed[id] == true iff
-  /// T was checked and found NOT k-anonymous w.r.t. node id; a budget trip
-  /// aborts the walk and returns the trip status with every charged byte
-  /// released back to the shards / governor first.
+/// The lowest set bit of a non-zero mask.
+uint64_t LowestBit(uint64_t mask) { return mask & (~mask + 1); }
+
+/// What every walk of one run shares: the problem, the Cube Incognito cube
+/// (null for the other variants), the governor every shard leases from
+/// (never null — a private unlimited one when the run is ungoverned), and
+/// per worker one GovernorShard and one private stats object.
+struct SearchRun {
+  const Table& table;
+  const QuasiIdentifier& qid;
+  const AnonymizationConfig& config;
+  const IncognitoOptions& options;
+  const ZeroGenCube* cube;
+  ExecutionGovernor* governor;
+  std::vector<std::unique_ptr<GovernorShard>>& shards;
+  std::vector<AlgorithmStats>& worker_stats;
+};
+
+/// The Incognito lattice walk over one candidate graph: the modified
+/// breadth-first search of paper §3.1.1, one height level at a time
+/// (docs/PARALLELISM.md "One lattice walk"). Phase A evaluates every node
+/// of a level; Phase B merges the outcomes in ascending node id. Every
+/// effect of processing a node — marks, enqueued generalizations, retained
+/// rollup sources — lands only on strictly greater heights, so the walk
+/// visits exactly the nodes the paper's (height, id)-ordered queue visits,
+/// with the same outcomes and counters.
+///
+/// Given a pool, Phase A and the shared scans fan out across its workers,
+/// each charging its own shard: the apex graph, which has the pool to
+/// itself. Without one, the walk stays inline on worker `worker` and
+/// charges only that worker's shard: a subset task, whose siblings keep the
+/// rest of the pool busy.
+class LatticeWalk {
+ public:
+  LatticeWalk(const SearchRun& run, WorkerPool* pool, int worker)
+      : run_(run),
+        options_(run.options),
+        pool_(pool),
+        worker_(worker),
+        own_(Shard(worker)),
+        stats_(run.worker_stats[static_cast<size_t>(worker)]) {}
+
+  /// failed[id] == true iff T was checked and found NOT k-anonymous w.r.t.
+  /// node id; every other node is k-anonymous (checked, marked, or
+  /// implied) — exactly the deletion set for S_i. A budget trip aborts the
+  /// walk and returns the trip status, with every charged byte released.
   Result<std::vector<bool>> Run(const CandidateGraph& graph) {
     INCOGNITO_SPAN("incognito.graph_search");
     const size_t n = graph.num_nodes();
@@ -71,12 +85,15 @@ class ParallelGraphSearch {
     std::vector<char> enqueued(n, 0);
 
     // Frequency sets of failed nodes, kept for their generalizations to
-    // roll up from. Written only between level barriers (Phase B); workers
-    // read it concurrently but never mutate it.
-    std::unordered_map<int64_t, StoredEntry> stored;
+    // roll up from. Written only in Phase B; Phase A only reads it.
+    std::unordered_map<int64_t, StoredSet> stored;
     std::unordered_map<int64_t, int64_t> pending_uses;
-
-    auto& shards = *shards_;
+    // Super-roots: each multi-root family's super-root set, by dims.
+    std::map<std::vector<int32_t>, RetainedSet> families;
+    // Sets pre-built by the shared scans, by node id. A worker that takes
+    // one zeroes its bytes; Phase B erases it. Front entries for higher
+    // levels persist across levels.
+    std::unordered_map<int64_t, RetainedSet> batch;
 
     auto release_parents = [&](int64_t id) {
       for (int64_t spec : graph.InEdges(id)) {
@@ -84,118 +101,78 @@ class ParallelGraphSearch {
         if (it != pending_uses.end() && --it->second == 0) {
           auto sit = stored.find(spec);
           if (sit != stored.end()) {
-            shards[static_cast<size_t>(sit->second.owner)]->ReleaseMemory(
-                sit->second.bytes);
+            Shard(sit->second.owner).ReleaseMemory(sit->second.bytes);
+            stored.erase(sit);
           }
-          stored.erase(spec);
           pending_uses.erase(it);
         }
       }
     };
-
-    // Frequency sets pre-built by the shared batch scans — the minimal-
-    // front pre-pass plus each level's top-up (options_.batch_scans) —
-    // keyed by node id. Retention bytes stay charged to the governor
-    // until a worker takes the set (zeroing `bytes`); front entries for
-    // higher levels persist across levels.
-    std::unordered_map<int64_t, BatchEntry> batch;
-
     auto release_all = [&]() {
-      for (const auto& [sid, entry] : stored) {
-        (void)sid;
-        shards[static_cast<size_t>(entry.owner)]->ReleaseMemory(entry.bytes);
+      for (const auto& [id, set] : stored) {
+        (void)id;
+        Shard(set.owner).ReleaseMemory(set.bytes);
       }
-      stored.clear();
-      pending_uses.clear();
-      for (const auto& [dims, fs] : family_freq_) {
+      for (const auto& [dims, set] : families) {
         (void)dims;
-        governor_->ReleaseMemory(static_cast<int64_t>(fs.MemoryBytes()));
+        ReleaseRetained(set.bytes);
       }
-      family_freq_.clear();
-      for (const auto& [bid, entry] : batch) {
-        (void)bid;
-        governor_->ReleaseMemory(entry.bytes);  // zero once taken
+      for (const auto& [id, set] : batch) {
+        (void)id;
+        ReleaseRetained(set.bytes);  // zero once taken
       }
-      batch.clear();
     };
 
-    // Super-roots: the serial search builds each multi-root family's
-    // super-root frequency set lazily, when its first root is processed.
-    // Roots have no in-edges, so they can never be marked and every one is
-    // always processed — pre-computing all multi-root family sets up front
-    // therefore performs the exact same scans and builds the exact same
-    // groups, just earlier. A refused charge trips like any other.
+    // Roots have no in-edges, so none is ever marked and every one is
+    // processed: building each multi-root family's super-root set (the
+    // componentwise minimum of its roots — their greatest common
+    // specialization) up front performs exactly the scans a lazy build
+    // would, just earlier.
     std::vector<int64_t> roots = graph.Roots();
-    family_freq_.clear();
     if (options_.variant == IncognitoVariant::kSuperRoots) {
-      std::map<std::vector<int32_t>, std::vector<int64_t>> families;
+      std::map<std::vector<int32_t>, std::vector<int64_t>> by_dims;
       for (int64_t r : roots) {
-        families[graph.node(r).ToSubsetNode().dims].push_back(r);
+        by_dims[graph.node(r).ToSubsetNode().dims].push_back(r);
       }
-      for (const auto& [dims, fam] : families) {
-        if (fam.size() <= 1) continue;
+      for (const auto& [dims, members] : by_dims) {
+        if (members.size() <= 1) continue;
         SubsetNode super;
         super.dims = dims;
-        std::vector<int32_t> min_levels(dims.size(), INT32_MAX);
-        for (int64_t r : fam) {
+        super.levels.assign(dims.size(), INT32_MAX);
+        for (int64_t r : members) {
           const NodeRow& row = graph.node(r);
           for (size_t i = 0; i < row.pairs.size(); ++i) {
-            min_levels[i] = std::min(min_levels[i], row.pairs[i].index);
+            super.levels[i] = std::min(super.levels[i], row.pairs[i].index);
           }
         }
-        super.levels = std::move(min_levels);
-        ++stats_->table_scans;
-        // The pool is idle between levels, so the family scan itself fans
-        // out across it; the result is bit-identical to the serial
-        // Compute (docs/PARALLELISM.md "Intra-node parallelism").
-        FrequencySet super_freq =
-            FrequencySet::ComputeParallel(table_, qid_, super, *pool_,
-                                          governor_, options_.substrate);
-        stats_->freq_groups_built +=
-            static_cast<int64_t>(super_freq.NumGroups());
-        Status charged = governor_->ChargeMemory(
-            static_cast<int64_t>(super_freq.MemoryBytes()));
+        ++stats_.table_scans;
+        FrequencySet set = std::move(
+            FrequencySet::ComputeBatch(run_.table, run_.qid, {super}, pool_,
+                                       run_.governor, options_.substrate)
+                .front());
+        stats_.freq_groups_built += static_cast<int64_t>(set.NumGroups());
+        const int64_t bytes = static_cast<int64_t>(set.MemoryBytes());
+        Status charged = own_.Check();
+        if (charged.ok()) charged = ChargeRetained(bytes);
         if (!charged.ok()) {
           release_all();
           return charged;
         }
-        family_freq_.emplace(dims, std::move(super_freq));
+        families.emplace(dims, RetainedSet{std::move(set), bytes});
       }
     }
 
-    // The frontier, bucketed by height. The serial queue is ordered by
-    // (height, id); draining one height bucket at a time in ascending id
-    // order reproduces that order exactly.
-    std::map<int32_t, std::vector<int64_t>> by_height;
-    for (int64_t r : roots) {
-      enqueued[static_cast<size_t>(r)] = 1;
-      by_height[graph.node(r).Height()].push_back(r);
-    }
-
-    enum OutcomeKind : uint8_t { kSkipped, kMarked, kAnonymous, kFailed };
-    struct NodeOutcome {
-      OutcomeKind kind = kSkipped;
-      int owner = 0;
-      int64_t bytes = 0;
-      FrequencySet freq;
-    };
-
     // Scan-sharing batch build (docs/PARALLELISM.md "Scan-sharing batch
-    // evaluation"): group the given nodes' scan-required members by
-    // attribute subset and feed each group from ONE pool-parallel pass
-    // over the table. Classification mirrors the workers' source
-    // preference exactly, and `stored`/`marked`/family_freq_ are frozen
-    // between levels, so a batched node is precisely one that would have
-    // scanned on its own. One table scan is counted per (subset,
-    // front-or-level) group — the same grouping the serial level drain
-    // and the pipelined per-subset walks produce, so table_scans stays
-    // bit-identical across schedules and thread counts.
+    // evaluation"): group the listed nodes that would otherwise scan T by
+    // attribute subset and feed each group from ONE pass over the table.
+    // The classification mirrors ComputeFrequencySet's source preference,
+    // and `stored`/`marked`/`families` only change in Phase B, so a
+    // batched node is precisely one that would have scanned on its own.
+    // One table scan is counted per (subset, front-or-level) group.
     auto build_batches = [&](const std::vector<int64_t>& list) -> Status {
       std::map<std::vector<int32_t>, std::vector<int64_t>> groups;
       for (int64_t id : list) {
-        if (marked[static_cast<size_t>(id)] || batch.count(id) != 0) {
-          continue;
-        }
+        if (marked[static_cast<size_t>(id)] || batch.count(id) != 0) continue;
         SubsetNode node = graph.node(id).ToSubsetNode();
         bool scan = true;
         if (options_.use_rollup) {
@@ -206,47 +183,47 @@ class ParallelGraphSearch {
             }
           }
         }
-        if (scan && options_.variant == IncognitoVariant::kSuperRoots &&
-            family_freq_.count(node.dims) != 0) {
-          scan = false;
-        }
+        if (scan && families.count(node.dims) != 0) scan = false;
         if (scan) groups[node.dims].push_back(id);
       }
       for (const auto& [dims, group] : groups) {
         (void)dims;
         std::vector<SubsetNode> nodes;
         nodes.reserve(group.size());
-        for (int64_t id : group) {
-          nodes.push_back(graph.node(id).ToSubsetNode());
-        }
-        ++stats_->table_scans;
-        stats_->batched_scan_nodes += static_cast<int64_t>(group.size());
-        Stopwatch batch_timer;
+        for (int64_t id : group) nodes.push_back(graph.node(id).ToSubsetNode());
+        ++stats_.table_scans;
+        stats_.batched_scan_nodes += static_cast<int64_t>(group.size());
+        Stopwatch timer;
         std::vector<FrequencySet> sets = FrequencySet::ComputeBatch(
-            table_, qid_, nodes, pool_, governor_, options_.substrate);
-        stats_->batch_scan_seconds += batch_timer.ElapsedSeconds();
-        // Retention charges live on the governor until a worker takes
-        // the set (swapping them for its shard charge) or release_all
-        // unwinds them.
-        Status bstatus = governor_->SharedTrip();
-        if (bstatus.ok()) {
-          for (size_t j = 0; j < group.size(); ++j) {
-            int64_t bytes = static_cast<int64_t>(sets[j].MemoryBytes());
-            bstatus = governor_->ChargeMemory(bytes);
-            if (!bstatus.ok()) break;
-            batch.emplace(group[j], BatchEntry{std::move(sets[j]), bytes});
+            run_.table, run_.qid, nodes, pool_, run_.governor,
+            options_.substrate);
+        stats_.batch_scan_seconds += timer.ElapsedSeconds();
+        Status status = own_.Check();
+        for (size_t j = 0; j < group.size() && status.ok(); ++j) {
+          const int64_t bytes = static_cast<int64_t>(sets[j].MemoryBytes());
+          status = ChargeRetained(bytes);
+          if (status.ok()) {
+            batch.emplace(group[j], RetainedSet{std::move(sets[j]), bytes});
           }
         }
-        if (!bstatus.ok()) return bstatus;  // caller's release_all unwinds
+        if (!status.ok()) return status;  // the caller's release_all unwinds
       }
       return Status::OK();
     };
 
-    if (options_.batch_scans && cube_ == nullptr) {
-      // Minimal-front pre-pass: roots have no in-lattice parents, so they
-      // can never gain a rollup source or be marked — one shared scan per
-      // subset covers the whole front even when a subset's roots span
-      // several heights.
+    // The frontier, bucketed by height; draining one bucket at a time in
+    // ascending id order reproduces the paper's (height, id) queue order.
+    std::map<int32_t, std::vector<int64_t>> by_height;
+    for (int64_t r : roots) {
+      enqueued[static_cast<size_t>(r)] = 1;
+      by_height[graph.node(r).Height()].push_back(r);
+    }
+
+    const bool batching = options_.batch_scans && run_.cube == nullptr;
+    if (batching) {
+      // Minimal-front pre-pass: roots can never gain a rollup source or be
+      // marked, so one shared scan per subset covers the whole front even
+      // when its roots span several heights.
       Status batched = build_batches(roots);
       if (!batched.ok()) {
         release_all();
@@ -254,27 +231,29 @@ class ParallelGraphSearch {
       }
     }
 
-    const int workers = pool_->size();
+    enum OutcomeKind : uint8_t { kSkipped, kMarked, kAnonymous, kFailed };
+    struct NodeOutcome {
+      OutcomeKind kind = kSkipped;
+      int owner = 0;
+      int64_t bytes = 0;
+      FrequencySet freq;
+    };
+
     while (!by_height.empty()) {
-      // Main-thread checkpoint between levels: catches trips latched by
-      // GenerateNextGraph / the cube build / a previous level's workers.
-      Status checkpoint = governor_->Check();
+      // Catches trips latched by candidate generation, the cube build, or
+      // a previous level.
+      Status checkpoint = own_.Check();
       if (!checkpoint.ok()) {
         release_all();
         return checkpoint;
       }
-
-      auto level_it = by_height.begin();
-      std::vector<int64_t> ids = std::move(level_it->second);
-      by_height.erase(level_it);
+      std::vector<int64_t> ids = std::move(by_height.begin()->second);
+      by_height.erase(by_height.begin());
       std::sort(ids.begin(), ids.end());
 
-      INCOGNITO_SPAN("incognito.parallel.level");
-      INCOGNITO_COUNT("incognito.parallel.levels");
-
-      // Scan-sharing level top-up: batch the level's scan-required nodes
-      // that the minimal-front pre-pass could not have covered.
-      if (options_.batch_scans && cube_ == nullptr) {
+      // Level top-up: batch the scan-required nodes the front could not
+      // have covered.
+      if (batching) {
         Status batched = build_batches(ids);
         if (!batched.ok()) {
           release_all();
@@ -282,100 +261,75 @@ class ParallelGraphSearch {
         }
       }
 
-      // Phase A: evaluate every node of this level concurrently. Workers
-      // only read shared search state (marked, stored, family_freq_, the
-      // graph, the cube) and write their private outcome slots, worker
-      // stats, and shard accounting — the pool barrier separates these
-      // reads from the merge's writes.
+      // Phase A: evaluate every node of the level. Workers only read the
+      // walk's shared state and write their own outcome slots, stats, and
+      // shard; a trip latches shared and stops every worker.
       std::vector<NodeOutcome> outcomes(ids.size());
-      std::vector<Status> worker_status(static_cast<size_t>(workers));
-      pool_->Run(
-          ids.size(), [&](int w, size_t begin, size_t end) {
-            INCOGNITO_SPAN("incognito.parallel.chunk");
-            GovernorShard& shard = *shards[static_cast<size_t>(w)];
-            AlgorithmStats& wstats = (*worker_stats_)[static_cast<size_t>(w)];
-            for (size_t i = begin; i < end; ++i) {
-              Status cp = shard.Check();
-              if (!cp.ok()) {
-                worker_status[static_cast<size_t>(w)] = cp;
-                return;
-              }
-              const int64_t id = ids[i];
-              NodeOutcome& out = outcomes[i];
-              if (marked[static_cast<size_t>(id)]) {
-                out.kind = kMarked;
-                continue;
-              }
-              SubsetNode node = graph.node(id).ToSubsetNode();
-              FrequencySet freq;
-              auto bit = batch.find(id);
-              if (bit != batch.end()) {
-                // Pre-built by the level's shared scan; swap the batch
-                // retention charge for this worker's shard charge below.
-                // (The scan was already counted by the main thread.)
-                governor_->ReleaseMemory(bit->second.bytes);
-                bit->second.bytes = 0;
-                freq = std::move(bit->second.freq);
-              } else {
-                freq = ComputeFrequencySet(graph, id, node, stored, &wstats);
-              }
-              int64_t freq_bytes = static_cast<int64_t>(freq.MemoryBytes());
-              Status charged = shard.ChargeMemory(freq_bytes);
-              if (!charged.ok()) {
-                worker_status[static_cast<size_t>(w)] = charged;
-                return;
-              }
-              ++wstats.nodes_checked;
-              wstats.freq_groups_built +=
-                  static_cast<int64_t>(freq.NumGroups());
-              INCOGNITO_COUNT("incognito.kchecks");
-              INCOGNITO_COUNT("incognito.parallel.kchecks");
-              bool anonymous;
-              {
-                INCOGNITO_PHASE_TIMER("phase.kcheck_seconds");
-                anonymous =
-                    freq.IsKAnonymous(config_.k, config_.max_suppressed);
-              }
-              if (anonymous) {
-                shard.ReleaseMemory(freq_bytes);
-                out.kind = kAnonymous;
-              } else {
-                out.kind = kFailed;
-                out.owner = w;
-                out.bytes = freq_bytes;
-                out.freq = std::move(freq);
-              }
-            }
-          });
-
-      // Every worker trip latched the shared status; drain and unwind.
-      Status trip = governor_->SharedTrip();
-      if (trip.ok()) {
-        for (const Status& ws : worker_status) {
-          if (!ws.ok()) {
-            trip = ws;
-            break;
+      auto evaluate = [&](int w, size_t begin, size_t end) {
+        GovernorShard& shard = Shard(w);
+        AlgorithmStats& wstats = run_.worker_stats[static_cast<size_t>(w)];
+        for (size_t i = begin; i < end; ++i) {
+          if (!shard.Check().ok()) return;
+          const int64_t id = ids[i];
+          NodeOutcome& out = outcomes[i];
+          if (marked[static_cast<size_t>(id)]) {
+            out.kind = kMarked;
+            continue;
+          }
+          FrequencySet freq;
+          auto bit = batch.find(id);
+          if (bit != batch.end()) {
+            // Pre-built (and counted) by a shared scan: swap its retained
+            // charge for this worker's per-node charge below.
+            ReleaseRetained(bit->second.bytes);
+            bit->second.bytes = 0;
+            freq = std::move(bit->second.freq);
+          } else {
+            freq = ComputeFrequencySet(graph, id, stored, families, &wstats);
+          }
+          const int64_t bytes = static_cast<int64_t>(freq.MemoryBytes());
+          if (!shard.ChargeMemory(bytes).ok()) return;
+          ++wstats.nodes_checked;
+          wstats.freq_groups_built += static_cast<int64_t>(freq.NumGroups());
+          INCOGNITO_COUNT("incognito.kchecks");
+          bool anonymous;
+          {
+            INCOGNITO_PHASE_TIMER("phase.kcheck_seconds");
+            anonymous =
+                freq.IsKAnonymous(run_.config.k, run_.config.max_suppressed);
+          }
+          if (anonymous) {
+            shard.ReleaseMemory(bytes);
+            out.kind = kAnonymous;
+          } else {
+            out.kind = kFailed;
+            out.owner = w;
+            out.bytes = bytes;
+            out.freq = std::move(freq);
           }
         }
+      };
+      if (pool_ != nullptr) {
+        pool_->Run(ids.size(), evaluate);
+      } else {
+        evaluate(worker_, 0, ids.size());
       }
+
+      // Every worker-side trip latched the shared status.
+      Status trip = own_.Check();
       if (!trip.ok()) {
         for (NodeOutcome& out : outcomes) {
-          if (out.kind == kFailed) {
-            shards[static_cast<size_t>(out.owner)]->ReleaseMemory(out.bytes);
-          }
+          if (out.kind == kFailed) Shard(out.owner).ReleaseMemory(out.bytes);
         }
         release_all();
         return trip;
       }
 
-      // Phase B: merge this level's outcomes serially, in ascending node
-      // id — the same order the serial walk applies them in.
+      // Phase B: merge the level's outcomes in ascending node id.
       for (size_t i = 0; i < ids.size(); ++i) {
         const int64_t id = ids[i];
         NodeOutcome& out = outcomes[i];
-        // Drop the (taken, zero-byte) batch entry now that the map
-        // persists across levels; Phase A itself must not mutate it.
-        batch.erase(id);
+        batch.erase(id);  // taken; Phase A must not mutate the map
         if (out.kind == kAnonymous) {
           INCOGNITO_PHASE_TIMER("phase.mark_seconds");
           MarkGeneralizations(graph, id, &marked);
@@ -384,10 +338,10 @@ class ParallelGraphSearch {
           const auto& gens = graph.OutEdges(id);
           if (!gens.empty() && options_.use_rollup) {
             pending_uses[id] = static_cast<int64_t>(gens.size());
-            stored.emplace(id, StoredEntry{std::move(out.freq), out.bytes,
-                                           out.owner});
+            stored.emplace(id,
+                           StoredSet{std::move(out.freq), out.bytes, out.owner});
           } else {
-            shards[static_cast<size_t>(out.owner)]->ReleaseMemory(out.bytes);
+            Shard(out.owner).ReleaseMemory(out.bytes);
           }
           for (int64_t g : gens) {
             if (!enqueued[static_cast<size_t>(g)]) {
@@ -404,59 +358,76 @@ class ParallelGraphSearch {
   }
 
  private:
-  /// A failed node's retained frequency set plus the worker shard its
-  /// bytes are charged to.
-  struct StoredEntry {
+  /// A failed node's retained frequency set and the shard its bytes are
+  /// charged to.
+  struct StoredSet {
     FrequencySet freq;
     int64_t bytes = 0;
     int owner = 0;
   };
 
-  /// A frequency set pre-built by a shared batch scan (minimal front or
-  /// level top-up). `bytes` is the retention charge against the governor;
-  /// the taking worker zeroes it after swapping in its own shard charge,
-  /// so release_all releases only untaken sets. Each entry is touched by
-  /// exactly one worker (ids are partitioned), and the map itself is
-  /// never mutated during Phase A — taken entries are erased in Phase B.
-  struct BatchEntry {
+  /// A set built ahead of its nodes (super-root or shared-scan output) and
+  /// the bytes it holds charged via ChargeRetained.
+  struct RetainedSet {
     FrequencySet freq;
     int64_t bytes = 0;
   };
 
-  /// Worker-side frequency-set computation; same source preference order
-  /// as the serial search. Reads only level-frozen shared state.
+  GovernorShard& Shard(int w) const {
+    return *run_.shards[static_cast<size_t>(w)];
+  }
+
+  // Retained sets are charged to the walk's own shard when it runs inline,
+  // and to the governor when pooled, because then any worker may take (and
+  // un-charge) a shared-scan output.
+  Status ChargeRetained(int64_t bytes) {
+    return pool_ != nullptr ? run_.governor->ChargeMemory(bytes)
+                            : own_.ChargeMemory(bytes);
+  }
+  void ReleaseRetained(int64_t bytes) {
+    if (pool_ != nullptr) {
+      run_.governor->ReleaseMemory(bytes);
+    } else {
+      own_.ReleaseMemory(bytes);
+    }
+  }
+
+  /// A node's frequency set, preferring (Rollup Property) a failed direct
+  /// specialization's set, then the cube, then its super-root family, and
+  /// scanning T only as a last resort. Reads only level-frozen state.
   FrequencySet ComputeFrequencySet(
-      const CandidateGraph& graph, int64_t id, const SubsetNode& node,
-      const std::unordered_map<int64_t, StoredEntry>& stored,
+      const CandidateGraph& graph, int64_t id,
+      const std::unordered_map<int64_t, StoredSet>& stored,
+      const std::map<std::vector<int32_t>, RetainedSet>& families,
       AlgorithmStats* wstats) const {
+    const SubsetNode node = graph.node(id).ToSubsetNode();
     if (options_.use_rollup) {
       for (int64_t spec : graph.InEdges(id)) {
         auto it = stored.find(spec);
         if (it != stored.end()) {
-          // Same fault site as the serial rollup path; the latch is
-          // thread-safe and sibling shards observe it at their next
-          // checkpoint.
+          // Fault site "incognito.rollup": an injected allocation failure
+          // while aggregating latches like a refused charge; every worker
+          // stops at its next checkpoint.
           if (INCOGNITO_FAULT_FIRED("incognito.rollup")) {
-            governor_->LatchInjectedFailure("incognito.rollup");
+            run_.governor->LatchInjectedFailure("incognito.rollup");
           }
           ++wstats->rollups;
-          return it->second.freq.RollupTo(node, qid_);
+          return it->second.freq.RollupTo(node, run_.qid);
         }
       }
     }
-    if (cube_ != nullptr) {
+    if (run_.cube != nullptr) {
       ++wstats->rollups;
-      return cube_->Get(node.dims).RollupTo(node, qid_);
+      return run_.cube->Get(node.dims).RollupTo(node, run_.qid);
     }
-    if (options_.variant == IncognitoVariant::kSuperRoots) {
-      auto it = family_freq_.find(node.dims);
-      if (it != family_freq_.end()) {
-        ++wstats->rollups;
-        return it->second.RollupTo(node, qid_);
-      }
+    auto family = families.find(node.dims);
+    if (family != families.end()) {
+      ++wstats->rollups;
+      return family->second.freq.RollupTo(node, run_.qid);
     }
     ++wstats->table_scans;
-    return FrequencySet::Compute(table_, qid_, node, options_.substrate);
+    return FrequencySet::Compute(run_.table, run_.qid, node,
+                                 options_.substrate);
   }
 
   void MarkGeneralizations(const CandidateGraph& graph, int64_t id,
@@ -464,7 +435,7 @@ class ParallelGraphSearch {
     for (int64_t g : graph.OutEdges(id)) {
       if (!(*marked)[static_cast<size_t>(g)]) {
         (*marked)[static_cast<size_t>(g)] = true;
-        ++stats_->nodes_marked;
+        ++stats_.nodes_marked;
         INCOGNITO_COUNT("incognito.nodes_marked");
         if (options_.mark_transitively) {
           MarkGeneralizations(graph, g, marked);
@@ -473,409 +444,46 @@ class ParallelGraphSearch {
     }
   }
 
-  const Table& table_;
-  const QuasiIdentifier& qid_;
-  const AnonymizationConfig& config_;
+  const SearchRun& run_;
   const IncognitoOptions& options_;
-  const ZeroGenCube* cube_;
-  AlgorithmStats* stats_;        // main-thread stats (marks, super-roots)
-  ExecutionGovernor* governor_;  // never null; unlimited when ungoverned
-  WorkerPool* pool_;
-  std::vector<std::unique_ptr<GovernorShard>>* shards_;
-  std::vector<AlgorithmStats>* worker_stats_;
-  // Pre-computed super-root sets of the current graph (read-only to
-  // workers; bytes charged to governor_, released by release_all).
-  std::map<std::vector<int32_t>, FrequencySet> family_freq_;
+  WorkerPool* pool_;     // null: inline on worker_
+  int worker_;           // the calling thread's worker id
+  GovernorShard& own_;   // worker_'s shard
+  AlgorithmStats& stats_;  // worker_'s stats
 };
 
-/// The per-task serial walk of the pipelined scheduler: the serial
-/// GraphSearch of incognito.cc over ONE subset's candidate graph, with
-/// every byte charged to the owning worker's GovernorShard. Node-for-node
-/// identical to the serial walk restricted to this subset — the candidate
-/// graph of an iteration is the disjoint union of its per-subset
-/// components, and the serial (height, id) queue order interleaves
-/// subsets without ever letting one affect another's outcomes (marks,
-/// rollup sources, and enqueues all stay inside a node's own component).
-class SubsetGraphWalk {
- public:
-  SubsetGraphWalk(const Table& table, const QuasiIdentifier& qid,
-                  const AnonymizationConfig& config,
-                  const IncognitoOptions& options, const ZeroGenCube* cube,
-                  ExecutionGovernor* governor, GovernorShard* shard,
-                  AlgorithmStats* wstats)
-      : table_(table),
-        qid_(qid),
-        config_(config),
-        options_(options),
-        cube_(cube),
-        governor_(governor),
-        shard_(shard),
-        wstats_(wstats) {}
-
-  /// Same contract as the serial GraphSearch::Run. On a trip every charged
-  /// byte is released back to the shard before the status returns.
-  Result<std::vector<bool>> Run(const CandidateGraph& graph) {
-    INCOGNITO_SPAN("incognito.subset.task");
-    const size_t n = graph.num_nodes();
-    std::vector<bool> failed(n, false);
-    std::vector<bool> marked(n, false);
-    std::vector<bool> processed(n, false);
-    std::unordered_map<int64_t, FrequencySet> stored;
-    std::unordered_map<int64_t, int64_t> pending_uses;
-
-    // All nodes of a subset graph share dims, so there is at most one
-    // super-root family: the graph's root set. Computed lazily like the
-    // serial walk (the first processed root builds it; roots are never
-    // marked, so it is always built for multi-root graphs).
-    std::map<std::vector<int32_t>, FrequencySet> family_freq;
-    std::vector<int64_t> roots = graph.Roots();
-    std::map<std::vector<int32_t>, std::vector<int64_t>> families;
-    if (options_.variant == IncognitoVariant::kSuperRoots) {
-      for (int64_t r : roots) {
-        families[graph.node(r).ToSubsetNode().dims].push_back(r);
-      }
-    }
-
-    std::set<std::pair<int32_t, int64_t>> queue;
-    for (int64_t r : roots) {
-      queue.insert({graph.node(r).Height(), r});
-    }
-
-    auto release_parents = [&](int64_t id) {
-      for (int64_t spec : graph.InEdges(id)) {
-        auto it = pending_uses.find(spec);
-        if (it != pending_uses.end() && --it->second == 0) {
-          auto sit = stored.find(spec);
-          if (sit != stored.end()) {
-            shard_->ReleaseMemory(
-                static_cast<int64_t>(sit->second.MemoryBytes()));
-          }
-          stored.erase(spec);
-          pending_uses.erase(it);
-        }
-      }
-    };
-
-    // Frequency sets pre-built by the shared batch scans — the minimal-
-    // front pre-pass below plus each level's top-up (options_.batch_scans)
-    // — keyed by node id; retention bytes are charged to this worker's
-    // shard until each node takes its set. Front entries for higher
-    // levels persist across levels.
-    std::unordered_map<int64_t, BatchEntry> batch;
-
-    auto release_all = [&]() {
-      for (const auto& [sid, fs] : stored) {
-        (void)sid;
-        shard_->ReleaseMemory(static_cast<int64_t>(fs.MemoryBytes()));
-      }
-      for (const auto& [dims, fs] : family_freq) {
-        (void)dims;
-        shard_->ReleaseMemory(static_cast<int64_t>(fs.MemoryBytes()));
-      }
-      for (const auto& [bid, entry] : batch) {
-        (void)bid;
-        shard_->ReleaseMemory(entry.bytes);
-      }
-    };
-
-    if (options_.batch_scans) {
-      // Minimal-front pre-pass: roots have no in-lattice parents, so they
-      // can never gain a rollup source or be marked — one shared scan
-      // covers the whole front even when roots span several heights. Same
-      // grouping as the serial walk's front, so table_scans stays
-      // schedule-independent.
-      std::vector<int64_t> front;
-      front.reserve(queue.size());
-      for (const auto& [height, id] : queue) {
-        (void)height;
-        front.push_back(id);
-      }
-      Status batched = BuildScanBatches(graph, front, marked, processed,
-                                        families, stored, &batch);
-      if (!batched.ok()) {
-        release_all();
-        return batched;
-      }
-    }
-
-    while (!queue.empty()) {
-      // Drain one whole height level so its scan-required nodes can share
-      // one table pass — the same per-(subset, front-or-level) batch
-      // grouping as the serial and level-parallel searches, which is what
-      // keeps table_scans schedule-independent (this graph holds exactly
-      // one attribute subset, so a level forms at most one batch group).
-      const int32_t level = queue.begin()->first;
-      std::vector<int64_t> ids;  // ascending — set order within one height
-      while (!queue.empty() && queue.begin()->first == level) {
-        ids.push_back(queue.begin()->second);
-        queue.erase(queue.begin());
-      }
-
-      if (options_.batch_scans) {
-        Status batched = BuildScanBatches(graph, ids, marked, processed,
-                                          families, stored, &batch);
-        if (!batched.ok()) {
-          release_all();
-          return batched;
-        }
-      }
-
-      for (int64_t id : ids) {
-      Status checkpoint = shard_->Check();
-      if (!checkpoint.ok()) {
-        release_all();
-        return checkpoint;
-      }
-      if (processed[static_cast<size_t>(id)]) continue;
-      processed[static_cast<size_t>(id)] = true;
-      if (marked[static_cast<size_t>(id)]) {
-        release_parents(id);
-        continue;
-      }
-
-      SubsetNode node = graph.node(id).ToSubsetNode();
-      FrequencySet freq;
-      auto bit = batch.find(id);
-      if (bit != batch.end()) {
-        // The shared scan already built (and charged) this node's set;
-        // release the batch charge — the normal per-node charge below
-        // takes over the accounting unchanged.
-        freq = std::move(bit->second.freq);
-        shard_->ReleaseMemory(bit->second.bytes);
-        batch.erase(bit);
-      } else {
-        freq = ComputeFrequencySet(graph, id, node, families, &family_freq,
-                                   stored);
-      }
-      int64_t freq_bytes = static_cast<int64_t>(freq.MemoryBytes());
-      Status charged = shard_->ChargeMemory(freq_bytes);
-      if (!charged.ok()) {
-        release_all();
-        return charged;
-      }
-      ++wstats_->nodes_checked;
-      wstats_->freq_groups_built += static_cast<int64_t>(freq.NumGroups());
-      INCOGNITO_COUNT("incognito.kchecks");
-      INCOGNITO_COUNT("incognito.parallel.kchecks");
-
-      bool anonymous;
-      {
-        INCOGNITO_PHASE_TIMER("phase.kcheck_seconds");
-        anonymous = freq.IsKAnonymous(config_.k, config_.max_suppressed);
-      }
-      bool retained = false;
-      if (anonymous) {
-        MarkGeneralizations(graph, id, &marked);
-      } else {
-        failed[static_cast<size_t>(id)] = true;
-        const auto& gens = graph.OutEdges(id);
-        if (!gens.empty() && options_.use_rollup) {
-          pending_uses[id] = static_cast<int64_t>(gens.size());
-          stored.emplace(id, std::move(freq));
-          retained = true;
-        }
-        for (int64_t g : gens) {
-          queue.insert({graph.node(g).Height(), g});
-        }
-      }
-      if (!retained) {
-        shard_->ReleaseMemory(freq_bytes);
-      }
-      release_parents(id);
-      }
-    }
-    release_all();
-    return failed;
-  }
-
- private:
-  /// A frequency set pre-built by a level's shared batch scan, plus the
-  /// bytes currently charged to this worker's shard for retaining it.
-  struct BatchEntry {
-    FrequencySet freq;
-    int64_t bytes = 0;
-  };
-
-  /// True iff ComputeFrequencySet would fall through to its own table scan
-  /// for this node; same predicate as the serial GraphSearch.
-  bool NeedsScan(
-      const CandidateGraph& graph, int64_t id, const SubsetNode& node,
-      const std::map<std::vector<int32_t>, std::vector<int64_t>>& families,
-      const std::unordered_map<int64_t, FrequencySet>& stored) const {
-    if (options_.use_rollup) {
-      for (int64_t spec : graph.InEdges(id)) {
-        if (stored.count(spec) != 0) return false;
-      }
-    }
-    if (cube_ != nullptr) return false;
-    if (options_.variant == IncognitoVariant::kSuperRoots) {
-      auto fam = families.find(node.dims);
-      if (fam != families.end() && fam->second.size() > 1) return false;
-    }
-    return true;
-  }
-
-  /// Batch pre-pass over a node list — the minimal front at walk start,
-  /// then each height level of this subset's graph; the serial
-  /// GraphSearch's BuildScanBatches with the worker's shard doing the
-  /// charging and its private stats doing the counting. The scan itself
-  /// stays serial, deliberately: sibling subset tasks keep the rest of
-  /// the pool busy (the apex graph, which has the pool to itself, goes
-  /// through the level-parallel search's pool-wide batches instead).
-  Status BuildScanBatches(
-      const CandidateGraph& graph, const std::vector<int64_t>& ids,
-      const std::vector<bool>& marked, const std::vector<bool>& processed,
-      const std::map<std::vector<int32_t>, std::vector<int64_t>>& families,
-      const std::unordered_map<int64_t, FrequencySet>& stored,
-      std::unordered_map<int64_t, BatchEntry>* batch) {
-    std::map<std::vector<int32_t>, std::vector<int64_t>> groups;
-    for (int64_t id : ids) {
-      if (processed[static_cast<size_t>(id)] ||
-          marked[static_cast<size_t>(id)] || batch->count(id) != 0) {
-        continue;
-      }
-      SubsetNode node = graph.node(id).ToSubsetNode();
-      if (!NeedsScan(graph, id, node, families, stored)) continue;
-      groups[node.dims].push_back(id);
-    }
-    for (const auto& [dims, group] : groups) {
-      (void)dims;
-      std::vector<SubsetNode> nodes;
-      nodes.reserve(group.size());
-      for (int64_t id : group) nodes.push_back(graph.node(id).ToSubsetNode());
-      ++wstats_->table_scans;
-      wstats_->batched_scan_nodes += static_cast<int64_t>(group.size());
-      Stopwatch timer;
-      std::vector<FrequencySet> sets =
-          FrequencySet::ComputeBatch(table_, qid_, nodes, nullptr, governor_,
-                                     options_.substrate);
-      wstats_->batch_scan_seconds += timer.ElapsedSeconds();
-      Status bstatus = shard_->Check();
-      if (bstatus.ok()) {
-        for (size_t j = 0; j < group.size(); ++j) {
-          int64_t bytes = static_cast<int64_t>(sets[j].MemoryBytes());
-          bstatus = shard_->ChargeMemory(bytes);
-          if (!bstatus.ok()) break;
-          batch->emplace(group[j], BatchEntry{std::move(sets[j]), bytes});
-        }
-      }
-      if (!bstatus.ok()) return bstatus;  // caller's release_all unwinds
-    }
-    return Status::OK();
-  }
-
-  FrequencySet ComputeFrequencySet(
-      const CandidateGraph& graph, int64_t id, const SubsetNode& node,
-      const std::map<std::vector<int32_t>, std::vector<int64_t>>& families,
-      std::map<std::vector<int32_t>, FrequencySet>* family_freq,
-      const std::unordered_map<int64_t, FrequencySet>& stored) {
-    if (options_.use_rollup) {
-      for (int64_t spec : graph.InEdges(id)) {
-        auto it = stored.find(spec);
-        if (it != stored.end()) {
-          if (INCOGNITO_FAULT_FIRED("incognito.rollup")) {
-            governor_->LatchInjectedFailure("incognito.rollup");
-          }
-          ++wstats_->rollups;
-          return it->second.RollupTo(node, qid_);
-        }
-      }
-    }
-    if (cube_ != nullptr) {
-      ++wstats_->rollups;
-      return cube_->Get(node.dims).RollupTo(node, qid_);
-    }
-    if (options_.variant == IncognitoVariant::kSuperRoots) {
-      auto fam = families.find(node.dims);
-      if (fam != families.end() && fam->second.size() > 1) {
-        auto it = family_freq->find(node.dims);
-        if (it == family_freq->end()) {
-          SubsetNode super;
-          super.dims = node.dims;
-          std::vector<int32_t> min_levels(node.dims.size(), INT32_MAX);
-          for (int64_t r : fam->second) {
-            const NodeRow& row = graph.node(r);
-            for (size_t i = 0; i < row.pairs.size(); ++i) {
-              min_levels[i] = std::min(min_levels[i], row.pairs[i].index);
-            }
-          }
-          super.levels = std::move(min_levels);
-          ++wstats_->table_scans;
-          // Serial Compute, deliberately: the siblings of this task keep
-          // the rest of the pool busy (the apex graph, which has the pool
-          // to itself, uses the level-parallel search instead).
-          FrequencySet super_freq =
-              FrequencySet::Compute(table_, qid_, super, options_.substrate);
-          wstats_->freq_groups_built +=
-              static_cast<int64_t>(super_freq.NumGroups());
-          if (!shard_
-                   ->ChargeMemory(
-                       static_cast<int64_t>(super_freq.MemoryBytes()))
-                   .ok()) {
-            // Refused: the trip is latched; Run unwinds at its next
-            // charge. Roll up from the uncached set so byte accounting
-            // stays exact.
-            ++wstats_->rollups;
-            return super_freq.RollupTo(node, qid_);
-          }
-          it = family_freq->emplace(node.dims, std::move(super_freq)).first;
-        }
-        ++wstats_->rollups;
-        return it->second.RollupTo(node, qid_);
-      }
-    }
-    ++wstats_->table_scans;
-    return FrequencySet::Compute(table_, qid_, node, options_.substrate);
-  }
-
-  void MarkGeneralizations(const CandidateGraph& graph, int64_t id,
-                           std::vector<bool>* marked) {
-    for (int64_t g : graph.OutEdges(id)) {
-      if (!(*marked)[static_cast<size_t>(g)]) {
-        (*marked)[static_cast<size_t>(g)] = true;
-        ++wstats_->nodes_marked;
-        INCOGNITO_COUNT("incognito.nodes_marked");
-        if (options_.mark_transitively) {
-          MarkGeneralizations(graph, g, marked);
-        }
-      }
-    }
-  }
-
-  const Table& table_;
-  const QuasiIdentifier& qid_;
-  const AnonymizationConfig& config_;
-  const IncognitoOptions& options_;
-  const ZeroGenCube* cube_;
-  ExecutionGovernor* governor_;  // never null; for thread-safe latching only
-  GovernorShard* shard_;         // this worker's budget lease
-  AlgorithmStats* wstats_;       // this worker's private stats
+/// One attribute subset of the DAG, indexed by its dimension bitmask.
+struct SubsetTask {
+  CandidateGraph survivors;  // published survivor graph, adjacency built
+  int remaining = 0;         // unpublished immediate sub-subsets
+  bool done = false;
+  uint64_t ready_ns = 0;     // when the task became runnable (telemetry)
 };
 
-/// Shared implementation behind both public parallel entry points —
-/// structured exactly like incognito.cc's RunIncognitoImpl, with the
-/// per-graph search fanned out over the worker pool. `external` == nullptr
-/// means an ungoverned run: the workers still shard-lease from a private
-/// unlimited governor so the charge accounting (and its used() == 0
-/// end-state invariant) is exercised identically.
-PartialResult<IncognitoResult> RunIncognitoParallelImpl(
+CandidateGraph SurvivorGraph(const CandidateGraph& graph,
+                             const std::vector<bool>& failed) {
+  std::vector<bool> keep(failed.size());
+  for (size_t j = 0; j < failed.size(); ++j) keep[j] = !failed[j];
+  return graph.InducedSubgraph(keep);
+}
+
+std::vector<SubsetNode> SortedNodes(const CandidateGraph& graph) {
+  std::vector<SubsetNode> nodes;
+  nodes.reserve(graph.num_nodes());
+  for (const NodeRow& row : graph.nodes()) nodes.push_back(row.ToSubsetNode());
+  std::sort(nodes.begin(), nodes.end());
+  return nodes;
+}
+
+}  // namespace
+
+PartialResult<IncognitoResult> RunSubsetDag(
     const Table& table, const QuasiIdentifier& qid,
     const AnonymizationConfig& config, const IncognitoOptions& options,
-    ExecutionGovernor* external, int num_threads, SchedulingMode mode,
+    ExecutionGovernor* external, int num_threads,
     const CheckpointPolicy* checkpoint_policy) {
-  if (config.k < 1) {
-    return Status::InvalidArgument("k must be >= 1");
-  }
-  if (config.max_suppressed < 0) {
-    return Status::InvalidArgument("max_suppressed must be >= 0");
-  }
-  if (qid.size() == 0) {
-    return Status::InvalidArgument("quasi-identifier must be non-empty");
-  }
-
-  INCOGNITO_SPAN("incognito.parallel.run");
+  INCOGNITO_SPAN("incognito.run");
   INCOGNITO_COUNT("incognito.runs");
-  INCOGNITO_COUNT("incognito.parallel.runs");
   Stopwatch total_timer;
   IncognitoResult result;
 
@@ -885,9 +493,8 @@ PartialResult<IncognitoResult> RunIncognitoParallelImpl(
   WorkerPool pool(num_threads);
   const int workers = pool.size();
 #ifndef INCOGNITO_OBS_DISABLED
-  // Scheduler telemetry: barrier batches are recorded by the pool itself
-  // (one chunk event per worker per Run); the pipelined DAG detaches the
-  // pool and records one event per subset task instead.
+  // Scheduler telemetry: one event per subset task, plus the pool's own
+  // chunk events for the cube build and each apex level.
   obs::TaskTimeline timeline(workers);
   pool.set_timeline(&timeline, "pool.chunk");
 #endif
@@ -898,10 +505,9 @@ PartialResult<IncognitoResult> RunIncognitoParallelImpl(
   }
   std::vector<AlgorithmStats> worker_stats(static_cast<size_t>(workers));
 
-  // Crash-safe checkpointing (robust/checkpoint.h): the pipelined DAG
-  // records one mask record per finished subset task, the barrier loop one
-  // iteration record per finished subset size; a trip spills the snapshot
-  // before the partial result is released.
+  // Crash-safe checkpointing (robust/checkpoint.h): one mask record per
+  // finished subset, the apex included; a trip spills the snapshot before
+  // the partial result is released.
   std::unique_ptr<CheckpointManager> ckpt;
   CheckpointFingerprint fingerprint;
   if (checkpoint_policy != nullptr && checkpoint_policy->enabled()) {
@@ -910,16 +516,20 @@ PartialResult<IncognitoResult> RunIncognitoParallelImpl(
                                                fingerprint);
   }
 
+  int64_t task_table_bytes = 0;  // charged to the governor while held
+  ZeroGenCube cube;
+
   // Drains every shard back into the governor, folds the workers' stats
-  // into the result, and records the shard high-water marks. Runs exactly
+  // into the result, and derives the scheduler telemetry. Runs exactly
   // once, on every return path.
   auto finalize = [&]() {
+    cube.ReleaseMemory(governor);
+    governor->ReleaseMemory(task_table_bytes);
     if (ckpt != nullptr) {
       result.stats.checkpoint_writes = ckpt->writes();
       result.stats.checkpoint_bytes = ckpt->bytes_written();
       result.stats.checkpoint_write_failures = ckpt->write_failures();
     }
-    result.shard_high_water_bytes.clear();
     for (auto& shard : shards) {
       result.shard_high_water_bytes.push_back(shard->high_water_bytes());
       shard->Drain();
@@ -929,15 +539,13 @@ PartialResult<IncognitoResult> RunIncognitoParallelImpl(
     }
     result.stats.parallel_workers = workers;
     result.stats.total_seconds = total_timer.ElapsedSeconds();
-    // Ungoverned runs leave the trip counters at zero, like the serial
-    // ungoverned path.
+    // Ungoverned runs leave the trip counters at zero.
     if (external != nullptr) external->ExportTrips(&result.stats);
 #ifndef INCOGNITO_OBS_DISABLED
     pool.set_timeline(nullptr);
     obs::TimelineStats timeline_stats = timeline.Derive();
     result.stats.tasks_scheduled = timeline_stats.tasks;
-    result.stats.critical_path_seconds =
-        timeline_stats.critical_path_seconds;
+    result.stats.critical_path_seconds = timeline_stats.critical_path_seconds;
     result.stats.scheduler_idle_seconds =
         timeline_stats.scheduler_idle_seconds;
     result.worker_utilization = std::move(timeline_stats.worker_utilization);
@@ -946,7 +554,6 @@ PartialResult<IncognitoResult> RunIncognitoParallelImpl(
     }
 #endif
   };
-
   auto stop_early = [&](Status trip) -> PartialResult<IncognitoResult> {
     if (ckpt != nullptr) ckpt->WriteNow();  // spill before dying
     finalize();
@@ -957,21 +564,93 @@ PartialResult<IncognitoResult> RunIncognitoParallelImpl(
     return trip;
   };
 
-  // Resume decision — before the cube build, so a kRequire failure costs
-  // nothing. Restore itself is mode-specific and happens below.
-  ResumeDecision resume_decision;
+  // Resume decision first, so a kRequire failure costs nothing.
+  ResumeDecision resume;
   if (ckpt != nullptr) {
     Result<ResumeDecision> decision =
         DecideResume(checkpoint_policy, fingerprint);
     if (!decision.ok()) return stop_early(decision.status());
-    resume_decision = std::move(decision).value();
+    resume = std::move(decision).value();
   }
 
-  // Cube Incognito pre-computes all zero-generalization frequency sets
-  // across the pool — a parallel root scan plus DAG-scheduled projections
-  // — before the search starts (the search workers only read the
-  // finished cube).
-  ZeroGenCube cube;
+  // One task slot per attribute subset, indexed by dimension bitmask and
+  // charged before it exists: 2^n slots for an n-attribute QID.
+  const size_t n = qid.size();
+  const uint64_t full = (uint64_t{1} << n) - 1;
+  {
+    const int64_t bytes =
+        static_cast<int64_t>((full + 1) * sizeof(SubsetTask));
+    Status charged = governor->ChargeMemory(bytes);
+    if (!charged.ok()) return stop_early(charged);
+    task_table_bytes = bytes;
+  }
+  std::vector<SubsetTask> tasks(static_cast<size_t>(full) + 1);
+
+  // Subset m's candidate graph: one attribute's hierarchy chain, or
+  // generated from the survivor graphs of m's immediate sub-subsets in
+  // ascending order of the dropped dimension (GenerateSubsetGraph's
+  // contract).
+  auto candidates = [&](uint64_t m, GovernorShard* shard) {
+    if (Popcount(m) == 1) {
+      return MakeSingleDimensionChain(
+          qid, static_cast<size_t>(__builtin_ctzll(m)));
+    }
+    std::vector<const CandidateGraph*> parents;
+    parents.reserve(static_cast<size_t>(Popcount(m)));
+    for (uint64_t bits = m; bits != 0; bits &= bits - 1) {
+      parents.push_back(&tasks[m ^ LowestBit(bits)].survivors);
+    }
+    return GenerateSubsetGraph(parents, nullptr, shard);
+  };
+  // Unfinished immediate sub-subsets of m (none for a single attribute).
+  auto pending_parents = [&](uint64_t m) {
+    int pending = 0;
+    for (uint64_t bits = m; Popcount(m) > 1 && bits != 0; bits &= bits - 1) {
+      if (!tasks[m ^ LowestBit(bits)].done) ++pending;
+    }
+    return pending;
+  };
+
+  // Resume: a checkpointed subset restores once all of its immediate
+  // sub-subsets have; sub-subset masks are numerically smaller, so
+  // ascending mask order is a topological order. Each restored subset's
+  // candidate graph is regenerated (no stats counted — the recorded deltas
+  // carry them) and its survivors re-anchored into it.
+  if (ckpt != nullptr && resume.restore) {
+    std::map<uint64_t, const CheckpointRecord*> records;
+    for (const CheckpointRecord& rec : resume.snapshot.records) {
+      records[rec.mask] = &rec;
+    }
+    std::vector<uint64_t> restored;
+    CheckpointCounters restored_counters;
+    Status status;
+    for (const auto& [m, rec] : records) {
+      if (pending_parents(m) != 0) continue;
+      Result<CandidateGraph> survivors =
+          RebuildSurvivorGraph(candidates(m, nullptr), rec->survivors);
+      if (!survivors.ok()) {
+        status = survivors.status();
+        break;
+      }
+      tasks[m].survivors = std::move(survivors).value();
+      tasks[m].done = true;
+      restored.push_back(m);
+      restored_counters += rec->counters;
+    }
+    if (!status.ok()) {
+      if (checkpoint_policy->resume == ResumeMode::kRequire) {
+        return stop_early(status);
+      }
+      for (uint64_t m : restored) tasks[m] = SubsetTask();  // kAuto: fresh
+    } else if (!restored.empty()) {
+      ckpt->Seed(resume.snapshot);
+      result.stats.restored_subsets = static_cast<int64_t>(restored.size());
+      AddCounters(restored_counters, &result.stats);
+    }
+  }
+
+  // Cube Incognito pre-computes every zero-generalization frequency set
+  // across the pool before the search starts.
   const ZeroGenCube* cube_ptr = nullptr;
   if (options.variant == IncognitoVariant::kCube) {
     Stopwatch cube_timer;
@@ -982,246 +661,74 @@ PartialResult<IncognitoResult> RunIncognitoParallelImpl(
     result.stats.cube_build_seconds = cube_timer.ElapsedSeconds();
     result.stats.table_scans += info.table_scans;
     result.stats.freq_groups_built += static_cast<int64_t>(info.total_groups);
-    if (governor->Tripped()) {
-      cube.ReleaseMemory(governor);
-      return stop_early(governor->TripStatus());
+    if (governor->Tripped()) return stop_early(governor->TripStatus());
+  }
+  const SearchRun run{table,    qid,      config, options, cube_ptr,
+                      governor, shards,   worker_stats};
+
+  // ---- Subset DAG: every proper subset, dependency-counted --------------
+  // Ready tasks run in ascending (size, mask) order: small subsets first,
+  // since each one published unblocks work across the next tier.
+  struct MaskOrder {
+    bool operator()(uint64_t a, uint64_t b) const {
+      const int pa = Popcount(a), pb = Popcount(b);
+      return pa != pb ? pa < pb : a < b;
     }
+  };
+  std::set<uint64_t, MaskOrder> ready;
+  // tasks_left_for_size[s]: unfinished subsets of size s. The longest
+  // prefix of sizes at zero is completed_iterations on a partial run.
+  std::vector<int64_t> tasks_left_for_size(n + 1, 0);
+  size_t remaining_tasks = 0;
+  for (uint64_t m = 1; m < full; ++m) {
+    SubsetTask& task = tasks[m];
+    if (task.done) continue;
+    ++tasks_left_for_size[static_cast<size_t>(Popcount(m))];
+    ++remaining_tasks;
+    task.remaining = pending_parents(m);
+    if (task.remaining == 0) ready.insert(m);
+  }
+  if (result.stats.restored_subsets > 0) {
+    size_t s = 1;
+    while (s < n && tasks_left_for_size[s] == 0) ++s;
+    result.stats.restored_iterations =
+        static_cast<int64_t>(s == n && tasks[full].done ? n : s - 1);
   }
 
-  ParallelGraphSearch search(table, qid, config, options, cube_ptr,
-                             &result.stats, governor, &pool, &shards,
-                             &worker_stats);
-
-  const size_t n = qid.size();
-
-  // ---- Pipelined subset DAG (docs/PARALLELISM.md) -----------------------
-  // Sizes 1..n-1 run as a dependency-counted task DAG: the task of a
-  // size-(i+1) subset becomes ready once all i+1 of its immediate
-  // sub-subsets have published their survivor graphs, so iteration i+1
-  // work overlaps slow subsets of iteration i. The final size-n graph
-  // depends on EVERY size-(n-1) subset — an inherent barrier with nothing
-  // to pipeline against — so it runs with the level-parallel search across
-  // the whole pool instead of serially on one worker. The bitmask
-  // bookkeeping caps at 16 attributes; wider quasi-identifiers fall back
-  // to the barrier schedule (bit-identical results either way).
-  if (mode == SchedulingMode::kPipelined && n >= 2 && n <= 16) {
-    INCOGNITO_SPAN("incognito.pipelined.dag");
-    INCOGNITO_COUNT("incognito.pipelined.runs");
-    const uint32_t full = (1u << n) - 1;
-    struct SubsetTask {
-      CandidateGraph survivors;  // published survivor graph, adjacency built
-      int remaining = 0;         // unpublished immediate sub-subsets
-      bool done = false;
-      uint64_t ready_ns = 0;     // when the task became runnable (telemetry)
-    };
-    std::vector<SubsetTask> tasks(static_cast<size_t>(full) + 1);
-    // Ready tasks in ascending (subset size, mask) order: small subsets
-    // first — each one published unblocks work across the next tier.
-    struct MaskOrder {
-      bool operator()(uint32_t a, uint32_t b) const {
-        int pa = __builtin_popcount(a), pb = __builtin_popcount(b);
-        if (pa != pb) return pa < pb;
-        return a < b;
-      }
-    };
-    std::set<uint32_t, MaskOrder> ready;
-    // tasks_left_for_size[s]: unpublished subsets of size s. The partial
-    // contract's completed_iterations is the longest prefix of sizes whose
-    // counters have all reached zero — "every subset of this size
-    // finished".
-    std::vector<int64_t> tasks_left_for_size(n, 0);
-    size_t remaining_tasks = 0;
-    for (uint32_t m = 1; m < full; ++m) {
-      int size = __builtin_popcount(m);
-      tasks[m].remaining = size == 1 ? 0 : size;
-      ++tasks_left_for_size[static_cast<size_t>(size)];
-      ++remaining_tasks;
-      if (size == 1) ready.insert(m);
-    }
-
-    // Resume: re-anchor the checkpointed, downward-closed set of finished
-    // subsets into regenerated candidate graphs and mark their tasks done
-    // before the pool starts. Everything fallible is computed into locals
-    // first, so a kAuto fallback leaves the fresh scheduler state intact.
-    bool apex_restored = false;
-    std::vector<SubsetNode> apex_restored_nodes;
-    if (ckpt != nullptr && resume_decision.restore) {
-      const CheckpointSnapshot& snap = resume_decision.snapshot;
-      std::map<uint32_t, CandidateGraph> restored_graphs;
-      std::map<uint32_t, std::vector<SubsetNode>> restored_nodes;
-      CheckpointCounters restored_counters;
-      const CheckpointRecord* apex_record = nullptr;
-      Status restore_status = [&]() -> Status {
-        std::vector<CheckpointLevel> levels =
-            LevelsFromSnapshot(snap, static_cast<int>(n));
-        size_t prefix = 0;
-        for (size_t s = 1; s < n; ++s) {
-          if (!levels[s].complete) break;
-          prefix = s;
-        }
-        std::map<uint32_t, const CheckpointRecord*> mask_records;
-        for (const CheckpointRecord& rec : snap.records) {
-          if (rec.kind == CheckpointRecord::Kind::kMask) {
-            mask_records[rec.key] = &rec;
-          }
-        }
-        // Restorable masks: every subset inside the complete level prefix
-        // (survivors split back out by dims — a mask with no survivors is
-        // still finished), then the closure of mask records beyond it
-        // whose immediate sub-subsets are all restorable. Ascending mask
-        // order is a topological order (a parent m ^ bit is < m).
-        for (size_t s = 1; s <= prefix; ++s) {
-          for (uint32_t m = 1; m < full; ++m) {
-            if (static_cast<size_t>(__builtin_popcount(m)) == s) {
-              restored_nodes[m];
-            }
-          }
-          for (const SubsetNode& node : levels[s].survivors) {
-            uint32_t m = 0;
-            for (int32_t d : node.dims) m |= 1u << d;
-            restored_nodes[m].push_back(node);
-          }
-          restored_counters += levels[s].counters;
-        }
-        for (uint32_t m = 1; m < full; ++m) {
-          const size_t s = static_cast<size_t>(__builtin_popcount(m));
-          if (s <= prefix) continue;
-          auto it = mask_records.find(m);
-          if (it == mask_records.end()) continue;
-          bool parents_restored = true;
-          if (s > 1) {
-            for (size_t d = 0; d < n && parents_restored; ++d) {
-              if ((m & (1u << d)) && !restored_nodes.count(m ^ (1u << d))) {
-                parents_restored = false;
-              }
-            }
-          }
-          if (!parents_restored) continue;
-          restored_nodes[m] = it->second->survivors;
-          restored_counters += it->second->counters;
-        }
-        // Regenerate each restorable mask's candidate graph from the
-        // already-rebuilt parents and re-anchor its survivors (no stats
-        // counted — the restored deltas carry those counters).
-        for (const auto& [m, nodes] : restored_nodes) {
-          const int size = __builtin_popcount(m);
-          CandidateGraph candidates;
-          if (size == 1) {
-            size_t dim = 0;
-            while (((m >> dim) & 1u) == 0) ++dim;
-            candidates = MakeSingleDimensionChain(qid, dim);
-          } else {
-            std::vector<const CandidateGraph*> parents;
-            parents.reserve(static_cast<size_t>(size));
-            for (size_t d = 0; d < n; ++d) {
-              if (m & (1u << d)) {
-                parents.push_back(&restored_graphs[m ^ (1u << d)]);
-              }
-            }
-            candidates = GenerateSubsetGraph(parents);
-          }
-          Result<CandidateGraph> survivors =
-              RebuildSurvivorGraph(candidates, nodes);
-          if (!survivors.ok()) return survivors.status();
-          restored_graphs[m] = std::move(survivors).value();
-        }
-        // The apex (full-mask) record short-circuits the final search —
-        // valid only when every proper subset is restorable.
-        auto apex_it = mask_records.find(full);
-        if (apex_it != mask_records.end() &&
-            restored_nodes.size() == static_cast<size_t>(full) - 1) {
-          apex_record = apex_it->second;
-          restored_counters += apex_record->counters;
-        }
-        return Status::OK();
-      }();
-      if (!restore_status.ok()) {
-        if (checkpoint_policy->resume == ResumeMode::kRequire) {
-          cube.ReleaseMemory(governor);
-          return stop_early(restore_status);
-        }
-      } else if (!restored_graphs.empty()) {
-        ckpt->Seed(snap);
-        for (auto& [m, graph] : restored_graphs) {
-          const int size = __builtin_popcount(m);
-          SubsetTask& task = tasks[m];
-          task.survivors = std::move(graph);
-          task.done = true;
-          ready.erase(m);
-          --remaining_tasks;
-          --tasks_left_for_size[static_cast<size_t>(size)];
-          if (static_cast<size_t>(size) + 1 < n) {
-            for (size_t d = 0; d < n; ++d) {
-              if (m & (1u << d)) continue;
-              uint32_t child = m | (1u << d);
-              // A restored child re-erases itself when its own entry
-              // applies (map order visits parents first).
-              if (--tasks[child].remaining == 0) ready.insert(child);
-            }
-          }
-        }
-        if (apex_record != nullptr) {
-          apex_restored = true;
-          apex_restored_nodes = apex_record->survivors;
-        }
-        result.stats.restored_subsets =
-            static_cast<int64_t>(restored_graphs.size()) +
-            (apex_restored ? 1 : 0);
-        AddCounters(restored_counters, &result.stats);
-      }
-    }
-
+  Status dag_status;  // the first failed task's status
+  {
+    INCOGNITO_SPAN("incognito.subset_dag");
 #ifndef INCOGNITO_OBS_DISABLED
-    // The DAG records one timeline event per subset task itself; detach
-    // the pool so the thread-group launch below isn't logged as one giant
-    // chunk per worker.
+    // Each task records its own timeline event; detach the pool so the
+    // thread-group launch below is not also logged as one chunk per worker.
     pool.set_timeline(nullptr);
     const uint64_t dag_ready_ns = obs::TraceRecorder::NowNs();
-    for (uint32_t m : ready) tasks[m].ready_ns = dag_ready_ns;
+    for (uint64_t m : ready) tasks[m].ready_ns = dag_ready_ns;
 #endif
-
     std::mutex mu;
     std::condition_variable cv;
     bool stopped = false;
-    std::vector<Status> worker_status(static_cast<size_t>(workers));
-
     pool.Run(static_cast<size_t>(workers), [&](int w, size_t, size_t) {
-      INCOGNITO_SPAN("incognito.pipelined.worker");
       GovernorShard& shard = *shards[static_cast<size_t>(w)];
       AlgorithmStats& wstats = worker_stats[static_cast<size_t>(w)];
-      SubsetGraphWalk walk(table, qid, config, options, cube_ptr, governor,
-                           &shard, &wstats);
+      LatticeWalk walk(run, nullptr, w);
       std::unique_lock<std::mutex> lock(mu);
       for (;;) {
-        cv.wait(lock,
-                [&] { return stopped || remaining_tasks == 0 || !ready.empty(); });
+        cv.wait(lock, [&] {
+          return stopped || remaining_tasks == 0 || !ready.empty();
+        });
         if (stopped || remaining_tasks == 0) return;
-        const uint32_t m = *ready.begin();
+        const uint64_t m = *ready.begin();
         ready.erase(ready.begin());
-        const int size = __builtin_popcount(m);
-#ifndef INCOGNITO_OBS_DISABLED
-        const uint64_t task_enqueue_ns = tasks[m].ready_ns;
-        const uint64_t task_start_ns = obs::TraceRecorder::NowNs();
-#endif
-        // Parent survivor graphs, gathered under the lock (they are
-        // immutable once published; the lock's happens-before makes the
-        // publication visible to this worker). parents[j] drops the j-th
-        // dimension in ascending order — GenerateSubsetGraph's contract.
-        std::vector<const CandidateGraph*> parent_graphs;
-        if (size > 1) {
-          parent_graphs.reserve(static_cast<size_t>(size));
-          for (size_t d = 0; d < n; ++d) {
-            if (m & (1u << d)) {
-              parent_graphs.push_back(&tasks[m ^ (1u << d)].survivors);
-            }
-          }
-        }
+        // The parents' survivor graphs were published under this lock
+        // before m became ready, and are immutable from then on.
         lock.unlock();
-
-        // Snapshot for the checkpoint delta: this worker's stats are only
-        // ever touched on this thread.
+#ifndef INCOGNITO_OBS_DISABLED
+        const uint64_t start_ns = obs::TraceRecorder::NowNs();
+#endif
+        // Snapshot for the checkpoint delta; only this thread touches
+        // this worker's stats.
         const AlgorithmStats task_before = wstats;
-
         Status bad = shard.Check();
         if (bad.ok() && INCOGNITO_FAULT_FIRED("incognito.subset.schedule")) {
           // Fault site "incognito.subset.schedule": an injected failure
@@ -1232,56 +739,37 @@ PartialResult<IncognitoResult> RunIncognitoParallelImpl(
         }
         CandidateGraph survivors;
         if (bad.ok()) {
-          CandidateGraph graph;
-          if (size == 1) {
-            size_t dim = 0;
-            while (((m >> dim) & 1u) == 0) ++dim;
-            graph = MakeSingleDimensionChain(qid, dim);
-          } else {
-            graph = GenerateSubsetGraph(parent_graphs, nullptr, &shard);
-          }
+          CandidateGraph graph = candidates(m, &shard);
           wstats.candidate_nodes += static_cast<int64_t>(graph.num_nodes());
-          Result<std::vector<bool>> failed_or = walk.Run(graph);
-          if (!failed_or.ok()) {
-            bad = failed_or.status();
+          Result<std::vector<bool>> failed = walk.Run(graph);
+          if (failed.ok()) {
+            survivors = SurvivorGraph(graph, failed.value());
           } else {
-            const std::vector<bool>& failed = failed_or.value();
-            std::vector<bool> keep(failed.size());
-            for (size_t j = 0; j < failed.size(); ++j) keep[j] = !failed[j];
-            survivors = graph.InducedSubgraph(keep);
+            bad = failed.status();
           }
         }
-
 #ifndef INCOGNITO_OBS_DISABLED
         {
           obs::TaskEvent event;
-          event.mask = m;
+          event.mask = static_cast<uint32_t>(m);
           event.worker = w;
-          event.enqueue_ns = task_enqueue_ns;
-          event.start_ns = task_start_ns;
+          event.enqueue_ns = tasks[m].ready_ns;
+          event.start_ns = start_ns;
           event.end_ns = obs::TraceRecorder::NowNs();
           event.name = "subset";
           timeline.Record(std::move(event));
         }
 #endif
-
         if (ckpt != nullptr && bad.ok()) {
-          // Record the finished subset outside the scheduler lock — the
-          // policy-gated write does file I/O.
-          std::vector<SubsetNode> task_nodes;
-          task_nodes.reserve(survivors.num_nodes());
-          for (const NodeRow& row : survivors.nodes()) {
-            task_nodes.push_back(row.ToSubsetNode());
-          }
-          std::sort(task_nodes.begin(), task_nodes.end());
-          ckpt->AddMask(m, std::move(task_nodes),
+          // Outside the scheduler lock: the policy-gated write does I/O.
+          ckpt->AddMask(m, SortedNodes(survivors),
                         CounterDelta(task_before, wstats));
           ckpt->MaybeWrite();
         }
 
         lock.lock();
         if (!bad.ok()) {
-          worker_status[static_cast<size_t>(w)] = bad;
+          if (dag_status.ok()) dag_status = bad;
           stopped = true;
           cv.notify_all();
           return;
@@ -1290,229 +778,82 @@ PartialResult<IncognitoResult> RunIncognitoParallelImpl(
         task.survivors = std::move(survivors);
         task.done = true;
         --remaining_tasks;
-        --tasks_left_for_size[static_cast<size_t>(size)];
-        if (static_cast<size_t>(size) + 1 < n) {
-          for (size_t d = 0; d < n; ++d) {
-            if (m & (1u << d)) continue;
-            uint32_t child = m | (1u << d);
-            if (--tasks[child].remaining == 0) {
+        --tasks_left_for_size[static_cast<size_t>(Popcount(m))];
+        for (uint64_t rest = full & ~m; rest != 0; rest &= rest - 1) {
+          const uint64_t child = m | LowestBit(rest);
+          if (child != full && --tasks[child].remaining == 0) {
 #ifndef INCOGNITO_OBS_DISABLED
-              tasks[child].ready_ns = obs::TraceRecorder::NowNs();
+            tasks[child].ready_ns = obs::TraceRecorder::NowNs();
 #endif
-              ready.insert(child);
-            }
+            ready.insert(child);
           }
         }
         if (remaining_tasks == 0 || !ready.empty()) cv.notify_all();
       }
     });
-
 #ifndef INCOGNITO_OBS_DISABLED
-    // The DAG is drained and the pool quiescent; the apex search below
-    // runs level-parallel, so its chunks go back through the pool.
     pool.set_timeline(&timeline, "pool.chunk");
 #endif
+  }
 
-    Status trip = governor->SharedTrip();
-    if (trip.ok()) {
-      for (const Status& ws : worker_status) {
-        if (!ws.ok()) {
-          trip = ws;
-          break;
-        }
-      }
-    }
+  // Every worker-side trip also latched the shared status.
+  const Status trip = dag_status.ok() ? shards[0]->Check() : dag_status;
 
-    // Merge the published survivor sets, iteration by iteration, in the
-    // serial result order (the per-mask node sets are disjoint; one sort
-    // per size makes the merged vector identical to the serial sorted
-    // S_i). On a trip only the fully finished size prefix is kept — the
-    // completed_iterations contract.
-    int64_t completed = 0;
-    for (size_t s = 1; s < n; ++s) {
-      if (tasks_left_for_size[s] != 0) break;
-      completed = static_cast<int64_t>(s);
+  // Merge the published survivor sets per subset size (the per-mask sets
+  // are disjoint; one sort per size gives the sorted S_i). On a trip only
+  // the fully finished size prefix is kept — the completed_iterations
+  // contract.
+  size_t completed = 0;
+  while (completed + 1 < n && tasks_left_for_size[completed + 1] == 0) {
+    ++completed;
+  }
+  result.per_iteration_survivors.resize(completed);
+  for (uint64_t m = 1; m < full; ++m) {
+    const size_t size = static_cast<size_t>(Popcount(m));
+    if (size > completed) continue;
+    for (const NodeRow& row : tasks[m].survivors.nodes()) {
+      result.per_iteration_survivors[size - 1].push_back(row.ToSubsetNode());
     }
-    for (int64_t i = 1; i <= completed; ++i) {
-      INCOGNITO_SPAN("incognito.iteration");
-      INCOGNITO_COUNT("incognito.iterations");
-      std::vector<SubsetNode> survivor_nodes;
-      for (uint32_t m = 1; m < full; ++m) {
-        if (__builtin_popcount(m) != static_cast<int>(i)) continue;
-        for (const NodeRow& row : tasks[m].survivors.nodes()) {
-          survivor_nodes.push_back(row.ToSubsetNode());
-        }
-      }
-      std::sort(survivor_nodes.begin(), survivor_nodes.end());
-      result.per_iteration_survivors.push_back(std::move(survivor_nodes));
-      result.completed_iterations = i;
-    }
-    if (!trip.ok()) {
-      cube.ReleaseMemory(governor);
-      return stop_early(trip);
-    }
-
-    // ---- Apex: C_n, searched level-parallel across the whole pool ------
-    INCOGNITO_SPAN("incognito.iteration");
+  }
+  for (std::vector<SubsetNode>& level : result.per_iteration_survivors) {
     INCOGNITO_COUNT("incognito.iterations");
-    if (apex_restored) {
-      // The checkpoint covers the whole search, apex included.
-      result.per_iteration_survivors.push_back(apex_restored_nodes);
-      result.completed_iterations = static_cast<int64_t>(n);
-      result.anonymous_nodes = std::move(apex_restored_nodes);
-      cube.ReleaseMemory(governor);
-      finalize();
-      return result;
-    }
-    // Delta for the apex checkpoint record: the level-parallel search
-    // spreads its counters over the main stats and every worker's.
+    std::sort(level.begin(), level.end());
+  }
+  result.completed_iterations = static_cast<int64_t>(completed);
+  if (!trip.ok()) return stop_early(trip);
+
+  // ---- Apex: the full-QID graph, each level across the whole pool -------
+  INCOGNITO_SPAN("incognito.iteration");
+  INCOGNITO_COUNT("incognito.iterations");
+  std::vector<SubsetNode> apex_nodes;
+  if (tasks[full].done) {
+    apex_nodes = SortedNodes(tasks[full].survivors);  // restored
+  } else {
+    // The walk spreads its counters over every worker's stats, so the
+    // apex record's delta comes from summed snapshots.
     auto sum_counters = [&] {
       CheckpointCounters sum = CountersFrom(result.stats);
       for (const AlgorithmStats& ws : worker_stats) sum += CountersFrom(ws);
       return sum;
     };
-    const CheckpointCounters apex_before = sum_counters();
-    std::vector<const CandidateGraph*> apex_parents;
-    apex_parents.reserve(n);
-    for (size_t j = 0; j < n; ++j) {
-      apex_parents.push_back(&tasks[full ^ (1u << j)].survivors);
-    }
-    CandidateGraph apex =
-        GenerateSubsetGraph(apex_parents, nullptr, shards[0].get());
+    const CheckpointCounters before = sum_counters();
+    CandidateGraph apex = candidates(full, shards[0].get());
     result.stats.candidate_nodes += static_cast<int64_t>(apex.num_nodes());
-    Result<std::vector<bool>> failed_or = search.Run(apex);
-    if (!failed_or.ok()) {
-      cube.ReleaseMemory(governor);
-      return stop_early(failed_or.status());
-    }
-    const std::vector<bool>& failed = failed_or.value();
-    std::vector<bool> keep(failed.size());
-    for (size_t j = 0; j < failed.size(); ++j) keep[j] = !failed[j];
-    CandidateGraph apex_survivors = apex.InducedSubgraph(keep);
-    std::vector<SubsetNode> survivor_nodes;
-    survivor_nodes.reserve(apex_survivors.num_nodes());
-    for (const NodeRow& row : apex_survivors.nodes()) {
-      survivor_nodes.push_back(row.ToSubsetNode());
-    }
-    std::sort(survivor_nodes.begin(), survivor_nodes.end());
-    result.per_iteration_survivors.push_back(survivor_nodes);
-    result.completed_iterations = static_cast<int64_t>(n);
+    Result<std::vector<bool>> failed = LatticeWalk(run, &pool, 0).Run(apex);
+    if (!failed.ok()) return stop_early(failed.status());
+    apex_nodes = SortedNodes(SurvivorGraph(apex, failed.value()));
     if (ckpt != nullptr) {
-      CheckpointCounters apex_delta = sum_counters();
-      apex_delta -= apex_before;
-      ckpt->AddMask(full, survivor_nodes, apex_delta);
+      CheckpointCounters delta = sum_counters();
+      delta -= before;
+      ckpt->AddMask(full, apex_nodes, delta);
       ckpt->WriteNow();  // the run is complete; make it durable
     }
-    result.anonymous_nodes = std::move(survivor_nodes);
-    cube.ReleaseMemory(governor);
-
-    finalize();
-    return result;
   }
-
-  // Barrier loop: same iteration shape as the serial algorithm, so it
-  // reuses the serial resume path (longest complete level prefix).
-  size_t start_iteration = 1;
-  CandidateGraph graph;
-  bool seeded = false;
-  if (ckpt != nullptr && resume_decision.restore) {
-    Result<SerialResumeState> state_or =
-        RestoreSerialPrefix(resume_decision.snapshot, qid);
-    if (!state_or.ok()) {
-      if (checkpoint_policy->resume == ResumeMode::kRequire) {
-        cube.ReleaseMemory(governor);
-        return stop_early(state_or.status());
-      }
-      // kAuto: the checkpoint can't seed this run; start fresh.
-    } else if (state_or->completed > 0) {
-      SerialResumeState resumed = std::move(state_or).value();
-      ckpt->Seed(resume_decision.snapshot);
-      result.per_iteration_survivors = resumed.per_iteration_survivors;
-      result.completed_iterations = resumed.completed;
-      result.stats.restored_iterations = resumed.completed;
-      AddCounters(resumed.restored, &result.stats);
-      if (static_cast<size_t>(resumed.completed) == n) {
-        result.anonymous_nodes = result.per_iteration_survivors.back();
-        cube.ReleaseMemory(governor);
-        finalize();
-        return result;
-      }
-      start_iteration = static_cast<size_t>(resumed.completed) + 1;
-      graph = GenerateNextGraph(resumed.survivors, nullptr, governor);
-      seeded = true;
-    }
-  }
-  if (!seeded) graph = MakeSingleAttributeGraph(qid);
-  // The level-parallel search spreads its counters over the main stats and
-  // every worker's, so iteration deltas come from summed snapshots.
-  auto sum_all = [&] {
-    CheckpointCounters sum = CountersFrom(result.stats);
-    for (const AlgorithmStats& ws : worker_stats) sum += CountersFrom(ws);
-    return sum;
-  };
-  for (size_t i = start_iteration; i <= n; ++i) {
-    INCOGNITO_SPAN("incognito.iteration");
-    INCOGNITO_COUNT("incognito.iterations");
-    const CheckpointCounters iter_before = sum_all();
-    result.stats.candidate_nodes += static_cast<int64_t>(graph.num_nodes());
-    Result<std::vector<bool>> failed_or = search.Run(graph);
-    if (!failed_or.ok()) {
-      cube.ReleaseMemory(governor);
-      return stop_early(failed_or.status());
-    }
-    const std::vector<bool>& failed = failed_or.value();
-
-    std::vector<bool> keep(failed.size());
-    for (size_t j = 0; j < failed.size(); ++j) keep[j] = !failed[j];
-    CandidateGraph survivors = graph.InducedSubgraph(keep);
-
-    std::vector<SubsetNode> survivor_nodes;
-    survivor_nodes.reserve(survivors.num_nodes());
-    for (const NodeRow& row : survivors.nodes()) {
-      survivor_nodes.push_back(row.ToSubsetNode());
-    }
-    std::sort(survivor_nodes.begin(), survivor_nodes.end());
-    result.per_iteration_survivors.push_back(survivor_nodes);
-    result.completed_iterations = static_cast<int64_t>(i);
-    if (ckpt != nullptr) {
-      CheckpointCounters iter_delta = sum_all();
-      iter_delta -= iter_before;
-      ckpt->AddIteration(static_cast<uint32_t>(i), survivor_nodes, iter_delta);
-      ckpt->MaybeWrite();
-    }
-
-    if (i == n) {
-      result.anonymous_nodes = std::move(survivor_nodes);
-      break;
-    }
-    graph = GenerateNextGraph(survivors, nullptr, governor);
-  }
-  cube.ReleaseMemory(governor);
-
-  if (ckpt != nullptr) ckpt->WriteNow();
+  result.per_iteration_survivors.push_back(apex_nodes);
+  result.completed_iterations = static_cast<int64_t>(n);
+  result.anonymous_nodes = std::move(apex_nodes);
   finalize();
   return result;
-}
-
-}  // namespace
-
-PartialResult<IncognitoResult> RunIncognitoParallel(
-    const Table& table, const QuasiIdentifier& qid,
-    const AnonymizationConfig& config, const IncognitoOptions& options,
-    const RunContext& ctx) {
-  const int num_threads =
-      ctx.num_threads > 0 ? ctx.num_threads : options.num_threads;
-  if (num_threads <= 1) {
-    IncognitoOptions serial = options;
-    serial.num_threads = 1;
-    RunContext serial_ctx = ctx;
-    serial_ctx.num_threads = 1;
-    return RunIncognito(table, qid, config, serial, serial_ctx);
-  }
-  IncognitoOptions effective = options;
-  if (ctx.substrate != SubstrateMode::kAuto) effective.substrate = ctx.substrate;
-  return RunIncognitoParallelImpl(table, qid, config, effective, ctx.governor,
-                                  num_threads, ctx.scheduling, ctx.checkpoint);
 }
 
 }  // namespace incognito

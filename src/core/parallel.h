@@ -2,49 +2,40 @@
 #define INCOGNITO_CORE_PARALLEL_H_
 
 #include "core/incognito.h"
-#include "core/run_context.h"
-#include "core/worker_pool.h"
+#include "robust/checkpoint.h"
 
 namespace incognito {
 
-/// Parallel Incognito across a pool of ctx.num_threads workers (0 inherits
-/// options.num_threads). Two scheduling modes, selected by ctx.scheduling:
+/// The Incognito search behind RunIncognito (docs/PARALLELISM.md), at every
+/// thread count. Each proper attribute subset's candidate-graph search is a
+/// task in a subset DAG over a pool of `num_threads` workers: a subset
+/// becomes runnable once all of its immediate sub-subsets have published
+/// their survivor graphs (the Subset Property), so iteration i+1 work
+/// starts while slow subsets of iteration i still run. Each task walks its
+/// graph inline on its worker. The final full-QID graph depends on every
+/// size-(n-1) subset, so it is walked last with each lattice level spread
+/// across the whole pool. A 1-worker pool is the serial case.
 ///
-///   SchedulingMode::kPipelined (default) runs each attribute subset's
-///   candidate-graph search as its own task over the subset DAG: a subset
-///   becomes runnable once all of its immediate sub-subsets have published
-///   their survivor graphs (all-parents dependency counting + mutex/condvar
-///   publication, mirroring ZeroGenCube::BuildParallel), so iteration i+1
-///   work starts while slow subsets of iteration i are still running. The
-///   final size-n graph — which depends on every size-(n-1) subset, an
-///   inherent barrier — runs with the level-parallel search across the
-///   whole pool.
-///
-///   SchedulingMode::kBarrier evaluates one candidate graph at a time,
-///   partitioning each lattice level across the pool with a full barrier
-///   between subset-size iterations.
-///
-/// Both modes are bit-identical to the serial path on complete runs: same
-/// anonymous_nodes, same per_iteration_survivors, and the same
-/// nodes_checked / nodes_marked / table_scans / rollups /
-/// freq_groups_built / candidate_nodes counts. (governor_checks may
-/// differ: checkpoint cadence is per-worker.) See docs/PARALLELISM.md for
-/// the determinism argument.
+/// Results are bit-identical at every thread count: anonymous_nodes,
+/// per_iteration_survivors, and the nodes_checked / nodes_marked /
+/// table_scans / rollups / freq_groups_built / candidate_nodes counts.
+/// (governor_checks may differ: checkpoint cadence is per worker.)
 ///
 /// Each worker charges memory against a GovernorShard leased from
-/// ctx.governor; a Deadline/CancelToken/budget trip in any worker latches
-/// the shared trip, the pool drains, and the run returns the same sound
-/// PartialResult contract as the serial governed path:
-/// completed_iterations still means "every subset of this size finished".
-/// A null ctx.governor runs ungoverned (the workers still shard-lease from
-/// a private unlimited governor, so the charge accounting is exercised
-/// identically).
+/// `governor`; a trip in any worker latches the shared trip, the pool
+/// drains, and the run returns PartialResult::Partial whose
+/// completed_iterations means "every subset of this size finished". A null
+/// governor runs ungoverned: the workers still lease from a private
+/// unlimited governor, so the accounting is exercised identically.
 ///
-/// An effective thread count <= 1 delegates to the serial path.
-PartialResult<IncognitoResult> RunIncognitoParallel(
+/// Callers validate the arguments first (RunIncognito does):
+/// config.k >= 1, config.max_suppressed >= 0, and 1 <= qid.size() <=
+/// kMaxQidAttributes.
+PartialResult<IncognitoResult> RunSubsetDag(
     const Table& table, const QuasiIdentifier& qid,
     const AnonymizationConfig& config, const IncognitoOptions& options,
-    const RunContext& ctx = {});
+    ExecutionGovernor* governor, int num_threads,
+    const CheckpointPolicy* checkpoint);
 
 }  // namespace incognito
 

@@ -11,24 +11,10 @@ namespace incognito {
 
 struct CheckpointPolicy;
 
-/// How a multi-threaded lattice search distributes work across the pool.
-enum class SchedulingMode {
-  /// Pipelined subset DAG (docs/PARALLELISM.md "Pipelined subset DAG"):
-  /// each attribute subset's candidate-graph search is a task that becomes
-  /// runnable as soon as all of its immediate sub-subsets have published
-  /// their survivors, so iteration i+1 work starts while slow subsets of
-  /// iteration i are still running. Bit-identical to serial and to
-  /// kBarrier on complete runs.
-  kPipelined,
-  /// Level-synchronous scheduling: the pool evaluates one candidate graph
-  /// at a time with a full barrier between subset-size iterations (the
-  /// pre-RunContext RunIncognitoParallel behavior).
-  kBarrier,
-};
-
 /// Execution parameters shared by every Run* entry point: who governs the
 /// run (deadline / memory budget / cancellation), how many worker threads
-/// it may use, and how those workers are scheduled. Replaces the old
+/// it may use, which group-by substrate it runs on, and where it
+/// checkpoints. Replaces the old
 /// governed/ungoverned overload pairs (docs/API.md): a default-constructed
 /// RunContext reproduces the legacy ungoverned call exactly, and
 /// RunContext::Governed(governor) reproduces the legacy governed one.
@@ -46,11 +32,6 @@ struct RunContext {
   /// else; values > 1 run algorithms with a parallel path across a worker
   /// pool. Single-threaded algorithms ignore the value.
   int num_threads = 0;
-
-  /// Scheduling of a multi-threaded lattice search. Ignored by
-  /// single-threaded runs; both modes produce bit-identical complete
-  /// results.
-  SchedulingMode scheduling = SchedulingMode::kPipelined;
 
   /// Group-by substrate for every frequency-set build of the run
   /// (DESIGN.md "Group-by substrates"). kAuto (default) defers to the
@@ -143,11 +124,6 @@ struct RunContext {
   /// Sets the worker-thread count (0 defers to the algorithm's option).
   RunContext& WithWorkers(int n) {
     num_threads = n;
-    return *this;
-  }
-
-  RunContext& WithScheduling(SchedulingMode mode) {
-    scheduling = mode;
     return *this;
   }
 

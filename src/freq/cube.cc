@@ -134,8 +134,10 @@ ZeroGenCube ZeroGenCube::BuildParallel(const Table& table,
   // Root: one parallel scan of T (the cube's only table access). A trip
   // inside the scan latches the governor and yields an empty set; the
   // main-thread charge below observes the latch via Check().
-  FrequencySet root_fs = FrequencySet::ComputeParallel(
-      table, qid, ZeroNodeForMask(full), pool, governor, substrate);
+  FrequencySet root_fs = std::move(
+      FrequencySet::ComputeBatch(table, qid, {ZeroNodeForMask(full)}, &pool,
+                                 governor, substrate)
+          .front());
   local.table_scans = 1;
 
   // Same root charge protocol as the serial Build, fault site included.

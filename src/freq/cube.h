@@ -48,8 +48,8 @@ class ZeroGenCube {
                            SubstrateMode substrate = SubstrateMode::kAuto);
 
   /// Parallel twin of Build (docs/PARALLELISM.md "Intra-node
-  /// parallelism"): the root scan runs as a parallel FrequencySet::
-  /// ComputeParallel, and the per-mask projections — which form a DAG
+  /// parallelism"): the root scan is a pool-parallel FrequencySet::
+  /// ComputeBatch of one, and the per-mask projections — which form a DAG
   /// (every mask depends on its one-attribute supersets) — are scheduled
   /// by decreasing popcount with dependency counting, so independent
   /// projections at the same popcount run concurrently across the pool.

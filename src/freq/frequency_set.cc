@@ -117,295 +117,9 @@ FrequencySet FrequencySet::Compute(const Table& table,
                                    const QuasiIdentifier& qid,
                                    const SubsetNode& node,
                                    SubstrateMode substrate) {
-  assert(node.size() > 0);
-  INCOGNITO_SPAN("freq.scan");
-  INCOGNITO_PHASE_TIMER("phase.freq_scan_seconds");
-  INCOGNITO_HIST_TIMER("freq.build_seconds");
   INCOGNITO_COUNT("freq.scans");
-  INCOGNITO_COUNT_ADD("freq.scan_rows",
-                      static_cast<int64_t>(table.num_rows()));
-  FrequencySet fs = MakeEmpty(node, qid);
-
-  const size_t n = node.size();
-  // Gather the encoded columns and the base→level generalization maps.
-  std::vector<const int32_t*> cols(n);
-  std::vector<const int32_t*> maps(n);
-  for (size_t i = 0; i < n; ++i) {
-    size_t d = static_cast<size_t>(node.dims[i]);
-    cols[i] = table.ColumnCodes(qid.column(d)).data();
-    maps[i] = qid.hierarchy(d)
-                  .BaseToLevelMap(static_cast<size_t>(node.levels[i]))
-                  .data();
-  }
-
-  const size_t rows = table.num_rows();
-  const SubstrateChoice choice = ChoiceFor(fs.codec_, rows, substrate);
-  CountSubstrate(choice);
-  switch (choice) {
-    case SubstrateChoice::kRadixSort: {
-      // Columnar gather + LSD radix: order-preserving packing means the
-      // sorted key run IS the canonical group order, so the run-length
-      // extraction below replaces both the hash probes and SortGroups().
-      std::vector<uint64_t> keys;
-      GatherPackedKeys(cols, maps, fs.codec_, 0, rows, &keys);
-      std::vector<uint64_t> scratch;
-      RadixSortKeys(keys, scratch, fs.codec_.total_bits());
-      ExtractGroups(keys, &fs.groups_);
-      break;
-    }
-    case SubstrateChoice::kFlatMap: {
-      FlatCodeMap agg(n, rows / 4 + 8);
-      std::vector<int32_t> codes(n);
-      for (size_t r = 0; r < rows; ++r) {
-        for (size_t i = 0; i < n; ++i) codes[i] = maps[i][cols[i][r]];
-        agg.Add(codes.data(), 1);
-      }
-      agg.AppendTo(&fs.vgroups_);
-      fs.SortGroups();
-      break;
-    }
-    case SubstrateChoice::kHashMap: {
-      if (fs.packed_) {
-        std::unordered_map<uint64_t, int64_t> agg;
-        agg.reserve(rows / 4 + 8);
-        std::vector<int32_t> codes(n);
-        for (size_t r = 0; r < rows; ++r) {
-          for (size_t i = 0; i < n; ++i) codes[i] = maps[i][cols[i][r]];
-          ++agg[fs.codec_.Pack(codes.data())];
-        }
-        fs.groups_.assign(agg.begin(), agg.end());
-      } else {
-        std::unordered_map<std::vector<int32_t>, int64_t, VecHash> agg;
-        agg.reserve(rows / 4 + 8);
-        std::vector<int32_t> codes(n);
-        for (size_t r = 0; r < rows; ++r) {
-          for (size_t i = 0; i < n; ++i) codes[i] = maps[i][cols[i][r]];
-          ++agg[codes];
-        }
-        fs.vgroups_.assign(agg.begin(), agg.end());
-      }
-      fs.SortGroups();
-      break;
-    }
-  }
-  fs.total_count_ = static_cast<int64_t>(rows);
-  return fs;
-}
-
-FrequencySet FrequencySet::ComputeParallel(const Table& table,
-                                           const QuasiIdentifier& qid,
-                                           const SubsetNode& node,
-                                           WorkerPool& pool,
-                                           ExecutionGovernor* governor,
-                                           SubstrateMode substrate) {
-  assert(node.size() > 0);
-  INCOGNITO_SPAN("freq.scan");
-  INCOGNITO_PHASE_TIMER("phase.freq_scan_seconds");
-  INCOGNITO_HIST_TIMER("freq.build_seconds");
-  INCOGNITO_COUNT("freq.scans");
-  INCOGNITO_COUNT("freq.parallel_scans");
-  INCOGNITO_COUNT_ADD("freq.scan_rows",
-                      static_cast<int64_t>(table.num_rows()));
-  FrequencySet fs = MakeEmpty(node, qid);
-
-  const size_t n = node.size();
-  std::vector<const int32_t*> cols(n);
-  std::vector<const int32_t*> maps(n);
-  for (size_t i = 0; i < n; ++i) {
-    size_t d = static_cast<size_t>(node.dims[i]);
-    cols[i] = table.ColumnCodes(qid.column(d)).data();
-    maps[i] = qid.hierarchy(d)
-                  .BaseToLevelMap(static_cast<size_t>(node.levels[i]))
-                  .data();
-  }
-
-  const size_t rows = table.num_rows();
-  const size_t workers = static_cast<size_t>(pool.size());
-  INCOGNITO_COUNT_ADD("freq.scan_chunks", static_cast<int64_t>(workers));
-  // The whole scan resolves to one engine (the decision depends only on
-  // the codec and the full row count), so every worker runs the same
-  // substrate and the merge sees homogeneous partials.
-  const SubstrateChoice choice = ChoiceFor(fs.codec_, rows, substrate);
-  CountSubstrate(choice);
-
-  // Per-worker thread-local aggregation state; merged after the barrier.
-  std::vector<std::unordered_map<uint64_t, int64_t>> wagg;
-  std::vector<std::unordered_map<std::vector<int32_t>, int64_t, VecHash>>
-      wvagg;
-  std::vector<std::vector<std::pair<uint64_t, int64_t>>> wpart;
-  std::vector<std::unique_ptr<FlatCodeMap>> wflat;
-  switch (choice) {
-    case SubstrateChoice::kRadixSort:
-      wpart.resize(workers);
-      break;
-    case SubstrateChoice::kFlatMap:
-      wflat.resize(workers);
-      break;
-    case SubstrateChoice::kHashMap:
-      if (fs.packed_) {
-        wagg.resize(workers);
-      } else {
-        wvagg.resize(workers);
-      }
-      break;
-  }
-
-  // Governed scans charge the running footprint of each worker's local
-  // aggregation state to a private shard so the global budget observes the
-  // transient scan memory; the shards drain before returning and the
-  // caller charges the final set exactly as on the serial path. The radix
-  // engine's transient state is its gather + scratch buffers (charged up
-  // front, released when they die) plus the extracted groups.
-  std::vector<std::unique_ptr<GovernorShard>> shards;
-  if (governor != nullptr) {
-    shards.reserve(workers);
-    for (size_t w = 0; w < workers; ++w) {
-      shards.push_back(std::make_unique<GovernorShard>(governor));
-    }
-  }
-
-  const size_t entry_bytes =
-      (fs.packed_ ? sizeof(std::pair<const uint64_t, int64_t>)
-                  : sizeof(std::pair<const std::vector<int32_t>, int64_t>) +
-                        n * sizeof(int32_t)) +
-      kHashNodeOverhead;
-  constexpr size_t kCheckEveryRows = 16384;
-
-  pool.Run(rows, [&](int w, size_t begin, size_t end) {
-    INCOGNITO_SPAN("freq.scan.chunk");
-    const size_t wi = static_cast<size_t>(w);
-    GovernorShard* shard = governor != nullptr ? shards[wi].get() : nullptr;
-    if (shard != nullptr) {
-      if (!shard->Check().ok()) return;
-      // Fault site "freq.scan.chunk": an injected allocation failure at
-      // the start of a worker's row chunk latches like a refused charge;
-      // sibling chunks stop at their next checkpoint.
-      if (INCOGNITO_FAULT_FIRED("freq.scan.chunk")) {
-        governor->LatchInjectedFailure("freq.scan.chunk");
-        return;
-      }
-    }
-    int64_t charged = 0;
-    auto checkpoint = [&](size_t footprint) {
-      if (shard == nullptr) return true;
-      if (!shard->Check().ok()) return false;
-      int64_t now = static_cast<int64_t>(footprint);
-      if (now > charged) {
-        if (!shard->ChargeMemory(now - charged).ok()) return false;
-        charged = now;
-      }
-      return true;
-    };
-    if (choice == SubstrateChoice::kRadixSort) {
-      const size_t chunk_rows = end - begin;
-      if (chunk_rows == 0) return;
-      // The gather + scratch buffers are the radix engine's map-growth
-      // analogue: charged before they exist, released when they die.
-      const int64_t buffer_bytes =
-          static_cast<int64_t>(2 * chunk_rows * sizeof(uint64_t));
-      if (shard != nullptr && !shard->ChargeMemory(buffer_bytes).ok()) return;
-      {
-        std::function<bool()> tick;
-        if (shard != nullptr) {
-          tick = [shard] { return shard->Check().ok(); };
-        }
-        std::vector<uint64_t> keys;
-        GatherPackedKeys(cols, maps, fs.codec_, begin, end, &keys);
-        std::vector<uint64_t> scratch;
-        if (RadixSortKeys(keys, scratch, fs.codec_.total_bits(), tick)) {
-          const size_t groups = ExtractGroups(keys, &wpart[wi]);
-          checkpoint(groups * sizeof(std::pair<uint64_t, int64_t>));
-        }
-      }
-      if (shard != nullptr) shard->ReleaseMemory(buffer_bytes);
-      return;
-    }
-    std::vector<int32_t> codes(n);
-    if (choice == SubstrateChoice::kFlatMap) {
-      wflat[wi] =
-          std::make_unique<FlatCodeMap>(n, (end - begin) / 4 + 8);
-      FlatCodeMap& agg = *wflat[wi];
-      for (size_t r = begin; r < end; ++r) {
-        if ((r - begin) % kCheckEveryRows == 0 &&
-            !checkpoint(agg.MemoryBytes())) {
-          return;
-        }
-        for (size_t i = 0; i < n; ++i) codes[i] = maps[i][cols[i][r]];
-        agg.Add(codes.data(), 1);
-      }
-      checkpoint(agg.MemoryBytes());
-    } else if (fs.packed_) {
-      auto& agg = wagg[wi];
-      agg.reserve((end - begin) / 4 + 8);
-      for (size_t r = begin; r < end; ++r) {
-        if ((r - begin) % kCheckEveryRows == 0 &&
-            !checkpoint(agg.size() * entry_bytes)) {
-          return;
-        }
-        for (size_t i = 0; i < n; ++i) codes[i] = maps[i][cols[i][r]];
-        ++agg[fs.codec_.Pack(codes.data())];
-      }
-      checkpoint(agg.size() * entry_bytes);
-    } else {
-      auto& agg = wvagg[wi];
-      agg.reserve((end - begin) / 4 + 8);
-      for (size_t r = begin; r < end; ++r) {
-        if ((r - begin) % kCheckEveryRows == 0 &&
-            !checkpoint(agg.size() * entry_bytes)) {
-          return;
-        }
-        for (size_t i = 0; i < n; ++i) codes[i] = maps[i][cols[i][r]];
-        ++agg[codes];
-      }
-      checkpoint(agg.size() * entry_bytes);
-    }
-  });
-
-  // Transient charges return to the governor here; a trip (if any) is
-  // already latched shared, so the caller's next Check()/charge sees it.
-  for (auto& shard : shards) shard->Drain();
-  if (governor != nullptr && !governor->SharedTrip().ok()) {
-    return MakeEmpty(node, qid);
-  }
-
-  // Merge in worker-id order, coalesce equal keys, and canonically sort.
-  // Keys are unique after coalescing, so the sorted result — including its
-  // exact capacity, hence MemoryBytes() — matches the serial scan. Each
-  // engine's partials carry the same per-(worker, key) chunk counts, so
-  // all three merges produce the identical byte-for-byte frequency set.
-  if (fs.packed_) {
-    std::vector<std::pair<uint64_t, int64_t>> all;
-    size_t total = 0;
-    if (choice == SubstrateChoice::kRadixSort) {
-      for (const auto& p : wpart) total += p.size();
-      all.reserve(total);
-      for (const auto& p : wpart) all.insert(all.end(), p.begin(), p.end());
-    } else {
-      for (const auto& m : wagg) total += m.size();
-      all.reserve(total);
-      for (const auto& m : wagg) all.insert(all.end(), m.begin(), m.end());
-    }
-    std::sort(all.begin(), all.end());
-    CoalescePacked(all, &fs.groups_);
-  } else {
-    std::vector<std::pair<std::vector<int32_t>, int64_t>> all;
-    size_t total = 0;
-    if (choice == SubstrateChoice::kFlatMap) {
-      for (const auto& f : wflat) total += f != nullptr ? f->size() : 0;
-      all.reserve(total);
-      for (const auto& f : wflat) {
-        if (f != nullptr) f->AppendTo(&all);
-      }
-    } else {
-      for (const auto& m : wvagg) total += m.size();
-      all.reserve(total);
-      for (const auto& m : wvagg) all.insert(all.end(), m.begin(), m.end());
-    }
-    std::sort(all.begin(), all.end());
-    CoalesceVec(all, &fs.vgroups_);
-  }
-  fs.total_count_ = static_cast<int64_t>(rows);
-  return fs;
+  return std::move(
+      ComputeBatch(table, qid, {node}, nullptr, nullptr, substrate).front());
 }
 
 std::vector<FrequencySet> FrequencySet::ComputeBatch(
@@ -539,7 +253,6 @@ std::vector<FrequencySet> FrequencySet::ComputeBatch(
   }
 
   const size_t workers = static_cast<size_t>(pool->size());
-  INCOGNITO_COUNT("freq.parallel_scans");
   INCOGNITO_COUNT_ADD("freq.scan_chunks", static_cast<int64_t>(workers));
 
   // Per-worker, per-node thread-local aggregation state; merged after the
@@ -701,8 +414,9 @@ std::vector<FrequencySet> FrequencySet::ComputeBatch(
   }
 
   // Merge each node in worker-id order, coalesce equal keys, and
-  // canonically sort — the exact ComputeParallel merge, so the capacity
-  // (hence MemoryBytes()) matches the serial single-node scan.
+  // canonically sort. Keys are unique after coalescing and the two-pass
+  // count-unique reserve sizes the result exactly, so the capacity (hence
+  // MemoryBytes()) matches the serial scan.
   for (size_t j = 0; j < b; ++j) {
     if (out[j].packed_) {
       std::vector<std::pair<uint64_t, int64_t>> all;

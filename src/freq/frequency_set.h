@@ -41,36 +41,11 @@ class FrequencySet {
   /// `substrate` picks the group-by engine (DESIGN.md "Group-by
   /// substrates"); every mode produces the identical frequency set —
   /// groups, counts, canonical order, and MemoryBytes() — so the default
-  /// kAuto simply chooses the fastest engine for the key shape.
+  /// kAuto simply chooses the fastest engine for the key shape. A serial,
+  /// ungoverned batch of one over ComputeBatch.
   static FrequencySet Compute(const Table& table, const QuasiIdentifier& qid,
                               const SubsetNode& node,
                               SubstrateMode substrate = SubstrateMode::kAuto);
-
-  /// Parallel twin of Compute (docs/PARALLELISM.md "Intra-node
-  /// parallelism"): statically partitions the rows into one chunk per pool
-  /// worker, aggregates each chunk into a thread-local map, then merges in
-  /// worker-id order and canonically sorts — bit-identical to Compute at
-  /// any thread count, including the group order and MemoryBytes().
-  ///
-  /// When `governor` is non-null the scan is governed: each worker charges
-  /// its local map's running footprint to a private GovernorShard
-  /// (transient — drained before returning, so the caller charges the
-  /// final set exactly as on the serial path), polls for
-  /// deadline/cancel/shared trips every few thousand rows, and consults
-  /// the "freq.scan.chunk" fault site once per chunk. A tripped scan
-  /// latches the governor and returns an empty frequency set; callers
-  /// detect it via governor->Check() / a failed charge.
-  /// Under SubstrateChoice::kRadixSort each worker gathers and radix-sorts
-  /// its chunk instead of probing a map; the sort buffers are charged to
-  /// the worker's shard up front and released when the buffers die, so the
-  /// budget observes the transient sort memory exactly like map growth
-  /// (the mid-sort trip point of tests/substrate_test.cc).
-  static FrequencySet ComputeParallel(const Table& table,
-                                      const QuasiIdentifier& qid,
-                                      const SubsetNode& node, WorkerPool& pool,
-                                      ExecutionGovernor* governor = nullptr,
-                                      SubstrateMode substrate =
-                                          SubstrateMode::kAuto);
 
   /// Scan-sharing batch build (docs/PARALLELISM.md "Scan-sharing batch
   /// evaluation"): computes the frequency sets of several nodes from ONE
@@ -78,19 +53,22 @@ class FrequencySet {
   /// its group map updated — so a whole lattice level's scan-required nodes
   /// cost one scan instead of one each. result[j] is bit-identical to
   /// Compute(table, qid, nodes[j]), including the canonical group order and
-  /// the exact MemoryBytes() (the merge uses the same two-pass
-  /// count-unique reserve as ComputeParallel).
+  /// the exact MemoryBytes().
   ///
-  /// With a non-null `pool` of size > 1 the rows are chunked across the
-  /// workers exactly like ComputeParallel (thread-local per-node maps,
-  /// worker-id-order merge + canonical sort). When `governor` is non-null
-  /// the scan is governed: the parallel path charges every node's running
-  /// map footprint to transient per-worker shards (drained before
-  /// returning) and polls for trips every few thousand rows; both paths
-  /// consult the "freq.batch.scan" fault site (once per chunk when
-  /// parallel, once up front when serial). A tripped batch latches the
-  /// governor and returns all-empty sets; callers detect it via
-  /// governor->SharedTrip().
+  /// With a non-null `pool` of size > 1 the rows are statically chunked
+  /// across the workers (docs/PARALLELISM.md "Intra-node parallelism"):
+  /// each aggregates its chunk into thread-local per-node maps, then the
+  /// partials merge in worker-id order with one canonical sort, using a
+  /// two-pass count-unique reserve so the result is bit-identical to the
+  /// serial scan at any thread count. When `governor` is non-null the scan
+  /// is governed: the parallel path charges every node's running map
+  /// footprint to transient per-worker shards (drained before returning)
+  /// and polls for trips every few thousand rows; under
+  /// SubstrateChoice::kRadixSort a worker's sort buffers are charged up
+  /// front and released when they die. Both paths consult the
+  /// "freq.batch.scan" fault site (once per chunk when parallel, once up
+  /// front when serial). A tripped batch latches the governor and returns
+  /// all-empty sets; callers detect it via governor->SharedTrip().
   static std::vector<FrequencySet> ComputeBatch(
       const Table& table, const QuasiIdentifier& qid,
       const std::vector<SubsetNode>& nodes, WorkerPool* pool = nullptr,

@@ -224,6 +224,7 @@ CandidateGraph GenerateSubsetGraph(
     const std::vector<const CandidateGraph*>& parents, GraphGenStats* stats,
     GovernorShard* shard) {
   INCOGNITO_SPAN("lattice.subset_candidate_gen");
+  INCOGNITO_PHASE_TIMER("phase.candidate_gen_seconds");
   INCOGNITO_COUNT("lattice.subset_candidate_gen_calls");
   GraphGenStats local_stats;
   CandidateGraph next;

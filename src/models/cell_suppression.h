@@ -42,7 +42,7 @@ struct CellSuppressionResult {
 /// trip returns PartialResult::Partial with an EMPTY view (the
 /// intermediate recoding is not yet k-anonymous and must not be released);
 /// only the stats carry the progress made. The algorithm is
-/// single-threaded: ctx.num_threads and ctx.scheduling are ignored.
+/// single-threaded: ctx.num_threads is ignored.
 PartialResult<CellSuppressionResult> RunCellSuppression(
     const Table& table, const QuasiIdentifier& qid,
     const AnonymizationConfig& config, const RunContext& ctx = {});

@@ -36,8 +36,8 @@ struct DataflyResult {
 /// trip returns PartialResult::Partial carrying the node the greedy walk
 /// had reached — but an EMPTY view and suppressed_tuples == 0, because
 /// Datafly's intermediate state is NOT yet k-anonymous and must not be
-/// released. The algorithm is single-threaded: ctx.num_threads and
-/// ctx.scheduling are ignored.
+/// released. The algorithm is single-threaded: ctx.num_threads is
+/// ignored.
 PartialResult<DataflyResult> RunDatafly(const Table& table,
                                         const QuasiIdentifier& qid,
                                         const AnonymizationConfig& config,

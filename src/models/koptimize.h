@@ -68,8 +68,7 @@ struct KOptimizeResult {
 /// optimal, and cost/cuts reflect the best-so-far mask rather than the
 /// optimum. The options.max_nodes safety valve is unchanged and remains a
 /// hard Internal error (an un-governed abort proves nothing). The
-/// algorithm is single-threaded: ctx.num_threads and ctx.scheduling are
-/// ignored.
+/// algorithm is single-threaded: ctx.num_threads is ignored.
 PartialResult<KOptimizeResult> RunKOptimize(const Table& table,
                                             const QuasiIdentifier& qid,
                                             const AnonymizationConfig& config,

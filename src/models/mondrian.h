@@ -41,7 +41,7 @@ struct MondrianResult {
 /// as-is — the partial view is COARSER than the full answer but still
 /// k-anonymous (every partition holds >= k tuples by construction), the
 /// model's graceful degradation. The algorithm is single-threaded:
-/// ctx.num_threads and ctx.scheduling are ignored.
+/// ctx.num_threads is ignored.
 PartialResult<MondrianResult> RunMondrian(const Table& table,
                                           const QuasiIdentifier& qid,
                                           const AnonymizationConfig& config,

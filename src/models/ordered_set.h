@@ -43,7 +43,7 @@ struct OrderedSetResult {
 /// returns PartialResult::Partial with an EMPTY view (the intermediate
 /// partitioning is not yet k-anonymous and must not be released); only the
 /// stats carry the progress made. The algorithm is single-threaded:
-/// ctx.num_threads and ctx.scheduling are ignored.
+/// ctx.num_threads is ignored.
 PartialResult<OrderedSetResult> RunOrderedSetPartition(
     const Table& table, const QuasiIdentifier& qid,
     const AnonymizationConfig& config, const RunContext& ctx = {});

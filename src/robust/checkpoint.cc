@@ -15,21 +15,12 @@ namespace incognito {
 namespace {
 
 constexpr char kMagic[] = "incognito-checkpoint";
-constexpr int kFormatVersion = 1;
+constexpr int kFormatVersion = 2;
 
 int64_t NowNanos() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-// C(n, s) for the small n the bitmask scheduler supports; saturates well
-// below overflow for n <= 32.
-uint64_t Binomial(int n, int s) {
-  if (s < 0 || s > n) return 0;
-  uint64_t r = 1;
-  for (int i = 1; i <= s; ++i) r = r * (n - s + i) / i;
-  return r;
 }
 
 std::string NodesToString(const std::vector<SubsetNode>& nodes) {
@@ -195,9 +186,9 @@ std::string SerializeCheckpoint(const CheckpointSnapshot& snapshot) {
   }
   for (const CheckpointRecord& record : snapshot.records) {
     payload += StringPrintf(
-        "%s %u survivors=%s counters=%s\n",
-        record.kind == CheckpointRecord::Kind::kIteration ? "iter" : "mask",
-        record.key, NodesToString(record.survivors).c_str(),
+        "mask %llu survivors=%s counters=%s\n",
+        static_cast<unsigned long long>(record.mask),
+        NodesToString(record.survivors).c_str(),
         CountersToString(record.counters).c_str());
   }
   payload += "end\n";
@@ -259,7 +250,7 @@ Result<CheckpointSnapshot> ParseCheckpoint(const std::string& content) {
   bool saw_fingerprint = false;
   bool saw_end = false;
   size_t pos = payload_start;
-  std::set<std::pair<int, uint32_t>> seen_keys;
+  std::set<uint64_t> seen_masks;
   while (pos < content.size()) {
     size_t line_eol = content.find('\n', pos);
     if (line_eol == std::string::npos) return Corrupt("unterminated line");
@@ -315,29 +306,19 @@ Result<CheckpointSnapshot> ParseCheckpoint(const std::string& content) {
       saw_fingerprint = true;
       continue;
     }
-    if (fields[0] == "iter" || fields[0] == "mask") {
+    if (fields[0] == "mask") {
       if (!saw_fingerprint) return Corrupt("record before fingerprint");
       if (fields.size() != 4) return Corrupt("bad record line");
       CheckpointRecord record;
-      record.kind = fields[0] == "iter" ? CheckpointRecord::Kind::kIteration
-                                        : CheckpointRecord::Kind::kMask;
-      int64_t key = 0;
-      if (!ParseInt64(fields[1], &key) || key < 0 || key > UINT32_MAX) {
-        return Corrupt("bad record key");
+      const size_t n = snapshot.fingerprint.heights.size();
+      int64_t mask = 0;
+      if (!ParseInt64(fields[1], &mask) || n > kMaxQidAttributes ||
+          mask < 1 || mask >= (int64_t{1} << n)) {
+        return Corrupt("mask out of range");
       }
-      record.key = static_cast<uint32_t>(key);
-      const int n = static_cast<int>(snapshot.fingerprint.heights.size());
-      if (record.kind == CheckpointRecord::Kind::kIteration) {
-        if (key < 1 || key > n) return Corrupt("iteration key out of range");
-      } else {
-        if (n > 32 || key < 1 || key >= (1ll << n)) {
-          return Corrupt("mask key out of range");
-        }
-      }
-      if (!seen_keys
-               .insert({static_cast<int>(record.kind), record.key})
-               .second) {
-        return Corrupt("duplicate record key");
+      record.mask = static_cast<uint64_t>(mask);
+      if (!seen_masks.insert(record.mask).second) {
+        return Corrupt("duplicate mask record");
       }
       std::string_view v;
       if (!TakeField(fields, 2, "survivors", &v) ||
@@ -345,27 +326,18 @@ Result<CheckpointSnapshot> ParseCheckpoint(const std::string& content) {
         return Corrupt("bad record survivors");
       }
       for (const SubsetNode& node : record.survivors) {
-        // Every node must fit the record's unit and the fingerprint shape.
-        if (record.kind == CheckpointRecord::Kind::kIteration) {
-          if (static_cast<int64_t>(node.dims.size()) != key) {
-            return Corrupt("survivor size does not match iteration");
-          }
-        } else {
-          uint32_t node_mask = 0;
-          for (int32_t d : node.dims) {
-            if (d >= n) return Corrupt("survivor dimension out of range");
-            node_mask |= 1u << d;
-          }
-          if (node_mask != record.key) {
-            return Corrupt("survivor dims do not match mask");
-          }
-        }
+        // Every node must fit the record's subset and the fingerprint.
+        uint64_t node_mask = 0;
         for (size_t i = 0; i < node.dims.size(); ++i) {
-          int32_t d = node.dims[i];
-          if (d < 0 || d >= n ||
-              node.levels[i] > snapshot.fingerprint.heights[d]) {
+          const size_t d = static_cast<size_t>(node.dims[i]);
+          if (d >= n) return Corrupt("survivor dimension out of range");
+          node_mask |= uint64_t{1} << d;
+          if (node.levels[i] > snapshot.fingerprint.heights[d]) {
             return Corrupt("survivor level above hierarchy height");
           }
+        }
+        if (node_mask != record.mask) {
+          return Corrupt("survivor dims do not match mask");
         }
       }
       if (!std::is_sorted(record.survivors.begin(), record.survivors.end())) {
@@ -397,45 +369,6 @@ Result<CheckpointSnapshot> LoadCheckpoint(const std::string& path) {
   return ParseCheckpoint(content.value());
 }
 
-std::vector<CheckpointLevel> LevelsFromSnapshot(
-    const CheckpointSnapshot& snapshot, int n) {
-  std::vector<CheckpointLevel> levels(n + 1);
-  std::vector<uint64_t> masks_seen(n + 1, 0);
-  std::vector<bool> from_iteration(n + 1, false);
-  for (const CheckpointRecord& record : snapshot.records) {
-    if (record.kind == CheckpointRecord::Kind::kIteration) {
-      int s = static_cast<int>(record.key);
-      if (s < 1 || s > n) continue;
-      // An iteration record is authoritative for its whole level.
-      levels[s].survivors = record.survivors;
-      levels[s].counters = record.counters;
-      levels[s].complete = true;
-      from_iteration[s] = true;
-    }
-  }
-  for (const CheckpointRecord& record : snapshot.records) {
-    if (record.kind != CheckpointRecord::Kind::kMask) continue;
-    int s = 0;
-    for (uint32_t m = record.key; m != 0; m >>= 1) s += m & 1;
-    if (s < 1 || s > n || from_iteration[s]) continue;
-    ++masks_seen[s];
-    levels[s].survivors.insert(levels[s].survivors.end(),
-                               record.survivors.begin(),
-                               record.survivors.end());
-    levels[s].counters += record.counters;
-  }
-  for (int s = 1; s <= n; ++s) {
-    if (from_iteration[s]) continue;
-    if (masks_seen[s] == Binomial(n, s)) {
-      levels[s].complete = true;
-      std::sort(levels[s].survivors.begin(), levels[s].survivors.end());
-    } else {
-      levels[s] = CheckpointLevel{};
-    }
-  }
-  return levels;
-}
-
 CheckpointManager::CheckpointManager(const CheckpointPolicy& policy,
                                      CheckpointFingerprint fingerprint)
     : policy_(policy), fingerprint_(std::move(fingerprint)) {}
@@ -443,33 +376,18 @@ CheckpointManager::CheckpointManager(const CheckpointPolicy& policy,
 void CheckpointManager::Seed(const CheckpointSnapshot& restored) {
   std::lock_guard<std::mutex> lock(mu_);
   for (const CheckpointRecord& record : restored.records) {
-    records_[{static_cast<int>(record.kind), record.key}] = record;
+    records_[record.mask] = record;
   }
 }
 
-void CheckpointManager::AddIteration(uint32_t iteration,
-                                     std::vector<SubsetNode> survivors,
-                                     const CheckpointCounters& delta) {
-  std::lock_guard<std::mutex> lock(mu_);
-  CheckpointRecord record;
-  record.kind = CheckpointRecord::Kind::kIteration;
-  record.key = iteration;
-  record.survivors = std::move(survivors);
-  record.counters = delta;
-  records_[{static_cast<int>(record.kind), record.key}] = std::move(record);
-  dirty_ = true;
-}
-
-void CheckpointManager::AddMask(uint32_t mask,
+void CheckpointManager::AddMask(uint64_t mask,
                                 std::vector<SubsetNode> survivors,
                                 const CheckpointCounters& delta) {
   std::lock_guard<std::mutex> lock(mu_);
-  CheckpointRecord record;
-  record.kind = CheckpointRecord::Kind::kMask;
-  record.key = mask;
+  CheckpointRecord& record = records_[mask];
+  record.mask = mask;
   record.survivors = std::move(survivors);
   record.counters = delta;
-  records_[{static_cast<int>(record.kind), record.key}] = std::move(record);
   dirty_ = true;
 }
 

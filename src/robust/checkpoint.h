@@ -24,12 +24,11 @@ struct IncognitoOptions;
 ///
 /// The search is monotone at subset granularity: once a subset's candidate
 /// graph has been fully evaluated its surviving nodes are final, and the
-/// Rollup Property (paper §3.3) lets every larger subset warm-start from
-/// them. A checkpoint is therefore just the set of finished units —
-/// per-iteration survivor sets for the serial/barrier loops, per-subset
-/// (bitmask) survivor sets for the pipelined DAG — plus the counter deltas
-/// each unit contributed, so a resumed run reports totals bit-identical to
-/// an uninterrupted one.
+/// Subset Property (paper §3.1) makes every larger subset depend only on
+/// them. A checkpoint is therefore just the set of finished subsets — one
+/// record per attribute-subset bitmask — plus the counter deltas each
+/// contributed, so a resumed run reports totals bit-identical to an
+/// uninterrupted one.
 
 /// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over `len` bytes.
 uint32_t Crc32(const void* data, size_t len);
@@ -47,7 +46,7 @@ struct CheckpointPolicy {
   /// Checkpoint file path; empty disables checkpointing entirely.
   std::string path;
   /// Minimum milliseconds between periodic writes; 0 writes at every
-  /// completed-unit boundary. A governor trip always spills immediately.
+  /// finished subset. A governor trip always spills immediately.
   int64_t interval_ms = 0;
   ResumeMode resume = ResumeMode::kOff;
   /// Retry policy for checkpoint *writes* issued by the manager; load and
@@ -58,8 +57,8 @@ struct CheckpointPolicy {
 };
 
 /// Identifies the run a checkpoint belongs to. Everything that changes the
-/// search outcome participates; thread count and scheduling mode do NOT
-/// (all modes are bit-identical, so checkpoints are portable across them).
+/// search outcome participates; the thread count does NOT (every count is
+/// bit-identical, so checkpoints are portable across them).
 struct CheckpointFingerprint {
   int64_t k = 0;
   int64_t max_suppressed = 0;
@@ -86,7 +85,7 @@ CheckpointFingerprint MakeCheckpointFingerprint(
     const Table& table, const QuasiIdentifier& qid,
     const AnonymizationConfig& config, const IncognitoOptions& options);
 
-/// The deterministic solution counters a finished unit contributed —
+/// The deterministic solution counters a finished subset contributed —
 /// exactly the AlgorithmStats fields covered by the bit-identity contract
 /// (docs/PARALLELISM.md). Governor/timing fields are never checkpointed.
 struct CheckpointCounters {
@@ -101,16 +100,11 @@ struct CheckpointCounters {
   CheckpointCounters& operator-=(const CheckpointCounters& o);
 };
 
-/// One finished unit of search progress.
+/// One finished attribute subset of the search.
 struct CheckpointRecord {
-  enum class Kind {
-    kIteration,  ///< key = subset size i; survivors merged over all
-                 ///< i-attribute subsets (serial / barrier writer)
-    kMask,       ///< key = attribute-dimension bitmask (pipelined writer);
-                 ///< the full mask is the apex (final) search
-  };
-  Kind kind = Kind::kIteration;
-  uint32_t key = 0;
+  /// Attribute-dimension bitmask of the subset (bit d = QID attribute d);
+  /// the full mask is the apex (final) search.
+  uint64_t mask = 0;
   std::vector<SubsetNode> survivors;  ///< sorted ascending (SubsetNode <)
   CheckpointCounters counters;
 };
@@ -122,12 +116,11 @@ struct CheckpointSnapshot {
 
 /// On-disk text format, versioned and CRC-checksummed:
 ///
-///   incognito-checkpoint 1
+///   incognito-checkpoint 2
 ///   crc <8 lowercase hex digits>
 ///   fingerprint k=... sup=... rows=... heights=h0,h1,... variant=...
 ///     transitive=0|1 rollup=0|1                     (one line)
-///   iter <i> survivors=<nodes> counters=<6 ints>
-///   mask <m> survivors=<nodes> counters=<6 ints>
+///   mask <m> survivors=<nodes> counters=<6 ints>    (one per subset)
 ///   end
 ///
 /// <nodes> is `;`-separated `dims@levels` with `.`-separated ints, or `-`
@@ -135,8 +128,9 @@ struct CheckpointSnapshot {
 std::string SerializeCheckpoint(const CheckpointSnapshot& snapshot);
 
 /// Strict bounds-checked parser. Corruption (bad magic, unsupported
-/// version, CRC mismatch, truncation, malformed records) comes back as
-/// FailedPrecondition — the CLI's documented exit code 3.
+/// version — a version-1 file included — CRC mismatch, truncation,
+/// malformed records) comes back as FailedPrecondition — the CLI's
+/// documented exit code 3.
 Result<CheckpointSnapshot> ParseCheckpoint(const std::string& content);
 
 /// Serializes and writes atomically via safe_io (temp + rename; fault
@@ -149,21 +143,7 @@ Status WriteCheckpoint(const std::string& path,
 /// FailedPrecondition (exit code 3). No retry at this layer.
 Result<CheckpointSnapshot> LoadCheckpoint(const std::string& path);
 
-/// Per-subset-size view over a snapshot, for the serial/barrier resume
-/// path and for cross-mode conversion.
-struct CheckpointLevel {
-  bool complete = false;              ///< every subset of this size is covered
-  std::vector<SubsetNode> survivors;  ///< merged, sorted
-  CheckpointCounters counters;        ///< summed over the level's units
-};
-
-/// Folds a snapshot into per-size levels for an `n`-attribute QID (index
-/// 1..n; index 0 unused). A level is complete when an iteration record
-/// exists for it or when mask records cover all C(n,s) subsets of size s.
-std::vector<CheckpointLevel> LevelsFromSnapshot(
-    const CheckpointSnapshot& snapshot, int n);
-
-/// Accumulates finished units and writes policy-gated snapshots.
+/// Accumulates finished subsets and writes policy-gated snapshots.
 /// Internally synchronized; safe to call from pipeline workers (call it
 /// OUTSIDE the scheduler lock — writes do file I/O).
 class CheckpointManager {
@@ -175,16 +155,15 @@ class CheckpointManager {
   /// checkpoints carry the full history.
   void Seed(const CheckpointSnapshot& restored);
 
-  void AddIteration(uint32_t iteration, std::vector<SubsetNode> survivors,
-                    const CheckpointCounters& delta);
-  void AddMask(uint32_t mask, std::vector<SubsetNode> survivors,
+  void AddMask(uint64_t mask, std::vector<SubsetNode> survivors,
                const CheckpointCounters& delta);
 
   /// Policy-gated periodic write (interval_ms); returns true when a write
   /// was attempted. Failures are counted, never fatal.
   bool MaybeWrite();
   /// Writes pending records ignoring the interval — used to spill on a
-  /// governor trip and to make the final unit durable at the end of a run.
+  /// governor trip and to make the final subset durable at the end of a
+  /// run.
   /// No-op (false) when nothing new has been recorded since the last
   /// successful write; true on a successful write.
   bool WriteNow();
@@ -199,7 +178,7 @@ class CheckpointManager {
   const CheckpointPolicy policy_;
   const CheckpointFingerprint fingerprint_;
   mutable std::mutex mu_;
-  std::map<std::pair<int, uint32_t>, CheckpointRecord> records_;
+  std::map<uint64_t, CheckpointRecord> records_;
   bool dirty_ = false;
   int64_t last_write_ns_ = -1;
   int64_t writes_ = 0;

@@ -33,7 +33,6 @@ const std::vector<std::string>& FaultInjector::KnownSites() {
       "governor.charge",
       "cube.build",
       "cube.project",
-      "freq.scan.chunk",
       "freq.batch.scan",
       "incognito.rollup",
       "incognito.subset.schedule",

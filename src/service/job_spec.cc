@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "common/strings.h"
 #include "core/ldiversity.h"
 #include "core/minimality.h"
 #include "core/recoder.h"
@@ -144,8 +145,6 @@ std::string JobSpecToJson(const JobSpec& spec) {
   out += ",\"memory_budget_bytes\":" +
          std::to_string(spec.exec.memory_budget_bytes);
   out += ",\"threads\":" + std::to_string(spec.exec.num_threads);
-  out += ",\"schedule\":" +
-         JsonString(SchedulingModeName(spec.exec.scheduling));
   out += ",\"substrate\":" +
          JsonString(SubstrateModeName(spec.exec.substrate));
   out += ",\"checkpoint\":" + JsonString(spec.exec.checkpoint.path);
@@ -209,13 +208,15 @@ Result<JobSpec> JobSpecFromJson(const JsonValue& value) {
     } else if (key == "memory_budget_bytes") {
       spec.exec.memory_budget_bytes = Int64Field(v);
     } else if (key == "threads") {
-      spec.exec.num_threads = static_cast<int>(Int64Field(v));
-    } else if (key == "schedule") {
-      if (!ParseSchedulingMode(v.StringOr(""), &spec.exec.scheduling)) {
-        return Status::InvalidArgument(
-            "bad \"schedule\" value '" + v.StringOr("") +
-            "' (want pipelined or barrier)");
+      // Range-checked as a double first: the cast of an out-of-range value
+      // is undefined.
+      const double threads = v.NumberOr(0);
+      if (!(threads >= 0 && threads <= kMaxThreads)) {
+        return Status::InvalidArgument(StringPrintf(
+            "bad \"threads\" value %g (want 0-%d; 0 keeps the default)",
+            threads, kMaxThreads));
       }
+      spec.exec.num_threads = static_cast<int>(threads);
     } else if (key == "substrate") {
       if (!ParseSubstrateMode(v.StringOr(""), &spec.exec.substrate)) {
         return Status::InvalidArgument(

@@ -35,7 +35,7 @@ bool ParseJobModel(const std::string& text, JobModel* model);
 
 /// One anonymization job: WHAT to run (dataset reference, model, privacy
 /// parameters) plus HOW to run it (the ExecProfile: deadline, memory
-/// lease, thread share, scheduling, substrate, checkpoint policy). This is
+/// lease, thread share, substrate, checkpoint policy). This is
 /// the service's public job description — the same JobSpec produces
 /// bit-identical results whether executed through the daemon, the socket
 /// client's run-direct mode, or a direct ExecuteJob call.
@@ -62,8 +62,8 @@ struct JobSpec {
   /// Incognito variant for kKAnonymity.
   IncognitoVariant variant = IncognitoVariant::kBasic;
 
-  /// Execution profile: budgets, threads, scheduling, substrate,
-  /// checkpoint policy. The daemon points exec.cancel at the job's own
+  /// Execution profile: budgets, threads (0-kMaxThreads; 0 keeps the
+  /// default), substrate, checkpoint policy. The daemon points exec.cancel at the job's own
   /// token before running so every job is cancellable.
   ExecProfile exec;
 

@@ -18,7 +18,7 @@
 #include "common/strings.h"
 #include "core/checker.h"
 #include "core/incognito.h"
-#include "core/parallel.h"
+#include "core/worker_pool.h"
 #include "data/adults.h"
 #include "freq/frequency_set.h"
 #include "hierarchy/hierarchy.h"
@@ -67,10 +67,10 @@ void ExpectIdenticalModuloScans(const IncognitoResult& unbatched,
   EXPECT_EQ(unbatched.stats.batched_scan_nodes, 0);
 }
 
-/// Runs the unbatched serial reference, then sweeps the batched run over
-/// serial + {1,2,4,8} threads x {pipelined, barrier} and asserts every
-/// leg matches modulo scans — and that all batched legs agree on
-/// table_scans among themselves (schedule independence).
+/// Runs the unbatched 1-thread reference, then sweeps the batched run over
+/// {1,2,4,8} threads and asserts every leg matches modulo scans — and that
+/// all batched legs agree on table_scans among themselves (thread-count
+/// independence).
 void SweepBatchedAgainstUnbatched(const Table& table,
                                   const QuasiIdentifier& qid,
                                   const AnonymizationConfig& config,
@@ -88,24 +88,16 @@ void SweepBatchedAgainstUnbatched(const Table& table,
   ASSERT_TRUE(serial.ok());
   ExpectIdenticalModuloScans(*unbatched, *serial);
 
-  for (int threads : {1, 2, 4, 8}) {
-    for (SchedulingMode mode :
-         {SchedulingMode::kPipelined, SchedulingMode::kBarrier}) {
-      SCOPED_TRACE(StringPrintf(
-          "threads=%d schedule=%s", threads,
-          mode == SchedulingMode::kPipelined ? "pipelined" : "barrier"));
-      RunContext ctx = RunContext::WithThreads(threads);
-      ctx.scheduling = mode;
-      PartialResult<IncognitoResult> run =
-          RunIncognitoParallel(table, qid, config, options, ctx);
-      ASSERT_TRUE(run.ok());
-      ExpectIdenticalModuloScans(*unbatched, *run);
-      // Scan amortization itself is deterministic: every schedule and
-      // thread count produces the serial batched counts.
-      EXPECT_EQ(run->stats.table_scans, serial->stats.table_scans);
-      EXPECT_EQ(run->stats.batched_scan_nodes,
-                serial->stats.batched_scan_nodes);
-    }
+  for (int threads : {2, 4, 8}) {
+    SCOPED_TRACE(StringPrintf("threads=%d", threads));
+    PartialResult<IncognitoResult> run = RunIncognito(
+        table, qid, config, options, RunContext::WithThreads(threads));
+    ASSERT_TRUE(run.ok());
+    ExpectIdenticalModuloScans(*unbatched, *run);
+    // Scan amortization itself is deterministic: every thread count
+    // produces the 1-thread batched counts.
+    EXPECT_EQ(run->stats.table_scans, serial->stats.table_scans);
+    EXPECT_EQ(run->stats.batched_scan_nodes, serial->stats.batched_scan_nodes);
   }
 }
 
@@ -153,7 +145,7 @@ RandomDataset MakeSingleGroupDataset(size_t num_rows) {
 }
 
 // ---------------------------------------------------------------------------
-// Differential: batched == unbatched on every fixture, every schedule
+// Differential: batched == unbatched on every fixture, every thread count
 // ---------------------------------------------------------------------------
 
 TEST(BatchScanDifferentialTest, AdultsPrefixesMatchUnbatched) {
@@ -430,7 +422,7 @@ TEST(BatchScanGovernedTest, GenerousBudgetMatchesAndDrainsToZero) {
   ASSERT_TRUE(unbatched.ok());
   options.batch_scans = true;
   {
-    // Serial governed: batch retention charges must return to zero.
+    // 1-thread governed: batch retention charges must return to zero.
     ExecutionGovernor governor;
     governor.SetMemoryLimitBytes(int64_t{1} << 33);
     RunContext ctx;
@@ -442,16 +434,12 @@ TEST(BatchScanGovernedTest, GenerousBudgetMatchesAndDrainsToZero) {
     EXPECT_EQ(governor.memory().used(), 0);
     EXPECT_GT(governed->stats.governor_checks, 0);
   }
-  for (SchedulingMode mode :
-       {SchedulingMode::kPipelined, SchedulingMode::kBarrier}) {
-    SCOPED_TRACE(mode == SchedulingMode::kPipelined ? "pipelined"
-                                                    : "barrier");
+  {
+    SCOPED_TRACE("threads=4");
     ExecutionGovernor governor;
     governor.SetMemoryLimitBytes(int64_t{1} << 33);
-    RunContext ctx = RunContext::Governed(governor, 4);
-    ctx.scheduling = mode;
-    PartialResult<IncognitoResult> governed =
-        RunIncognitoParallel(data->table, qid, config, options, ctx);
+    PartialResult<IncognitoResult> governed = RunIncognito(
+        data->table, qid, config, options, RunContext::Governed(governor, 4));
     ASSERT_TRUE(governed.complete()) << governed.status().ToString();
     ExpectIdenticalModuloScans(*unbatched, governed.value());
     EXPECT_EQ(governor.memory().used(), 0);
@@ -515,12 +503,6 @@ const RunContext& ParallelCtx(ExecutionGovernor& governor, RunContext* ctx) {
   return *ctx;
 }
 
-const RunContext& BarrierCtx(ExecutionGovernor& governor, RunContext* ctx) {
-  *ctx = RunContext::Governed(governor, 4);
-  ctx->scheduling = SchedulingMode::kBarrier;
-  return *ctx;
-}
-
 TEST(BatchScanGovernedTest, MidBatchMemoryTripYieldsSoundPartial) {
   Rng rng(33);
   RandomDataset data = MakeRandomDataset(rng);
@@ -531,12 +513,8 @@ TEST(BatchScanGovernedTest, MidBatchMemoryTripYieldsSoundPartial) {
     SweepMemoryTrips(data.table, data.qid, config, SerialCtx);
   }
   {
-    SCOPED_TRACE("pipelined");
+    SCOPED_TRACE("threads=4");
     SweepMemoryTrips(data.table, data.qid, config, ParallelCtx);
-  }
-  {
-    SCOPED_TRACE("barrier");
-    SweepMemoryTrips(data.table, data.qid, config, BarrierCtx);
   }
 }
 

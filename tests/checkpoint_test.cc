@@ -1,7 +1,7 @@
 // Tests for the crash-safe checkpoint subsystem (src/robust/checkpoint.*,
 // src/core/checkpoint_resume.*): on-disk format round-trips, strict
-// corruption rejection, per-level folding, the policy-gated manager, the
-// bounded retry helper, and resume equivalence for the serial search.
+// corruption rejection (the version-1 format included), the policy-gated
+// manager, the bounded retry helper, and resume equivalence.
 // Kill-at-any-point crash injection lives in crash_recovery_test.cc.
 
 #include <gtest/gtest.h>
@@ -54,24 +54,21 @@ CheckpointSnapshot SampleSnapshot() {
   snap.fingerprint.mark_transitively = true;
   snap.fingerprint.use_rollup = false;
 
-  CheckpointRecord iter;
-  iter.kind = CheckpointRecord::Kind::kIteration;
-  iter.key = 1;
-  iter.survivors = {Node({0}, {0}), Node({0}, {1}), Node({2}, {3})};
-  iter.counters.nodes_checked = 5;
-  iter.counters.candidate_nodes = 8;
-  snap.records.push_back(iter);
+  CheckpointRecord single;
+  single.mask = 0b001;
+  single.survivors = {Node({0}, {0}), Node({0}, {1})};
+  single.counters.nodes_checked = 5;
+  single.counters.candidate_nodes = 8;
+  snap.records.push_back(single);
 
-  CheckpointRecord mask;
-  mask.kind = CheckpointRecord::Kind::kMask;
-  mask.key = 0b011;
-  mask.survivors = {Node({0, 1}, {0, 2})};
-  mask.counters.table_scans = 2;
-  snap.records.push_back(mask);
+  CheckpointRecord pair;
+  pair.mask = 0b011;
+  pair.survivors = {Node({0, 1}, {0, 2})};
+  pair.counters.table_scans = 2;
+  snap.records.push_back(pair);
 
-  CheckpointRecord empty;  // a level can legitimately have no survivors
-  empty.kind = CheckpointRecord::Kind::kMask;
-  empty.key = 0b101;
+  CheckpointRecord empty;  // a subset can legitimately have no survivors
+  empty.mask = 0b101;
   snap.records.push_back(empty);
   return snap;
 }
@@ -88,8 +85,7 @@ TEST(CheckpointFormatTest, SerializeParseRoundTrips) {
   EXPECT_TRUE(parsed->fingerprint == snap.fingerprint);
   ASSERT_EQ(parsed->records.size(), snap.records.size());
   for (size_t i = 0; i < snap.records.size(); ++i) {
-    EXPECT_EQ(parsed->records[i].kind, snap.records[i].kind);
-    EXPECT_EQ(parsed->records[i].key, snap.records[i].key);
+    EXPECT_EQ(parsed->records[i].mask, snap.records[i].mask);
     EXPECT_EQ(NodeSet(parsed->records[i].survivors),
               NodeSet(snap.records[i].survivors));
     EXPECT_EQ(parsed->records[i].counters.nodes_checked,
@@ -160,14 +156,26 @@ TEST(CheckpointFormatTest, MalformedFixturesAreRejected) {
 }
 
 TEST(CheckpointFormatTest, ValidFixtureStaysLoadable) {
-  // The committed fixture pins the v1 format: if serialization changes,
+  // The committed fixture pins the v2 format: if serialization changes,
   // this fails until the format version is bumped and handled.
   std::string path =
       std::string(INCOGNITO_TEST_DATA_DIR) + "/valid_checkpoint.txt";
   Result<CheckpointSnapshot> loaded = LoadCheckpoint(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded->fingerprint.k, 2);
-  EXPECT_EQ(loaded->records.size(), 4u);  // iter 1..3 plus the apex mask
+  EXPECT_EQ(loaded->records.size(), 7u);  // every subset of 3 attributes
+  EXPECT_EQ(SerializeCheckpoint(loaded.value()), ReadAll(path));
+}
+
+TEST(CheckpointFormatTest, VersionOneFileIsRefused) {
+  // A genuine version-1 file (per-iteration records) is refused as
+  // FailedPrecondition, the CLI's exit code 3.
+  std::string path = std::string(INCOGNITO_TEST_DATA_DIR) + "/v1_checkpoint.txt";
+  Result<CheckpointSnapshot> loaded = LoadCheckpoint(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(loaded.status().message().find("version 1"), std::string::npos)
+      << loaded.status().ToString();
 }
 
 TEST(CheckpointFormatTest, SemanticValidationRejectsInconsistentRecords) {
@@ -182,23 +190,18 @@ TEST(CheckpointFormatTest, SemanticValidationRejectsInconsistentRecords) {
   };
   {
     CheckpointSnapshot snap = SampleSnapshot();
-    snap.records[0].key = 9;  // iteration key > number of attributes
-    reject(snap, "iteration key out of range");
+    snap.records[0].mask = 0;  // the empty subset is not a unit of work
+    reject(snap, "zero mask");
   }
   {
     CheckpointSnapshot snap = SampleSnapshot();
-    snap.records[1].key = 0b1000;  // mask beyond 2^n - 1
-    reject(snap, "mask key out of range");
+    snap.records[1].mask = 0b1000;  // mask beyond 2^n - 1
+    reject(snap, "mask out of range");
   }
   {
     CheckpointSnapshot snap = SampleSnapshot();
-    snap.records.push_back(snap.records[0]);  // duplicate (kind, key)
+    snap.records.push_back(snap.records[0]);  // duplicate mask
     reject(snap, "duplicate record");
-  }
-  {
-    CheckpointSnapshot snap = SampleSnapshot();
-    snap.records[0].survivors = {Node({0, 1}, {0, 0})};  // size != key
-    reject(snap, "survivor size mismatch");
   }
   {
     CheckpointSnapshot snap = SampleSnapshot();
@@ -210,55 +213,6 @@ TEST(CheckpointFormatTest, SemanticValidationRejectsInconsistentRecords) {
     snap.records[1].survivors = {Node({0, 2}, {0, 0})};  // dims != mask
     reject(snap, "mask record with mismatched dims");
   }
-}
-
-// ---------------------------------------------------------------------------
-// Per-level folding (LevelsFromSnapshot)
-// ---------------------------------------------------------------------------
-
-TEST(CheckpointLevelsTest, IterationRecordsAreAuthoritative) {
-  CheckpointSnapshot snap;
-  snap.fingerprint.heights = {1, 1, 1};
-  CheckpointRecord iter;
-  iter.kind = CheckpointRecord::Kind::kIteration;
-  iter.key = 1;
-  iter.survivors = {Node({0}, {0})};
-  iter.counters.nodes_checked = 3;
-  snap.records.push_back(iter);
-  std::vector<CheckpointLevel> levels = LevelsFromSnapshot(snap, 3);
-  ASSERT_EQ(levels.size(), 4u);
-  EXPECT_TRUE(levels[1].complete);
-  EXPECT_EQ(levels[1].survivors.size(), 1u);
-  EXPECT_EQ(levels[1].counters.nodes_checked, 3);
-  EXPECT_FALSE(levels[2].complete);
-  EXPECT_FALSE(levels[3].complete);
-}
-
-TEST(CheckpointLevelsTest, MaskRecordsCompleteALevelOnlyWhenAllPresent) {
-  CheckpointSnapshot snap;
-  snap.fingerprint.heights = {1, 1};
-  CheckpointRecord a;
-  a.kind = CheckpointRecord::Kind::kMask;
-  a.key = 0b01;
-  a.survivors = {Node({0}, {1})};
-  a.counters.table_scans = 1;
-  snap.records.push_back(a);
-  // Only 1 of the 2 size-1 masks: level stays incomplete.
-  std::vector<CheckpointLevel> partial = LevelsFromSnapshot(snap, 2);
-  EXPECT_FALSE(partial[1].complete);
-
-  CheckpointRecord b;
-  b.kind = CheckpointRecord::Kind::kMask;
-  b.key = 0b10;
-  b.survivors = {Node({1}, {0})};
-  b.counters.table_scans = 2;
-  snap.records.push_back(b);
-  std::vector<CheckpointLevel> full = LevelsFromSnapshot(snap, 2);
-  ASSERT_TRUE(full[1].complete);
-  // Merged across masks, sorted, counters summed.
-  ASSERT_EQ(full[1].survivors.size(), 2u);
-  EXPECT_TRUE(full[1].survivors[0] < full[1].survivors[1]);
-  EXPECT_EQ(full[1].counters.table_scans, 3);
 }
 
 // ---------------------------------------------------------------------------
@@ -329,7 +283,7 @@ CheckpointFingerprint SmallFingerprint() {
 TEST(CheckpointManagerTest, DisabledPolicyNeverWrites) {
   CheckpointPolicy policy;  // no path
   CheckpointManager manager(policy, SmallFingerprint());
-  manager.AddIteration(1, {Node({0}, {0})}, {});
+  manager.AddMask(0b01, {Node({0}, {0})}, {});
   EXPECT_FALSE(manager.MaybeWrite());
   EXPECT_FALSE(manager.WriteNow());
   EXPECT_EQ(manager.writes(), 0);
@@ -339,9 +293,9 @@ TEST(CheckpointManagerTest, IntervalZeroWritesAtEveryBoundary) {
   CheckpointPolicy policy;
   policy.path = TempPath("ckpt_manager.txt");
   CheckpointManager manager(policy, SmallFingerprint());
-  manager.AddIteration(1, {Node({0}, {0})}, {});
+  manager.AddMask(0b01, {Node({0}, {0})}, {});
   EXPECT_TRUE(manager.MaybeWrite());
-  manager.AddIteration(2, {Node({0, 1}, {0, 0})}, {});
+  manager.AddMask(0b11, {Node({0, 1}, {0, 0})}, {});
   EXPECT_TRUE(manager.MaybeWrite());
   EXPECT_EQ(manager.writes(), 2);
   EXPECT_GT(manager.bytes_written(), 0);
@@ -358,9 +312,9 @@ TEST(CheckpointManagerTest, LargeIntervalGatesPeriodicWritesButNotWriteNow) {
   policy.path = TempPath("ckpt_gated.txt");
   policy.interval_ms = 1000 * 3600;
   CheckpointManager manager(policy, SmallFingerprint());
-  manager.AddIteration(1, {Node({0}, {0})}, {});
+  manager.AddMask(0b01, {Node({0}, {0})}, {});
   EXPECT_TRUE(manager.MaybeWrite());  // first boundary always writes
-  manager.AddIteration(2, {Node({0, 1}, {0, 0})}, {});
+  manager.AddMask(0b11, {Node({0, 1}, {0, 0})}, {});
   EXPECT_FALSE(manager.MaybeWrite());  // interval not elapsed
   EXPECT_TRUE(manager.WriteNow());     // spill ignores the interval
   EXPECT_EQ(manager.writes(), 2);
@@ -374,12 +328,11 @@ TEST(CheckpointManagerTest, SeedCarriesRestoredHistoryForward) {
   CheckpointSnapshot restored;
   restored.fingerprint = SmallFingerprint();
   CheckpointRecord rec;
-  rec.kind = CheckpointRecord::Kind::kIteration;
-  rec.key = 1;
+  rec.mask = 0b01;
   rec.survivors = {Node({0}, {0})};
   restored.records.push_back(rec);
   manager.Seed(restored);
-  manager.AddIteration(2, {Node({0, 1}, {0, 0})}, {});
+  manager.AddMask(0b11, {Node({0, 1}, {0, 0})}, {});
   ASSERT_TRUE(manager.WriteNow());
   Result<CheckpointSnapshot> loaded = LoadCheckpoint(policy.path);
   ASSERT_TRUE(loaded.ok());
@@ -396,7 +349,7 @@ TEST(CheckpointManagerTest, WriteFailureIsCountedAndRetriedNextBoundary) {
   policy.retry = RetryPolicy::None();  // surface the fault, don't absorb it
   CheckpointManager manager(policy, SmallFingerprint());
   FaultInjector::Global().ScriptFailNthHit("checkpoint.write.open", 1);
-  manager.AddIteration(1, {Node({0}, {0})}, {});
+  manager.AddMask(0b01, {Node({0}, {0})}, {});
   EXPECT_FALSE(manager.MaybeWrite());
   EXPECT_EQ(manager.write_failures(), 1);
   EXPECT_EQ(manager.writes(), 0);
@@ -415,7 +368,7 @@ TEST(CheckpointManagerTest, RetryPolicyAbsorbsTransientWriteFault) {
   policy.retry.backoff_ms = 0;
   CheckpointManager manager(policy, SmallFingerprint());
   FaultInjector::Global().ScriptFailNthHit("checkpoint.write.io", 1);
-  manager.AddIteration(1, {Node({0}, {0})}, {});
+  manager.AddMask(0b01, {Node({0}, {0})}, {});
   EXPECT_TRUE(manager.MaybeWrite());  // first attempt faults, retry lands
   EXPECT_EQ(manager.write_failures(), 0);
   EXPECT_EQ(manager.writes(), 1);
@@ -426,7 +379,7 @@ TEST(CheckpointManagerTest, RetryPolicyAbsorbsTransientWriteFault) {
 #endif  // INCOGNITO_FAULTS
 
 // ---------------------------------------------------------------------------
-// Resume decisions and serial resume equivalence
+// Resume decisions and resume equivalence
 // ---------------------------------------------------------------------------
 
 RandomDataset SmallDataset(uint64_t seed = 7) {
@@ -504,6 +457,8 @@ TEST(CheckpointResumeTest, AutoModeFallsBackToFreshRun) {
 // Truncates a full checkpoint to its first `keep` records and verifies a
 // resumed run is bit-identical to the uninterrupted one — the library-level
 // analogue of kill-and-resume, exercised at every possible cut point.
+// Records are in ascending mask order and a subset's sub-subsets have
+// smaller masks, so every prefix restores completely.
 TEST(CheckpointResumeTest, ResumeFromEveryPrefixIsBitIdentical) {
   RandomDataset data = SmallDataset(13);
   AnonymizationConfig config;
@@ -555,7 +510,7 @@ TEST(CheckpointResumeTest, ResumeFromEveryPrefixIsBitIdentical) {
     EXPECT_EQ(resumed->stats.rollups, full->stats.rollups) << "keep=" << keep;
     EXPECT_EQ(resumed->stats.candidate_nodes, full->stats.candidate_nodes)
         << "keep=" << keep;
-    EXPECT_EQ(resumed->stats.restored_iterations, static_cast<int64_t>(keep));
+    EXPECT_EQ(resumed->stats.restored_subsets, static_cast<int64_t>(keep));
   }
   std::remove(path.c_str());
 }

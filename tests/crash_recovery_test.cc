@@ -3,7 +3,7 @@
 // injector's kill mode), then resume from the surviving checkpoint in the
 // parent and assert the result is bit-identical to an uninterrupted run —
 // survivors, per-iteration survivor sets, and the six deterministic
-// counters — at every thread count under both scheduling modes.
+// counters — at every thread count, and across thread counts.
 //
 // The kill scripts only fire in -DINCOGNITO_FAULTS=ON builds (the CI
 // crash-recovery job); elsewhere the whole suite skips.
@@ -21,7 +21,6 @@
 #endif
 
 #include "core/incognito.h"
-#include "core/parallel.h"
 #include "core/run_context.h"
 #include "robust/checkpoint.h"
 #include "robust/fault_injector.h"
@@ -39,22 +38,63 @@ using testing_util::RandomDataset;
 RandomDataset CrashDataset() {
   Rng rng(29);
   testing_util::RandomDatasetOptions opts;
-  opts.num_attrs = 4;  // enough subsets for the pipelined DAG to matter
+  opts.num_attrs = 4;  // enough subsets for the subset DAG to matter
   opts.num_rows = 80;
   return MakeRandomDataset(rng, opts);
 }
 
 struct CrashConfig {
   int threads;
-  SchedulingMode mode;
   std::string site;
   int64_t nth;
 };
 
 std::string ConfigName(const CrashConfig& c) {
-  return "threads=" + std::to_string(c.threads) + " mode=" +
-         (c.mode == SchedulingMode::kPipelined ? "pipelined" : "barrier") +
-         " kill=" + c.site + ":" + std::to_string(c.nth);
+  return "threads=" + std::to_string(c.threads) + " kill=" + c.site + ":" +
+         std::to_string(c.nth);
+}
+
+/// Forks a child that runs the search at `threads` with a checkpoint at
+/// every finished subset and the kill script armed, and waits for it.
+/// Either the kill lands (SIGKILL, no cleanup — the whole point) or the
+/// site is never reached and the run completes; anything else fails.
+void RunChildUntilKilled(const RandomDataset& data,
+                         const AnonymizationConfig& config,
+                         const CrashConfig& crash, const std::string& path) {
+  std::remove(path.c_str());
+  pid_t pid = fork();
+  ASSERT_GE(pid, 0) << ConfigName(crash);
+  if (pid == 0) {
+    FaultInjector::Global().Reset();
+    FaultInjector::Global().ScriptKillNthHit(crash.site, crash.nth);
+    CheckpointPolicy policy;
+    policy.path = path;
+    RunContext ctx = RunContext::WithThreads(crash.threads);
+    ctx.checkpoint = &policy;
+    PartialResult<IncognitoResult> run =
+        RunIncognito(data.table, data.qid, config, {}, ctx);
+    _exit(run.ok() ? 0 : 7);
+  }
+  int status = 0;
+  ASSERT_EQ(waitpid(pid, &status, 0), pid) << ConfigName(crash);
+  const bool killed = WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL;
+  const bool finished = WIFEXITED(status) && WEXITSTATUS(status) == 0;
+  ASSERT_TRUE(killed || finished)
+      << ConfigName(crash) << " child exited abnormally (status=" << status
+      << ")";
+}
+
+/// Resumes from whatever the child left behind at `threads`. kAuto covers
+/// the kill-before-first-write case (no file -> fresh).
+PartialResult<IncognitoResult> Resume(const RandomDataset& data,
+                                      const AnonymizationConfig& config,
+                                      int threads, const std::string& path) {
+  CheckpointPolicy resume;
+  resume.path = path;
+  resume.resume = ResumeMode::kAuto;
+  RunContext ctx = RunContext::WithThreads(threads);
+  ctx.checkpoint = &resume;
+  return RunIncognito(data.table, data.qid, config, {}, ctx);
 }
 
 void ExpectBitIdentical(const IncognitoResult& got,
@@ -83,133 +123,65 @@ TEST(CrashRecoveryTest, KillAtEveryFaultSiteThenResumeIsBitIdentical) {
   config.k = 2;
 
   // Kill points: during the checkpoint write itself (before and after the
-  // data lands), in the pipelined scheduler, and deep in the search.
-  // freq.batch.scan lands the kill inside a level's shared batch scan
-  // (it fires on governed runs; the ungoverned threads=1 leg completes
-  // instead, which the killed-or-finished assertion below allows).
+  // data lands), in the subset-DAG scheduler, and deep in the search —
+  // freq.batch.scan lands the kill inside a level's shared batch scan.
   const std::vector<std::string> sites = {
       "checkpoint.write.open", "checkpoint.write.rename",
       "incognito.subset.schedule", "incognito.rollup", "freq.batch.scan"};
 
-  for (SchedulingMode mode :
-       {SchedulingMode::kPipelined, SchedulingMode::kBarrier}) {
-    for (int threads : {1, 2, 4, 8}) {
-      // Uninterrupted reference for this execution shape.
-      RunContext ref_ctx;
-      ref_ctx.num_threads = threads;
-      ref_ctx.scheduling = mode;
-      PartialResult<IncognitoResult> reference =
-          RunIncognitoParallel(data.table, data.qid, config, {}, ref_ctx);
-      ASSERT_TRUE(reference.ok()) << reference.status().ToString();
-
-      for (const std::string& site : sites) {
-        for (int64_t nth : {int64_t{1}, int64_t{3}}) {
-          CrashConfig crash{threads, mode, site, nth};
-          const std::string name = ConfigName(crash);
-          std::string path =
-              ::testing::TempDir() + "/crash_" +
-              std::to_string(threads) +
-              (mode == SchedulingMode::kPipelined ? "p" : "b") + "_" + site +
-              "_" + std::to_string(nth) + ".ckpt";
-          std::remove(path.c_str());
-
-          pid_t pid = fork();
-          ASSERT_GE(pid, 0) << name;
-          if (pid == 0) {
-            // Child: arm the kill and run with checkpointing at every
-            // boundary. Either the kill lands (SIGKILL, no cleanup — the
-            // whole point) or the site is never reached and the run
-            // completes.
-            FaultInjector::Global().Reset();
-            FaultInjector::Global().ScriptKillNthHit(crash.site, crash.nth);
-            CheckpointPolicy policy;
-            policy.path = path;
-            RunContext ctx;
-            ctx.checkpoint = &policy;
-            ctx.num_threads = crash.threads;
-            ctx.scheduling = crash.mode;
-            PartialResult<IncognitoResult> run = RunIncognitoParallel(
-                data.table, data.qid, config, {}, ctx);
-            _exit(run.ok() ? 0 : 7);
-          }
-          int status = 0;
-          ASSERT_EQ(waitpid(pid, &status, 0), pid) << name;
-          const bool killed =
-              WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL;
-          const bool finished = WIFEXITED(status) && WEXITSTATUS(status) == 0;
-          ASSERT_TRUE(killed || finished)
-              << name << " child exited abnormally (status=" << status << ")";
-
-          // Parent: resume from whatever the child left behind. kAuto
-          // covers the kill-before-first-write case (no file -> fresh).
-          CheckpointPolicy resume;
-          resume.path = path;
-          resume.resume = ResumeMode::kAuto;
-          RunContext resume_ctx;
-          resume_ctx.checkpoint = &resume;
-          resume_ctx.num_threads = threads;
-          resume_ctx.scheduling = mode;
-          PartialResult<IncognitoResult> resumed = RunIncognitoParallel(
-              data.table, data.qid, config, {}, resume_ctx);
-          ASSERT_TRUE(resumed.ok()) << name << ": "
-                                    << resumed.status().ToString();
-          ExpectBitIdentical(*resumed, *reference, name);
-          std::remove(path.c_str());
-        }
+  // Every thread count is bit-identical, so one uninterrupted reference
+  // serves all of them.
+  PartialResult<IncognitoResult> reference =
+      RunIncognito(data.table, data.qid, config);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  for (int threads : {1, 2, 4, 8}) {
+    for (const std::string& site : sites) {
+      for (int64_t nth : {int64_t{1}, int64_t{3}}) {
+        CrashConfig crash{threads, site, nth};
+        const std::string path = ::testing::TempDir() + "/crash_" +
+                                 std::to_string(threads) + "_" + site + "_" +
+                                 std::to_string(nth) + ".ckpt";
+        RunChildUntilKilled(data, config, crash, path);
+        PartialResult<IncognitoResult> resumed =
+            Resume(data, config, threads, path);
+        ASSERT_TRUE(resumed.ok())
+            << ConfigName(crash) << ": " << resumed.status().ToString();
+        ExpectBitIdentical(*resumed, *reference, ConfigName(crash));
+        std::remove(path.c_str());
       }
     }
   }
 }
 
-TEST(CrashRecoveryTest, CheckpointsArePortableAcrossExecutionShapes) {
-  // Kill a pipelined 4-thread run, then resume it serially and under the
-  // barrier schedule: checkpoints deliberately exclude thread count and
-  // scheduling mode from the fingerprint.
+TEST(CrashRecoveryTest, CheckpointsArePortableAcrossThreadCounts) {
+  // Kill a run at one thread count and resume it at another, both ways:
+  // checkpoints deliberately exclude the thread count from the
+  // fingerprint.
   RandomDataset data = CrashDataset();
   AnonymizationConfig config;
   config.k = 2;
   PartialResult<IncognitoResult> reference =
-      RunIncognitoParallel(data.table, data.qid, config, {}, RunContext{});
+      RunIncognito(data.table, data.qid, config);
   ASSERT_TRUE(reference.ok());
-
-  std::string path = ::testing::TempDir() + "/crash_portable.ckpt";
-  std::remove(path.c_str());
-  pid_t pid = fork();
-  ASSERT_GE(pid, 0);
-  if (pid == 0) {
-    FaultInjector::Global().Reset();
-    FaultInjector::Global().ScriptKillNthHit("incognito.subset.schedule", 4);
-    CheckpointPolicy policy;
-    policy.path = path;
-    RunContext ctx;
-    ctx.checkpoint = &policy;
-    ctx.num_threads = 4;
-    PartialResult<IncognitoResult> run =
-        RunIncognitoParallel(data.table, data.qid, config, {}, ctx);
-    _exit(run.ok() ? 0 : 7);
-  }
-  int status = 0;
-  ASSERT_EQ(waitpid(pid, &status, 0), pid);
-
-  for (int threads : {1, 8}) {
-    for (SchedulingMode mode :
-         {SchedulingMode::kPipelined, SchedulingMode::kBarrier}) {
-      CheckpointPolicy resume;
-      resume.path = path;
-      resume.resume = ResumeMode::kAuto;
-      RunContext ctx;
-      ctx.checkpoint = &resume;
-      ctx.num_threads = threads;
-      ctx.scheduling = mode;
-      PartialResult<IncognitoResult> resumed =
-          RunIncognitoParallel(data.table, data.qid, config, {}, ctx);
-      ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-      ExpectBitIdentical(
-          *resumed, *reference,
-          "portable threads=" + std::to_string(threads));
+  for (const auto& [write_threads, resume_threads] :
+       {std::pair<int, int>{1, 4}, std::pair<int, int>{4, 1}}) {
+    CrashConfig crash{write_threads, "incognito.subset.schedule", 4};
+    const std::string name = ConfigName(crash) + " resume_threads=" +
+                             std::to_string(resume_threads);
+    const std::string path = ::testing::TempDir() + "/crash_portable_" +
+                             std::to_string(write_threads) + ".ckpt";
+    RunChildUntilKilled(data, config, crash, path);
+    PartialResult<IncognitoResult> resumed =
+        Resume(data, config, resume_threads, path);
+    ASSERT_TRUE(resumed.ok()) << name << ": " << resumed.status().ToString();
+    // One worker finishes (and writes) three subsets before the fourth
+    // dequeue kills it; four may all be in flight when it lands.
+    if (write_threads == 1) {
+      EXPECT_EQ(resumed->stats.restored_subsets, 3) << name;
     }
+    ExpectBitIdentical(*resumed, *reference, name);
+    std::remove(path.c_str());
   }
-  std::remove(path.c_str());
 }
 
 #else  // !INCOGNITO_FAULTS || _WIN32

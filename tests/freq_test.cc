@@ -15,6 +15,8 @@
 namespace incognito {
 namespace {
 
+using testing_util::PooledScan;
+
 /// Collects groups exactly as ForEachGroup visits them, so assertions can
 /// check both contents and the canonical visiting order.
 using CodeGroups = std::vector<std::pair<std::vector<int32_t>, int64_t>>;
@@ -364,7 +366,7 @@ TEST_F(PatientsFreqTest, MemoryBytesMonotoneUnderRollup) {
   EXPECT_EQ(top.NumGroups(), 1u);
 }
 
-TEST_F(PatientsFreqTest, ComputeParallelMatchesSerial) {
+TEST_F(PatientsFreqTest, PooledScanMatchesSerial) {
   // The intra-node differential on the running example: identical groups,
   // identical order, identical footprint at every thread count.
   const std::vector<SubsetNode> nodes = {
@@ -375,8 +377,7 @@ TEST_F(PatientsFreqTest, ComputeParallelMatchesSerial) {
     WorkerPool pool(threads);
     for (const SubsetNode& node : nodes) {
       FrequencySet serial = FrequencySet::Compute(table_, qid_, node);
-      FrequencySet parallel =
-          FrequencySet::ComputeParallel(table_, qid_, node, pool);
+      FrequencySet parallel = PooledScan(table_, qid_, node, pool);
       EXPECT_EQ(GroupsOf(serial), GroupsOf(parallel)) << threads;
       EXPECT_EQ(serial.TotalCount(), parallel.TotalCount());
       EXPECT_EQ(serial.MemoryBytes(), parallel.MemoryBytes()) << threads;
@@ -464,7 +465,7 @@ TEST(FrequencySetPropertyTest, FallbackGroupsVisitInCanonicalOrder) {
   ExpectCanonicalOrder(fs.ProjectTo(SubsetNode({0, 2, 4}, {0, 0, 0}), ds.qid));
 }
 
-TEST(FrequencySetPropertyTest, ComputeParallelMatchesSerialOnFallback) {
+TEST(FrequencySetPropertyTest, PooledScanMatchesSerialOnFallback) {
   testing_util::RandomDataset ds = testing_util::MakeWideFallbackDataset(500);
   const size_t n = ds.qid.size();
   std::vector<int32_t> dims(n);
@@ -473,8 +474,7 @@ TEST(FrequencySetPropertyTest, ComputeParallelMatchesSerialOnFallback) {
   FrequencySet serial = FrequencySet::Compute(ds.table, ds.qid, bottom);
   for (int threads : {1, 2, 4, 8}) {
     WorkerPool pool(threads);
-    FrequencySet parallel =
-        FrequencySet::ComputeParallel(ds.table, ds.qid, bottom, pool);
+    FrequencySet parallel = PooledScan(ds.table, ds.qid, bottom, pool);
     EXPECT_EQ(GroupsOf(serial), GroupsOf(parallel)) << threads;
     EXPECT_EQ(serial.MemoryBytes(), parallel.MemoryBytes()) << threads;
   }
@@ -505,8 +505,7 @@ TEST(FrequencySetEdgeTest, ZeroRowTable) {
   EXPECT_TRUE(rolled.IsKAnonymous(2));
   // The parallel scan agrees, even with more workers than rows.
   WorkerPool pool(4);
-  FrequencySet parallel =
-      FrequencySet::ComputeParallel(ds.table, ds.qid, bottom, pool);
+  FrequencySet parallel = PooledScan(ds.table, ds.qid, bottom, pool);
   EXPECT_EQ(GroupsOf(fs), GroupsOf(parallel));
   EXPECT_EQ(fs.MemoryBytes(), parallel.MemoryBytes());
 }

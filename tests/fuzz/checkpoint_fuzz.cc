@@ -1,10 +1,11 @@
 // libFuzzer harness for the checkpoint parser: any byte sequence must
 // either parse into a snapshot or come back as a clean
 // FailedPrecondition — never crash, leak, or trip a sanitizer. Seed the
-// corpus from the checked-in fixtures:
+// corpus from the checked-in fixtures (the format-2 files, plus the one
+// version-1 file the parser must refuse):
 //
 //   mkdir -p corpus && cp tests/data/valid_checkpoint.txt \
-//     tests/data/malformed_checkpoint_* corpus/
+//     tests/data/malformed_checkpoint_* tests/data/v1_checkpoint.txt corpus/
 //   ./build-fuzz/tests/fuzz/checkpoint_fuzz corpus -max_total_time=30
 //
 // Build with -DINCOGNITO_FUZZERS=ON (see tests/fuzz/CMakeLists.txt).

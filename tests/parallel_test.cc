@@ -1,10 +1,8 @@
-// Differential tests for the parallel level-wise lattice search
+// Differential tests for the subset-DAG Incognito search
 // (src/core/parallel.h): the worker pool, the GovernorShard lease
-// protocol, and — the core guarantee — bit-identical results between the
-// serial and parallel searches at every thread count, plus the sound
+// protocol, and — the core guarantee — bit-identical results at every
+// thread count against the 1-worker (serial) case, plus the sound
 // partial-result contract when a budget trips mid-search.
-
-#include "core/parallel.h"
 
 #include <gtest/gtest.h>
 
@@ -20,10 +18,13 @@
 #include "common/random.h"
 #include "core/checker.h"
 #include "core/incognito.h"
+#include "core/worker_pool.h"
 #include "data/adults.h"
 #include "data/patients.h"
 #include "freq/cube.h"
 #include "freq/frequency_set.h"
+#include "lattice/lattice.h"
+#include "robust/checkpoint.h"
 #include "robust/fault_injector.h"
 #include "robust/governor.h"
 #include "robust/partial_result.h"
@@ -31,6 +32,8 @@
 
 namespace incognito {
 namespace {
+
+using testing_util::PooledScan;
 
 using testing_util::MakeRandomDataset;
 using testing_util::NodeSet;
@@ -164,7 +167,7 @@ TEST(GovernorShardTest, ChecksObserveParentDeadlineAndCancel) {
 }
 
 // ---------------------------------------------------------------------------
-// Differential: parallel == serial, bit for bit
+// Differential: N threads == 1 thread, bit for bit
 // ---------------------------------------------------------------------------
 
 std::vector<std::string> Strings(const std::vector<SubsetNode>& nodes) {
@@ -174,7 +177,8 @@ std::vector<std::string> Strings(const std::vector<SubsetNode>& nodes) {
   return out;
 }
 
-/// Asserts the parallel result is indistinguishable from the serial one:
+/// Asserts a multi-threaded result is indistinguishable from the 1-thread
+/// one:
 /// same answer set (in the same order), same survivor sets per iteration,
 /// and the same node-count statistics. governor_checks and the trip
 /// counters are excluded — checkpoint cadence is per-worker by design.
@@ -197,6 +201,21 @@ void ExpectBitIdentical(const IncognitoResult& serial,
   EXPECT_EQ(serial.stats.candidate_nodes, parallel.stats.candidate_nodes);
 }
 
+/// Runs one instance at 1 thread and at 2/4/8 and asserts bit-identity.
+void ExpectThreadCountsMatch(const Table& table, const QuasiIdentifier& qid,
+                             const AnonymizationConfig& config,
+                             const IncognitoOptions& options = {}) {
+  PartialResult<IncognitoResult> serial =
+      RunIncognito(table, qid, config, options);
+  ASSERT_TRUE(serial.ok());
+  for (int threads : {2, 4, 8}) {
+    PartialResult<IncognitoResult> p = RunIncognito(
+        table, qid, config, options, RunContext::WithThreads(threads));
+    ASSERT_TRUE(p.ok()) << "threads=" << threads;
+    ExpectBitIdentical(*serial, *p);
+  }
+}
+
 TEST(ParallelIncognitoTest, AdultsSweepMatchesSerialAtEveryThreadCount) {
   AdultsOptions adults;
   adults.num_rows = 300;
@@ -210,14 +229,12 @@ TEST(ParallelIncognitoTest, AdultsSweepMatchesSerialAtEveryThreadCount) {
     ASSERT_TRUE(serial.ok());
     for (int threads : {1, 2, 4, 8}) {
       PartialResult<IncognitoResult> parallel =
-          RunIncognitoParallel(data->table, qid, config, {}, RunContext::WithThreads(threads));
+          RunIncognito(data->table, qid, config, {}, RunContext::WithThreads(threads));
       ASSERT_TRUE(parallel.ok()) << "threads=" << threads;
       ExpectBitIdentical(*serial, *parallel);
-      if (threads > 1) {
-        EXPECT_EQ(parallel->stats.parallel_workers, threads);
-        EXPECT_EQ(parallel->shard_high_water_bytes.size(),
-                  static_cast<size_t>(threads));
-      }
+      EXPECT_EQ(parallel->stats.parallel_workers, threads);
+      EXPECT_EQ(parallel->shard_high_water_bytes.size(),
+                static_cast<size_t>(threads));
     }
   }
 }
@@ -231,16 +248,11 @@ TEST(ParallelIncognitoTest, EveryVariantMatchesSerialOnRandomDatasets) {
     for (IncognitoVariant variant :
          {IncognitoVariant::kBasic, IncognitoVariant::kSuperRoots,
           IncognitoVariant::kCube}) {
+      SCOPED_TRACE("seed=" + std::to_string(seed) + " variant=" +
+                   IncognitoVariantName(variant));
       IncognitoOptions options;
       options.variant = variant;
-      PartialResult<IncognitoResult> serial =
-          RunIncognito(data.table, data.qid, config, options);
-      ASSERT_TRUE(serial.ok());
-      PartialResult<IncognitoResult> parallel =
-          RunIncognitoParallel(data.table, data.qid, config, options, RunContext::WithThreads(4));
-      ASSERT_TRUE(parallel.ok())
-          << "seed=" << seed << " variant=" << IncognitoVariantName(variant);
-      ExpectBitIdentical(*serial, *parallel);
+      ExpectThreadCountsMatch(data.table, data.qid, config, options);
     }
   }
 }
@@ -256,7 +268,7 @@ TEST(ParallelIncognitoTest, RollupAblationStaysBitIdentical) {
       RunIncognito(data.table, data.qid, config, options);
   ASSERT_TRUE(serial.ok());
   PartialResult<IncognitoResult> parallel =
-      RunIncognitoParallel(data.table, data.qid, config, options, RunContext::WithThreads(3));
+      RunIncognito(data.table, data.qid, config, options, RunContext::WithThreads(3));
   ASSERT_TRUE(parallel.ok());
   ExpectBitIdentical(*serial, *parallel);
   EXPECT_EQ(parallel->stats.rollups, 0);
@@ -273,7 +285,7 @@ TEST(ParallelIncognitoTest, NonTransitiveMarkingStaysBitIdentical) {
       RunIncognito(data.table, data.qid, config, options);
   ASSERT_TRUE(serial.ok());
   PartialResult<IncognitoResult> parallel =
-      RunIncognitoParallel(data.table, data.qid, config, options, RunContext::WithThreads(4));
+      RunIncognito(data.table, data.qid, config, options, RunContext::WithThreads(4));
   ASSERT_TRUE(parallel.ok());
   ExpectBitIdentical(*serial, *parallel);
 }
@@ -309,7 +321,7 @@ TEST(ParallelIncognitoTest, GovernedGenerousBudgetMatchesSerial) {
   governor.SetDeadline(Deadline::AfterMillis(5 * 60 * 1000));
   governor.SetMemoryLimitBytes(int64_t{1} << 33);
   PartialResult<IncognitoResult> governed =
-      RunIncognitoParallel(data->table, qid, config, {}, RunContext::Governed(governor, 4));
+      RunIncognito(data->table, qid, config, {}, RunContext::Governed(governor, 4));
   ASSERT_TRUE(governed.complete()) << governed.status().ToString();
   ExpectBitIdentical(*serial, governed.value());
   EXPECT_EQ(governor.memory().used(), 0);
@@ -325,16 +337,21 @@ TEST(ParallelIncognitoTest, DeadlineZeroReturnsEmptyValidPartial) {
   RandomDataset data = MakeRandomDataset(rng);
   AnonymizationConfig config;
   config.k = 2;
-  ExecutionGovernor governor;
-  governor.SetDeadline(Deadline::AfterMillis(0));
-  PartialResult<IncognitoResult> run =
-      RunIncognitoParallel(data.table, data.qid, config, {}, RunContext::Governed(governor, 4));
-  ASSERT_TRUE(run.partial());
-  EXPECT_EQ(run.status().code(), StatusCode::kDeadlineExceeded);
-  EXPECT_TRUE(run->anonymous_nodes.empty());
-  EXPECT_EQ(run->completed_iterations, 0);
-  EXPECT_GE(run->stats.deadline_trips, 1);
-  EXPECT_EQ(governor.memory().used(), 0);
+  for (int threads : {1, 4}) {
+    ExecutionGovernor governor;
+    governor.SetDeadline(Deadline::AfterMillis(0));
+    PartialResult<IncognitoResult> run = RunIncognito(
+        data.table, data.qid, config, {}, RunContext::Governed(governor, threads));
+    ASSERT_TRUE(run.partial()) << "threads=" << threads;
+    EXPECT_EQ(run.status().code(), StatusCode::kDeadlineExceeded);
+    // The partial contract: exactly completed_iterations survivor sets, no
+    // claimed S_n.
+    EXPECT_TRUE(run->anonymous_nodes.empty());
+    EXPECT_EQ(run->completed_iterations, 0);
+    EXPECT_TRUE(run->per_iteration_survivors.empty());
+    EXPECT_GE(run->stats.deadline_trips, 1);
+    EXPECT_EQ(governor.memory().used(), 0);
+  }
 }
 
 TEST(ParallelIncognitoTest, PreCancelledTokenTripsCleanly) {
@@ -347,7 +364,7 @@ TEST(ParallelIncognitoTest, PreCancelledTokenTripsCleanly) {
   ExecutionGovernor governor;
   governor.SetCancelToken(&token);
   PartialResult<IncognitoResult> run =
-      RunIncognitoParallel(data.table, data.qid, config, {}, RunContext::Governed(governor, 4));
+      RunIncognito(data.table, data.qid, config, {}, RunContext::Governed(governor, 4));
   ASSERT_TRUE(run.partial());
   EXPECT_EQ(run.status().code(), StatusCode::kCancelled);
   EXPECT_GE(run->stats.cancel_trips, 1);
@@ -375,7 +392,7 @@ TEST(ParallelIncognitoTest, MidSearchCancelFromSecondThreadDrainsCleanly) {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     token.Cancel();
   });
-  PartialResult<IncognitoResult> run = RunIncognitoParallel(
+  PartialResult<IncognitoResult> run = RunIncognito(
       data.table, data.qid, config, options, RunContext::Governed(governor, 4));
   canceller.join();
   if (run.partial()) {
@@ -405,7 +422,7 @@ TEST(ParallelIncognitoTest, ShardBudgetTripYieldsSoundPrefixAndBoundedPeaks) {
     ExecutionGovernor governor;
     governor.SetMemoryLimitBytes(limit);
     PartialResult<IncognitoResult> run =
-        RunIncognitoParallel(data.table, data.qid, config, {}, RunContext::Governed(governor, 4));
+        RunIncognito(data.table, data.qid, config, {}, RunContext::Governed(governor, 4));
     ASSERT_FALSE(run.hard_error()) << run.status().ToString();
     // Sum of per-shard high-water leases never exceeds the global limit —
     // leases are charged to the shared budget before they count.
@@ -433,8 +450,8 @@ TEST(ParallelIncognitoTest, ShardBudgetTripYieldsSoundPrefixAndBoundedPeaks) {
 }
 
 // ---------------------------------------------------------------------------
-// Differential: FrequencySet::ComputeParallel / ZeroGenCube::BuildParallel
-// == their serial twins, bit for bit, on every fixture dataset.
+// Differential: a pool-parallel FrequencySet::ComputeBatch == the serial
+// scan, bit for bit, on every fixture dataset.
 // ---------------------------------------------------------------------------
 
 using GroupList = std::vector<std::pair<std::vector<int32_t>, int64_t>>;
@@ -459,7 +476,7 @@ void ExpectSameFrequencySet(const FrequencySet& serial,
 /// Sweeps serial-vs-parallel scans over a representative node set of
 /// `qid` at 1/2/4/8 threads: the full bottom node, every single
 /// attribute, and the full node one level up on every dimension.
-void SweepComputeParallel(const Table& table, const QuasiIdentifier& qid) {
+void SweepPooledScan(const Table& table, const QuasiIdentifier& qid) {
   const size_t n = qid.size();
   std::vector<SubsetNode> nodes;
   std::vector<int32_t> dims(n);
@@ -479,38 +496,36 @@ void SweepComputeParallel(const Table& table, const QuasiIdentifier& qid) {
     for (const SubsetNode& node : nodes) {
       SCOPED_TRACE(node.ToString() + " threads=" + std::to_string(threads));
       FrequencySet serial = FrequencySet::Compute(table, qid, node);
-      FrequencySet parallel =
-          FrequencySet::ComputeParallel(table, qid, node, pool);
-      ExpectSameFrequencySet(serial, parallel);
+      ExpectSameFrequencySet(serial, PooledScan(table, qid, node, pool));
     }
   }
 }
 
-TEST(ComputeParallelTest, MatchesSerialOnEveryFixture) {
+TEST(PooledScanTest, MatchesSerialOnEveryFixture) {
   {
     Result<PatientsDataset> patients = MakePatientsDataset();
     ASSERT_TRUE(patients.ok());
-    SweepComputeParallel(patients->table, patients->qid);
+    SweepPooledScan(patients->table, patients->qid);
   }
   {
     AdultsOptions adults;
     adults.num_rows = 300;
     Result<SyntheticDataset> data = MakeAdultsDataset(adults);
     ASSERT_TRUE(data.ok());
-    SweepComputeParallel(data->table, data->qid.Prefix(3));
+    SweepPooledScan(data->table, data->qid.Prefix(3));
   }
   for (uint64_t seed : {uint64_t{3}, uint64_t{17}, uint64_t{101}}) {
     Rng rng(seed);
     RandomDataset data = MakeRandomDataset(rng);
-    SweepComputeParallel(data.table, data.qid);
+    SweepPooledScan(data.table, data.qid);
   }
   {
     RandomDataset wide = testing_util::MakeWideFallbackDataset(400);
-    SweepComputeParallel(wide.table, wide.qid);
+    SweepPooledScan(wide.table, wide.qid);
   }
 }
 
-TEST(ComputeParallelTest, GovernedScanMatchesAndDrainsShardsToZero) {
+TEST(PooledScanTest, GovernedScanMatchesAndDrainsShardsToZero) {
   AdultsOptions adults;
   adults.num_rows = 300;
   Result<SyntheticDataset> data = MakeAdultsDataset(adults);
@@ -522,8 +537,7 @@ TEST(ComputeParallelTest, GovernedScanMatchesAndDrainsShardsToZero) {
   WorkerPool pool(4);
   ExecutionGovernor governor;
   governor.SetMemoryLimitBytes(int64_t{1} << 30);
-  FrequencySet parallel =
-      FrequencySet::ComputeParallel(data->table, qid, node, pool, &governor);
+  FrequencySet parallel = PooledScan(data->table, qid, node, pool, &governor);
   EXPECT_FALSE(governor.Tripped());
   ExpectSameFrequencySet(serial, parallel);
   // The per-worker shard leases are transient: drained before returning,
@@ -532,7 +546,7 @@ TEST(ComputeParallelTest, GovernedScanMatchesAndDrainsShardsToZero) {
   EXPECT_GE(governor.trips().checks, 1);
 }
 
-TEST(ComputeParallelTest, TinyBudgetTripsToEmptySetWithNothingLeaked) {
+TEST(PooledScanTest, TinyBudgetTripsToEmptySetWithNothingLeaked) {
   AdultsOptions adults;
   adults.num_rows = 300;
   Result<SyntheticDataset> data = MakeAdultsDataset(adults);
@@ -542,8 +556,7 @@ TEST(ComputeParallelTest, TinyBudgetTripsToEmptySetWithNothingLeaked) {
   WorkerPool pool(4);
   ExecutionGovernor governor;
   governor.SetMemoryLimitBytes(16);  // smaller than a single group entry
-  FrequencySet tripped =
-      FrequencySet::ComputeParallel(data->table, qid, node, pool, &governor);
+  FrequencySet tripped = PooledScan(data->table, qid, node, pool, &governor);
   EXPECT_TRUE(governor.Tripped());
   EXPECT_EQ(tripped.NumGroups(), 0u);
   EXPECT_EQ(governor.memory().used(), 0);
@@ -570,7 +583,7 @@ TEST(ParallelIncognitoTest, CubeVariantMatchesSerialAtEveryThreadCount) {
   ASSERT_TRUE(serial.ok());
   for (int threads : {1, 2, 4, 8}) {
     PartialResult<IncognitoResult> parallel =
-        RunIncognitoParallel(data->table, qid, config, options, RunContext::WithThreads(threads));
+        RunIncognito(data->table, qid, config, options, RunContext::WithThreads(threads));
     ASSERT_TRUE(parallel.ok()) << "threads=" << threads;
     ExpectBitIdentical(*serial, *parallel);
   }
@@ -592,7 +605,7 @@ TEST(ParallelIncognitoTest, GovernedCubeVariantDrainsEveryShardToZero) {
   ExecutionGovernor governor;
   governor.SetMemoryLimitBytes(int64_t{1} << 33);
   PartialResult<IncognitoResult> governed =
-      RunIncognitoParallel(data->table, qid, config, options, RunContext::Governed(governor, 4));
+      RunIncognito(data->table, qid, config, options, RunContext::Governed(governor, 4));
   ASSERT_TRUE(governed.complete()) << governed.status().ToString();
   ExpectBitIdentical(*serial, governed.value());
   EXPECT_EQ(governed->stats.parallel_workers, 4);
@@ -616,7 +629,7 @@ TEST(ParallelIncognitoTest, GovernedSuperRootsVariantMatchesSerial) {
   ExecutionGovernor governor;
   governor.SetMemoryLimitBytes(int64_t{1} << 33);
   PartialResult<IncognitoResult> governed =
-      RunIncognitoParallel(data.table, data.qid, config, options, RunContext::Governed(governor, 4));
+      RunIncognito(data.table, data.qid, config, options, RunContext::Governed(governor, 4));
   ASSERT_TRUE(governed.complete()) << governed.status().ToString();
   ExpectBitIdentical(*serial, governed.value());
   EXPECT_EQ(governor.memory().used(), 0);
@@ -640,7 +653,7 @@ TEST(ParallelFaultTest, RandomFaultsNeverCrashTheParallelSearch) {
     ExecutionGovernor governor;
     governor.SetDeadline(Deadline::AfterMillis(60 * 1000));
     PartialResult<IncognitoResult> run =
-        RunIncognitoParallel(data.table, data.qid, config, {}, RunContext::Governed(governor, 4));
+        RunIncognito(data.table, data.qid, config, {}, RunContext::Governed(governor, 4));
     // Injected failures surface as clean partials (latched like a refused
     // charge) — never a crash, never leaked charges.
     if (run.partial()) {
@@ -652,7 +665,7 @@ TEST(ParallelFaultTest, RandomFaultsNeverCrashTheParallelSearch) {
   FaultInjector::Global().Reset();
 }
 
-TEST(ParallelFaultTest, ScanChunkFaultYieldsEmptySetAndLatchedTrip) {
+TEST(ParallelFaultTest, BatchScanFaultYieldsEmptySetAndLatchedTrip) {
   if (!FaultInjector::kCompiledIn) {
     GTEST_SKIP() << "build with -DINCOGNITO_FAULTS=ON";
   }
@@ -663,12 +676,10 @@ TEST(ParallelFaultTest, ScanChunkFaultYieldsEmptySetAndLatchedTrip) {
   for (size_t i = 0; i < n; ++i) dims[i] = static_cast<int32_t>(i);
   SubsetNode node(dims, std::vector<int32_t>(n, 0));
   FaultInjector::Global().Reset();
-  FaultInjector::Global().ScriptFailNthHit("freq.scan.chunk", 1);
+  FaultInjector::Global().ScriptFailNthHit("freq.batch.scan", 1);
   WorkerPool pool(4);
   ExecutionGovernor governor;
-  FrequencySet fs =
-      FrequencySet::ComputeParallel(data.table, data.qid, node, pool,
-                                    &governor);
+  FrequencySet fs = PooledScan(data.table, data.qid, node, pool, &governor);
   EXPECT_EQ(FaultInjector::Global().FaultsFired(), 1);
   EXPECT_EQ(fs.NumGroups(), 0u);
   EXPECT_TRUE(governor.Tripped());
@@ -676,8 +687,8 @@ TEST(ParallelFaultTest, ScanChunkFaultYieldsEmptySetAndLatchedTrip) {
   // The one-shot script is consumed: a retry of the scan succeeds — but
   // on a fresh governor, since the first one stays latched.
   ExecutionGovernor retry_governor;
-  FrequencySet retry = FrequencySet::ComputeParallel(
-      data.table, data.qid, node, pool, &retry_governor);
+  FrequencySet retry =
+      PooledScan(data.table, data.qid, node, pool, &retry_governor);
   EXPECT_FALSE(retry_governor.Tripped());
   EXPECT_EQ(GroupsOf(retry),
             GroupsOf(FrequencySet::Compute(data.table, data.qid, node)));
@@ -709,8 +720,8 @@ TEST(ParallelFaultTest, NewSitesSurfaceAsCleanPartialsEndToEnd) {
   if (!FaultInjector::kCompiledIn) {
     GTEST_SKIP() << "build with -DINCOGNITO_FAULTS=ON";
   }
-  // The governed parallel cube search reaches both new compute sites: the
-  // parallel root scan ("freq.scan.chunk") and the DAG projections
+  // The governed parallel cube search reaches both compute sites: the
+  // parallel root scan ("freq.batch.scan") and the DAG projections
   // ("cube.project"). A scripted failure at either must surface as a
   // governance partial with the byte accounting balanced.
   Rng rng(7);
@@ -719,12 +730,12 @@ TEST(ParallelFaultTest, NewSitesSurfaceAsCleanPartialsEndToEnd) {
   config.k = 2;
   IncognitoOptions options;
   options.variant = IncognitoVariant::kCube;
-  for (const char* site : {"freq.scan.chunk", "cube.project"}) {
+  for (const char* site : {"freq.batch.scan", "cube.project"}) {
     FaultInjector::Global().Reset();
     FaultInjector::Global().ScriptFailNthHit(site, 1);
     ExecutionGovernor governor;
     PartialResult<IncognitoResult> run =
-        RunIncognitoParallel(data.table, data.qid, config, options, RunContext::Governed(governor, 4));
+        RunIncognito(data.table, data.qid, config, options, RunContext::Governed(governor, 4));
     EXPECT_EQ(FaultInjector::Global().FaultsFired(), 1) << site;
     ASSERT_TRUE(run.partial()) << site;
     EXPECT_TRUE(IsResourceGovernance(run.status().code()))
@@ -735,56 +746,10 @@ TEST(ParallelFaultTest, NewSitesSurfaceAsCleanPartialsEndToEnd) {
 }
 
 // ---------------------------------------------------------------------------
-// Pipelined subset-DAG scheduler (SchedulingMode::kPipelined)
+// Subset-DAG scheduling across variants, ablations, and key widths
 // ---------------------------------------------------------------------------
 
-/// Runs serial / kBarrier / kPipelined on one instance and asserts all
-/// three are bit-identical at every thread count.
-void ExpectSchedulesMatchSerial(const Table& table, const QuasiIdentifier& qid,
-                                const AnonymizationConfig& config,
-                                const IncognitoOptions& options = {}) {
-  PartialResult<IncognitoResult> serial =
-      RunIncognito(table, qid, config, options);
-  ASSERT_TRUE(serial.ok());
-  for (int threads : {1, 2, 4, 8}) {
-    RunContext pipelined = RunContext::WithThreads(threads);
-    ASSERT_EQ(pipelined.scheduling, SchedulingMode::kPipelined);
-    RunContext barrier = RunContext::WithThreads(threads);
-    barrier.scheduling = SchedulingMode::kBarrier;
-    PartialResult<IncognitoResult> p =
-        RunIncognitoParallel(table, qid, config, options, pipelined);
-    ASSERT_TRUE(p.ok()) << "pipelined threads=" << threads;
-    ExpectBitIdentical(*serial, *p);
-    PartialResult<IncognitoResult> b =
-        RunIncognitoParallel(table, qid, config, options, barrier);
-    ASSERT_TRUE(b.ok()) << "barrier threads=" << threads;
-    ExpectBitIdentical(*serial, *b);
-  }
-}
-
-TEST(PipelinedScheduleTest, AdultsPrefixesMatchSerialUnderBothSchedules) {
-  AdultsOptions adults;
-  adults.num_rows = 300;
-  Result<SyntheticDataset> data = MakeAdultsDataset(adults);
-  ASSERT_TRUE(data.ok());
-  AnonymizationConfig config;
-  config.k = 5;
-  for (size_t prefix = 1; prefix <= 3; ++prefix) {
-    ExpectSchedulesMatchSerial(data->table, data->qid.Prefix(prefix), config);
-  }
-}
-
-TEST(PipelinedScheduleTest, RandomDatasetsMatchSerialUnderBothSchedules) {
-  for (uint64_t seed : {3u, 17u, 101u}) {
-    Rng rng(seed);
-    RandomDataset data = MakeRandomDataset(rng);
-    AnonymizationConfig config;
-    config.k = 2 + static_cast<int64_t>(seed % 3);
-    ExpectSchedulesMatchSerial(data.table, data.qid, config);
-  }
-}
-
-TEST(PipelinedScheduleTest, EveryVariantAndAblationMatchesUnderBothSchedules) {
+TEST(SubsetDagTest, EveryVariantAndAblationMatchesAtEveryThreadCount) {
   Rng rng(23);
   RandomDataset data = MakeRandomDataset(rng);
   AnonymizationConfig config;
@@ -794,72 +759,159 @@ TEST(PipelinedScheduleTest, EveryVariantAndAblationMatchesUnderBothSchedules) {
         IncognitoVariant::kCube}) {
     IncognitoOptions options;
     options.variant = variant;
-    ExpectSchedulesMatchSerial(data.table, data.qid, config, options);
+    ExpectThreadCountsMatch(data.table, data.qid, config, options);
   }
   IncognitoOptions no_rollup;
   no_rollup.use_rollup = false;
-  ExpectSchedulesMatchSerial(data.table, data.qid, config, no_rollup);
+  ExpectThreadCountsMatch(data.table, data.qid, config, no_rollup);
   IncognitoOptions direct_marking;
   direct_marking.mark_transitively = false;
-  ExpectSchedulesMatchSerial(data.table, data.qid, config, direct_marking);
+  ExpectThreadCountsMatch(data.table, data.qid, config, direct_marking);
 }
 
-TEST(PipelinedScheduleTest, WideFallbackKeysMatchSerialUnderBothSchedules) {
+TEST(SubsetDagTest, WideFallbackKeysMatchAtEveryThreadCount) {
   // The vector-key fallback path (domains beyond the 64-bit packed keys)
-  // must pipeline identically.
+  // must schedule identically.
   RandomDataset data = testing_util::MakeWideFallbackDataset(120);
   AnonymizationConfig config;
   config.k = 2;
-  ExpectSchedulesMatchSerial(data.table, data.qid, config);
+  ExpectThreadCountsMatch(data.table, data.qid, config);
 }
 
-TEST(PipelinedScheduleTest, GovernedPipelinedDrainsShardsToZero) {
-  AdultsOptions adults;
-  adults.num_rows = 300;
-  Result<SyntheticDataset> data = MakeAdultsDataset(adults);
-  ASSERT_TRUE(data.ok());
-  QuasiIdentifier qid = data->qid.Prefix(3);
+// ---------------------------------------------------------------------------
+// Wide quasi-identifiers: the 64-bit subset mask
+// ---------------------------------------------------------------------------
+
+/// `n` attributes over two rows that differ in every attribute, each with a
+/// height-1 hierarchy {x, y} -> '*'. At k = 2 every base level fails and
+/// every top level passes, so each of the 2^n - 1 attribute subsets holds
+/// exactly one survivor: its all-top node.
+RandomDataset MakeTwoRowDataset(size_t n) {
+  std::vector<ColumnSpec> specs;
+  for (size_t i = 0; i < n; ++i) {
+    specs.push_back({StringPrintf("a%zu", i), DataType::kString});
+  }
+  Table table{Schema(specs)};
+  std::vector<std::pair<std::string, ValueHierarchy>> hierarchies;
+  for (size_t i = 0; i < n; ++i) {
+    const std::string name = StringPrintf("a%zu", i);
+    std::vector<std::vector<Value>> levels = {{Value("x"), Value("y")},
+                                              {Value("*")}};
+    for (const Value& v : levels[0]) table.mutable_dictionary(i).GetOrInsert(v);
+    hierarchies.emplace_back(
+        name, ValueHierarchy::Create(name, levels, {{0, 0}}).value());
+  }
+  table.AppendRowCodes(std::vector<int32_t>(n, 0));
+  table.AppendRowCodes(std::vector<int32_t>(n, 1));
+  RandomDataset out;
+  out.qid = QuasiIdentifier::Create(table, std::move(hierarchies)).value();
+  out.table = std::move(table);
+  return out;
+}
+
+TEST(WideQidTest, SeventeenAttributesMatchOracleAndResumeFromBit16Masks) {
+  // 17 attributes: one past the 16 the subset DAG once capped at. One test,
+  // so the 2^17-subset search runs once for the oracle, thread-count, and
+  // checkpoint legs.
+  RandomDataset data = MakeTwoRowDataset(17);
   AnonymizationConfig config;
-  config.k = 5;
-  PartialResult<IncognitoResult> serial = RunIncognito(data->table, qid, config);
-  ASSERT_TRUE(serial.ok());
-  ExecutionGovernor governor;
-  governor.SetMemoryLimitBytes(int64_t{1} << 33);
-  RunContext ctx = RunContext::Governed(governor, 4);
-  ASSERT_EQ(ctx.scheduling, SchedulingMode::kPipelined);
-  PartialResult<IncognitoResult> governed =
-      RunIncognitoParallel(data->table, qid, config, {}, ctx);
-  ASSERT_TRUE(governed.complete()) << governed.status().ToString();
-  ExpectBitIdentical(*serial, governed.value());
-  // Acceptance: every worker shard leased from the shared budget drained
-  // back to zero after the pipelined run.
-  EXPECT_EQ(governor.memory().used(), 0);
+  config.k = 2;
+  GeneralizationLattice lattice(data.qid.MaxLevels());
+  std::set<std::string> oracle;
+  for (const LevelVector& v : lattice.AllNodesByHeight()) {
+    SubsetNode node = SubsetNode::Full(v);
+    if (IsKAnonymous(data.table, data.qid, node, config)) {
+      oracle.insert(node.ToString());
+    }
+  }
+  ASSERT_EQ(oracle.size(), 1u);
+
+  const std::string path = ::testing::TempDir() + "/wide_qid.ckpt";
+  std::remove(path.c_str());
+  CheckpointPolicy writer;
+  writer.path = path;
+  writer.interval_ms = int64_t{3600} * 1000;  // first and final write only
+  RunContext write_ctx;
+  write_ctx.checkpoint = &writer;
+  PartialResult<IncognitoResult> serial =
+      RunIncognito(data.table, data.qid, config, {}, write_ctx);
+  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+  EXPECT_EQ(NodeSet(serial->anonymous_nodes), oracle);
+  // One surviving candidate per attribute subset, plus the failed base
+  // level of each single-attribute chain; every candidate is checked.
+  const int64_t subsets = (int64_t{1} << 17) - 1;
+  EXPECT_EQ(serial->stats.candidate_nodes, subsets + 17);
+  EXPECT_EQ(serial->stats.nodes_checked, subsets + 17);
+  size_t survivors = 0;
+  for (const auto& level : serial->per_iteration_survivors) {
+    survivors += level.size();
+  }
+  EXPECT_EQ(static_cast<int64_t>(survivors), subsets);
+
+  PartialResult<IncognitoResult> parallel =
+      RunIncognito(data.table, data.qid, config, {}, RunContext::WithThreads(4));
+  ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
+  EXPECT_EQ(NodeSet(parallel->anonymous_nodes), oracle);
+  ExpectBitIdentical(*serial, *parallel);
+
+  // The checkpoint holds every subset; keep those of size <= 2, which
+  // include the masks with bit 16 set.
+  Result<CheckpointSnapshot> snap = LoadCheckpoint(path);
+  ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+  ASSERT_EQ(snap->records.size(), static_cast<size_t>(subsets));
+  const uint64_t bit16 = uint64_t{1} << 16;
+  CheckpointSnapshot cut;
+  cut.fingerprint = snap->fingerprint;
+  for (const CheckpointRecord& rec : snap->records) {
+    if (__builtin_popcountll(rec.mask) <= 2) cut.records.push_back(rec);
+  }
+  ASSERT_EQ(cut.records.size(), 17u + 136u);
+  const CheckpointRecord& widest = cut.records.back();
+  EXPECT_EQ(widest.mask, bit16 | (bit16 >> 1));
+  ASSERT_EQ(widest.survivors.size(), 1u);
+  EXPECT_EQ(widest.survivors[0].dims, (std::vector<int32_t>{15, 16}));
+
+  // The cut round-trips byte-for-byte through the text format...
+  const std::string text = SerializeCheckpoint(cut);
+  Result<CheckpointSnapshot> reparsed = ParseCheckpoint(text);
+  ASSERT_TRUE(reparsed.ok()) << reparsed.status().ToString();
+  EXPECT_EQ(SerializeCheckpoint(*reparsed), text);
+
+  // ...and resumes: every kept subset restores, the rest are searched.
+  ASSERT_TRUE(WriteCheckpoint(path, cut).ok());
+  CheckpointPolicy resume = writer;
+  resume.resume = ResumeMode::kRequire;
+  RunContext resume_ctx = RunContext::WithThreads(4);
+  resume_ctx.checkpoint = &resume;
+  PartialResult<IncognitoResult> resumed =
+      RunIncognito(data.table, data.qid, config, {}, resume_ctx);
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  EXPECT_EQ(resumed->stats.restored_subsets,
+            static_cast<int64_t>(cut.records.size()));
+  EXPECT_EQ(resumed->stats.restored_iterations, 2);
+  ExpectBitIdentical(*serial, *resumed);
+  std::remove(path.c_str());
 }
 
-TEST(PipelinedScheduleTest, DeadlineZeroPipelinedYieldsValidEmptyPartial) {
-  Rng rng(47);
-  RandomDataset data = MakeRandomDataset(rng);
+TEST(WideQidTest, ThirtyThreeAttributesAreRejectedBeforeAnyWork) {
+  RandomDataset data = MakeTwoRowDataset(33);
   AnonymizationConfig config;
   config.k = 2;
   ExecutionGovernor governor;
-  governor.SetDeadline(Deadline::AfterMillis(0));
-  PartialResult<IncognitoResult> run = RunIncognitoParallel(
+  PartialResult<IncognitoResult> run = RunIncognito(
       data.table, data.qid, config, {}, RunContext::Governed(governor, 4));
-  ASSERT_TRUE(run.partial()) << run.status().ToString();
-  EXPECT_EQ(run.status().code(), StatusCode::kDeadlineExceeded);
-  // The partial contract holds under pipelining: exactly
-  // completed_iterations survivor sets, no claimed S_n.
-  EXPECT_EQ(run->per_iteration_survivors.size(),
-            static_cast<size_t>(run->completed_iterations));
-  EXPECT_TRUE(run->anonymous_nodes.empty());
-  EXPECT_EQ(governor.memory().used(), 0);
+  ASSERT_TRUE(run.hard_error());
+  EXPECT_EQ(run.status().code(), StatusCode::kInvalidArgument);
+  // Not even the subset task table was charged.
+  EXPECT_EQ(governor.memory().peak(), 0);
+  EXPECT_EQ(governor.trips().checks, 0);
 }
 
 TEST(ParallelFaultTest, SubsetScheduleFaultSurfacesAsCleanPartial) {
   if (!FaultInjector::kCompiledIn) {
     GTEST_SKIP() << "build with -DINCOGNITO_FAULTS=ON";
   }
-  // A scripted failure at the pipelined scheduler's dispatch site
+  // A scripted failure at the subset-DAG scheduler's dispatch site
   // ("incognito.subset.schedule") must latch like a refused charge:
   // governance partial, honest completed_iterations, balanced bytes.
   Rng rng(7);
@@ -869,7 +921,7 @@ TEST(ParallelFaultTest, SubsetScheduleFaultSurfacesAsCleanPartial) {
   FaultInjector::Global().Reset();
   FaultInjector::Global().ScriptFailNthHit("incognito.subset.schedule", 1);
   ExecutionGovernor governor;
-  PartialResult<IncognitoResult> run = RunIncognitoParallel(
+  PartialResult<IncognitoResult> run = RunIncognito(
       data.table, data.qid, config, {}, RunContext::Governed(governor, 4));
   EXPECT_EQ(FaultInjector::Global().FaultsFired(), 1);
   ASSERT_TRUE(run.partial()) << run.status().ToString();
@@ -899,7 +951,7 @@ TEST(ParallelFaultTest, RandomFaultsNeverCrashTheParallelCubeSearch) {
     ExecutionGovernor governor;
     governor.SetDeadline(Deadline::AfterMillis(60 * 1000));
     PartialResult<IncognitoResult> run =
-        RunIncognitoParallel(data.table, data.qid, config, options, RunContext::Governed(governor, 4));
+        RunIncognito(data.table, data.qid, config, options, RunContext::Governed(governor, 4));
     if (run.partial()) {
       EXPECT_TRUE(IsResourceGovernance(run.status().code()))
           << run.status().ToString();

@@ -8,7 +8,6 @@
 #include "core/bottom_up.h"
 #include "core/checker.h"
 #include "core/incognito.h"
-#include "core/parallel.h"
 #include "core/recoder.h"
 #include "freq/frequency_set.h"
 #include "lattice/lattice.h"
@@ -147,7 +146,7 @@ TEST_P(SeededPropertyTest, IncognitoSoundAndComplete) {
 TEST_P(SeededPropertyTest, ParallelIncognitoMatchesOracle) {
   std::set<std::string> oracle = Oracle(config_);
   int threads = 2 + static_cast<int>(GetParam() % 3);  // 2..4 workers
-  PartialResult<IncognitoResult> r = RunIncognitoParallel(
+  PartialResult<IncognitoResult> r = RunIncognito(
       dataset_.table, dataset_.qid, config_, IncognitoOptions{}, RunContext::WithThreads(threads));
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(NodeSet(r->anonymous_nodes), oracle) << "threads=" << threads;
@@ -177,7 +176,7 @@ TEST_P(SeededPropertyTest, ParallelGovernorAlwaysDrainsToZero) {
     governor.SetDeadline(s.deadline);
     if (s.memory_limit > 0) governor.SetMemoryLimitBytes(s.memory_limit);
     governor.SetCancelToken(s.token);
-    PartialResult<IncognitoResult> run = RunIncognitoParallel(
+    PartialResult<IncognitoResult> run = RunIncognito(
         dataset_.table, dataset_.qid, config_, IncognitoOptions{}, RunContext::Governed(governor, 4));
     ASSERT_FALSE(run.hard_error()) << s.name << ": " << run.status().ToString();
     EXPECT_EQ(governor.memory().used(), 0) << s.name;

@@ -22,7 +22,6 @@
 #include "core/bottom_up.h"
 #include "core/checker.h"
 #include "core/incognito.h"
-#include "core/parallel.h"
 #include "data/adults.h"
 #include "hierarchy/builders.h"
 #include "hierarchy/csv_hierarchy.h"
@@ -609,7 +608,7 @@ TEST_F(FaultPointTest, EveryKnownSitePropagatesACleanStatus) {
       BuildSuppressionHierarchy("a", table.dictionary(0));
   ASSERT_TRUE(hierarchy.ok());
 
-  // The compute-path sites (cube.build, cube.project, freq.scan.chunk,
+  // The compute-path sites (cube.build, cube.project, freq.batch.scan,
   // incognito.rollup, bottom_up.rollup) only fire inside governed
   // searches, so the battery also runs one search per family — including
   // a 4-thread parallel cube search for the intra-node sites. k is set
@@ -645,25 +644,13 @@ TEST_F(FaultPointTest, EveryKnownSitePropagatesACleanStatus) {
                               .status());
     }
     {
-      // The governed parallel cube search reaches the intra-node sites:
-      // the parallel root scan (freq.scan.chunk) and the DAG-scheduled
-      // projections (cube.project). Pipelined scheduling (the default)
-      // additionally reaches the subset-DAG dispatch site
-      // (incognito.subset.schedule).
+      // The governed 4-thread cube search reaches the intra-node sites:
+      // the pool-parallel root scan (freq.batch.scan) and the
+      // DAG-scheduled projections (cube.project).
       ExecutionGovernor g;
-      outcomes->push_back(RunIncognitoParallel(search.table, search.qid,
-                                               search_config, cube_opts,
-                                               RunContext::Governed(g, 4))
-                              .status());
-    }
-    {
-      // The barrier schedule stays covered too.
-      ExecutionGovernor g;
-      RunContext barrier = RunContext::Governed(g, 4);
-      barrier.scheduling = SchedulingMode::kBarrier;
-      outcomes->push_back(RunIncognitoParallel(search.table, search.qid,
-                                               search_config, cube_opts,
-                                               barrier)
+      outcomes->push_back(RunIncognito(search.table, search.qid,
+                                       search_config, cube_opts,
+                                       RunContext::Governed(g, 4))
                               .status());
     }
   };
@@ -676,7 +663,7 @@ TEST_F(FaultPointTest, EveryKnownSitePropagatesACleanStatus) {
     for (const Status& s : probe) EXPECT_TRUE(s.ok()) << s.message();
   }
   for (const char* compute_site :
-       {"cube.build", "cube.project", "freq.scan.chunk", "freq.batch.scan",
+       {"cube.build", "cube.project", "freq.batch.scan",
         "incognito.rollup", "incognito.subset.schedule",
         "bottom_up.rollup"}) {
     EXPECT_GE(FaultInjector::Global().HitCount(compute_site), 1)
@@ -707,8 +694,7 @@ TEST_F(FaultPointTest, EveryKnownSitePropagatesACleanStatus) {
       snap.fingerprint.rows = 1;
       snap.fingerprint.heights = {1};
       CheckpointRecord rec;
-      rec.kind = CheckpointRecord::Kind::kIteration;
-      rec.key = 1;
+      rec.mask = 1;
       SubsetNode node;
       node.dims = {0};
       node.levels = {0};

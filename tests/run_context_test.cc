@@ -18,7 +18,6 @@
 #include "core/exec_profile.h"
 #include "core/incognito.h"
 #include "core/ldiversity.h"
-#include "core/parallel.h"
 #include "data/patients.h"
 #include "models/cell_suppression.h"
 #include "models/datafly.h"
@@ -228,11 +227,9 @@ TEST(RunContextBuilderTest, BuildersArmTheBorrowedGovernor) {
                        .WithMemoryBudget(64)
                        .WithCancel(&cancel)
                        .WithWorkers(3)
-                       .WithScheduling(SchedulingMode::kBarrier)
                        .WithSubstrate(SubstrateMode::kRadix);
   EXPECT_EQ(ctx.governor, &governor);
   EXPECT_EQ(ctx.num_threads, 3);
-  EXPECT_EQ(ctx.scheduling, SchedulingMode::kBarrier);
   EXPECT_EQ(ctx.substrate, SubstrateMode::kRadix);
   // The zero deadline and the 64-byte budget were armed on the governor.
   EXPECT_FALSE(governor.Check().ok());
@@ -277,28 +274,15 @@ TEST(ExecProfileTest, GovernedProfileArmsEveryBudget) {
   CancelToken cancel;
   profile.cancel = &cancel;
   profile.num_threads = 2;
-  profile.scheduling = SchedulingMode::kBarrier;
   profile.substrate = SubstrateMode::kHash;
   ASSERT_TRUE(profile.governed());
   ExecutionGovernor governor;
   RunContext ctx = profile.MakeContext(&governor);
   EXPECT_EQ(ctx.governor, &governor);
   EXPECT_EQ(ctx.num_threads, 2);
-  EXPECT_EQ(ctx.scheduling, SchedulingMode::kBarrier);
   EXPECT_EQ(ctx.substrate, SubstrateMode::kHash);
   EXPECT_FALSE(governor.Check().ok());
   EXPECT_FALSE(governor.ChargeMemory(65).ok());
-}
-
-TEST(ExecProfileTest, SchedulingModeNamesRoundTrip) {
-  for (SchedulingMode mode :
-       {SchedulingMode::kPipelined, SchedulingMode::kBarrier}) {
-    SchedulingMode parsed;
-    ASSERT_TRUE(ParseSchedulingMode(SchedulingModeName(mode), &parsed));
-    EXPECT_EQ(parsed, mode);
-  }
-  SchedulingMode parsed;
-  EXPECT_FALSE(ParseSchedulingMode("bogus", &parsed));
 }
 
 TEST(ExecProfileTest, ProfileContextMatchesHandAssembledContext) {

@@ -106,7 +106,6 @@ TEST(JobSpecJsonTest, RoundTripPreservesEveryField) {
   spec.exec.deadline_ms = 1500;
   spec.exec.memory_budget_bytes = 4 << 20;
   spec.exec.num_threads = 2;
-  spec.exec.scheduling = SchedulingMode::kBarrier;
   spec.exec.substrate = SubstrateMode::kRadix;
   spec.exec.checkpoint.path = "/tmp/ck";
   spec.exec.checkpoint.interval_ms = 25;
@@ -132,7 +131,6 @@ TEST(JobSpecJsonTest, RoundTripPreservesEveryField) {
   EXPECT_EQ(round->exec.deadline_ms, 1500);
   EXPECT_EQ(round->exec.memory_budget_bytes, 4 << 20);
   EXPECT_EQ(round->exec.num_threads, 2);
-  EXPECT_EQ(round->exec.scheduling, SchedulingMode::kBarrier);
   EXPECT_EQ(round->exec.substrate, SubstrateMode::kRadix);
   EXPECT_EQ(round->exec.checkpoint.path, "/tmp/ck");
   EXPECT_EQ(round->exec.checkpoint.interval_ms, 25);
@@ -151,6 +149,42 @@ TEST(JobSpecJsonTest, UnknownKeysAreRejected) {
   Result<JobSpec> spec = JobSpecFromJson(parsed);
   EXPECT_FALSE(spec.ok());
   EXPECT_EQ(spec.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(JobSpecJsonTest, ScheduleIsAnUnknownKey) {
+  obs::JsonValue parsed;
+  std::string error;
+  ASSERT_TRUE(obs::ParseJson(
+      "{\"input\":\"x.csv\",\"qid\":[\"A\"],\"schedule\":\"barrier\"}",
+      &parsed, &error));
+  Result<JobSpec> spec = JobSpecFromJson(parsed);
+  ASSERT_FALSE(spec.ok());
+  EXPECT_EQ(spec.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(spec.status().message().find("\"schedule\""), std::string::npos);
+}
+
+TEST(JobSpecJsonTest, ThreadsOutsideTheCliRangeAreRejected) {
+  // One client must not size a daemon job's worker pool without bound:
+  // 0 keeps the default and 1-256 is the CLI --threads range.
+  auto parse = [](const std::string& threads) {
+    obs::JsonValue parsed;
+    std::string error;
+    EXPECT_TRUE(obs::ParseJson(
+        "{\"input\":\"x.csv\",\"qid\":[\"A\"],\"threads\":" + threads + "}",
+        &parsed, &error))
+        << error;
+    return JobSpecFromJson(parsed);
+  };
+  for (const char* bad : {"257", "-1", "8589934592"}) {
+    Result<JobSpec> spec = parse(bad);
+    ASSERT_FALSE(spec.ok()) << bad;
+    EXPECT_EQ(spec.status().code(), StatusCode::kInvalidArgument) << bad;
+  }
+  for (int good : {0, 1, 256}) {
+    Result<JobSpec> spec = parse(std::to_string(good));
+    ASSERT_TRUE(spec.ok()) << good << ": " << spec.status().ToString();
+    EXPECT_EQ(spec->exec.num_threads, good);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 // radix engine and the flat arena map must be BIT-IDENTICAL to the hash
 // engine — groups, counts, canonical order, MemoryBytes(), search
 // survivors, and every deterministic counter — on every fixture, at every
-// thread count, under every schedule. Plus the kAuto decision table, the
+// thread count. Plus the kAuto decision table, the
 // INCOGNITO_SUBSTRATE environment override, the radix/flat kernel units
 // against naive oracles, and the governed scans' byte accounting
 // (drain-to-zero, mid-sort memory trips).
@@ -24,7 +24,6 @@
 #include "common/random.h"
 #include "core/checker.h"
 #include "core/incognito.h"
-#include "core/parallel.h"
 #include "core/run_context.h"
 #include "core/worker_pool.h"
 #include "data/adults.h"
@@ -39,6 +38,8 @@
 
 namespace incognito {
 namespace {
+
+using testing_util::PooledScan;
 
 using testing_util::MakeRandomDataset;
 using testing_util::MakeWideFallbackDataset;
@@ -369,7 +370,7 @@ TEST(FlatCodeMapTest, MemoryBytesGrowsMonotonically) {
 }
 
 // ---------------------------------------------------------------------------
-// Differential: Compute / ComputeParallel / ComputeBatch / ProjectTo
+// Differential: Compute / pooled ComputeBatch / ProjectTo
 // ---------------------------------------------------------------------------
 
 /// Nodes that exercise the interesting key shapes on a 3-attribute QID:
@@ -489,7 +490,7 @@ TEST(SubstrateDifferentialTest, ComputeMatchesMapOracleOnRandomTables) {
   }
 }
 
-TEST(SubstrateDifferentialTest, ComputeParallelMatchesAtEveryThreadCount) {
+TEST(SubstrateDifferentialTest, PooledScanMatchesAtEveryThreadCount) {
   AdultsOptions adults;
   adults.num_rows = 5000;
   Result<SyntheticDataset> data = MakeAdultsDataset(adults);
@@ -503,8 +504,8 @@ TEST(SubstrateDifferentialTest, ComputeParallelMatchesAtEveryThreadCount) {
     for (int threads : {1, 2, 4, 8}) {
       WorkerPool pool(threads);
       for (SubstrateMode mode : kModes) {
-        FrequencySet parallel = FrequencySet::ComputeParallel(
-            data->table, data->qid, node, pool, nullptr, mode);
+        FrequencySet parallel =
+            PooledScan(data->table, data->qid, node, pool, nullptr, mode);
         ExpectIdenticalSets(serial, parallel,
                             node.ToString() + " threads=" +
                                 std::to_string(threads) + " " +
@@ -514,7 +515,7 @@ TEST(SubstrateDifferentialTest, ComputeParallelMatchesAtEveryThreadCount) {
   }
 }
 
-TEST(SubstrateDifferentialTest, ComputeParallelMatchesOnWideKeys) {
+TEST(SubstrateDifferentialTest, PooledScanMatchesOnWideKeys) {
   RandomDataset ds = MakeWideFallbackDataset(600);
   const size_t n = ds.qid.size();
   std::vector<int32_t> dims(n);
@@ -524,8 +525,8 @@ TEST(SubstrateDifferentialTest, ComputeParallelMatchesOnWideKeys) {
       FrequencySet::Compute(ds.table, ds.qid, node, SubstrateMode::kHash);
   for (int threads : {2, 4, 8}) {
     WorkerPool pool(threads);
-    FrequencySet flat = FrequencySet::ComputeParallel(
-        ds.table, ds.qid, node, pool, nullptr, SubstrateMode::kRadix);
+    FrequencySet flat = PooledScan(ds.table, ds.qid, node, pool, nullptr,
+                                   SubstrateMode::kRadix);
     ExpectIdenticalSets(serial, flat,
                         "flat threads=" + std::to_string(threads));
   }
@@ -626,7 +627,7 @@ TEST(SubstrateDifferentialTest, CubeBuildsAreIdenticalAcrossSubstrates) {
 }
 
 // ---------------------------------------------------------------------------
-// Differential: the full search, every variant x thread count x schedule
+// Differential: the full search, every variant x thread count
 // ---------------------------------------------------------------------------
 
 std::vector<std::string> Strings(const std::vector<SubsetNode>& nodes) {
@@ -667,7 +668,7 @@ void ExpectSameSearch(const IncognitoResult& expected,
       << context;
 }
 
-TEST(SubstrateSearchTest, EveryVariantThreadCountAndScheduleIsBitIdentical) {
+TEST(SubstrateSearchTest, EveryVariantAndThreadCountIsBitIdentical) {
   AdultsOptions adults;
   adults.num_rows = 5000;  // above kAutoMinRadixRows: kAuto engages radix
   Result<SyntheticDataset> data = MakeAdultsDataset(adults);
@@ -688,28 +689,14 @@ TEST(SubstrateSearchTest, EveryVariantThreadCountAndScheduleIsBitIdentical) {
       IncognitoOptions options;
       options.variant = variant;
       options.substrate = mode;
-      // Serial.
-      PartialResult<IncognitoResult> serial =
-          RunIncognito(data->table, qid, config, options);
-      ASSERT_TRUE(serial.ok());
       std::string context = std::string(IncognitoVariantName(variant)) + "/" +
                             SubstrateModeName(mode);
-      ExpectSameSearch(*baseline, *serial, context + "/serial");
-      // Parallel, both schedules, every thread count.
       for (int threads : {1, 2, 4, 8}) {
-        for (SchedulingMode schedule :
-             {SchedulingMode::kPipelined, SchedulingMode::kBarrier}) {
-          RunContext ctx = RunContext::WithThreads(threads);
-          ctx.scheduling = schedule;
-          PartialResult<IncognitoResult> parallel = RunIncognitoParallel(
-              data->table, qid, config, options, ctx);
-          ASSERT_TRUE(parallel.ok()) << context;
-          ExpectSameSearch(
-              *baseline, *parallel,
-              context + "/threads=" + std::to_string(threads) +
-                  (schedule == SchedulingMode::kBarrier ? "/barrier"
-                                                        : "/pipelined"));
-        }
+        PartialResult<IncognitoResult> run = RunIncognito(
+            data->table, qid, config, options, RunContext::WithThreads(threads));
+        ASSERT_TRUE(run.ok()) << context;
+        ExpectSameSearch(*baseline, *run,
+                         context + "/threads=" + std::to_string(threads));
       }
     }
   }
@@ -734,7 +721,7 @@ TEST(SubstrateSearchTest, RandomDatasetsMatchAcrossSubstrates) {
         RunIncognito(data.table, data.qid, config, radix_options);
     ASSERT_TRUE(radix.ok());
     ExpectSameSearch(*baseline, *radix, "seed=" + std::to_string(seed));
-    PartialResult<IncognitoResult> parallel = RunIncognitoParallel(
+    PartialResult<IncognitoResult> parallel = RunIncognito(
         data.table, data.qid, config, radix_options,
         RunContext::WithThreads(4));
     ASSERT_TRUE(parallel.ok());
@@ -838,8 +825,8 @@ TEST(SubstrateGovernedTest, ParallelScanDrainsToZeroOnEverySubstrate) {
     ExecutionGovernor governor;
     governor.SetMemoryLimitBytes(int64_t{1} << 30);
     WorkerPool pool(4);
-    FrequencySet governed = FrequencySet::ComputeParallel(
-        data->table, data->qid, node, pool, &governor, mode);
+    FrequencySet governed =
+        PooledScan(data->table, data->qid, node, pool, &governor, mode);
     ExpectIdenticalSets(expected, governed, SubstrateModeName(mode));
     EXPECT_TRUE(governor.Check().ok()) << SubstrateModeName(mode);
     // Every transient byte — sort buffers included — returned to the
@@ -861,8 +848,8 @@ TEST(SubstrateGovernedTest, RadixBufferChargeTripsTinyBudgets) {
   ExecutionGovernor governor;
   governor.SetMemoryLimitBytes(1024);  // << 2 * chunk_rows * 8 bytes
   WorkerPool pool(4);
-  FrequencySet tripped = FrequencySet::ComputeParallel(
-      data->table, data->qid, node, pool, &governor, SubstrateMode::kRadix);
+  FrequencySet tripped = PooledScan(data->table, data->qid, node, pool,
+                                    &governor, SubstrateMode::kRadix);
   EXPECT_EQ(tripped.NumGroups(), 0u);
   EXPECT_FALSE(governor.SharedTrip().ok());
   EXPECT_EQ(governor.SharedTrip().code(), StatusCode::kResourceExhausted);
@@ -883,8 +870,8 @@ TEST(SubstrateGovernedTest, MidSortCancelAbandonsTheSortCleanly) {
   governor.SetCancelToken(&token);
   token.Cancel();
   WorkerPool pool(4);
-  FrequencySet tripped = FrequencySet::ComputeParallel(
-      data->table, data->qid, node, pool, &governor, SubstrateMode::kRadix);
+  FrequencySet tripped = PooledScan(data->table, data->qid, node, pool,
+                                    &governor, SubstrateMode::kRadix);
   EXPECT_EQ(tripped.NumGroups(), 0u);
   EXPECT_EQ(governor.SharedTrip().code(), StatusCode::kCancelled);
   EXPECT_EQ(governor.memory().used(), 0);

@@ -1,5 +1,5 @@
 // End-to-end telemetry tests (docs/OBSERVABILITY.md): a real multithreaded
-// pipelined search is traced, reported, and bench-serialized, and each
+// subset-DAG search is traced, reported, and bench-serialized, and each
 // artifact is parsed back through obs::ParseJson to check the properties
 // the downstream tooling depends on — every scheduler task event lands on
 // a valid per-worker swimlane (pid 2, tid < num workers), span events nest
@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "core/parallel.h"
+#include "core/incognito.h"
 #include "data/adults.h"
 #include "obs/counters.h"
 #include "obs/json_util.h"
@@ -36,7 +36,7 @@ using obs::JsonValue;
 
 constexpr int kThreads = 4;
 
-/// One traced pipelined run shared by the tests in this file: a 5-attribute
+/// One traced 4-thread run shared by the tests in this file: a 5-attribute
 /// QID so the subset DAG has 31 tasks across 5 tiers — enough cross-tier
 /// work that all four workers actually execute tasks.
 struct TracedRun {
@@ -58,7 +58,7 @@ struct TracedRun {
       obs::TraceRecorder& recorder = obs::TraceRecorder::Global();
       obs::MetricsSnapshot before = obs::MetricsSnapshot::Take();
       recorder.Enable();
-      PartialResult<IncognitoResult> r = RunIncognitoParallel(
+      PartialResult<IncognitoResult> r = RunIncognito(
           data->table, qid, config, {}, RunContext::WithThreads(kThreads));
       EXPECT_TRUE(r.ok());
       out->result = r.ok() ? *r : IncognitoResult{};
@@ -182,7 +182,7 @@ TEST(TelemetryTest, TraceCarriesWorkerThreadMetadata) {
 
 TEST(TelemetryTest, RunReportRoundTripsThroughTheParser) {
   const TracedRun& run = TracedRun::Get();
-  obs::RunReport report("telemetry_test", "pipelined adults qid5");
+  obs::RunReport report("telemetry_test", "4-thread adults qid5");
   obs::AddAlgorithmStats(run.result.stats, &report);
   if (!run.result.worker_utilization.empty()) {
     report.SetDoubleList("worker_utilization", run.result.worker_utilization);
@@ -239,10 +239,10 @@ TEST(TelemetryTest, BenchReportJsonParsesWithSchedulerStats) {
   const char* argv[] = {"telemetry_test", "--json=unused.json"};
   bench::Flags flags(2, const_cast<char**>(argv));
   bench::BenchReport bench_report(flags, "telemetry");
-  bench_report.Add("adults", 2, 5, "Pipelined Incognito (4 threads)", 0.25,
+  bench_report.Add("adults", 2, 5, "Parallel Incognito (4 threads)", 0.25,
                    run.result.anonymous_nodes.size(), run.result.stats,
                    run.delta);
-  bench_report.SetDerived("pipeline_speedup_threads_4", 1.0);
+  bench_report.SetDerived("speedup_threads_4", 1.0);
   std::string json = bench_report.ToJson();
 
   std::string error;
@@ -263,7 +263,7 @@ TEST(TelemetryTest, BenchReportJsonParsesWithSchedulerStats) {
   EXPECT_NE(histograms->Find("task.run_seconds"), nullptr);
   const JsonValue* derived = doc.Find("derived");
   ASSERT_NE(derived, nullptr);
-  EXPECT_EQ(derived->Find("pipeline_speedup_threads_4")->NumberOr(0), 1.0);
+  EXPECT_EQ(derived->Find("speedup_threads_4")->NumberOr(0), 1.0);
 }
 
 TEST(TelemetryTest, ResultCarriesWorkerUtilization) {
@@ -291,8 +291,8 @@ TEST(TelemetryTest, ObsDisabledRunStillWorks) {
   AnonymizationConfig config;
   config.k = 2;
   PartialResult<IncognitoResult> r =
-      RunIncognitoParallel(data->table, data->qid.Prefix(5), config, {},
-                           RunContext::WithThreads(4));
+      RunIncognito(data->table, data->qid.Prefix(5), config, {},
+                   RunContext::WithThreads(4));
   ASSERT_TRUE(r.ok());
   // No timeline is recorded when observability is compiled out.
   EXPECT_TRUE(r->worker_utilization.empty());

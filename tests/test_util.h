@@ -9,6 +9,8 @@
 #include "common/random.h"
 #include "common/strings.h"
 #include "core/quasi_identifier.h"
+#include "core/worker_pool.h"
+#include "freq/frequency_set.h"
 #include "hierarchy/hierarchy.h"
 #include "lattice/lattice.h"
 #include "lattice/node.h"
@@ -164,6 +166,17 @@ inline std::set<std::string> NodeSet(const std::vector<SubsetNode>& nodes) {
   std::set<std::string> out;
   for (const SubsetNode& n : nodes) out.insert(n.ToString());
   return out;
+}
+
+/// One node's frequency set through FrequencySet::ComputeBatch's chunked,
+/// pool-parallel path (the serial path when the pool has one worker).
+inline FrequencySet PooledScan(const Table& table, const QuasiIdentifier& qid,
+                               const SubsetNode& node, WorkerPool& pool,
+                               ExecutionGovernor* governor = nullptr,
+                               SubstrateMode substrate = SubstrateMode::kAuto) {
+  return std::move(
+      FrequencySet::ComputeBatch(table, qid, {node}, &pool, governor, substrate)
+          .front());
 }
 
 /// Makes a full-QID SubsetNode from a level vector.

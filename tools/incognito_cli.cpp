@@ -39,14 +39,10 @@
 //                    peak_rss_bytes / cpu_seconds report fields
 //
 // Parallel search (check, enumerate, anonymize, models):
-//   --threads=N      evaluate each lattice level — and, inside a node, the
+//   --threads=N      run the subset-DAG search — and, inside a node, the
 //                    frequency-set scan and the cube build — with N worker
-//                    threads (1-256; results are bit-identical to the
-//                    serial search, see docs/PARALLELISM.md)
-//   --schedule=S     scheduler for the multi-threaded search: pipelined
-//                    (default; subset-DAG pipelining, see
-//                    docs/PARALLELISM.md "Pipelined subset DAG") or
-//                    barrier (level-synchronous)
+//                    threads (1-256; results are bit-identical at every
+//                    count, see docs/PARALLELISM.md)
 //   --variant=V      Incognito variant: basic (default), superroots, or
 //                    cube (enumerate, anonymize)
 //   --no-batch-scan  disable scan-sharing batched level evaluation (one
@@ -425,11 +421,10 @@ struct GovernanceOptions {
   /// it is armed and attached only when a budget flag was given. Trips
   /// latch, so governed subcommands making several runs arm a fresh
   /// governor per run.
-  RunContext MakeContext(ExecutionGovernor* governor, int num_threads,
-                         SchedulingMode schedule) const {
+  RunContext MakeContext(ExecutionGovernor* governor,
+                         int num_threads) const {
     ExecProfile p = profile;
     p.num_threads = num_threads;
-    p.scheduling = schedule;
     return p.MakeContext(governor);
   }
 };
@@ -474,9 +469,10 @@ Result<IncognitoOptions> ParseRunOptions(
   std::string threads = Get(args, "threads");
   if (!threads.empty()) {
     int64_t n = 0;
-    if (!ParseInt64(threads, &n) || n < 1 || n > 256) {
-      return Status::InvalidArgument("bad --threads value '" + threads +
-                                     "' (want an integer in [1, 256])");
+    if (!ParseInt64(threads, &n) || n < 1 || n > kMaxThreads) {
+      return Status::InvalidArgument(StringPrintf(
+          "bad --threads value '%s' (want an integer in [1, %d])",
+          threads.c_str(), kMaxThreads));
     }
     opts.num_threads = static_cast<int>(n);
   }
@@ -538,19 +534,6 @@ Result<CheckpointPolicy> ParseCheckpointPolicy(
     }
   }
   return policy;
-}
-
-/// The --schedule flag: which scheduler drives a multi-threaded search.
-/// Default pipelined; ignored (harmlessly) by single-threaded runs.
-Result<SchedulingMode> ParseSchedule(
-    const std::map<std::string, std::string>& args) {
-  std::string schedule = Get(args, "schedule", "pipelined");
-  SchedulingMode mode;
-  if (!ParseSchedulingMode(schedule, &mode)) {
-    return Status::InvalidArgument("bad --schedule value '" + schedule +
-                                   "' (want pipelined or barrier)");
-  }
-  return mode;
 }
 
 std::map<std::string, std::string> ParseArgs(int argc, char** argv) {
@@ -654,8 +637,7 @@ int CmdCheck(const std::map<std::string, std::string>& args,
     // trip always fails here regardless of --on-budget.
     ExecutionGovernor governor;
     RunContext check_ctx =
-        gov->MakeContext(&governor, run_opts->num_threads,
-                         SchedulingMode::kPipelined)
+        gov->MakeContext(&governor, run_opts->num_threads)
             .WithSubstrate(run_opts->substrate);
     Result<bool> governed = IsKAnonymous(problem->table, problem->qid,
                                          node.value(), config, check_ctx,
@@ -703,14 +685,11 @@ int CmdEnumerate(const std::map<std::string, std::string>& args,
   if (!gov.ok()) return Fail(gov.status());
   Result<IncognitoOptions> run_opts = ParseRunOptions(args);
   if (!run_opts.ok()) return Fail(run_opts.status());
-  Result<SchedulingMode> schedule = ParseSchedule(args);
-  if (!schedule.ok()) return Fail(schedule.status());
   Result<CheckpointPolicy> ckpt = ParseCheckpointPolicy(args);
   if (!ckpt.ok()) return Fail(ckpt.status());
   AnonymizationConfig config = ConfigFrom(args);
   ExecutionGovernor governor;
-  RunContext ctx =
-      gov->MakeContext(&governor, run_opts->num_threads, schedule.value());
+  RunContext ctx = gov->MakeContext(&governor, run_opts->num_threads);
   if (ckpt->enabled()) ctx.checkpoint = &ckpt.value();
   PartialResult<IncognitoResult> result =
       RunIncognito(problem->table, problem->qid, config, *run_opts, ctx);
@@ -756,8 +735,6 @@ int CmdAnonymize(const std::map<std::string, std::string>& args,
   if (!gov.ok()) return Fail(gov.status());
   Result<IncognitoOptions> run_opts = ParseRunOptions(args);
   if (!run_opts.ok()) return Fail(run_opts.status());
-  Result<SchedulingMode> schedule = ParseSchedule(args);
-  if (!schedule.ok()) return Fail(schedule.status());
   Result<CheckpointPolicy> ckpt = ParseCheckpointPolicy(args);
   if (!ckpt.ok()) return Fail(ckpt.status());
   AnonymizationConfig config = ConfigFrom(args);
@@ -773,8 +750,7 @@ int CmdAnonymize(const std::map<std::string, std::string>& args,
     chosen = std::move(node).value();
   } else {
     ExecutionGovernor governor;
-    RunContext ctx =
-        gov->MakeContext(&governor, run_opts->num_threads, schedule.value());
+    RunContext ctx = gov->MakeContext(&governor, run_opts->num_threads);
     if (ckpt->enabled()) ctx.checkpoint = &ckpt.value();
     PartialResult<IncognitoResult> result =
         RunIncognito(problem->table, problem->qid, config, *run_opts, ctx);
@@ -863,8 +839,6 @@ int CmdModels(const std::map<std::string, std::string>& args,
   if (!gov.ok()) return Fail(gov.status());
   Result<IncognitoOptions> run_opts = ParseRunOptions(args);
   if (!run_opts.ok()) return Fail(run_opts.status());
-  Result<SchedulingMode> schedule = ParseSchedule(args);
-  if (!schedule.ok()) return Fail(schedule.status());
   AnonymizationConfig config = ConfigFrom(args);
   std::vector<std::string> cols;
   for (size_t i = 0; i < problem->qid.size(); ++i) {
@@ -906,8 +880,7 @@ int CmdModels(const std::map<std::string, std::string>& args,
   };
   // Each governed run arms its own fresh governor (trips latch).
   auto context = [&](ExecutionGovernor* governor) {
-    return gov->MakeContext(governor, run_opts->num_threads,
-                            schedule.value());
+    return gov->MakeContext(governor, run_opts->num_threads);
   };
   printf("%-28s %9s %11s %14s %10s\n", "model", "classes", "avg class",
          "discern.", "suppressed");

@@ -24,8 +24,7 @@
 //   --k=N --l=N --sensitive=COL --suppress=N
 //   --variant=V          basic (default), superroots, or cube
 //   --tenant=NAME        tenant the job is accounted to (default "default")
-//   --deadline-ms=N --memory-budget-mb=N --threads=N
-//   --schedule=S --substrate=S
+//   --deadline-ms=N --memory-budget-mb=N --threads=N --substrate=S
 //   --checkpoint=FILE --checkpoint-interval-ms=N --resume=off|auto|require
 //   --partial-ok         accept a budget-tripped sound partial (exit 0)
 //
@@ -141,12 +140,6 @@ Result<JobSpec> SpecFromArgs(const std::map<std::string, std::string>& args) {
     spec.exec.memory_budget_bytes = atoll(budget.c_str()) * (1ll << 20);
   }
   spec.exec.num_threads = atoi(Get(args, "threads", "0").c_str());
-  std::string schedule = Get(args, "schedule");
-  if (!schedule.empty() &&
-      !ParseSchedulingMode(schedule, &spec.exec.scheduling)) {
-    return Status::InvalidArgument("bad --schedule value '" + schedule +
-                                   "' (want pipelined or barrier)");
-  }
   std::string substrate = Get(args, "substrate");
   if (!substrate.empty() &&
       !ParseSubstrateMode(substrate, &spec.exec.substrate)) {

@@ -1,8 +1,10 @@
 #include "robust/checkpoint.h"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <set>
+#include <utility>
 
 #include "common/strings.h"
 #include "core/incognito.h"
@@ -23,17 +25,76 @@ int64_t NowNanos() {
       .count();
 }
 
-std::string NodesToString(const std::vector<SubsetNode>& nodes) {
-  if (nodes.empty()) return "-";
-  std::vector<std::string> parts;
-  parts.reserve(nodes.size());
-  for (const SubsetNode& node : nodes) {
-    std::vector<std::string> dims, levels;
-    for (int32_t d : node.dims) dims.push_back(StringPrintf("%d", d));
-    for (int32_t l : node.levels) levels.push_back(StringPrintf("%d", l));
-    parts.push_back(Join(dims, ".") + "@" + Join(levels, "."));
+/// Appends the decimal digits of `v`.
+template <typename Int>
+void AppendInt(std::string* out, Int v) {
+  char digits[24];
+  char* end = std::to_chars(digits, digits + sizeof(digits), v).ptr;
+  out->append(digits, end);
+}
+
+/// Appends `values` as decimal integers separated by `sep`.
+void AppendIntList(std::string* out, const std::vector<int32_t>& values,
+                   char sep) {
+  for (size_t i = 0; i < values.size(); ++i) {
+    if (i > 0) out->push_back(sep);
+    AppendInt(out, values[i]);
   }
-  return Join(parts, ";");
+}
+
+std::string FingerprintLine(const CheckpointFingerprint& fp) {
+  std::string line = "fingerprint k=";
+  AppendInt(&line, fp.k);
+  line += " sup=";
+  AppendInt(&line, fp.max_suppressed);
+  line += " rows=";
+  AppendInt(&line, fp.rows);
+  line += " heights=";
+  AppendIntList(&line, fp.heights, ',');
+  line += " variant=";
+  AppendInt(&line, fp.variant);
+  line += fp.mark_transitively ? " transitive=1" : " transitive=0";
+  line += fp.use_rollup ? " rollup=1\n" : " rollup=0\n";
+  return line;
+}
+
+/// One "mask" record line, newline included.
+std::string RecordLine(uint64_t mask, const std::vector<SubsetNode>& survivors,
+                       const CheckpointCounters& c) {
+  std::string line = "mask ";
+  AppendInt(&line, mask);
+  line += " survivors=";
+  if (survivors.empty()) line.push_back('-');
+  for (size_t i = 0; i < survivors.size(); ++i) {
+    if (i > 0) line.push_back(';');
+    AppendIntList(&line, survivors[i].dims, '.');
+    line.push_back('@');
+    AppendIntList(&line, survivors[i].levels, '.');
+  }
+  line += " counters=";
+  for (int64_t v : {c.nodes_checked, c.nodes_marked, c.table_scans, c.rollups,
+                    c.freq_groups_built, c.candidate_nodes}) {
+    AppendInt(&line, v);
+    line.push_back(',');
+  }
+  line.back() = '\n';
+  return line;
+}
+
+/// The header "<magic> <version>\ncrc <8 hex digits>\n" has a fixed size,
+/// so a writer starts from it with a placeholder CRC, appends the payload,
+/// and then seals the CRC in place — no second copy of the payload.
+std::string BeginCheckpoint() {
+  return StringPrintf("%s %d\ncrc 00000000\n", kMagic, kFormatVersion);
+}
+
+void SealCheckpoint(std::string* content) {
+  static const size_t header = BeginCheckpoint().size();
+  uint32_t crc = Crc32(content->data() + header, content->size() - header);
+  char* hex = content->data() + header - 9;  // the 8 digits before '\n'
+  for (int i = 7; i >= 0; --i, crc >>= 4) {
+    hex[i] = "0123456789abcdef"[crc & 0xFu];
+  }
 }
 
 bool ParseIntList(std::string_view s, std::vector<int32_t>* out,
@@ -70,16 +131,6 @@ bool ParseNodes(std::string_view s, std::vector<SubsetNode>* out) {
   return true;
 }
 
-std::string CountersToString(const CheckpointCounters& c) {
-  return StringPrintf("%lld,%lld,%lld,%lld,%lld,%lld",
-                      static_cast<long long>(c.nodes_checked),
-                      static_cast<long long>(c.nodes_marked),
-                      static_cast<long long>(c.table_scans),
-                      static_cast<long long>(c.rollups),
-                      static_cast<long long>(c.freq_groups_built),
-                      static_cast<long long>(c.candidate_nodes));
-}
-
 bool ParseCounters(std::string_view s, CheckpointCounters* out) {
   std::vector<std::string> fields = Split(s, ',');
   if (fields.size() != 6) return false;
@@ -112,21 +163,41 @@ Status Corrupt(const std::string& what) {
 }  // namespace
 
 uint32_t Crc32(const void* data, size_t len) {
-  static const uint32_t* kTable = [] {
-    static uint32_t table[256];
+  // Slicing-by-8: kTables[k][b] is the CRC step of byte b followed by k
+  // zero bytes, so eight input bytes fold into the state with eight
+  // independent lookups instead of eight dependent ones.
+  static const auto* kTables = [] {
+    static uint32_t tables[8][256];
     for (uint32_t i = 0; i < 256; ++i) {
       uint32_t c = i;
       for (int bit = 0; bit < 8; ++bit) {
         c = (c & 1) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
       }
-      table[i] = c;
+      tables[0][i] = c;
     }
-    return table;
+    for (uint32_t i = 0; i < 256; ++i) {
+      for (int k = 1; k < 8; ++k) {
+        const uint32_t prev = tables[k - 1][i];
+        tables[k][i] = tables[0][prev & 0xFFu] ^ (prev >> 8);
+      }
+    }
+    return tables;
   }();
   uint32_t crc = 0xFFFFFFFFu;
   const unsigned char* p = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < len; ++i) {
-    crc = kTable[(crc ^ p[i]) & 0xFFu] ^ (crc >> 8);
+  for (; len >= 8; p += 8, len -= 8) {
+    // Little-endian assembly by shifts: byte order independent of the host.
+    const uint32_t lo = crc ^ (uint32_t{p[0]} | uint32_t{p[1]} << 8 |
+                               uint32_t{p[2]} << 16 | uint32_t{p[3]} << 24);
+    const uint32_t hi = uint32_t{p[4]} | uint32_t{p[5]} << 8 |
+                        uint32_t{p[6]} << 16 | uint32_t{p[7]} << 24;
+    crc = kTables[7][lo & 0xFFu] ^ kTables[6][(lo >> 8) & 0xFFu] ^
+          kTables[5][(lo >> 16) & 0xFFu] ^ kTables[4][lo >> 24] ^
+          kTables[3][hi & 0xFFu] ^ kTables[2][(hi >> 8) & 0xFFu] ^
+          kTables[1][(hi >> 16) & 0xFFu] ^ kTables[0][hi >> 24];
+  }
+  for (; len > 0; ++p, --len) {
+    crc = kTables[0][(crc ^ *p) & 0xFFu] ^ (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFu;
 }
@@ -168,34 +239,14 @@ CheckpointFingerprint MakeCheckpointFingerprint(
 }
 
 std::string SerializeCheckpoint(const CheckpointSnapshot& snapshot) {
-  std::string payload;
-  {
-    std::vector<std::string> heights;
-    for (int32_t h : snapshot.fingerprint.heights) {
-      heights.push_back(StringPrintf("%d", h));
-    }
-    payload += StringPrintf(
-        "fingerprint k=%lld sup=%lld rows=%llu heights=%s variant=%d "
-        "transitive=%d rollup=%d\n",
-        static_cast<long long>(snapshot.fingerprint.k),
-        static_cast<long long>(snapshot.fingerprint.max_suppressed),
-        static_cast<unsigned long long>(snapshot.fingerprint.rows),
-        Join(heights, ",").c_str(), snapshot.fingerprint.variant,
-        snapshot.fingerprint.mark_transitively ? 1 : 0,
-        snapshot.fingerprint.use_rollup ? 1 : 0);
-  }
+  std::string content = BeginCheckpoint();
+  content += FingerprintLine(snapshot.fingerprint);
   for (const CheckpointRecord& record : snapshot.records) {
-    payload += StringPrintf(
-        "mask %llu survivors=%s counters=%s\n",
-        static_cast<unsigned long long>(record.mask),
-        NodesToString(record.survivors).c_str(),
-        CountersToString(record.counters).c_str());
+    content += RecordLine(record.mask, record.survivors, record.counters);
   }
-  payload += "end\n";
-
-  uint32_t crc = Crc32(payload.data(), payload.size());
-  return StringPrintf("%s %d\ncrc %08x\n", kMagic, kFormatVersion, crc) +
-         payload;
+  content += "end\n";
+  SealCheckpoint(&content);
+  return content;
 }
 
 Result<CheckpointSnapshot> ParseCheckpoint(const std::string& content) {
@@ -370,24 +421,27 @@ Result<CheckpointSnapshot> LoadCheckpoint(const std::string& path) {
 }
 
 CheckpointManager::CheckpointManager(const CheckpointPolicy& policy,
-                                     CheckpointFingerprint fingerprint)
-    : policy_(policy), fingerprint_(std::move(fingerprint)) {}
+                                     const CheckpointFingerprint& fingerprint)
+    : policy_(policy), fingerprint_line_(FingerprintLine(fingerprint)) {}
 
 void CheckpointManager::Seed(const CheckpointSnapshot& restored) {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::vector<std::pair<uint64_t, std::string>> lines;
+  lines.reserve(restored.records.size());
   for (const CheckpointRecord& record : restored.records) {
-    records_[record.mask] = record;
+    lines.emplace_back(record.mask, RecordLine(record.mask, record.survivors,
+                                               record.counters));
   }
+  std::lock_guard<std::mutex> lock(mu_);
+  for (auto& [mask, line] : lines) lines_[mask] = std::move(line);
 }
 
 void CheckpointManager::AddMask(uint64_t mask,
-                                std::vector<SubsetNode> survivors,
+                                const std::vector<SubsetNode>& survivors,
                                 const CheckpointCounters& delta) {
+  // A finished subset's record is final: format it once, outside the lock.
+  std::string line = RecordLine(mask, survivors, delta);
   std::lock_guard<std::mutex> lock(mu_);
-  CheckpointRecord& record = records_[mask];
-  record.mask = mask;
-  record.survivors = std::move(survivors);
-  record.counters = delta;
+  lines_[mask] = std::move(line);
   dirty_ = true;
 }
 
@@ -408,11 +462,11 @@ bool CheckpointManager::WriteNow() {
 }
 
 bool CheckpointManager::WriteLocked() {
-  CheckpointSnapshot snapshot;
-  snapshot.fingerprint = fingerprint_;
-  snapshot.records.reserve(records_.size());
-  for (const auto& [key, record] : records_) snapshot.records.push_back(record);
-  std::string content = SerializeCheckpoint(snapshot);
+  std::string content = BeginCheckpoint();
+  content += fingerprint_line_;
+  for (const auto& [mask, line] : lines_) content += line;
+  content += "end\n";
+  SealCheckpoint(&content);
   Status status = RetryWithBackoff(policy_.retry, [&] {
     return WriteFileAtomic(policy_.path, content, "checkpoint.write");
   });

@@ -149,13 +149,15 @@ Result<CheckpointSnapshot> LoadCheckpoint(const std::string& path);
 class CheckpointManager {
  public:
   CheckpointManager(const CheckpointPolicy& policy,
-                    CheckpointFingerprint fingerprint);
+                    const CheckpointFingerprint& fingerprint);
 
-  /// Seeds the record map from a restored snapshot so the resumed run's
+  /// Seeds the record lines from a restored snapshot so the resumed run's
   /// checkpoints carry the full history.
   void Seed(const CheckpointSnapshot& restored);
 
-  void AddMask(uint64_t mask, std::vector<SubsetNode> survivors,
+  /// Records a finished subset. Its line is formatted here, before the
+  /// lock is taken, and never again: a write only concatenates lines.
+  void AddMask(uint64_t mask, const std::vector<SubsetNode>& survivors,
                const CheckpointCounters& delta);
 
   /// Policy-gated periodic write (interval_ms); returns true when a write
@@ -176,9 +178,11 @@ class CheckpointManager {
   bool WriteLocked();
 
   const CheckpointPolicy policy_;
-  const CheckpointFingerprint fingerprint_;
+  const std::string fingerprint_line_;  ///< formatted once
   mutable std::mutex mu_;
-  std::map<uint64_t, CheckpointRecord> records_;
+  /// Formatted record line per finished subset, in mask order — the
+  /// order SerializeCheckpoint writes records in.
+  std::map<uint64_t, std::string> lines_;
   bool dirty_ = false;
   int64_t last_write_ns_ = -1;
   int64_t writes_ = 0;

@@ -1,5 +1,6 @@
 #include "robust/safe_io.h"
 
+#include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -17,13 +18,17 @@ namespace incognito {
 
 namespace {
 
+/// "<path>.tmp.<pid>.<seq>": the sequence number gives every write its own
+/// temporary, so two threads writing one target never share one.
 std::string TempPathFor(const std::string& path) {
+  static std::atomic<unsigned long long> next_seq{0};
 #ifdef _WIN32
   int pid = _getpid();
 #else
   int pid = static_cast<int>(getpid());
 #endif
-  return StringPrintf("%s.tmp.%d", path.c_str(), pid);
+  return StringPrintf("%s.tmp.%d.%llu", path.c_str(), pid,
+                      next_seq.fetch_add(1, std::memory_order_relaxed));
 }
 
 }  // namespace

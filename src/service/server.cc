@@ -149,6 +149,7 @@ void ServiceServer::AcceptLoop() {
 
 void ServiceServer::HandleConnection(int fd) {
   std::string buffer;
+  size_t scanned = 0;  // leading bytes of `buffer` known to hold no '\n'
   char chunk[4096];
   for (;;) {
     ssize_t n = ::read(fd, chunk, sizeof(chunk));
@@ -156,9 +157,11 @@ void ServiceServer::HandleConnection(int fd) {
     if (n <= 0) break;  // client closed (or Stop() shut the socket down)
     buffer.append(chunk, static_cast<size_t>(n));
     size_t newline;
-    while ((newline = buffer.find('\n')) != std::string::npos) {
+    while ((newline = buffer.find('\n', scanned)) != std::string::npos &&
+           newline <= kMaxRequestLineBytes) {
       std::string line = buffer.substr(0, newline);
       buffer.erase(0, newline + 1);
+      scanned = 0;
       if (line.empty()) continue;
       std::string reply = HandleRequest(line);
       Status written = WriteReplyLine(fd, reply);
@@ -171,6 +174,17 @@ void ServiceServer::HandleConnection(int fd) {
         ::close(fd);
         return;
       }
+    }
+    // What is left is the start of one line, with no newline in it yet.
+    scanned = buffer.size();
+    if (buffer.size() > kMaxRequestLineBytes) {
+      // Refuse the line and drop the connection rather than read on to
+      // its end: the sender may never send one.
+      (void)WriteReplyLine(
+          fd, ErrorReply(Status::InvalidArgument(
+                  "request line longer than " +
+                  std::to_string(kMaxRequestLineBytes) + " bytes")));
+      break;
     }
   }
   std::lock_guard<std::mutex> lock(conn_mu_);

@@ -2,6 +2,7 @@
 #define INCOGNITO_SERVICE_SERVER_H_
 
 #include <atomic>
+#include <cstddef>
 #include <mutex>
 #include <set>
 #include <string>
@@ -12,6 +13,11 @@
 #include "service/service.h"
 
 namespace incognito {
+
+/// Longest request line the server reads, newline excluded: 1 MiB, the
+/// same as the CSV reader's default row limit. A longer line gets one
+/// InvalidArgument reply and the connection is closed.
+inline constexpr size_t kMaxRequestLineBytes = size_t{1} << 20;
 
 /// Writes one protocol reply (`json` + '\n') to `fd`, retrying short
 /// writes. Fault site "service.reply.write" (IOError); a failed write

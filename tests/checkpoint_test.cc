@@ -7,8 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/checkpoint_resume.h"
@@ -178,6 +181,42 @@ TEST(CheckpointFormatTest, VersionOneFileIsRefused) {
       << loaded.status().ToString();
 }
 
+TEST(CheckpointFormatTest, Crc32MatchesTheStandardCheckValue) {
+  const char* check = "123456789";
+  EXPECT_EQ(Crc32(check, std::strlen(check)), 0xCBF43926u);
+  EXPECT_EQ(Crc32(check, 0), 0u);
+}
+
+/// Bit-at-a-time CRC-32 (reflected 0xEDB88320), the definition the table
+/// implementation must reproduce.
+uint32_t BitwiseCrc32(const unsigned char* p, size_t len) {
+  uint32_t crc = 0xFFFFFFFFu;
+  for (size_t i = 0; i < len; ++i) {
+    crc ^= p[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc & 1) ? (0xEDB88320u ^ (crc >> 1)) : (crc >> 1);
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(CheckpointFormatTest, Crc32EqualsBitwiseReferenceAtEveryLengthAndOffset) {
+  // Lengths 0-64 cover the 8-byte blocks and every tail length; offsets
+  // 0-7 cover every alignment of the block loads.
+  unsigned char bytes[8 + 64];
+  uint32_t state = 12345;
+  for (unsigned char& b : bytes) {
+    state = state * 1103515245u + 12345u;
+    b = static_cast<unsigned char>(state >> 24);
+  }
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 64; ++len) {
+      EXPECT_EQ(Crc32(bytes + offset, len), BitwiseCrc32(bytes + offset, len))
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
+
 TEST(CheckpointFormatTest, SemanticValidationRejectsInconsistentRecords) {
   // Each mutation is re-serialized so the CRC is valid and only the
   // semantic check can reject it.
@@ -337,6 +376,109 @@ TEST(CheckpointManagerTest, SeedCarriesRestoredHistoryForward) {
   Result<CheckpointSnapshot> loaded = LoadCheckpoint(policy.path);
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded->records.size(), 2u);  // seeded record + new one
+  std::remove(policy.path.c_str());
+}
+
+/// A finished-subset record over the attributes in `mask`, every survivor
+/// level `level`, with counters derived from the mask.
+CheckpointRecord MaskRecord(uint64_t mask, int32_t level) {
+  CheckpointRecord record;
+  record.mask = mask;
+  SubsetNode node;
+  for (int32_t d = 0; d < 64; ++d) {
+    if ((mask >> d) & 1) {
+      node.dims.push_back(d);
+      node.levels.push_back(level);
+    }
+  }
+  record.survivors = {node};
+  record.counters.nodes_checked = static_cast<int64_t>(mask);
+  record.counters.table_scans = static_cast<int64_t>(mask % 3);
+  record.counters.candidate_nodes = static_cast<int64_t>(2 * mask + level);
+  return record;
+}
+
+/// SerializeCheckpoint of `records`, which a std::map keeps in mask order.
+std::string Expected(const CheckpointFingerprint& fp,
+                     const std::map<uint64_t, CheckpointRecord>& records) {
+  CheckpointSnapshot snap;
+  snap.fingerprint = fp;
+  for (const auto& [mask, record] : records) snap.records.push_back(record);
+  return SerializeCheckpoint(snap);
+}
+
+TEST(CheckpointManagerTest, WrittenFileEqualsSerializeCheckpoint) {
+  CheckpointPolicy policy;
+  policy.path = TempPath("ckpt_equals_serialize.txt");
+  CheckpointFingerprint fp;
+  fp.k = 3;
+  fp.max_suppressed = 4;
+  fp.rows = 1000;
+  fp.heights = {2, 1, 3};
+  fp.variant = 2;
+  fp.use_rollup = false;
+  CheckpointManager manager(policy, fp);
+  std::map<uint64_t, CheckpointRecord> expected;
+
+  CheckpointSnapshot restored;
+  restored.fingerprint = fp;
+  for (uint64_t mask : {0b010u, 0b001u}) {
+    restored.records.push_back(MaskRecord(mask, 1));
+    expected[mask] = restored.records.back();
+  }
+  manager.Seed(restored);
+
+  // Out of mask order, with 0b011 and the seeded 0b010 written twice.
+  const std::pair<uint64_t, int32_t> adds[] = {
+      {0b110, 0}, {0b011, 0}, {0b100, 2}, {0b011, 1}, {0b010, 0}, {0b111, 1}};
+  for (const auto& [mask, level] : adds) {
+    CheckpointRecord record = MaskRecord(mask, level);
+    manager.AddMask(mask, record.survivors, record.counters);
+    expected[mask] = record;
+    ASSERT_TRUE(manager.MaybeWrite());
+    EXPECT_EQ(ReadAll(policy.path), Expected(fp, expected)) << "mask " << mask;
+  }
+  EXPECT_EQ(manager.writes(), 6);
+  Result<CheckpointSnapshot> loaded = LoadCheckpoint(policy.path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->records.size(), expected.size());
+  std::remove(policy.path.c_str());
+}
+
+TEST(CheckpointManagerTest, ConcurrentWorkersLoseNoMask) {
+  // Pipeline workers call AddMask + MaybeWrite with no lock of their own;
+  // AddMask formats its line before taking the manager's lock.
+  CheckpointPolicy policy;
+  policy.path = TempPath("ckpt_concurrent.txt");
+  CheckpointFingerprint fp;
+  fp.k = 2;
+  fp.rows = 50;
+  fp.heights = {1, 1, 1, 1, 1, 1};
+  CheckpointManager manager(policy, fp);
+  constexpr uint64_t kMasks = 63;  // every non-empty subset of 6 attributes
+  constexpr int kThreads = 4;
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&manager, t] {
+      for (uint64_t mask = 1 + t; mask <= kMasks; mask += kThreads) {
+        CheckpointRecord record = MaskRecord(mask, 1);
+        manager.AddMask(mask, record.survivors, record.counters);
+        manager.MaybeWrite();
+      }
+    });
+  }
+  for (std::thread& w : workers) w.join();
+  EXPECT_EQ(manager.write_failures(), 0);
+  // Writes hold the lock, so the last one already carries every mask.
+  EXPECT_FALSE(manager.WriteNow());
+  std::map<uint64_t, CheckpointRecord> expected;
+  for (uint64_t mask = 1; mask <= kMasks; ++mask) {
+    expected[mask] = MaskRecord(mask, 1);
+  }
+  Result<CheckpointSnapshot> loaded = LoadCheckpoint(policy.path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->records.size(), kMasks);
+  EXPECT_EQ(ReadAll(policy.path), Expected(fp, expected));
   std::remove(policy.path.c_str());
 }
 

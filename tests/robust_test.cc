@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <set>
@@ -526,6 +528,65 @@ TEST(GovernedModelsTest, DataflyPartialHasEmptyView) {
 }
 
 // ---------------------------------------------------------------------------
+// Atomic file writes (robust/safe_io.h)
+// ---------------------------------------------------------------------------
+
+/// Every "<path>.tmp.*" temporary next to `path`.
+std::vector<std::string> TempFilesOf(const std::string& path) {
+  const std::filesystem::path target(path);
+  const std::string prefix = target.filename().string() + ".tmp.";
+  std::vector<std::string> found;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(target.parent_path())) {
+    const std::string name = entry.path().filename().string();
+    if (name.compare(0, prefix.size(), prefix) == 0) {
+      found.push_back(entry.path().string());
+    }
+  }
+  return found;
+}
+
+TEST(SafeIoTest, ConcurrentWritersOfOnePathNeverTear) {
+  // Two daemon jobs naming one checkpoint or output path write it from two
+  // threads at once: each write needs its own temporary, or one thread's
+  // rename publishes the other's half-written bytes.
+  const std::string path = ::testing::TempDir() + "/safe_io_race.txt";
+  const std::string contents[2] = {std::string(200 * 1024, 'a'),
+                                   std::string(100 * 1024, 'b')};
+  ASSERT_TRUE(WriteFileAtomic(path, contents[0], "checkpoint.write").ok());
+  constexpr int kWritesPerThread = 500;
+  std::atomic<int> failed_writes{0};
+  std::atomic<int> writers_left{2};
+  std::vector<std::thread> writers;
+  for (const std::string& content : contents) {
+    writers.emplace_back([&] {
+      for (int i = 0; i < kWritesPerThread; ++i) {
+        if (!WriteFileAtomic(path, content, "checkpoint.write").ok()) {
+          ++failed_writes;
+        }
+      }
+      --writers_left;
+    });
+  }
+  int reads = 0, torn_reads = 0, failed_reads = 0;
+  while (writers_left.load() > 0) {
+    Result<std::string> read = ReadFileToString(path, "checkpoint.load");
+    ++reads;
+    if (!read.ok()) {
+      ++failed_reads;
+    } else if (read.value() != contents[0] && read.value() != contents[1]) {
+      ++torn_reads;
+    }
+  }
+  for (std::thread& t : writers) t.join();
+  EXPECT_EQ(failed_writes.load(), 0);
+  EXPECT_EQ(torn_reads, 0) << "of " << reads << " reads";
+  EXPECT_EQ(failed_reads, 0) << "of " << reads << " reads";
+  EXPECT_TRUE(TempFilesOf(path).empty());
+  std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------------
 // Fault points wired into the library (only in INCOGNITO_FAULTS builds)
 // ---------------------------------------------------------------------------
 
@@ -747,10 +808,10 @@ TEST_F(FaultPointTest, EveryKnownSitePropagatesACleanStatus) {
     // Atomic writers never leave temporaries behind, injected or not.
     for (const std::string& p : {csv_path, hier_path, bin_path, ckpt_path}) {
       // (The target may or may not exist depending on which site fired;
-      // only the temp must be gone.)  getpid() names the only possible
-      // temp file this process could have created.
-      std::string tmp = p + ".tmp." + std::to_string(getpid());
-      EXPECT_FALSE(std::ifstream(tmp).good()) << site << " leaked " << tmp;
+      // only the temps must be gone.)
+      for (const std::string& tmp : TempFilesOf(p)) {
+        ADD_FAILURE() << site << " leaked " << tmp;
+      }
       std::remove(p.c_str());
     }
   }

@@ -4,16 +4,19 @@
 // control (queue depth, tenant quota, memory lease pool), weighted-fair
 // scheduling under a tenant flood, cancellation and drain lifecycle, and
 // the newline-delimited-JSON socket protocol end to end (including a
-// mid-job governor trip surfacing as a sound partial over the wire).
+// mid-job governor trip surfacing as a sound partial over the wire, and
+// the request-line size cap).
 //
 // Runs under TSan in CI: every cross-thread interaction goes through the
 // core's lock, the job governor's atomics, or the socket.
 
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -482,9 +485,8 @@ TEST(ServiceCoreTest, ConcurrentSubmitPollCancelFromManyClients) {
 // The socket protocol.
 // ---------------------------------------------------------------------------
 
-/// Minimal raw protocol client: one connect / request-line / reply-line.
-Result<obs::JsonValue> RawRoundTrip(const std::string& socket_path,
-                                    const std::string& request) {
+/// A connected client socket to the daemon at `socket_path`.
+Result<int> ConnectTo(const std::string& socket_path) {
   sockaddr_un addr;
   std::memset(&addr, 0, sizeof(addr));
   addr.sun_family = AF_UNIX;
@@ -498,6 +500,15 @@ Result<obs::JsonValue> RawRoundTrip(const std::string& socket_path,
     ::close(fd);
     return Status::IOError("connect failed");
   }
+  return fd;
+}
+
+/// Minimal raw protocol client: one connect / request-line / reply-line.
+Result<obs::JsonValue> RawRoundTrip(const std::string& socket_path,
+                                    const std::string& request) {
+  Result<int> connected = ConnectTo(socket_path);
+  if (!connected.ok()) return connected.status();
+  const int fd = connected.value();
   std::string line = request + "\n";
   if (::write(fd, line.data(), line.size()) !=
       static_cast<ssize_t>(line.size())) {
@@ -604,6 +615,64 @@ TEST(ServiceServerTest, EndToEndSubmitStatusResultShutdown) {
   ASSERT_TRUE(shutdown.ok());
   EXPECT_TRUE(BoolField(shutdown.value(), "ok"));
   EXPECT_TRUE(server.ShutdownRequested());
+  server.Stop();
+}
+
+TEST(ServiceServerTest, OverlongRequestLineIsRefusedAndClosed) {
+  ServiceConfig config;
+  config.num_workers = 1;
+  ServiceCore core(config);
+  std::string path = TestSocketPath() + ".overlong";
+  ServiceServer server(&core, path);
+  ASSERT_TRUE(server.Start().ok());
+
+  Result<int> connected = ConnectTo(path);
+  ASSERT_TRUE(connected.ok()) << connected.status().ToString();
+  const int fd = connected.value();
+  // A server that waits for the newline fails the test instead of hanging it.
+  timeval timeout{};
+  timeout.tv_sec = 20;
+  ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                         sizeof(timeout)),
+            0);
+  // 2 MiB with no newline. The server stops reading at the 1 MiB cap and
+  // closes, so the tail of this send may fail with EPIPE (no SIGPIPE).
+  const std::string flood(2 * kMaxRequestLineBytes, 'x');
+  for (size_t sent = 0; sent < flood.size();) {
+    ssize_t n = ::send(fd, flood.data() + sent, flood.size() - sent,
+                       MSG_NOSIGNAL);
+    if (n <= 0) break;
+    sent += static_cast<size_t>(n);
+  }
+  std::string received;
+  char chunk[4096];
+  for (;;) {
+    ssize_t n = ::read(fd, chunk, sizeof(chunk));
+    if (n <= 0) {
+      // End of stream, or a reset because the server closed with our
+      // unread bytes still queued — both mean closed; a timeout does not.
+      EXPECT_TRUE(n == 0 || errno == ECONNRESET) << std::strerror(errno);
+      break;
+    }
+    received.append(chunk, static_cast<size_t>(n));
+  }
+  ::close(fd);
+  // Exactly one reply line, then end of stream.
+  ASSERT_FALSE(received.empty());
+  EXPECT_EQ(received.find('\n'), received.size() - 1) << received;
+  obs::JsonValue reply;
+  std::string error;
+  ASSERT_TRUE(obs::ParseJson(received.substr(0, received.size() - 1), &reply,
+                             &error))
+      << error;
+  EXPECT_FALSE(BoolField(reply, "ok"));
+  EXPECT_EQ(StrField(reply, "status"), "InvalidArgument");
+  EXPECT_EQ(NumField(reply, "exit_code"), 3);
+
+  // The daemon itself is unharmed.
+  Result<obs::JsonValue> pong = RawRoundTrip(path, "{\"op\":\"ping\"}");
+  ASSERT_TRUE(pong.ok()) << pong.status().ToString();
+  EXPECT_TRUE(BoolField(pong.value(), "ok"));
   server.Stop();
 }
 

@@ -2,9 +2,13 @@
 // search algorithm is built from: dictionary-encoded group-by scans,
 // rollup aggregation, cube projection, lattice enumeration, candidate
 // graph generation, and the Apriori hash tree. These quantify the
-// constants behind the figure-level benches (e.g. why a rollup is ~10-100x
-// cheaper than a rescan — the heart of the paper's Rollup Property
-// optimization).
+// constants behind the figure-level benches. For example, what the
+// paper's Rollup Property saves depends on how far the groups collapse.
+// On the shared 10k-row Adults table (4-vCPU Xeon VM, four runs), raising
+// Age one level takes 3-5 us from the 3-attribute zero-level set, against
+// 0.12-0.15 ms to rescan (BM_RollupOneLevel/3 vs BM_GroupByScanRadix/3).
+// From the 9-attribute set, ~9.4k groups for 10k rows, it takes
+// 0.25-0.34 ms, about as long as the 0.19-0.38 ms rescan.
 
 #include <benchmark/benchmark.h>
 

@@ -85,6 +85,21 @@ void CoalescePacked(const std::vector<std::pair<uint64_t, int64_t>>& all,
   }
 }
 
+/// Radix-sorts (key, count) pairs on their low `total_bits` bits and
+/// coalesces them into `out` (empty on entry) — the canonical order, since
+/// packing is order-preserving. The sort's ping-pong buffer is freed before
+/// the coalesced copy is allocated, so at most two item-sized buffers live
+/// at once.
+void SortAndCoalescePacked(std::vector<std::pair<uint64_t, int64_t>>& items,
+                           size_t total_bits,
+                           std::vector<std::pair<uint64_t, int64_t>>* out) {
+  {
+    std::vector<std::pair<uint64_t, int64_t>> scratch;
+    RadixSortCounted(items, scratch, total_bits);
+  }
+  CoalescePacked(items, out);
+}
+
 /// Vector-key twin of CoalescePacked.
 void CoalesceVec(
     const std::vector<std::pair<std::vector<int32_t>, int64_t>>& all,
@@ -486,33 +501,108 @@ FrequencySet FrequencySet::RollupTo(const SubsetNode& target,
   }
 
   FrequencySet out = MakeEmpty(target, qid);
-  std::unordered_map<uint64_t, int64_t> agg;
-  std::unordered_map<std::vector<int32_t>, int64_t, VecHash> vagg;
-  // Rollup can only merge groups, so the source group count bounds the
-  // output size.
-  if (out.packed_) {
-    agg.reserve(NumGroups());
-  } else {
-    vagg.reserve(NumGroups());
-  }
-  std::vector<int32_t> codes(n);
-  ForEachGroup([&](const int32_t* src, int64_t count) {
-    for (size_t i = 0; i < n; ++i) {
-      codes[i] = remap[i][static_cast<size_t>(src[i])];
-    }
-    if (out.packed_) {
-      agg[out.codec_.Pack(codes.data())] += count;
-    } else {
-      vagg[codes] += count;
-    }
-  });
-  if (out.packed_) {
-    out.groups_.assign(agg.begin(), agg.end());
-  } else {
-    out.vgroups_.assign(vagg.begin(), vagg.end());
-  }
-  out.SortGroups();
   out.total_count_ = total_count_;
+  // An empty result keeps capacity 0, as a scan's does. Past this point
+  // every domain holds at least one code.
+  if (NumGroups() == 0) return out;
+
+  if (!out.packed_) {
+    std::unordered_map<std::vector<int32_t>, int64_t, VecHash> vagg;
+    // Rollup can only merge groups, so the source group count bounds the
+    // output size.
+    vagg.reserve(NumGroups());
+    std::vector<int32_t> codes(n);
+    ForEachGroup([&](const int32_t* src, int64_t count) {
+      for (size_t i = 0; i < n; ++i) {
+        codes[i] = remap[i][static_cast<size_t>(src[i])];
+      }
+      vagg[codes] += count;
+    });
+    out.vgroups_.assign(vagg.begin(), vagg.end());
+    out.SortGroups();
+    return out;
+  }
+
+  // A packed source is remapped on the key itself: per dimension, a table
+  // from the source field's code to the target code already shifted into
+  // its target position. A zero-bit source field holds only code 0, so its
+  // target field is a constant folded into `fixed`; skipping it also keeps
+  // every shift below 64 (a zero-bit leading field of a full 64-bit key
+  // sits at bit 64).
+  struct Field {
+    unsigned shift = 0;
+    uint64_t mask = 0;
+    std::vector<uint64_t> table;
+  };
+  std::vector<Field> fields;
+  uint64_t fixed = 0;
+  if (packed_) {
+    size_t src_shift = codec_.total_bits();
+    size_t dst_shift = out.codec_.total_bits();
+    for (size_t i = 0; i < n; ++i) {
+      src_shift -= codec_.bits(i);
+      dst_shift -= out.codec_.bits(i);
+      const bool dst_empty = out.codec_.bits(i) == 0;
+      auto placed = [&](int32_t code) {
+        return dst_empty ? uint64_t{0}
+                         : static_cast<uint64_t>(code) << dst_shift;
+      };
+      if (codec_.bits(i) == 0) {
+        fixed |= placed(remap[i][0]);
+        continue;
+      }
+      Field& field = fields.emplace_back();
+      field.shift = static_cast<unsigned>(src_shift);
+      field.mask = (uint64_t{1} << codec_.bits(i)) - 1;
+      field.table.reserve(remap[i].size());
+      for (int32_t code : remap[i]) field.table.push_back(placed(code));
+    }
+  }
+  // Calls emit(target key, count) once per source group.
+  auto for_each_target_key = [&](auto&& emit) {
+    if (packed_) {
+      for (const auto& [key, count] : groups_) {
+        uint64_t target_key = fixed;
+        for (const Field& field : fields) {
+          target_key |= field.table[(key >> field.shift) & field.mask];
+        }
+        emit(target_key, count);
+      }
+      return;
+    }
+    std::vector<int32_t> codes(n);
+    for (const auto& [src, count] : vgroups_) {
+      for (size_t i = 0; i < n; ++i) {
+        codes[i] = remap[i][static_cast<size_t>(src[i])];
+      }
+      emit(out.codec_.Pack(codes.data()), count);
+    }
+  };
+
+  const size_t bits = out.codec_.total_bits();
+  if (bits < 64 && (uint64_t{1} << bits) <=
+                       2 * static_cast<uint64_t>(NumGroups())) {
+    // Dense target space: count straight into a direct-address array of at
+    // most 2 × 8 B per source group (the source set's own size). Sweeping
+    // it in key order gives the canonical order without a sort.
+    std::vector<int64_t> counts(size_t{1} << bits, 0);
+    size_t distinct = 0;
+    for_each_target_key([&](uint64_t key, int64_t count) {
+      distinct += counts[key] == 0;  // group counts are positive
+      counts[key] += count;
+    });
+    out.groups_.reserve(distinct);
+    for (size_t key = 0; key < counts.size(); ++key) {
+      if (counts[key] != 0) out.groups_.emplace_back(key, counts[key]);
+    }
+  } else {
+    std::vector<std::pair<uint64_t, int64_t>> items;
+    items.reserve(NumGroups());
+    for_each_target_key([&](uint64_t key, int64_t count) {
+      items.emplace_back(key, count);
+    });
+    SortAndCoalescePacked(items, bits, &out.groups_);
+  }
   return out;
 }
 
@@ -550,9 +640,7 @@ FrequencySet FrequencySet::ProjectTo(const SubsetNode& target,
         for (size_t j = 0; j < m; ++j) codes[j] = src[pos[j]];
         items.emplace_back(out.codec_.Pack(codes.data()), count);
       });
-      std::vector<std::pair<uint64_t, int64_t>> scratch;
-      RadixSortCounted(items, scratch, out.codec_.total_bits());
-      CoalescePacked(items, &out.groups_);
+      SortAndCoalescePacked(items, out.codec_.total_bits(), &out.groups_);
       break;
     }
     case SubstrateChoice::kFlatMap: {

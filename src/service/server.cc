@@ -114,12 +114,12 @@ void ServiceServer::Stop() {
     std::lock_guard<std::mutex> lock(conn_mu_);
     for (int fd : open_fds_) ::shutdown(fd, SHUT_RDWR);
   }
-  std::vector<std::thread> threads;
+  std::map<uint64_t, std::thread> threads;
   {
     std::lock_guard<std::mutex> lock(conn_mu_);
     threads.swap(conn_threads_);
   }
-  for (std::thread& t : threads) t.join();
+  for (auto& [conn, thread] : threads) thread.join();
   ::close(listen_fd_);
   listen_fd_ = -1;
   ::close(stop_pipe_[0]);
@@ -141,10 +141,35 @@ void ServiceServer::AcceptLoop() {
     if ((fds[0].revents & POLLIN) == 0) continue;
     int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) continue;
+    // Join the connections that have ended since the last accept, so a
+    // long-running daemon holds threads only for live connections. Each
+    // has already returned from HandleConnection, so the joins are brief.
+    std::vector<std::thread> finished;
+    {
+      std::lock_guard<std::mutex> lock(conn_mu_);
+      for (uint64_t conn : finished_conns_) {
+        auto it = conn_threads_.find(conn);
+        finished.push_back(std::move(it->second));
+        conn_threads_.erase(it);
+      }
+      finished_conns_.clear();
+    }
+    for (std::thread& thread : finished) thread.join();
     std::lock_guard<std::mutex> lock(conn_mu_);
     open_fds_.insert(fd);
-    conn_threads_.emplace_back([this, fd] { HandleConnection(fd); });
+    const uint64_t conn = next_conn_++;
+    std::thread thread([this, fd, conn] {
+      HandleConnection(fd);
+      std::lock_guard<std::mutex> done(conn_mu_);
+      finished_conns_.push_back(conn);
+    });
+    conn_threads_.emplace(conn, std::move(thread));
   }
+}
+
+size_t ServiceServer::ConnectionThreadCount() const {
+  std::lock_guard<std::mutex> lock(conn_mu_);
+  return conn_threads_.size();
 }
 
 void ServiceServer::HandleConnection(int fd) {

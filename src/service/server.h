@@ -3,6 +3,8 @@
 
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
+#include <map>
 #include <mutex>
 #include <set>
 #include <string>
@@ -68,6 +70,11 @@ class ServiceServer {
 
   const std::string& socket_path() const { return socket_path_; }
 
+  /// Connection threads not yet joined: the running ones, plus finished
+  /// ones the accept loop has not reaped yet (it joins those before it
+  /// starts the next connection's thread).
+  size_t ConnectionThreadCount() const;
+
  private:
   void AcceptLoop();
   void HandleConnection(int fd);
@@ -83,9 +90,11 @@ class ServiceServer {
   std::atomic<bool> stopping_{false};
   bool started_ = false;
 
-  std::mutex conn_mu_;
+  mutable std::mutex conn_mu_;
   std::set<int> open_fds_;
-  std::vector<std::thread> conn_threads_;
+  std::map<uint64_t, std::thread> conn_threads_;  // by connection number
+  std::vector<uint64_t> finished_conns_;  // returned, not yet joined
+  uint64_t next_conn_ = 0;
 };
 
 }  // namespace incognito

@@ -29,6 +29,7 @@
 namespace incognito {
 namespace {
 
+using testing_util::GroupsOf;
 using testing_util::MakeRandomDataset;
 using testing_util::MakeWideFallbackDataset;
 using testing_util::RandomDataset;
@@ -298,17 +299,6 @@ TEST(BatchScanCountingTest, OneScanPerSubsetLevelGroupOnHandBuiltLattice) {
 // ---------------------------------------------------------------------------
 // Property: ComputeBatch == per-node Compute on random schemas
 // ---------------------------------------------------------------------------
-
-using GroupList = std::vector<std::pair<std::vector<int32_t>, int64_t>>;
-
-GroupList GroupsOf(const FrequencySet& fs) {
-  GroupList out;
-  const size_t width = fs.node().size();
-  fs.ForEachGroup([&](const int32_t* codes, int64_t count) {
-    out.emplace_back(std::vector<int32_t>(codes, codes + width), count);
-  });
-  return out;
-}
 
 void ExpectSameFrequencySet(const FrequencySet& expected,
                             const FrequencySet& actual) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -15,20 +16,9 @@
 namespace incognito {
 namespace {
 
+using testing_util::CodeGroups;
+using testing_util::GroupsOf;
 using testing_util::PooledScan;
-
-/// Collects groups exactly as ForEachGroup visits them, so assertions can
-/// check both contents and the canonical visiting order.
-using CodeGroups = std::vector<std::pair<std::vector<int32_t>, int64_t>>;
-
-CodeGroups GroupsOf(const FrequencySet& fs) {
-  CodeGroups out;
-  const size_t width = fs.node().size();
-  fs.ForEachGroup([&](const int32_t* codes, int64_t count) {
-    out.emplace_back(std::vector<int32_t>(codes, codes + width), count);
-  });
-  return out;
-}
 
 /// Regression for the nondeterministic hash-order bug: groups must visit
 /// in strictly ascending lexicographic code order, on both storage paths.
@@ -408,6 +398,8 @@ TEST(FrequencySetPropertyTest, RollupCommutesOnRandomData) {
     SubsetNode target(dims, levels);
     FrequencySet rolled = base.RollupTo(target, ds.qid);
     FrequencySet direct = FrequencySet::Compute(ds.table, ds.qid, target);
+    EXPECT_EQ(GroupsOf(rolled), GroupsOf(direct));
+    EXPECT_EQ(rolled.MemoryBytes(), direct.MemoryBytes());
     EXPECT_EQ(rolled.NumGroups(), direct.NumGroups());
     EXPECT_EQ(rolled.TotalCount(), direct.TotalCount());
     EXPECT_EQ(rolled.MinCount(), direct.MinCount());
@@ -498,11 +490,13 @@ TEST(FrequencySetEdgeTest, ZeroRowTable) {
   EXPECT_EQ(fs.TuplesBelowK(2), 0);
   EXPECT_TRUE(fs.IsKAnonymous(2));
   EXPECT_TRUE(fs.IsKAnonymous(1000));
-  // Rollup of nothing is still nothing.
-  FrequencySet rolled = fs.RollupTo(SubsetNode(dims, ds.qid.MaxLevels()),
-                                    ds.qid);
+  // Rollup of nothing is still nothing, down to the footprint of a scan.
+  const SubsetNode top(dims, ds.qid.MaxLevels());
+  FrequencySet rolled = fs.RollupTo(top, ds.qid);
   EXPECT_EQ(rolled.NumGroups(), 0u);
   EXPECT_TRUE(rolled.IsKAnonymous(2));
+  EXPECT_EQ(rolled.MemoryBytes(),
+            FrequencySet::Compute(ds.table, ds.qid, top).MemoryBytes());
   // The parallel scan agrees, even with more workers than rows.
   WorkerPool pool(4);
   FrequencySet parallel = PooledScan(ds.table, ds.qid, bottom, pool);
@@ -554,6 +548,189 @@ TEST(FrequencySetPropertyTest, TotalCountInvariantUnderOps) {
   FrequencySet rolled = base.RollupTo(top, ds.qid);
   EXPECT_EQ(rolled.TotalCount(), 200);
   EXPECT_EQ(rolled.NumGroups(), 1u);  // single-root hierarchies
+}
+
+// ---------------------------------------------------------------------------
+// Rollup == rescan, exactly, on both of RollupTo's packed aggregations and
+// at the key-width edges.
+// ---------------------------------------------------------------------------
+
+/// Bit width of `node`'s key; over 64 means the vector-key fallback.
+size_t KeyBits(const QuasiIdentifier& qid, const SubsetNode& node) {
+  std::vector<size_t> cards;
+  for (size_t i = 0; i < node.size(); ++i) {
+    cards.push_back(qid.hierarchy(static_cast<size_t>(node.dims[i]))
+                        .DomainSize(static_cast<size_t>(node.levels[i])));
+  }
+  return KeyCodec::Create(cards).total_bits();
+}
+
+/// RollupTo's selection rule: a packed target whose key space is at most
+/// twice the source's group count is counted in a direct-address array;
+/// any other packed target is radix-regrouped.
+bool CountsDensely(const FrequencySet& source, const QuasiIdentifier& qid,
+                   const SubsetNode& target) {
+  const size_t bits = KeyBits(qid, target);
+  return bits < 64 && (uint64_t{1} << bits) <= 2 * source.NumGroups();
+}
+
+/// The same groups in the same canonical order, the same total, and the
+/// same exact footprint as a scan at the target.
+void ExpectRollupEqualsRescan(const Table& table, const QuasiIdentifier& qid,
+                              const FrequencySet& source,
+                              const SubsetNode& target) {
+  FrequencySet rolled = source.RollupTo(target, qid);
+  FrequencySet direct = FrequencySet::Compute(table, qid, target);
+  EXPECT_EQ(GroupsOf(rolled), GroupsOf(direct)) << target.ToString();
+  EXPECT_EQ(rolled.TotalCount(), direct.TotalCount()) << target.ToString();
+  EXPECT_EQ(rolled.MemoryBytes(), direct.MemoryBytes()) << target.ToString();
+}
+
+TEST(FrequencySetRollupTest, HeavyMergeCountsIntoADenseArray) {
+  // 2,000 rows over at most 512 base combinations: every target one level
+  // up has far fewer possible keys than the source has groups.
+  Rng rng(77);
+  testing_util::RandomDatasetOptions opts;
+  opts.min_domain = 4;
+  opts.num_rows = 2000;
+  testing_util::RandomDataset ds = testing_util::MakeRandomDataset(rng, opts);
+  const size_t n = ds.qid.size();
+  FrequencySet base = FrequencySet::Compute(
+      ds.table, ds.qid, SubsetNode::Full(std::vector<int32_t>(n, 0)));
+  for (size_t raised = 0; raised < n; ++raised) {
+    std::vector<int32_t> levels(n, 0);
+    levels[raised] = 1;
+    const SubsetNode target = SubsetNode::Full(levels);
+    ASSERT_TRUE(CountsDensely(base, ds.qid, target)) << target.ToString();
+    ExpectRollupEqualsRescan(ds.table, ds.qid, base, target);
+  }
+  const SubsetNode up = SubsetNode::Full(std::vector<int32_t>(n, 1));
+  ASSERT_TRUE(CountsDensely(base, ds.qid, up));
+  ExpectRollupEqualsRescan(ds.table, ds.qid, base, up);
+}
+
+TEST(FrequencySetRollupTest, SparseTargetRegroupsByRadix) {
+  // 30 rows over 200-400-value base domains, raised one level to 100-200
+  // values: 21-24 target bits against at most 30 source groups.
+  Rng rng(78);
+  testing_util::RandomDatasetOptions opts;
+  opts.min_domain = 200;
+  opts.max_domain = 400;
+  opts.num_rows = 30;
+  testing_util::RandomDataset ds = testing_util::MakeRandomDataset(rng, opts);
+  const size_t n = ds.qid.size();
+  FrequencySet base = FrequencySet::Compute(
+      ds.table, ds.qid, SubsetNode::Full(std::vector<int32_t>(n, 0)));
+  std::vector<std::vector<int32_t>> targets = {std::vector<int32_t>(n, 0),
+                                               std::vector<int32_t>(n, 1)};
+  targets.push_back(std::vector<int32_t>(n, 0));
+  targets.back()[0] = 1;
+  for (const std::vector<int32_t>& levels : targets) {
+    const SubsetNode target = SubsetNode::Full(levels);
+    ASSERT_FALSE(CountsDensely(base, ds.qid, target)) << target.ToString();
+    ExpectRollupEqualsRescan(ds.table, ds.qid, base, target);
+  }
+}
+
+TEST(FrequencySetRollupTest, AllZeroBitTargetIsOneGroup) {
+  // Every field of the all-root target is zero bits wide: a one-slot count
+  // array, from a sparse source and from a heavy one.
+  for (size_t rows : {size_t{3}, size_t{500}}) {
+    Rng rng(79);
+    testing_util::RandomDatasetOptions opts;
+    opts.num_rows = rows;
+    testing_util::RandomDataset ds =
+        testing_util::MakeRandomDataset(rng, opts);
+    const size_t n = ds.qid.size();
+    FrequencySet base = FrequencySet::Compute(
+        ds.table, ds.qid, SubsetNode::Full(std::vector<int32_t>(n, 0)));
+    const SubsetNode top = SubsetNode::Full(ds.qid.MaxLevels());
+    ASSERT_EQ(KeyBits(ds.qid, top), 0u);
+    ExpectRollupEqualsRescan(ds.table, ds.qid, base, top);
+  }
+}
+
+/// Five attributes whose base key is exactly 64 bits wide and leads with a
+/// zero-bit field: a0 has one value; a1-a4 have 65,536 values (16 bits)
+/// under 256 parents each, then '*'. Rows draw a1-a4 uniformly.
+testing_util::RandomDataset MakeFullWidthKeyDataset(size_t num_rows) {
+  constexpr size_t kAttrs = 5;
+  constexpr size_t kWideDomain = size_t{1} << 16;
+  std::vector<ColumnSpec> specs;
+  for (size_t i = 0; i < kAttrs; ++i) {
+    specs.push_back({StringPrintf("a%zu", i), DataType::kInt64});
+  }
+  Table table{Schema(specs)};
+  std::vector<std::pair<std::string, ValueHierarchy>> hierarchies;
+  for (size_t i = 0; i < kAttrs; ++i) {
+    const size_t domain = i == 0 ? 1 : kWideDomain;
+    std::vector<std::vector<Value>> levels(3);
+    std::vector<std::vector<int32_t>> parents(2);
+    for (size_t v = 0; v < domain; ++v) {
+      Value value(static_cast<int64_t>(v));
+      table.mutable_dictionary(i).GetOrInsert(value);
+      levels[0].push_back(value);
+      parents[0].push_back(static_cast<int32_t>(v / 256));
+    }
+    for (size_t p = 0; p < (domain + 255) / 256; ++p) {
+      levels[1].push_back(Value(StringPrintf("g%zu", p)));
+      parents[1].push_back(0);
+    }
+    levels[2].push_back(Value("*"));
+    const std::string name = StringPrintf("a%zu", i);
+    hierarchies.emplace_back(
+        name, ValueHierarchy::Create(name, levels, parents).value());
+  }
+  Rng rng(2005);
+  std::vector<int32_t> codes(kAttrs, 0);
+  for (size_t r = 0; r < num_rows; ++r) {
+    for (size_t i = 1; i < kAttrs; ++i) {
+      codes[i] = static_cast<int32_t>(rng.Uniform(kWideDomain));
+    }
+    table.AppendRowCodes(codes);
+  }
+  testing_util::RandomDataset out;
+  out.qid = QuasiIdentifier::Create(table, std::move(hierarchies)).value();
+  out.table = std::move(table);
+  return out;
+}
+
+TEST(FrequencySetRollupTest, FullWidthKeyWithZeroBitLeadingField) {
+  // The zero-bit leading field sits at bit 64 of both the source key and
+  // the identity target's key; remapping must not shift by 64 (UBSan
+  // builds fail on it).
+  testing_util::RandomDataset ds = MakeFullWidthKeyDataset(30);
+  const SubsetNode bottom = SubsetNode::Full({0, 0, 0, 0, 0});
+  ASSERT_EQ(KeyBits(ds.qid, bottom), 64u);
+  FrequencySet base = FrequencySet::Compute(ds.table, ds.qid, bottom);
+  for (const std::vector<int32_t>& levels :
+       std::vector<std::vector<int32_t>>{{0, 0, 0, 0, 0},
+                                         {1, 0, 0, 0, 0},
+                                         {0, 1, 0, 0, 1},
+                                         {1, 1, 1, 1, 1},
+                                         {2, 2, 2, 2, 2}}) {
+    ExpectRollupEqualsRescan(ds.table, ds.qid, base,
+                             SubsetNode::Full(levels));
+  }
+}
+
+TEST(FrequencySetRollupTest, UnpackedSourceToPackedTarget) {
+  // The 72-bit vector-key source rolled up to 60-, 36-, 12- and 0-bit
+  // packed targets: radix-regrouped, then counted densely at the top.
+  testing_util::RandomDataset ds = testing_util::MakeWideFallbackDataset(500);
+  const SubsetNode bottom = SubsetNode::Full(std::vector<int32_t>(6, 0));
+  ASSERT_GT(KeyBits(ds.qid, bottom), 64u);
+  FrequencySet base = FrequencySet::Compute(ds.table, ds.qid, bottom);
+  for (const std::vector<int32_t>& levels :
+       std::vector<std::vector<int32_t>>{{1, 0, 0, 0, 0, 0},
+                                         {1, 0, 1, 0, 1, 0},
+                                         {1, 1, 1, 1, 1, 0},
+                                         {1, 1, 1, 1, 1, 1}}) {
+    const SubsetNode target = SubsetNode::Full(levels);
+    ASSERT_LE(KeyBits(ds.qid, target), 64u);
+    EXPECT_EQ(CountsDensely(base, ds.qid, target), levels[5] == 1);
+    ExpectRollupEqualsRescan(ds.table, ds.qid, base, target);
+  }
 }
 
 }  // namespace

@@ -33,6 +33,7 @@
 namespace incognito {
 namespace {
 
+using testing_util::GroupsOf;
 using testing_util::PooledScan;
 
 using testing_util::MakeRandomDataset;
@@ -453,17 +454,6 @@ TEST(ParallelIncognitoTest, ShardBudgetTripYieldsSoundPrefixAndBoundedPeaks) {
 // Differential: a pool-parallel FrequencySet::ComputeBatch == the serial
 // scan, bit for bit, on every fixture dataset.
 // ---------------------------------------------------------------------------
-
-using GroupList = std::vector<std::pair<std::vector<int32_t>, int64_t>>;
-
-GroupList GroupsOf(const FrequencySet& fs) {
-  GroupList out;
-  const size_t width = fs.node().size();
-  fs.ForEachGroup([&](const int32_t* codes, int64_t count) {
-    out.emplace_back(std::vector<int32_t>(codes, codes + width), count);
-  });
-  return out;
-}
 
 void ExpectSameFrequencySet(const FrequencySet& serial,
                             const FrequencySet& parallel) {

@@ -17,6 +17,7 @@
 namespace incognito {
 namespace {
 
+using testing_util::GroupsOf;
 using testing_util::MakeRandomDataset;
 using testing_util::NodeSet;
 using testing_util::RandomDataset;
@@ -122,6 +123,8 @@ TEST_P(SeededPropertyTest, RollupProperty) {
     FrequencySet rolled = base.RollupTo(SubsetNode(dims, to), dataset_.qid);
     FrequencySet direct = FrequencySet::Compute(dataset_.table, dataset_.qid,
                                                 SubsetNode(dims, to));
+    EXPECT_EQ(GroupsOf(rolled), GroupsOf(direct));
+    EXPECT_EQ(rolled.MemoryBytes(), direct.MemoryBytes());
     EXPECT_EQ(rolled.NumGroups(), direct.NumGroups());
     EXPECT_EQ(rolled.MinCount(), direct.MinCount());
     EXPECT_EQ(rolled.TuplesBelowK(k_), direct.TuplesBelowK(k_));

@@ -676,6 +676,26 @@ TEST(ServiceServerTest, OverlongRequestLineIsRefusedAndClosed) {
   server.Stop();
 }
 
+TEST(ServiceServerTest, FinishedConnectionThreadsAreReaped) {
+  // incognito_client opens one connection per command, so a long-running
+  // daemon must not keep a thread for every connection it has served.
+  ServiceConfig config;
+  config.num_workers = 1;
+  ServiceCore core(config);
+  std::string path = TestSocketPath() + ".reap";
+  ServiceServer server(&core, path);
+  ASSERT_TRUE(server.Start().ok());
+  for (int i = 0; i < 200; ++i) {
+    Result<obs::JsonValue> pong = RawRoundTrip(path, "{\"op\":\"ping\"}");
+    ASSERT_TRUE(pong.ok()) << i << ": " << pong.status().ToString();
+  }
+  // The last connection's thread, plus any that had not yet seen their
+  // client close when the next connection was accepted.
+  EXPECT_LE(server.ConnectionThreadCount(), 8u);
+  server.Stop();
+  EXPECT_EQ(server.ConnectionThreadCount(), 0u);
+}
+
 TEST(ServiceServerTest, MidJobGovernorTripReturnsSoundPartialOverTheWire) {
   ServiceConfig config;
   config.num_workers = 1;

@@ -39,6 +39,8 @@
 namespace incognito {
 namespace {
 
+using testing_util::CodeGroups;
+using testing_util::GroupsOf;
 using testing_util::PooledScan;
 
 using testing_util::MakeRandomDataset;
@@ -76,17 +78,6 @@ class ScopedSubstrateEnv {
   std::string saved_;
   bool had_value_ = false;
 };
-
-using CodeGroups = std::vector<std::pair<std::vector<int32_t>, int64_t>>;
-
-CodeGroups GroupsOf(const FrequencySet& fs) {
-  CodeGroups out;
-  const size_t width = fs.node().size();
-  fs.ForEachGroup([&](const int32_t* codes, int64_t count) {
-    out.emplace_back(std::vector<int32_t>(codes, codes + width), count);
-  });
-  return out;
-}
 
 /// The bit-identity contract, in one assertion: same groups in the same
 /// canonical order, same totals, and the same exact heap footprint.

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
@@ -177,6 +178,21 @@ inline FrequencySet PooledScan(const Table& table, const QuasiIdentifier& qid,
   return std::move(
       FrequencySet::ComputeBatch(table, qid, {node}, &pool, governor, substrate)
           .front());
+}
+
+/// A frequency set's groups as (codes, count), in the order ForEachGroup
+/// visits them.
+using CodeGroups = std::vector<std::pair<std::vector<int32_t>, int64_t>>;
+
+/// Collects groups exactly as ForEachGroup visits them, so assertions can
+/// check both contents and the canonical visiting order.
+inline CodeGroups GroupsOf(const FrequencySet& fs) {
+  CodeGroups out;
+  const size_t width = fs.node().size();
+  fs.ForEachGroup([&](const int32_t* codes, int64_t count) {
+    out.emplace_back(std::vector<int32_t>(codes, codes + width), count);
+  });
+  return out;
 }
 
 /// Makes a full-QID SubsetNode from a level vector.

@@ -59,10 +59,10 @@ struct IncognitoOptions {
   bool batch_scans = true;
 
   /// Group-by substrate for every frequency-set build of the search
-  /// (DESIGN.md "Group-by substrates"): hash-map probes, columnar radix
-  /// sort, or per-build auto-selection (default). All modes produce
-  /// bit-identical survivors, counters, and MemoryBytes; a non-kAuto
-  /// RunContext::substrate overrides this option.
+  /// (DESIGN.md "Group-by substrates"): kAuto (default) and kRadix run
+  /// the count-or-sort kernel, kHash the reference hash-map probes. All
+  /// modes produce bit-identical survivors, counters, and MemoryBytes; a
+  /// non-kAuto RunContext::substrate overrides this option.
   SubstrateMode substrate = SubstrateMode::kAuto;
 };
 

@@ -1,5 +1,7 @@
 #include "core/parallel.h"
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <climits>
 #include <condition_variable>
@@ -13,6 +15,7 @@
 #include <vector>
 
 #include "common/stopwatch.h"
+#include "common/strings.h"
 #include "core/checkpoint_resume.h"
 #include "core/worker_pool.h"
 #include "freq/cube.h"
@@ -574,12 +577,27 @@ PartialResult<IncognitoResult> RunSubsetDag(
   }
 
   // One task slot per attribute subset, indexed by dimension bitmask and
-  // charged before it exists: 2^n slots for an n-attribute QID.
+  // charged before it exists: 2^n slots for an n-attribute QID. A table
+  // larger than physical memory is refused even without a budget (an
+  // unlimited governor would accept the charge, and the allocation would
+  // throw): a 32-attribute QID asks for 2^32 slots.
   const size_t n = qid.size();
   const uint64_t full = (uint64_t{1} << n) - 1;
   {
     const int64_t bytes =
         static_cast<int64_t>((full + 1) * sizeof(SubsetTask));
+    const long pages = sysconf(_SC_PHYS_PAGES);
+    const long page_bytes = sysconf(_SC_PAGESIZE);
+    const int64_t physical =
+        pages > 0 && page_bytes > 0 ? int64_t{pages} * page_bytes : 0;
+    if (physical > 0 && bytes > physical) {
+      return stop_early(governor->LatchSharedTrip(
+          Status::ResourceExhausted(StringPrintf(
+              "%zu-attribute quasi-identifier needs a %lld-byte subset task "
+              "table, more than the %lld bytes of physical memory",
+              n, static_cast<long long>(bytes),
+              static_cast<long long>(physical)))));
+    }
     Status charged = governor->ChargeMemory(bytes);
     if (!charged.ok()) return stop_early(charged);
     task_table_bytes = bytes;

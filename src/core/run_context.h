@@ -36,8 +36,8 @@ struct RunContext {
   /// Group-by substrate for every frequency-set build of the run
   /// (DESIGN.md "Group-by substrates"). kAuto (default) defers to the
   /// algorithm's own option where one exists (IncognitoOptions::substrate)
-  /// and otherwise lets each build choose by key shape; a non-kAuto value
-  /// here overrides the option. Purely a performance knob — all modes are
+  /// and otherwise runs the count-or-sort kernel; a non-kAuto value here
+  /// overrides the option. Purely a performance knob — all modes are
   /// bit-identical.
   SubstrateMode substrate = SubstrateMode::kAuto;
 

@@ -43,13 +43,58 @@ std::vector<size_t> Cardinalities(const QuasiIdentifier& qid,
 /// of overhead per entry on the common implementations).
 constexpr size_t kHashNodeOverhead = 2 * sizeof(void*);
 
-/// Resolves which engine a build with this codec and input size uses
-/// (substrate.h; the INCOGNITO_SUBSTRATE environment override applies to
-/// kAuto only).
-SubstrateChoice ChoiceFor(const KeyCodec& codec, size_t rows,
-                          SubstrateMode substrate) {
-  return ResolveSubstrate(substrate, codec.packed(), rows,
-                          EstimateKeySpace(codec.cardinalities()));
+/// Resolves which engine a build with this codec uses (substrate.h; the
+/// INCOGNITO_SUBSTRATE environment override applies to kAuto only).
+SubstrateChoice ChoiceFor(const KeyCodec& codec, SubstrateMode substrate) {
+  return ResolveSubstrate(substrate, codec.packed());
+}
+
+/// The one rule by which a packed build counts into a key-indexed array
+/// instead of sorting: the `bits`-bit key space is at most twice the
+/// `input` it aggregates — table rows for a scan (a worker's chunk when
+/// pooled), source groups for a rollup. The array's 8 B slots then cost at
+/// most 16 B per input entry, no more than a sort's key + scratch buffers.
+bool CountsDensely(size_t bits, size_t input) {
+  return bits < 64 &&
+         (uint64_t{1} << bits) <= 2 * static_cast<uint64_t>(input);
+}
+
+/// Appends the nonzero slots of a key-indexed count array to `out` (empty
+/// on entry) with an exact reserve. Ascending slots are ascending packed
+/// keys, so the groups come out in canonical order without a sort.
+void SweepCounts(const std::vector<int64_t>& counts,
+                 std::vector<std::pair<uint64_t, int64_t>>* out) {
+  size_t distinct = 0;
+  for (int64_t count : counts) distinct += count != 0;
+  out->reserve(distinct);
+  for (size_t key = 0; key < counts.size(); ++key) {
+    if (counts[key] != 0) out->emplace_back(key, counts[key]);
+  }
+}
+
+/// Rows between governor polls in the pooled scan.
+constexpr size_t kCheckEveryRows = 16384;
+/// Rows whose packed keys are gathered at once before counting: 16 KB of
+/// keys, which stays in L1.
+constexpr size_t kCountBlockRows = 2048;
+static_assert(kCheckEveryRows % kCountBlockRows == 0);
+
+/// Adds one to `counts[key]` for the packed key of every row in
+/// [begin, end). `tick` is polled every kCheckEveryRows rows; returning
+/// false abandons the count and makes this return false.
+template <typename Tick>
+bool CountPackedKeys(const std::vector<const int32_t*>& cols,
+                     const std::vector<const int32_t*>& maps,
+                     const KeyCodec& codec, size_t begin, size_t end,
+                     int64_t* counts, Tick&& tick) {
+  std::vector<uint64_t> block;
+  for (size_t r = begin; r < end; r += kCountBlockRows) {
+    if ((r - begin) % kCheckEveryRows == 0 && !tick()) return false;
+    GatherPackedKeys(cols, maps, codec, r, std::min(end, r + kCountBlockRows),
+                     &block);
+    for (uint64_t key : block) ++counts[key];
+  }
+  return true;
 }
 
 /// One group-by build ran on this engine (OBSERVABILITY.md).
@@ -177,24 +222,30 @@ std::vector<FrequencySet> FrequencySet::ComputeBatch(
   }
 
   // Each node resolves its own engine (same dims, different levels ⇒
-  // different key spaces, so under kAuto a batch can mix engines).
-  // Radix nodes are gathered column-wise outside the shared row loop;
-  // hash and flat nodes ride the row loop together.
+  // different key widths, so a batch can mix packed and wide keys).
+  // Count-or-sort nodes are gathered column-wise outside the shared row
+  // loop; hash and flat nodes ride the row loop together.
+  const bool pooled = pool != nullptr && pool->size() > 1;
+  const size_t workers = pooled ? static_cast<size_t>(pool->size()) : 1;
   std::vector<SubstrateChoice> choice(b);
-  bool any_radix = false;
+  // Whether a count-or-sort node counts, decided once against the rows
+  // each worker counts, so every worker takes the same branch.
+  std::vector<bool> dense(b, false);
+  bool any_sort = false;
   bool any_rowloop = false;
   for (size_t j = 0; j < b; ++j) {
-    choice[j] = ChoiceFor(out[j].codec_, rows, substrate);
+    choice[j] = ChoiceFor(out[j].codec_, substrate);
     CountSubstrate(choice[j]);
     if (choice[j] == SubstrateChoice::kRadixSort) {
-      any_radix = true;
+      dense[j] = CountsDensely(out[j].codec_.total_bits(), rows / workers);
+      any_sort = any_sort || !dense[j];
     } else {
       any_rowloop = true;
     }
   }
 
-  if (pool == nullptr || pool->size() <= 1) {
-    // Serial shared scan: one row loop feeds every row-loop node; radix
+  if (!pooled) {
+    // Serial shared scan: one row loop feeds every row-loop node; packed
     // nodes each take a columnar pass over their (shared, cache-resident)
     // columns. The fault site stands in for an allocation failure while
     // setting the aggregation state up.
@@ -202,11 +253,20 @@ std::vector<FrequencySet> FrequencySet::ComputeBatch(
       governor->LatchInjectedFailure("freq.batch.scan");
       return out;
     }
-    if (any_radix) {
+    // Counted nodes go first, so no count array lives beside the sort
+    // buffers.
+    for (size_t j = 0; j < b; ++j) {
+      if (!dense[j]) continue;
+      std::vector<int64_t> counts(size_t{1} << out[j].codec_.total_bits(), 0);
+      CountPackedKeys(cols[j], maps[j], out[j].codec_, 0, rows,
+                      counts.data(), [] { return true; });
+      SweepCounts(counts, &out[j].groups_);
+    }
+    if (any_sort) {
       std::vector<uint64_t> keys;
       std::vector<uint64_t> scratch;
       for (size_t j = 0; j < b; ++j) {
-        if (choice[j] != SubstrateChoice::kRadixSort) continue;
+        if (choice[j] != SubstrateChoice::kRadixSort || dense[j]) continue;
         GatherPackedKeys(cols[j], maps[j], out[j].codec_, 0, rows, &keys);
         RadixSortKeys(keys, scratch, out[j].codec_.total_bits());
         ExtractGroups(keys, &out[j].groups_);
@@ -267,7 +327,6 @@ std::vector<FrequencySet> FrequencySet::ComputeBatch(
     return out;
   }
 
-  const size_t workers = static_cast<size_t>(pool->size());
   INCOGNITO_COUNT_ADD("freq.scan_chunks", static_cast<int64_t>(workers));
 
   // Per-worker, per-node thread-local aggregation state; merged after the
@@ -277,12 +336,14 @@ std::vector<FrequencySet> FrequencySet::ComputeBatch(
   std::vector<
       std::vector<std::unordered_map<std::vector<int32_t>, int64_t, VecHash>>>
       wvagg(workers);
+  std::vector<std::vector<std::vector<int64_t>>> wcount(workers);
   std::vector<std::vector<std::vector<std::pair<uint64_t, int64_t>>>> wpart(
       workers);
   std::vector<std::vector<std::unique_ptr<FlatCodeMap>>> wflat(workers);
   for (size_t w = 0; w < workers; ++w) {
     wagg[w].resize(b);
     wvagg[w].resize(b);
+    wcount[w].resize(b);
     wpart[w].resize(b);
     wflat[w].resize(b);
   }
@@ -304,7 +365,6 @@ std::vector<FrequencySet> FrequencySet::ComputeBatch(
                    nodes[j].size() * sizeof(int32_t)) +
         kHashNodeOverhead;
   }
-  constexpr size_t kCheckEveryRows = 16384;
 
   pool->Run(rows, [&](int w, size_t begin, size_t end) {
     INCOGNITO_SPAN("freq.batch_scan.chunk");
@@ -322,9 +382,10 @@ std::vector<FrequencySet> FrequencySet::ComputeBatch(
     }
     const size_t chunk_rows = end - begin;
     // Monotonic footprint ledger shared by every node this worker feeds:
-    // radix outputs charge as they finish, map growth at checkpoints.
+    // count arrays charge before they are allocated, sorted outputs as
+    // they finish, map growth at checkpoints.
     int64_t charged = 0;
-    int64_t radix_bytes = 0;
+    int64_t partial_bytes = 0;
     auto charge_to = [&](int64_t now) {
       if (shard == nullptr) return true;
       if (now > charged) {
@@ -333,20 +394,28 @@ std::vector<FrequencySet> FrequencySet::ComputeBatch(
       }
       return true;
     };
-    if (any_radix && chunk_rows > 0) {
+    auto tick = [shard] { return shard == nullptr || shard->Check().ok(); };
+    for (size_t j = 0; j < b; ++j) {
+      if (!dense[j]) continue;
+      const size_t slots = size_t{1} << out[j].codec_.total_bits();
+      partial_bytes += static_cast<int64_t>(slots * sizeof(int64_t));
+      if (!charge_to(partial_bytes)) return;
+      wcount[wi][j].assign(slots, 0);
+      if (!CountPackedKeys(cols[j], maps[j], out[j].codec_, begin, end,
+                           wcount[wi][j].data(), tick)) {
+        return;
+      }
+    }
+    if (any_sort && chunk_rows > 0) {
       const int64_t buffer_bytes =
           static_cast<int64_t>(2 * chunk_rows * sizeof(uint64_t));
       if (shard != nullptr && !shard->ChargeMemory(buffer_bytes).ok()) return;
       bool ok = true;
       {
-        std::function<bool()> tick;
-        if (shard != nullptr) {
-          tick = [shard] { return shard->Check().ok(); };
-        }
         std::vector<uint64_t> keys;
         std::vector<uint64_t> scratch;
         for (size_t j = 0; j < b && ok; ++j) {
-          if (choice[j] != SubstrateChoice::kRadixSort) continue;
+          if (choice[j] != SubstrateChoice::kRadixSort || dense[j]) continue;
           GatherPackedKeys(cols[j], maps[j], out[j].codec_, begin, end,
                            &keys);
           if (!RadixSortKeys(keys, scratch, out[j].codec_.total_bits(),
@@ -355,9 +424,9 @@ std::vector<FrequencySet> FrequencySet::ComputeBatch(
             break;
           }
           const size_t groups = ExtractGroups(keys, &wpart[wi][j]);
-          radix_bytes += static_cast<int64_t>(
+          partial_bytes += static_cast<int64_t>(
               groups * sizeof(std::pair<uint64_t, int64_t>));
-          ok = charge_to(radix_bytes);
+          ok = charge_to(partial_bytes);
         }
       }
       if (shard != nullptr) shard->ReleaseMemory(buffer_bytes);
@@ -367,7 +436,7 @@ std::vector<FrequencySet> FrequencySet::ComputeBatch(
     auto checkpoint = [&]() {
       if (shard == nullptr) return true;
       if (!shard->Check().ok()) return false;
-      int64_t now = radix_bytes;
+      int64_t now = partial_bytes;
       for (size_t j = 0; j < b; ++j) {
         switch (choice[j]) {
           case SubstrateChoice::kRadixSort:
@@ -428,12 +497,22 @@ std::vector<FrequencySet> FrequencySet::ComputeBatch(
     return out;
   }
 
-  // Merge each node in worker-id order, coalesce equal keys, and
-  // canonically sort. Keys are unique after coalescing and the two-pass
-  // count-unique reserve sizes the result exactly, so the capacity (hence
-  // MemoryBytes()) matches the serial scan.
+  // Merge each node in worker-id order: counted nodes sum their arrays and
+  // sweep them, the rest coalesce equal keys and sort canonically. Either
+  // way the reserve is exact, so the capacity (hence MemoryBytes())
+  // matches the serial scan.
   for (size_t j = 0; j < b; ++j) {
-    if (out[j].packed_) {
+    if (dense[j]) {
+      std::vector<int64_t> counts = std::move(wcount[0][j]);
+      for (size_t w = 1; w < workers; ++w) {
+        const std::vector<int64_t> part = std::move(wcount[w][j]);
+        assert(part.size() == counts.size());
+        for (size_t key = 0; key < part.size(); ++key) {
+          counts[key] += part[key];
+        }
+      }
+      SweepCounts(counts, &out[j].groups_);
+    } else if (out[j].packed_) {
       std::vector<std::pair<uint64_t, int64_t>> all;
       size_t total = 0;
       if (choice[j] == SubstrateChoice::kRadixSort) {
@@ -580,21 +659,12 @@ FrequencySet FrequencySet::RollupTo(const SubsetNode& target,
   };
 
   const size_t bits = out.codec_.total_bits();
-  if (bits < 64 && (uint64_t{1} << bits) <=
-                       2 * static_cast<uint64_t>(NumGroups())) {
-    // Dense target space: count straight into a direct-address array of at
-    // most 2 × 8 B per source group (the source set's own size). Sweeping
-    // it in key order gives the canonical order without a sort.
+  if (CountsDensely(bits, NumGroups())) {
+    // Dense target space: the array is at most the source set's own size.
     std::vector<int64_t> counts(size_t{1} << bits, 0);
-    size_t distinct = 0;
-    for_each_target_key([&](uint64_t key, int64_t count) {
-      distinct += counts[key] == 0;  // group counts are positive
-      counts[key] += count;
-    });
-    out.groups_.reserve(distinct);
-    for (size_t key = 0; key < counts.size(); ++key) {
-      if (counts[key] != 0) out.groups_.emplace_back(key, counts[key]);
-    }
+    for_each_target_key(
+        [&](uint64_t key, int64_t count) { counts[key] += count; });
+    SweepCounts(counts, &out.groups_);
   } else {
     std::vector<std::pair<uint64_t, int64_t>> items;
     items.reserve(NumGroups());
@@ -625,8 +695,7 @@ FrequencySet FrequencySet::ProjectTo(const SubsetNode& target,
   (void)n;
 
   FrequencySet out = MakeEmpty(target, qid);
-  // A projection's input size is this set's group count, not the table.
-  const SubstrateChoice choice = ChoiceFor(out.codec_, NumGroups(), substrate);
+  const SubstrateChoice choice = ChoiceFor(out.codec_, substrate);
   CountSubstrate(choice);
   std::vector<int32_t> codes(m);
   switch (choice) {

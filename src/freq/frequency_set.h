@@ -40,35 +40,38 @@ class FrequencySet {
   ///
   /// `substrate` picks the group-by engine (DESIGN.md "Group-by
   /// substrates"); every mode produces the identical frequency set —
-  /// groups, counts, canonical order, and MemoryBytes() — so the default
-  /// kAuto simply chooses the fastest engine for the key shape. A serial,
-  /// ungoverned batch of one over ComputeBatch.
+  /// groups, counts, canonical order, and MemoryBytes() — and the default
+  /// kAuto runs the count-or-sort kernel. A serial, ungoverned batch of
+  /// one over ComputeBatch.
   static FrequencySet Compute(const Table& table, const QuasiIdentifier& qid,
                               const SubsetNode& node,
                               SubstrateMode substrate = SubstrateMode::kAuto);
 
   /// Scan-sharing batch build (docs/PARALLELISM.md "Scan-sharing batch
-  /// evaluation"): computes the frequency sets of several nodes from ONE
-  /// pass over the table — per row, each node's projected key is packed and
-  /// its group map updated — so a whole lattice level's scan-required nodes
-  /// cost one scan instead of one each. result[j] is bit-identical to
-  /// Compute(table, qid, nodes[j]), including the canonical group order and
-  /// the exact MemoryBytes().
+  /// evaluation"): computes the frequency sets of several nodes from one
+  /// scan of the table's shared, encoded columns, so a whole lattice
+  /// level's scan-required nodes cost one scan instead of one each. Under
+  /// SubstrateChoice::kRadixSort each packed node gathers its keys column
+  /// by column, then counts them into a key-indexed array when
+  /// 2^bits ≤ 2 × rows (rows / workers when pooled), and radix-sorts them
+  /// otherwise. result[j] is bit-identical to Compute(table, qid,
+  /// nodes[j]), including the canonical group order and the exact
+  /// MemoryBytes().
   ///
   /// With a non-null `pool` of size > 1 the rows are statically chunked
   /// across the workers (docs/PARALLELISM.md "Intra-node parallelism"):
-  /// each aggregates its chunk into thread-local per-node maps, then the
-  /// partials merge in worker-id order with one canonical sort, using a
-  /// two-pass count-unique reserve so the result is bit-identical to the
-  /// serial scan at any thread count. When `governor` is non-null the scan
-  /// is governed: the parallel path charges every node's running map
-  /// footprint to transient per-worker shards (drained before returning)
-  /// and polls for trips every few thousand rows; under
-  /// SubstrateChoice::kRadixSort a worker's sort buffers are charged up
-  /// front and released when they die. Both paths consult the
-  /// "freq.batch.scan" fault site (once per chunk when parallel, once up
-  /// front when serial). A tripped batch latches the governor and returns
-  /// all-empty sets; callers detect it via governor->SharedTrip().
+  /// each aggregates its chunk into thread-local per-node state, then the
+  /// partials merge in worker-id order — count arrays by summing, the rest
+  /// with one canonical sort — using an exact reserve so the result is
+  /// bit-identical to the serial scan at any thread count. When `governor`
+  /// is non-null the scan is governed: the parallel path charges every
+  /// node's running footprint to transient per-worker shards (drained
+  /// before returning) and polls for trips every few thousand rows; a
+  /// worker's count arrays and sort buffers are charged before they are
+  /// allocated. Both paths consult the "freq.batch.scan" fault site (once
+  /// per chunk when parallel, once up front when serial). A tripped batch
+  /// latches the governor and returns all-empty sets; callers detect it
+  /// via governor->SharedTrip().
   static std::vector<FrequencySet> ComputeBatch(
       const Table& table, const QuasiIdentifier& qid,
       const std::vector<SubsetNode>& nodes, WorkerPool* pool = nullptr,

@@ -43,42 +43,19 @@ const char* SubstrateChoiceName(SubstrateChoice choice) {
   return "?";
 }
 
-size_t EstimateKeySpace(const std::vector<size_t>& cardinalities) {
-  constexpr size_t kCap = ~size_t{0};
-  size_t space = 1;
-  for (size_t c : cardinalities) {
-    if (c == 0) continue;
-    if (space > kCap / c) return kCap;
-    space *= c;
-  }
-  return space;
-}
-
-SubstrateChoice ChooseSubstrate(SubstrateMode mode, bool packed, size_t rows,
-                                size_t key_space) {
-  switch (mode) {
-    case SubstrateMode::kHash:
-      return SubstrateChoice::kHashMap;
-    case SubstrateMode::kRadix:
-      return packed ? SubstrateChoice::kRadixSort : SubstrateChoice::kFlatMap;
-    case SubstrateMode::kAuto:
-      break;
-  }
-  if (rows < kAutoMinRadixRows || key_space <= kAutoMaxHashKeySpace) {
-    return SubstrateChoice::kHashMap;
-  }
+SubstrateChoice ChooseSubstrate(SubstrateMode mode, bool packed) {
+  if (mode == SubstrateMode::kHash) return SubstrateChoice::kHashMap;
   return packed ? SubstrateChoice::kRadixSort : SubstrateChoice::kFlatMap;
 }
 
-SubstrateChoice ResolveSubstrate(SubstrateMode mode, bool packed, size_t rows,
-                                 size_t key_space) {
+SubstrateChoice ResolveSubstrate(SubstrateMode mode, bool packed) {
   if (mode == SubstrateMode::kAuto) {
     if (const char* env = std::getenv("INCOGNITO_SUBSTRATE")) {
       SubstrateMode forced;
       if (ParseSubstrateMode(env, &forced)) mode = forced;
     }
   }
-  return ChooseSubstrate(mode, packed, rows, key_space);
+  return ChooseSubstrate(mode, packed);
 }
 
 void GatherPackedKeys(const std::vector<const int32_t*>& cols,

@@ -17,9 +17,9 @@ namespace incognito {
 /// canonical order, MemoryBytes() — so the knob is purely a performance
 /// choice; tests/substrate_test.cc is the differential proof.
 enum class SubstrateMode {
-  kHash,   ///< per-row std::unordered_map probes (the original path)
-  kRadix,  ///< columnar gather + LSD radix sort (flat arena map when wide)
-  kAuto,   ///< choose by key width / row count / key space (the default)
+  kHash,   ///< per-row std::unordered_map probes: the pinned reference
+  kRadix,  ///< count-or-sort over packed keys (flat arena map when wide)
+  kAuto,   ///< the default; resolves exactly like kRadix
 };
 
 const char* SubstrateModeName(SubstrateMode mode);
@@ -30,47 +30,25 @@ bool ParseSubstrateMode(const std::string& text, SubstrateMode* out);
 /// The concrete engine a build resolves to.
 enum class SubstrateChoice {
   kHashMap,    ///< std::unordered_map per-row probes
-  kRadixSort,  ///< packed keys: columnar gather, LSD radix, run-length
+  kRadixSort,  ///< packed keys: columnar gather, then a key-indexed count
+               ///< when the key space is small against the input, else an
+               ///< LSD radix sort and run-length extraction
   kFlatMap,    ///< vector keys: open-addressing map over an int32 arena
 };
 
 const char* SubstrateChoiceName(SubstrateChoice choice);
 
-// --- The kAuto decision table. Pinned by the SubstrateAuto unit tests and
-// --- published as the substrate_crossover_* derived keys of
-// --- bench_micro_substrate, so retuning a constant is machine-visible in
-// --- the bench_diff gate.
-
-/// Below this many rows the hash map wins: it stays cache-resident and the
-/// radix path's gather + sort passes cost more than they save.
-constexpr size_t kAutoMinRadixRows = 4096;
-
-/// With at most this many *possible* groups (the product of the per-dim
-/// cardinalities) the hash map also wins: every probe hits a hot bucket
-/// while radix still pays its full per-row pass structure.
-constexpr size_t kAutoMaxHashKeySpace = 256;
-
-/// Saturating product of the per-dimension cardinalities: the number of
-/// possible groups, an upper bound on what a scan can produce (the row
-/// count is the other bound).
-size_t EstimateKeySpace(const std::vector<size_t>& cardinalities);
-
 /// Resolves a mode to a concrete engine. Pure — no environment lookup:
-///   kHash  -> kHashMap
-///   kRadix -> kRadixSort when packed, else kFlatMap
-///   kAuto  -> kHashMap for tiny tables (rows < kAutoMinRadixRows) or tiny
-///             key spaces (<= kAutoMaxHashKeySpace); kFlatMap for unpacked
-///             (wide/vector) keys; kRadixSort otherwise.
-SubstrateChoice ChooseSubstrate(SubstrateMode mode, bool packed, size_t rows,
-                                size_t key_space);
+///   kHash          -> kHashMap
+///   kRadix, kAuto  -> kRadixSort when packed, else kFlatMap
+SubstrateChoice ChooseSubstrate(SubstrateMode mode, bool packed);
 
 /// ChooseSubstrate with the INCOGNITO_SUBSTRATE environment override
 /// applied first: when `mode` is kAuto and the variable is set to "hash"
 /// or "radix", that mode is resolved instead — CI uses it to drive the
 /// whole suite down one substrate without touching call sites. Explicit
 /// modes always win over the environment; unknown values are ignored.
-SubstrateChoice ResolveSubstrate(SubstrateMode mode, bool packed, size_t rows,
-                                 size_t key_space);
+SubstrateChoice ResolveSubstrate(SubstrateMode mode, bool packed);
 
 // --- Radix kernels (packed uint64 keys) ---
 

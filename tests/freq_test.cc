@@ -18,6 +18,7 @@ namespace {
 
 using testing_util::CodeGroups;
 using testing_util::GroupsOf;
+using testing_util::KeyBits;
 using testing_util::PooledScan;
 
 /// Regression for the nondeterministic hash-order bug: groups must visit
@@ -554,16 +555,6 @@ TEST(FrequencySetPropertyTest, TotalCountInvariantUnderOps) {
 // Rollup == rescan, exactly, on both of RollupTo's packed aggregations and
 // at the key-width edges.
 // ---------------------------------------------------------------------------
-
-/// Bit width of `node`'s key; over 64 means the vector-key fallback.
-size_t KeyBits(const QuasiIdentifier& qid, const SubsetNode& node) {
-  std::vector<size_t> cards;
-  for (size_t i = 0; i < node.size(); ++i) {
-    cards.push_back(qid.hierarchy(static_cast<size_t>(node.dims[i]))
-                        .DomainSize(static_cast<size_t>(node.levels[i])));
-  }
-  return KeyCodec::Create(cards).total_bits();
-}
 
 /// RollupTo's selection rule: a packed target whose key space is at most
 /// twice the source's group count is counted in a direct-address array;

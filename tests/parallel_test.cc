@@ -897,6 +897,34 @@ TEST(WideQidTest, ThirtyThreeAttributesAreRejectedBeforeAnyWork) {
   EXPECT_EQ(governor.trips().checks, 0);
 }
 
+TEST(WideQidTest, ThirtyTwoAttributesAreRefusedBeforeTheTaskTable) {
+  // 2^32 subset task slots outgrow physical memory. Without a budget the
+  // charge alone would pass and the allocation would throw, so the search
+  // refuses first: a sound empty partial with nothing charged.
+  RandomDataset data = MakeTwoRowDataset(32);
+  AnonymizationConfig config;
+  config.k = 2;
+  for (int threads : {1, 4}) {
+    const std::string context = "threads=" + std::to_string(threads);
+    PartialResult<IncognitoResult> plain = RunIncognito(
+        data.table, data.qid, config, {}, RunContext::WithThreads(threads));
+    ASSERT_TRUE(plain.partial()) << context;
+    EXPECT_EQ(plain.status().code(), StatusCode::kResourceExhausted)
+        << context;
+    EXPECT_TRUE(plain->anonymous_nodes.empty()) << context;
+    EXPECT_EQ(plain->completed_iterations, 0) << context;
+
+    ExecutionGovernor unlimited;
+    PartialResult<IncognitoResult> governed =
+        RunIncognito(data.table, data.qid, config, {},
+                     RunContext::Governed(unlimited, threads));
+    ASSERT_TRUE(governed.partial()) << context;
+    EXPECT_EQ(governed.status().code(), StatusCode::kResourceExhausted)
+        << context;
+    EXPECT_EQ(unlimited.memory().used(), 0) << context;
+  }
+}
+
 TEST(ParallelFaultTest, SubsetScheduleFaultSurfacesAsCleanPartial) {
   if (!FaultInjector::kCompiledIn) {
     GTEST_SKIP() << "build with -DINCOGNITO_FAULTS=ON";

@@ -17,7 +17,9 @@
 
 #include <atomic>
 #include <cerrno>
+#include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -432,6 +434,50 @@ TEST(ServiceCoreTest, TinyMemoryBudgetTripsToSoundPartial) {
   EXPECT_TRUE(result->partial);
   EXPECT_TRUE(IsResourceGovernance(result->status.code()))
       << result->status.ToString();
+}
+
+TEST(ServiceCoreTest, WideQidJobIsRefusedAndTheDaemonKeepsServing) {
+  // 32 attributes need a 2^32-slot subset task table. A job without a
+  // memory budget must finish with the refusal instead of aborting the
+  // process, and the same core then serves the next job.
+  const std::string path = ::testing::TempDir() + "/service_wide_qid.csv";
+  JobSpec wide;
+  wide.input = path;
+  wide.model = JobModel::kKAnonymity;
+  wide.k = 2;
+  {
+    std::ofstream csv(path, std::ios::trunc);
+    std::string header, first, second;
+    for (int i = 0; i < 32; ++i) {
+      const std::string name = "a" + std::to_string(i);
+      wide.qid.push_back(name);
+      wide.hierarchies[name] = "suppress";
+      const std::string sep = i == 0 ? "" : ",";
+      header += sep + name;
+      first += sep + "x";
+      second += sep + "y";
+    }
+    csv << header << "\n" << first << "\n" << second << "\n";
+    ASSERT_TRUE(csv.good());
+  }
+  ServiceConfig config;
+  config.num_workers = 1;
+  ServiceCore core(config);
+  Result<JobId> refused = core.Submit(wide);
+  ASSERT_TRUE(refused.ok()) << refused.status().ToString();
+  Result<JobResult> refusal = core.Wait(refused.value());
+  ASSERT_TRUE(refusal.ok());
+  EXPECT_EQ(refusal->status.code(), StatusCode::kResourceExhausted)
+      << refusal->status.ToString();
+  EXPECT_TRUE(refusal->nodes.empty());
+
+  Result<JobId> next = core.Submit(DemoSpec(JobModel::kKAnonymity));
+  ASSERT_TRUE(next.ok());
+  Result<JobResult> served = core.Wait(next.value());
+  ASSERT_TRUE(served.ok());
+  EXPECT_TRUE(served->status.ok()) << served->status.ToString();
+  EXPECT_FALSE(served->nodes.empty());
+  std::remove(path.c_str());
 }
 
 TEST(ServiceCoreTest, ConcurrentSubmitPollCancelFromManyClients) {

@@ -1,12 +1,13 @@
 // Differential and property tests for the group-by substrates
-// (src/freq/substrate.h, DESIGN.md "Group-by substrates"): the columnar
-// radix engine and the flat arena map must be BIT-IDENTICAL to the hash
-// engine — groups, counts, canonical order, MemoryBytes(), search
+// (src/freq/substrate.h, DESIGN.md "Group-by substrates"): the
+// count-or-sort engine and the flat arena map must be BIT-IDENTICAL to the
+// hash engine — groups, counts, canonical order, MemoryBytes(), search
 // survivors, and every deterministic counter — on every fixture, at every
-// thread count. Plus the kAuto decision table, the
+// thread count. Plus the (mode, packed) decision table, the
 // INCOGNITO_SUBSTRATE environment override, the radix/flat kernel units
-// against naive oracles, and the governed scans' byte accounting
-// (drain-to-zero, mid-sort memory trips).
+// and counted scans on both sides of the count rule against naive
+// oracles, and the governed scans' byte accounting (drain-to-zero,
+// count-array and sort-buffer memory trips, cancels).
 
 #include "freq/substrate.h"
 
@@ -41,6 +42,7 @@ namespace {
 
 using testing_util::CodeGroups;
 using testing_util::GroupsOf;
+using testing_util::KeyBits;
 using testing_util::PooledScan;
 
 using testing_util::MakeRandomDataset;
@@ -100,91 +102,70 @@ void ExpectCanonicalOrder(const FrequencySet& fs, const std::string& context) {
 }
 
 // ---------------------------------------------------------------------------
-// The kAuto decision table (pinned: retuning a constant must fail here)
+// The decision table: the mode and whether the key packs pick the engine
 // ---------------------------------------------------------------------------
 
 TEST(SubstrateAutoTest, ExplicitModesIgnoreShape) {
-  // kHash is always the hash map; kRadix is the radix sort whenever keys
-  // pack, and the flat arena map when they do not.
-  for (size_t rows : {size_t{0}, size_t{100}, size_t{1} << 20}) {
-    for (size_t space : {size_t{2}, size_t{1} << 30}) {
-      EXPECT_EQ(ChooseSubstrate(SubstrateMode::kHash, true, rows, space),
-                SubstrateChoice::kHashMap);
-      EXPECT_EQ(ChooseSubstrate(SubstrateMode::kHash, false, rows, space),
-                SubstrateChoice::kHashMap);
-      EXPECT_EQ(ChooseSubstrate(SubstrateMode::kRadix, true, rows, space),
-                SubstrateChoice::kRadixSort);
-      EXPECT_EQ(ChooseSubstrate(SubstrateMode::kRadix, false, rows, space),
-                SubstrateChoice::kFlatMap);
-    }
+  // kHash is always the hash map; kRadix is the count-or-sort kernel
+  // whenever keys pack, and the flat arena map when they do not.
+  EXPECT_EQ(ChooseSubstrate(SubstrateMode::kHash, true),
+            SubstrateChoice::kHashMap);
+  EXPECT_EQ(ChooseSubstrate(SubstrateMode::kHash, false),
+            SubstrateChoice::kHashMap);
+  EXPECT_EQ(ChooseSubstrate(SubstrateMode::kRadix, true),
+            SubstrateChoice::kRadixSort);
+  EXPECT_EQ(ChooseSubstrate(SubstrateMode::kRadix, false),
+            SubstrateChoice::kFlatMap);
+}
+
+TEST(SubstrateAutoTest, DecisionTableOverModeAndPacking) {
+  // kAuto resolves exactly like kRadix; only an explicit kHash reaches the
+  // hash map.
+  struct Row {
+    SubstrateMode mode;
+    bool packed;
+    SubstrateChoice expected;
+  };
+  const Row table[] = {
+      {SubstrateMode::kHash, true, SubstrateChoice::kHashMap},
+      {SubstrateMode::kHash, false, SubstrateChoice::kHashMap},
+      {SubstrateMode::kRadix, true, SubstrateChoice::kRadixSort},
+      {SubstrateMode::kRadix, false, SubstrateChoice::kFlatMap},
+      {SubstrateMode::kAuto, true, SubstrateChoice::kRadixSort},
+      {SubstrateMode::kAuto, false, SubstrateChoice::kFlatMap},
+  };
+  for (const Row& row : table) {
+    EXPECT_EQ(ChooseSubstrate(row.mode, row.packed), row.expected)
+        << SubstrateModeName(row.mode) << " packed=" << row.packed;
   }
 }
 
-TEST(SubstrateAutoTest, TinyTablesStayOnTheHashMap) {
-  const size_t big_space = kAutoMaxHashKeySpace + 1;
-  EXPECT_EQ(ChooseSubstrate(SubstrateMode::kAuto, true, 0, big_space),
-            SubstrateChoice::kHashMap);
-  EXPECT_EQ(ChooseSubstrate(SubstrateMode::kAuto, true,
-                            kAutoMinRadixRows - 1, big_space),
-            SubstrateChoice::kHashMap);
-  EXPECT_EQ(ChooseSubstrate(SubstrateMode::kAuto, true, kAutoMinRadixRows,
-                            big_space),
-            SubstrateChoice::kRadixSort);
-}
-
-TEST(SubstrateAutoTest, TinyKeySpacesStayOnTheHashMap) {
-  const size_t rows = kAutoMinRadixRows * 4;
-  EXPECT_EQ(ChooseSubstrate(SubstrateMode::kAuto, true, rows,
-                            kAutoMaxHashKeySpace),
-            SubstrateChoice::kHashMap);
-  EXPECT_EQ(ChooseSubstrate(SubstrateMode::kAuto, true, rows,
-                            kAutoMaxHashKeySpace + 1),
-            SubstrateChoice::kRadixSort);
-}
-
-TEST(SubstrateAutoTest, WideKeysFallBackToTheFlatMap) {
-  EXPECT_EQ(ChooseSubstrate(SubstrateMode::kAuto, false,
-                            kAutoMinRadixRows * 4, size_t{1} << 30),
-            SubstrateChoice::kFlatMap);
-  // The tiny-table rule still wins for unpacked keys.
-  EXPECT_EQ(ChooseSubstrate(SubstrateMode::kAuto, false, 10, size_t{1} << 30),
-            SubstrateChoice::kHashMap);
-}
-
-TEST(SubstrateAutoTest, EstimateKeySpaceIsSaturatingProduct) {
-  EXPECT_EQ(EstimateKeySpace({}), 1u);
-  EXPECT_EQ(EstimateKeySpace({4, 2, 5}), 40u);
-  EXPECT_EQ(EstimateKeySpace({1, 1, 1}), 1u);
-  // Saturates instead of wrapping: ten 2^20 domains overflow size_t math
-  // on 32-bit size_t and get close on 64-bit; the estimate must stay huge.
-  std::vector<size_t> huge(10, size_t{1} << 20);
-  EXPECT_GT(EstimateKeySpace(huge), size_t{1} << 60);
-}
-
 TEST(SubstrateAutoTest, EnvironmentOverrideSteersAutoOnly) {
-  const size_t rows = kAutoMinRadixRows * 4;
-  const size_t space = kAutoMaxHashKeySpace + 1;
-  // Baseline: with no override, the shape decides.
+  // Baseline: with no override, packing decides.
   ScopedSubstrateEnv env(nullptr);
-  EXPECT_EQ(ResolveSubstrate(SubstrateMode::kAuto, true, rows, space),
+  EXPECT_EQ(ResolveSubstrate(SubstrateMode::kAuto, true),
             SubstrateChoice::kRadixSort);
+  EXPECT_EQ(ResolveSubstrate(SubstrateMode::kAuto, false),
+            SubstrateChoice::kFlatMap);
 
   env.Set("hash");
-  EXPECT_EQ(ResolveSubstrate(SubstrateMode::kAuto, true, rows, space),
+  EXPECT_EQ(ResolveSubstrate(SubstrateMode::kAuto, true),
+            SubstrateChoice::kHashMap);
+  EXPECT_EQ(ResolveSubstrate(SubstrateMode::kAuto, false),
             SubstrateChoice::kHashMap);
   // Explicit modes always win over the environment.
-  EXPECT_EQ(ResolveSubstrate(SubstrateMode::kRadix, true, rows, space),
+  EXPECT_EQ(ResolveSubstrate(SubstrateMode::kRadix, true),
             SubstrateChoice::kRadixSort);
 
   env.Set("radix");
-  EXPECT_EQ(ResolveSubstrate(SubstrateMode::kAuto, true, 10, 2),
+  EXPECT_EQ(ResolveSubstrate(SubstrateMode::kAuto, true),
             SubstrateChoice::kRadixSort);
-  EXPECT_EQ(ResolveSubstrate(SubstrateMode::kHash, true, rows, space),
+  EXPECT_EQ(ResolveSubstrate(SubstrateMode::kHash, true),
             SubstrateChoice::kHashMap);
 
   // Unknown values are ignored, not an error.
   env.Set("bogus");
-  EXPECT_EQ(ResolveSubstrate(SubstrateMode::kAuto, true, rows, space),
+  EXPECT_EQ(ResolveSubstrate(SubstrateMode::kAuto, true),
             SubstrateChoice::kRadixSort);
 }
 
@@ -361,6 +342,177 @@ TEST(FlatCodeMapTest, MemoryBytesGrowsMonotonically) {
 }
 
 // ---------------------------------------------------------------------------
+// Counted scans: both sides of the count rule against a std::map oracle
+// ---------------------------------------------------------------------------
+
+/// ComputeBatch's count rule for a packed scan: the node is counted in a
+/// key-indexed array when its key space is at most twice the rows each
+/// worker counts (rows / workers, every row when serial), and sorted
+/// otherwise.
+bool ScanCountsDensely(const QuasiIdentifier& qid, const SubsetNode& node,
+                       size_t rows, size_t workers) {
+  const size_t bits = KeyBits(qid, node);
+  return bits < 64 && (uint64_t{1} << bits) <= 2 * (rows / workers);
+}
+
+/// The naive GROUP BY: each generalized code vector's row count, in
+/// std::map (canonical) order.
+CodeGroups MapOracle(const Table& table, const QuasiIdentifier& qid,
+                     const SubsetNode& node) {
+  std::map<std::vector<int32_t>, int64_t> groups;
+  std::vector<int32_t> codes(node.size());
+  for (size_t r = 0; r < table.num_rows(); ++r) {
+    for (size_t i = 0; i < node.size(); ++i) {
+      const size_t d = static_cast<size_t>(node.dims[i]);
+      const auto& map = qid.hierarchy(d).BaseToLevelMap(
+          static_cast<size_t>(node.levels[i]));
+      codes[i] = map[static_cast<size_t>(table.ColumnCodes(qid.column(d))[r])];
+    }
+    ++groups[codes];
+  }
+  return CodeGroups(groups.begin(), groups.end());
+}
+
+/// A scan equals the oracle group for group, in order, and has the exact
+/// footprint of a scan pinned to the hash engine.
+void ExpectMatchesOracle(const Table& table, const QuasiIdentifier& qid,
+                         const FrequencySet& fs, const std::string& context) {
+  EXPECT_EQ(GroupsOf(fs), MapOracle(table, qid, fs.node())) << context;
+  EXPECT_EQ(fs.TotalCount(), static_cast<int64_t>(table.num_rows()))
+      << context;
+  EXPECT_EQ(fs.MemoryBytes(),
+            FrequencySet::Compute(table, qid, fs.node(), SubstrateMode::kHash)
+                .MemoryBytes())
+      << context;
+}
+
+TEST(CountedScanTest, CountsSeriallyAndPooledAtEveryThreadCount) {
+  AdultsOptions adults;
+  adults.num_rows = 5000;
+  Result<SyntheticDataset> data = MakeAdultsDataset(adults);
+  ASSERT_TRUE(data.ok());
+  const SubsetNode node({0, 2}, {0, 0});  // Age x Race: 10 bits
+  for (int threads : {1, 2, 4, 8}) {
+    ASSERT_TRUE(ScanCountsDensely(data->qid, node, 5000,
+                                  static_cast<size_t>(threads)));
+    WorkerPool pool(threads);
+    ExpectMatchesOracle(data->table, data->qid,
+                        PooledScan(data->table, data->qid, node, pool,
+                                   nullptr, SubstrateMode::kRadix),
+                        "threads=" + std::to_string(threads));
+  }
+}
+
+TEST(CountedScanTest, CountsAtTwiceTheRowsAndSortsOneRowBelow) {
+  // Two attributes over 4-value base domains: a 4-bit key of 16 slots,
+  // which counts once each worker has 8 rows.
+  testing_util::RandomDatasetOptions opts;
+  opts.num_attrs = 2;
+  opts.min_domain = 4;
+  opts.max_domain = 4;
+  const SubsetNode node({0, 1}, {0, 0});
+  for (size_t workers : {1u, 2u}) {
+    for (size_t rows : {8 * workers, 8 * workers - 1}) {
+      Rng rng(91);
+      opts.num_rows = rows;
+      RandomDataset ds = MakeRandomDataset(rng, opts);
+      ASSERT_EQ(KeyBits(ds.qid, node), 4u);
+      EXPECT_EQ(ScanCountsDensely(ds.qid, node, rows, workers),
+                rows == 8 * workers);
+      WorkerPool pool(static_cast<int>(workers));
+      ExpectMatchesOracle(ds.table, ds.qid,
+                          PooledScan(ds.table, ds.qid, node, pool, nullptr,
+                                     SubstrateMode::kRadix),
+                          "workers=" + std::to_string(workers) +
+                              " rows=" + std::to_string(rows));
+    }
+  }
+}
+
+TEST(CountedScanTest, AllTopLevelKeyCountsIntoOneSlot) {
+  AdultsOptions adults;
+  adults.num_rows = 5000;
+  Result<SyntheticDataset> data = MakeAdultsDataset(adults);
+  ASSERT_TRUE(data.ok());
+  const std::vector<int32_t> top = data->qid.MaxLevels();
+  const SubsetNode node({0, 1, 2}, {top[0], top[1], top[2]});
+  ASSERT_EQ(KeyBits(data->qid, node), 0u);
+  for (int threads : {1, 4}) {
+    ASSERT_TRUE(ScanCountsDensely(data->qid, node, 5000,
+                                  static_cast<size_t>(threads)));
+    WorkerPool pool(threads);
+    FrequencySet fs = PooledScan(data->table, data->qid, node, pool, nullptr,
+                                 SubstrateMode::kRadix);
+    ASSERT_EQ(fs.NumGroups(), 1u);
+    EXPECT_EQ(fs.MinCount(), 5000);
+    ExpectMatchesOracle(data->table, data->qid, fs,
+                        "threads=" + std::to_string(threads));
+  }
+}
+
+TEST(CountedScanTest, EmptyTablesAndWorkersWithoutRowsSort) {
+  // No row to count, or fewer rows than workers: even the one-slot key
+  // sorts, and the result matches the oracle and the hash footprint.
+  struct Case {
+    size_t rows;
+    int threads;
+  };
+  for (const Case& c : {Case{0, 1}, Case{0, 8}, Case{3, 8}}) {
+    Rng rng(93);
+    testing_util::RandomDatasetOptions opts;
+    opts.num_rows = c.rows;
+    RandomDataset ds = MakeRandomDataset(rng, opts);
+    const std::vector<int32_t> top = ds.qid.MaxLevels();
+    const SubsetNode base({0, 1, 2}, {0, 0, 0});
+    const SubsetNode apex({0, 1, 2}, {top[0], top[1], top[2]});
+    ASSERT_EQ(KeyBits(ds.qid, apex), 0u);
+    WorkerPool pool(c.threads);
+    for (const SubsetNode& node : {base, apex}) {
+      const std::string context = node.ToString() +
+                                  " rows=" + std::to_string(c.rows) +
+                                  " threads=" + std::to_string(c.threads);
+      ASSERT_FALSE(ScanCountsDensely(ds.qid, node, c.rows,
+                                     static_cast<size_t>(c.threads)))
+          << context;
+      ExpectMatchesOracle(ds.table, ds.qid,
+                          PooledScan(ds.table, ds.qid, node, pool, nullptr,
+                                     SubstrateMode::kRadix),
+                          context);
+    }
+  }
+}
+
+TEST(CountedScanTest, OneBatchMixesCountedAndSortedNodes) {
+  AdultsOptions adults;
+  adults.num_rows = 5000;
+  Result<SyntheticDataset> data = MakeAdultsDataset(adults);
+  ASSERT_TRUE(data.ok());
+  const std::vector<SubsetNode> batch = {
+      SubsetNode({0, 1, 2}, {0, 0, 0}), SubsetNode({0, 3, 4}, {0, 0, 0}),
+      SubsetNode({0, 1, 2}, {4, 1, 1}), SubsetNode({0, 3, 4}, {1, 0, 0})};
+  for (int threads : {1, 2, 4, 8}) {
+    bool counts = false;
+    bool sorts = false;
+    for (const SubsetNode& node : batch) {
+      const bool dense = ScanCountsDensely(data->qid, node, 5000,
+                                           static_cast<size_t>(threads));
+      counts = counts || dense;
+      sorts = sorts || !dense;
+    }
+    ASSERT_TRUE(counts && sorts) << "threads=" << threads;
+    WorkerPool pool(threads);
+    std::vector<FrequencySet> sets = FrequencySet::ComputeBatch(
+        data->table, data->qid, batch, &pool, nullptr, SubstrateMode::kRadix);
+    ASSERT_EQ(sets.size(), batch.size());
+    for (const FrequencySet& fs : sets) {
+      ExpectMatchesOracle(data->table, data->qid, fs,
+                          fs.node().ToString() +
+                              " threads=" + std::to_string(threads));
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Differential: Compute / pooled ComputeBatch / ProjectTo
 // ---------------------------------------------------------------------------
 
@@ -391,16 +543,16 @@ TEST(SubstrateDifferentialTest, ComputeMatchesOnPatients) {
 }
 
 TEST(SubstrateDifferentialTest, ComputeMatchesOnAdultsAboveRadixThreshold) {
-  // 5000 rows clears kAutoMinRadixRows, so kAuto genuinely runs radix for
-  // nodes whose key space exceeds kAutoMaxHashKeySpace.
+  // At 5000 rows these nodes fall on both sides of the count rule: keys of
+  // up to 13 bits count, wider ones sort.
   AdultsOptions adults;
   adults.num_rows = 5000;
   Result<SyntheticDataset> data = MakeAdultsDataset(adults);
   ASSERT_TRUE(data.ok());
   const std::vector<SubsetNode> nodes = {
-      SubsetNode({0, 1, 2}, {0, 0, 0}),  // Age x Gender x Race: space 740
+      SubsetNode({0, 1, 2}, {0, 0, 0}),  // Age x Gender x Race: 11 bits
       SubsetNode({0, 3, 4}, {1, 0, 0}),  // mixed levels
-      SubsetNode({0}, {0}),              // Age alone: space 74 -> hash
+      SubsetNode({0}, {0}),              // Age alone: 7 bits
       SubsetNode({0, 1, 2, 3, 4, 5}, {0, 0, 0, 0, 0, 0}),
       SubsetNode({0, 1, 2}, {4, 1, 1})};  // apex-ish
   for (const SubsetNode& node : nodes) {
@@ -453,30 +605,11 @@ TEST(SubstrateDifferentialTest, ComputeMatchesMapOracleOnRandomTables) {
           rng.Uniform(ds.qid.hierarchy(i).height() + 1));
     }
     SubsetNode node(dims, levels);
-
-    std::map<std::vector<int32_t>, int64_t> oracle;
-    std::vector<int32_t> codes(n);
-    for (size_t r = 0; r < ds.table.num_rows(); ++r) {
-      for (size_t i = 0; i < n; ++i) {
-        const auto& map = ds.qid.hierarchy(i).BaseToLevelMap(
-            static_cast<size_t>(levels[i]));
-        codes[i] = map[static_cast<size_t>(
-            ds.table.ColumnCodes(ds.qid.column(i))[r])];
-      }
-      ++oracle[codes];
-    }
-
+    const CodeGroups oracle = MapOracle(ds.table, ds.qid, node);
     for (SubstrateMode mode : kModes) {
       FrequencySet fs = FrequencySet::Compute(ds.table, ds.qid, node, mode);
-      CodeGroups groups = GroupsOf(fs);
-      ASSERT_EQ(groups.size(), oracle.size())
+      EXPECT_EQ(GroupsOf(fs), oracle)
           << "trial " << trial << " " << SubstrateModeName(mode);
-      size_t i = 0;
-      for (const auto& [key, count] : oracle) {
-        EXPECT_EQ(groups[i].first, key) << "trial " << trial;
-        EXPECT_EQ(groups[i].second, count) << "trial " << trial;
-        ++i;
-      }
     }
   }
 }
@@ -524,8 +657,8 @@ TEST(SubstrateDifferentialTest, PooledScanMatchesOnWideKeys) {
 }
 
 TEST(SubstrateDifferentialTest, ComputeBatchMatchesPerNodeCompute) {
-  // Same dims at different levels have different key spaces, so under
-  // kAuto one batch genuinely mixes engines.
+  // Same dims at different levels have different key spaces, so one batch
+  // mixes counted and sorted nodes.
   AdultsOptions adults;
   adults.num_rows = 5000;
   Result<SyntheticDataset> data = MakeAdultsDataset(adults);
@@ -661,7 +794,7 @@ void ExpectSameSearch(const IncognitoResult& expected,
 
 TEST(SubstrateSearchTest, EveryVariantAndThreadCountIsBitIdentical) {
   AdultsOptions adults;
-  adults.num_rows = 5000;  // above kAutoMinRadixRows: kAuto engages radix
+  adults.num_rows = 5000;  // scans on both sides of the count rule
   Result<SyntheticDataset> data = MakeAdultsDataset(adults);
   ASSERT_TRUE(data.ok());
   QuasiIdentifier qid = data->qid.Prefix(3);
@@ -778,10 +911,11 @@ TEST(SubstrateSearchTest, ContextSubstrateOverridesOptions) {
   EXPECT_EQ(delta.counters["freq.substrate_hash"], 0);
 }
 
-TEST(SubstrateSearchTest, AutoPrefersHashOnTinyTables) {
-  // 60 rows is far below kAutoMinRadixRows: kAuto must never pick radix.
-  // Pin the environment so the test exercises the true kAuto default even
-  // when the runner sweeps INCOGNITO_SUBSTRATE.
+TEST(SubstrateSearchTest, AutoNeverReachesTheHashMapOnTinyTables) {
+  // Even at 60 rows kAuto builds every set on the count-or-sort kernel; the
+  // hash map runs only when asked for. Pin the environment so the test
+  // exercises the true kAuto default even when the runner sweeps
+  // INCOGNITO_SUBSTRATE.
   ScopedSubstrateEnv env(nullptr);
   Rng rng(404);
   RandomDataset data = MakeRandomDataset(rng);
@@ -795,8 +929,8 @@ TEST(SubstrateSearchTest, AutoPrefersHashOnTinyTables) {
   obs::MetricsSnapshot delta =
       obs::MetricsSnapshot::Take(obs::CounterRegistry::Global())
           .DeltaSince(before);
-  EXPECT_EQ(delta.counters["freq.substrate_radix"], 0);
-  EXPECT_GT(delta.counters["freq.substrate_hash"], 0);
+  EXPECT_GT(delta.counters["freq.substrate_radix"], 0);
+  EXPECT_EQ(delta.counters["freq.substrate_hash"], 0);
 }
 #endif  // !INCOGNITO_OBS_DISABLED
 
@@ -835,7 +969,8 @@ TEST(SubstrateGovernedTest, RadixBufferChargeTripsTinyBudgets) {
   adults.num_rows = 5000;
   Result<SyntheticDataset> data = MakeAdultsDataset(adults);
   ASSERT_TRUE(data.ok());
-  SubsetNode node({0, 1, 2}, {0, 0, 0});
+  SubsetNode node({0, 3, 4}, {0, 0, 0});  // 14 bits against 1250-row chunks
+  ASSERT_FALSE(ScanCountsDensely(data->qid, node, 5000, 4));
   ExecutionGovernor governor;
   governor.SetMemoryLimitBytes(1024);  // << 2 * chunk_rows * 8 bytes
   WorkerPool pool(4);
@@ -855,7 +990,8 @@ TEST(SubstrateGovernedTest, MidSortCancelAbandonsTheSortCleanly) {
   adults.num_rows = 5000;
   Result<SyntheticDataset> data = MakeAdultsDataset(adults);
   ASSERT_TRUE(data.ok());
-  SubsetNode node({0, 1, 2}, {0, 0, 0});
+  SubsetNode node({0, 3, 4}, {0, 0, 0});
+  ASSERT_FALSE(ScanCountsDensely(data->qid, node, 5000, 4));
   CancelToken token;
   ExecutionGovernor governor;
   governor.SetCancelToken(&token);
@@ -868,14 +1004,61 @@ TEST(SubstrateGovernedTest, MidSortCancelAbandonsTheSortCleanly) {
   EXPECT_EQ(governor.memory().used(), 0);
 }
 
+TEST(SubstrateGovernedTest, CountArrayChargeTripsBudgetsBelowOneArray) {
+  // Each worker charges its count array before allocating it; a budget
+  // below one array trips there and drains with nothing leaked.
+  AdultsOptions adults;
+  adults.num_rows = 5000;
+  Result<SyntheticDataset> data = MakeAdultsDataset(adults);
+  ASSERT_TRUE(data.ok());
+  SubsetNode node({0, 2}, {0, 0});
+  ASSERT_TRUE(ScanCountsDensely(data->qid, node, 5000, 4));
+  const int64_t array_bytes = static_cast<int64_t>(
+      (size_t{1} << KeyBits(data->qid, node)) * sizeof(int64_t));
+  ExecutionGovernor governor;
+  governor.SetMemoryLimitBytes(array_bytes / 2);
+  WorkerPool pool(4);
+  FrequencySet tripped = PooledScan(data->table, data->qid, node, pool,
+                                    &governor, SubstrateMode::kRadix);
+  EXPECT_EQ(tripped.NumGroups(), 0u);
+  EXPECT_EQ(governor.SharedTrip().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(governor.memory().used(), 0);
+}
+
+TEST(SubstrateGovernedTest, CancelBeforeACountedScanReturnsEmptyAndBalanced) {
+  AdultsOptions adults;
+  adults.num_rows = 5000;
+  Result<SyntheticDataset> data = MakeAdultsDataset(adults);
+  ASSERT_TRUE(data.ok());
+  const std::vector<SubsetNode> batch = {SubsetNode({0, 2}, {0, 0}),
+                                         SubsetNode({0, 1, 2}, {4, 1, 1})};
+  for (const SubsetNode& node : batch) {
+    ASSERT_TRUE(ScanCountsDensely(data->qid, node, 5000, 4));
+  }
+  CancelToken token;
+  ExecutionGovernor governor;
+  governor.SetMemoryLimitBytes(int64_t{1} << 30);
+  governor.SetCancelToken(&token);
+  token.Cancel();
+  WorkerPool pool(4);
+  std::vector<FrequencySet> sets = FrequencySet::ComputeBatch(
+      data->table, data->qid, batch, &pool, &governor, SubstrateMode::kRadix);
+  ASSERT_EQ(sets.size(), batch.size());
+  for (const FrequencySet& fs : sets) EXPECT_EQ(fs.NumGroups(), 0u);
+  EXPECT_EQ(governor.SharedTrip().code(), StatusCode::kCancelled);
+  EXPECT_EQ(governor.memory().used(), 0);
+}
+
 TEST(SubstrateGovernedTest, GovernedBatchDrainsToZeroOnEverySubstrate) {
   AdultsOptions adults;
   adults.num_rows = 5000;
   Result<SyntheticDataset> data = MakeAdultsDataset(adults);
   ASSERT_TRUE(data.ok());
+  // Counted and sorted nodes side by side (the last one sorts).
   const std::vector<SubsetNode> batch = {SubsetNode({0, 1, 2}, {0, 0, 0}),
                                          SubsetNode({0, 1, 2}, {1, 0, 0}),
-                                         SubsetNode({0, 1, 2}, {4, 1, 1})};
+                                         SubsetNode({0, 1, 2}, {4, 1, 1}),
+                                         SubsetNode({0, 3, 4}, {0, 0, 0})};
   for (SubstrateMode mode : kModes) {
     ExecutionGovernor governor;
     governor.SetMemoryLimitBytes(int64_t{1} << 30);

@@ -180,6 +180,16 @@ inline FrequencySet PooledScan(const Table& table, const QuasiIdentifier& qid,
           .front());
 }
 
+/// Bit width of `node`'s key; over 64 means the vector-key fallback.
+inline size_t KeyBits(const QuasiIdentifier& qid, const SubsetNode& node) {
+  std::vector<size_t> cards;
+  for (size_t i = 0; i < node.size(); ++i) {
+    cards.push_back(qid.hierarchy(static_cast<size_t>(node.dims[i]))
+                        .DomainSize(static_cast<size_t>(node.levels[i])));
+  }
+  return KeyCodec::Create(cards).total_bits();
+}
+
 /// A frequency set's groups as (codes, count), in the order ForEachGroup
 /// visits them.
 using CodeGroups = std::vector<std::pair<std::vector<int32_t>, int64_t>>;

@@ -50,11 +50,11 @@
 //                    (subset, level) batch; see docs/PARALLELISM.md
 //                    "Scan-sharing batch evaluation"). Results are
 //                    identical either way; this is an ablation switch.
-//   --substrate=S    group-by engine for every frequency-set build: hash
-//                    (per-row map probes), radix (columnar radix sort),
-//                    or auto (default; per-build choice by key shape —
-//                    see DESIGN.md "Group-by substrates"). All modes
-//                    produce bit-identical results.
+//   --substrate=S    group-by engine for every frequency-set build: auto
+//                    (default) and radix run the same count-or-sort
+//                    kernel; hash pins the per-row map-probe reference
+//                    engine (see DESIGN.md "Group-by substrates"). All
+//                    modes produce bit-identical results.
 //
 // Resource governance (check, enumerate, anonymize, models):
 //   --deadline-ms=N       stop the search after N milliseconds

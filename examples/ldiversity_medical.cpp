@@ -14,7 +14,6 @@
 #include "core/ldiversity.h"
 #include "core/minimality.h"
 #include "data/patients.h"
-#include "freq/sensitive_frequency_set.h"
 #include "hierarchy/builders.h"
 
 using namespace incognito;
@@ -79,14 +78,22 @@ int main() {
   printf("Minimal 4-anonymous generalization: %s\n",
          kmin.ToString(&clinic->qid).c_str());
 
-  // Inspect its groups: the 53715 group is homogeneous.
-  size_t diag_col =
-      static_cast<size_t>(clinic->table.schema().FindColumn("Diagnosis"));
-  SensitiveFrequencySet fs = SensitiveFrequencySet::Compute(
-      clinic->table, clinic->qid, kmin, diag_col);
+  // 4-anonymity plus distinct 3-diversity on Diagnosis.
+  LDiversityConfig lconfig;
+  lconfig.k = 4;
+  lconfig.l = 3;
+  lconfig.sensitive_attribute = "Diagnosis";
+
+  // Inspect the 4-anonymous classes: the 53715 class is homogeneous. Each
+  // class's groups over (Age, Zipcode, Diagnosis) give its size and its
+  // distinct diagnoses.
+  Result<DiversityKey> key =
+      DiversityKey::Create(clinic->table, clinic->qid, lconfig);
+  if (!key.ok()) return 1;
   printf("Its equivalence classes (count / distinct diagnoses):\n");
-  fs.ForEachGroup([&](const int32_t* codes, int64_t count,
-                      int64_t distinct) {
+  DiversityKey::ForEachClass(key->Compute(clinic->table, kmin),
+                             [&](const int32_t* codes, int64_t count,
+                                 int64_t distinct) {
     printf("  class [");
     for (size_t i = 0; i < clinic->qid.size(); ++i) {
       if (i > 0) printf(", ");
@@ -102,10 +109,6 @@ int main() {
   });
 
   // Now demand distinct 3-diversity as well.
-  LDiversityConfig lconfig;
-  lconfig.k = 4;
-  lconfig.l = 3;
-  lconfig.sensitive_attribute = "Diagnosis";
   PartialResult<LDiversityResult> diverse =
       RunLDiversityIncognito(clinic->table, clinic->qid, lconfig);
   if (!diverse.ok()) {
@@ -121,12 +124,11 @@ int main() {
   }
   if (!diverse->diverse_nodes.empty()) {
     SubsetNode lmin = MinimalByHeight(diverse->diverse_nodes).front();
-    SensitiveFrequencySet lfs = SensitiveFrequencySet::Compute(
-        clinic->table, clinic->qid, lmin, diag_col);
     printf("Minimal choice %s classes:\n",
            lmin.ToString(&clinic->qid).c_str());
-    lfs.ForEachGroup([&](const int32_t* codes, int64_t count,
-                         int64_t distinct) {
+    DiversityKey::ForEachClass(key->Compute(clinic->table, lmin),
+                               [&](const int32_t* codes, int64_t count,
+                                   int64_t distinct) {
       (void)codes;
       printf("  %lld tuples, %lld distinct diagnoses\n",
              static_cast<long long>(count), static_cast<long long>(distinct));

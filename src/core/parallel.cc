@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cassert>
 #include <climits>
 #include <condition_variable>
 #include <cstdint>
@@ -39,8 +40,9 @@ uint64_t LowestBit(uint64_t mask) { return mask & (~mask + 1); }
 
 /// What every walk of one run shares: the problem, the Cube Incognito cube
 /// (null for the other variants), the governor every shard leases from
-/// (never null — a private unlimited one when the run is ungoverned), and
-/// per worker one GovernorShard and one private stats object.
+/// (never null — a private unlimited one when the run is ungoverned), per
+/// worker one GovernorShard and one private stats object, and for
+/// ℓ-diversity the key QID (null for k-anonymity) and ℓ.
 struct SearchRun {
   const Table& table;
   const QuasiIdentifier& qid;
@@ -50,6 +52,8 @@ struct SearchRun {
   ExecutionGovernor* governor;
   std::vector<std::unique_ptr<GovernorShard>>& shards;
   std::vector<AlgorithmStats>& worker_stats;
+  const QuasiIdentifier* key_qid;
+  int64_t l;
 };
 
 /// The Incognito lattice walk over one candidate graph: the modified
@@ -66,20 +70,25 @@ struct SearchRun {
 /// itself. Without one, the walk stays inline on worker `worker` and
 /// charges only that worker's shard: a subset task, whose siblings keep the
 /// rest of the pool busy.
+///
+/// Under ℓ-diversity every frequency set is built over the key QID, for
+/// the candidate node with the sensitive dimension appended (SetNode).
 class LatticeWalk {
  public:
   LatticeWalk(const SearchRun& run, WorkerPool* pool, int worker)
       : run_(run),
         options_(run.options),
+        set_qid_(run.key_qid != nullptr ? *run.key_qid : run.qid),
         pool_(pool),
         worker_(worker),
         own_(Shard(worker)),
         stats_(run.worker_stats[static_cast<size_t>(worker)]) {}
 
-  /// failed[id] == true iff T was checked and found NOT k-anonymous w.r.t.
-  /// node id; every other node is k-anonymous (checked, marked, or
-  /// implied) — exactly the deletion set for S_i. A budget trip aborts the
-  /// walk and returns the trip status, with every charged byte released.
+  /// failed[id] == true iff T was checked and found NOT to satisfy the
+  /// criterion w.r.t. node id; every other node satisfies it (checked,
+  /// marked, or implied) — exactly the deletion set for S_i. A budget trip
+  /// aborts the walk and returns the trip status, with every charged byte
+  /// released.
   Result<std::vector<bool>> Run(const CandidateGraph& graph) {
     INCOGNITO_SPAN("incognito.graph_search");
     const size_t n = graph.num_nodes();
@@ -91,7 +100,8 @@ class LatticeWalk {
     // roll up from. Written only in Phase B; Phase A only reads it.
     std::unordered_map<int64_t, StoredSet> stored;
     std::unordered_map<int64_t, int64_t> pending_uses;
-    // Super-roots: each multi-root family's super-root set, by dims.
+    // Super-roots: each multi-root family's super-root set, by the dims of
+    // its SetNode.
     std::map<std::vector<int32_t>, RetainedSet> families;
     // Sets pre-built by the shared scans, by node id. A worker that takes
     // one zeroes its bytes; Phase B erases it. Front entries for higher
@@ -148,9 +158,10 @@ class LatticeWalk {
             super.levels[i] = std::min(super.levels[i], row.pairs[i].index);
           }
         }
+        super = SetNode(std::move(super));
         ++stats_.table_scans;
         FrequencySet set = std::move(
-            FrequencySet::ComputeBatch(run_.table, run_.qid, {super}, pool_,
+            FrequencySet::ComputeBatch(run_.table, set_qid_, {super}, pool_,
                                        run_.governor, options_.substrate)
                 .front());
         stats_.freq_groups_built += static_cast<int64_t>(set.NumGroups());
@@ -161,7 +172,7 @@ class LatticeWalk {
           release_all();
           return charged;
         }
-        families.emplace(dims, RetainedSet{std::move(set), bytes});
+        families.emplace(super.dims, RetainedSet{std::move(set), bytes});
       }
     }
 
@@ -176,7 +187,7 @@ class LatticeWalk {
       std::map<std::vector<int32_t>, std::vector<int64_t>> groups;
       for (int64_t id : list) {
         if (marked[static_cast<size_t>(id)] || batch.count(id) != 0) continue;
-        SubsetNode node = graph.node(id).ToSubsetNode();
+        SubsetNode node = SetNode(graph.node(id).ToSubsetNode());
         bool scan = true;
         if (options_.use_rollup) {
           for (int64_t spec : graph.InEdges(id)) {
@@ -193,12 +204,14 @@ class LatticeWalk {
         (void)dims;
         std::vector<SubsetNode> nodes;
         nodes.reserve(group.size());
-        for (int64_t id : group) nodes.push_back(graph.node(id).ToSubsetNode());
+        for (int64_t id : group) {
+          nodes.push_back(SetNode(graph.node(id).ToSubsetNode()));
+        }
         ++stats_.table_scans;
         stats_.batched_scan_nodes += static_cast<int64_t>(group.size());
         Stopwatch timer;
         std::vector<FrequencySet> sets = FrequencySet::ComputeBatch(
-            run_.table, run_.qid, nodes, pool_, run_.governor,
+            run_.table, set_qid_, nodes, pool_, run_.governor,
             options_.substrate);
         stats_.batch_scan_seconds += timer.ElapsedSeconds();
         Status status = own_.Check();
@@ -299,7 +312,11 @@ class LatticeWalk {
           {
             INCOGNITO_PHASE_TIMER("phase.kcheck_seconds");
             anonymous =
-                freq.IsKAnonymous(run_.config.k, run_.config.max_suppressed);
+                run_.key_qid == nullptr
+                    ? freq.IsKAnonymous(run_.config.k,
+                                        run_.config.max_suppressed)
+                    : freq.TuplesViolatingDiversity(run_.config.k, run_.l) <=
+                          run_.config.max_suppressed;
           }
           if (anonymous) {
             shard.ReleaseMemory(bytes);
@@ -380,6 +397,17 @@ class LatticeWalk {
     return *run_.shards[static_cast<size_t>(w)];
   }
 
+  /// The node a candidate's frequency set is built for: the candidate
+  /// itself, or under ℓ-diversity the candidate with the sensitive
+  /// dimension (the key QID's last) appended at level 0.
+  SubsetNode SetNode(SubsetNode node) const {
+    if (run_.key_qid != nullptr) {
+      node.dims.push_back(static_cast<int32_t>(run_.qid.size()));
+      node.levels.push_back(0);
+    }
+    return node;
+  }
+
   // Retained sets are charged to the walk's own shard when it runs inline,
   // and to the governor when pooled, because then any worker may take (and
   // un-charge) a shared-scan output.
@@ -403,7 +431,7 @@ class LatticeWalk {
       const std::unordered_map<int64_t, StoredSet>& stored,
       const std::map<std::vector<int32_t>, RetainedSet>& families,
       AlgorithmStats* wstats) const {
-    const SubsetNode node = graph.node(id).ToSubsetNode();
+    const SubsetNode node = SetNode(graph.node(id).ToSubsetNode());
     if (options_.use_rollup) {
       for (int64_t spec : graph.InEdges(id)) {
         auto it = stored.find(spec);
@@ -415,7 +443,7 @@ class LatticeWalk {
             run_.governor->LatchInjectedFailure("incognito.rollup");
           }
           ++wstats->rollups;
-          return it->second.freq.RollupTo(node, run_.qid);
+          return it->second.freq.RollupTo(node, set_qid_);
         }
       }
     }
@@ -426,10 +454,10 @@ class LatticeWalk {
     auto family = families.find(node.dims);
     if (family != families.end()) {
       ++wstats->rollups;
-      return family->second.freq.RollupTo(node, run_.qid);
+      return family->second.freq.RollupTo(node, set_qid_);
     }
     ++wstats->table_scans;
-    return FrequencySet::Compute(run_.table, run_.qid, node,
+    return FrequencySet::Compute(run_.table, set_qid_, node,
                                  options_.substrate);
   }
 
@@ -449,6 +477,7 @@ class LatticeWalk {
 
   const SearchRun& run_;
   const IncognitoOptions& options_;
+  const QuasiIdentifier& set_qid_;  // every frequency set's QID
   WorkerPool* pool_;     // null: inline on worker_
   int worker_;           // the calling thread's worker id
   GovernorShard& own_;   // worker_'s shard
@@ -484,7 +513,10 @@ PartialResult<IncognitoResult> RunSubsetDag(
     const Table& table, const QuasiIdentifier& qid,
     const AnonymizationConfig& config, const IncognitoOptions& options,
     ExecutionGovernor* external, int num_threads,
-    const CheckpointPolicy* checkpoint_policy) {
+    const CheckpointPolicy* checkpoint_policy, const QuasiIdentifier* key_qid,
+    int64_t l) {
+  assert(key_qid == nullptr || (options.variant != IncognitoVariant::kCube &&
+                                checkpoint_policy == nullptr));
   INCOGNITO_SPAN("incognito.run");
   INCOGNITO_COUNT("incognito.runs");
   Stopwatch total_timer;
@@ -681,8 +713,8 @@ PartialResult<IncognitoResult> RunSubsetDag(
     result.stats.freq_groups_built += static_cast<int64_t>(info.total_groups);
     if (governor->Tripped()) return stop_early(governor->TripStatus());
   }
-  const SearchRun run{table,    qid,      config, options, cube_ptr,
-                      governor, shards,   worker_stats};
+  const SearchRun run{table,    qid,    config,       options, cube_ptr,
+                      governor, shards, worker_stats, key_qid, l};
 
   // ---- Subset DAG: every proper subset, dependency-counted --------------
   // Ready tasks run in ascending (size, mask) order: small subsets first,

@@ -28,6 +28,16 @@ namespace incognito {
 /// governor runs ungoverned: the workers still lease from a private
 /// unlimited governor, so the accounting is exercised identically.
 ///
+/// The walk's criterion is k-anonymity with config's suppression budget.
+/// With a non-null `key_qid` it is distinct (k, ℓ)-diversity instead
+/// (RunLDiversityIncognito, core/ldiversity.h): `key_qid` holds qid's
+/// attributes followed by the sensitive column at height 0, and every
+/// frequency set the walk builds is for the candidate node with that
+/// dimension appended at level 0, checked with
+/// FrequencySet::TuplesViolatingDiversity(config.k, l). Candidate graphs
+/// and the result stay over `qid`. The Cube variant and checkpointing are
+/// k-anonymity only.
+///
 /// Callers validate the arguments first (RunIncognito does):
 /// config.k >= 1, config.max_suppressed >= 0, and 1 <= qid.size() <=
 /// kMaxQidAttributes.
@@ -35,7 +45,8 @@ PartialResult<IncognitoResult> RunSubsetDag(
     const Table& table, const QuasiIdentifier& qid,
     const AnonymizationConfig& config, const IncognitoOptions& options,
     ExecutionGovernor* governor, int num_threads,
-    const CheckpointPolicy* checkpoint);
+    const CheckpointPolicy* checkpoint,
+    const QuasiIdentifier* key_qid = nullptr, int64_t l = 1);
 
 }  // namespace incognito
 

@@ -803,6 +803,44 @@ int64_t FrequencySet::TuplesBelowK(int64_t k) const {
   return below;
 }
 
+int64_t FrequencySet::TuplesViolatingDiversity(int64_t k, int64_t l) const {
+  assert(node_.size() > 0);
+  int64_t violating = 0;
+  int64_t tuples = 0;
+  int64_t distinct = 0;
+  // Settles the class whose run just ended.
+  auto close_class = [&] {
+    if (tuples < k || distinct < l) violating += tuples;
+    tuples = 0;
+    distinct = 0;
+  };
+  if (packed_) {
+    const unsigned shift = codec_.bits(node_.size() - 1);
+    uint64_t current = 0;
+    for (const auto& [key, count] : groups_) {
+      const uint64_t cls = key >> shift;
+      if (distinct > 0 && cls != current) close_class();
+      current = cls;
+      tuples += count;
+      ++distinct;
+    }
+  } else {
+    const size_t width = node_.size() - 1;
+    const int32_t* current = nullptr;
+    for (const auto& [codes, count] : vgroups_) {
+      if (current != nullptr &&
+          !std::equal(codes.begin(), codes.begin() + width, current)) {
+        close_class();
+      }
+      current = codes.data();
+      tuples += count;
+      ++distinct;
+    }
+  }
+  if (distinct > 0) close_class();
+  return violating;
+}
+
 void FrequencySet::ForEachGroup(
     const std::function<void(const int32_t* codes, int64_t count)>& fn) const {
   if (packed_) {

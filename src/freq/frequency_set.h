@@ -122,6 +122,15 @@ class FrequencySet {
     return TuplesBelowK(k) <= max_suppressed;
   }
 
+  /// Distinct ℓ-diversity's violation count, for a set whose last
+  /// dimension is a sensitive attribute at level 0 (core/ldiversity.h's key
+  /// QID). An equivalence class is a run of consecutive groups that agree
+  /// on every field but that last one — contiguous in canonical order,
+  /// since the sensitive field packs lowest. Its summed count is the class
+  /// size and its length the number of distinct sensitive values. Returns
+  /// the tuples in classes smaller than k or with fewer than ℓ values.
+  int64_t TuplesViolatingDiversity(int64_t k, int64_t l) const;
+
   /// Visits every group as (codes, count) in canonical order (ascending
   /// lexicographic code vectors); `codes` has node().size() entries, each
   /// a code in the corresponding level's domain.

@@ -25,7 +25,6 @@
 #include "freq/cube.h"            // IWYU pragma: export
 #include "freq/frequency_set.h"   // IWYU pragma: export
 #include "freq/key_codec.h"       // IWYU pragma: export
-#include "freq/sensitive_frequency_set.h"  // IWYU pragma: export
 #include "hierarchy/builders.h"   // IWYU pragma: export
 #include "hierarchy/csv_hierarchy.h"  // IWYU pragma: export
 #include "hierarchy/hierarchy.h"  // IWYU pragma: export

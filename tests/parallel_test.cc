@@ -37,6 +37,7 @@ using testing_util::GroupsOf;
 using testing_util::PooledScan;
 
 using testing_util::MakeRandomDataset;
+using testing_util::MakeTwoRowDataset;
 using testing_util::NodeSet;
 using testing_util::RandomDataset;
 
@@ -771,33 +772,6 @@ TEST(SubsetDagTest, WideFallbackKeysMatchAtEveryThreadCount) {
 // ---------------------------------------------------------------------------
 // Wide quasi-identifiers: the 64-bit subset mask
 // ---------------------------------------------------------------------------
-
-/// `n` attributes over two rows that differ in every attribute, each with a
-/// height-1 hierarchy {x, y} -> '*'. At k = 2 every base level fails and
-/// every top level passes, so each of the 2^n - 1 attribute subsets holds
-/// exactly one survivor: its all-top node.
-RandomDataset MakeTwoRowDataset(size_t n) {
-  std::vector<ColumnSpec> specs;
-  for (size_t i = 0; i < n; ++i) {
-    specs.push_back({StringPrintf("a%zu", i), DataType::kString});
-  }
-  Table table{Schema(specs)};
-  std::vector<std::pair<std::string, ValueHierarchy>> hierarchies;
-  for (size_t i = 0; i < n; ++i) {
-    const std::string name = StringPrintf("a%zu", i);
-    std::vector<std::vector<Value>> levels = {{Value("x"), Value("y")},
-                                              {Value("*")}};
-    for (const Value& v : levels[0]) table.mutable_dictionary(i).GetOrInsert(v);
-    hierarchies.emplace_back(
-        name, ValueHierarchy::Create(name, levels, {{0, 0}}).value());
-  }
-  table.AppendRowCodes(std::vector<int32_t>(n, 0));
-  table.AppendRowCodes(std::vector<int32_t>(n, 1));
-  RandomDataset out;
-  out.qid = QuasiIdentifier::Create(table, std::move(hierarchies)).value();
-  out.table = std::move(table);
-  return out;
-}
 
 TEST(WideQidTest, SeventeenAttributesMatchOracleAndResumeFromBit16Masks) {
   // 17 attributes: one past the 16 the subset DAG once capped at. One test,

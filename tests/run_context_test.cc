@@ -168,21 +168,29 @@ LDiversityConfig DiversityConfig() {
 TEST(RunContextLDiversityTest, GenerousBudgetMatchesUngoverned) {
   Result<PatientsDataset> ds = MakePatientsDataset();
   ASSERT_TRUE(ds.ok());
-  PartialResult<LDiversityResult> plain =
-      RunLDiversityIncognito(ds->table, ds->qid, DiversityConfig());
-  ASSERT_TRUE(plain.complete()) << plain.status().ToString();
-  ExecutionGovernor governor;
-  governor.SetMemoryLimitBytes(int64_t{1} << 33);
-  PartialResult<LDiversityResult> governed = RunLDiversityIncognito(
-      ds->table, ds->qid, DiversityConfig(), RunContext::Governed(governor));
-  ASSERT_TRUE(governed.complete()) << governed.status().ToString();
-  EXPECT_EQ(NodeSet(plain->diverse_nodes), NodeSet(governed->diverse_nodes));
-  EXPECT_EQ(plain->completed_iterations, governed->completed_iterations);
-  EXPECT_EQ(plain->stats.nodes_checked, governed->stats.nodes_checked);
-  // Every charged sensitive frequency set was released (including the
-  // stored rollup sources).
-  EXPECT_EQ(governor.memory().used(), 0);
-  EXPECT_GT(governed->stats.governor_checks, 0);
+  for (int threads : {1, 4}) {
+    const std::string context = "threads=" + std::to_string(threads);
+    PartialResult<LDiversityResult> plain = RunLDiversityIncognito(
+        ds->table, ds->qid, DiversityConfig(), RunContext::WithThreads(threads));
+    ASSERT_TRUE(plain.complete()) << plain.status().ToString();
+    ExecutionGovernor governor;
+    governor.SetMemoryLimitBytes(int64_t{1} << 33);
+    PartialResult<LDiversityResult> governed =
+        RunLDiversityIncognito(ds->table, ds->qid, DiversityConfig(),
+                               RunContext::Governed(governor, threads));
+    ASSERT_TRUE(governed.complete()) << governed.status().ToString();
+    EXPECT_EQ(NodeSet(plain->diverse_nodes), NodeSet(governed->diverse_nodes))
+        << context;
+    EXPECT_EQ(plain->completed_iterations, governed->completed_iterations)
+        << context;
+    EXPECT_EQ(plain->stats.nodes_checked, governed->stats.nodes_checked)
+        << context;
+    EXPECT_EQ(governed->stats.parallel_workers, threads) << context;
+    // Every charged frequency set was released (including the stored
+    // rollup sources), and every shard lease drained.
+    EXPECT_EQ(governor.memory().used(), 0) << context;
+    EXPECT_GT(governed->stats.governor_checks, 0) << context;
+  }
 }
 
 TEST(RunContextLDiversityTest, DeadlineTripYieldsDocumentedPartial) {
@@ -190,28 +198,37 @@ TEST(RunContextLDiversityTest, DeadlineTripYieldsDocumentedPartial) {
   // completed_iterations records the fully-processed subset sizes.
   Result<PatientsDataset> ds = MakePatientsDataset();
   ASSERT_TRUE(ds.ok());
-  ExecutionGovernor governor;
-  governor.SetDeadline(Deadline::AfterMillis(0));
-  PartialResult<LDiversityResult> r = RunLDiversityIncognito(
-      ds->table, ds->qid, DiversityConfig(), RunContext::Governed(governor));
-  ASSERT_TRUE(r.partial()) << r.status().ToString();
-  EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded);
-  EXPECT_TRUE(r->diverse_nodes.empty());
-  EXPECT_EQ(r->completed_iterations, 0);
-  EXPECT_EQ(governor.memory().used(), 0);
+  for (int threads : {1, 4}) {
+    const std::string context = "threads=" + std::to_string(threads);
+    ExecutionGovernor governor;
+    governor.SetDeadline(Deadline::AfterMillis(0));
+    PartialResult<LDiversityResult> r =
+        RunLDiversityIncognito(ds->table, ds->qid, DiversityConfig(),
+                               RunContext::Governed(governor, threads));
+    ASSERT_TRUE(r.partial()) << r.status().ToString();
+    EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded) << context;
+    EXPECT_TRUE(r->diverse_nodes.empty()) << context;
+    EXPECT_EQ(r->completed_iterations, 0) << context;
+    EXPECT_EQ(governor.memory().used(), 0) << context;
+  }
 }
 
 TEST(RunContextLDiversityTest, TinyMemoryBudgetTripsCleanly) {
   Result<PatientsDataset> ds = MakePatientsDataset();
   ASSERT_TRUE(ds.ok());
-  ExecutionGovernor governor;
-  governor.SetMemoryLimitBytes(1);  // the first frequency set refuses
-  PartialResult<LDiversityResult> r = RunLDiversityIncognito(
-      ds->table, ds->qid, DiversityConfig(), RunContext::Governed(governor));
-  ASSERT_TRUE(r.partial()) << r.status().ToString();
-  EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
-  EXPECT_TRUE(r->diverse_nodes.empty());
-  EXPECT_EQ(governor.memory().used(), 0);
+  for (int threads : {1, 4}) {
+    const std::string context = "threads=" + std::to_string(threads);
+    ExecutionGovernor governor;
+    governor.SetMemoryLimitBytes(1);  // the first charge refuses
+    PartialResult<LDiversityResult> r =
+        RunLDiversityIncognito(ds->table, ds->qid, DiversityConfig(),
+                               RunContext::Governed(governor, threads));
+    ASSERT_TRUE(r.partial()) << r.status().ToString();
+    EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted) << context;
+    EXPECT_TRUE(r->diverse_nodes.empty()) << context;
+    EXPECT_EQ(r->completed_iterations, 0) << context;
+    EXPECT_EQ(governor.memory().used(), 0) << context;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 #define INCOGNITO_TESTS_TEST_UTIL_H_
 
 #include <algorithm>
+#include <map>
 #include <set>
 #include <string>
 #include <utility>
@@ -159,6 +160,99 @@ inline RandomDataset MakeWideFallbackDataset(size_t num_rows) {
   RandomDataset out;
   out.table = std::move(table);
   out.qid = std::move(qid).value();
+  return out;
+}
+
+/// `n` attributes a0..a(n-1) over two rows that differ in every attribute,
+/// each with a height-1 hierarchy {x, y} -> '*'. At k = 2 every base level
+/// fails and every top level passes, so each of the 2^n - 1 attribute
+/// subsets holds exactly one survivor: its all-top node.
+inline RandomDataset MakeTwoRowDataset(size_t n) {
+  std::vector<ColumnSpec> specs;
+  for (size_t i = 0; i < n; ++i) {
+    specs.push_back({StringPrintf("a%zu", i), DataType::kString});
+  }
+  Table table{Schema(specs)};
+  std::vector<std::pair<std::string, ValueHierarchy>> hierarchies;
+  for (size_t i = 0; i < n; ++i) {
+    const std::string name = StringPrintf("a%zu", i);
+    std::vector<std::vector<Value>> levels = {{Value("x"), Value("y")},
+                                              {Value("*")}};
+    for (const Value& v : levels[0]) table.mutable_dictionary(i).GetOrInsert(v);
+    hierarchies.emplace_back(
+        name, ValueHierarchy::Create(name, levels, {{0, 0}}).value());
+  }
+  table.AppendRowCodes(std::vector<int32_t>(n, 0));
+  table.AppendRowCodes(std::vector<int32_t>(n, 1));
+  RandomDataset out;
+  out.qid = QuasiIdentifier::Create(table, std::move(hierarchies)).value();
+  out.table = std::move(table);
+  return out;
+}
+
+/// One equivalence class as the brute-force ℓ-diversity oracle sees it.
+struct OracleClass {
+  int64_t tuples = 0;
+  std::set<int32_t> sensitive;  // the distinct sensitive codes
+};
+
+/// The brute-force distinct ℓ-diversity oracle, independent of every
+/// frequency set: T's equivalence classes at `node`, keyed by their
+/// generalized codes (read straight from the table columns through
+/// BaseToLevelMap, so the map's order is the canonical order), each with
+/// its tuple count and its set of sensitive codes.
+inline std::map<std::vector<int32_t>, OracleClass> DiversityClassesByOracle(
+    const Table& table, const QuasiIdentifier& qid, const SubsetNode& node,
+    size_t sensitive_column) {
+  std::map<std::vector<int32_t>, OracleClass> classes;
+  const std::vector<int32_t>& sensitive = table.ColumnCodes(sensitive_column);
+  std::vector<int32_t> codes(node.size());
+  for (size_t r = 0; r < table.num_rows(); ++r) {
+    for (size_t i = 0; i < node.size(); ++i) {
+      const size_t d = static_cast<size_t>(node.dims[i]);
+      codes[i] = qid.hierarchy(d).BaseToLevelMap(
+          static_cast<size_t>(node.levels[i]))[static_cast<size_t>(
+          table.ColumnCodes(qid.column(d))[r])];
+    }
+    OracleClass& cls = classes[codes];
+    ++cls.tuples;
+    cls.sensitive.insert(sensitive[r]);
+  }
+  return classes;
+}
+
+/// The oracle's count of tuples in classes smaller than k or with fewer
+/// than ℓ distinct sensitive values at `node`.
+inline int64_t TuplesViolatingByOracle(const Table& table,
+                                       const QuasiIdentifier& qid,
+                                       const SubsetNode& node,
+                                       size_t sensitive_column, int64_t k,
+                                       int64_t l) {
+  int64_t violating = 0;
+  for (const auto& [codes, cls] :
+       DiversityClassesByOracle(table, qid, node, sensitive_column)) {
+    (void)codes;
+    if (cls.tuples < k || static_cast<int64_t>(cls.sensitive.size()) < l) {
+      violating += cls.tuples;
+    }
+  }
+  return violating;
+}
+
+/// Every full-QID node at which T is distinct (k, ℓ)-diverse with at most
+/// `max_suppressed` violating tuples, by the oracle.
+inline std::set<std::string> DiverseNodesByOracle(
+    const Table& table, const QuasiIdentifier& qid, size_t sensitive_column,
+    int64_t k, int64_t l, int64_t max_suppressed) {
+  std::set<std::string> out;
+  GeneralizationLattice lattice(qid.MaxLevels());
+  for (const LevelVector& v : lattice.AllNodesByHeight()) {
+    SubsetNode node = SubsetNode::Full(v);
+    if (TuplesViolatingByOracle(table, qid, node, sensitive_column, k, l) <=
+        max_suppressed) {
+      out.insert(node.ToString());
+    }
+  }
   return out;
 }
 

@@ -109,6 +109,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <map>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -120,7 +121,6 @@
 #include "core/minimality.h"
 #include "core/recoder.h"
 #include "core/run_context.h"
-#include "freq/sensitive_frequency_set.h"
 #include "hierarchy/builders.h"
 #include "hierarchy/csv_hierarchy.h"
 #include "hierarchy/validation.h"
@@ -606,10 +606,31 @@ Result<SubsetNode> ParseLevels(const std::map<std::string, std::string>& args,
   return SubsetNode::Full(std::move(levels));
 }
 
-AnonymizationConfig ConfigFrom(const std::map<std::string, std::string>& args) {
+/// Parses integer flag `key` (default `def`) as a whole decimal string.
+Result<int64_t> IntFlag(const std::map<std::string, std::string>& args,
+                        const std::string& key, const std::string& def) {
+  const std::string text = Get(args, key, def);
+  int64_t v = 0;
+  if (!ParseInt64(text, &v)) {
+    return Status::InvalidArgument("bad --" + key + " value '" + text + "'");
+  }
+  return v;
+}
+
+/// --k (default 2, at least 1) and --suppress (default 0, at least 0).
+Result<AnonymizationConfig> ConfigFrom(
+    const std::map<std::string, std::string>& args) {
+  Result<int64_t> k = IntFlag(args, "k", "2");
+  if (!k.ok()) return k.status();
+  Result<int64_t> suppress = IntFlag(args, "suppress", "0");
+  if (!suppress.ok()) return suppress.status();
+  if (k.value() < 1) return Status::InvalidArgument("k must be >= 1");
+  if (suppress.value() < 0) {
+    return Status::InvalidArgument("--suppress must be >= 0");
+  }
   AnonymizationConfig config;
-  config.k = atoll(Get(args, "k", "2").c_str());
-  config.max_suppressed = atoll(Get(args, "suppress", "0").c_str());
+  config.k = k.value();
+  config.max_suppressed = suppress.value();
   return config;
 }
 
@@ -628,7 +649,31 @@ int CmdCheck(const std::map<std::string, std::string>& args,
   if (!gov.ok()) return Fail(gov.status());
   Result<IncognitoOptions> run_opts = ParseRunOptions(args);
   if (!run_opts.ok()) return Fail(run_opts.status());
-  AnonymizationConfig config = ConfigFrom(args);
+  Result<AnonymizationConfig> parsed = ConfigFrom(args);
+  if (!parsed.ok()) return Fail(parsed.status());
+  const AnonymizationConfig config = parsed.value();
+
+  // Optional distinct ℓ-diversity check against a sensitive column; its
+  // arguments are checked before any work.
+  const std::string sensitive = Get(args, "sensitive");
+  if (sensitive.empty() != (args.count("l") == 0)) {
+    return Fail(Status::InvalidArgument(
+        "--l=N and --sensitive=COLUMN must be given together"));
+  }
+  std::optional<DiversityKey> key;
+  LDiversityConfig lconfig;
+  if (!sensitive.empty()) {
+    Result<int64_t> l = IntFlag(args, "l", "");
+    if (!l.ok()) return Fail(l.status());
+    lconfig.k = config.k;
+    lconfig.l = l.value();
+    lconfig.max_suppressed = config.max_suppressed;
+    lconfig.sensitive_attribute = sensitive;
+    Result<DiversityKey> made =
+        DiversityKey::Create(problem->table, problem->qid, lconfig);
+    if (!made.ok()) return Fail(made.status());
+    key = std::move(made).value();
+  }
 
   AlgorithmStats stats;
   bool ok;
@@ -657,20 +702,16 @@ int CmdCheck(const std::map<std::string, std::string>& args,
          static_cast<long long>(config.k), ok ? "yes" : "NO");
   obs->RecordStats(stats);
 
-  // Optional distinct ℓ-diversity check against a sensitive column.
-  std::string sensitive = Get(args, "sensitive");
-  int64_t l = atoll(Get(args, "l", "0").c_str());
-  if (!sensitive.empty() && l > 0) {
-    Result<size_t> col = problem->table.schema().ColumnIndex(sensitive);
-    if (!col.ok()) return Fail(col.status());
-    SensitiveFrequencySet fs = SensitiveFrequencySet::Compute(
-        problem->table, problem->qid, node.value(), col.value());
-    bool diverse = fs.IsKAnonymousAndLDiverse(config.k, l,
-                                              config.max_suppressed);
+  if (key.has_value()) {
+    const bool diverse =
+        key->Compute(problem->table, node.value())
+            .TuplesViolatingDiversity(lconfig.k, lconfig.l) <=
+        lconfig.max_suppressed;
     printf("%s at %s: distinct %lld-diverse (sensitive=%s) = %s\n",
            Get(args, "input").c_str(),
-           node->ToString(&problem->qid).c_str(), static_cast<long long>(l),
-           sensitive.c_str(), diverse ? "yes" : "NO");
+           node->ToString(&problem->qid).c_str(),
+           static_cast<long long>(lconfig.l), sensitive.c_str(),
+           diverse ? "yes" : "NO");
     ok = ok && diverse;
   }
   return ok ? 0 : 1;
@@ -687,7 +728,9 @@ int CmdEnumerate(const std::map<std::string, std::string>& args,
   if (!run_opts.ok()) return Fail(run_opts.status());
   Result<CheckpointPolicy> ckpt = ParseCheckpointPolicy(args);
   if (!ckpt.ok()) return Fail(ckpt.status());
-  AnonymizationConfig config = ConfigFrom(args);
+  Result<AnonymizationConfig> parsed = ConfigFrom(args);
+  if (!parsed.ok()) return Fail(parsed.status());
+  const AnonymizationConfig config = parsed.value();
   ExecutionGovernor governor;
   RunContext ctx = gov->MakeContext(&governor, run_opts->num_threads);
   if (ckpt->enabled()) ctx.checkpoint = &ckpt.value();
@@ -737,7 +780,9 @@ int CmdAnonymize(const std::map<std::string, std::string>& args,
   if (!run_opts.ok()) return Fail(run_opts.status());
   Result<CheckpointPolicy> ckpt = ParseCheckpointPolicy(args);
   if (!ckpt.ok()) return Fail(ckpt.status());
-  AnonymizationConfig config = ConfigFrom(args);
+  Result<AnonymizationConfig> parsed = ConfigFrom(args);
+  if (!parsed.ok()) return Fail(parsed.status());
+  const AnonymizationConfig config = parsed.value();
   std::string output = Get(args, "output");
   if (output.empty()) {
     return Fail(Status::InvalidArgument("--output is required"));
@@ -839,7 +884,9 @@ int CmdModels(const std::map<std::string, std::string>& args,
   if (!gov.ok()) return Fail(gov.status());
   Result<IncognitoOptions> run_opts = ParseRunOptions(args);
   if (!run_opts.ok()) return Fail(run_opts.status());
-  AnonymizationConfig config = ConfigFrom(args);
+  Result<AnonymizationConfig> parsed = ConfigFrom(args);
+  if (!parsed.ok()) return Fail(parsed.status());
+  const AnonymizationConfig config = parsed.value();
   std::vector<std::string> cols;
   for (size_t i = 0; i < problem->qid.size(); ++i) {
     cols.push_back(problem->qid.name(i));

@@ -54,32 +54,31 @@ void Sweep(const char* name, const SyntheticDataset& dataset, size_t max_qid,
   }
 }
 
-// Times the DAG-scheduled parallel cube build against the serial build on
-// the largest Adults QID and records the per-thread speedup under the
+// Times the cube build at 1, 2, 4, ... threads on the largest Adults QID
+// and records each build's speedup over the 1-worker build under the
 // report's "derived" object (docs/PARALLELISM.md "Intra-node parallelism").
 void ThreadSweep(const SyntheticDataset& dataset, size_t qid_size,
                  int max_threads, BenchReport* report) {
   QuasiIdentifier qid = dataset.qid.Prefix(qid_size);
-  Stopwatch serial_timer;
-  ZeroGenCube::BuildInfo serial_info;
-  ZeroGenCube serial = ZeroGenCube::Build(dataset.table, qid, &serial_info);
-  double serial_seconds = serial_timer.ElapsedSeconds();
   printf("\n--- parallel cube build, adults qid=%zu ---\n", qid_size);
   printf("%8s %12s %9s\n", "threads", "build", "speedup");
-  printf("%8s %11.3fs %9s\n", "serial", serial_seconds, "1.00x");
+  double base_seconds = 0;
+  ZeroGenCube::BuildInfo base_info;
   for (int threads = 1; threads <= max_threads; threads *= 2) {
     WorkerPool pool(threads);
     Stopwatch timer;
     ZeroGenCube::BuildInfo info;
-    ZeroGenCube cube =
-        ZeroGenCube::BuildParallel(dataset.table, qid, pool, &info);
+    ZeroGenCube cube = ZeroGenCube::Build(dataset.table, qid, pool, &info);
     double seconds = timer.ElapsedSeconds();
-    if (cube.num_subsets() != serial.num_subsets() ||
-        info.total_groups != serial_info.total_groups) {
+    if (threads == 1) {
+      base_seconds = seconds;
+      base_info = info;
+    } else if (info.num_subsets != base_info.num_subsets ||
+               info.total_groups != base_info.total_groups) {
       fprintf(stderr, "parallel build mismatch at %d threads\n", threads);
       continue;
     }
-    double speedup = seconds > 0 ? serial_seconds / seconds : 0;
+    double speedup = seconds > 0 ? base_seconds / seconds : 0;
     printf("%8d %11.3fs %8.2fx\n", threads, seconds, speedup);
     fflush(stdout);
     report->SetDerived(

@@ -38,6 +38,13 @@ PartialResult<IncognitoResult> RunIncognito(const Table& table,
         "quasi-identifier has %zu attributes; at most %zu are supported",
         qid.size(), kMaxQidAttributes));
   }
+  if (options.variant == IncognitoVariant::kCube &&
+      qid.size() > kMaxCubeQidAttributes) {
+    return Status::InvalidArgument(StringPrintf(
+        "quasi-identifier has %zu attributes; Cube Incognito supports at "
+        "most %zu",
+        qid.size(), kMaxCubeQidAttributes));
+  }
   const int num_threads = std::max(
       1, ctx.num_threads > 0 ? ctx.num_threads : options.num_threads);
   // A non-kAuto context substrate overrides the option, mirroring the

@@ -104,6 +104,11 @@ struct IncognitoResult {
 /// indexes attribute subsets by bitmask and keeps one task slot per subset.
 inline constexpr size_t kMaxQidAttributes = 32;
 
+/// The widest quasi-identifier a Cube run accepts: ZeroGenCube holds one
+/// frequency set per attribute subset, and 2^24 of them already take
+/// gigabytes before the first group.
+inline constexpr size_t kMaxCubeQidAttributes = 24;
+
 /// Runs Incognito: produces the set of ALL k-anonymous full-domain
 /// generalizations of `table` with respect to `qid` (sound and complete,
 /// paper §3.2), with the optional tuple-suppression threshold from
@@ -125,8 +130,8 @@ inline constexpr size_t kMaxQidAttributes = 32;
 ///     search (core/parallel.h); every count returns the identical answer
 ///     set, survivor sets, and node-count statistics, with each worker
 ///     charging a GovernorShard leased from ctx.governor.
-///   - A QID wider than kMaxQidAttributes is InvalidArgument, before any
-///     work.
+///   - A QID wider than kMaxQidAttributes, or a Cube run's QID wider than
+///     kMaxCubeQidAttributes, is InvalidArgument, before any work.
 PartialResult<IncognitoResult> RunIncognito(const Table& table,
                                             const QuasiIdentifier& qid,
                                             const AnonymizationConfig& config,

@@ -705,8 +705,8 @@ PartialResult<IncognitoResult> RunSubsetDag(
   if (options.variant == IncognitoVariant::kCube) {
     Stopwatch cube_timer;
     ZeroGenCube::BuildInfo info;
-    cube = ZeroGenCube::BuildParallel(table, qid, pool, &info, governor,
-                                      options.substrate);
+    cube = ZeroGenCube::Build(table, qid, pool, &info, governor,
+                              options.substrate);
     cube_ptr = &cube;
     result.stats.cube_build_seconds = cube_timer.ElapsedSeconds();
     result.stats.table_scans += info.table_scans;

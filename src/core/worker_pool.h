@@ -23,8 +23,8 @@ class TaskTimeline;
 ///
 /// Besides chunked iteration, Run(size(), fn) hands every worker exactly
 /// its own index (worker w gets [w, w+1)), which turns the pool into a
-/// thread-group launcher for dynamic schedulers such as
-/// ZeroGenCube::BuildParallel.
+/// thread-group launcher for workers that claim their own work, such as
+/// ZeroGenCube::Build's tiers.
 class WorkerPool {
  public:
   explicit WorkerPool(int num_threads);

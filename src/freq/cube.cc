@@ -1,12 +1,10 @@
 #include "freq/cube.h"
 
-#include <algorithm>
+#include <atomic>
 #include <cassert>
-#include <condition_variable>
 #include <memory>
-#include <mutex>
-#include <set>
 
+#include "core/incognito.h"
 #include "core/worker_pool.h"
 #include "obs/obs.h"
 #include "robust/fault_injector.h"
@@ -35,98 +33,14 @@ SubsetNode ZeroNodeForMask(uint32_t mask) {
 }  // namespace
 
 ZeroGenCube ZeroGenCube::Build(const Table& table, const QuasiIdentifier& qid,
-                               BuildInfo* info,
+                               WorkerPool& pool, BuildInfo* info,
                                ExecutionGovernor* governor,
                                SubstrateMode substrate) {
   INCOGNITO_SPAN("cube.build");
   INCOGNITO_PHASE_TIMER("phase.cube_build_seconds");
   INCOGNITO_COUNT("cube.builds");
   const size_t n = qid.size();
-  assert(n >= 1 && n <= 24);
-  ZeroGenCube cube;
-  BuildInfo local;
-
-  // Charges a freshly materialized frequency set against the governor's
-  // memory budget; false stops the build (trip is latched in the governor).
-  auto charge = [&](const FrequencySet& fs) {
-    if (governor == nullptr) return true;
-    if (!governor->Check().ok()) return false;
-    // Fault site "cube.build": an injected allocation failure while
-    // materializing a cube subset (the root scan or a projection) latches
-    // like a refused charge and stops the build.
-    if (INCOGNITO_FAULT_FIRED("cube.build")) {
-      governor->LatchInjectedFailure("cube.build");
-      return false;
-    }
-    return governor->ChargeMemory(static_cast<int64_t>(fs.MemoryBytes()))
-        .ok();
-  };
-
-  const uint32_t full = (1u << n) - 1;  // n <= 24, so the shift is safe
-  auto root = cube.sets_.emplace(
-      full, FrequencySet::Compute(table, qid, ZeroNodeForMask(full),
-                                  substrate));
-  local.table_scans = 1;
-  bool tripped = !charge(root.first->second);
-  if (tripped) cube.sets_.clear();
-
-  // Process masks in decreasing popcount order; each mask is aggregated
-  // from the already-computed superset with the fewest groups.
-  std::vector<uint32_t> masks;
-  for (uint32_t m = 1; m < full; ++m) masks.push_back(m);
-  std::sort(masks.begin(), masks.end(), [](uint32_t a, uint32_t b) {
-    int pa = __builtin_popcount(a), pb = __builtin_popcount(b);
-    if (pa != pb) return pa > pb;
-    return a < b;
-  });
-  for (uint32_t m : masks) {
-    if (tripped) break;
-    // Candidate parents: m plus one attribute not in m.
-    const FrequencySet* best = nullptr;
-    for (size_t d = 0; d < n; ++d) {
-      uint32_t parent = m | (1u << d);
-      if (parent == m) continue;
-      auto it = cube.sets_.find(parent);
-      if (it != cube.sets_.end() &&
-          (best == nullptr || it->second.NumGroups() < best->NumGroups())) {
-        best = &it->second;
-      }
-    }
-    assert(best != nullptr);
-    auto inserted = cube.sets_.emplace(
-        m, best->ProjectTo(ZeroNodeForMask(m), qid, substrate));
-    ++local.projections;
-    if (!charge(inserted.first->second)) {
-      // The just-built set was refused: drop it (it was never charged) and
-      // stop; earlier sets stay charged until ReleaseMemory.
-      cube.sets_.erase(inserted.first);
-      tripped = true;
-    }
-  }
-
-  INCOGNITO_COUNT_ADD("cube.subsets",
-                      static_cast<int64_t>(cube.sets_.size()));
-  local.num_subsets = cube.sets_.size();
-  for (const auto& [mask, fs] : cube.sets_) {
-    (void)mask;
-    local.total_groups += fs.NumGroups();
-    local.total_bytes += fs.MemoryBytes();
-  }
-  if (info != nullptr) *info = local;
-  return cube;
-}
-
-ZeroGenCube ZeroGenCube::BuildParallel(const Table& table,
-                                       const QuasiIdentifier& qid,
-                                       WorkerPool& pool, BuildInfo* info,
-                                       ExecutionGovernor* governor,
-                                       SubstrateMode substrate) {
-  INCOGNITO_SPAN("cube.build");
-  INCOGNITO_PHASE_TIMER("phase.cube_build_seconds");
-  INCOGNITO_COUNT("cube.builds");
-  INCOGNITO_COUNT("cube.parallel_builds");
-  const size_t n = qid.size();
-  assert(n >= 1 && n <= 24);
+  assert(n >= 1 && n <= kMaxCubeQidAttributes);
   ZeroGenCube cube;
   BuildInfo local;
   const uint32_t full = (1u << n) - 1;
@@ -140,13 +54,14 @@ ZeroGenCube ZeroGenCube::BuildParallel(const Table& table,
           .front());
   local.table_scans = 1;
 
-  // Same root charge protocol as the serial Build, fault site included.
   bool tripped = false;
   int64_t root_bytes = 0;
   if (governor != nullptr) {
     if (!governor->Check().ok()) {
       tripped = true;
     } else if (INCOGNITO_FAULT_FIRED("cube.build")) {
+      // Fault site "cube.build": an injected allocation failure while
+      // materializing the root latches like a refused charge.
       governor->LatchInjectedFailure("cube.build");
       tripped = true;
     } else {
@@ -161,45 +76,13 @@ ZeroGenCube ZeroGenCube::BuildParallel(const Table& table,
     if (info != nullptr) *info = local;
     return cube;
   }
-  cube.sets_.emplace(full, std::move(root_fs));
+  cube.sets_.resize(static_cast<size_t>(full) + 1);
+  cube.sets_[full] = std::move(root_fs);
 
-  // Pre-insert every proper subset so the workers never mutate the map
-  // structure; each slot is written by exactly one worker and published
-  // to its children through the scheduler mutex.
-  for (uint32_t m = 1; m < full; ++m) cube.sets_.emplace(m, FrequencySet());
-  std::vector<FrequencySet*> slot(static_cast<size_t>(full) + 1, nullptr);
-  for (auto& [mask, fs] : cube.sets_) slot[mask] = &fs;
-
-  // Dependency counting: a mask becomes ready only when ALL of its
-  // parents (supersets with one extra attribute) are materialized, so the
-  // serial best-parent rule — fewest groups, lowest parent mask — picks
-  // the same parent no matter which worker runs the projection, or when.
-  std::vector<int32_t> deps(static_cast<size_t>(full) + 1, 0);
+  // tiers[p]: the proper subsets of p attributes, ascending.
+  std::vector<std::vector<uint32_t>> tiers(n);
   for (uint32_t m = 1; m < full; ++m) {
-    deps[m] = static_cast<int32_t>(n) - __builtin_popcount(m);
-  }
-
-  // Ready masks, ordered by decreasing popcount then ascending mask —
-  // the serial processing order, which fills the wide (high-popcount)
-  // tiers first and keeps the most independent work in flight.
-  struct MaskOrder {
-    bool operator()(uint32_t a, uint32_t b) const {
-      int pa = __builtin_popcount(a), pb = __builtin_popcount(b);
-      if (pa != pb) return pa > pb;
-      return a < b;
-    }
-  };
-  std::set<uint32_t, MaskOrder> ready;
-  std::mutex mu;
-  std::condition_variable cv;
-  size_t remaining = full - 1;  // proper subsets still to materialize
-  bool stopped = false;
-  int64_t projections = 0;
-
-  // The root is materialized: seed its children (popcount n-1 masks).
-  for (size_t d = 0; d < n; ++d) {
-    uint32_t child = full & ~(1u << d);
-    if (child != 0 && --deps[child] == 0) ready.insert(child);
+    tiers[static_cast<size_t>(__builtin_popcount(m))].push_back(m);
   }
 
   const size_t workers = static_cast<size_t>(pool.size());
@@ -211,94 +94,69 @@ ZeroGenCube ZeroGenCube::BuildParallel(const Table& table,
     }
   }
 
-  if (remaining > 0) {
-    // Run(workers, ...) hands every worker its own index: each runs the
-    // scheduler loop below until the DAG is drained or the build stops.
+  std::atomic<bool> stopped{false};
+  std::atomic<int64_t> projections{0};
+  // Each Run's barrier publishes a finished tier to the next one.
+  for (size_t p = n - 1; p >= 1 && !stopped.load(); --p) {
+    const std::vector<uint32_t>& tier = tiers[p];
+    std::atomic<size_t> next{0};
     pool.Run(workers, [&](int w, size_t, size_t) {
       INCOGNITO_SPAN("cube.project.worker");
       GovernorShard* shard =
           governor != nullptr ? shards[static_cast<size_t>(w)].get() : nullptr;
-      std::unique_lock<std::mutex> lock(mu);
-      for (;;) {
-        cv.wait(lock,
-                [&] { return stopped || remaining == 0 || !ready.empty(); });
-        if (stopped || remaining == 0) return;
-        const uint32_t m = *ready.begin();
-        ready.erase(ready.begin());
-        lock.unlock();
-
-        bool failed = false;
+      for (size_t t = next.fetch_add(1); t < tier.size() && !stopped.load();
+           t = next.fetch_add(1)) {
+        const uint32_t m = tier[t];
         if (shard != nullptr) {
           if (!shard->Check().ok()) {
-            failed = true;
-          } else if (INCOGNITO_FAULT_FIRED("cube.project")) {
-            // Fault site "cube.project": an injected allocation failure
-            // in one worker's projection; siblings stop at their next
-            // checkpoint.
+            stopped = true;
+            return;
+          }
+          // Fault site "cube.project": an injected allocation failure in
+          // one worker's projection; siblings stop at their next claim.
+          if (INCOGNITO_FAULT_FIRED("cube.project")) {
             governor->LatchInjectedFailure("cube.project");
-            failed = true;
+            stopped = true;
+            return;
           }
         }
-        if (!failed) {
-          // All parents are materialized (the dependency invariant), so
-          // this scan is the serial one: ascending candidate order,
-          // first strict improvement wins.
-          const FrequencySet* best = nullptr;
-          for (size_t d = 0; d < n; ++d) {
-            uint32_t parent = m | (1u << d);
-            if (parent == m) continue;
-            const FrequencySet* p = slot[parent];
-            if (best == nullptr || p->NumGroups() < best->NumGroups()) {
-              best = p;
-            }
-          }
-          INCOGNITO_COUNT("cube.parallel_projections");
-          *slot[m] = best->ProjectTo(ZeroNodeForMask(m), qid, substrate);
-          if (shard != nullptr &&
-              !shard
-                   ->ChargeMemory(
-                       static_cast<int64_t>(slot[m]->MemoryBytes()))
-                   .ok()) {
-            // Refused: the set was never admitted — drop it so the final
-            // footprint only covers charged sets.
-            *slot[m] = FrequencySet();
-            failed = true;
+        // Candidate parents, m plus one attribute, in ascending order: the
+        // first strict improvement wins.
+        const FrequencySet* best = nullptr;
+        for (size_t d = 0; d < n; ++d) {
+          const uint32_t parent = m | (1u << d);
+          if (parent == m) continue;
+          const FrequencySet* candidate = &cube.sets_[parent];
+          if (best == nullptr || candidate->NumGroups() < best->NumGroups()) {
+            best = candidate;
           }
         }
-
-        lock.lock();
-        if (failed) {
+        FrequencySet projected = best->ProjectTo(ZeroNodeForMask(m), qid);
+        if (shard != nullptr &&
+            !shard->ChargeMemory(static_cast<int64_t>(projected.MemoryBytes()))
+                 .ok()) {
+          // Refused: the set was never admitted, so it is not kept.
           stopped = true;
-          cv.notify_all();
           return;
         }
+        cube.sets_[m] = std::move(projected);
         ++projections;
-        --remaining;
-        for (size_t d = 0; d < n; ++d) {
-          if ((m & (1u << d)) == 0) continue;
-          uint32_t child = m & ~(1u << d);
-          if (child != 0 && --deps[child] == 0) ready.insert(child);
-        }
-        if (remaining == 0 || !ready.empty()) cv.notify_all();
       }
     });
   }
-  local.projections = projections;
+  local.projections = projections.load();
 
   // The worker charges were transient leases: drain them, then (on
   // success) charge the whole projection footprint once on the main
   // thread. The recharge always fits — the drained leases covered at
-  // least this many bytes — so the governor's live total matches the
-  // serial build and ReleaseMemory balances it back to zero.
+  // least this many bytes — so ReleaseMemory balances it back to zero.
   for (auto& shard : shards) shard->Drain();
   bool build_tripped =
-      stopped || (governor != nullptr && !governor->SharedTrip().ok());
+      stopped.load() || (governor != nullptr && !governor->SharedTrip().ok());
   if (!build_tripped && governor != nullptr) {
     int64_t projection_bytes = 0;
-    for (const auto& [mask, fs] : cube.sets_) {
-      if (mask != full) {
-        projection_bytes += static_cast<int64_t>(fs.MemoryBytes());
-      }
+    for (uint32_t m = 1; m < full; ++m) {
+      projection_bytes += static_cast<int64_t>(cube.sets_[m].MemoryBytes());
     }
     build_tripped =
         projection_bytes > 0 && !governor->ChargeMemory(projection_bytes).ok();
@@ -306,18 +164,13 @@ ZeroGenCube ZeroGenCube::BuildParallel(const Table& table,
   if (build_tripped) {
     cube.sets_.clear();
     if (governor != nullptr) governor->ReleaseMemory(root_bytes);
-    if (info != nullptr) {
-      local.num_subsets = 0;
-      *info = local;
-    }
+    if (info != nullptr) *info = local;
     return cube;
   }
 
-  INCOGNITO_COUNT_ADD("cube.subsets",
-                      static_cast<int64_t>(cube.sets_.size()));
-  local.num_subsets = cube.sets_.size();
-  for (const auto& [mask, fs] : cube.sets_) {
-    (void)mask;
+  INCOGNITO_COUNT_ADD("cube.subsets", static_cast<int64_t>(full));
+  local.num_subsets = full;
+  for (const FrequencySet& fs : cube.sets_) {
     local.total_groups += fs.NumGroups();
     local.total_bytes += fs.MemoryBytes();
   }
@@ -327,16 +180,16 @@ ZeroGenCube ZeroGenCube::BuildParallel(const Table& table,
 
 void ZeroGenCube::ReleaseMemory(ExecutionGovernor* governor) const {
   if (governor == nullptr) return;
-  for (const auto& [mask, fs] : sets_) {
-    (void)mask;
+  for (const FrequencySet& fs : sets_) {
     governor->ReleaseMemory(static_cast<int64_t>(fs.MemoryBytes()));
   }
 }
 
 const FrequencySet& ZeroGenCube::Get(const std::vector<int32_t>& dims) const {
-  auto it = sets_.find(MaskOf(dims));
-  assert(it != sets_.end() && "subset not covered by this cube");
-  return it->second;
+  const uint32_t mask = MaskOf(dims);
+  assert(mask != 0 && mask < sets_.size() &&
+         "subset not covered by this cube");
+  return sets_[mask];
 }
 
 }  // namespace incognito

@@ -2,7 +2,6 @@
 #define INCOGNITO_FREQ_CUBE_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "core/quasi_identifier.h"
@@ -33,45 +32,30 @@ class ZeroGenCube {
 
   ZeroGenCube() = default;
 
-  /// Builds the cube. Requires 1 <= qid.size() <= 24. When `governor` is
-  /// non-null, every materialized frequency set is charged against its
-  /// memory budget; a refused charge (or a tripped deadline/cancellation)
-  /// stops the build early — the caller detects this via
-  /// governor->Tripped() and must not use the incomplete cube.
+  /// Builds the cube. Requires 1 <= qid.size() <= kMaxCubeQidAttributes
+  /// (core/incognito.h). The root is one pool-parallel FrequencySet::
+  /// ComputeBatch of the full attribute set, through `substrate`
+  /// (freq/substrate.h). The projections then run one popcount tier at a
+  /// time, from n-1 attributes down to 1, as one WorkerPool::Run each
+  /// whose workers claim masks from a shared index (docs/PARALLELISM.md
+  /// "Tier-by-tier cube build"). Every parent of a tier lies in the tier
+  /// above, so each mask projects from the same parent — the one with the
+  /// fewest groups, lowest mask first — and a build is bit-identical at
+  /// every pool size, BuildInfo totals included. A 1-worker pool is the
+  /// serial build.
   ///
-  /// `substrate` selects the group-by engine for the root scan and every
-  /// projection (freq/substrate.h); all modes build the bit-identical
-  /// cube, BuildInfo byte totals included.
+  /// When `governor` is non-null the root is charged on the main thread
+  /// ("cube.build" fault site), each projection is charged to the running
+  /// worker's GovernorShard ("cube.project" fault site, once per
+  /// projection), the shards drain at the end, and a complete build
+  /// charges the projections' exact footprint once on the main thread, so
+  /// ReleaseMemory balances the governor back to zero. A refused charge, a
+  /// tripped deadline or a cancellation stops the build: it latches the
+  /// governor and returns an empty cube with every charged byte released.
   static ZeroGenCube Build(const Table& table, const QuasiIdentifier& qid,
-                           BuildInfo* info = nullptr,
+                           WorkerPool& pool, BuildInfo* info = nullptr,
                            ExecutionGovernor* governor = nullptr,
                            SubstrateMode substrate = SubstrateMode::kAuto);
-
-  /// Parallel twin of Build (docs/PARALLELISM.md "Intra-node
-  /// parallelism"): the root scan is a pool-parallel FrequencySet::
-  /// ComputeBatch of one, and the per-mask projections — which form a DAG
-  /// (every mask depends on its one-attribute supersets) — are scheduled
-  /// by decreasing popcount with dependency counting, so independent
-  /// projections at the same popcount run concurrently across the pool.
-  /// A mask is only scheduled once ALL of its parents are materialized,
-  /// which keeps the best-parent choice (fewest groups, lowest parent
-  /// mask) deterministic; a complete build is bit-identical to Build,
-  /// BuildInfo totals included.
-  ///
-  /// Governed builds charge each projection to the running worker's
-  /// private GovernorShard ("cube.project" fault site per projection;
-  /// "cube.build" at the main-thread root charge, as in Build). The
-  /// transient shard leases drain at the end and a successful build
-  /// re-charges the exact footprint on the main thread, so the governor's
-  /// live total — and ReleaseMemory's balance back to zero — match the
-  /// serial build. A tripped build latches the governor and returns an
-  /// empty cube with every charged byte released.
-  static ZeroGenCube BuildParallel(const Table& table,
-                                   const QuasiIdentifier& qid,
-                                   WorkerPool& pool, BuildInfo* info = nullptr,
-                                   ExecutionGovernor* governor = nullptr,
-                                   SubstrateMode substrate =
-                                       SubstrateMode::kAuto);
 
   /// Releases every byte Build() charged against `governor` (call when the
   /// cube is discarded).
@@ -82,12 +66,13 @@ class ZeroGenCube {
   /// within the QID the cube was built for.
   const FrequencySet& Get(const std::vector<int32_t>& dims) const;
 
-  size_t num_subsets() const { return sets_.size(); }
+  size_t num_subsets() const { return sets_.empty() ? 0 : sets_.size() - 1; }
 
  private:
   static uint32_t MaskOf(const std::vector<int32_t>& dims);
 
-  std::unordered_map<uint32_t, FrequencySet> sets_;
+  /// Indexed by attribute mask; slot 0 stays empty. Empty after a trip.
+  std::vector<FrequencySet> sets_;
 };
 
 }  // namespace incognito

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <memory>
+#include <numeric>
 #include <unordered_map>
 
 #include "core/worker_pool.h"
@@ -52,8 +53,9 @@ SubstrateChoice ChoiceFor(const KeyCodec& codec, SubstrateMode substrate) {
 /// The one rule by which a packed build counts into a key-indexed array
 /// instead of sorting: the `bits`-bit key space is at most twice the
 /// `input` it aggregates — table rows for a scan (a worker's chunk when
-/// pooled), source groups for a rollup. The array's 8 B slots then cost at
-/// most 16 B per input entry, no more than a sort's key + scratch buffers.
+/// pooled), source groups for a rollup or projection. The array's 8 B
+/// slots then cost at most 16 B per input entry, no more than a sort's key
+/// + scratch buffers.
 bool CountsDensely(size_t bits, size_t input) {
   return bits < 64 &&
          (uint64_t{1} << bits) <= 2 * static_cast<uint64_t>(input);
@@ -578,6 +580,41 @@ FrequencySet FrequencySet::RollupTo(const SubsetNode& target,
       remap[i][c] = h.GeneralizeFrom(from, static_cast<int32_t>(c), to);
     }
   }
+  return RegroupTo(target, qid, remap);
+}
+
+FrequencySet FrequencySet::ProjectTo(const SubsetNode& target,
+                                     const QuasiIdentifier& qid) const {
+  INCOGNITO_SPAN("freq.projection");
+  INCOGNITO_PHASE_TIMER("phase.projection_seconds");
+  INCOGNITO_COUNT("freq.projections");
+  // Every kept dimension keeps its level, so it maps through the identity.
+  std::vector<std::vector<int32_t>> identity(target.size());
+  for (size_t j = 0; j < target.size(); ++j) {
+    const auto kept =
+        std::find(node_.dims.begin(), node_.dims.end(), target.dims[j]);
+    assert(kept != node_.dims.end() &&
+           target.levels[j] == node_.levels[static_cast<size_t>(
+                                   kept - node_.dims.begin())]);
+    (void)kept;
+    identity[j].resize(qid.hierarchy(static_cast<size_t>(target.dims[j]))
+                           .DomainSize(static_cast<size_t>(target.levels[j])));
+    std::iota(identity[j].begin(), identity[j].end(), 0);
+  }
+  return RegroupTo(target, qid, identity);
+}
+
+FrequencySet FrequencySet::RegroupTo(
+    const SubsetNode& target, const QuasiIdentifier& qid,
+    const std::vector<std::vector<int32_t>>& remap) const {
+  const size_t n = node_.size();
+  const size_t m = target.size();
+  // source[j]: the source field over target field j's dimension.
+  std::vector<size_t> source(m);
+  for (size_t i = 0, j = 0; j < m; ++i) {
+    assert(i < n);
+    if (node_.dims[i] == target.dims[j]) source[j++] = i;
+  }
 
   FrequencySet out = MakeEmpty(target, qid);
   out.total_count_ = total_count_;
@@ -585,29 +622,30 @@ FrequencySet FrequencySet::RollupTo(const SubsetNode& target,
   // every domain holds at least one code.
   if (NumGroups() == 0) return out;
 
+  // A vector source is remapped code by code.
+  std::vector<int32_t> codes(m);
+  auto remap_codes = [&](const std::vector<int32_t>& src) {
+    for (size_t j = 0; j < m; ++j) {
+      codes[j] = remap[j][static_cast<size_t>(src[source[j]])];
+    }
+    return codes.data();
+  };
   if (!out.packed_) {
-    std::unordered_map<std::vector<int32_t>, int64_t, VecHash> vagg;
-    // Rollup can only merge groups, so the source group count bounds the
-    // output size.
-    vagg.reserve(NumGroups());
-    std::vector<int32_t> codes(n);
-    ForEachGroup([&](const int32_t* src, int64_t count) {
-      for (size_t i = 0; i < n; ++i) {
-        codes[i] = remap[i][static_cast<size_t>(src[i])];
-      }
-      vagg[codes] += count;
-    });
-    out.vgroups_.assign(vagg.begin(), vagg.end());
+    // Neither a rollup nor a projection adds key bits, so only a vector
+    // source has a vector target.
+    FlatCodeMap agg(m, NumGroups());
+    for (const auto& [src, count] : vgroups_) agg.Add(remap_codes(src), count);
+    agg.AppendTo(&out.vgroups_);
     out.SortGroups();
     return out;
   }
 
-  // A packed source is remapped on the key itself: per dimension, a table
+  // A packed source is remapped on the key itself: per kept field, a table
   // from the source field's code to the target code already shifted into
-  // its target position. A zero-bit source field holds only code 0, so its
-  // target field is a constant folded into `fixed`; skipping it also keeps
-  // every shift below 64 (a zero-bit leading field of a full 64-bit key
-  // sits at bit 64).
+  // its target position; a dropped field gets no table. A zero-bit source
+  // field holds only code 0, so its target field is a constant folded into
+  // `fixed`; skipping it also keeps every shift below 64 (a zero-bit
+  // leading field of a full 64-bit key sits at bit 64).
   struct Field {
     unsigned shift = 0;
     uint64_t mask = 0;
@@ -618,23 +656,25 @@ FrequencySet FrequencySet::RollupTo(const SubsetNode& target,
   if (packed_) {
     size_t src_shift = codec_.total_bits();
     size_t dst_shift = out.codec_.total_bits();
-    for (size_t i = 0; i < n; ++i) {
+    for (size_t i = 0, j = 0; i < n; ++i) {
       src_shift -= codec_.bits(i);
-      dst_shift -= out.codec_.bits(i);
-      const bool dst_empty = out.codec_.bits(i) == 0;
+      if (j == m || source[j] != i) continue;
+      const size_t dst_bits = out.codec_.bits(j);
+      dst_shift -= dst_bits;
+      const std::vector<int32_t>& to = remap[j++];
       auto placed = [&](int32_t code) {
-        return dst_empty ? uint64_t{0}
-                         : static_cast<uint64_t>(code) << dst_shift;
+        return dst_bits == 0 ? uint64_t{0}
+                             : static_cast<uint64_t>(code) << dst_shift;
       };
       if (codec_.bits(i) == 0) {
-        fixed |= placed(remap[i][0]);
+        fixed |= placed(to[0]);
         continue;
       }
       Field& field = fields.emplace_back();
       field.shift = static_cast<unsigned>(src_shift);
       field.mask = (uint64_t{1} << codec_.bits(i)) - 1;
-      field.table.reserve(remap[i].size());
-      for (int32_t code : remap[i]) field.table.push_back(placed(code));
+      field.table.reserve(to.size());
+      for (int32_t code : to) field.table.push_back(placed(code));
     }
   }
   // Calls emit(target key, count) once per source group.
@@ -649,12 +689,8 @@ FrequencySet FrequencySet::RollupTo(const SubsetNode& target,
       }
       return;
     }
-    std::vector<int32_t> codes(n);
     for (const auto& [src, count] : vgroups_) {
-      for (size_t i = 0; i < n; ++i) {
-        codes[i] = remap[i][static_cast<size_t>(src[i])];
-      }
-      emit(out.codec_.Pack(codes.data()), count);
+      emit(out.codec_.Pack(remap_codes(src)), count);
     }
   };
 
@@ -673,83 +709,6 @@ FrequencySet FrequencySet::RollupTo(const SubsetNode& target,
     });
     SortAndCoalescePacked(items, bits, &out.groups_);
   }
-  return out;
-}
-
-FrequencySet FrequencySet::ProjectTo(const SubsetNode& target,
-                                     const QuasiIdentifier& qid,
-                                     SubstrateMode substrate) const {
-  INCOGNITO_SPAN("freq.projection");
-  INCOGNITO_PHASE_TIMER("phase.projection_seconds");
-  INCOGNITO_COUNT("freq.projections");
-  const size_t n = node_.size();
-  const size_t m = target.size();
-  // Positions of the kept dims within this node's dim list.
-  std::vector<size_t> pos(m);
-  for (size_t j = 0; j < m; ++j) {
-    auto it = std::find(node_.dims.begin(), node_.dims.end(), target.dims[j]);
-    assert(it != node_.dims.end());
-    pos[j] = static_cast<size_t>(it - node_.dims.begin());
-    assert(target.levels[j] == node_.levels[pos[j]]);
-  }
-  (void)n;
-
-  FrequencySet out = MakeEmpty(target, qid);
-  const SubstrateChoice choice = ChoiceFor(out.codec_, substrate);
-  CountSubstrate(choice);
-  std::vector<int32_t> codes(m);
-  switch (choice) {
-    case SubstrateChoice::kRadixSort: {
-      // Weighted radix: pack each source group's kept codes once, stable-
-      // sort the (key, count) pairs, coalesce. Order-preserving packing
-      // again makes the sorted run the canonical order.
-      std::vector<std::pair<uint64_t, int64_t>> items;
-      items.reserve(NumGroups());
-      ForEachGroup([&](const int32_t* src, int64_t count) {
-        for (size_t j = 0; j < m; ++j) codes[j] = src[pos[j]];
-        items.emplace_back(out.codec_.Pack(codes.data()), count);
-      });
-      SortAndCoalescePacked(items, out.codec_.total_bits(), &out.groups_);
-      break;
-    }
-    case SubstrateChoice::kFlatMap: {
-      FlatCodeMap agg(m, NumGroups());
-      ForEachGroup([&](const int32_t* src, int64_t count) {
-        for (size_t j = 0; j < m; ++j) codes[j] = src[pos[j]];
-        agg.Add(codes.data(), count);
-      });
-      agg.AppendTo(&out.vgroups_);
-      out.SortGroups();
-      break;
-    }
-    case SubstrateChoice::kHashMap: {
-      std::unordered_map<uint64_t, int64_t> agg;
-      std::unordered_map<std::vector<int32_t>, int64_t, VecHash> vagg;
-      // Projection sums groups away, so the source group count is an upper
-      // bound here too.
-      if (out.packed_) {
-        agg.reserve(NumGroups());
-      } else {
-        vagg.reserve(NumGroups());
-      }
-      ForEachGroup([&](const int32_t* src, int64_t count) {
-        for (size_t j = 0; j < m; ++j) codes[j] = src[pos[j]];
-        if (out.packed_) {
-          agg[out.codec_.Pack(codes.data())] += count;
-        } else {
-          vagg[codes] += count;
-        }
-      });
-      if (out.packed_) {
-        out.groups_.assign(agg.begin(), agg.end());
-      } else {
-        out.vgroups_.assign(vagg.begin(), vagg.end());
-      }
-      out.SortGroups();
-      break;
-    }
-  }
-  out.total_count_ = total_count_;
   return out;
 }
 

@@ -91,8 +91,8 @@ class FrequencySet {
   /// aggregation; the Subset Property's relational counterpart, used to
   /// build the zero-generalization cube). Requires target.dims ⊆
   /// node().dims and matching levels on the kept dims.
-  FrequencySet ProjectTo(const SubsetNode& target, const QuasiIdentifier& qid,
-                         SubstrateMode substrate = SubstrateMode::kAuto) const;
+  FrequencySet ProjectTo(const SubsetNode& target,
+                         const QuasiIdentifier& qid) const;
 
   /// The generalization this frequency set is with respect to.
   const SubsetNode& node() const { return node_; }
@@ -144,6 +144,17 @@ class FrequencySet {
  private:
   static FrequencySet MakeEmpty(const SubsetNode& node,
                                 const QuasiIdentifier& qid);
+
+  /// The one aggregation of a set built from another, behind RollupTo and
+  /// ProjectTo: target field j holds remap[j][c] for the code c of the
+  /// source field over the same dimension, and source dimensions missing
+  /// from target.dims (an ordered subset of node().dims) are summed away.
+  /// Packed targets are counted into a key-indexed array or radix-sorted
+  /// by the scans' count-or-sort rule; vector targets go through a
+  /// FlatCodeMap. Either way the reserve is exact, so the result is
+  /// bit-identical to a scan at `target`, MemoryBytes() included.
+  FrequencySet RegroupTo(const SubsetNode& target, const QuasiIdentifier& qid,
+                         const std::vector<std::vector<int32_t>>& remap) const;
 
   /// Sorts groups_/vgroups_ into canonical order (see class comment).
   void SortGroups();

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <map>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -44,28 +45,40 @@ void ExpectSameFrequencySet(const FrequencySet& a, const FrequencySet& b) {
   EXPECT_EQ(a.MemoryBytes(), b.MemoryBytes());
 }
 
-/// Asserts a parallel build reproduced the serial one bit for bit:
-/// every subset's frequency set and the BuildInfo totals.
-void ExpectSameCube(const ZeroGenCube& serial,
-                    const ZeroGenCube::BuildInfo& serial_info,
-                    const ZeroGenCube& parallel,
-                    const ZeroGenCube::BuildInfo& parallel_info, size_t n) {
-  EXPECT_EQ(serial.num_subsets(), parallel.num_subsets());
-  EXPECT_EQ(serial_info.num_subsets, parallel_info.num_subsets);
-  EXPECT_EQ(serial_info.total_groups, parallel_info.total_groups);
-  EXPECT_EQ(serial_info.total_bytes, parallel_info.total_bytes);
-  EXPECT_EQ(serial_info.table_scans, parallel_info.table_scans);
-  EXPECT_EQ(serial_info.projections, parallel_info.projections);
+/// Asserts a build equals the independent oracle: each subset's set is a
+/// fresh scan of its zero node, and the BuildInfo totals are the sums over
+/// those scans.
+void ExpectCubeMatchesScans(const Table& table, const QuasiIdentifier& qid,
+                            const ZeroGenCube& cube,
+                            const ZeroGenCube::BuildInfo& info) {
+  const size_t n = qid.size();
+  size_t groups = 0;
+  size_t bytes = 0;
   for (const auto& dims : AllSubsets(n)) {
-    ExpectSameFrequencySet(serial.Get(dims), parallel.Get(dims));
+    SubsetNode node(dims, std::vector<int32_t>(dims.size(), 0));
+    FrequencySet direct = FrequencySet::Compute(table, qid, node);
+    SCOPED_TRACE(node.ToString());
+    ExpectSameFrequencySet(direct, cube.Get(dims));
+    groups += direct.NumGroups();
+    bytes += direct.MemoryBytes();
   }
+  const size_t subsets = (size_t{1} << n) - 1;
+  EXPECT_EQ(cube.num_subsets(), subsets);
+  EXPECT_EQ(info.num_subsets, subsets);
+  EXPECT_EQ(info.total_groups, groups);
+  EXPECT_EQ(info.total_bytes, bytes);
+  EXPECT_EQ(info.table_scans, 1);
+  EXPECT_EQ(info.projections, static_cast<int64_t>(subsets - 1));
 }
+
+constexpr int kThreadCounts[] = {1, 2, 4, 8};
 
 TEST(CubeTest, PatientsCubeCoversAllSubsets) {
   Result<PatientsDataset> ds = MakePatientsDataset();
   ASSERT_TRUE(ds.ok());
+  WorkerPool pool(1);
   ZeroGenCube::BuildInfo info;
-  ZeroGenCube cube = ZeroGenCube::Build(ds->table, ds->qid, &info);
+  ZeroGenCube cube = ZeroGenCube::Build(ds->table, ds->qid, pool, &info);
   EXPECT_EQ(cube.num_subsets(), 7u);  // 2^3 - 1
   EXPECT_EQ(info.num_subsets, 7u);
   EXPECT_EQ(info.table_scans, 1);      // only the full set scans T
@@ -74,31 +87,23 @@ TEST(CubeTest, PatientsCubeCoversAllSubsets) {
   EXPECT_GT(info.total_bytes, 0u);
 }
 
-TEST(CubeTest, SubsetsMatchDirectComputation) {
+TEST(CubeTest, BuildMatchesScansOnPatients) {
   Result<PatientsDataset> ds = MakePatientsDataset();
   ASSERT_TRUE(ds.ok());
-  ZeroGenCube cube = ZeroGenCube::Build(ds->table, ds->qid);
-  // Every subset's cube entry must equal a from-scratch GROUP BY.
-  const std::vector<std::vector<int32_t>> subsets = {
-      {0}, {1}, {2}, {0, 1}, {0, 2}, {1, 2}, {0, 1, 2}};
-  for (const auto& dims : subsets) {
-    const FrequencySet& from_cube = cube.Get(dims);
-    SubsetNode node(dims, std::vector<int32_t>(dims.size(), 0));
-    FrequencySet direct = FrequencySet::Compute(ds->table, ds->qid, node);
-    EXPECT_EQ(from_cube.NumGroups(), direct.NumGroups());
-    EXPECT_EQ(from_cube.TotalCount(), direct.TotalCount());
-    EXPECT_EQ(from_cube.MinCount(), direct.MinCount());
-    for (int64_t k = 1; k <= 4; ++k) {
-      EXPECT_EQ(from_cube.IsKAnonymous(k), direct.IsKAnonymous(k))
-          << node.ToString();
-    }
+  for (int threads : kThreadCounts) {
+    WorkerPool pool(threads);
+    ZeroGenCube::BuildInfo info;
+    ZeroGenCube cube = ZeroGenCube::Build(ds->table, ds->qid, pool, &info);
+    SCOPED_TRACE(threads);
+    ExpectCubeMatchesScans(ds->table, ds->qid, cube, info);
   }
 }
 
 TEST(CubeTest, RollupFromCubeEntryMatchesScan) {
   Result<PatientsDataset> ds = MakePatientsDataset();
   ASSERT_TRUE(ds.ok());
-  ZeroGenCube cube = ZeroGenCube::Build(ds->table, ds->qid);
+  WorkerPool pool(1);
+  ZeroGenCube cube = ZeroGenCube::Build(ds->table, ds->qid, pool);
   // Cube Incognito's access pattern: roll a zero-generalization entry up
   // to an arbitrary node of the same attribute subset.
   SubsetNode target({1, 2}, {1, 1});
@@ -108,125 +113,111 @@ TEST(CubeTest, RollupFromCubeEntryMatchesScan) {
   EXPECT_EQ(rolled.MinCount(), direct.MinCount());
 }
 
-TEST(CubeTest, RandomDataCubeMatchesDirect) {
-  Rng rng(777);
-  for (int trial = 0; trial < 5; ++trial) {
-    testing_util::RandomDatasetOptions opts;
-    opts.num_attrs = 4;
-    opts.num_rows = 120;
-    testing_util::RandomDataset ds = testing_util::MakeRandomDataset(rng, opts);
-    ZeroGenCube cube = ZeroGenCube::Build(ds.table, ds.qid);
-    EXPECT_EQ(cube.num_subsets(), 15u);
-    // Check a few random subsets.
-    const std::vector<std::vector<int32_t>> subsets = {
-        {0}, {3}, {1, 2}, {0, 3}, {0, 1, 2}, {1, 2, 3}, {0, 1, 2, 3}};
-    for (const auto& dims : subsets) {
-      SubsetNode node(dims, std::vector<int32_t>(dims.size(), 0));
-      FrequencySet direct = FrequencySet::Compute(ds.table, ds.qid, node);
-      EXPECT_EQ(cube.Get(dims).NumGroups(), direct.NumGroups());
-      EXPECT_EQ(cube.Get(dims).TuplesBelowK(2), direct.TuplesBelowK(2));
-    }
-  }
-}
-
-TEST(CubeTest, SingleAttributeQid) {
-  Result<PatientsDataset> ds = MakePatientsDataset();
-  ASSERT_TRUE(ds.ok());
-  QuasiIdentifier qid1 = ds->qid.Prefix(1);
-  ZeroGenCube cube = ZeroGenCube::Build(ds->table, qid1);
-  EXPECT_EQ(cube.num_subsets(), 1u);
-  EXPECT_EQ(cube.Get({0}).TotalCount(), 6);
-}
-
-// ---------------------------------------------------------------------------
-// BuildParallel: the DAG-scheduled build must be bit-identical to Build.
-// ---------------------------------------------------------------------------
-
-TEST(CubeTest, BuildParallelMatchesSerialOnPatients) {
-  Result<PatientsDataset> ds = MakePatientsDataset();
-  ASSERT_TRUE(ds.ok());
-  ZeroGenCube::BuildInfo serial_info;
-  ZeroGenCube serial = ZeroGenCube::Build(ds->table, ds->qid, &serial_info);
-  for (int threads : {1, 2, 4, 8}) {
-    WorkerPool pool(threads);
-    ZeroGenCube::BuildInfo info;
-    ZeroGenCube cube =
-        ZeroGenCube::BuildParallel(ds->table, ds->qid, pool, &info);
-    SCOPED_TRACE(threads);
-    ExpectSameCube(serial, serial_info, cube, info, ds->qid.size());
-  }
-}
-
-TEST(CubeTest, BuildParallelMatchesSerialOnRandomData) {
+TEST(CubeTest, BuildMatchesScansOnRandomData) {
   Rng rng(4242);
   for (int trial = 0; trial < 3; ++trial) {
     testing_util::RandomDatasetOptions opts;
     opts.num_attrs = 4;
     opts.num_rows = 120;
     testing_util::RandomDataset ds = testing_util::MakeRandomDataset(rng, opts);
-    ZeroGenCube::BuildInfo serial_info;
-    ZeroGenCube serial = ZeroGenCube::Build(ds.table, ds.qid, &serial_info);
-    for (int threads : {2, 8}) {
+    for (int threads : kThreadCounts) {
       WorkerPool pool(threads);
       ZeroGenCube::BuildInfo info;
-      ZeroGenCube cube =
-          ZeroGenCube::BuildParallel(ds.table, ds.qid, pool, &info);
+      ZeroGenCube cube = ZeroGenCube::Build(ds.table, ds.qid, pool, &info);
       SCOPED_TRACE(trial * 100 + threads);
-      ExpectSameCube(serial, serial_info, cube, info, ds.qid.size());
+      ExpectCubeMatchesScans(ds.table, ds.qid, cube, info);
     }
   }
 }
 
-TEST(CubeTest, BuildParallelSingleAttributeQid) {
-  // n == 1: no projections, no DAG — the parallel build is just the
-  // parallel root scan.
+TEST(CubeTest, BuildMatchesScansOnWideKeys) {
+  // Seven 12-bit attributes: the 84-bit root projects onto 72-bit vector
+  // keys (a FlatCodeMap) and 60-bit packed ones, and those vector sets
+  // project onward onto packed keys.
+  testing_util::RandomDataset ds =
+      testing_util::MakeWideFallbackDataset(300, 7);
+  ASSERT_GT(testing_util::KeyBits(ds.qid, SubsetNode({0, 1, 2, 3, 4, 5},
+                                                     {0, 0, 0, 0, 0, 0})),
+            64u);
+  for (int threads : kThreadCounts) {
+    WorkerPool pool(threads);
+    ZeroGenCube::BuildInfo info;
+    ZeroGenCube cube = ZeroGenCube::Build(ds.table, ds.qid, pool, &info);
+    SCOPED_TRACE(threads);
+    ExpectCubeMatchesScans(ds.table, ds.qid, cube, info);
+  }
+}
+
+TEST(CubeTest, SingleAttributeQid) {
+  // n == 1: no projections and no tiers — the build is the root scan.
   Result<PatientsDataset> ds = MakePatientsDataset();
   ASSERT_TRUE(ds.ok());
   QuasiIdentifier qid1 = ds->qid.Prefix(1);
-  WorkerPool pool(4);
-  ZeroGenCube::BuildInfo info;
-  ZeroGenCube cube = ZeroGenCube::BuildParallel(ds->table, qid1, pool, &info);
-  EXPECT_EQ(cube.num_subsets(), 1u);
-  EXPECT_EQ(info.projections, 0);
-  EXPECT_EQ(info.table_scans, 1);
-  EXPECT_EQ(cube.Get({0}).TotalCount(), 6);
+  for (int threads : {1, 4}) {
+    WorkerPool pool(threads);
+    ZeroGenCube::BuildInfo info;
+    ZeroGenCube cube = ZeroGenCube::Build(ds->table, qid1, pool, &info);
+    EXPECT_EQ(cube.num_subsets(), 1u);
+    EXPECT_EQ(info.projections, 0);
+    EXPECT_EQ(info.table_scans, 1);
+    EXPECT_EQ(cube.Get({0}).TotalCount(), 6);
+  }
 }
 
-TEST(CubeTest, GovernedBuildParallelMatchesAndBalances) {
-  Result<PatientsDataset> ds = MakePatientsDataset();
-  ASSERT_TRUE(ds.ok());
-  ZeroGenCube::BuildInfo serial_info;
-  ZeroGenCube serial = ZeroGenCube::Build(ds->table, ds->qid, &serial_info);
-  WorkerPool pool(4);
-  ExecutionGovernor governor;
-  governor.SetMemoryLimitBytes(int64_t{1} << 30);
-  ZeroGenCube::BuildInfo info;
-  ZeroGenCube cube =
-      ZeroGenCube::BuildParallel(ds->table, ds->qid, pool, &info, &governor);
-  ASSERT_FALSE(governor.Tripped());
-  ExpectSameCube(serial, serial_info, cube, info, ds->qid.size());
-  // The governed build charges exactly what the serial build would; the
-  // transient worker leases are gone and ReleaseMemory balances to zero.
-  EXPECT_EQ(governor.memory().used(),
-            static_cast<int64_t>(serial_info.total_bytes));
-  cube.ReleaseMemory(&governor);
-  EXPECT_EQ(governor.memory().used(), 0);
+TEST(CubeTest, GovernedBuildMatchesScansAndBalances) {
+  Result<PatientsDataset> patients = MakePatientsDataset();
+  ASSERT_TRUE(patients.ok());
+  Rng rng(4242);
+  testing_util::RandomDatasetOptions opts;
+  opts.num_attrs = 4;
+  opts.num_rows = 120;
+  testing_util::RandomDataset random =
+      testing_util::MakeRandomDataset(rng, opts);
+  testing_util::RandomDataset wide =
+      testing_util::MakeWideFallbackDataset(300, 7);
+  const std::pair<const Table*, const QuasiIdentifier*> inputs[] = {
+      {&patients->table, &patients->qid},
+      {&random.table, &random.qid},
+      {&wide.table, &wide.qid}};
+  for (const auto& [table, qid] : inputs) {
+    for (int threads : kThreadCounts) {
+      WorkerPool pool(threads);
+      ExecutionGovernor governor;
+      governor.SetMemoryLimitBytes(int64_t{1} << 30);
+      ZeroGenCube::BuildInfo info;
+      ZeroGenCube cube =
+          ZeroGenCube::Build(*table, *qid, pool, &info, &governor);
+      SCOPED_TRACE(std::to_string(qid->size()) + " attributes, threads=" +
+                   std::to_string(threads));
+      ASSERT_FALSE(governor.Tripped());
+      ExpectCubeMatchesScans(*table, *qid, cube, info);
+      // The governor holds exactly the cube's footprint: the transient
+      // worker leases are gone, and ReleaseMemory balances to zero.
+      EXPECT_EQ(governor.memory().used(),
+                static_cast<int64_t>(info.total_bytes));
+      cube.ReleaseMemory(&governor);
+      EXPECT_EQ(governor.memory().used(), 0);
+    }
+  }
 }
 
-TEST(CubeTest, GovernedBuildParallelTinyBudgetTripsCleanly) {
+TEST(CubeTest, GovernedBuildTinyBudgetTripsCleanly) {
   Result<PatientsDataset> ds = MakePatientsDataset();
   ASSERT_TRUE(ds.ok());
-  WorkerPool pool(4);
-  ExecutionGovernor governor;
-  governor.SetMemoryLimitBytes(64);
-  ZeroGenCube::BuildInfo info;
-  ZeroGenCube cube =
-      ZeroGenCube::BuildParallel(ds->table, ds->qid, pool, &info, &governor);
-  EXPECT_TRUE(governor.Tripped());
-  // A tripped build hands back nothing and leaks nothing.
-  EXPECT_EQ(cube.num_subsets(), 0u);
-  EXPECT_EQ(info.num_subsets, 0u);
-  EXPECT_EQ(governor.memory().used(), 0);
+  for (int threads : {1, 4}) {
+    WorkerPool pool(threads);
+    ExecutionGovernor governor;
+    governor.SetMemoryLimitBytes(64);
+    ZeroGenCube::BuildInfo info;
+    ZeroGenCube cube =
+        ZeroGenCube::Build(ds->table, ds->qid, pool, &info, &governor);
+    SCOPED_TRACE(threads);
+    EXPECT_TRUE(governor.Tripped());
+    // A tripped build hands back nothing and leaks nothing.
+    EXPECT_EQ(cube.num_subsets(), 0u);
+    EXPECT_EQ(info.num_subsets, 0u);
+    EXPECT_EQ(governor.memory().used(), 0);
+  }
 }
 
 }  // namespace

@@ -557,9 +557,9 @@ TEST(PooledScanTest, TinyBudgetTripsToEmptySetWithNothingLeaked) {
 }
 
 TEST(ParallelIncognitoTest, CubeVariantMatchesSerialAtEveryThreadCount) {
-  // End-to-end: the cube variant's parallel search builds the cube with
-  // BuildParallel; results and work counters must match the serial search
-  // at every thread count.
+  // End-to-end: the cube variant's parallel search builds the cube across
+  // its pool; results and work counters must match the serial search at
+  // every thread count.
   AdultsOptions adults;
   adults.num_rows = 300;
   Result<SyntheticDataset> data = MakeAdultsDataset(adults);
@@ -697,8 +697,8 @@ TEST(ParallelFaultTest, CubeProjectFaultYieldsEmptyCubeAndBalances) {
   WorkerPool pool(4);
   ExecutionGovernor governor;
   ZeroGenCube::BuildInfo info;
-  ZeroGenCube cube = ZeroGenCube::BuildParallel(data.table, data.qid, pool,
-                                                &info, &governor);
+  ZeroGenCube cube =
+      ZeroGenCube::Build(data.table, data.qid, pool, &info, &governor);
   EXPECT_EQ(FaultInjector::Global().FaultsFired(), 1);
   EXPECT_TRUE(governor.Tripped());
   EXPECT_EQ(cube.num_subsets(), 0u);
@@ -712,7 +712,7 @@ TEST(ParallelFaultTest, NewSitesSurfaceAsCleanPartialsEndToEnd) {
     GTEST_SKIP() << "build with -DINCOGNITO_FAULTS=ON";
   }
   // The governed parallel cube search reaches both compute sites: the
-  // parallel root scan ("freq.batch.scan") and the DAG projections
+  // parallel root scan ("freq.batch.scan") and the tiers' projections
   // ("cube.project"). A scripted failure at either must surface as a
   // governance partial with the byte accounting balanced.
   Rng rng(7);
@@ -899,6 +899,35 @@ TEST(WideQidTest, ThirtyTwoAttributesAreRefusedBeforeTheTaskTable) {
   }
 }
 
+TEST(WideQidTest, CubeRunsWiderThanTwentyFourAttributesAreRejected) {
+  // One frequency set per attribute subset: 2^25 cube slots and subset
+  // tasks would take gigabytes before the first projection, none of it
+  // charged, so a wide Cube run is refused before any work.
+  RandomDataset data = MakeTwoRowDataset(25);
+  AnonymizationConfig config;
+  config.k = 2;
+  IncognitoOptions options;
+  options.variant = IncognitoVariant::kCube;
+  for (int threads : {1, 4}) {
+    const std::string context = "threads=" + std::to_string(threads);
+    PartialResult<IncognitoResult> plain =
+        RunIncognito(data.table, data.qid, config, options,
+                     RunContext::WithThreads(threads));
+    ASSERT_TRUE(plain.hard_error()) << context;
+    EXPECT_EQ(plain.status().code(), StatusCode::kInvalidArgument) << context;
+
+    ExecutionGovernor governor;
+    PartialResult<IncognitoResult> governed =
+        RunIncognito(data.table, data.qid, config, options,
+                     RunContext::Governed(governor, threads));
+    ASSERT_TRUE(governed.hard_error()) << context;
+    EXPECT_EQ(governed.status().code(), StatusCode::kInvalidArgument)
+        << context;
+    EXPECT_EQ(governor.memory().peak(), 0) << context;
+    EXPECT_EQ(governor.trips().checks, 0) << context;
+  }
+}
+
 TEST(ParallelFaultTest, SubsetScheduleFaultSurfacesAsCleanPartial) {
   if (!FaultInjector::kCompiledIn) {
     GTEST_SKIP() << "build with -DINCOGNITO_FAULTS=ON";
@@ -929,7 +958,7 @@ TEST(ParallelFaultTest, RandomFaultsNeverCrashTheParallelCubeSearch) {
   if (!FaultInjector::kCompiledIn) {
     GTEST_SKIP() << "build with -DINCOGNITO_FAULTS=ON";
   }
-  // The cube-variant soak additionally sweeps the DAG scheduler's fault
+  // The cube-variant soak additionally sweeps the cube build's fault
   // handling: a projection failure must stop every worker cleanly.
   Rng rng(7);
   RandomDataset data = MakeRandomDataset(rng);

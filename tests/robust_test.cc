@@ -706,8 +706,8 @@ TEST_F(FaultPointTest, EveryKnownSitePropagatesACleanStatus) {
     }
     {
       // The governed 4-thread cube search reaches the intra-node sites:
-      // the pool-parallel root scan (freq.batch.scan) and the
-      // DAG-scheduled projections (cube.project).
+      // the pool-parallel root scan (freq.batch.scan) and the tiers'
+      // projections (cube.project).
       ExecutionGovernor g;
       outcomes->push_back(RunIncognito(search.table, search.qid,
                                        search_config, cube_opts,

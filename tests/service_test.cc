@@ -437,9 +437,10 @@ TEST(ServiceCoreTest, TinyMemoryBudgetTripsToSoundPartial) {
 }
 
 TEST(ServiceCoreTest, WideQidJobIsRefusedAndTheDaemonKeepsServing) {
-  // 32 attributes need a 2^32-slot subset task table. A job without a
-  // memory budget must finish with the refusal instead of aborting the
-  // process, and the same core then serves the next job.
+  // 32 attributes need a 2^32-slot subset task table, and a 25-attribute
+  // Cube job a 2^25-set cube. Jobs without a memory budget must finish
+  // with the refusal instead of aborting the process, and the same core
+  // then serves the next job.
   const std::string path = ::testing::TempDir() + "/service_wide_qid.csv";
   JobSpec wide;
   wide.input = path;
@@ -470,6 +471,22 @@ TEST(ServiceCoreTest, WideQidJobIsRefusedAndTheDaemonKeepsServing) {
   EXPECT_EQ(refusal->status.code(), StatusCode::kResourceExhausted)
       << refusal->status.ToString();
   EXPECT_TRUE(refusal->nodes.empty());
+
+  // A Cube job over the first 25 attributes is refused before any work:
+  // its cube would hold 2^25 frequency sets.
+  JobSpec wide_cube = wide;
+  wide_cube.variant = IncognitoVariant::kCube;
+  wide_cube.qid.resize(25);
+  for (int i = 25; i < 32; ++i) {
+    wide_cube.hierarchies.erase("a" + std::to_string(i));
+  }
+  Result<JobId> cube_refused = core.Submit(wide_cube);
+  ASSERT_TRUE(cube_refused.ok()) << cube_refused.status().ToString();
+  Result<JobResult> cube_refusal = core.Wait(cube_refused.value());
+  ASSERT_TRUE(cube_refusal.ok());
+  EXPECT_EQ(cube_refusal->status.code(), StatusCode::kInvalidArgument)
+      << cube_refusal->status.ToString();
+  EXPECT_TRUE(cube_refusal->nodes.empty());
 
   Result<JobId> next = core.Submit(DemoSpec(JobModel::kKAnonymity));
   ASSERT_TRUE(next.ok());

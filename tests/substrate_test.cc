@@ -513,7 +513,7 @@ TEST(CountedScanTest, OneBatchMixesCountedAndSortedNodes) {
 }
 
 // ---------------------------------------------------------------------------
-// Differential: Compute / pooled ComputeBatch / ProjectTo
+// Differential: Compute / pooled ComputeBatch / RollupTo / ProjectTo
 // ---------------------------------------------------------------------------
 
 /// Nodes that exercise the interesting key shapes on a 3-attribute QID:
@@ -686,55 +686,76 @@ TEST(SubstrateDifferentialTest, ComputeBatchMatchesPerNodeCompute) {
   }
 }
 
-TEST(SubstrateDifferentialTest, ProjectToMatchesAcrossSubstrates) {
+TEST(SubstrateDifferentialTest, RollupsAndProjectionsMatchMapOracle) {
+  // RollupTo and ProjectTo share one regroup kernel, which takes no
+  // substrate: every key shape it meets must equal the oracle, with the
+  // footprint of a scan.
   AdultsOptions adults;
   adults.num_rows = 5000;
   Result<SyntheticDataset> data = MakeAdultsDataset(adults);
   ASSERT_TRUE(data.ok());
-  SubsetNode full({0, 1, 2, 3}, {0, 0, 0, 0});
-  FrequencySet base = FrequencySet::Compute(data->table, data->qid, full,
-                                            SubstrateMode::kHash);
-  for (const SubsetNode& target :
-       {SubsetNode({0, 1}, {0, 0}), SubsetNode({0, 2, 3}, {0, 0, 0}),
-        SubsetNode({3}, {0})}) {
-    FrequencySet hash = base.ProjectTo(target, data->qid,
-                                       SubstrateMode::kHash);
-    for (SubstrateMode mode : {SubstrateMode::kRadix, SubstrateMode::kAuto}) {
-      FrequencySet other = base.ProjectTo(target, data->qid, mode);
-      ExpectIdenticalSets(hash, other,
-                          target.ToString() + " " + SubstrateModeName(mode));
-    }
+  const int32_t top = static_cast<int32_t>(data->qid.hierarchy(3).height());
+  ASSERT_EQ(data->qid.hierarchy(3).DomainSize(static_cast<size_t>(top)), 1u);
+  // Seven 12-bit attributes: an 84-bit vector-key source.
+  RandomDataset wide = MakeWideFallbackDataset(500, 7);
+  const SubsetNode wide_bottom = SubsetNode::Full(std::vector<int32_t>(7, 0));
+  struct Case {
+    const Table* table;
+    const QuasiIdentifier* qid;
+    SubsetNode source;
+    SubsetNode target;
+    bool project;
+  };
+  const SubsetNode adults_base({0, 1, 2, 3}, {0, 0, 0, 0});
+  const Case cases[] = {
+      // Packed source, packed target.
+      {&data->table, &data->qid, adults_base, SubsetNode({0, 1}, {0, 0}),
+       true},
+      {&data->table, &data->qid, adults_base, SubsetNode({0, 2, 3}, {0, 0, 0}),
+       true},
+      {&data->table, &data->qid, adults_base, SubsetNode({3}, {0}), true},
+      // Drops a zero-bit field.
+      {&data->table, &data->qid, SubsetNode({0, 1, 2, 3}, {0, 0, 0, top}),
+       SubsetNode({0, 1, 2}, {0, 0, 0}), true},
+      // Vector source onto vector targets (72 bits), then onto packed
+      // targets (60 bits).
+      {&wide.table, &wide.qid, wide_bottom,
+       SubsetNode({0, 1, 2, 3, 4, 5}, std::vector<int32_t>(6, 0)), true},
+      {&wide.table, &wide.qid, wide_bottom,
+       SubsetNode::Full({1, 0, 0, 0, 0, 0, 0}), false},
+      {&wide.table, &wide.qid, wide_bottom,
+       SubsetNode({0, 1, 2, 3, 4}, std::vector<int32_t>(5, 0)), true},
+      {&wide.table, &wide.qid, wide_bottom,
+       SubsetNode::Full({1, 1, 0, 0, 0, 0, 0}), false},
+  };
+  for (const Case& c : cases) {
+    const std::string context =
+        c.source.ToString() + (c.project ? " projected to " : " rolled to ") +
+        c.target.ToString() +
+        " bits=" + std::to_string(KeyBits(*c.qid, c.target));
+    FrequencySet source = FrequencySet::Compute(*c.table, *c.qid, c.source);
+    FrequencySet result = c.project ? source.ProjectTo(c.target, *c.qid)
+                                    : source.RollupTo(c.target, *c.qid);
+    ExpectMatchesOracle(*c.table, *c.qid, result, context);
   }
-  // Wide-key projection rides the flat map.
-  RandomDataset wide = MakeWideFallbackDataset(500);
-  const size_t n = wide.qid.size();
-  std::vector<int32_t> dims(n);
-  for (size_t i = 0; i < n; ++i) dims[i] = static_cast<int32_t>(i);
-  FrequencySet wbase =
-      FrequencySet::Compute(wide.table, wide.qid,
-                            SubsetNode(dims, std::vector<int32_t>(n, 0)),
-                            SubstrateMode::kHash);
-  SubsetNode wtarget({0, 1, 2, 3, 4}, {0, 0, 0, 0, 0});
-  FrequencySet whash = wbase.ProjectTo(wtarget, wide.qid,
-                                       SubstrateMode::kHash);
-  FrequencySet wflat = wbase.ProjectTo(wtarget, wide.qid,
-                                       SubstrateMode::kRadix);
-  ExpectIdenticalSets(whash, wflat, "wide projection");
 }
 
 TEST(SubstrateDifferentialTest, CubeBuildsAreIdenticalAcrossSubstrates) {
+  // The mode reaches only the root scan; the projections are the kernel's.
   AdultsOptions adults;
   adults.num_rows = 5000;
   Result<SyntheticDataset> data = MakeAdultsDataset(adults);
   ASSERT_TRUE(data.ok());
   QuasiIdentifier qid = data->qid.Prefix(4);
+  WorkerPool pool(1);
   ZeroGenCube::BuildInfo hash_info;
-  ZeroGenCube hash_cube = ZeroGenCube::Build(data->table, qid, &hash_info,
-                                             nullptr, SubstrateMode::kHash);
+  ZeroGenCube hash_cube = ZeroGenCube::Build(data->table, qid, pool,
+                                             &hash_info, nullptr,
+                                             SubstrateMode::kHash);
   for (SubstrateMode mode : {SubstrateMode::kRadix, SubstrateMode::kAuto}) {
     ZeroGenCube::BuildInfo info;
     ZeroGenCube cube =
-        ZeroGenCube::Build(data->table, qid, &info, nullptr, mode);
+        ZeroGenCube::Build(data->table, qid, pool, &info, nullptr, mode);
     EXPECT_EQ(info.num_subsets, hash_info.num_subsets);
     EXPECT_EQ(info.total_groups, hash_info.total_groups);
     EXPECT_EQ(info.total_bytes, hash_info.total_bytes);

@@ -117,21 +117,22 @@ inline RandomDataset MakeRandomDataset(Rng& rng,
   return out;
 }
 
-/// Builds the vector-key fallback fixture: six attributes whose 4096-value
-/// domains need 72 key bits — beyond the 64-bit packed fast path — each
-/// with a two-level (value, '*') hierarchy. Row values are drawn from a
-/// small range so groups repeat despite the huge domains. Deterministic:
-/// the same `num_rows` always yields the same table.
-inline RandomDataset MakeWideFallbackDataset(size_t num_rows) {
-  const size_t kAttrs = 6;
+/// Builds the vector-key fallback fixture: `attrs` attributes (six by
+/// default) whose 4096-value domains need 12 key bits each — six need 72,
+/// beyond the 64-bit packed fast path — each with a two-level (value, '*')
+/// hierarchy. Row values are drawn from a small range so groups repeat
+/// despite the huge domains. Deterministic: the same arguments always
+/// yield the same table.
+inline RandomDataset MakeWideFallbackDataset(size_t num_rows,
+                                             size_t attrs = 6) {
   const size_t kDomain = 4096;
   std::vector<ColumnSpec> specs;
-  for (size_t i = 0; i < kAttrs; ++i) {
+  for (size_t i = 0; i < attrs; ++i) {
     specs.push_back({StringPrintf("a%zu", i), DataType::kInt64});
   }
   Table table{Schema(specs)};
   std::vector<std::pair<std::string, ValueHierarchy>> hierarchies;
-  for (size_t i = 0; i < kAttrs; ++i) {
+  for (size_t i = 0; i < attrs; ++i) {
     Dictionary& dict = table.mutable_dictionary(i);
     std::vector<std::vector<Value>> levels(2);
     std::vector<std::vector<int32_t>> parents(1);
@@ -148,9 +149,9 @@ inline RandomDataset MakeWideFallbackDataset(size_t num_rows) {
             .value());
   }
   Rng rng(31337);
-  std::vector<int32_t> codes(kAttrs);
+  std::vector<int32_t> codes(attrs);
   for (size_t r = 0; r < num_rows; ++r) {
-    for (size_t i = 0; i < kAttrs; ++i) {
+    for (size_t i = 0; i < attrs; ++i) {
       codes[i] = static_cast<int32_t>(rng.Uniform(3));
     }
     table.AppendRowCodes(codes);

@@ -15,11 +15,11 @@ namespace {
 /// transient pool (bit-identical either way; see docs/PARALLELISM.md).
 FrequencySet CheckScan(const Table& table, const QuasiIdentifier& qid,
                        const SubsetNode& node, int num_threads,
-                       ExecutionGovernor* governor, SubstrateMode substrate) {
+                       ExecutionGovernor* governor) {
   WorkerPool pool(num_threads);
-  return std::move(FrequencySet::ComputeBatch(table, qid, {node}, &pool,
-                                              governor, substrate)
-                       .front());
+  return std::move(
+      FrequencySet::ComputeBatch(table, qid, {node}, &pool, governor)
+          .front());
 }
 
 }  // namespace
@@ -78,13 +78,11 @@ std::string AlgorithmStats::ToString() const {
 
 bool IsKAnonymous(const Table& table, const QuasiIdentifier& qid,
                   const SubsetNode& node, const AnonymizationConfig& config,
-                  AlgorithmStats* stats, int num_threads,
-                  SubstrateMode substrate) {
+                  AlgorithmStats* stats, int num_threads) {
   INCOGNITO_SPAN("checker.is_k_anonymous");
   INCOGNITO_COUNT("checker.direct_checks");
   Stopwatch timer;
-  FrequencySet fs = CheckScan(table, qid, node, num_threads, nullptr,
-                              substrate);
+  FrequencySet fs = CheckScan(table, qid, node, num_threads, nullptr);
   bool anonymous = fs.IsKAnonymous(config.k, config.max_suppressed);
   if (stats != nullptr) {
     ++stats->nodes_checked;
@@ -101,15 +99,13 @@ Result<bool> IsKAnonymous(const Table& table, const QuasiIdentifier& qid,
                           const RunContext& ctx, AlgorithmStats* stats) {
   int num_threads = ctx.num_threads > 0 ? ctx.num_threads : 1;
   if (ctx.governor == nullptr) {
-    return IsKAnonymous(table, qid, node, config, stats, num_threads,
-                        ctx.substrate);
+    return IsKAnonymous(table, qid, node, config, stats, num_threads);
   }
   ExecutionGovernor& governor = *ctx.governor;
   INCOGNITO_RETURN_IF_ERROR(governor.Check());
   INCOGNITO_HIST_TIMER("checker.check_seconds");
   Stopwatch timer;
-  FrequencySet fs = CheckScan(table, qid, node, num_threads, &governor,
-                              ctx.substrate);
+  FrequencySet fs = CheckScan(table, qid, node, num_threads, &governor);
   Status charge = governor.ChargeMemory(
       static_cast<int64_t>(fs.MemoryBytes()));
   if (!charge.ok()) {

@@ -92,20 +92,16 @@ struct AlgorithmStats {
 /// When `stats` is non-null, the check's costs are accumulated into it.
 /// `num_threads` > 1 fans the scan out across a worker pool
 /// (FrequencySet::ComputeBatch) with a bit-identical verdict and stats.
-/// `substrate` selects the group-by engine for the scan (freq/substrate.h);
-/// every mode returns the identical verdict and stats.
 bool IsKAnonymous(const Table& table, const QuasiIdentifier& qid,
                   const SubsetNode& node, const AnonymizationConfig& config,
-                  AlgorithmStats* stats = nullptr, int num_threads = 1,
-                  SubstrateMode substrate = SubstrateMode::kAuto);
+                  AlgorithmStats* stats = nullptr, int num_threads = 1);
 
 /// RunContext variant (docs/API.md): ctx.governor (when non-null) is
 /// polled before the scan and charged the frequency set's heap footprint
 /// (released after the check); kDeadlineExceeded / kResourceExhausted /
 /// kCancelled replace the answer when a budget trips. An ungoverned
 /// context never trips. ctx.num_threads > 1 runs the scan across a worker
-/// pool with per-worker shard charges; ctx.substrate picks the group-by
-/// engine.
+/// pool with per-worker shard charges.
 Result<bool> IsKAnonymous(const Table& table, const QuasiIdentifier& qid,
                           const SubsetNode& node,
                           const AnonymizationConfig& config,

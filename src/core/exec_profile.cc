@@ -11,7 +11,6 @@ RunContext ExecProfile::MakeContext(ExecutionGovernor* governor) const {
         .WithCancel(cancel);
   }
   return ctx.WithWorkers(num_threads)
-      .WithSubstrate(substrate)
       .WithCheckpoint(checkpoint.enabled() ? &checkpoint : nullptr);
 }
 

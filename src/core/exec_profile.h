@@ -13,7 +13,7 @@ namespace incognito {
 inline constexpr int kMaxThreads = 256;
 
 /// One value-typed description of HOW a run should execute — budgets,
-/// threads, substrate, checkpointing — independent of WHAT it
+/// threads, checkpointing — independent of WHAT it
 /// runs. This is the single JobSpec/flag → RunContext translation shared by
 /// the CLI (tools/incognito_cli.cpp), the benches, and the service daemon
 /// (src/service/), so the arming rules live in exactly one place.
@@ -31,7 +31,6 @@ struct ExecProfile {
   /// Worker threads (0 defers to the algorithm's own option); at most
   /// kMaxThreads.
   int num_threads = 0;
-  SubstrateMode substrate = SubstrateMode::kAuto;
   /// Owned checkpoint policy; inert unless a path is set.
   CheckpointPolicy checkpoint;
 

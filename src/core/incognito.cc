@@ -47,13 +47,7 @@ PartialResult<IncognitoResult> RunIncognito(const Table& table,
   }
   const int num_threads = std::max(
       1, ctx.num_threads > 0 ? ctx.num_threads : options.num_threads);
-  // A non-kAuto context substrate overrides the option, mirroring the
-  // thread-count precedence above.
-  IncognitoOptions effective = options;
-  if (ctx.substrate != SubstrateMode::kAuto) {
-    effective.substrate = ctx.substrate;
-  }
-  return RunSubsetDag(table, qid, config, effective, ctx.governor,
+  return RunSubsetDag(table, qid, config, options, ctx.governor,
                       num_threads, ctx.checkpoint);
 }
 

@@ -57,13 +57,6 @@ struct IncognitoOptions {
   /// deterministic counter except table_scans are bit-identical either
   /// way; table_scans counts one scan per (subset, level) batch.
   bool batch_scans = true;
-
-  /// Group-by substrate for every frequency-set build of the search
-  /// (DESIGN.md "Group-by substrates"): kAuto (default) and kRadix run
-  /// the count-or-sort kernel, kHash the reference hash-map probes. All
-  /// modes produce bit-identical survivors, counters, and MemoryBytes; a
-  /// non-kAuto RunContext::substrate overrides this option.
-  SubstrateMode substrate = SubstrateMode::kAuto;
 };
 
 /// The output of an Incognito run.

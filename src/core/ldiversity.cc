@@ -101,10 +101,9 @@ PartialResult<LDiversityResult> RunLDiversityIncognito(
   AnonymizationConfig bounds;
   bounds.k = config.k;
   bounds.max_suppressed = config.max_suppressed;
-  IncognitoOptions options;
-  options.substrate = ctx.substrate;
   PartialResult<IncognitoResult> search = RunSubsetDag(
-      table, qid, bounds, options, ctx.governor, std::max(1, ctx.num_threads),
+      table, qid, bounds, IncognitoOptions(), ctx.governor,
+      std::max(1, ctx.num_threads),
       /*checkpoint=*/nullptr, &key->qid(), config.l);
   if (search.hard_error()) return search.status();
   LDiversityResult result;

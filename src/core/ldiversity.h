@@ -104,8 +104,8 @@ class DiversityKey {
 ///
 /// `ctx` carries the execution parameters (docs/API.md): a default
 /// RunContext reproduces the ungoverned call. ctx.num_threads (0 means 1)
-/// sizes the worker pool and ctx.substrate picks the group-by engine;
-/// every thread count returns the same diverse_nodes and counters. With
+/// sizes the worker pool; every thread count returns the same
+/// diverse_nodes and counters. With
 /// ctx.governor set, the search polls the governor at every candidate node
 /// and charges each frequency set against its memory budget through
 /// per-worker shard leases; a budget trip stops the search cleanly and

@@ -162,7 +162,7 @@ class LatticeWalk {
         ++stats_.table_scans;
         FrequencySet set = std::move(
             FrequencySet::ComputeBatch(run_.table, set_qid_, {super}, pool_,
-                                       run_.governor, options_.substrate)
+                                       run_.governor)
                 .front());
         stats_.freq_groups_built += static_cast<int64_t>(set.NumGroups());
         const int64_t bytes = static_cast<int64_t>(set.MemoryBytes());
@@ -211,8 +211,7 @@ class LatticeWalk {
         stats_.batched_scan_nodes += static_cast<int64_t>(group.size());
         Stopwatch timer;
         std::vector<FrequencySet> sets = FrequencySet::ComputeBatch(
-            run_.table, set_qid_, nodes, pool_, run_.governor,
-            options_.substrate);
+            run_.table, set_qid_, nodes, pool_, run_.governor);
         stats_.batch_scan_seconds += timer.ElapsedSeconds();
         Status status = own_.Check();
         for (size_t j = 0; j < group.size() && status.ok(); ++j) {
@@ -457,8 +456,7 @@ class LatticeWalk {
       return family->second.freq.RollupTo(node, set_qid_);
     }
     ++wstats->table_scans;
-    return FrequencySet::Compute(run_.table, set_qid_, node,
-                                 options_.substrate);
+    return FrequencySet::Compute(run_.table, set_qid_, node);
   }
 
   void MarkGeneralizations(const CandidateGraph& graph, int64_t id,
@@ -705,8 +703,7 @@ PartialResult<IncognitoResult> RunSubsetDag(
   if (options.variant == IncognitoVariant::kCube) {
     Stopwatch cube_timer;
     ZeroGenCube::BuildInfo info;
-    cube = ZeroGenCube::Build(table, qid, pool, &info, governor,
-                              options.substrate);
+    cube = ZeroGenCube::Build(table, qid, pool, &info, governor);
     cube_ptr = &cube;
     result.stats.cube_build_seconds = cube_timer.ElapsedSeconds();
     result.stats.table_scans += info.table_scans;

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cstdint>
 
-#include "freq/substrate.h"
 #include "robust/governor.h"
 
 namespace incognito {
@@ -13,8 +12,7 @@ struct CheckpointPolicy;
 
 /// Execution parameters shared by every Run* entry point: who governs the
 /// run (deadline / memory budget / cancellation), how many worker threads
-/// it may use, which group-by substrate it runs on, and where it
-/// checkpoints. Replaces the old
+/// it may use, and where it checkpoints. Replaces the old
 /// governed/ungoverned overload pairs (docs/API.md): a default-constructed
 /// RunContext reproduces the legacy ungoverned call exactly, and
 /// RunContext::Governed(governor) reproduces the legacy governed one.
@@ -32,14 +30,6 @@ struct RunContext {
   /// else; values > 1 run algorithms with a parallel path across a worker
   /// pool. Single-threaded algorithms ignore the value.
   int num_threads = 0;
-
-  /// Group-by substrate for every frequency-set build of the run
-  /// (DESIGN.md "Group-by substrates"). kAuto (default) defers to the
-  /// algorithm's own option where one exists (IncognitoOptions::substrate)
-  /// and otherwise runs the count-or-sort kernel; a non-kAuto value here
-  /// overrides the option. Purely a performance knob — all modes are
-  /// bit-identical.
-  SubstrateMode substrate = SubstrateMode::kAuto;
 
   /// Optional crash-safe checkpointing (robust/checkpoint.h): when set
   /// and enabled, the Incognito lattice search periodically spills its
@@ -75,8 +65,7 @@ struct RunContext {
   //   RunContext ctx = RunContext::Governed(governor)
   //                        .WithDeadline(spec.deadline_ms)
   //                        .WithMemoryBudget(spec.memory_budget_bytes)
-  //                        .WithCheckpoint(&policy)
-  //                        .WithSubstrate(spec.substrate);
+  //                        .WithCheckpoint(&policy);
   //
   // The budget builders pass "unset" sentinels through unchanged (negative
   // deadline, zero bytes, null pointers are no-ops), so optional fields
@@ -124,11 +113,6 @@ struct RunContext {
   /// Sets the worker-thread count (0 defers to the algorithm's option).
   RunContext& WithWorkers(int n) {
     num_threads = n;
-    return *this;
-  }
-
-  RunContext& WithSubstrate(SubstrateMode mode) {
-    substrate = mode;
     return *this;
   }
 

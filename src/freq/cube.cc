@@ -34,8 +34,7 @@ SubsetNode ZeroNodeForMask(uint32_t mask) {
 
 ZeroGenCube ZeroGenCube::Build(const Table& table, const QuasiIdentifier& qid,
                                WorkerPool& pool, BuildInfo* info,
-                               ExecutionGovernor* governor,
-                               SubstrateMode substrate) {
+                               ExecutionGovernor* governor) {
   INCOGNITO_SPAN("cube.build");
   INCOGNITO_PHASE_TIMER("phase.cube_build_seconds");
   INCOGNITO_COUNT("cube.builds");
@@ -50,12 +49,19 @@ ZeroGenCube ZeroGenCube::Build(const Table& table, const QuasiIdentifier& qid,
   // main-thread charge below observes the latch via Check().
   FrequencySet root_fs = std::move(
       FrequencySet::ComputeBatch(table, qid, {ZeroNodeForMask(full)}, &pool,
-                                 governor, substrate)
+                                 governor)
           .front());
   local.table_scans = 1;
 
+  // The root is charged with the mask-indexed slot vector and the tier
+  // lists, before either is allocated; the tier lists are released once
+  // the last tier is built, the rest by ReleaseMemory.
+  const int64_t slot_bytes =
+      static_cast<int64_t>((size_t{full} + 1) * sizeof(FrequencySet));
+  const int64_t tier_bytes =
+      static_cast<int64_t>((size_t{full} - 1) * sizeof(uint32_t));
   bool tripped = false;
-  int64_t root_bytes = 0;
+  int64_t held_bytes = 0;
   if (governor != nullptr) {
     if (!governor->Check().ok()) {
       tripped = true;
@@ -65,9 +71,10 @@ ZeroGenCube ZeroGenCube::Build(const Table& table, const QuasiIdentifier& qid,
       governor->LatchInjectedFailure("cube.build");
       tripped = true;
     } else {
-      root_bytes = static_cast<int64_t>(root_fs.MemoryBytes());
-      if (!governor->ChargeMemory(root_bytes).ok()) {
-        root_bytes = 0;
+      held_bytes = static_cast<int64_t>(root_fs.MemoryBytes()) + slot_bytes +
+                   tier_bytes;
+      if (!governor->ChargeMemory(held_bytes).ok()) {
+        held_bytes = 0;
         tripped = true;
       }
     }
@@ -79,8 +86,12 @@ ZeroGenCube ZeroGenCube::Build(const Table& table, const QuasiIdentifier& qid,
   cube.sets_.resize(static_cast<size_t>(full) + 1);
   cube.sets_[full] = std::move(root_fs);
 
-  // tiers[p]: the proper subsets of p attributes, ascending.
+  // tiers[p]: the proper subsets of p attributes, ascending, reserved to
+  // exactly C(n, p) masks.
   std::vector<std::vector<uint32_t>> tiers(n);
+  for (size_t p = 1, count = n; p < n; count = count * (n - p) / (p + 1), ++p) {
+    tiers[p].reserve(count);
+  }
   for (uint32_t m = 1; m < full; ++m) {
     tiers[static_cast<size_t>(__builtin_popcount(m))].push_back(m);
   }
@@ -162,11 +173,12 @@ ZeroGenCube ZeroGenCube::Build(const Table& table, const QuasiIdentifier& qid,
         projection_bytes > 0 && !governor->ChargeMemory(projection_bytes).ok();
   }
   if (build_tripped) {
-    cube.sets_.clear();
-    if (governor != nullptr) governor->ReleaseMemory(root_bytes);
+    std::vector<FrequencySet>().swap(cube.sets_);
+    if (governor != nullptr) governor->ReleaseMemory(held_bytes);
     if (info != nullptr) *info = local;
     return cube;
   }
+  if (governor != nullptr) governor->ReleaseMemory(tier_bytes);
 
   INCOGNITO_COUNT_ADD("cube.subsets", static_cast<int64_t>(full));
   local.num_subsets = full;
@@ -180,9 +192,11 @@ ZeroGenCube ZeroGenCube::Build(const Table& table, const QuasiIdentifier& qid,
 
 void ZeroGenCube::ReleaseMemory(ExecutionGovernor* governor) const {
   if (governor == nullptr) return;
+  int64_t bytes = static_cast<int64_t>(sets_.size() * sizeof(FrequencySet));
   for (const FrequencySet& fs : sets_) {
-    governor->ReleaseMemory(static_cast<int64_t>(fs.MemoryBytes()));
+    bytes += static_cast<int64_t>(fs.MemoryBytes());
   }
+  governor->ReleaseMemory(bytes);
 }
 
 const FrequencySet& ZeroGenCube::Get(const std::vector<int32_t>& dims) const {

@@ -34,28 +34,29 @@ class ZeroGenCube {
 
   /// Builds the cube. Requires 1 <= qid.size() <= kMaxCubeQidAttributes
   /// (core/incognito.h). The root is one pool-parallel FrequencySet::
-  /// ComputeBatch of the full attribute set, through `substrate`
-  /// (freq/substrate.h). The projections then run one popcount tier at a
-  /// time, from n-1 attributes down to 1, as one WorkerPool::Run each
-  /// whose workers claim masks from a shared index (docs/PARALLELISM.md
-  /// "Tier-by-tier cube build"). Every parent of a tier lies in the tier
-  /// above, so each mask projects from the same parent — the one with the
-  /// fewest groups, lowest mask first — and a build is bit-identical at
-  /// every pool size, BuildInfo totals included. A 1-worker pool is the
-  /// serial build.
+  /// ComputeBatch of the full attribute set. The projections then run one
+  /// popcount tier at a time, from n-1 attributes down to 1, as one
+  /// WorkerPool::Run each whose workers claim masks from a shared index
+  /// (docs/PARALLELISM.md "Tier-by-tier cube build"). Every parent of a
+  /// tier lies in the tier above, so each mask projects from the same
+  /// parent — the one with the fewest groups, lowest mask first — and a
+  /// build is bit-identical at every pool size, BuildInfo totals included.
+  /// A 1-worker pool is the serial build.
   ///
   /// When `governor` is non-null the root is charged on the main thread
-  /// ("cube.build" fault site), each projection is charged to the running
-  /// worker's GovernorShard ("cube.project" fault site, once per
-  /// projection), the shards drain at the end, and a complete build
-  /// charges the projections' exact footprint once on the main thread, so
-  /// ReleaseMemory balances the governor back to zero. A refused charge, a
-  /// tripped deadline or a cancellation stops the build: it latches the
-  /// governor and returns an empty cube with every charged byte released.
+  /// ("cube.build" fault site) together with the mask-indexed slot vector
+  /// (2^n FrequencySet slots) and the per-tier mask lists, before either
+  /// is allocated; each projection is charged to the running worker's
+  /// GovernorShard ("cube.project" fault site, once per projection), the
+  /// shards drain at the end, and a complete build charges the
+  /// projections' exact footprint once on the main thread and releases the
+  /// tier lists, so ReleaseMemory balances the governor back to zero. A
+  /// refused charge, a tripped deadline or a cancellation stops the build:
+  /// it latches the governor and returns an empty cube with every charged
+  /// byte released.
   static ZeroGenCube Build(const Table& table, const QuasiIdentifier& qid,
                            WorkerPool& pool, BuildInfo* info = nullptr,
-                           ExecutionGovernor* governor = nullptr,
-                           SubstrateMode substrate = SubstrateMode::kAuto);
+                           ExecutionGovernor* governor = nullptr);
 
   /// Releases every byte Build() charged against `governor` (call when the
   /// cube is discarded).
@@ -71,7 +72,8 @@ class ZeroGenCube {
  private:
   static uint32_t MaskOf(const std::vector<int32_t>& dims);
 
-  /// Indexed by attribute mask; slot 0 stays empty. Empty after a trip.
+  /// Indexed by attribute mask; slot 0 stays empty. Empty, with no
+  /// capacity, after a trip.
   std::vector<FrequencySet> sets_;
 };
 

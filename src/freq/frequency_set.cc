@@ -16,18 +16,6 @@ namespace incognito {
 
 namespace {
 
-/// FNV-1a hash over a code vector (fallback key path).
-struct VecHash {
-  size_t operator()(const std::vector<int32_t>& v) const {
-    uint64_t h = 0xcbf29ce484222325ULL;
-    for (int32_t x : v) {
-      h ^= static_cast<uint32_t>(x);
-      h *= 0x100000001b3ULL;
-    }
-    return static_cast<size_t>(h);
-  }
-};
-
 std::vector<size_t> Cardinalities(const QuasiIdentifier& qid,
                                   const SubsetNode& node) {
   std::vector<size_t> cards;
@@ -39,15 +27,20 @@ std::vector<size_t> Cardinalities(const QuasiIdentifier& qid,
   return cards;
 }
 
-/// Approximate per-entry heap cost of the aggregation hash maps, used for
-/// the parallel scan's transient shard charges (two bucket/node pointers
-/// of overhead per entry on the common implementations).
-constexpr size_t kHashNodeOverhead = 2 * sizeof(void*);
-
-/// Resolves which engine a build with this codec uses (substrate.h; the
-/// INCOGNITO_SUBSTRATE environment override applies to kAuto only).
-SubstrateChoice ChoiceFor(const KeyCodec& codec, SubstrateMode substrate) {
-  return ResolveSubstrate(substrate, codec.packed());
+/// The encoded column and the base→level map of each of `node`'s
+/// dimensions, in node order.
+void NodeColumns(const Table& table, const QuasiIdentifier& qid,
+                 const SubsetNode& node, std::vector<const int32_t*>* cols,
+                 std::vector<const int32_t*>* maps) {
+  cols->resize(node.size());
+  maps->resize(node.size());
+  for (size_t i = 0; i < node.size(); ++i) {
+    const size_t d = static_cast<size_t>(node.dims[i]);
+    (*cols)[i] = table.ColumnCodes(qid.column(d)).data();
+    (*maps)[i] = qid.hierarchy(d)
+                     .BaseToLevelMap(static_cast<size_t>(node.levels[i]))
+                     .data();
+  }
 }
 
 /// The one rule by which a packed build counts into a key-indexed array
@@ -99,24 +92,9 @@ bool CountPackedKeys(const std::vector<const int32_t*>& cols,
   return true;
 }
 
-/// One group-by build ran on this engine (OBSERVABILITY.md).
-void CountSubstrate(SubstrateChoice choice) {
-  switch (choice) {
-    case SubstrateChoice::kHashMap:
-      INCOGNITO_COUNT("freq.substrate_hash");
-      break;
-    case SubstrateChoice::kRadixSort:
-      INCOGNITO_COUNT("freq.substrate_radix");
-      break;
-    case SubstrateChoice::kFlatMap:
-      INCOGNITO_COUNT("freq.substrate_flat");
-      break;
-  }
-}
-
 /// Coalesces a key-sorted (key, count) run into unique groups with an
 /// exact-capacity reserve — `out` must be empty so its final capacity is
-/// the group count, matching the hash substrate's assign-from-map.
+/// the group count, as every other build of a set leaves it.
 void CoalescePacked(const std::vector<std::pair<uint64_t, int64_t>>& all,
                     std::vector<std::pair<uint64_t, int64_t>>* out) {
   size_t unique = 0;
@@ -180,14 +158,45 @@ FrequencySet FrequencySet::Compute(const Table& table,
                                    const SubsetNode& node,
                                    SubstrateMode substrate) {
   INCOGNITO_COUNT("freq.scans");
-  return std::move(
-      ComputeBatch(table, qid, {node}, nullptr, nullptr, substrate).front());
+  if (substrate == SubstrateMode::kHash) {
+    FrequencySet out = MakeEmpty(node, qid);
+    if (out.packed_) {
+      out.HashReferenceScan(table, qid);
+      return out;
+    }
+  }
+  return std::move(ComputeBatch(table, qid, {node}).front());
+}
+
+void FrequencySet::HashReferenceScan(const Table& table,
+                                     const QuasiIdentifier& qid) {
+  INCOGNITO_SPAN("freq.hash_reference_scan");
+  INCOGNITO_PHASE_TIMER("phase.freq_scan_seconds");
+  INCOGNITO_HIST_TIMER("freq.build_seconds");
+  INCOGNITO_COUNT("freq.substrate_hash");
+  const size_t rows = table.num_rows();
+  INCOGNITO_COUNT_ADD("freq.scan_rows", static_cast<int64_t>(rows));
+  const size_t n = node_.size();
+  std::vector<const int32_t*> cols;
+  std::vector<const int32_t*> maps;
+  NodeColumns(table, qid, node_, &cols, &maps);
+  std::unordered_map<uint64_t, int64_t> agg;
+  agg.reserve(rows / 4 + 8);
+  std::vector<int32_t> codes(n);
+  for (size_t r = 0; r < rows; ++r) {
+    for (size_t i = 0; i < n; ++i) codes[i] = maps[i][cols[i][r]];
+    ++agg[codec_.Pack(codes.data())];
+  }
+  // Assigned from the finished map, so the capacity is the group count.
+  groups_.assign(agg.begin(), agg.end());
+  SortGroups();
+  total_count_ = static_cast<int64_t>(rows);
 }
 
 std::vector<FrequencySet> FrequencySet::ComputeBatch(
     const Table& table, const QuasiIdentifier& qid,
     const std::vector<SubsetNode>& nodes, WorkerPool* pool,
-    ExecutionGovernor* governor, SubstrateMode substrate) {
+    ExecutionGovernor* governor) {
   std::vector<FrequencySet> out;
   out.reserve(nodes.size());
   for (const SubsetNode& node : nodes) {
@@ -206,49 +215,37 @@ std::vector<FrequencySet> FrequencySet::ComputeBatch(
 
   const size_t b = nodes.size();
   const size_t rows = table.num_rows();
-  // Per-node encoded columns, base→level maps, and code scratch (reused as
-  // the map-lookup key on the fallback path, like the single-node scans).
   std::vector<std::vector<const int32_t*>> cols(b);
   std::vector<std::vector<const int32_t*>> maps(b);
   for (size_t j = 0; j < b; ++j) {
-    const size_t n = nodes[j].size();
-    cols[j].resize(n);
-    maps[j].resize(n);
-    for (size_t i = 0; i < n; ++i) {
-      size_t d = static_cast<size_t>(nodes[j].dims[i]);
-      cols[j][i] = table.ColumnCodes(qid.column(d)).data();
-      maps[j][i] = qid.hierarchy(d)
-                       .BaseToLevelMap(static_cast<size_t>(nodes[j].levels[i]))
-                       .data();
-    }
+    NodeColumns(table, qid, nodes[j], &cols[j], &maps[j]);
   }
 
-  // Each node resolves its own engine (same dims, different levels ⇒
-  // different key widths, so a batch can mix packed and wide keys).
-  // Count-or-sort nodes are gathered column-wise outside the shared row
-  // loop; hash and flat nodes ride the row loop together.
+  // The key width picks each node's engine (same dims at different levels
+  // have different widths, so a batch can mix them). A packed node is
+  // gathered column-wise outside the shared row loop, then counted or
+  // sorted; the wide nodes ride one row loop into FlatCodeMaps.
   const bool pooled = pool != nullptr && pool->size() > 1;
   const size_t workers = pooled ? static_cast<size_t>(pool->size()) : 1;
-  std::vector<SubstrateChoice> choice(b);
-  // Whether a count-or-sort node counts, decided once against the rows
-  // each worker counts, so every worker takes the same branch.
+  // Whether a packed node counts, decided once against the rows each
+  // worker counts, so every worker takes the same branch.
   std::vector<bool> dense(b, false);
   bool any_sort = false;
-  bool any_rowloop = false;
+  bool any_wide = false;
   for (size_t j = 0; j < b; ++j) {
-    choice[j] = ChoiceFor(out[j].codec_, substrate);
-    CountSubstrate(choice[j]);
-    if (choice[j] == SubstrateChoice::kRadixSort) {
+    if (out[j].packed_) {
+      INCOGNITO_COUNT("freq.substrate_radix");
       dense[j] = CountsDensely(out[j].codec_.total_bits(), rows / workers);
       any_sort = any_sort || !dense[j];
     } else {
-      any_rowloop = true;
+      INCOGNITO_COUNT("freq.substrate_flat");
+      any_wide = true;
     }
   }
 
   if (!pooled) {
-    // Serial shared scan: one row loop feeds every row-loop node; packed
-    // nodes each take a columnar pass over their (shared, cache-resident)
+    // Serial shared scan: one row loop feeds every wide node; packed nodes
+    // each take a columnar pass over their (shared, cache-resident)
     // columns. The fault site stands in for an allocation failure while
     // setting the aggregation state up.
     if (governor != nullptr && INCOGNITO_FAULT_FIRED("freq.batch.scan")) {
@@ -268,58 +265,35 @@ std::vector<FrequencySet> FrequencySet::ComputeBatch(
       std::vector<uint64_t> keys;
       std::vector<uint64_t> scratch;
       for (size_t j = 0; j < b; ++j) {
-        if (choice[j] != SubstrateChoice::kRadixSort || dense[j]) continue;
+        if (!out[j].packed_ || dense[j]) continue;
         GatherPackedKeys(cols[j], maps[j], out[j].codec_, 0, rows, &keys);
         RadixSortKeys(keys, scratch, out[j].codec_.total_bits());
         ExtractGroups(keys, &out[j].groups_);
       }
     }
-    if (any_rowloop) {
-      std::vector<std::unordered_map<uint64_t, int64_t>> agg(b);
-      std::vector<std::unordered_map<std::vector<int32_t>, int64_t, VecHash>>
-          vagg(b);
+    if (any_wide) {
       std::vector<std::unique_ptr<FlatCodeMap>> flat(b);
       std::vector<std::vector<int32_t>> codes(b);
       for (size_t j = 0; j < b; ++j) {
-        if (choice[j] == SubstrateChoice::kRadixSort) continue;
+        if (out[j].packed_) continue;
         codes[j].resize(nodes[j].size());
-        if (choice[j] == SubstrateChoice::kFlatMap) {
-          flat[j] =
-              std::make_unique<FlatCodeMap>(nodes[j].size(), rows / 4 + 8);
-        } else if (out[j].packed_) {
-          agg[j].reserve(rows / 4 + 8);
-        } else {
-          vagg[j].reserve(rows / 4 + 8);
-        }
+        flat[j] = std::make_unique<FlatCodeMap>(nodes[j].size(), rows / 4 + 8);
       }
       for (size_t r = 0; r < rows; ++r) {
         for (size_t j = 0; j < b; ++j) {
-          if (choice[j] == SubstrateChoice::kRadixSort) continue;
+          if (out[j].packed_) continue;
           const size_t n = nodes[j].size();
           for (size_t i = 0; i < n; ++i) {
             codes[j][i] = maps[j][i][cols[j][i][r]];
           }
-          if (choice[j] == SubstrateChoice::kFlatMap) {
-            flat[j]->Add(codes[j].data(), 1);
-          } else if (out[j].packed_) {
-            ++agg[j][out[j].codec_.Pack(codes[j].data())];
-          } else {
-            ++vagg[j][codes[j]];
-          }
+          flat[j]->Add(codes[j].data(), 1);
         }
       }
       for (size_t j = 0; j < b; ++j) {
-        if (choice[j] == SubstrateChoice::kRadixSort) continue;
-        // assign from the finished map, exactly like Compute, so the
-        // vector capacity — hence MemoryBytes() — matches the single-node
-        // scan (FlatCodeMap::AppendTo reserves the same exact size).
-        if (choice[j] == SubstrateChoice::kFlatMap) {
-          flat[j]->AppendTo(&out[j].vgroups_);
-        } else if (out[j].packed_) {
-          out[j].groups_.assign(agg[j].begin(), agg[j].end());
-        } else {
-          out[j].vgroups_.assign(vagg[j].begin(), vagg[j].end());
-        }
+        if (out[j].packed_) continue;
+        // AppendTo reserves the exact group count, so the capacity —
+        // hence MemoryBytes() — matches the pooled merge's.
+        flat[j]->AppendTo(&out[j].vgroups_);
         out[j].SortGroups();
       }
     }
@@ -333,18 +307,11 @@ std::vector<FrequencySet> FrequencySet::ComputeBatch(
 
   // Per-worker, per-node thread-local aggregation state; merged after the
   // barrier in worker-id order.
-  std::vector<std::vector<std::unordered_map<uint64_t, int64_t>>> wagg(
-      workers);
-  std::vector<
-      std::vector<std::unordered_map<std::vector<int32_t>, int64_t, VecHash>>>
-      wvagg(workers);
   std::vector<std::vector<std::vector<int64_t>>> wcount(workers);
   std::vector<std::vector<std::vector<std::pair<uint64_t, int64_t>>>> wpart(
       workers);
   std::vector<std::vector<std::unique_ptr<FlatCodeMap>>> wflat(workers);
   for (size_t w = 0; w < workers; ++w) {
-    wagg[w].resize(b);
-    wvagg[w].resize(b);
     wcount[w].resize(b);
     wpart[w].resize(b);
     wflat[w].resize(b);
@@ -356,16 +323,6 @@ std::vector<FrequencySet> FrequencySet::ComputeBatch(
     for (size_t w = 0; w < workers; ++w) {
       shards.push_back(std::make_unique<GovernorShard>(governor));
     }
-  }
-
-  std::vector<size_t> entry_bytes(b);
-  for (size_t j = 0; j < b; ++j) {
-    entry_bytes[j] =
-        (out[j].packed_
-             ? sizeof(std::pair<const uint64_t, int64_t>)
-             : sizeof(std::pair<const std::vector<int32_t>, int64_t>) +
-                   nodes[j].size() * sizeof(int32_t)) +
-        kHashNodeOverhead;
   }
 
   pool->Run(rows, [&](int w, size_t begin, size_t end) {
@@ -417,7 +374,7 @@ std::vector<FrequencySet> FrequencySet::ComputeBatch(
         std::vector<uint64_t> keys;
         std::vector<uint64_t> scratch;
         for (size_t j = 0; j < b && ok; ++j) {
-          if (choice[j] != SubstrateChoice::kRadixSort || dense[j]) continue;
+          if (!out[j].packed_ || dense[j]) continue;
           GatherPackedKeys(cols[j], maps[j], out[j].codec_, begin, end,
                            &keys);
           if (!RadixSortKeys(keys, scratch, out[j].codec_.total_bits(),
@@ -434,58 +391,34 @@ std::vector<FrequencySet> FrequencySet::ComputeBatch(
       if (shard != nullptr) shard->ReleaseMemory(buffer_bytes);
       if (!ok) return;
     }
-    if (!any_rowloop) return;
+    if (!any_wide) return;
     auto checkpoint = [&]() {
       if (shard == nullptr) return true;
       if (!shard->Check().ok()) return false;
       int64_t now = partial_bytes;
       for (size_t j = 0; j < b; ++j) {
-        switch (choice[j]) {
-          case SubstrateChoice::kRadixSort:
-            break;
-          case SubstrateChoice::kFlatMap:
-            if (wflat[wi][j] != nullptr) {
-              now += static_cast<int64_t>(wflat[wi][j]->MemoryBytes());
-            }
-            break;
-          case SubstrateChoice::kHashMap: {
-            const size_t groups =
-                out[j].packed_ ? wagg[wi][j].size() : wvagg[wi][j].size();
-            now += static_cast<int64_t>(groups * entry_bytes[j]);
-            break;
-          }
+        if (wflat[wi][j] != nullptr) {
+          now += static_cast<int64_t>(wflat[wi][j]->MemoryBytes());
         }
       }
       return charge_to(now);
     };
     std::vector<std::vector<int32_t>> codes(b);
     for (size_t j = 0; j < b; ++j) {
-      if (choice[j] == SubstrateChoice::kRadixSort) continue;
+      if (out[j].packed_) continue;
       codes[j].resize(nodes[j].size());
-      if (choice[j] == SubstrateChoice::kFlatMap) {
-        wflat[wi][j] = std::make_unique<FlatCodeMap>(nodes[j].size(),
-                                                     chunk_rows / 4 + 8);
-      } else if (out[j].packed_) {
-        wagg[wi][j].reserve(chunk_rows / 4 + 8);
-      } else {
-        wvagg[wi][j].reserve(chunk_rows / 4 + 8);
-      }
+      wflat[wi][j] =
+          std::make_unique<FlatCodeMap>(nodes[j].size(), chunk_rows / 4 + 8);
     }
     for (size_t r = begin; r < end; ++r) {
       if ((r - begin) % kCheckEveryRows == 0 && !checkpoint()) return;
       for (size_t j = 0; j < b; ++j) {
-        if (choice[j] == SubstrateChoice::kRadixSort) continue;
+        if (out[j].packed_) continue;
         const size_t n = nodes[j].size();
         for (size_t i = 0; i < n; ++i) {
           codes[j][i] = maps[j][i][cols[j][i][r]];
         }
-        if (choice[j] == SubstrateChoice::kFlatMap) {
-          wflat[wi][j]->Add(codes[j].data(), 1);
-        } else if (out[j].packed_) {
-          ++wagg[wi][j][out[j].codec_.Pack(codes[j].data())];
-        } else {
-          ++wvagg[wi][j][codes[j]];
-        }
+        wflat[wi][j]->Add(codes[j].data(), 1);
       }
     }
     checkpoint();
@@ -517,38 +450,22 @@ std::vector<FrequencySet> FrequencySet::ComputeBatch(
     } else if (out[j].packed_) {
       std::vector<std::pair<uint64_t, int64_t>> all;
       size_t total = 0;
-      if (choice[j] == SubstrateChoice::kRadixSort) {
-        for (size_t w = 0; w < workers; ++w) total += wpart[w][j].size();
-        all.reserve(total);
-        for (size_t w = 0; w < workers; ++w) {
-          all.insert(all.end(), wpart[w][j].begin(), wpart[w][j].end());
-        }
-      } else {
-        for (size_t w = 0; w < workers; ++w) total += wagg[w][j].size();
-        all.reserve(total);
-        for (size_t w = 0; w < workers; ++w) {
-          all.insert(all.end(), wagg[w][j].begin(), wagg[w][j].end());
-        }
+      for (size_t w = 0; w < workers; ++w) total += wpart[w][j].size();
+      all.reserve(total);
+      for (size_t w = 0; w < workers; ++w) {
+        all.insert(all.end(), wpart[w][j].begin(), wpart[w][j].end());
       }
       std::sort(all.begin(), all.end());
       CoalescePacked(all, &out[j].groups_);
     } else {
       std::vector<std::pair<std::vector<int32_t>, int64_t>> all;
       size_t total = 0;
-      if (choice[j] == SubstrateChoice::kFlatMap) {
-        for (size_t w = 0; w < workers; ++w) {
-          total += wflat[w][j] != nullptr ? wflat[w][j]->size() : 0;
-        }
-        all.reserve(total);
-        for (size_t w = 0; w < workers; ++w) {
-          if (wflat[w][j] != nullptr) wflat[w][j]->AppendTo(&all);
-        }
-      } else {
-        for (size_t w = 0; w < workers; ++w) total += wvagg[w][j].size();
-        all.reserve(total);
-        for (size_t w = 0; w < workers; ++w) {
-          all.insert(all.end(), wvagg[w][j].begin(), wvagg[w][j].end());
-        }
+      for (size_t w = 0; w < workers; ++w) {
+        total += wflat[w][j] != nullptr ? wflat[w][j]->size() : 0;
+      }
+      all.reserve(total);
+      for (size_t w = 0; w < workers; ++w) {
+        if (wflat[w][j] != nullptr) wflat[w][j]->AppendTo(&all);
       }
       std::sort(all.begin(), all.end());
       CoalesceVec(all, &out[j].vgroups_);

@@ -36,13 +36,14 @@ class FrequencySet {
 
   /// Computes the frequency set by scanning the table once — the paper's
   /// COUNT(*) GROUP BY query. `node` selects the participating attributes
-  /// (dims, as QID indices) and the generalization level of each.
+  /// (dims, as QID indices) and the generalization level of each. A serial,
+  /// ungoverned batch of one over ComputeBatch.
   ///
-  /// `substrate` picks the group-by engine (DESIGN.md "Group-by
-  /// substrates"); every mode produces the identical frequency set —
-  /// groups, counts, canonical order, and MemoryBytes() — and the default
-  /// kAuto runs the count-or-sort kernel. A serial, ungoverned batch of
-  /// one over ComputeBatch.
+  /// `substrate` serves only the two benches that time the group-by
+  /// engines (freq/substrate.h): kHash on a packed key runs a serial
+  /// std::unordered_map reference scan instead of the batch, and produces
+  /// the identical set, MemoryBytes() included. Every other mode and key
+  /// is the batch.
   static FrequencySet Compute(const Table& table, const QuasiIdentifier& qid,
                               const SubsetNode& node,
                               SubstrateMode substrate = SubstrateMode::kAuto);
@@ -50,13 +51,14 @@ class FrequencySet {
   /// Scan-sharing batch build (docs/PARALLELISM.md "Scan-sharing batch
   /// evaluation"): computes the frequency sets of several nodes from one
   /// scan of the table's shared, encoded columns, so a whole lattice
-  /// level's scan-required nodes cost one scan instead of one each. Under
-  /// SubstrateChoice::kRadixSort each packed node gathers its keys column
-  /// by column, then counts them into a key-indexed array when
-  /// 2^bits ≤ 2 × rows (rows / workers when pooled), and radix-sorts them
-  /// otherwise. result[j] is bit-identical to Compute(table, qid,
-  /// nodes[j]), including the canonical group order and the exact
-  /// MemoryBytes().
+  /// level's scan-required nodes cost one scan instead of one each. Each
+  /// node's key width picks its engine (DESIGN.md "Group-by substrates"):
+  /// a packed node gathers its keys column by column, then counts them
+  /// into a key-indexed array when 2^bits ≤ 2 × rows (rows / workers when
+  /// pooled), and radix-sorts them otherwise; a node whose key is wider
+  /// than 64 bits is aggregated row by row into a FlatCodeMap. result[j]
+  /// is bit-identical to Compute(table, qid, nodes[j]), including the
+  /// canonical group order and the exact MemoryBytes().
   ///
   /// With a non-null `pool` of size > 1 the rows are statically chunked
   /// across the workers (docs/PARALLELISM.md "Intra-node parallelism"):
@@ -75,8 +77,7 @@ class FrequencySet {
   static std::vector<FrequencySet> ComputeBatch(
       const Table& table, const QuasiIdentifier& qid,
       const std::vector<SubsetNode>& nodes, WorkerPool* pool = nullptr,
-      ExecutionGovernor* governor = nullptr,
-      SubstrateMode substrate = SubstrateMode::kAuto);
+      ExecutionGovernor* governor = nullptr);
 
   /// Produces the frequency set of a more general node over the same
   /// attribute set *from this frequency set* without touching the table —
@@ -144,6 +145,10 @@ class FrequencySet {
  private:
   static FrequencySet MakeEmpty(const SubsetNode& node,
                                 const QuasiIdentifier& qid);
+
+  /// Compute's kHash scan of an empty packed set: per-row Pack into a
+  /// std::unordered_map, assigned out and sorted.
+  void HashReferenceScan(const Table& table, const QuasiIdentifier& qid);
 
   /// The one aggregation of a set built from another, behind RollupTo and
   /// ProjectTo: target field j holds remap[j][c] for the code c of the

@@ -1,62 +1,9 @@
 #include "freq/substrate.h"
 
 #include <cassert>
-#include <cstdlib>
 #include <cstring>
 
 namespace incognito {
-
-const char* SubstrateModeName(SubstrateMode mode) {
-  switch (mode) {
-    case SubstrateMode::kHash:
-      return "hash";
-    case SubstrateMode::kRadix:
-      return "radix";
-    case SubstrateMode::kAuto:
-      return "auto";
-  }
-  return "?";
-}
-
-bool ParseSubstrateMode(const std::string& text, SubstrateMode* out) {
-  if (text == "hash") {
-    *out = SubstrateMode::kHash;
-  } else if (text == "radix") {
-    *out = SubstrateMode::kRadix;
-  } else if (text == "auto") {
-    *out = SubstrateMode::kAuto;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-const char* SubstrateChoiceName(SubstrateChoice choice) {
-  switch (choice) {
-    case SubstrateChoice::kHashMap:
-      return "hash-map";
-    case SubstrateChoice::kRadixSort:
-      return "radix-sort";
-    case SubstrateChoice::kFlatMap:
-      return "flat-map";
-  }
-  return "?";
-}
-
-SubstrateChoice ChooseSubstrate(SubstrateMode mode, bool packed) {
-  if (mode == SubstrateMode::kHash) return SubstrateChoice::kHashMap;
-  return packed ? SubstrateChoice::kRadixSort : SubstrateChoice::kFlatMap;
-}
-
-SubstrateChoice ResolveSubstrate(SubstrateMode mode, bool packed) {
-  if (mode == SubstrateMode::kAuto) {
-    if (const char* env = std::getenv("INCOGNITO_SUBSTRATE")) {
-      SubstrateMode forced;
-      if (ParseSubstrateMode(env, &forced)) mode = forced;
-    }
-  }
-  return ChooseSubstrate(mode, packed);
-}
 
 void GatherPackedKeys(const std::vector<const int32_t*>& cols,
                       const std::vector<const int32_t*>& maps,

@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -12,43 +11,19 @@
 
 namespace incognito {
 
-/// Which group-by engine backs a frequency-set build (DESIGN.md "Group-by
-/// substrates"). The substrates are bit-identical — groups, counts,
-/// canonical order, MemoryBytes() — so the knob is purely a performance
-/// choice; tests/substrate_test.cc is the differential proof.
+/// The group-by engine of one FrequencySet::Compute call, and nothing else.
+/// Every other build, the searches' included, picks its engine from the
+/// key width alone: a key that packs into 64 bits runs the count-or-sort
+/// kernel, a wider one the flat arena map (DESIGN.md "Group-by
+/// substrates"). The mode exists only because the end-to-end benchmark
+/// (`freq.hash_rows_per_s`, `freq.radix_rows_per_s`) and the micro bench's
+/// `radix_speedup_narrow` time the two engines through this call; it goes,
+/// with the reference scan behind kHash, once those metrics do.
 enum class SubstrateMode {
-  kHash,   ///< per-row std::unordered_map probes: the pinned reference
+  kHash,   ///< a serial std::unordered_map reference scan (packed keys)
   kRadix,  ///< count-or-sort over packed keys (flat arena map when wide)
   kAuto,   ///< the default; resolves exactly like kRadix
 };
-
-const char* SubstrateModeName(SubstrateMode mode);
-
-/// Parses "hash" / "radix" / "auto"; false on anything else.
-bool ParseSubstrateMode(const std::string& text, SubstrateMode* out);
-
-/// The concrete engine a build resolves to.
-enum class SubstrateChoice {
-  kHashMap,    ///< std::unordered_map per-row probes
-  kRadixSort,  ///< packed keys: columnar gather, then a key-indexed count
-               ///< when the key space is small against the input, else an
-               ///< LSD radix sort and run-length extraction
-  kFlatMap,    ///< vector keys: open-addressing map over an int32 arena
-};
-
-const char* SubstrateChoiceName(SubstrateChoice choice);
-
-/// Resolves a mode to a concrete engine. Pure — no environment lookup:
-///   kHash          -> kHashMap
-///   kRadix, kAuto  -> kRadixSort when packed, else kFlatMap
-SubstrateChoice ChooseSubstrate(SubstrateMode mode, bool packed);
-
-/// ChooseSubstrate with the INCOGNITO_SUBSTRATE environment override
-/// applied first: when `mode` is kAuto and the variable is set to "hash"
-/// or "radix", that mode is resolved instead — CI uses it to drive the
-/// whole suite down one substrate without touching call sites. Explicit
-/// modes always win over the environment; unknown values are ignored.
-SubstrateChoice ResolveSubstrate(SubstrateMode mode, bool packed);
 
 // --- Radix kernels (packed uint64 keys) ---
 
@@ -81,8 +56,8 @@ bool RadixSortCounted(std::vector<std::pair<uint64_t, int64_t>>& items,
 
 /// Run-length extracts sorted `keys` into (key, count) groups appended to
 /// `out` with an exact-capacity reserve (pass it empty to get capacity ==
-/// group count, the hash substrate's assign-from-map capacity). Returns
-/// the number of groups appended.
+/// group count, the capacity MemoryBytes() expects). Returns the number of
+/// groups appended.
 size_t ExtractGroups(const std::vector<uint64_t>& keys,
                      std::vector<std::pair<uint64_t, int64_t>>* out);
 

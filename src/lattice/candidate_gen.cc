@@ -50,6 +50,103 @@ struct ParentPairHash {
   }
 };
 
+/// The prune phase: a candidate survives only if every i-subset of its
+/// pairs is in `tree`. Dropping the last pair yields parent1 and dropping
+/// the second-to-last yields parent2 — both survivors by construction — so
+/// only the remaining i-1 subsets need the membership test. Returns the
+/// survivors, renumbered in order.
+CandidateGraph PruneCandidates(const CandidateGraph& joined,
+                               const SubsetHashTree& tree,
+                               GraphGenStats* stats) {
+  CandidateGraph pruned;
+  for (const NodeRow& cand : joined.nodes()) {
+    bool keep = true;
+    for (size_t drop = 0; keep && drop + 2 < cand.pairs.size(); ++drop) {
+      std::vector<DimIndexPair> subset;
+      subset.reserve(cand.pairs.size() - 1);
+      for (size_t j = 0; j < cand.pairs.size(); ++j) {
+        if (j != drop) subset.push_back(cand.pairs[j]);
+      }
+      keep = tree.Contains(subset);
+    }
+    if (keep) {
+      pruned.AddNode(cand);
+    } else {
+      ++stats->pruned;
+    }
+  }
+  return pruned;
+}
+
+/// Edge generation over the pruned candidates of `graph`, whose parent1
+/// ids are nodes of `p_side` and parent2 ids nodes of `q_side`: the
+/// paper's three-disjunct join over those graphs' edges, then the removal
+/// of implied relationships ("they may only be separated by a single
+/// node", §3.1.2). Then builds the adjacency and records the step's
+/// counters.
+void ConnectCandidates(const CandidateGraph& p_side,
+                       const CandidateGraph& q_side, GraphGenStats* stats,
+                       CandidateGraph* graph) {
+  std::unordered_map<std::pair<int64_t, int64_t>, int64_t, ParentPairHash>
+      by_parents;
+  for (const NodeRow& cand : graph->nodes()) {
+    by_parents[{cand.parent1, cand.parent2}] = cand.id;
+  }
+  std::set<std::pair<int64_t, int64_t>> candidate_edges;
+  auto try_edge = [&](int64_t p_id, int64_t q_parent1, int64_t q_parent2) {
+    auto it = by_parents.find({q_parent1, q_parent2});
+    if (it != by_parents.end() && it->second != p_id) {
+      candidate_edges.insert({p_id, it->second});
+    }
+  };
+  for (const NodeRow& cand : graph->nodes()) {
+    // Disjunct 1: e: parent1 → q.parent1 and f: parent2 → q.parent2.
+    for (int64_t e_end : p_side.OutEdges(cand.parent1)) {
+      for (int64_t f_end : q_side.OutEdges(cand.parent2)) {
+        try_edge(cand.id, e_end, f_end);
+      }
+    }
+    // Disjunct 2: e: parent1 → q.parent1, parent2 equal.
+    for (int64_t e_end : p_side.OutEdges(cand.parent1)) {
+      try_edge(cand.id, e_end, cand.parent2);
+    }
+    // Disjunct 3: f: parent2 → q.parent2, parent1 equal.
+    for (int64_t f_end : q_side.OutEdges(cand.parent2)) {
+      try_edge(cand.id, cand.parent1, f_end);
+    }
+  }
+  stats->candidate_edges = candidate_edges.size();
+
+  // EXCEPT: remove relationships implied by a 2-path of candidate edges.
+  std::unordered_map<int64_t, std::vector<int64_t>> out_adj;
+  for (const auto& [start, end] : candidate_edges) {
+    out_adj[start].push_back(end);
+  }
+  for (const auto& [start, end] : candidate_edges) {
+    bool implied = false;
+    auto it = out_adj.find(start);
+    if (it != out_adj.end()) {
+      for (int64_t mid : it->second) {
+        if (mid != end && candidate_edges.count({mid, end}) > 0) {
+          implied = true;
+          break;
+        }
+      }
+    }
+    if (!implied) {
+      graph->AddEdge(start, end);
+    } else {
+      ++stats->implied_removed;
+    }
+  }
+
+  graph->BuildAdjacency();
+  INCOGNITO_COUNT_ADD("lattice.joined", static_cast<int64_t>(stats->joined));
+  INCOGNITO_COUNT_ADD("lattice.pruned", static_cast<int64_t>(stats->pruned));
+  INCOGNITO_COUNT_ADD("lattice.candidate_edges",
+                      static_cast<int64_t>(stats->candidate_edges));
+}
+
 }  // namespace
 
 CandidateGraph GenerateNextGraph(const CandidateGraph& survivors,
@@ -65,8 +162,6 @@ CandidateGraph GenerateNextGraph(const CandidateGraph& survivors,
     if (stats != nullptr) *stats = local_stats;
     return next;
   }
-  const size_t i = survivors.subset_size();
-  (void)i;
 
   // ---- Join phase -------------------------------------------------------
   // Group surviving nodes by their first i-1 pairs; within a group, every
@@ -95,10 +190,8 @@ CandidateGraph GenerateNextGraph(const CandidateGraph& survivors,
   }
 
   // ---- Prune phase ------------------------------------------------------
-  // A candidate survives only if every i-subset of its pairs is in S_i.
-  // Dropping the last pair yields p and dropping the (i)th yields q — both
-  // in S_i by construction — so only the remaining i-1 subsets need the
-  // hash-tree membership test.
+  // The membership tests query S_i, held in an Apriori hash tree that is
+  // charged while the prune runs.
   SubsetHashTree tree;
   for (const NodeRow& row : survivors.nodes()) tree.Insert(row.pairs);
   int64_t tree_bytes = 0;
@@ -106,102 +199,16 @@ CandidateGraph GenerateNextGraph(const CandidateGraph& survivors,
     tree_bytes = static_cast<int64_t>(tree.MemoryBytes());
     if (!governor->ChargeMemory(tree_bytes).ok()) tree_bytes = 0;
   }
-  std::vector<bool> keep(next.num_nodes(), true);
-  for (const NodeRow& cand : next.nodes()) {
-    for (size_t drop = 0; drop + 2 < cand.pairs.size(); ++drop) {
-      std::vector<DimIndexPair> subset;
-      subset.reserve(cand.pairs.size() - 1);
-      for (size_t j = 0; j < cand.pairs.size(); ++j) {
-        if (j != drop) subset.push_back(cand.pairs[j]);
-      }
-      if (!tree.Contains(subset)) {
-        keep[static_cast<size_t>(cand.id)] = false;
-        ++local_stats.pruned;
-        break;
-      }
-    }
-  }
+  CandidateGraph graph = PruneCandidates(next, tree, &local_stats);
   if (governor != nullptr && tree_bytes > 0) {
     governor->ReleaseMemory(tree_bytes);
   }
-  // Rebuild the candidate table with only unpruned nodes (IDs renumbered).
-  CandidateGraph pruned_graph;
-  std::vector<int64_t> remap(next.num_nodes(), -1);
-  for (const NodeRow& cand : next.nodes()) {
-    if (keep[static_cast<size_t>(cand.id)]) {
-      NodeRow row = cand;
-      remap[static_cast<size_t>(cand.id)] = pruned_graph.AddNode(std::move(row));
-    }
-  }
 
   // ---- Edge generation --------------------------------------------------
-  // CandidateEdges via the paper's three-disjunct join over E_i, using the
-  // tracked parent IDs, then subtraction of implied (2-path) edges.
-  std::unordered_map<std::pair<int64_t, int64_t>, int64_t, ParentPairHash>
-      by_parents;
-  for (const NodeRow& cand : pruned_graph.nodes()) {
-    by_parents[{cand.parent1, cand.parent2}] = cand.id;
-  }
-
-  std::set<std::pair<int64_t, int64_t>> candidate_edges;
-  auto try_edge = [&](int64_t p_id, int64_t q_parent1, int64_t q_parent2) {
-    auto it = by_parents.find({q_parent1, q_parent2});
-    if (it != by_parents.end() && it->second != p_id) {
-      candidate_edges.insert({p_id, it->second});
-    }
-  };
-  for (const NodeRow& cand : pruned_graph.nodes()) {
-    // Disjunct 1: e: parent1 → q.parent1 and f: parent2 → q.parent2.
-    for (int64_t e_end : survivors.OutEdges(cand.parent1)) {
-      for (int64_t f_end : survivors.OutEdges(cand.parent2)) {
-        try_edge(cand.id, e_end, f_end);
-      }
-    }
-    // Disjunct 2: e: parent1 → q.parent1, parent2 equal.
-    for (int64_t e_end : survivors.OutEdges(cand.parent1)) {
-      try_edge(cand.id, e_end, cand.parent2);
-    }
-    // Disjunct 3: f: parent2 → q.parent2, parent1 equal.
-    for (int64_t f_end : survivors.OutEdges(cand.parent2)) {
-      try_edge(cand.id, cand.parent1, f_end);
-    }
-  }
-  local_stats.candidate_edges = candidate_edges.size();
-
-  // EXCEPT: remove relationships implied by a 2-path of candidate edges
-  // ("they may only be separated by a single node", §3.1.2).
-  std::unordered_map<int64_t, std::vector<int64_t>> out_adj;
-  for (const auto& [start, end] : candidate_edges) {
-    out_adj[start].push_back(end);
-  }
-  for (const auto& [start, end] : candidate_edges) {
-    bool implied = false;
-    auto it = out_adj.find(start);
-    if (it != out_adj.end()) {
-      for (int64_t mid : it->second) {
-        if (mid != end && candidate_edges.count({mid, end}) > 0) {
-          implied = true;
-          break;
-        }
-      }
-    }
-    if (!implied) {
-      pruned_graph.AddEdge(start, end);
-    } else {
-      ++local_stats.implied_removed;
-    }
-  }
-
-  pruned_graph.BuildAdjacency();
-  INCOGNITO_COUNT_ADD("lattice.joined",
-                      static_cast<int64_t>(local_stats.joined));
-  INCOGNITO_COUNT_ADD("lattice.pruned",
-                      static_cast<int64_t>(local_stats.pruned));
-  INCOGNITO_COUNT_ADD("lattice.candidate_edges",
-                      static_cast<int64_t>(local_stats.candidate_edges));
+  // Both parents of every candidate are survivors of S_i.
+  ConnectCandidates(survivors, survivors, &local_stats, &graph);
   if (stats != nullptr) *stats = local_stats;
-  (void)remap;
-  return pruned_graph;
+  return graph;
 }
 
 CandidateGraph MakeSingleDimensionChain(const QuasiIdentifier& qid,
@@ -281,94 +288,18 @@ CandidateGraph GenerateSubsetGraph(
     tree_bytes = static_cast<int64_t>(tree.MemoryBytes());
     if (!shard->ChargeMemory(tree_bytes).ok()) tree_bytes = 0;
   }
-  std::vector<bool> keep(next.num_nodes(), true);
-  for (const NodeRow& cand : next.nodes()) {
-    for (size_t drop = 0; drop + 2 < cand.pairs.size(); ++drop) {
-      std::vector<DimIndexPair> subset;
-      subset.reserve(cand.pairs.size() - 1);
-      for (size_t j = 0; j < cand.pairs.size(); ++j) {
-        if (j != drop) subset.push_back(cand.pairs[j]);
-      }
-      if (!tree.Contains(subset)) {
-        keep[static_cast<size_t>(cand.id)] = false;
-        ++local_stats.pruned;
-        break;
-      }
-    }
-  }
+  CandidateGraph graph = PruneCandidates(next, tree, &local_stats);
   if (shard != nullptr && tree_bytes > 0) {
     shard->ReleaseMemory(tree_bytes);
   }
-  CandidateGraph pruned_graph;
-  for (const NodeRow& cand : next.nodes()) {
-    if (keep[static_cast<size_t>(cand.id)]) {
-      NodeRow row = cand;
-      pruned_graph.AddNode(std::move(row));
-    }
-  }
 
   // ---- Edge generation --------------------------------------------------
-  // Identical to the batch three-disjunct join, with the parent ids local
-  // to p_graph / q_graph. Edges never cross subsets, so the batch edge set
-  // restricted to D is reproduced exactly.
-  std::unordered_map<std::pair<int64_t, int64_t>, int64_t, ParentPairHash>
-      by_parents;
-  for (const NodeRow& cand : pruned_graph.nodes()) {
-    by_parents[{cand.parent1, cand.parent2}] = cand.id;
-  }
-  std::set<std::pair<int64_t, int64_t>> candidate_edges;
-  auto try_edge = [&](int64_t p_id, int64_t q_parent1, int64_t q_parent2) {
-    auto it = by_parents.find({q_parent1, q_parent2});
-    if (it != by_parents.end() && it->second != p_id) {
-      candidate_edges.insert({p_id, it->second});
-    }
-  };
-  for (const NodeRow& cand : pruned_graph.nodes()) {
-    for (int64_t e_end : p_graph.OutEdges(cand.parent1)) {
-      for (int64_t f_end : q_graph.OutEdges(cand.parent2)) {
-        try_edge(cand.id, e_end, f_end);
-      }
-    }
-    for (int64_t e_end : p_graph.OutEdges(cand.parent1)) {
-      try_edge(cand.id, e_end, cand.parent2);
-    }
-    for (int64_t f_end : q_graph.OutEdges(cand.parent2)) {
-      try_edge(cand.id, cand.parent1, f_end);
-    }
-  }
-  local_stats.candidate_edges = candidate_edges.size();
-
-  std::unordered_map<int64_t, std::vector<int64_t>> out_adj;
-  for (const auto& [start, end] : candidate_edges) {
-    out_adj[start].push_back(end);
-  }
-  for (const auto& [start, end] : candidate_edges) {
-    bool implied = false;
-    auto it = out_adj.find(start);
-    if (it != out_adj.end()) {
-      for (int64_t mid : it->second) {
-        if (mid != end && candidate_edges.count({mid, end}) > 0) {
-          implied = true;
-          break;
-        }
-      }
-    }
-    if (!implied) {
-      pruned_graph.AddEdge(start, end);
-    } else {
-      ++local_stats.implied_removed;
-    }
-  }
-
-  pruned_graph.BuildAdjacency();
-  INCOGNITO_COUNT_ADD("lattice.joined",
-                      static_cast<int64_t>(local_stats.joined));
-  INCOGNITO_COUNT_ADD("lattice.pruned",
-                      static_cast<int64_t>(local_stats.pruned));
-  INCOGNITO_COUNT_ADD("lattice.candidate_edges",
-                      static_cast<int64_t>(local_stats.candidate_edges));
+  // The batch join, with the parent ids local to p_graph / q_graph. Edges
+  // never cross subsets, so the batch edge set restricted to D is
+  // reproduced exactly.
+  ConnectCandidates(p_graph, q_graph, &local_stats, &graph);
   if (stats != nullptr) *stats = local_stats;
-  return pruned_graph;
+  return graph;
 }
 
 }  // namespace incognito

@@ -35,18 +35,6 @@ const char* VariantWireName(IncognitoVariant variant) {
   return "basic";
 }
 
-bool ParseVariantWireName(const std::string& text, IncognitoVariant* out) {
-  for (IncognitoVariant v :
-       {IncognitoVariant::kBasic, IncognitoVariant::kSuperRoots,
-        IncognitoVariant::kCube}) {
-    if (text == VariantWireName(v)) {
-      *out = v;
-      return true;
-    }
-  }
-  return false;
-}
-
 const char* ResumeModeWireName(ResumeMode mode) {
   switch (mode) {
     case ResumeMode::kOff:
@@ -93,6 +81,18 @@ std::vector<std::string> NodeStrings(const std::vector<SubsetNode>& nodes,
 }
 
 }  // namespace
+
+bool ParseVariantWireName(const std::string& text, IncognitoVariant* out) {
+  for (IncognitoVariant v :
+       {IncognitoVariant::kBasic, IncognitoVariant::kSuperRoots,
+        IncognitoVariant::kCube}) {
+    if (text == VariantWireName(v)) {
+      *out = v;
+      return true;
+    }
+  }
+  return false;
+}
 
 const char* JobModelName(JobModel model) {
   switch (model) {
@@ -145,8 +145,6 @@ std::string JobSpecToJson(const JobSpec& spec) {
   out += ",\"memory_budget_bytes\":" +
          std::to_string(spec.exec.memory_budget_bytes);
   out += ",\"threads\":" + std::to_string(spec.exec.num_threads);
-  out += ",\"substrate\":" +
-         JsonString(SubstrateModeName(spec.exec.substrate));
   out += ",\"checkpoint\":" + JsonString(spec.exec.checkpoint.path);
   out += ",\"checkpoint_interval_ms\":" +
          std::to_string(spec.exec.checkpoint.interval_ms);
@@ -217,12 +215,6 @@ Result<JobSpec> JobSpecFromJson(const JsonValue& value) {
             threads, kMaxThreads));
       }
       spec.exec.num_threads = static_cast<int>(threads);
-    } else if (key == "substrate") {
-      if (!ParseSubstrateMode(v.StringOr(""), &spec.exec.substrate)) {
-        return Status::InvalidArgument(
-            "bad \"substrate\" value '" + v.StringOr("") +
-            "' (want hash, radix, or auto)");
-      }
     } else if (key == "checkpoint") {
       spec.exec.checkpoint.path = v.StringOr("");
     } else if (key == "checkpoint_interval_ms") {

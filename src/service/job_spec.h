@@ -33,9 +33,14 @@ const char* JobModelName(JobModel model);
 /// Parses a wire spelling; false on anything else.
 bool ParseJobModel(const std::string& text, JobModel* model);
 
+/// Parses an Incognito variant's wire spelling ("basic", "superroots",
+/// "cube"), shared by the JobSpec "variant" key and both tools' --variant
+/// flag; false on anything else.
+bool ParseVariantWireName(const std::string& text, IncognitoVariant* out);
+
 /// One anonymization job: WHAT to run (dataset reference, model, privacy
 /// parameters) plus HOW to run it (the ExecProfile: deadline, memory
-/// lease, thread share, substrate, checkpoint policy). This is
+/// lease, thread share, checkpoint policy). This is
 /// the service's public job description — the same JobSpec produces
 /// bit-identical results whether executed through the daemon, the socket
 /// client's run-direct mode, or a direct ExecuteJob call.
@@ -63,8 +68,8 @@ struct JobSpec {
   IncognitoVariant variant = IncognitoVariant::kBasic;
 
   /// Execution profile: budgets, threads (0-kMaxThreads; 0 keeps the
-  /// default), substrate, checkpoint policy. The daemon points exec.cancel at the job's own
-  /// token before running so every job is cancellable.
+  /// default), checkpoint policy. The daemon points exec.cancel at the
+  /// job's own token before running so every job is cancellable.
   ExecProfile exec;
 
   /// When false, a budget trip is reported as a failure (its governance

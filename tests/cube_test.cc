@@ -191,13 +191,44 @@ TEST(CubeTest, GovernedBuildMatchesScansAndBalances) {
                    std::to_string(threads));
       ASSERT_FALSE(governor.Tripped());
       ExpectCubeMatchesScans(*table, *qid, cube, info);
-      // The governor holds exactly the cube's footprint: the transient
-      // worker leases are gone, and ReleaseMemory balances to zero.
+      // The governor holds exactly the cube's footprint, its sets and its
+      // 2^n mask-indexed slots: the transient worker leases and the tier
+      // lists are gone, and ReleaseMemory balances to zero.
+      const size_t slot_bytes =
+          (size_t{1} << qid->size()) * sizeof(FrequencySet);
       EXPECT_EQ(governor.memory().used(),
-                static_cast<int64_t>(info.total_bytes));
+                static_cast<int64_t>(info.total_bytes + slot_bytes));
       cube.ReleaseMemory(&governor);
       EXPECT_EQ(governor.memory().used(), 0);
     }
+  }
+}
+
+TEST(CubeTest, GovernedBuildChargesTheSlotVector) {
+  // Sixteen attributes over two rows: the 2^16 mask-indexed slots outweigh
+  // every set the build holds, so they decide both the peak and the trip.
+  testing_util::RandomDataset ds = testing_util::MakeTwoRowDataset(16);
+  const int64_t slot_bytes =
+      static_cast<int64_t>((size_t{1} << 16) * sizeof(FrequencySet));
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    WorkerPool pool(threads);
+    ExecutionGovernor governor;
+    governor.SetMemoryLimitBytes(int64_t{1} << 30);
+    ZeroGenCube cube =
+        ZeroGenCube::Build(ds.table, ds.qid, pool, nullptr, &governor);
+    ASSERT_FALSE(governor.Tripped());
+    EXPECT_GE(governor.memory().peak(), slot_bytes);
+    cube.ReleaseMemory(&governor);
+    EXPECT_EQ(governor.memory().used(), 0);
+
+    ExecutionGovernor tight;
+    tight.SetMemoryLimitBytes(slot_bytes - 1);
+    ZeroGenCube tripped =
+        ZeroGenCube::Build(ds.table, ds.qid, pool, nullptr, &tight);
+    EXPECT_TRUE(tight.Tripped());
+    EXPECT_EQ(tripped.num_subsets(), 0u);
+    EXPECT_EQ(tight.memory().used(), 0);
   }
 }
 

@@ -111,7 +111,6 @@ TEST(JobSpecJsonTest, RoundTripPreservesEveryField) {
   spec.exec.deadline_ms = 1500;
   spec.exec.memory_budget_bytes = 4 << 20;
   spec.exec.num_threads = 2;
-  spec.exec.substrate = SubstrateMode::kRadix;
   spec.exec.checkpoint.path = "/tmp/ck";
   spec.exec.checkpoint.interval_ms = 25;
   spec.exec.checkpoint.resume = ResumeMode::kAuto;
@@ -136,7 +135,6 @@ TEST(JobSpecJsonTest, RoundTripPreservesEveryField) {
   EXPECT_EQ(round->exec.deadline_ms, 1500);
   EXPECT_EQ(round->exec.memory_budget_bytes, 4 << 20);
   EXPECT_EQ(round->exec.num_threads, 2);
-  EXPECT_EQ(round->exec.substrate, SubstrateMode::kRadix);
   EXPECT_EQ(round->exec.checkpoint.path, "/tmp/ck");
   EXPECT_EQ(round->exec.checkpoint.interval_ms, 25);
   EXPECT_EQ(round->exec.checkpoint.resume, ResumeMode::kAuto);
@@ -156,16 +154,23 @@ TEST(JobSpecJsonTest, UnknownKeysAreRejected) {
   EXPECT_EQ(spec.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(JobSpecJsonTest, ScheduleIsAnUnknownKey) {
-  obs::JsonValue parsed;
-  std::string error;
-  ASSERT_TRUE(obs::ParseJson(
-      "{\"input\":\"x.csv\",\"qid\":[\"A\"],\"schedule\":\"barrier\"}",
-      &parsed, &error));
-  Result<JobSpec> spec = JobSpecFromJson(parsed);
-  ASSERT_FALSE(spec.ok());
-  EXPECT_EQ(spec.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(spec.status().message().find("\"schedule\""), std::string::npos);
+TEST(JobSpecJsonTest, RemovedKeysAreUnknown) {
+  // Both keys named options the daemon no longer has.
+  for (const std::string key_value :
+       {"\"schedule\":\"barrier\"", "\"substrate\":\"hash\""}) {
+    obs::JsonValue parsed;
+    std::string error;
+    ASSERT_TRUE(obs::ParseJson(
+        "{\"input\":\"x.csv\",\"qid\":[\"A\"]," + key_value + "}", &parsed,
+        &error));
+    Result<JobSpec> spec = JobSpecFromJson(parsed);
+    ASSERT_FALSE(spec.ok()) << key_value;
+    EXPECT_EQ(spec.status().code(), StatusCode::kInvalidArgument) << key_value;
+    EXPECT_NE(spec.status().message().find(
+                  key_value.substr(0, key_value.find(':'))),
+              std::string::npos)
+        << key_value;
+  }
 }
 
 TEST(JobSpecJsonTest, ThreadsOutsideTheCliRangeAreRejected) {

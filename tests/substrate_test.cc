@@ -1,12 +1,11 @@
-// Differential and property tests for the group-by substrates
-// (src/freq/substrate.h, DESIGN.md "Group-by substrates"): the
-// count-or-sort engine and the flat arena map must be BIT-IDENTICAL to the
-// hash engine — groups, counts, canonical order, MemoryBytes(), search
-// survivors, and every deterministic counter — on every fixture, at every
-// thread count. Plus the (mode, packed) decision table, the
-// INCOGNITO_SUBSTRATE environment override, the radix/flat kernel units
-// and counted scans on both sides of the count rule against naive
-// oracles, and the governed scans' byte accounting (drain-to-zero,
+// Tests for the group-by kernels (src/freq/substrate.h, DESIGN.md
+// "Group-by substrates"): the radix and flat-map units, and every scan —
+// serial, pooled at every thread count, batched, on both sides of the
+// count rule and on keys wider than 64 bits — plus rollups and
+// projections, against a naive std::map oracle with a serial scan's exact
+// footprint. Compute's kHash reference scan must stay bit-identical to the
+// kernel on packed keys, since the benches time the two against each
+// other. And the governed scans' byte accounting (drain-to-zero,
 // count-array and sort-buffer memory trips, cancels).
 
 #include "freq/substrate.h"
@@ -15,9 +14,7 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 #include <map>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -29,10 +26,8 @@
 #include "core/worker_pool.h"
 #include "data/adults.h"
 #include "data/patients.h"
-#include "freq/cube.h"
 #include "freq/frequency_set.h"
 #include "freq/key_codec.h"
-#include "obs/obs.h"
 #include "robust/governor.h"
 #include "robust/partial_result.h"
 #include "test_util.h"
@@ -53,33 +48,17 @@ constexpr SubstrateMode kModes[] = {SubstrateMode::kHash,
                                     SubstrateMode::kRadix,
                                     SubstrateMode::kAuto};
 
-/// Pins INCOGNITO_SUBSTRATE to a value (or clears it) for one test and
-/// restores whatever the test runner had set on destruction, so the tests
-/// that exercise the env override — or that assert what kAuto does
-/// without one — don't leak state into the rest of the suite (the
-/// sanitizer CI legs run the whole binary with the variable exported).
-class ScopedSubstrateEnv {
- public:
-  explicit ScopedSubstrateEnv(const char* value) {
-    const char* old = getenv("INCOGNITO_SUBSTRATE");
-    if (old != nullptr) saved_ = old;
-    had_value_ = old != nullptr;
-    Set(value);
+const char* ModeName(SubstrateMode mode) {
+  switch (mode) {
+    case SubstrateMode::kHash:
+      return "hash";
+    case SubstrateMode::kRadix:
+      return "radix";
+    case SubstrateMode::kAuto:
+      return "auto";
   }
-  ~ScopedSubstrateEnv() { Set(had_value_ ? saved_.c_str() : nullptr); }
-
-  void Set(const char* value) {
-    if (value == nullptr) {
-      unsetenv("INCOGNITO_SUBSTRATE");
-    } else {
-      setenv("INCOGNITO_SUBSTRATE", value, 1);
-    }
-  }
-
- private:
-  std::string saved_;
-  bool had_value_ = false;
-};
+  return "?";
+}
 
 /// The bit-identity contract, in one assertion: same groups in the same
 /// canonical order, same totals, and the same exact heap footprint.
@@ -99,86 +78,6 @@ void ExpectCanonicalOrder(const FrequencySet& fs, const std::string& context) {
     EXPECT_LT(groups[i - 1].first, groups[i].first)
         << context << " group " << i;
   }
-}
-
-// ---------------------------------------------------------------------------
-// The decision table: the mode and whether the key packs pick the engine
-// ---------------------------------------------------------------------------
-
-TEST(SubstrateAutoTest, ExplicitModesIgnoreShape) {
-  // kHash is always the hash map; kRadix is the count-or-sort kernel
-  // whenever keys pack, and the flat arena map when they do not.
-  EXPECT_EQ(ChooseSubstrate(SubstrateMode::kHash, true),
-            SubstrateChoice::kHashMap);
-  EXPECT_EQ(ChooseSubstrate(SubstrateMode::kHash, false),
-            SubstrateChoice::kHashMap);
-  EXPECT_EQ(ChooseSubstrate(SubstrateMode::kRadix, true),
-            SubstrateChoice::kRadixSort);
-  EXPECT_EQ(ChooseSubstrate(SubstrateMode::kRadix, false),
-            SubstrateChoice::kFlatMap);
-}
-
-TEST(SubstrateAutoTest, DecisionTableOverModeAndPacking) {
-  // kAuto resolves exactly like kRadix; only an explicit kHash reaches the
-  // hash map.
-  struct Row {
-    SubstrateMode mode;
-    bool packed;
-    SubstrateChoice expected;
-  };
-  const Row table[] = {
-      {SubstrateMode::kHash, true, SubstrateChoice::kHashMap},
-      {SubstrateMode::kHash, false, SubstrateChoice::kHashMap},
-      {SubstrateMode::kRadix, true, SubstrateChoice::kRadixSort},
-      {SubstrateMode::kRadix, false, SubstrateChoice::kFlatMap},
-      {SubstrateMode::kAuto, true, SubstrateChoice::kRadixSort},
-      {SubstrateMode::kAuto, false, SubstrateChoice::kFlatMap},
-  };
-  for (const Row& row : table) {
-    EXPECT_EQ(ChooseSubstrate(row.mode, row.packed), row.expected)
-        << SubstrateModeName(row.mode) << " packed=" << row.packed;
-  }
-}
-
-TEST(SubstrateAutoTest, EnvironmentOverrideSteersAutoOnly) {
-  // Baseline: with no override, packing decides.
-  ScopedSubstrateEnv env(nullptr);
-  EXPECT_EQ(ResolveSubstrate(SubstrateMode::kAuto, true),
-            SubstrateChoice::kRadixSort);
-  EXPECT_EQ(ResolveSubstrate(SubstrateMode::kAuto, false),
-            SubstrateChoice::kFlatMap);
-
-  env.Set("hash");
-  EXPECT_EQ(ResolveSubstrate(SubstrateMode::kAuto, true),
-            SubstrateChoice::kHashMap);
-  EXPECT_EQ(ResolveSubstrate(SubstrateMode::kAuto, false),
-            SubstrateChoice::kHashMap);
-  // Explicit modes always win over the environment.
-  EXPECT_EQ(ResolveSubstrate(SubstrateMode::kRadix, true),
-            SubstrateChoice::kRadixSort);
-
-  env.Set("radix");
-  EXPECT_EQ(ResolveSubstrate(SubstrateMode::kAuto, true),
-            SubstrateChoice::kRadixSort);
-  EXPECT_EQ(ResolveSubstrate(SubstrateMode::kHash, true),
-            SubstrateChoice::kHashMap);
-
-  // Unknown values are ignored, not an error.
-  env.Set("bogus");
-  EXPECT_EQ(ResolveSubstrate(SubstrateMode::kAuto, true),
-            SubstrateChoice::kRadixSort);
-}
-
-TEST(SubstrateAutoTest, NamesAndParsingRoundTrip) {
-  for (SubstrateMode mode : kModes) {
-    SubstrateMode parsed;
-    ASSERT_TRUE(ParseSubstrateMode(SubstrateModeName(mode), &parsed));
-    EXPECT_EQ(parsed, mode);
-  }
-  SubstrateMode out;
-  EXPECT_FALSE(ParseSubstrateMode("", &out));
-  EXPECT_FALSE(ParseSubstrateMode("Radix", &out));
-  EXPECT_FALSE(ParseSubstrateMode("bogus", &out));
 }
 
 // ---------------------------------------------------------------------------
@@ -373,16 +272,15 @@ CodeGroups MapOracle(const Table& table, const QuasiIdentifier& qid,
   return CodeGroups(groups.begin(), groups.end());
 }
 
-/// A scan equals the oracle group for group, in order, and has the exact
-/// footprint of a scan pinned to the hash engine.
+/// A set equals the oracle group for group, in order, and has the exact
+/// footprint of a serial scan.
 void ExpectMatchesOracle(const Table& table, const QuasiIdentifier& qid,
                          const FrequencySet& fs, const std::string& context) {
   EXPECT_EQ(GroupsOf(fs), MapOracle(table, qid, fs.node())) << context;
   EXPECT_EQ(fs.TotalCount(), static_cast<int64_t>(table.num_rows()))
       << context;
   EXPECT_EQ(fs.MemoryBytes(),
-            FrequencySet::Compute(table, qid, fs.node(), SubstrateMode::kHash)
-                .MemoryBytes())
+            FrequencySet::Compute(table, qid, fs.node()).MemoryBytes())
       << context;
 }
 
@@ -397,8 +295,7 @@ TEST(CountedScanTest, CountsSeriallyAndPooledAtEveryThreadCount) {
                                   static_cast<size_t>(threads)));
     WorkerPool pool(threads);
     ExpectMatchesOracle(data->table, data->qid,
-                        PooledScan(data->table, data->qid, node, pool,
-                                   nullptr, SubstrateMode::kRadix),
+                        PooledScan(data->table, data->qid, node, pool),
                         "threads=" + std::to_string(threads));
   }
 }
@@ -421,8 +318,7 @@ TEST(CountedScanTest, CountsAtTwiceTheRowsAndSortsOneRowBelow) {
                 rows == 8 * workers);
       WorkerPool pool(static_cast<int>(workers));
       ExpectMatchesOracle(ds.table, ds.qid,
-                          PooledScan(ds.table, ds.qid, node, pool, nullptr,
-                                     SubstrateMode::kRadix),
+                          PooledScan(ds.table, ds.qid, node, pool),
                           "workers=" + std::to_string(workers) +
                               " rows=" + std::to_string(rows));
     }
@@ -441,8 +337,7 @@ TEST(CountedScanTest, AllTopLevelKeyCountsIntoOneSlot) {
     ASSERT_TRUE(ScanCountsDensely(data->qid, node, 5000,
                                   static_cast<size_t>(threads)));
     WorkerPool pool(threads);
-    FrequencySet fs = PooledScan(data->table, data->qid, node, pool, nullptr,
-                                 SubstrateMode::kRadix);
+    FrequencySet fs = PooledScan(data->table, data->qid, node, pool);
     ASSERT_EQ(fs.NumGroups(), 1u);
     EXPECT_EQ(fs.MinCount(), 5000);
     ExpectMatchesOracle(data->table, data->qid, fs,
@@ -452,7 +347,7 @@ TEST(CountedScanTest, AllTopLevelKeyCountsIntoOneSlot) {
 
 TEST(CountedScanTest, EmptyTablesAndWorkersWithoutRowsSort) {
   // No row to count, or fewer rows than workers: even the one-slot key
-  // sorts, and the result matches the oracle and the hash footprint.
+  // sorts, and the result matches the oracle and the serial footprint.
   struct Case {
     size_t rows;
     int threads;
@@ -475,8 +370,7 @@ TEST(CountedScanTest, EmptyTablesAndWorkersWithoutRowsSort) {
                                      static_cast<size_t>(c.threads)))
           << context;
       ExpectMatchesOracle(ds.table, ds.qid,
-                          PooledScan(ds.table, ds.qid, node, pool, nullptr,
-                                     SubstrateMode::kRadix),
+                          PooledScan(ds.table, ds.qid, node, pool),
                           context);
     }
   }
@@ -501,8 +395,8 @@ TEST(CountedScanTest, OneBatchMixesCountedAndSortedNodes) {
     }
     ASSERT_TRUE(counts && sorts) << "threads=" << threads;
     WorkerPool pool(threads);
-    std::vector<FrequencySet> sets = FrequencySet::ComputeBatch(
-        data->table, data->qid, batch, &pool, nullptr, SubstrateMode::kRadix);
+    std::vector<FrequencySet> sets =
+        FrequencySet::ComputeBatch(data->table, data->qid, batch, &pool);
     ASSERT_EQ(sets.size(), batch.size());
     for (const FrequencySet& fs : sets) {
       ExpectMatchesOracle(data->table, data->qid, fs,
@@ -513,7 +407,8 @@ TEST(CountedScanTest, OneBatchMixesCountedAndSortedNodes) {
 }
 
 // ---------------------------------------------------------------------------
-// Differential: Compute / pooled ComputeBatch / RollupTo / ProjectTo
+// Compute / pooled ComputeBatch / RollupTo / ProjectTo, and the reference
+// scan the benches time against the kernel
 // ---------------------------------------------------------------------------
 
 /// Nodes that exercise the interesting key shapes on a 3-attribute QID:
@@ -535,7 +430,7 @@ TEST(SubstrateDifferentialTest, ComputeMatchesOnPatients) {
     for (SubstrateMode mode : {SubstrateMode::kRadix, SubstrateMode::kAuto}) {
       FrequencySet other = FrequencySet::Compute(ds->table, ds->qid, node,
                                                  mode);
-      std::string context = node.ToString() + " " + SubstrateModeName(mode);
+      std::string context = node.ToString() + " " + ModeName(mode);
       ExpectIdenticalSets(hash, other, context);
       ExpectCanonicalOrder(other, context);
     }
@@ -561,15 +456,13 @@ TEST(SubstrateDifferentialTest, ComputeMatchesOnAdultsAboveRadixThreshold) {
     for (SubstrateMode mode : {SubstrateMode::kRadix, SubstrateMode::kAuto}) {
       FrequencySet other =
           FrequencySet::Compute(data->table, data->qid, node, mode);
-      ExpectIdenticalSets(hash, other,
-                          node.ToString() + " " + SubstrateModeName(mode));
+      ExpectIdenticalSets(hash, other, node.ToString() + " " + ModeName(mode));
     }
   }
 }
 
-TEST(SubstrateDifferentialTest, ComputeMatchesOnWideFallbackKeys) {
-  // 72-bit keys: kRadix resolves to the flat arena map, kHash to the
-  // vector-keyed unordered_map — still byte-identical.
+TEST(SubstrateDifferentialTest, ComputeMatchesMapOracleOnWideKeys) {
+  // 72-bit keys run the flat arena map, in every mode.
   RandomDataset ds = MakeWideFallbackDataset(800);
   const size_t n = ds.qid.size();
   std::vector<int32_t> dims(n);
@@ -578,12 +471,12 @@ TEST(SubstrateDifferentialTest, ComputeMatchesOnWideFallbackKeys) {
       SubsetNode(dims, std::vector<int32_t>(n, 0)),
       SubsetNode({0, 2, 4}, {0, 0, 0})};
   for (const SubsetNode& node : nodes) {
-    FrequencySet hash =
-        FrequencySet::Compute(ds.table, ds.qid, node, SubstrateMode::kHash);
-    FrequencySet flat =
-        FrequencySet::Compute(ds.table, ds.qid, node, SubstrateMode::kRadix);
-    ExpectIdenticalSets(hash, flat, node.ToString() + " flat-map");
-    ExpectCanonicalOrder(flat, node.ToString());
+    for (SubstrateMode mode : kModes) {
+      FrequencySet flat = FrequencySet::Compute(ds.table, ds.qid, node, mode);
+      const std::string context = node.ToString() + " " + ModeName(mode);
+      ExpectMatchesOracle(ds.table, ds.qid, flat, context);
+      ExpectCanonicalOrder(flat, context);
+    }
   }
 }
 
@@ -609,7 +502,7 @@ TEST(SubstrateDifferentialTest, ComputeMatchesMapOracleOnRandomTables) {
     for (SubstrateMode mode : kModes) {
       FrequencySet fs = FrequencySet::Compute(ds.table, ds.qid, node, mode);
       EXPECT_EQ(GroupsOf(fs), oracle)
-          << "trial " << trial << " " << SubstrateModeName(mode);
+          << "trial " << trial << " " << ModeName(mode);
     }
   }
 }
@@ -623,18 +516,12 @@ TEST(SubstrateDifferentialTest, PooledScanMatchesAtEveryThreadCount) {
       SubsetNode({0, 1, 2}, {0, 0, 0}), SubsetNode({0, 3, 4}, {1, 0, 0}),
       SubsetNode({0}, {0})};
   for (const SubsetNode& node : nodes) {
-    FrequencySet serial = FrequencySet::Compute(data->table, data->qid, node,
-                                                SubstrateMode::kHash);
     for (int threads : {1, 2, 4, 8}) {
       WorkerPool pool(threads);
-      for (SubstrateMode mode : kModes) {
-        FrequencySet parallel =
-            PooledScan(data->table, data->qid, node, pool, nullptr, mode);
-        ExpectIdenticalSets(serial, parallel,
-                            node.ToString() + " threads=" +
-                                std::to_string(threads) + " " +
-                                SubstrateModeName(mode));
-      }
+      ExpectMatchesOracle(data->table, data->qid,
+                          PooledScan(data->table, data->qid, node, pool),
+                          node.ToString() + " threads=" +
+                              std::to_string(threads));
     }
   }
 }
@@ -645,18 +532,15 @@ TEST(SubstrateDifferentialTest, PooledScanMatchesOnWideKeys) {
   std::vector<int32_t> dims(n);
   for (size_t i = 0; i < n; ++i) dims[i] = static_cast<int32_t>(i);
   SubsetNode node(dims, std::vector<int32_t>(n, 0));
-  FrequencySet serial =
-      FrequencySet::Compute(ds.table, ds.qid, node, SubstrateMode::kHash);
   for (int threads : {2, 4, 8}) {
     WorkerPool pool(threads);
-    FrequencySet flat = PooledScan(ds.table, ds.qid, node, pool, nullptr,
-                                   SubstrateMode::kRadix);
-    ExpectIdenticalSets(serial, flat,
+    ExpectMatchesOracle(ds.table, ds.qid,
+                        PooledScan(ds.table, ds.qid, node, pool),
                         "flat threads=" + std::to_string(threads));
   }
 }
 
-TEST(SubstrateDifferentialTest, ComputeBatchMatchesPerNodeCompute) {
+TEST(SubstrateDifferentialTest, ComputeBatchMatchesMapOracle) {
   // Same dims at different levels have different key spaces, so one batch
   // mixes counted and sorted nodes.
   AdultsOptions adults;
@@ -667,21 +551,15 @@ TEST(SubstrateDifferentialTest, ComputeBatchMatchesPerNodeCompute) {
       SubsetNode({0, 1, 2}, {0, 0, 0}), SubsetNode({0, 1, 2}, {1, 0, 0}),
       SubsetNode({0, 1, 2}, {2, 1, 0}), SubsetNode({0, 1, 2}, {4, 1, 1}),
       SubsetNode({0, 4, 5}, {0, 0, 0})};
-  for (SubstrateMode mode : kModes) {
-    for (int threads : {0, 2, 4, 8}) {
-      WorkerPool pool(threads > 0 ? threads : 1);
-      std::vector<FrequencySet> sets = FrequencySet::ComputeBatch(
-          data->table, data->qid, batch, threads > 0 ? &pool : nullptr,
-          nullptr, mode);
-      ASSERT_EQ(sets.size(), batch.size());
-      for (size_t j = 0; j < batch.size(); ++j) {
-        FrequencySet direct = FrequencySet::Compute(
-            data->table, data->qid, batch[j], SubstrateMode::kHash);
-        ExpectIdenticalSets(direct, sets[j],
-                            batch[j].ToString() + " batch threads=" +
-                                std::to_string(threads) + " " +
-                                SubstrateModeName(mode));
-      }
+  for (int threads : {0, 2, 4, 8}) {
+    WorkerPool pool(threads > 0 ? threads : 1);
+    std::vector<FrequencySet> sets = FrequencySet::ComputeBatch(
+        data->table, data->qid, batch, threads > 0 ? &pool : nullptr);
+    ASSERT_EQ(sets.size(), batch.size());
+    for (size_t j = 0; j < batch.size(); ++j) {
+      ExpectMatchesOracle(
+          data->table, data->qid, sets[j],
+          batch[j].ToString() + " batch threads=" + std::to_string(threads));
     }
   }
 }
@@ -740,39 +618,8 @@ TEST(SubstrateDifferentialTest, RollupsAndProjectionsMatchMapOracle) {
   }
 }
 
-TEST(SubstrateDifferentialTest, CubeBuildsAreIdenticalAcrossSubstrates) {
-  // The mode reaches only the root scan; the projections are the kernel's.
-  AdultsOptions adults;
-  adults.num_rows = 5000;
-  Result<SyntheticDataset> data = MakeAdultsDataset(adults);
-  ASSERT_TRUE(data.ok());
-  QuasiIdentifier qid = data->qid.Prefix(4);
-  WorkerPool pool(1);
-  ZeroGenCube::BuildInfo hash_info;
-  ZeroGenCube hash_cube = ZeroGenCube::Build(data->table, qid, pool,
-                                             &hash_info, nullptr,
-                                             SubstrateMode::kHash);
-  for (SubstrateMode mode : {SubstrateMode::kRadix, SubstrateMode::kAuto}) {
-    ZeroGenCube::BuildInfo info;
-    ZeroGenCube cube =
-        ZeroGenCube::Build(data->table, qid, pool, &info, nullptr, mode);
-    EXPECT_EQ(info.num_subsets, hash_info.num_subsets);
-    EXPECT_EQ(info.total_groups, hash_info.total_groups);
-    EXPECT_EQ(info.total_bytes, hash_info.total_bytes);
-    EXPECT_EQ(info.table_scans, hash_info.table_scans);
-    EXPECT_EQ(info.projections, hash_info.projections);
-    // Spot-check the materialized sets themselves.
-    for (const std::vector<int32_t>& dims :
-         {std::vector<int32_t>{0}, std::vector<int32_t>{0, 2},
-          std::vector<int32_t>{0, 1, 2, 3}}) {
-      ExpectIdenticalSets(hash_cube.Get(dims), cube.Get(dims),
-                          SubstrateModeName(mode));
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
-// Differential: the full search, every variant x thread count
+// The checker and the governed search
 // ---------------------------------------------------------------------------
 
 std::vector<std::string> Strings(const std::vector<SubsetNode>& nodes) {
@@ -782,9 +629,8 @@ std::vector<std::string> Strings(const std::vector<SubsetNode>& nodes) {
   return out;
 }
 
-/// Survivors, per-iteration sets, and every deterministic counter must be
-/// independent of the substrate. (Substrate obs counters and shard
-/// high-water marks legitimately differ and are excluded.)
+/// Survivors, per-iteration sets, and every deterministic counter agree.
+/// (Shard high-water marks legitimately differ and are excluded.)
 void ExpectSameSearch(const IncognitoResult& expected,
                       const IncognitoResult& actual,
                       const std::string& context) {
@@ -813,172 +659,60 @@ void ExpectSameSearch(const IncognitoResult& expected,
       << context;
 }
 
-TEST(SubstrateSearchTest, EveryVariantAndThreadCountIsBitIdentical) {
-  AdultsOptions adults;
-  adults.num_rows = 5000;  // scans on both sides of the count rule
-  Result<SyntheticDataset> data = MakeAdultsDataset(adults);
-  ASSERT_TRUE(data.ok());
-  QuasiIdentifier qid = data->qid.Prefix(3);
-  AnonymizationConfig config;
-  config.k = 25;
-  for (IncognitoVariant variant :
-       {IncognitoVariant::kBasic, IncognitoVariant::kSuperRoots,
-        IncognitoVariant::kCube}) {
-    IncognitoOptions hash_options;
-    hash_options.variant = variant;
-    hash_options.substrate = SubstrateMode::kHash;
-    PartialResult<IncognitoResult> baseline =
-        RunIncognito(data->table, qid, config, hash_options);
-    ASSERT_TRUE(baseline.ok());
-    for (SubstrateMode mode : {SubstrateMode::kRadix, SubstrateMode::kAuto}) {
-      IncognitoOptions options;
-      options.variant = variant;
-      options.substrate = mode;
-      std::string context = std::string(IncognitoVariantName(variant)) + "/" +
-                            SubstrateModeName(mode);
-      for (int threads : {1, 2, 4, 8}) {
-        PartialResult<IncognitoResult> run = RunIncognito(
-            data->table, qid, config, options, RunContext::WithThreads(threads));
-        ASSERT_TRUE(run.ok()) << context;
-        ExpectSameSearch(*baseline, *run,
-                         context + "/threads=" + std::to_string(threads));
-      }
-    }
-  }
-}
-
-TEST(SubstrateSearchTest, RandomDatasetsMatchAcrossSubstrates) {
-  for (uint64_t seed : {7u, 77u, 777u}) {
-    Rng rng(seed);
-    testing_util::RandomDatasetOptions opts;
-    opts.num_rows = 120;
-    RandomDataset data = MakeRandomDataset(rng, opts);
-    AnonymizationConfig config;
-    config.k = 2 + static_cast<int64_t>(seed % 4);
-    IncognitoOptions hash_options;
-    hash_options.substrate = SubstrateMode::kHash;
-    PartialResult<IncognitoResult> baseline =
-        RunIncognito(data.table, data.qid, config, hash_options);
-    ASSERT_TRUE(baseline.ok());
-    IncognitoOptions radix_options;
-    radix_options.substrate = SubstrateMode::kRadix;
-    PartialResult<IncognitoResult> radix =
-        RunIncognito(data.table, data.qid, config, radix_options);
-    ASSERT_TRUE(radix.ok());
-    ExpectSameSearch(*baseline, *radix, "seed=" + std::to_string(seed));
-    PartialResult<IncognitoResult> parallel = RunIncognito(
-        data.table, data.qid, config, radix_options,
-        RunContext::WithThreads(4));
-    ASSERT_TRUE(parallel.ok());
-    ExpectSameSearch(*baseline, *parallel,
-                     "seed=" + std::to_string(seed) + " parallel");
-  }
-}
-
-TEST(SubstrateSearchTest, CheckerVerdictIndependentOfSubstrate) {
+TEST(SubstrateSearchTest, CheckerVerdictMatchesMapOracle) {
   AdultsOptions adults;
   adults.num_rows = 5000;
   Result<SyntheticDataset> data = MakeAdultsDataset(adults);
   ASSERT_TRUE(data.ok());
-  AnonymizationConfig config;
-  config.k = 10;
   SubsetNode node = SubsetNode::Full({2, 1, 1});
   QuasiIdentifier qid = data->qid.Prefix(3);
-  AlgorithmStats hash_stats;
-  bool hash_ok = IsKAnonymous(data->table, qid, node, config, &hash_stats, 1,
-                              SubstrateMode::kHash);
-  for (SubstrateMode mode : {SubstrateMode::kRadix, SubstrateMode::kAuto}) {
+  const CodeGroups oracle = MapOracle(data->table, qid, node);
+  for (int64_t k : {10, 200}) {
+    AnonymizationConfig config;
+    config.k = k;
+    const bool expected =
+        std::all_of(oracle.begin(), oracle.end(),
+                    [k](const auto& group) { return group.second >= k; });
     for (int threads : {1, 4}) {
       AlgorithmStats stats;
-      EXPECT_EQ(IsKAnonymous(data->table, qid, node, config, &stats, threads,
-                             mode),
-                hash_ok)
-          << SubstrateModeName(mode);
-      EXPECT_EQ(stats.freq_groups_built, hash_stats.freq_groups_built);
+      EXPECT_EQ(IsKAnonymous(data->table, qid, node, config, &stats, threads),
+                expected)
+          << "k=" << k << " threads=" << threads;
+      EXPECT_EQ(stats.freq_groups_built, static_cast<int64_t>(oracle.size()));
+      Result<bool> got = IsKAnonymous(data->table, qid, node, config,
+                                      RunContext::WithThreads(threads));
+      ASSERT_TRUE(got.ok());
+      EXPECT_EQ(got.value(), expected) << "k=" << k << " threads=" << threads;
     }
-    // The RunContext variant resolves ctx.substrate the same way.
-    RunContext ctx;
-    ctx.substrate = mode;
-    Result<bool> got = IsKAnonymous(data->table, qid, node, config, ctx);
-    ASSERT_TRUE(got.ok());
-    EXPECT_EQ(got.value(), hash_ok);
   }
 }
 
-#ifndef INCOGNITO_OBS_DISABLED
-TEST(SubstrateSearchTest, ContextSubstrateOverridesOptions) {
-  // options say hash, ctx says radix: the run must build every frequency
-  // set on the radix/flat engines — visible via the substrate counters.
-  AdultsOptions adults;
-  adults.num_rows = 4500;
-  Result<SyntheticDataset> data = MakeAdultsDataset(adults);
-  ASSERT_TRUE(data.ok());
-  QuasiIdentifier qid = data->qid.Prefix(2);
-  AnonymizationConfig config;
-  config.k = 25;
-  IncognitoOptions options;
-  options.substrate = SubstrateMode::kHash;
-  RunContext ctx;
-  ctx.substrate = SubstrateMode::kRadix;
-  obs::MetricsSnapshot before =
-      obs::MetricsSnapshot::Take(obs::CounterRegistry::Global());
-  PartialResult<IncognitoResult> run =
-      RunIncognito(data->table, qid, config, options, ctx);
-  ASSERT_TRUE(run.ok());
-  obs::MetricsSnapshot delta =
-      obs::MetricsSnapshot::Take(obs::CounterRegistry::Global())
-          .DeltaSince(before);
-  EXPECT_GT(delta.counters["freq.substrate_radix"], 0);
-  EXPECT_EQ(delta.counters["freq.substrate_hash"], 0);
-}
-
-TEST(SubstrateSearchTest, AutoNeverReachesTheHashMapOnTinyTables) {
-  // Even at 60 rows kAuto builds every set on the count-or-sort kernel; the
-  // hash map runs only when asked for. Pin the environment so the test
-  // exercises the true kAuto default even when the runner sweeps
-  // INCOGNITO_SUBSTRATE.
-  ScopedSubstrateEnv env(nullptr);
-  Rng rng(404);
-  RandomDataset data = MakeRandomDataset(rng);
-  AnonymizationConfig config;
-  config.k = 2;
-  obs::MetricsSnapshot before =
-      obs::MetricsSnapshot::Take(obs::CounterRegistry::Global());
-  PartialResult<IncognitoResult> run =
-      RunIncognito(data.table, data.qid, config);
-  ASSERT_TRUE(run.ok());
-  obs::MetricsSnapshot delta =
-      obs::MetricsSnapshot::Take(obs::CounterRegistry::Global())
-          .DeltaSince(before);
-  EXPECT_GT(delta.counters["freq.substrate_radix"], 0);
-  EXPECT_EQ(delta.counters["freq.substrate_hash"], 0);
-}
-#endif  // !INCOGNITO_OBS_DISABLED
-
 // ---------------------------------------------------------------------------
-// Governed scans: exact byte accounting on every substrate
+// Governed scans: exact byte accounting
 // ---------------------------------------------------------------------------
 
-TEST(SubstrateGovernedTest, ParallelScanDrainsToZeroOnEverySubstrate) {
+TEST(SubstrateGovernedTest, ParallelScanDrainsToZero) {
   AdultsOptions adults;
   adults.num_rows = 5000;
   Result<SyntheticDataset> data = MakeAdultsDataset(adults);
   ASSERT_TRUE(data.ok());
-  SubsetNode node({0, 1, 2}, {0, 0, 0});
-  FrequencySet expected = FrequencySet::Compute(data->table, data->qid, node,
-                                                SubstrateMode::kHash);
-  for (SubstrateMode mode : kModes) {
+  // One node counts at 1,250 rows a worker, the other sorts.
+  const SubsetNode counted({0, 2}, {0, 0});
+  const SubsetNode sorted({0, 3, 4}, {0, 0, 0});
+  ASSERT_TRUE(ScanCountsDensely(data->qid, counted, 5000, 4));
+  ASSERT_FALSE(ScanCountsDensely(data->qid, sorted, 5000, 4));
+  for (const SubsetNode& node : {counted, sorted}) {
     ExecutionGovernor governor;
     governor.SetMemoryLimitBytes(int64_t{1} << 30);
     WorkerPool pool(4);
     FrequencySet governed =
-        PooledScan(data->table, data->qid, node, pool, &governor, mode);
-    ExpectIdenticalSets(expected, governed, SubstrateModeName(mode));
-    EXPECT_TRUE(governor.Check().ok()) << SubstrateModeName(mode);
-    // Every transient byte — sort buffers included — returned to the
-    // budget; only the drained high-water marks remain.
-    EXPECT_EQ(governor.memory().used(), 0) << SubstrateModeName(mode);
-    EXPECT_GT(governor.memory().peak(), 0) << SubstrateModeName(mode);
+        PooledScan(data->table, data->qid, node, pool, &governor);
+    ExpectMatchesOracle(data->table, data->qid, governed, node.ToString());
+    EXPECT_TRUE(governor.Check().ok()) << node.ToString();
+    // Every transient byte — count arrays and sort buffers included —
+    // returned to the budget; only the drained high-water marks remain.
+    EXPECT_EQ(governor.memory().used(), 0) << node.ToString();
+    EXPECT_GT(governor.memory().peak(), 0) << node.ToString();
   }
 }
 
@@ -995,8 +729,8 @@ TEST(SubstrateGovernedTest, RadixBufferChargeTripsTinyBudgets) {
   ExecutionGovernor governor;
   governor.SetMemoryLimitBytes(1024);  // << 2 * chunk_rows * 8 bytes
   WorkerPool pool(4);
-  FrequencySet tripped = PooledScan(data->table, data->qid, node, pool,
-                                    &governor, SubstrateMode::kRadix);
+  FrequencySet tripped =
+      PooledScan(data->table, data->qid, node, pool, &governor);
   EXPECT_EQ(tripped.NumGroups(), 0u);
   EXPECT_FALSE(governor.SharedTrip().ok());
   EXPECT_EQ(governor.SharedTrip().code(), StatusCode::kResourceExhausted);
@@ -1018,8 +752,8 @@ TEST(SubstrateGovernedTest, MidSortCancelAbandonsTheSortCleanly) {
   governor.SetCancelToken(&token);
   token.Cancel();
   WorkerPool pool(4);
-  FrequencySet tripped = PooledScan(data->table, data->qid, node, pool,
-                                    &governor, SubstrateMode::kRadix);
+  FrequencySet tripped =
+      PooledScan(data->table, data->qid, node, pool, &governor);
   EXPECT_EQ(tripped.NumGroups(), 0u);
   EXPECT_EQ(governor.SharedTrip().code(), StatusCode::kCancelled);
   EXPECT_EQ(governor.memory().used(), 0);
@@ -1039,8 +773,8 @@ TEST(SubstrateGovernedTest, CountArrayChargeTripsBudgetsBelowOneArray) {
   ExecutionGovernor governor;
   governor.SetMemoryLimitBytes(array_bytes / 2);
   WorkerPool pool(4);
-  FrequencySet tripped = PooledScan(data->table, data->qid, node, pool,
-                                    &governor, SubstrateMode::kRadix);
+  FrequencySet tripped =
+      PooledScan(data->table, data->qid, node, pool, &governor);
   EXPECT_EQ(tripped.NumGroups(), 0u);
   EXPECT_EQ(governor.SharedTrip().code(), StatusCode::kResourceExhausted);
   EXPECT_EQ(governor.memory().used(), 0);
@@ -1063,14 +797,14 @@ TEST(SubstrateGovernedTest, CancelBeforeACountedScanReturnsEmptyAndBalanced) {
   token.Cancel();
   WorkerPool pool(4);
   std::vector<FrequencySet> sets = FrequencySet::ComputeBatch(
-      data->table, data->qid, batch, &pool, &governor, SubstrateMode::kRadix);
+      data->table, data->qid, batch, &pool, &governor);
   ASSERT_EQ(sets.size(), batch.size());
   for (const FrequencySet& fs : sets) EXPECT_EQ(fs.NumGroups(), 0u);
   EXPECT_EQ(governor.SharedTrip().code(), StatusCode::kCancelled);
   EXPECT_EQ(governor.memory().used(), 0);
 }
 
-TEST(SubstrateGovernedTest, GovernedBatchDrainsToZeroOnEverySubstrate) {
+TEST(SubstrateGovernedTest, GovernedBatchDrainsToZero) {
   AdultsOptions adults;
   adults.num_rows = 5000;
   Result<SyntheticDataset> data = MakeAdultsDataset(adults);
@@ -1080,23 +814,19 @@ TEST(SubstrateGovernedTest, GovernedBatchDrainsToZeroOnEverySubstrate) {
                                          SubsetNode({0, 1, 2}, {1, 0, 0}),
                                          SubsetNode({0, 1, 2}, {4, 1, 1}),
                                          SubsetNode({0, 3, 4}, {0, 0, 0})};
-  for (SubstrateMode mode : kModes) {
-    ExecutionGovernor governor;
-    governor.SetMemoryLimitBytes(int64_t{1} << 30);
-    WorkerPool pool(4);
-    std::vector<FrequencySet> sets = FrequencySet::ComputeBatch(
-        data->table, data->qid, batch, &pool, &governor, mode);
-    ASSERT_EQ(sets.size(), batch.size());
-    for (size_t j = 0; j < batch.size(); ++j) {
-      FrequencySet direct = FrequencySet::Compute(
-          data->table, data->qid, batch[j], SubstrateMode::kHash);
-      ExpectIdenticalSets(direct, sets[j], SubstrateModeName(mode));
-    }
-    EXPECT_EQ(governor.memory().used(), 0) << SubstrateModeName(mode);
+  ExecutionGovernor governor;
+  governor.SetMemoryLimitBytes(int64_t{1} << 30);
+  WorkerPool pool(4);
+  std::vector<FrequencySet> sets = FrequencySet::ComputeBatch(
+      data->table, data->qid, batch, &pool, &governor);
+  ASSERT_EQ(sets.size(), batch.size());
+  for (const FrequencySet& fs : sets) {
+    ExpectMatchesOracle(data->table, data->qid, fs, fs.node().ToString());
   }
+  EXPECT_EQ(governor.memory().used(), 0);
 }
 
-TEST(SubstrateGovernedTest, GovernedSearchMatchesUngovernedOnRadix) {
+TEST(SubstrateGovernedTest, GovernedSearchMatchesUngoverned) {
   AdultsOptions adults;
   adults.num_rows = 5000;
   Result<SyntheticDataset> data = MakeAdultsDataset(adults);
@@ -1105,7 +835,6 @@ TEST(SubstrateGovernedTest, GovernedSearchMatchesUngovernedOnRadix) {
   AnonymizationConfig config;
   config.k = 25;
   IncognitoOptions options;
-  options.substrate = SubstrateMode::kRadix;
   PartialResult<IncognitoResult> baseline =
       RunIncognito(data->table, qid, config, options);
   ASSERT_TRUE(baseline.ok());
@@ -1115,7 +844,7 @@ TEST(SubstrateGovernedTest, GovernedSearchMatchesUngovernedOnRadix) {
       RunIncognito(data->table, qid, config, options,
                    RunContext::Governed(governor, 4));
   ASSERT_TRUE(governed.ok());
-  ExpectSameSearch(*baseline, *governed, "governed radix");
+  ExpectSameSearch(*baseline, *governed, "governed");
   EXPECT_EQ(governor.memory().used(), 0);
 }
 

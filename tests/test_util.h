@@ -268,11 +268,9 @@ inline std::set<std::string> NodeSet(const std::vector<SubsetNode>& nodes) {
 /// pool-parallel path (the serial path when the pool has one worker).
 inline FrequencySet PooledScan(const Table& table, const QuasiIdentifier& qid,
                                const SubsetNode& node, WorkerPool& pool,
-                               ExecutionGovernor* governor = nullptr,
-                               SubstrateMode substrate = SubstrateMode::kAuto) {
+                               ExecutionGovernor* governor = nullptr) {
   return std::move(
-      FrequencySet::ComputeBatch(table, qid, {node}, &pool, governor, substrate)
-          .front());
+      FrequencySet::ComputeBatch(table, qid, {node}, &pool, governor).front());
 }
 
 /// Bit width of `node`'s key; over 64 means the vector-key fallback.

@@ -1,19 +1,35 @@
 // incognito_cli — command-line anonymizer over CSV files.
 //
-// Subcommands:
+// Subcommands, and the flags each accepts (the groups are described below):
 //   check       test whether a table satisfies k-anonymity (and optionally
-//               distinct ℓ-diversity) at given generalization levels
+//               distinct ℓ-diversity) at given generalization levels:
+//               problem flags, --levels=L1,L2,..., --l=N with
+//               --sensitive=COL, --threads, governance, observability
 //   enumerate   list every k-anonymous full-domain generalization with
-//               quality metrics
-//   anonymize   pick a minimal generalization and write the released view
-//   models      run every §5 taxonomy model and compare release quality
-//   hierarchy   generate a hierarchy CSV for a column with a builder rule
+//               quality metrics: problem flags, parallel search,
+//               governance, checkpointing, observability
+//   anonymize   pick a minimal generalization and write the released view:
+//               enumerate's flags, --output=FILE, and optionally
+//               --levels=L1,L2,... (release that node; no search) or
+//               --weights=W1,W2,... (minimal by weighted height, one
+//               weight per QID attribute, instead of by height)
+//   models      run every §5 taxonomy model and compare release quality:
+//               problem flags, parallel search, governance, observability,
+//               model comparison
+//   hierarchy   generate a hierarchy CSV for a column with a builder rule:
+//               --input=FILE --column=COL --spec=SPEC --output=FILE
 //   serve       run the resident multi-tenant anonymization daemon behind
 //               a newline-delimited-JSON Unix socket (docs/SERVICE.md;
-//               submit jobs with tools/incognito_client.cpp)
+//               submit jobs with tools/incognito_client.cpp): daemon flags
 //
-// Inputs ending in ".inct" are read in the library's binary table format
-// (see relation/binary_io.h); everything else is parsed as CSV.
+// Every subcommand also accepts --fault-script (see Resource governance).
+// Any other --name, or a bare argument, is a usage error: exit 2 with
+// "error: unknown flag --name".
+//
+// Problem flags (check, enumerate, anonymize, models):
+//   --input=FILE --qid=Col1,Col2,... --hierarchies=COL=SPEC,...
+//   --k=N            (default 2)
+//   --suppress=N     tuples that may be suppressed (default 0)
 //
 // Hierarchy specifications (--hierarchies=COL=SPEC,COL=SPEC,...):
 //   file:PATH            load an ARX-style hierarchy CSV (';'-separated)
@@ -22,7 +38,8 @@
 //   digits:NUM:LEVELS    fixed-width digit rounding (e.g. digits:5:3)
 //   date                 YYYY-MM-DD → YYYY-MM → YYYY → '*'
 //
-// Observability (any subcommand; see docs/OBSERVABILITY.md):
+// Observability (check, enumerate, anonymize, models; see
+// docs/OBSERVABILITY.md):
 //   --stats          print the run's AlgorithmStats counters plus the
 //                    sorted counter/gauge/histogram deltas on stdout
 //   --stats=json     the same data as one JSON object on stdout
@@ -38,23 +55,18 @@
 //                    background thread; emits trace counter tracks and
 //                    peak_rss_bytes / cpu_seconds report fields
 //
-// Parallel search (check, enumerate, anonymize, models):
+// Parallel search (enumerate, anonymize, models; check takes --threads):
 //   --threads=N      run the subset-DAG search — and, inside a node, the
 //                    frequency-set scan and the cube build — with N worker
 //                    threads (1-256; results are bit-identical at every
 //                    count, see docs/PARALLELISM.md)
 //   --variant=V      Incognito variant: basic (default), superroots, or
-//                    cube (enumerate, anonymize)
+//                    cube
 //   --no-batch-scan  disable scan-sharing batched level evaluation (one
 //                    table scan per scan-required node instead of one per
 //                    (subset, level) batch; see docs/PARALLELISM.md
 //                    "Scan-sharing batch evaluation"). Results are
 //                    identical either way; this is an ablation switch.
-//   --substrate=S    group-by engine for every frequency-set build: auto
-//                    (default) and radix run the same count-or-sort
-//                    kernel; hash pins the per-row map-probe reference
-//                    engine (see DESIGN.md "Group-by substrates"). All
-//                    modes produce bit-identical results.
 //
 // Resource governance (check, enumerate, anonymize, models):
 //   --deadline-ms=N       stop the search after N milliseconds
@@ -63,7 +75,8 @@
 //   --on-budget=partial   a tripped budget releases whatever was proven
 //                         before the trip (exit 0, warning on stderr)
 //   --fault-script=SPEC   arm the fault injector ("SITE:N", "kill:SITE:N",
-//                         or "rand:SEED:PROB"; needs -DINCOGNITO_FAULTS=ON)
+//                         or "rand:SEED:PROB"; needs -DINCOGNITO_FAULTS=ON;
+//                         every subcommand)
 //
 // Crash-safe checkpointing (enumerate, anonymize; see docs/ROBUSTNESS.md
 // "Checkpoint format & recovery contract"):
@@ -88,10 +101,23 @@
 //                    cell-suppression, cell-generalization, koptimize);
 //                    default runs all of them
 //
+// Daemon (serve; numbers are whole integers):
+//   --socket=PATH            Unix socket to listen on (required)
+//   --workers=N              job worker threads (1-256, default 2)
+//   --queue-depth=N          queued jobs the daemon admits (default 64)
+//   --tenant-quota=N         queued jobs per tenant (default 16)
+//   --memory-limit-mb=N      lease pool shared by running jobs (default 0:
+//                            unlimited)
+//   --default-lease-mb=N     lease of a job without a memory budget
+//                            (default 16)
+//   --weights=T=W,T=W,...    weighted-fair share per tenant (W > 0;
+//                            unlisted tenants weigh 1)
+//
 // Exit codes (docs/ROBUSTNESS.md):
 //   0  success            3  invalid input / bad flag value
 //   1  other failure      4  I/O error
-//   2  usage error        5  deadline/memory/cancel budget tripped
+//   2  usage error (unknown subcommand or flag)
+//                         5  deadline/memory/cancel budget tripped
 //
 // Examples:
 //   incognito_cli enumerate --input=adults.csv --k=5 \
@@ -105,11 +131,14 @@
 //     --spec=interval:5:10:20 --output=age_hierarchy.csv
 
 #include <chrono>
+#include <cmath>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -144,6 +173,7 @@
 #include "robust/fault_injector.h"
 #include "robust/governor.h"
 #include "robust/partial_result.h"
+#include "service/job_spec.h"
 #include "service/problem_loader.h"
 #include "service/server.h"
 #include "service/service.h"
@@ -443,11 +473,12 @@ Result<GovernanceOptions> ParseGovernance(
   std::string budget = Get(args, "memory-budget-mb");
   if (!budget.empty()) {
     int64_t memory_budget_mb = 0;
-    if (!ParseInt64(budget, &memory_budget_mb) || memory_budget_mb <= 0) {
+    if (!ParseInt64(budget, &memory_budget_mb) || memory_budget_mb <= 0 ||
+        memory_budget_mb > (INT64_MAX >> 20)) {
       return Status::InvalidArgument("bad --memory-budget-mb value '" +
                                      budget + "' (want a positive integer)");
     }
-    opts.profile.memory_budget_bytes = memory_budget_mb * (1ll << 20);
+    opts.profile.memory_budget_bytes = memory_budget_mb << 20;
   }
   std::string on_budget = Get(args, "on-budget", "fail");
   if (on_budget == "partial") {
@@ -477,25 +508,11 @@ Result<IncognitoOptions> ParseRunOptions(
     opts.num_threads = static_cast<int>(n);
   }
   std::string variant = Get(args, "variant");
-  if (!variant.empty()) {
-    if (variant == "basic") {
-      opts.variant = IncognitoVariant::kBasic;
-    } else if (variant == "superroots") {
-      opts.variant = IncognitoVariant::kSuperRoots;
-    } else if (variant == "cube") {
-      opts.variant = IncognitoVariant::kCube;
-    } else {
-      return Status::InvalidArgument(
-          "bad --variant value '" + variant +
-          "' (want basic, superroots, or cube)");
-    }
+  if (!variant.empty() && !ParseVariantWireName(variant, &opts.variant)) {
+    return Status::InvalidArgument("bad --variant value '" + variant +
+                                   "' (want basic, superroots, or cube)");
   }
   if (!Get(args, "no-batch-scan").empty()) opts.batch_scans = false;
-  std::string substrate = Get(args, "substrate");
-  if (!substrate.empty() && !ParseSubstrateMode(substrate, &opts.substrate)) {
-    return Status::InvalidArgument("bad --substrate value '" + substrate +
-                                   "' (want hash, radix, or auto)");
-  }
   return opts;
 }
 
@@ -536,19 +553,54 @@ Result<CheckpointPolicy> ParseCheckpointPolicy(
   return policy;
 }
 
-std::map<std::string, std::string> ParseArgs(int argc, char** argv) {
-  std::map<std::string, std::string> args;
-  for (int i = 2; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--", 0) != 0) continue;
-    size_t eq = arg.find('=');
-    if (eq == std::string::npos) {
-      args[arg.substr(2)] = "true";
-    } else {
-      args[arg.substr(2, eq - 2)] = arg.substr(eq + 1);
-    }
+/// The flags `command` reads, as the file header documents them; empty
+/// for an unknown subcommand.
+std::set<std::string> SubcommandFlags(const std::string& command) {
+  if (command == "hierarchy") {
+    return {"input", "column", "spec", "output", "fault-script"};
   }
-  return args;
+  if (command == "serve") {
+    return {"socket", "workers", "queue-depth", "tenant-quota",
+            "memory-limit-mb", "default-lease-mb", "weights",
+            "fault-script"};
+  }
+  // The problem, parallel-search, governance and observability flags that
+  // every search subcommand reads.
+  std::set<std::string> flags = {
+      "input", "qid", "hierarchies", "k", "suppress", "threads",
+      "deadline-ms", "memory-budget-mb", "on-budget", "fault-script",
+      "stats", "trace", "trace-capacity", "report", "sample-interval-ms"};
+  if (command == "check") {
+    flags.insert({"levels", "l", "sensitive"});
+  } else if (command == "enumerate" || command == "anonymize") {
+    flags.insert({"variant", "no-batch-scan", "checkpoint",
+                  "checkpoint-interval-ms", "resume"});
+    if (command == "anonymize") flags.insert({"output", "levels", "weights"});
+  } else if (command == "models") {
+    flags.insert({"variant", "no-batch-scan", "model"});
+  } else {
+    return {};
+  }
+  return flags;
+}
+
+/// Parses argv[2..] as --name=value flags (a bare --name reads "true")
+/// into `args`. Returns false after printing "error: unknown flag ..." on
+/// the first argument that is not one of the `allowed` flags.
+bool ParseArgs(int argc, char** argv, const std::set<std::string>& allowed,
+               std::map<std::string, std::string>* args) {
+  for (int i = 2; i < argc; ++i) {
+    const std::string arg = argv[i];
+    const size_t eq = arg.find('=');
+    const std::string name =
+        arg.rfind("--", 0) == 0 ? arg.substr(2, eq - 2) : std::string();
+    if (allowed.count(name) == 0) {
+      fprintf(stderr, "error: unknown flag %s\n", arg.substr(0, eq).c_str());
+      return false;
+    }
+    (*args)[name] = eq == std::string::npos ? "true" : arg.substr(eq + 1);
+  }
+  return true;
 }
 
 std::string Get(const std::map<std::string, std::string>& args,
@@ -606,13 +658,21 @@ Result<SubsetNode> ParseLevels(const std::map<std::string, std::string>& args,
   return SubsetNode::Full(std::move(levels));
 }
 
-/// Parses integer flag `key` (default `def`) as a whole decimal string.
+/// Parses integer flag `key` (default `def`) as a whole decimal string,
+/// in [min, max].
 Result<int64_t> IntFlag(const std::map<std::string, std::string>& args,
-                        const std::string& key, const std::string& def) {
+                        const std::string& key, const std::string& def,
+                        int64_t min = INT64_MIN, int64_t max = INT64_MAX) {
   const std::string text = Get(args, key, def);
   int64_t v = 0;
   if (!ParseInt64(text, &v)) {
     return Status::InvalidArgument("bad --" + key + " value '" + text + "'");
+  }
+  if (v < min || v > max) {
+    return Status::InvalidArgument(StringPrintf(
+        "bad --%s value '%s' (want an integer in [%lld, %lld])", key.c_str(),
+        text.c_str(), static_cast<long long>(min),
+        static_cast<long long>(max)));
   }
   return v;
 }
@@ -681,12 +741,9 @@ int CmdCheck(const std::map<std::string, std::string>& args,
     // A single-node check has no meaningful partial answer, so a budget
     // trip always fails here regardless of --on-budget.
     ExecutionGovernor governor;
-    RunContext check_ctx =
-        gov->MakeContext(&governor, run_opts->num_threads)
-            .WithSubstrate(run_opts->substrate);
-    Result<bool> governed = IsKAnonymous(problem->table, problem->qid,
-                                         node.value(), config, check_ctx,
-                                         &stats);
+    Result<bool> governed = IsKAnonymous(
+        problem->table, problem->qid, node.value(), config,
+        gov->MakeContext(&governor, run_opts->num_threads), &stats);
     obs->RecordGovernorPeak(governor);
     if (!governed.ok()) {
       obs->RecordStats(stats);
@@ -695,7 +752,7 @@ int CmdCheck(const std::map<std::string, std::string>& args,
     ok = governed.value();
   } else {
     ok = IsKAnonymous(problem->table, problem->qid, node.value(), config,
-                      &stats, run_opts->num_threads, run_opts->substrate);
+                      &stats, run_opts->num_threads);
   }
   printf("%s at %s: %lld-anonymous = %s\n", Get(args, "input").c_str(),
          node->ToString(&problem->qid).c_str(),
@@ -828,7 +885,12 @@ int CmdAnonymize(const std::map<std::string, std::string>& args,
     if (!weights_arg.empty()) {
       std::vector<double> weights;
       for (const std::string& w : Split(weights_arg, ',')) {
-        weights.push_back(atof(w.c_str()));
+        double weight = 0;
+        if (!ParseDouble(w, &weight)) {
+          return Fail(Status::InvalidArgument("bad --weights entry '" + w +
+                                              "' (want a number)"));
+        }
+        weights.push_back(weight);
       }
       Result<std::vector<SubsetNode>> weighted = MinimalByWeight(
           result->anonymous_nodes, weights, problem->qid);
@@ -1042,28 +1104,38 @@ int CmdServe(const std::map<std::string, std::string>& args) {
   if (socket_path.empty()) {
     return Fail(Status::InvalidArgument("--socket=PATH is required"));
   }
+  // Megabyte flags stay below the bound whose bytes overflow int64.
+  constexpr int64_t kMaxMb = INT64_MAX >> 20;
+  Result<int64_t> workers = IntFlag(args, "workers", "2", 1, kMaxThreads);
+  if (!workers.ok()) return Fail(workers.status());
+  Result<int64_t> queue_depth = IntFlag(args, "queue-depth", "64", 0);
+  if (!queue_depth.ok()) return Fail(queue_depth.status());
+  Result<int64_t> tenant_quota = IntFlag(args, "tenant-quota", "16", 0);
+  if (!tenant_quota.ok()) return Fail(tenant_quota.status());
+  Result<int64_t> memory_limit_mb =
+      IntFlag(args, "memory-limit-mb", "0", 0, kMaxMb);
+  if (!memory_limit_mb.ok()) return Fail(memory_limit_mb.status());
+  Result<int64_t> default_lease_mb =
+      IntFlag(args, "default-lease-mb", "16", 0, kMaxMb);
+  if (!default_lease_mb.ok()) return Fail(default_lease_mb.status());
   ServiceConfig config;
-  config.num_workers = atoi(Get(args, "workers", "2").c_str());
-  if (config.num_workers < 1) {
-    return Fail(Status::InvalidArgument("--workers must be >= 1"));
-  }
-  config.queue_depth =
-      static_cast<size_t>(atoll(Get(args, "queue-depth", "64").c_str()));
-  config.per_tenant_queue_depth =
-      static_cast<size_t>(atoll(Get(args, "tenant-quota", "16").c_str()));
-  config.memory_limit_bytes =
-      atoll(Get(args, "memory-limit-mb", "0").c_str()) * (1ll << 20);
-  config.default_job_lease_bytes =
-      atoll(Get(args, "default-lease-mb", "16").c_str()) * (1ll << 20);
+  config.num_workers = static_cast<int>(workers.value());
+  config.queue_depth = static_cast<size_t>(queue_depth.value());
+  config.per_tenant_queue_depth = static_cast<size_t>(tenant_quota.value());
+  config.memory_limit_bytes = memory_limit_mb.value() << 20;
+  config.default_job_lease_bytes = default_lease_mb.value() << 20;
   for (const std::string& entry : Split(Get(args, "weights"), ',')) {
     if (entry.empty()) continue;
     size_t eq = entry.find('=');
-    if (eq == std::string::npos) {
-      return Fail(Status::InvalidArgument("bad --weights entry '" + entry +
-                                          "' (want TENANT=WEIGHT)"));
+    double weight = 0;
+    if (eq == std::string::npos ||
+        !ParseDouble(entry.substr(eq + 1), &weight) || !(weight > 0) ||
+        !std::isfinite(weight)) {
+      return Fail(Status::InvalidArgument(
+          "bad --weights entry '" + entry +
+          "' (want TENANT=WEIGHT with a positive WEIGHT)"));
     }
-    config.tenant_weights[entry.substr(0, eq)] =
-        atof(entry.c_str() + eq + 1);
+    config.tenant_weights[entry.substr(0, eq)] = weight;
   }
 
   ServiceCore core(config);
@@ -1097,7 +1169,10 @@ int CmdServe(const std::map<std::string, std::string>& args) {
 int main(int argc, char** argv) {
   if (argc < 2) return Usage();
   std::string command = argv[1];
-  std::map<std::string, std::string> args = ParseArgs(argc, argv);
+  const std::set<std::string> allowed = SubcommandFlags(command);
+  if (allowed.empty()) return Usage();
+  std::map<std::string, std::string> args;
+  if (!ParseArgs(argc, argv, allowed, &args)) return 2;
   std::string fault_spec = Get(args, "fault-script");
   if (!fault_spec.empty()) {
     if (!FaultInjector::kCompiledIn) {
@@ -1109,6 +1184,12 @@ int main(int argc, char** argv) {
   }
   if (command == "hierarchy") return CmdHierarchy(args);
   if (command == "serve") return CmdServe(args);
+  // The session sizes the trace and starts the sampler as it is made, so
+  // their numbers are checked first.
+  for (const char* key : {"trace-capacity", "sample-interval-ms"}) {
+    Result<int64_t> value = IntFlag(args, key, "1", 1, INT32_MAX);
+    if (!value.ok()) return Fail(value.status());
+  }
   ObsSession obs(command, args);
   int code;
   if (command == "check") {

@@ -1,32 +1,40 @@
 // incognito_client — socket client for the anonymization daemon
 // (`incognito_cli serve`; see docs/SERVICE.md for the protocol).
 //
-// Subcommands (all but run-direct need --socket=PATH):
-//   ping         liveness probe
-//   submit       build a JobSpec from the flags below and submit it;
-//                prints the assigned job id
-//   status       --id=N  print the job's state snapshot
-//   result       --id=N [--wait]  fetch the job's result; prints the
-//                canonical result JSON (service/job_spec.h) on stdout and
-//                exits with the job's documented exit code
-//   cancel       --id=N  cancel a queued or running job
-//   drain        graceful drain (blocks until in-flight jobs finish)
-//   shutdown     ask the daemon to drain and exit
-//   run-direct   execute the same JobSpec in-process (no daemon) and
-//                print the identical canonical result JSON — the CI
-//                service-smoke job diffs this against `result` output
-//                bit-for-bit
+// Subcommands and the flags each accepts (all but run-direct need
+// --socket=PATH):
+//   ping         --socket  liveness probe
+//   submit       --socket and the JobSpec flags below: build a JobSpec and
+//                submit it; prints the assigned job id
+//   status       --socket --id=N  print the job's state snapshot
+//   result       --socket --id=N [--wait]  fetch the job's result; prints
+//                the canonical result JSON (service/job_spec.h) on stdout
+//                and exits with the job's documented exit code
+//   cancel       --socket --id=N  cancel a queued or running job
+//   drain        --socket  graceful drain (blocks until in-flight jobs
+//                finish)
+//   shutdown     --socket  ask the daemon to drain and exit
+//   run-direct   the JobSpec flags: execute the same JobSpec in-process
+//                (no daemon) and print the identical canonical result
+//                JSON — the CI service-smoke job diffs this against
+//                `result` output bit-for-bit. It also takes, and ignores,
+//                --socket, so one flag list serves submit and run-direct.
 //
-// JobSpec flags (submit, run-direct):
+// JobSpec flags (submit, run-direct; numbers are whole integers):
 //   --input=FILE --qid=Col1,Col2,... --hierarchies=COL=SPEC,...
 //   --model=M            k-anonymity (default), l-diversity, k-optimize,
 //                        or mondrian
 //   --k=N --l=N --sensitive=COL --suppress=N
 //   --variant=V          basic (default), superroots, or cube
 //   --tenant=NAME        tenant the job is accounted to (default "default")
-//   --deadline-ms=N --memory-budget-mb=N --threads=N --substrate=S
+//   --deadline-ms=N      N >= 0
+//   --memory-budget-mb=N N >= 1
+//   --threads=N          0-256; 0 (default) keeps the algorithm's default
 //   --checkpoint=FILE --checkpoint-interval-ms=N --resume=off|auto|require
 //   --partial-ok         accept a budget-tripped sound partial (exit 0)
+//
+// Any other --name, or a bare argument, is a usage error: exit 2 with
+// "error: unknown flag --name". A flag value that does not parse exits 3.
 //
 // Exit codes follow the library contract (src/common/status.h):
 //   0 success, 1 other failure, 2 usage, 3 invalid input, 4 I/O error,
@@ -37,10 +45,11 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -71,25 +80,66 @@ int Fail(const Status& status) {
   return ExitCodeForStatus(status.code());
 }
 
-std::map<std::string, std::string> ParseArgs(int argc, char** argv) {
-  std::map<std::string, std::string> args;
-  for (int i = 2; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--", 0) != 0) continue;
-    size_t eq = arg.find('=');
-    if (eq == std::string::npos) {
-      args[arg.substr(2)] = "true";
-    } else {
-      args[arg.substr(2, eq - 2)] = arg.substr(eq + 1);
-    }
+/// The flags `command` reads, as the file header documents them; empty
+/// for an unknown subcommand.
+std::set<std::string> SubcommandFlags(const std::string& command) {
+  if (command == "ping" || command == "drain" || command == "shutdown") {
+    return {"socket"};
   }
-  return args;
+  if (command == "status" || command == "cancel") return {"socket", "id"};
+  if (command == "result") return {"socket", "id", "wait"};
+  if (command != "submit" && command != "run-direct") return {};
+  return {"socket", "input", "qid", "hierarchies", "model", "k", "l",
+          "sensitive", "suppress", "variant", "tenant", "deadline-ms",
+          "memory-budget-mb", "threads", "checkpoint",
+          "checkpoint-interval-ms", "resume", "partial-ok"};
+}
+
+/// Parses argv[2..] as --name=value flags (a bare --name reads "true")
+/// into `args`. Returns false after printing "error: unknown flag ..." on
+/// the first argument that is not one of the `allowed` flags.
+bool ParseArgs(int argc, char** argv, const std::set<std::string>& allowed,
+               std::map<std::string, std::string>* args) {
+  for (int i = 2; i < argc; ++i) {
+    const std::string arg = argv[i];
+    const size_t eq = arg.find('=');
+    const std::string name =
+        arg.rfind("--", 0) == 0 ? arg.substr(2, eq - 2) : std::string();
+    if (allowed.count(name) == 0) {
+      fprintf(stderr, "error: unknown flag %s\n", arg.substr(0, eq).c_str());
+      return false;
+    }
+    (*args)[name] = eq == std::string::npos ? "true" : arg.substr(eq + 1);
+  }
+  return true;
 }
 
 std::string Get(const std::map<std::string, std::string>& args,
                 const std::string& key, const std::string& def = "") {
   auto it = args.find(key);
   return it == args.end() ? def : it->second;
+}
+
+/// Parses integer flag `key`, when given, as a whole decimal string in
+/// [min, max] into *out.
+Status IntFlag(const std::map<std::string, std::string>& args,
+               const std::string& key, int64_t min, int64_t max,
+               int64_t* out) {
+  auto it = args.find(key);
+  if (it == args.end()) return Status::OK();
+  int64_t v = 0;
+  if (!ParseInt64(it->second, &v)) {
+    return Status::InvalidArgument("bad --" + key + " value '" + it->second +
+                                   "'");
+  }
+  if (v < min || v > max) {
+    return Status::InvalidArgument(StringPrintf(
+        "bad --%s value '%s' (want an integer in [%lld, %lld])", key.c_str(),
+        it->second.c_str(), static_cast<long long>(min),
+        static_cast<long long>(max)));
+  }
+  *out = v;
+  return Status::OK();
 }
 
 /// Assembles a JobSpec from the submit/run-direct flags.
@@ -115,42 +165,33 @@ Result<JobSpec> SpecFromArgs(const std::map<std::string, std::string>& args) {
         "bad --model value '" + model +
         "' (want k-anonymity, l-diversity, k-optimize, or mondrian)");
   }
-  spec.k = atoll(Get(args, "k", "2").c_str());
-  spec.l = atoll(Get(args, "l", "2").c_str());
+  INCOGNITO_RETURN_IF_ERROR(
+      IntFlag(args, "k", INT64_MIN, INT64_MAX, &spec.k));
+  INCOGNITO_RETURN_IF_ERROR(
+      IntFlag(args, "l", INT64_MIN, INT64_MAX, &spec.l));
   spec.sensitive_attribute = Get(args, "sensitive");
-  spec.max_suppressed = atoll(Get(args, "suppress", "0").c_str());
+  INCOGNITO_RETURN_IF_ERROR(IntFlag(args, "suppress", INT64_MIN, INT64_MAX,
+                                    &spec.max_suppressed));
   std::string variant = Get(args, "variant");
-  if (!variant.empty()) {
-    if (variant == "basic") {
-      spec.variant = IncognitoVariant::kBasic;
-    } else if (variant == "superroots") {
-      spec.variant = IncognitoVariant::kSuperRoots;
-    } else if (variant == "cube") {
-      spec.variant = IncognitoVariant::kCube;
-    } else {
-      return Status::InvalidArgument(
-          "bad --variant value '" + variant +
-          "' (want basic, superroots, or cube)");
-    }
+  if (!variant.empty() && !ParseVariantWireName(variant, &spec.variant)) {
+    return Status::InvalidArgument("bad --variant value '" + variant +
+                                   "' (want basic, superroots, or cube)");
   }
-  std::string deadline = Get(args, "deadline-ms");
-  if (!deadline.empty()) spec.exec.deadline_ms = atoll(deadline.c_str());
-  std::string budget = Get(args, "memory-budget-mb");
-  if (!budget.empty()) {
-    spec.exec.memory_budget_bytes = atoll(budget.c_str()) * (1ll << 20);
-  }
-  spec.exec.num_threads = atoi(Get(args, "threads", "0").c_str());
-  std::string substrate = Get(args, "substrate");
-  if (!substrate.empty() &&
-      !ParseSubstrateMode(substrate, &spec.exec.substrate)) {
-    return Status::InvalidArgument("bad --substrate value '" + substrate +
-                                   "' (want hash, radix, or auto)");
-  }
+  INCOGNITO_RETURN_IF_ERROR(
+      IntFlag(args, "deadline-ms", 0, INT64_MAX, &spec.exec.deadline_ms));
+  // Megabytes stay below the bound whose bytes overflow int64.
+  int64_t budget_mb = 0;
+  INCOGNITO_RETURN_IF_ERROR(
+      IntFlag(args, "memory-budget-mb", 1, INT64_MAX >> 20, &budget_mb));
+  spec.exec.memory_budget_bytes = budget_mb << 20;
+  int64_t threads = 0;
+  INCOGNITO_RETURN_IF_ERROR(
+      IntFlag(args, "threads", 0, kMaxThreads, &threads));
+  spec.exec.num_threads = static_cast<int>(threads);
   spec.exec.checkpoint.path = Get(args, "checkpoint");
-  std::string interval = Get(args, "checkpoint-interval-ms");
-  if (!interval.empty()) {
-    spec.exec.checkpoint.interval_ms = atoll(interval.c_str());
-  }
+  INCOGNITO_RETURN_IF_ERROR(IntFlag(args, "checkpoint-interval-ms", 0,
+                                    INT64_MAX,
+                                    &spec.exec.checkpoint.interval_ms));
   std::string resume = Get(args, "resume");
   if (resume == "auto") {
     spec.exec.checkpoint.resume = ResumeMode::kAuto;
@@ -264,9 +305,18 @@ int CmdSubmit(const std::map<std::string, std::string>& args) {
   return 0;
 }
 
+/// The --id flag of status, result and cancel (0 when absent).
+Result<JobId> IdFlag(const std::map<std::string, std::string>& args) {
+  JobId id = 0;
+  INCOGNITO_RETURN_IF_ERROR(IntFlag(args, "id", 0, INT64_MAX, &id));
+  return id;
+}
+
 int CmdStatus(const std::map<std::string, std::string>& args) {
+  Result<JobId> id = IdFlag(args);
+  if (!id.ok()) return Fail(id.status());
   std::string request =
-      "{\"op\":\"status\",\"id\":" + Get(args, "id", "0") + "}";
+      "{\"op\":\"status\",\"id\":" + std::to_string(id.value()) + "}";
   Result<JsonValue> reply = RoundTrip(Get(args, "socket"), request);
   if (!reply.ok()) return Fail(reply.status());
   int code = FinishFromReply(reply.value());
@@ -293,7 +343,10 @@ int CmdStatus(const std::map<std::string, std::string>& args) {
 }
 
 int CmdResult(const std::map<std::string, std::string>& args) {
-  std::string request = "{\"op\":\"result\",\"id\":" + Get(args, "id", "0");
+  Result<JobId> id = IdFlag(args);
+  if (!id.ok()) return Fail(id.status());
+  std::string request =
+      "{\"op\":\"result\",\"id\":" + std::to_string(id.value());
   if (Get(args, "wait") == "true") request += ",\"wait\":true";
   request += "}";
   Result<JsonValue> reply = RoundTrip(Get(args, "socket"), request);
@@ -329,15 +382,19 @@ int CmdRunDirect(const std::map<std::string, std::string>& args) {
 int Main(int argc, char** argv) {
   if (argc < 2) return Usage();
   std::string command = argv[1];
-  std::map<std::string, std::string> args = ParseArgs(argc, argv);
+  const std::set<std::string> allowed = SubcommandFlags(command);
+  if (allowed.empty()) return Usage();
+  std::map<std::string, std::string> args;
+  if (!ParseArgs(argc, argv, allowed, &args)) return 2;
   std::string socket_path = Get(args, "socket");
   if (command == "ping") return CmdSimple(socket_path, "ping", 0, false);
   if (command == "submit") return CmdSubmit(args);
   if (command == "status") return CmdStatus(args);
   if (command == "result") return CmdResult(args);
   if (command == "cancel") {
-    return CmdSimple(socket_path, "cancel",
-                     atoll(Get(args, "id", "0").c_str()), true);
+    Result<JobId> id = IdFlag(args);
+    if (!id.ok()) return Fail(id.status());
+    return CmdSimple(socket_path, "cancel", id.value(), true);
   }
   if (command == "drain") return CmdSimple(socket_path, "drain", 0, false);
   if (command == "shutdown") {

@@ -1,7 +1,6 @@
 #include "core/ldiversity.h"
 
 #include <algorithm>
-#include <set>
 
 #include "common/strings.h"
 #include "core/incognito.h"
@@ -117,7 +116,7 @@ PartialResult<LDiversityResult> RunLDiversityIncognito(
   return result;
 }
 
-Result<DiverseRecodeResult> ApplyDiverseGeneralization(
+Result<RecodeResult> ApplyDiverseGeneralization(
     const Table& table, const QuasiIdentifier& qid, const SubsetNode& node,
     const LDiversityConfig& config) {
   if (node.size() != qid.size()) {
@@ -138,52 +137,17 @@ Result<DiverseRecodeResult> ApplyDiverseGeneralization(
         static_cast<long long>(config.max_suppressed)));
   }
 
-  // Collect violating classes as a code-keyed set, then rebuild the view.
-  const size_t n = qid.size();
-  std::set<std::vector<int32_t>> violating_groups;
-  DiversityKey::ForEachClass(
-      freq, [&](const int32_t* codes, int64_t tuples, int64_t distinct) {
-        if (tuples < config.k || distinct < config.l) {
-          violating_groups.insert(std::vector<int32_t>(codes, codes + n));
-        }
-      });
-
-  std::vector<const int32_t*> maps(n);
-  std::vector<const int32_t*> cols(n);
-  for (size_t i = 0; i < n; ++i) {
-    maps[i] = qid.hierarchy(i)
-                  .BaseToLevelMap(static_cast<size_t>(node.levels[i]))
-                  .data();
-    cols[i] = table.ColumnCodes(qid.column(i)).data();
+  // The violating classes, in canonical (ascending) order.
+  std::vector<int32_t> suppressed;
+  if (violating > 0) {
+    DiversityKey::ForEachClass(
+        freq, [&](const int32_t* codes, int64_t tuples, int64_t distinct) {
+          if (tuples < config.k || distinct < config.l) {
+            suppressed.insert(suppressed.end(), codes, codes + qid.size());
+          }
+        });
   }
-
-  std::vector<ColumnSpec> specs(table.schema().columns());
-  for (size_t i = 0; i < n; ++i) {
-    if (node.levels[i] > 0) specs[qid.column(i)].type = DataType::kString;
-  }
-  DiverseRecodeResult result;
-  result.view = Table{Schema(std::move(specs))};
-  std::vector<Value> row(table.num_columns());
-  std::vector<int32_t> gen(n);
-  for (size_t r = 0; r < table.num_rows(); ++r) {
-    for (size_t i = 0; i < n; ++i) gen[i] = maps[i][cols[i][r]];
-    if (violating_groups.count(gen) > 0) {
-      ++result.suppressed_tuples;
-      continue;
-    }
-    for (size_t c = 0; c < table.num_columns(); ++c) {
-      row[c] = table.GetValue(r, c);
-    }
-    for (size_t i = 0; i < n; ++i) {
-      size_t level = static_cast<size_t>(node.levels[i]);
-      if (level > 0) {
-        row[qid.column(i)] =
-            Value(qid.hierarchy(i).LevelValue(level, gen[i]).ToString());
-      }
-    }
-    INCOGNITO_RETURN_IF_ERROR(result.view.AppendRow(row));
-  }
-  return result;
+  return ReleaseFullDomainView(table, qid, node, suppressed);
 }
 
 }  // namespace incognito

@@ -8,6 +8,7 @@
 #include "common/status.h"
 #include "core/checker.h"
 #include "core/quasi_identifier.h"
+#include "core/recoder.h"
 #include "core/run_context.h"
 #include "freq/frequency_set.h"
 #include "lattice/node.h"
@@ -117,18 +118,12 @@ PartialResult<LDiversityResult> RunLDiversityIncognito(
     const Table& table, const QuasiIdentifier& qid,
     const LDiversityConfig& config, const RunContext& ctx = {});
 
-/// The released (k, ℓ)-private view.
-struct DiverseRecodeResult {
-  Table view;
-  int64_t suppressed_tuples = 0;
-};
-
 /// Materializes the full-domain generalization `node` with BOTH criteria
 /// enforced: equivalence classes smaller than k or with fewer than ℓ
 /// distinct sensitive values are suppressed (within the configured
 /// budget; fails with FailedPrecondition otherwise). The counterpart of
 /// ApplyFullDomainGeneralization for results of RunLDiversityIncognito.
-Result<DiverseRecodeResult> ApplyDiverseGeneralization(
+Result<RecodeResult> ApplyDiverseGeneralization(
     const Table& table, const QuasiIdentifier& qid, const SubsetNode& node,
     const LDiversityConfig& config);
 

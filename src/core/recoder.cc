@@ -1,10 +1,10 @@
 #include "core/recoder.h"
 
-#include <unordered_set>
+#include <algorithm>
 
 #include "common/strings.h"
 #include "freq/frequency_set.h"
-#include "freq/key_codec.h"
+#include "relation/view.h"
 
 namespace incognito {
 
@@ -40,44 +40,22 @@ Result<RecodeResult> ApplyFullDomainGeneralization(
         static_cast<long long>(config.max_suppressed)));
   }
 
-  // Collect the undersized group keys for the suppression pass.
+  // The undersized groups, in canonical (ascending) order.
+  std::vector<int32_t> suppressed;
+  if (to_suppress > 0) {
+    freq.ForEachGroup([&](const int32_t* codes, int64_t count) {
+      if (count < config.k) suppressed.insert(suppressed.end(), codes,
+                                              codes + qid.size());
+    });
+  }
+  return ReleaseFullDomainView(table, qid, node, suppressed);
+}
+
+RecodeResult ReleaseFullDomainView(const Table& table,
+                                   const QuasiIdentifier& qid,
+                                   const SubsetNode& node,
+                                   const std::vector<int32_t>& suppressed) {
   const size_t n = qid.size();
-  std::vector<size_t> cards(n);
-  for (size_t i = 0; i < n; ++i) {
-    cards[i] =
-        qid.hierarchy(i).DomainSize(static_cast<size_t>(node.levels[i]));
-  }
-  KeyCodec codec = KeyCodec::Create(cards);
-  // The packed fast path is used for membership tests; with >64-bit keys we
-  // fall back to a string-keyed set.
-  std::unordered_set<uint64_t> small_packed;
-  std::unordered_set<std::string> small_str;
-  auto group_string = [n](const int32_t* codes) {
-    std::string s;
-    for (size_t i = 0; i < n; ++i) {
-      s += StringPrintf("%d,", codes[i]);
-    }
-    return s;
-  };
-  freq.ForEachGroup([&](const int32_t* codes, int64_t count) {
-    if (count < config.k) {
-      if (codec.packed()) {
-        small_packed.insert(codec.Pack(codes));
-      } else {
-        small_str.insert(group_string(codes));
-      }
-    }
-  });
-
-  // Output schema: QID columns generalized above level 0 become strings.
-  std::vector<ColumnSpec> specs(table.schema().columns());
-  for (size_t i = 0; i < n; ++i) {
-    if (node.levels[i] > 0) specs[qid.column(i)].type = DataType::kString;
-  }
-  RecodeResult result;
-  result.view = Table{Schema(std::move(specs))};
-
-  // Per-attribute base→level maps for the generalization pass.
   std::vector<const int32_t*> maps(n);
   std::vector<const int32_t*> cols(n);
   for (size_t i = 0; i < n; ++i) {
@@ -86,29 +64,53 @@ Result<RecodeResult> ApplyFullDomainGeneralization(
                   .data();
     cols[i] = table.ColumnCodes(qid.column(i)).data();
   }
-
-  std::vector<Value> row(table.num_columns());
-  std::vector<int32_t> gen_codes(n);
-  for (size_t r = 0; r < table.num_rows(); ++r) {
-    for (size_t i = 0; i < n; ++i) gen_codes[i] = maps[i][cols[i][r]];
-    bool suppress =
-        codec.packed()
-            ? small_packed.count(codec.Pack(gen_codes.data())) > 0
-            : small_str.count(group_string(gen_codes.data())) > 0;
-    if (suppress) {
-      ++result.suppressed_tuples;
-      continue;
-    }
-    for (size_t c = 0; c < table.num_columns(); ++c) row[c] = table.GetValue(r, c);
-    for (size_t i = 0; i < n; ++i) {
-      size_t level = static_cast<size_t>(node.levels[i]);
-      if (level > 0) {
-        row[qid.column(i)] =
-            Value(qid.hierarchy(i).LevelValue(level, gen_codes[i]).ToString());
+  // A row is released unless its generalized codes are a suppressed key,
+  // found by binary search over the sorted keys.
+  const size_t num_keys = n == 0 ? 0 : suppressed.size() / n;
+  std::vector<int32_t> gen(n);
+  auto is_suppressed = [&](size_t r) {
+    for (size_t i = 0; i < n; ++i) gen[i] = maps[i][cols[i][r]];
+    size_t lo = 0, hi = num_keys;
+    while (lo < hi) {
+      const size_t mid = (lo + hi) / 2;
+      const int32_t* key = suppressed.data() + mid * n;
+      if (std::lexicographical_compare(key, key + n, gen.begin(), gen.end())) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
       }
     }
-    INCOGNITO_RETURN_IF_ERROR(result.view.AppendRow(row));
+    return lo < num_keys &&
+           std::equal(gen.begin(), gen.end(), suppressed.data() + lo * n);
+  };
+  RecodeResult result;
+  std::vector<size_t> rows;
+  rows.reserve(table.num_rows());
+  for (size_t r = 0; r < table.num_rows(); ++r) {
+    if (num_keys > 0 && is_suppressed(r)) {
+      ++result.suppressed_tuples;
+    } else {
+      rows.push_back(r);
+    }
   }
+
+  // QID columns generalized above level 0 carry their level's labels.
+  std::vector<ViewLabels> replaced;
+  for (size_t i = 0; i < n; ++i) {
+    const size_t level = static_cast<size_t>(node.levels[i]);
+    if (level == 0) continue;
+    const ValueHierarchy& h = qid.hierarchy(i);
+    ViewLabels labeled{qid.column(i), {}, std::vector<int32_t>(rows.size())};
+    labeled.labels.reserve(h.DomainSize(level));
+    for (const Value& label : h.level_values(level)) {
+      labeled.labels.push_back(label.ToString());
+    }
+    for (size_t j = 0; j < rows.size(); ++j) {
+      labeled.label_of_row[j] = maps[i][cols[i][rows[j]]];
+    }
+    replaced.push_back(std::move(labeled));
+  }
+  result.view = BuildView(table, rows, std::move(replaced));
   return result;
 }
 

@@ -2,6 +2,7 @@
 #define INCOGNITO_CORE_RECODER_H_
 
 #include <cstdint>
+#include <vector>
 
 #include "common/status.h"
 #include "core/checker.h"
@@ -35,6 +36,16 @@ struct RecodeResult {
 Result<RecodeResult> ApplyFullDomainGeneralization(
     const Table& table, const QuasiIdentifier& qid, const SubsetNode& node,
     const AnonymizationConfig& config);
+
+/// The release step of both full-domain recoders: `table` at the full-QID
+/// node `node`, with every QID column above level 0 replaced by its
+/// level's labels, less the rows whose generalized QID codes are one of
+/// the keys in `suppressed` — node.size() codes per key, keys in ascending
+/// lexicographic order (a frequency set's canonical order). Checks nothing.
+RecodeResult ReleaseFullDomainView(const Table& table,
+                                   const QuasiIdentifier& qid,
+                                   const SubsetNode& node,
+                                   const std::vector<int32_t>& suppressed);
 
 }  // namespace incognito
 

@@ -151,6 +151,12 @@ Result<ValueHierarchy> BuildDigitRoundingHierarchy(std::string attribute_name,
                                                    const Dictionary& base,
                                                    size_t num_digits,
                                                    size_t levels) {
+  // 10^18 is the largest power of ten an int64_t holds.
+  if (num_digits < 1 || num_digits > 18) {
+    return Status::InvalidArgument(StringPrintf(
+        "digit hierarchy '%s': num_digits (%zu) must be in [1, 18]",
+        attribute_name.c_str(), num_digits));
+  }
   if (levels == 0 || levels > num_digits) {
     return Status::InvalidArgument(StringPrintf(
         "digit hierarchy '%s': levels (%zu) must be in [1, num_digits=%zu]",

@@ -67,7 +67,9 @@ Result<ValueHierarchy> BuildIntervalHierarchy(
 /// string; level l replaces the last l digits with '*' (paper's Zipcode:
 /// 53715 → 5371* → 537** → ... and Lands End "round each digit"). `levels`
 /// is the number of rounding steps; the final step (all digits masked) acts
-/// as the suppression top when levels == num_digits.
+/// as the suppression top when levels == num_digits. `num_digits` must be in
+/// [1, 18] (10^18 is the largest power of ten an int64_t holds) and
+/// `levels` in [1, num_digits]; otherwise InvalidArgument.
 Result<ValueHierarchy> BuildDigitRoundingHierarchy(std::string attribute_name,
                                                    const Dictionary& base,
                                                    size_t num_digits,

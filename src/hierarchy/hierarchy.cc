@@ -91,4 +91,17 @@ Result<ValueHierarchy> ValueHierarchy::Create(
   return h;
 }
 
+std::vector<std::string> LabelTexts(const ValueHierarchy& hierarchy,
+                                    std::vector<int32_t>* offsets) {
+  std::vector<std::string> texts;
+  offsets->clear();
+  for (size_t level = 0; level < hierarchy.num_levels(); ++level) {
+    offsets->push_back(static_cast<int32_t>(texts.size()));
+    for (const Value& label : hierarchy.level_values(level)) {
+      texts.push_back(label.ToString());
+    }
+  }
+  return texts;
+}
+
 }  // namespace incognito

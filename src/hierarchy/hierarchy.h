@@ -102,6 +102,13 @@ class ValueHierarchy {
   std::vector<std::vector<Value>> level_values_;
 };
 
+/// Every label of `hierarchy` as text, level 0 first. `offsets` receives
+/// the index of each level's first label, so the text of `code` at `level`
+/// is element offsets[level] + code. Local-recoding models label a view's
+/// cells from it (relation/view.h).
+std::vector<std::string> LabelTexts(const ValueHierarchy& hierarchy,
+                                    std::vector<int32_t>* offsets);
+
 }  // namespace incognito
 
 #endif  // INCOGNITO_HIERARCHY_HIERARCHY_H_

@@ -4,6 +4,7 @@
 #include <unordered_set>
 #include <vector>
 #include "obs/obs.h"
+#include "relation/view.h"
 
 namespace incognito {
 
@@ -112,25 +113,23 @@ Result<CellGeneralizationResult> RunCellGeneralization(
   }
 
   // Materialize the view.
-  std::vector<ColumnSpec> specs(table.schema().columns());
-  for (size_t i = 0; i < n; ++i) {
-    specs[qid.column(i)].type = DataType::kString;
-  }
-  result.view = Table{Schema(std::move(specs))};
-  std::vector<Value> row(table.num_columns());
+  std::vector<size_t> released;
   for (size_t r = 0; r < rows; ++r) {
-    if (removed[r]) continue;
-    for (size_t c = 0; c < table.num_columns(); ++c) {
-      row[c] = table.GetValue(r, c);
-    }
-    for (size_t i = 0; i < n; ++i) {
-      const ValueHierarchy& h = qid.hierarchy(i);
-      size_t l = static_cast<size_t>(level[r][i]);
-      row[qid.column(i)] =
-          Value(h.LevelValue(l, h.Generalize(cols[i][r], l)).ToString());
-    }
-    INCOGNITO_RETURN_IF_ERROR(result.view.AppendRow(row));
+    if (!removed[r]) released.push_back(r);
   }
+  std::vector<ViewLabels> replaced(n);
+  std::vector<int32_t> offsets;
+  for (size_t i = 0; i < n; ++i) {
+    const ValueHierarchy& h = qid.hierarchy(i);
+    replaced[i].column = qid.column(i);
+    replaced[i].labels = LabelTexts(h, &offsets);
+    for (size_t r : released) {
+      size_t l = static_cast<size_t>(level[r][i]);
+      replaced[i].label_of_row.push_back(offsets[l] +
+                                         h.Generalize(cols[i][r], l));
+    }
+  }
+  result.view = BuildView(table, released, std::move(replaced));
   return result;
 }
 

@@ -7,6 +7,7 @@
 
 #include "common/stopwatch.h"
 #include "obs/obs.h"
+#include "relation/view.h"
 
 namespace incognito {
 
@@ -134,28 +135,28 @@ PartialResult<CellSuppressionResult> RunCellSuppressionImpl(
     if (governor != nullptr) governor->ReleaseMemory(round_bytes);
   }
 
-  // Materialize the view.
-  std::vector<ColumnSpec> specs(table.schema().columns());
-  for (size_t i = 0; i < n; ++i) {
-    specs[qid.column(i)].type = DataType::kString;
-  }
-  result.view = Table{Schema(std::move(specs))};
-  std::vector<Value> row(table.num_columns());
+  // Materialize the view: a cell keeps its value's text, or reads "*"
+  // (the label after the dictionary's values).
+  std::vector<size_t> released;
   for (size_t r = 0; r < rows; ++r) {
-    if (removed[r]) continue;
-    for (size_t c = 0; c < table.num_columns(); ++c) {
-      row[c] = table.GetValue(r, c);
-    }
-    for (size_t i = 0; i < n; ++i) {
-      if (cell[r][i] == kSuppressed) {
-        row[qid.column(i)] = Value("*");
-      } else {
-        row[qid.column(i)] = Value(
-            table.dictionary(qid.column(i)).value(cell[r][i]).ToString());
-      }
-    }
-    INCOGNITO_RETURN_IF_ERROR(result.view.AppendRow(row));
+    if (!removed[r]) released.push_back(r);
   }
+  std::vector<ViewLabels> replaced(n);
+  for (size_t i = 0; i < n; ++i) {
+    const Dictionary& dict = table.dictionary(qid.column(i));
+    replaced[i].column = qid.column(i);
+    for (size_t code = 0; code < dict.size(); ++code) {
+      replaced[i].labels.push_back(
+          dict.value(static_cast<int32_t>(code)).ToString());
+    }
+    replaced[i].labels.push_back("*");
+    const int32_t star = static_cast<int32_t>(dict.size());
+    for (size_t r : released) {
+      replaced[i].label_of_row.push_back(
+          cell[r][i] == kSuppressed ? star : cell[r][i]);
+    }
+  }
+  result.view = BuildView(table, released, std::move(replaced));
   result.stats.total_seconds = timer.ElapsedSeconds();
   if (governor != nullptr) governor->ExportTrips(&result.stats);
   return result;

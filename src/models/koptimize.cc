@@ -7,6 +7,7 @@
 #include "common/strings.h"
 #include "freq/frequency_set.h"
 #include "obs/obs.h"
+#include "relation/view.h"
 #include "robust/governor.h"
 
 namespace incognito {
@@ -261,7 +262,7 @@ PartialResult<KOptimizeResult> RunKOptimize(const Table& table,
 
   // Materializes the partition induced by `mask` (cuts, cost, released
   // view with undersized classes suppressed) into `result`.
-  auto materialize = [&](uint32_t mask) -> Status {
+  auto materialize = [&](uint32_t mask) {
     result.cost = search.Cost(mask);
     for (size_t c = 0; c < cut_points.size(); ++c) {
       if (mask & (1u << c)) result.cuts.push_back(cut_points[c]);
@@ -292,40 +293,38 @@ PartialResult<KOptimizeResult> RunKOptimize(const Table& table,
       }
     }
 
-    // Per-row interval keys, suppression of undersized classes.
+    // Per-row interval keys; rows in classes smaller than k are
+    // suppressed.
+    const size_t rows = table.num_rows();
+    std::vector<std::vector<int32_t>> row_keys(n, std::vector<int32_t>(rows));
     std::unordered_map<std::vector<int32_t>, int64_t, VecHash> class_sizes;
-    std::vector<std::vector<int32_t>> row_keys(table.num_rows(),
-                                               std::vector<int32_t>(n));
-    for (size_t r = 0; r < table.num_rows(); ++r) {
+    std::vector<int32_t> key(n);
+    for (size_t r = 0; r < rows; ++r) {
       for (size_t i = 0; i < n; ++i) {
         int32_t rank = rank_of_code[i][static_cast<size_t>(
             table.GetCode(r, qid.column(i)))];
-        row_keys[r][i] = interval[i][static_cast<size_t>(rank)];
+        key[i] = row_keys[i][r] = interval[i][static_cast<size_t>(rank)];
       }
-      ++class_sizes[row_keys[r]];
+      ++class_sizes[key];
     }
-
-    std::vector<ColumnSpec> specs(table.schema().columns());
-    for (size_t i = 0; i < n; ++i) {
-      specs[qid.column(i)].type = DataType::kString;
-    }
-    result.view = Table{Schema(std::move(specs))};
-    std::vector<Value> row(table.num_columns());
-    for (size_t r = 0; r < table.num_rows(); ++r) {
-      if (class_sizes[row_keys[r]] < config.k) {
+    std::vector<size_t> released;
+    for (size_t r = 0; r < rows; ++r) {
+      for (size_t i = 0; i < n; ++i) key[i] = row_keys[i][r];
+      if (class_sizes[key] < config.k) {
         ++result.suppressed_tuples;
-        continue;
+      } else {
+        released.push_back(r);
       }
-      for (size_t c = 0; c < table.num_columns(); ++c) {
-        row[c] = table.GetValue(r, c);
-      }
-      for (size_t i = 0; i < n; ++i) {
-        row[qid.column(i)] =
-            Value(labels[i][static_cast<size_t>(row_keys[r][i])]);
-      }
-      INCOGNITO_RETURN_IF_ERROR(result.view.AppendRow(row));
     }
-    return Status::OK();
+    std::vector<ViewLabels> replaced(n);
+    for (size_t i = 0; i < n; ++i) {
+      replaced[i].column = qid.column(i);
+      replaced[i].labels = std::move(labels[i]);
+      for (size_t r : released) {
+        replaced[i].label_of_row.push_back(row_keys[i][r]);
+      }
+    }
+    result.view = BuildView(table, released, std::move(replaced));
   };
 
   if (!search.trip().ok()) {
@@ -334,7 +333,7 @@ PartialResult<KOptimizeResult> RunKOptimize(const Table& table,
     // suppressed), so the partial value is sound — just not provably
     // optimal. A trip before the first node leaves best_mask() == 0, the
     // fully-generalized partition.
-    INCOGNITO_RETURN_IF_ERROR(materialize(search.best_mask()));
+    materialize(search.best_mask());
     finalize();
     return PartialResult<KOptimizeResult>::Partial(search.trip(),
                                                    std::move(result));
@@ -347,7 +346,7 @@ PartialResult<KOptimizeResult> RunKOptimize(const Table& table,
   }
 
   // Materialize the winning partition.
-  INCOGNITO_RETURN_IF_ERROR(materialize(search.best_mask()));
+  materialize(search.best_mask());
   finalize();
   return result;
 }

@@ -1,12 +1,12 @@
 #include "models/mondrian.h"
 
 #include <algorithm>
-#include <unordered_set>
 #include <vector>
 
 #include "common/stopwatch.h"
 #include "common/strings.h"
 #include "obs/obs.h"
+#include "relation/view.h"
 
 namespace incognito {
 
@@ -154,48 +154,43 @@ PartialResult<MondrianResult> RunMondrianImpl(
     }
   }
 
-  // Materialize: each partition's attributes become rank-interval labels.
+  // Materialize: each partition's attributes become rank-interval labels,
+  // one label per (partition, attribute); rows keep partition order.
   MondrianResult result;
   result.num_partitions = done.size();
-  std::vector<ColumnSpec> specs(table.schema().columns());
+  std::vector<size_t> rows;
+  rows.reserve(table.num_rows());
+  std::vector<ViewLabels> replaced(n);
   for (size_t i = 0; i < n; ++i) {
-    specs[qid.column(i)].type = DataType::kString;
+    replaced[i].column = qid.column(i);
+    replaced[i].labels.reserve(done.size());
+    replaced[i].label_of_row.reserve(table.num_rows());
   }
-  result.view = Table{Schema(std::move(specs))};
-
-  std::vector<Value> row(table.num_columns());
-  for (const Partition& part : done) {
-    // Interval label per attribute for the whole partition.
-    std::vector<std::string> label(n);
+  for (size_t p = 0; p < done.size(); ++p) {
+    const std::vector<size_t>& part = done[p].row_indices;
+    rows.insert(rows.end(), part.begin(), part.end());
     for (size_t i = 0; i < n; ++i) {
       int32_t lo = INT32_MAX, hi = INT32_MIN;
-      for (size_t r : part.row_indices) {
+      for (size_t r : part) {
         int32_t rank = rank_at(r, i);
         lo = std::min(lo, rank);
         hi = std::max(hi, rank);
       }
       const Dictionary& dict = table.dictionary(qid.column(i));
-      std::string lo_label =
+      std::string label =
           dict.value(code_of_rank[i][static_cast<size_t>(lo)]).ToString();
-      if (lo == hi) {
-        label[i] = lo_label;
-      } else {
-        label[i] =
-            "[" + lo_label + "-" +
+      if (lo != hi) {
+        label =
+            "[" + label + "-" +
             dict.value(code_of_rank[i][static_cast<size_t>(hi)]).ToString() +
             "]";
       }
-    }
-    for (size_t r : part.row_indices) {
-      for (size_t c = 0; c < table.num_columns(); ++c) {
-        row[c] = table.GetValue(r, c);
-      }
-      for (size_t i = 0; i < n; ++i) {
-        row[qid.column(i)] = Value(label[i]);
-      }
-      INCOGNITO_RETURN_IF_ERROR(result.view.AppendRow(row));
+      replaced[i].labels.push_back(std::move(label));
+      replaced[i].label_of_row.insert(replaced[i].label_of_row.end(),
+                                      part.size(), static_cast<int32_t>(p));
     }
   }
+  result.view = BuildView(table, rows, std::move(replaced));
   stats.total_seconds = timer.ElapsedSeconds();
   if (governor != nullptr) governor->ExportTrips(&stats);
   result.stats = stats;

@@ -6,6 +6,7 @@
 #include "common/stopwatch.h"
 #include "common/strings.h"
 #include "obs/obs.h"
+#include "relation/view.h"
 
 namespace incognito {
 
@@ -146,43 +147,32 @@ PartialResult<OrderedSetResult> RunOrderedSetImpl(
     parts[widest].Halve();
   }
 
-  // Materialize the view.
+  // Materialize the view, with one label per interval of each attribute.
   OrderedSetResult result;
-  std::vector<ColumnSpec> specs(table.schema().columns());
-  for (size_t i = 0; i < n; ++i) {
-    specs[qid.column(i)].type = DataType::kString;
-  }
-  result.view = Table{Schema(std::move(specs))};
-
-  // Interval labels, precomputed per attribute.
-  std::vector<std::unordered_map<int32_t, std::string>> labels(n);
-  for (size_t i = 0; i < n; ++i) {
-    const Dictionary& dict = table.dictionary(qid.column(i));
-    for (int32_t interval : parts[i].interval_of_rank) {
-      if (labels[i].find(interval) == labels[i].end()) {
-        labels[i][interval] = parts[i].Label(dict, interval);
-      }
-    }
-    result.intervals_per_attribute.push_back(labels[i].size());
-  }
-
-  std::vector<Value> row(table.num_columns());
+  std::vector<size_t> released;
   for (size_t r = 0; r < rows; ++r) {
     if (violating[r]) {
       ++result.suppressed_tuples;
-      continue;
+    } else {
+      released.push_back(r);
     }
-    for (size_t c = 0; c < table.num_columns(); ++c) {
-      row[c] = table.GetValue(r, c);
-    }
-    for (size_t i = 0; i < n; ++i) {
-      int32_t rank = parts[i].rank_of_code[static_cast<size_t>(cols[i][r])];
-      int32_t interval =
-          parts[i].interval_of_rank[static_cast<size_t>(rank)];
-      row[qid.column(i)] = Value(labels[i][interval]);
-    }
-    INCOGNITO_RETURN_IF_ERROR(result.view.AppendRow(row));
   }
+  std::vector<ViewLabels> replaced(n);
+  for (size_t i = 0; i < n; ++i) {
+    const Dictionary& dict = table.dictionary(qid.column(i));
+    replaced[i].column = qid.column(i);
+    for (size_t t = 0; t < parts[i].num_intervals; ++t) {
+      replaced[i].labels.push_back(
+          parts[i].Label(dict, static_cast<int32_t>(t)));
+    }
+    result.intervals_per_attribute.push_back(parts[i].num_intervals);
+    for (size_t r : released) {
+      int32_t rank = parts[i].rank_of_code[static_cast<size_t>(cols[i][r])];
+      replaced[i].label_of_row.push_back(
+          parts[i].interval_of_rank[static_cast<size_t>(rank)]);
+    }
+  }
+  result.view = BuildView(table, released, std::move(replaced));
   stats.total_seconds = timer.ElapsedSeconds();
   if (governor != nullptr) governor->ExportTrips(&stats);
   result.stats = stats;
@@ -284,19 +274,17 @@ Result<OptimalUnivariateResult> OptimalUnivariatePartition(
   result.discernibility = dp[m];
 
   // Materialize the view.
-  std::vector<ColumnSpec> specs(table.schema().columns());
-  specs[col].type = DataType::kString;
-  result.view = Table{Schema(std::move(specs))};
-  std::vector<Value> row(table.num_columns());
-  for (size_t r = 0; r < table.num_rows(); ++r) {
-    for (size_t c = 0; c < table.num_columns(); ++c) {
-      row[c] = table.GetValue(r, c);
-    }
+  std::vector<size_t> rows(table.num_rows());
+  std::vector<ViewLabels> replaced(1);
+  replaced[0].column = col;
+  replaced[0].labels = std::move(labels);
+  for (size_t r = 0; r < rows.size(); ++r) {
+    rows[r] = r;
     int32_t rank = rank_of_code[static_cast<size_t>(table.GetCode(r, col))];
-    row[col] = Value(labels[static_cast<size_t>(
-        interval_of_rank[static_cast<size_t>(rank)])]);
-    INCOGNITO_RETURN_IF_ERROR(result.view.AppendRow(row));
+    replaced[0].label_of_row.push_back(
+        interval_of_rank[static_cast<size_t>(rank)]);
   }
+  result.view = BuildView(table, rows, std::move(replaced));
   return result;
 }
 

@@ -7,6 +7,7 @@
 
 #include "freq/frequency_set.h"
 #include "obs/obs.h"
+#include "relation/view.h"
 
 namespace incognito {
 
@@ -187,17 +188,15 @@ Result<SubgraphResult> RunGreedySubgraph(const Table& table,
   std::unordered_map<std::vector<int32_t>, size_t, VecHash> vector_index;
   for (size_t v = 0; v < distinct; ++v) vector_index[vectors[v]] = v;
 
-  std::vector<ColumnSpec> specs(table.schema().columns());
-  for (size_t i = 0; i < n; ++i) {
-    specs[qid.column(i)].type = DataType::kString;
-  }
-  result.view = Table{Schema(std::move(specs))};
-
   std::vector<const int32_t*> cols(n);
+  std::vector<std::vector<int32_t>> offsets(n);
+  std::vector<ViewLabels> replaced(n);
   for (size_t i = 0; i < n; ++i) {
     cols[i] = table.ColumnCodes(qid.column(i)).data();
+    replaced[i].column = qid.column(i);
+    replaced[i].labels = LabelTexts(qid.hierarchy(i), &offsets[i]);
   }
-  std::vector<Value> row(table.num_columns());
+  std::vector<size_t> released;
   std::vector<int32_t> probe(n);
   for (size_t r = 0; r < table.num_rows(); ++r) {
     for (size_t i = 0; i < n; ++i) probe[i] = cols[i][r];
@@ -207,18 +206,13 @@ Result<SubgraphResult> RunGreedySubgraph(const Table& table,
       ++result.suppressed_tuples;
       continue;
     }
-    for (size_t c = 0; c < table.num_columns(); ++c) {
-      row[c] = table.GetValue(r, c);
-    }
+    released.push_back(r);
     for (size_t i = 0; i < n; ++i) {
-      row[qid.column(i)] =
-          Value(qid.hierarchy(i)
-                    .LevelValue(static_cast<size_t>(cell.levels[i]),
-                                cell.codes[i])
-                    .ToString());
+      replaced[i].label_of_row.push_back(
+          offsets[i][static_cast<size_t>(cell.levels[i])] + cell.codes[i]);
     }
-    INCOGNITO_RETURN_IF_ERROR(result.view.AppendRow(row));
   }
+  result.view = BuildView(table, released, std::move(replaced));
   size_t live = 0;
   for (const Cell& cell : cells) live += cell.alive ? 1 : 0;
   result.num_cells = live;

@@ -7,6 +7,7 @@
 
 #include "common/strings.h"
 #include "obs/obs.h"
+#include "relation/view.h"
 
 namespace incognito {
 
@@ -142,28 +143,27 @@ Result<SubtreeResult> RunGreedySubtree(const Table& table,
 
   // Materialize the view: violating leftovers suppressed, QID columns
   // stringified with their generalized labels.
-  std::vector<ColumnSpec> specs(table.schema().columns());
-  for (size_t i = 0; i < n; ++i) {
-    specs[qid.column(i)].type = DataType::kString;
-  }
-  result.view = Table{Schema(std::move(specs))};
-  std::vector<Value> row(table.num_columns());
+  std::vector<size_t> released;
   for (size_t r = 0; r < rows; ++r) {
     if (violating[r]) {
       ++result.suppressed_tuples;
-      continue;
+    } else {
+      released.push_back(r);
     }
-    for (size_t c = 0; c < table.num_columns(); ++c) {
-      row[c] = table.GetValue(r, c);
-    }
-    for (size_t i = 0; i < n; ++i) {
-      const ValueHierarchy& h = qid.hierarchy(i);
-      auto [level, code] = cuts[i].Image(h, cols[i][r]);
-      row[qid.column(i)] =
-          Value(h.LevelValue(static_cast<size_t>(level), code).ToString());
-    }
-    INCOGNITO_RETURN_IF_ERROR(result.view.AppendRow(row));
   }
+  std::vector<ViewLabels> replaced(n);
+  std::vector<int32_t> offsets;
+  for (size_t i = 0; i < n; ++i) {
+    const ValueHierarchy& h = qid.hierarchy(i);
+    replaced[i].column = qid.column(i);
+    replaced[i].labels = LabelTexts(h, &offsets);
+    for (size_t r : released) {
+      auto [level, code] = cuts[i].Image(h, cols[i][r]);
+      replaced[i].label_of_row.push_back(
+          offsets[static_cast<size_t>(level)] + code);
+    }
+  }
+  result.view = BuildView(table, released, std::move(replaced));
   return result;
 }
 

@@ -1,7 +1,9 @@
 #ifndef INCOGNITO_RELATION_CSV_H_
 #define INCOGNITO_RELATION_CSV_H_
 
+#include <functional>
 #include <string>
+#include <string_view>
 
 #include "common/status.h"
 #include "relation/table.h"
@@ -28,11 +30,16 @@ struct CsvReadOptions {
 };
 
 /// Reads a CSV file into a Table. Fields may be double-quoted; embedded
-/// quotes are escaped by doubling ("").
+/// quotes are escaped by doubling (""). Records end at '\n' (a trailing
+/// '\r' is dropped), also inside quotes, so a quoted newline is an
+/// unterminated quote.
 Result<Table> ReadCsv(const std::string& path,
                       const CsvReadOptions& options = {});
 
-/// Parses CSV from an in-memory string (same semantics as ReadCsv).
+/// Parses CSV from an in-memory string (same semantics as ReadCsv). One
+/// pass interns each column's field texts; a column's type is inferred
+/// over its distinct texts, and its dictionary holds one value per distinct
+/// text in first-seen order, so codes follow first appearance.
 Result<Table> ParseCsv(const std::string& content,
                        const CsvReadOptions& options = {});
 
@@ -43,6 +50,13 @@ Status WriteCsv(const Table& table, const std::string& path,
 
 /// Serializes a table to a CSV string (same semantics as WriteCsv).
 std::string ToCsvString(const Table& table, char separator = ',');
+
+/// The one CSV renderer behind ToCsvString and WriteCsv: a header row, then
+/// one line per row, handed to `sink` in pieces of about 64 KiB. Each
+/// dictionary entry is formatted and escaped once per column, and rows
+/// are emitted by code.
+void RenderCsv(const Table& table, char separator,
+               const std::function<void(std::string_view)>& sink);
 
 }  // namespace incognito
 

@@ -16,6 +16,19 @@ Table::Table(Schema schema) : schema_(std::move(schema)) {
   }
 }
 
+Table Table::FromColumns(Schema schema,
+                         std::vector<std::shared_ptr<Dictionary>> dictionaries,
+                         std::vector<std::vector<int32_t>> columns) {
+  assert(dictionaries.size() == schema.num_columns() &&
+         columns.size() == schema.num_columns());
+  Table out;
+  out.schema_ = std::move(schema);
+  out.dictionaries_ = std::move(dictionaries);
+  out.columns_ = std::move(columns);
+  out.num_rows_ = out.columns_.empty() ? 0 : out.columns_[0].size();
+  return out;
+}
+
 namespace {
 
 bool TypeMatches(const Value& v, DataType type) {

@@ -25,6 +25,13 @@ class Table {
   Table() = default;
   explicit Table(Schema schema);
 
+  /// Assembles a table from one dictionary and one code column per schema
+  /// column. Every column must have the same length and hold codes valid
+  /// in its dictionary; a dictionary may be shared with other tables.
+  static Table FromColumns(
+      Schema schema, std::vector<std::shared_ptr<Dictionary>> dictionaries,
+      std::vector<std::vector<int32_t>> columns);
+
   Table(const Table&) = default;
   Table& operator=(const Table&) = default;
   Table(Table&&) = default;
@@ -58,6 +65,12 @@ class Table {
   /// The dictionary of a column.
   const Dictionary& dictionary(size_t col) const { return *dictionaries_[col]; }
   Dictionary& mutable_dictionary(size_t col) { return *dictionaries_[col]; }
+
+  /// The shared handle of a column's dictionary, for a derived table that
+  /// keeps the column's codes.
+  const std::shared_ptr<Dictionary>& shared_dictionary(size_t col) const {
+    return dictionaries_[col];
+  }
 
   /// Returns a decoded row.
   std::vector<Value> GetRow(size_t row) const;

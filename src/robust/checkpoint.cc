@@ -162,7 +162,7 @@ Status Corrupt(const std::string& what) {
 
 }  // namespace
 
-uint32_t Crc32(const void* data, size_t len) {
+uint32_t Crc32(const void* data, size_t len, uint32_t crc) {
   // Slicing-by-8: kTables[k][b] is the CRC step of byte b followed by k
   // zero bytes, so eight input bytes fold into the state with eight
   // independent lookups instead of eight dependent ones.
@@ -183,7 +183,7 @@ uint32_t Crc32(const void* data, size_t len) {
     }
     return tables;
   }();
-  uint32_t crc = 0xFFFFFFFFu;
+  crc ^= 0xFFFFFFFFu;
   const unsigned char* p = static_cast<const unsigned char*>(data);
   for (; len >= 8; p += 8, len -= 8) {
     // Little-endian assembly by shifts: byte order independent of the host.

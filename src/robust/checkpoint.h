@@ -31,7 +31,9 @@ struct IncognitoOptions;
 /// uninterrupted one.
 
 /// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over `len` bytes.
-uint32_t Crc32(const void* data, size_t len);
+/// `crc` is the CRC of the bytes before these, so data can be fed in
+/// pieces: Crc32(b, nb, Crc32(a, na)) is the CRC of a followed by b.
+uint32_t Crc32(const void* data, size_t len, uint32_t crc = 0);
 
 /// How `--resume` treats a missing/invalid checkpoint file.
 enum class ResumeMode {

@@ -62,10 +62,14 @@ int64_t Int64Field(const JsonValue& v) {
   return static_cast<int64_t>(v.NumberOr(0));
 }
 
-/// Fills the view-identity fields from a released view.
+/// Fills the view-identity fields from a released view: the CRC-32 of its
+/// CSV, fed piece by piece so the job never holds the whole text.
 void FillView(const Table& view, JobResult* out) {
-  std::string csv = ToCsvString(view);
-  out->view_crc32 = Crc32(csv.data(), csv.size());
+  uint32_t crc = 0;
+  RenderCsv(view, ',', [&crc](std::string_view piece) {
+    crc = Crc32(piece.data(), piece.size(), crc);
+  });
+  out->view_crc32 = crc;
   out->view_rows = static_cast<int64_t>(view.num_rows());
 }
 
@@ -332,7 +336,7 @@ JobResult ExecuteJob(const JobSpec& spec, ExecutionGovernor* governor) {
       out.stats = r->stats;
       if (!r->diverse_nodes.empty()) {
         SubsetNode minimal = MinimalByHeight(r->diverse_nodes).front();
-        Result<DiverseRecodeResult> view = ApplyDiverseGeneralization(
+        Result<RecodeResult> view = ApplyDiverseGeneralization(
             problem->table, problem->qid, minimal, dconfig);
         if (!view.ok()) {
           out.status = view.status();

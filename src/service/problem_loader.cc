@@ -10,18 +10,6 @@
 #include "relation/csv.h"
 
 namespace incognito {
-namespace {
-
-bool ParseInt64(const std::string& text, int64_t* out) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  long long v = strtoll(text.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') return false;
-  *out = v;
-  return true;
-}
-
-}  // namespace
 
 Result<ValueHierarchy> BuildHierarchyFromSpec(const std::string& column,
                                               const std::string& spec,
@@ -57,7 +45,8 @@ Result<ValueHierarchy> BuildHierarchyFromSpec(const std::string& column,
       return Status::InvalidArgument("digits spec is digits:NUM:LEVELS");
     }
     int64_t num = 0, levels = 0;
-    if (!ParseInt64(parts[1], &num) || !ParseInt64(parts[2], &levels)) {
+    if (!ParseInt64(parts[1], &num) || !ParseInt64(parts[2], &levels) ||
+        num < 0 || levels < 0) {
       return Status::InvalidArgument("bad digits spec '" + spec + "'");
     }
     return BuildDigitRoundingHierarchy(column, dict,

@@ -256,11 +256,15 @@ TEST(BatchScanCountingTest, OneScanPerSubsetLevelGroupOnHandBuiltLattice) {
   std::vector<std::pair<std::string, ValueHierarchy>> hierarchies;
   for (const std::string name : {"A", "B"}) {
     std::vector<std::vector<Value>> levels(3);
+    // Values built in place: moving a temporary Value trips a GCC 12
+    // -Wmaybe-uninitialized false positive inside std::variant.
     for (int v = 0; v < 4; ++v) {
-      levels[0].push_back(Value(name + "_v" + std::to_string(v)));
+      levels[0].emplace_back(name + "_v" + std::to_string(v));
     }
-    levels[1] = {Value(name + "_g0"), Value(name + "_g1")};
-    levels[2] = {Value("*")};
+    for (int g = 0; g < 2; ++g) {
+      levels[1].emplace_back(name + "_g" + std::to_string(g));
+    }
+    levels[2].emplace_back("*");
     std::vector<std::vector<int32_t>> parents = {{0, 0, 1, 1}, {0, 0}};
     ValueHierarchy h = ValueHierarchy::Create(name, levels, parents).value();
     Dictionary& dict = table.mutable_dictionary(name == "A" ? 0 : 1);

@@ -213,6 +213,13 @@ TEST(CheckpointFormatTest, Crc32EqualsBitwiseReferenceAtEveryLengthAndOffset) {
     for (size_t len = 0; len <= 64; ++len) {
       EXPECT_EQ(Crc32(bytes + offset, len), BitwiseCrc32(bytes + offset, len))
           << "offset " << offset << " length " << len;
+      // Fed in two pieces, seeded with the first piece's CRC.
+      for (size_t cut = 0; cut <= len; cut += 7) {
+        EXPECT_EQ(Crc32(bytes + offset + cut, len - cut,
+                        Crc32(bytes + offset, cut)),
+                  BitwiseCrc32(bytes + offset, len))
+            << "offset " << offset << " length " << len << " cut " << cut;
+      }
     }
   }
 }

@@ -4,6 +4,7 @@
 #include "hierarchy/builders.h"
 #include "hierarchy/hierarchy.h"
 #include "hierarchy/validation.h"
+#include "service/problem_loader.h"
 #include "test_util.h"
 
 namespace incognito {
@@ -261,6 +262,36 @@ TEST(BuildersTest, DigitRoundingRejectsBadInput) {
   Dictionary ok = DictOf({Value(int64_t{3})});
   EXPECT_FALSE(BuildDigitRoundingHierarchy("x", ok, 5, 0).ok());
   EXPECT_FALSE(BuildDigitRoundingHierarchy("x", ok, 5, 6).ok());
+}
+
+TEST(BuildersTest, DigitRoundingRefusesDigitCountsOutsideInt64) {
+  // A negative digit count once became SIZE_MAX digits and looped for
+  // ever; 19 digits overflow int64_t.
+  Dictionary d = DictOf({Value(int64_t{3})});
+  for (const char* spec : {"digits:-1:1", "digits:19:1", "digits:0:0",
+                           "digits:5:-1", "digits:99999999999999999999:1"}) {
+    Result<ValueHierarchy> h = BuildHierarchyFromSpec("x", spec, d);
+    EXPECT_EQ(h.status().code(), StatusCode::kInvalidArgument) << spec;
+  }
+  EXPECT_EQ(BuildDigitRoundingHierarchy("x", d, 19, 1).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(BuildDigitRoundingHierarchy("x", d, 0, 0).status().code(),
+            StatusCode::kInvalidArgument);
+  // The widest digit count that fits still builds.
+  Result<ValueHierarchy> widest = BuildHierarchyFromSpec("x", "digits:18:1", d);
+  ASSERT_TRUE(widest.ok()) << widest.status().ToString();
+  EXPECT_EQ(widest->LevelValue(1, 0), Value("00000000000000000*"));
+}
+
+TEST(BuildersTest, IntervalSpecRefusesAnOverlongWidth) {
+  // strtoll once clamped this to LLONG_MAX without a word.
+  Dictionary d = DictOf({Value(int64_t{3})});
+  Result<ValueHierarchy> h =
+      BuildHierarchyFromSpec("x", "interval:99999999999999999999", d);
+  EXPECT_EQ(h.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(h.status().message().find("bad interval width"),
+            std::string::npos)
+      << h.status().ToString();
 }
 
 TEST(BuildersTest, DateHierarchy) {

@@ -341,7 +341,7 @@ TEST_F(LDiversityTest, DiverseRecoderPublishesValidView) {
   ASSERT_TRUE(r.ok());
   ASSERT_FALSE(r->diverse_nodes.empty());
   for (const SubsetNode& node : r->diverse_nodes) {
-    Result<DiverseRecodeResult> view =
+    Result<RecodeResult> view =
         ApplyDiverseGeneralization(table_, qid_, node, config);
     ASSERT_TRUE(view.ok()) << node.ToString();
     EXPECT_EQ(view->suppressed_tuples, 0);  // search used zero budget
@@ -371,7 +371,7 @@ TEST_F(LDiversityTest, DiverseRecoderPublishesValidView) {
 
 TEST_F(LDiversityTest, DiverseRecoderSuppressesWithinBudget) {
   // <S0, Z0> (as full-QID <B1,S0,Z0>) has two singleton groups.
-  Result<DiverseRecodeResult> view = ApplyDiverseGeneralization(
+  Result<RecodeResult> view = ApplyDiverseGeneralization(
       table_, qid_, SubsetNode::Full({1, 0, 0}), Config(2, 2, 2, "Disease"));
   ASSERT_TRUE(view.ok()) << view.status().ToString();
   EXPECT_EQ(view->suppressed_tuples, 2);
@@ -379,7 +379,7 @@ TEST_F(LDiversityTest, DiverseRecoderSuppressesWithinBudget) {
 }
 
 TEST_F(LDiversityTest, DiverseRecoderRejectsOverBudget) {
-  Result<DiverseRecodeResult> view = ApplyDiverseGeneralization(
+  Result<RecodeResult> view = ApplyDiverseGeneralization(
       table_, qid_, SubsetNode::Full({0, 0, 0}), Config(2, 2, 0, "Disease"));
   EXPECT_EQ(view.status().code(), StatusCode::kFailedPrecondition);
 }

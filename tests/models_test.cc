@@ -2,6 +2,7 @@
 
 #include "core/incognito.h"
 #include "core/minimality.h"
+#include "data/adults.h"
 #include "data/patients.h"
 #include "hierarchy/builders.h"
 #include "metrics/metrics.h"
@@ -12,6 +13,8 @@
 #include "models/ordered_set.h"
 #include "models/subgraph.h"
 #include "models/subtree.h"
+#include "relation/csv.h"
+#include "robust/checkpoint.h"
 #include "test_util.h"
 
 namespace incognito {
@@ -482,6 +485,67 @@ TEST(ModelsRandomTest, AllModelsKAnonymousOnRandomData) {
     Result<SubgraphResult> sg = RunGreedySubgraph(ds.table, ds.qid, config);
     ASSERT_TRUE(sg.ok());
     ExpectViewKAnonymous(sg->view, cols, config.k);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Released bytes: the CRC-32 of each local-recoding model's view as CSV,
+// pinned on Adults (600 rows, the first three attributes, k = 5). The
+// values were read from the row-by-row view builders; the released CSV
+// must stay byte-identical.
+// ---------------------------------------------------------------------------
+
+struct ReleasedView {
+  size_t rows;
+  uint32_t crc;
+};
+
+ReleasedView Released(const Table& view) {
+  const std::string csv = ToCsvString(view);
+  return {view.num_rows(), Crc32(csv.data(), csv.size())};
+}
+
+TEST(ModelsPinTest, LocalRecodingViewsKeepTheirBytes) {
+  Result<SyntheticDataset> adults = MakeAdultsDataset(AdultsOptions{600});
+  ASSERT_TRUE(adults.ok()) << adults.status().ToString();
+  const Table& table = adults->table;
+  const QuasiIdentifier qid = adults->qid.Prefix(3);
+  AnonymizationConfig config;
+  config.k = 5;
+  config.max_suppressed = 10;
+
+  Result<SubtreeResult> subtree = RunGreedySubtree(table, qid, config);
+  ASSERT_TRUE(subtree.ok()) << subtree.status().ToString();
+  Result<SubgraphResult> subgraph = RunGreedySubgraph(table, qid, config);
+  ASSERT_TRUE(subgraph.ok()) << subgraph.status().ToString();
+  PartialResult<OrderedSetResult> ordered =
+      RunOrderedSetPartition(table, qid, config);
+  ASSERT_TRUE(ordered.ok()) << ordered.status().ToString();
+  Result<OptimalUnivariateResult> univariate =
+      OptimalUnivariatePartition(table, adults->qid.Prefix(1), config);
+  ASSERT_TRUE(univariate.ok()) << univariate.status().ToString();
+  PartialResult<CellSuppressionResult> cells =
+      RunCellSuppression(table, qid, config);
+  ASSERT_TRUE(cells.ok()) << cells.status().ToString();
+  Result<CellGeneralizationResult> cellgen =
+      RunCellGeneralization(table, qid, config);
+  ASSERT_TRUE(cellgen.ok()) << cellgen.status().ToString();
+
+  const std::vector<std::pair<const char*, ReleasedView>> views = {
+      {"subtree", Released(subtree->view)},
+      {"subgraph", Released(subgraph->view)},
+      {"ordered set", Released(ordered->view)},
+      {"optimal univariate", Released(univariate->view)},
+      {"cell suppression", Released(cells->view)},
+      {"cell generalization", Released(cellgen->view)},
+  };
+  const std::vector<ReleasedView> pinned = {
+      {590, 3192462008u}, {591, 1504189703u}, {591, 1063597546u},
+      {600, 2424414083u}, {598, 396277030u},  {600, 884623302u},
+  };
+  for (size_t i = 0; i < views.size(); ++i) {
+    EXPECT_EQ(views[i].second.rows, pinned[i].rows) << views[i].first;
+    EXPECT_EQ(views[i].second.crc, pinned[i].crc) << views[i].first;
   }
 }
 

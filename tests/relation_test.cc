@@ -4,6 +4,7 @@
 #include "relation/schema.h"
 #include "relation/table.h"
 #include "relation/value.h"
+#include "relation/view.h"
 
 namespace incognito {
 namespace {
@@ -204,6 +205,26 @@ TEST(TableTest, FilterRows) {
   EXPECT_EQ(f.num_rows(), 2u);
   EXPECT_EQ(f.GetValue(0, 0), Value("madison"));
   EXPECT_EQ(f.GetValue(1, 0), Value("madison"));
+}
+
+TEST(BuildViewTest, ReleasesRowsInOrderAndLabelsByText) {
+  Table t = MakeSmallTable();
+  // Rows 2 and 0, in that order; the int64 "pop" column replaced by labels
+  // of which two print the same.
+  ViewLabels pop{1, {"[200-299]", "*", "[200-299]"}, {2, 0}};
+  Table view = BuildView(t, {2, 0}, {pop});
+  ASSERT_EQ(view.num_rows(), 2u);
+  EXPECT_EQ(view.schema().column(1).type, DataType::kString);
+  EXPECT_EQ(view.GetValue(0, 1), Value("[200-299]"));
+  EXPECT_EQ(view.GetValue(1, 1), Value("[200-299]"));
+  // Labels that print the same are one value with one code.
+  EXPECT_EQ(view.dictionary(1).size(), 1u);
+  EXPECT_EQ(view.GetCode(0, 1), view.GetCode(1, 1));
+  // The other column keeps its type and shares the source dictionary.
+  EXPECT_EQ(view.schema().column(0), t.schema().column(0));
+  EXPECT_EQ(view.shared_dictionary(0), t.shared_dictionary(0));
+  EXPECT_EQ(view.GetCode(0, 0), t.GetCode(2, 0));
+  EXPECT_EQ(view.GetCode(1, 0), t.GetCode(0, 0));
 }
 
 TEST(TableTest, MultisetEqualsIgnoresRowOrder) {

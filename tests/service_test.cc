@@ -26,10 +26,13 @@
 
 #include "core/incognito.h"
 #include "core/ldiversity.h"
+#include "data/adults.h"
 #include "gtest/gtest.h"
+#include "hierarchy/csv_hierarchy.h"
 #include "models/koptimize.h"
 #include "models/mondrian.h"
 #include "obs/json_util.h"
+#include "relation/csv.h"
 #include "service/job_spec.h"
 #include "service/problem_loader.h"
 #include "service/server.h"
@@ -278,6 +281,108 @@ TEST_F(ServiceDifferentialTest, ModelsProduceTheirDocumentedShapes) {
 }
 
 // ---------------------------------------------------------------------------
+// Released bytes: each daemon model's view_rows, view_crc32 and
+// suppressed_tuples, pinned. The values were read from the row-by-row
+// view builders and the string-building FillView; every released CSV must
+// stay byte-identical.
+// ---------------------------------------------------------------------------
+
+struct ViewPin {
+  JobModel model;
+  int64_t view_rows;
+  uint32_t view_crc32;
+  int64_t suppressed_tuples;
+};
+
+/// Runs `base` as each pinned model (ℓ-diversity with ℓ = 2 over
+/// `sensitive`) and checks the released view against its pin.
+void ExpectPinnedViews(JobSpec base, const std::string& sensitive,
+                       const std::vector<ViewPin>& pins) {
+  for (const ViewPin& pin : pins) {
+    JobSpec spec = base;
+    spec.model = pin.model;
+    if (pin.model == JobModel::kLDiversity) {
+      spec.l = 2;
+      spec.sensitive_attribute = sensitive;
+    }
+    ExecutionGovernor governor;
+    JobResult result = ExecuteJob(spec, &governor);
+    ASSERT_TRUE(result.status.ok())
+        << JobModelName(pin.model) << ": " << result.status.ToString();
+    EXPECT_EQ(result.view_rows, pin.view_rows) << JobModelName(pin.model);
+    EXPECT_EQ(result.view_crc32, pin.view_crc32) << JobModelName(pin.model);
+    EXPECT_EQ(result.suppressed_tuples, pin.suppressed_tuples)
+        << JobModelName(pin.model);
+  }
+}
+
+TEST(ReleasedViewPinTest, DemoSpec) {
+  ExpectPinnedViews(DemoSpec(JobModel::kKAnonymity), "Disease",
+                    {{JobModel::kKAnonymity, 6, 2721281571u, 0},
+                     {JobModel::kLDiversity, 6, 2721281571u, 0},
+                     {JobModel::kKOptimize, 6, 1600655993u, 0},
+                     {JobModel::kMondrian, 6, 1157924558u, 0}});
+}
+
+TEST(ReleasedViewPinTest, DemoSpecWithSuppression) {
+  JobSpec spec = DemoSpec(JobModel::kKAnonymity);
+  spec.k = 4;
+  spec.max_suppressed = 2;
+  ExpectPinnedViews(spec, "Disease",
+                    {{JobModel::kKAnonymity, 4, 3833740105u, 2},
+                     {JobModel::kLDiversity, 4, 3833740105u, 2},
+                     {JobModel::kKOptimize, 4, 942369991u, 2}});
+}
+
+TEST(ReleasedViewPinTest, QuotedValuesAndLabels) {
+  // Names and cities hold ',' and '"'; " 34" and "34" are one value; the
+  // city labels hold ',' and '"' too.
+  const std::string data = INCOGNITO_TEST_DATA_DIR;
+  JobSpec spec;
+  spec.input = data + "/release_quoting.csv";
+  spec.qid = {"City", "Zip", "Age"};
+  spec.hierarchies = {{"City", "file:" + data + "/release_quoting_city.csv"},
+                      {"Zip", "digits:5:2"},
+                      {"Age", "interval:5:10"}};
+  spec.k = 2;
+  ExpectPinnedViews(spec, "Name",
+                    {{JobModel::kKAnonymity, 8, 329406301u, 0},
+                     {JobModel::kLDiversity, 8, 329406301u, 0},
+                     {JobModel::kKOptimize, 8, 3507362997u, 0},
+                     {JobModel::kMondrian, 8, 901605155u, 0}});
+}
+
+TEST(ReleasedViewPinTest, ServiceMixedInputsAtGeneratorOrder) {
+  // The service benchmark's inputs, unshuffled: Adults at 45,222 rows, the
+  // first five attributes through file: hierarchies, k = 10.
+  Result<SyntheticDataset> adults = MakeAdultsDataset(AdultsOptions{45222});
+  ASSERT_TRUE(adults.ok()) << adults.status().ToString();
+  const std::string dir = ::testing::TempDir();
+  JobSpec spec;
+  spec.input = dir + "/pin_adults.csv";
+  spec.k = 10;
+  ASSERT_TRUE(WriteCsv(adults->table, spec.input).ok());
+  std::vector<std::string> files = {spec.input};
+  for (size_t i = 0; i < 5; ++i) {
+    const std::string path = dir + "/pin_hierarchy_" + std::to_string(i) +
+                             ".csv";
+    ASSERT_TRUE(WriteHierarchyCsv(adults->qid.hierarchy(i), path).ok());
+    spec.qid.push_back(adults->qid.name(i));
+    spec.hierarchies[adults->qid.name(i)] = "file:" + path;
+    files.push_back(path);
+  }
+  JobSpec super_roots = spec;
+  super_roots.variant = IncognitoVariant::kSuperRoots;
+  ExpectPinnedViews(spec, "Occupation",
+                    {{JobModel::kKAnonymity, 45222, 1713633459u, 0},
+                     {JobModel::kLDiversity, 45222, 1713633459u, 0},
+                     {JobModel::kMondrian, 45222, 2701116371u, 0}});
+  ExpectPinnedViews(super_roots, "Occupation",
+                    {{JobModel::kKAnonymity, 45222, 1713633459u, 0}});
+  for (const std::string& file : files) std::remove(file.c_str());
+}
+
+// ---------------------------------------------------------------------------
 // Admission control and lifecycle.
 // ---------------------------------------------------------------------------
 
@@ -502,6 +607,29 @@ TEST(ServiceCoreTest, WideQidJobIsRefusedAndTheDaemonKeepsServing) {
   std::remove(path.c_str());
 }
 
+TEST(ServiceCoreTest, NegativeDigitSpecIsRefusedAndTheDaemonKeepsServing) {
+  // "digits:-1:1" once spun the worker for ever inside LoadProblem, before
+  // any deadline or cancel is polled.
+  ServiceConfig config;
+  config.num_workers = 1;
+  ServiceCore core(config);
+  JobSpec bad = DemoSpec(JobModel::kKAnonymity);
+  bad.hierarchies["Zipcode"] = "digits:-1:1";
+  Result<JobId> refused = core.Submit(bad);
+  ASSERT_TRUE(refused.ok()) << refused.status().ToString();
+  Result<JobResult> refusal = core.Wait(refused.value());
+  ASSERT_TRUE(refusal.ok());
+  EXPECT_EQ(refusal->status.code(), StatusCode::kInvalidArgument)
+      << refusal->status.ToString();
+
+  Result<JobId> next = core.Submit(DemoSpec(JobModel::kKAnonymity));
+  ASSERT_TRUE(next.ok());
+  Result<JobResult> served = core.Wait(next.value());
+  ASSERT_TRUE(served.ok());
+  EXPECT_TRUE(served->status.ok()) << served->status.ToString();
+  EXPECT_FALSE(served->nodes.empty());
+}
+
 TEST(ServiceCoreTest, ConcurrentSubmitPollCancelFromManyClients) {
   ServiceConfig config;
   config.num_workers = 2;
@@ -526,7 +654,9 @@ TEST(ServiceCoreTest, ConcurrentSubmitPollCancelFromManyClients) {
         ids[t].push_back(id.value());
         Result<JobSnapshot> snapshot = core.Poll(id.value());
         EXPECT_TRUE(snapshot.ok());
-        if (i % 2 == 1) EXPECT_TRUE(core.Cancel(id.value()).ok());
+        if (i % 2 == 1) {
+          EXPECT_TRUE(core.Cancel(id.value()).ok());
+        }
       }
     });
   }

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -16,6 +17,7 @@
 #include "hierarchy/hierarchy.h"
 #include "lattice/lattice.h"
 #include "lattice/node.h"
+#include "relation/csv.h"
 #include "relation/table.h"
 
 namespace incognito {
@@ -296,6 +298,172 @@ inline CodeGroups GroupsOf(const FrequencySet& fs) {
     out.emplace_back(std::vector<int32_t>(codes, codes + width), count);
   });
   return out;
+}
+
+/// The row-by-row CSV reader that ParseCsv replaced, kept as its oracle:
+/// std::getline splits records, each cell is kept as a string, a column's
+/// type is inferred over every cell, and rows go in through AppendRow.
+/// ParseCsv must return the same schema, dictionaries and codes, or the
+/// same status and message.
+inline bool SplitCsvLineByChars(const std::string& line, char sep,
+                                std::vector<std::string>* fields) {
+  fields->clear();
+  std::string cur;
+  bool in_quotes = false;
+  for (size_t i = 0; i < line.size(); ++i) {
+    char ch = line[i];
+    if (in_quotes) {
+      if (ch == '"') {
+        if (i + 1 < line.size() && line[i + 1] == '"') {
+          cur += '"';
+          ++i;
+        } else {
+          in_quotes = false;
+        }
+      } else {
+        cur += ch;
+      }
+    } else if (ch == '"' && cur.empty()) {
+      in_quotes = true;
+    } else if (ch == sep) {
+      fields->push_back(std::move(cur));
+      cur.clear();
+    } else {
+      cur += ch;
+    }
+  }
+  if (in_quotes) return false;
+  fields->push_back(std::move(cur));
+  return true;
+}
+
+inline Result<Table> ParseCsvByRows(const std::string& content,
+                                    const CsvReadOptions& options = {}) {
+  std::vector<std::string> header;
+  std::vector<std::vector<std::string>> rows;
+  std::istringstream in(content);
+  std::string line;
+  size_t line_no = 0;
+  size_t arity = 0;
+  while (std::getline(in, line)) {
+    ++line_no;
+    if (!line.empty() && line.back() == '\r') line.pop_back();
+    if (line.empty() && in.eof()) break;
+    if (options.max_row_bytes > 0 && line.size() > options.max_row_bytes) {
+      return Status::InvalidArgument(StringPrintf(
+          "line %zu is %zu bytes, over the %zu-byte row limit", line_no,
+          line.size(), options.max_row_bytes));
+    }
+    if (line.find('\0') != std::string::npos) {
+      return Status::InvalidArgument(StringPrintf(
+          "line %zu contains an embedded NUL byte", line_no));
+    }
+    std::vector<std::string> fields;
+    if (!SplitCsvLineByChars(line, options.separator, &fields)) {
+      return Status::InvalidArgument(
+          StringPrintf("unterminated quote on line %zu", line_no));
+    }
+    if (line_no == 1 && options.has_header) {
+      header = std::move(fields);
+      arity = header.size();
+      continue;
+    }
+    if (arity == 0) arity = fields.size();
+    if (fields.size() != arity) {
+      return Status::InvalidArgument(StringPrintf(
+          "line %zu has %zu fields, expected %zu", line_no, fields.size(),
+          arity));
+    }
+    rows.push_back(std::move(fields));
+  }
+  if (arity == 0) return Status::InvalidArgument("empty CSV input");
+
+  std::vector<ColumnSpec> specs;
+  for (size_t c = 0; c < arity; ++c) {
+    ColumnSpec spec;
+    spec.name = options.has_header ? header[c] : StringPrintf("col%zu", c);
+    spec.type = DataType::kString;
+    if (options.infer_types && !rows.empty()) {
+      bool all_int = true, all_double = true, any_value = false;
+      for (const auto& row : rows) {
+        if (row[c].empty()) continue;
+        any_value = true;
+        int64_t iv;
+        double dv;
+        if (!ParseInt64(row[c], &iv)) all_int = false;
+        if (!ParseDouble(row[c], &dv)) all_double = false;
+      }
+      if (any_value && all_int) spec.type = DataType::kInt64;
+      else if (any_value && all_double) spec.type = DataType::kDouble;
+    }
+    specs.push_back(std::move(spec));
+  }
+  Table table{Schema(std::move(specs))};
+  std::vector<Value> row_values(arity);
+  for (const auto& row : rows) {
+    for (size_t c = 0; c < arity; ++c) {
+      const std::string& cell = row[c];
+      const DataType type = table.schema().column(c).type;
+      int64_t iv = 0;
+      double dv = 0;
+      if (cell.empty()) {
+        row_values[c] = Value();
+      } else if (type == DataType::kInt64 && ParseInt64(cell, &iv)) {
+        row_values[c] = Value(iv);
+      } else if (type == DataType::kDouble && ParseDouble(cell, &dv)) {
+        row_values[c] = Value(dv);
+      } else {
+        row_values[c] = Value(cell);
+      }
+    }
+    INCOGNITO_RETURN_IF_ERROR(table.AppendRow(row_values));
+  }
+  return table;
+}
+
+/// Empty when two parses agree — the same schema, dictionary values (with
+/// their types, so 1 and 1.0 differ) and codes, or the same failure status
+/// and message — and otherwise the first difference.
+inline std::string ParseDifference(const Result<Table>& a,
+                                   const Result<Table>& b) {
+  if (!a.ok() || !b.ok()) {
+    if (a.ok() != b.ok() || a.status().code() != b.status().code() ||
+        a.status().message() != b.status().message()) {
+      return "status " + a.status().ToString() + " vs " +
+             b.status().ToString();
+    }
+    return "";
+  }
+  if (a->schema().ToString() != b->schema().ToString()) {
+    return "schema " + a->schema().ToString() + " vs " +
+           b->schema().ToString();
+  }
+  if (a->num_rows() != b->num_rows()) return "row count";
+  auto typed = [](const Value& v) {
+    const char* type = v.is_null()     ? "null"
+                       : v.is_int64()  ? "int64"
+                       : v.is_double() ? "double"
+                                       : "string";
+    return std::string(type) + ":" + v.ToString();
+  };
+  for (size_t c = 0; c < a->num_columns(); ++c) {
+    const Dictionary& da = a->dictionary(c);
+    const Dictionary& db = b->dictionary(c);
+    if (da.size() != db.size()) {
+      return StringPrintf("column %zu dictionary size %zu vs %zu", c,
+                          da.size(), db.size());
+    }
+    for (int32_t code = 0; code < static_cast<int32_t>(da.size()); ++code) {
+      if (typed(da.value(code)) != typed(db.value(code))) {
+        return StringPrintf("column %zu code %d: ", c, code) +
+               typed(da.value(code)) + " vs " + typed(db.value(code));
+      }
+    }
+    if (a->ColumnCodes(c) != b->ColumnCodes(c)) {
+      return StringPrintf("column %zu codes", c);
+    }
+  }
+  return "";
 }
 
 /// Makes a full-QID SubsetNode from a level vector.

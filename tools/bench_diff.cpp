@@ -16,6 +16,11 @@
 //             millisecond timings are scheduler noise, not signal.
 //   speedup   keys containing "speedup" (noisy, higher is better):
 //             REGRESSION when new < old * (1 - speedup-threshold).
+//             Floor: a key ending in "speedup_threads_N", with 2 <= N <=
+//             this machine's hardware threads, whose baseline shows
+//             scaling (old > 1.0) is also a REGRESSION unless new > 1.0,
+//             whatever the threshold allows — N workers on N cores must
+//             beat one.
 //   overhead  keys containing "overhead_ratio" (a with/without timing
 //             ratio whose contract is absolute, not relative to the
 //             baseline): REGRESSION when new > 1 + overhead-threshold.
@@ -70,6 +75,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/strings.h"
@@ -126,6 +132,24 @@ KeyClass ClassifyKey(const std::string& path) {
     return KeyClass::kTableScans;
   }
   return KeyClass::kCounter;
+}
+
+/// The speedup floor (see file header): true when `path` names an N-thread
+/// speedup the baseline shows (old > 1.0) that has fallen to 1.0 or below,
+/// with N within this machine's hardware threads.
+bool BelowScalingFloor(const std::string& path, double old_value,
+                       double new_value) {
+  static const std::string kSuffix = "speedup_threads_";
+  const size_t at = path.rfind(kSuffix);
+  if (at == std::string::npos || old_value <= 1.0 || new_value > 1.0) {
+    return false;
+  }
+  int64_t threads = 0;
+  if (!incognito::ParseInt64(path.substr(at + kSuffix.size()), &threads)) {
+    return false;
+  }
+  const int64_t cores = std::thread::hardware_concurrency();
+  return threads >= 2 && threads <= cores;
 }
 
 /// Flattens the numeric leaves of a JSON subtree into dotted key paths.
@@ -199,7 +223,8 @@ struct Diff {
         }
         return;
       case KeyClass::kSpeedup:
-        if (new_value < old_value * (1.0 - opts.speedup_threshold)) {
+        if (new_value < old_value * (1.0 - opts.speedup_threshold) ||
+            BelowScalingFloor(path, old_value, new_value)) {
           Regress(path, old_value, new_value);
         } else if (opts.list && new_value > old_value) {
           Improve(path, old_value, new_value);

@@ -119,15 +119,15 @@
 //   2  usage error (unknown subcommand or flag)
 //                         5  deadline/memory/cancel budget tripped
 //
-// Examples:
-//   incognito_cli enumerate --input=adults.csv --k=5 \
-//     --qid=Age,Gender,Zipcode \
+// Examples (one command each, wrapped here):
+//   incognito_cli enumerate --input=adults.csv --k=5
+//     --qid=Age,Gender,Zipcode
 //     --hierarchies=Age=interval:5:10:20,Gender=suppress,Zipcode=digits:5:3
-//   incognito_cli anonymize --input=adults.csv --output=out.csv --k=5 \
+//   incognito_cli anonymize --input=adults.csv --output=out.csv --k=5
 //     --qid=... --hierarchies=... [--suppress=25] [--levels=1,0,2]
-//   incognito_cli check --input=... --qid=... --hierarchies=... \
+//   incognito_cli check --input=... --qid=... --hierarchies=...
 //     --levels=1,0,2 --k=5 [--l=3 --sensitive=Disease]
-//   incognito_cli hierarchy --input=adults.csv --column=Age \
+//   incognito_cli hierarchy --input=adults.csv --column=Age
 //     --spec=interval:5:10:20 --output=age_hierarchy.csv
 
 #include <chrono>

@@ -76,6 +76,26 @@ std::string AlgorithmStats::ToString() const {
       static_cast<long long>(batched_scan_nodes), batch_scan_seconds);
 }
 
+Status CheckFullQidNode(const QuasiIdentifier& qid, const SubsetNode& node) {
+  if (node.size() != qid.size()) {
+    return Status::InvalidArgument(
+        "node must generalize the full quasi-identifier");
+  }
+  for (size_t i = 0; i < node.size(); ++i) {
+    if (node.dims[i] != static_cast<int32_t>(i)) {
+      return Status::InvalidArgument(
+          "node dims must be 0..n-1 over the full quasi-identifier");
+    }
+    if (node.levels[i] < 0 ||
+        static_cast<size_t>(node.levels[i]) > qid.hierarchy(i).height()) {
+      return Status::OutOfRange(StringPrintf(
+          "level %d out of range for attribute '%s'", node.levels[i],
+          qid.name(i).c_str()));
+    }
+  }
+  return Status::OK();
+}
+
 bool IsKAnonymous(const Table& table, const QuasiIdentifier& qid,
                   const SubsetNode& node, const AnonymizationConfig& config,
                   AlgorithmStats* stats, int num_threads) {
@@ -97,6 +117,7 @@ Result<bool> IsKAnonymous(const Table& table, const QuasiIdentifier& qid,
                           const SubsetNode& node,
                           const AnonymizationConfig& config,
                           const RunContext& ctx, AlgorithmStats* stats) {
+  INCOGNITO_RETURN_IF_ERROR(CheckFullQidNode(qid, node));
   int num_threads = ctx.num_threads > 0 ? ctx.num_threads : 1;
   if (ctx.governor == nullptr) {
     return IsKAnonymous(table, qid, node, config, stats, num_threads);

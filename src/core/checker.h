@@ -85,10 +85,20 @@ struct AlgorithmStats {
   std::string ToString() const;
 };
 
+/// OK iff `node` is a full-QID node — dims 0..n-1 in order — with every
+/// level in [0, height] of its attribute's hierarchy. Otherwise
+/// InvalidArgument, or OutOfRange naming the first attribute whose level
+/// is out of range. The precondition of every entry point that takes a
+/// full-domain generalization: both checkers, both recoders and
+/// ApplyDiverseGeneralization.
+Status CheckFullQidNode(const QuasiIdentifier& qid, const SubsetNode& node);
+
 /// Directly checks whether `table` is k-anonymous with respect to the
 /// generalization `node` by computing the frequency set with one scan —
 /// the paper's SELECT COUNT(*) ... GROUP BY query. Convenience entry point
 /// and the oracle the property tests compare the algorithms against.
+/// Requires CheckFullQidNode(qid, node).ok(), unchecked: the benches and
+/// oracles call it in loops over lattice nodes.
 /// When `stats` is non-null, the check's costs are accumulated into it.
 /// `num_threads` > 1 fans the scan out across a worker pool
 /// (FrequencySet::ComputeBatch) with a bit-identical verdict and stats.
@@ -96,12 +106,12 @@ bool IsKAnonymous(const Table& table, const QuasiIdentifier& qid,
                   const SubsetNode& node, const AnonymizationConfig& config,
                   AlgorithmStats* stats = nullptr, int num_threads = 1);
 
-/// RunContext variant (docs/API.md): ctx.governor (when non-null) is
-/// polled before the scan and charged the frequency set's heap footprint
-/// (released after the check); kDeadlineExceeded / kResourceExhausted /
-/// kCancelled replace the answer when a budget trips. An ungoverned
-/// context never trips. ctx.num_threads > 1 runs the scan across a worker
-/// pool with per-worker shard charges.
+/// RunContext variant (docs/API.md): returns CheckFullQidNode's error for
+/// a node that fails it. ctx.governor (when non-null) is polled before the
+/// scan, governs every row chunk of the scan (ctx.num_threads of them),
+/// and is charged the frequency set's heap footprint (released after the
+/// check); kDeadlineExceeded / kResourceExhausted / kCancelled replace the
+/// answer when a budget trips. An ungoverned context never trips.
 Result<bool> IsKAnonymous(const Table& table, const QuasiIdentifier& qid,
                           const SubsetNode& node,
                           const AnonymizationConfig& config,

@@ -119,10 +119,7 @@ PartialResult<LDiversityResult> RunLDiversityIncognito(
 Result<RecodeResult> ApplyDiverseGeneralization(
     const Table& table, const QuasiIdentifier& qid, const SubsetNode& node,
     const LDiversityConfig& config) {
-  if (node.size() != qid.size()) {
-    return Status::InvalidArgument(
-        "node must generalize the full quasi-identifier");
-  }
+  INCOGNITO_RETURN_IF_ERROR(CheckFullQidNode(qid, node));
   Result<DiversityKey> key = DiversityKey::Create(table, qid, config);
   if (!key.ok()) return key.status();
 

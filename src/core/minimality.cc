@@ -1,7 +1,10 @@
 #include "core/minimality.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
+
+#include "common/strings.h"
 
 namespace incognito {
 
@@ -25,6 +28,13 @@ Result<std::vector<SubsetNode>> MinimalByWeight(
   if (weights.size() != qid.size()) {
     return Status::InvalidArgument(
         "weights must have one entry per quasi-identifier attribute");
+  }
+  for (size_t i = 0; i < weights.size(); ++i) {
+    if (!std::isfinite(weights[i])) {
+      return Status::InvalidArgument(StringPrintf(
+          "weight %g for attribute '%s' is not a finite number", weights[i],
+          qid.name(i).c_str()));
+    }
   }
   std::vector<SubsetNode> out;
   double best = std::numeric_limits<double>::infinity();

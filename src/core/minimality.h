@@ -24,7 +24,9 @@ std::vector<SubsetNode> MinimalByHeight(const std::vector<SubsetNode>& nodes);
 /// notions of minimality"): cost(v) = Σ_i weights[i] · levels[i] /
 /// hierarchy height_i (normalizing so each attribute contributes its
 /// weight at full generalization). Returns the nodes of minimal cost.
-/// Requires weights.size() == qid.size() and all nodes over the full QID.
+/// Requires weights.size() == qid.size(), every weight finite (a NaN or
+/// infinite one is InvalidArgument, naming its attribute), and all nodes
+/// over the full QID.
 Result<std::vector<SubsetNode>> MinimalByWeight(
     const std::vector<SubsetNode>& nodes, const std::vector<double>& weights,
     const QuasiIdentifier& qid);

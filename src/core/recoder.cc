@@ -11,22 +11,7 @@ namespace incognito {
 Result<RecodeResult> ApplyFullDomainGeneralization(
     const Table& table, const QuasiIdentifier& qid, const SubsetNode& node,
     const AnonymizationConfig& config) {
-  if (node.size() != qid.size()) {
-    return Status::InvalidArgument(
-        "node must generalize the full quasi-identifier");
-  }
-  for (size_t i = 0; i < node.size(); ++i) {
-    if (node.dims[i] != static_cast<int32_t>(i)) {
-      return Status::InvalidArgument(
-          "node dims must be 0..n-1 over the full quasi-identifier");
-    }
-    if (node.levels[i] < 0 ||
-        static_cast<size_t>(node.levels[i]) > qid.hierarchy(i).height()) {
-      return Status::OutOfRange(StringPrintf(
-          "level %d out of range for attribute '%s'", node.levels[i],
-          qid.name(i).c_str()));
-    }
-  }
+  INCOGNITO_RETURN_IF_ERROR(CheckFullQidNode(qid, node));
 
   // Identify the tuples to suppress: members of groups smaller than k.
   FrequencySet freq = FrequencySet::Compute(table, qid, node);

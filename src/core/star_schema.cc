@@ -39,10 +39,7 @@ Result<RecodeResult> RecodeViaStarJoin(const Table& table,
                                        const QuasiIdentifier& qid,
                                        const SubsetNode& node,
                                        const AnonymizationConfig& config) {
-  if (node.size() != qid.size()) {
-    return Status::InvalidArgument(
-        "node must generalize the full quasi-identifier");
-  }
+  INCOGNITO_RETURN_IF_ERROR(CheckFullQidNode(qid, node));
 
   // Join T with each dimension table and substitute the generalized level
   // column for the original attribute. (A DBMS would fold all joins into
@@ -51,11 +48,6 @@ Result<RecodeResult> RecodeViaStarJoin(const Table& table,
   for (size_t i = 0; i < qid.size(); ++i) {
     size_t level = static_cast<size_t>(node.levels[i]);
     if (level == 0) continue;  // base values stay as-is
-    if (level > qid.hierarchy(i).height()) {
-      return Status::OutOfRange(StringPrintf(
-          "level %zu out of range for attribute '%s'", level,
-          qid.name(i).c_str()));
-    }
     Table dimension = MakeDimensionTable(qid.hierarchy(i));
     const std::string base_col = qid.name(i) + "_0";
     const std::string level_col =

@@ -45,10 +45,9 @@ void NodeColumns(const Table& table, const QuasiIdentifier& qid,
 
 /// The one rule by which a packed build counts into a key-indexed array
 /// instead of sorting: the `bits`-bit key space is at most twice the
-/// `input` it aggregates — table rows for a scan (a worker's chunk when
-/// pooled), source groups for a rollup or projection. The array's 8 B
-/// slots then cost at most 16 B per input entry, no more than a sort's key
-/// + scratch buffers.
+/// `input` it aggregates — a row chunk's rows for a scan, source groups
+/// for a rollup or projection. The array's 8 B slots then cost at most
+/// 16 B per input entry, no more than a sort's key + scratch buffers.
 bool CountsDensely(size_t bits, size_t input) {
   return bits < 64 &&
          (uint64_t{1} << bits) <= 2 * static_cast<uint64_t>(input);
@@ -67,7 +66,7 @@ void SweepCounts(const std::vector<int64_t>& counts,
   }
 }
 
-/// Rows between governor polls in the pooled scan.
+/// Rows between governor polls in a governed scan chunk.
 constexpr size_t kCheckEveryRows = 16384;
 /// Rows whose packed keys are gathered at once before counting: 16 KB of
 /// keys, which stays in L1.
@@ -225,124 +224,64 @@ std::vector<FrequencySet> FrequencySet::ComputeBatch(
   // have different widths, so a batch can mix them). A packed node is
   // gathered column-wise outside the shared row loop, then counted or
   // sorted; the wide nodes ride one row loop into FlatCodeMaps.
-  const bool pooled = pool != nullptr && pool->size() > 1;
-  const size_t workers = pooled ? static_cast<size_t>(pool->size()) : 1;
+  const size_t chunks = pool != nullptr ? static_cast<size_t>(pool->size()) : 1;
   // Whether a packed node counts, decided once against the rows each
-  // worker counts, so every worker takes the same branch.
+  // chunk counts, so every chunk takes the same branch.
   std::vector<bool> dense(b, false);
   bool any_sort = false;
   bool any_wide = false;
   for (size_t j = 0; j < b; ++j) {
     if (out[j].packed_) {
       INCOGNITO_COUNT("freq.substrate_radix");
-      dense[j] = CountsDensely(out[j].codec_.total_bits(), rows / workers);
+      dense[j] = CountsDensely(out[j].codec_.total_bits(), rows / chunks);
       any_sort = any_sort || !dense[j];
     } else {
       INCOGNITO_COUNT("freq.substrate_flat");
       any_wide = true;
     }
   }
-
-  if (!pooled) {
-    // Serial shared scan: one row loop feeds every wide node; packed nodes
-    // each take a columnar pass over their (shared, cache-resident)
-    // columns. The fault site stands in for an allocation failure while
-    // setting the aggregation state up.
-    if (governor != nullptr && INCOGNITO_FAULT_FIRED("freq.batch.scan")) {
-      governor->LatchInjectedFailure("freq.batch.scan");
-      return out;
-    }
-    // Counted nodes go first, so no count array lives beside the sort
-    // buffers.
-    for (size_t j = 0; j < b; ++j) {
-      if (!dense[j]) continue;
-      std::vector<int64_t> counts(size_t{1} << out[j].codec_.total_bits(), 0);
-      CountPackedKeys(cols[j], maps[j], out[j].codec_, 0, rows,
-                      counts.data(), [] { return true; });
-      SweepCounts(counts, &out[j].groups_);
-    }
-    if (any_sort) {
-      std::vector<uint64_t> keys;
-      std::vector<uint64_t> scratch;
-      for (size_t j = 0; j < b; ++j) {
-        if (!out[j].packed_ || dense[j]) continue;
-        GatherPackedKeys(cols[j], maps[j], out[j].codec_, 0, rows, &keys);
-        RadixSortKeys(keys, scratch, out[j].codec_.total_bits());
-        ExtractGroups(keys, &out[j].groups_);
-      }
-    }
-    if (any_wide) {
-      std::vector<std::unique_ptr<FlatCodeMap>> flat(b);
-      std::vector<std::vector<int32_t>> codes(b);
-      for (size_t j = 0; j < b; ++j) {
-        if (out[j].packed_) continue;
-        codes[j].resize(nodes[j].size());
-        flat[j] = std::make_unique<FlatCodeMap>(nodes[j].size(), rows / 4 + 8);
-      }
-      for (size_t r = 0; r < rows; ++r) {
-        for (size_t j = 0; j < b; ++j) {
-          if (out[j].packed_) continue;
-          const size_t n = nodes[j].size();
-          for (size_t i = 0; i < n; ++i) {
-            codes[j][i] = maps[j][i][cols[j][i][r]];
-          }
-          flat[j]->Add(codes[j].data(), 1);
-        }
-      }
-      for (size_t j = 0; j < b; ++j) {
-        if (out[j].packed_) continue;
-        // AppendTo reserves the exact group count, so the capacity —
-        // hence MemoryBytes() — matches the pooled merge's.
-        flat[j]->AppendTo(&out[j].vgroups_);
-        out[j].SortGroups();
-      }
-    }
-    for (size_t j = 0; j < b; ++j) {
-      out[j].total_count_ = static_cast<int64_t>(rows);
-    }
-    return out;
+  if (chunks > 1) {
+    INCOGNITO_COUNT_ADD("freq.scan_chunks", static_cast<int64_t>(chunks));
   }
 
-  INCOGNITO_COUNT_ADD("freq.scan_chunks", static_cast<int64_t>(workers));
-
-  // Per-worker, per-node thread-local aggregation state; merged after the
-  // barrier in worker-id order.
-  std::vector<std::vector<std::vector<int64_t>>> wcount(workers);
-  std::vector<std::vector<std::vector<std::pair<uint64_t, int64_t>>>> wpart(
-      workers);
-  std::vector<std::vector<std::unique_ptr<FlatCodeMap>>> wflat(workers);
-  for (size_t w = 0; w < workers; ++w) {
-    wcount[w].resize(b);
-    wpart[w].resize(b);
-    wflat[w].resize(b);
+  // Per-chunk, per-node aggregation state, merged per node in chunk order.
+  std::vector<std::vector<std::vector<int64_t>>> ccount(chunks);
+  std::vector<std::vector<std::vector<std::pair<uint64_t, int64_t>>>> cpart(
+      chunks);
+  std::vector<std::vector<std::unique_ptr<FlatCodeMap>>> cflat(chunks);
+  for (size_t c = 0; c < chunks; ++c) {
+    ccount[c].resize(b);
+    cpart[c].resize(b);
+    cflat[c].resize(b);
   }
 
   std::vector<std::unique_ptr<GovernorShard>> shards;
   if (governor != nullptr) {
-    shards.reserve(workers);
-    for (size_t w = 0; w < workers; ++w) {
+    shards.reserve(chunks);
+    for (size_t c = 0; c < chunks; ++c) {
       shards.push_back(std::make_unique<GovernorShard>(governor));
     }
   }
 
-  pool->Run(rows, [&](int w, size_t begin, size_t end) {
+  // The one chunk body: rows [begin, end) into chunk c's state.
+  auto scan_chunk = [&](int chunk, size_t begin, size_t end) {
     INCOGNITO_SPAN("freq.batch_scan.chunk");
-    const size_t wi = static_cast<size_t>(w);
-    GovernorShard* shard = governor != nullptr ? shards[wi].get() : nullptr;
+    const size_t c = static_cast<size_t>(chunk);
+    GovernorShard* shard = governor != nullptr ? shards[c].get() : nullptr;
     if (shard != nullptr) {
       if (!shard->Check().ok()) return;
       // Fault site "freq.batch.scan": an injected allocation failure at
-      // the start of a worker's row chunk latches like a refused charge;
-      // sibling chunks stop at their next checkpoint.
+      // the start of a row chunk latches like a refused charge; sibling
+      // chunks stop at their next checkpoint.
       if (INCOGNITO_FAULT_FIRED("freq.batch.scan")) {
         governor->LatchInjectedFailure("freq.batch.scan");
         return;
       }
     }
     const size_t chunk_rows = end - begin;
-    // Monotonic footprint ledger shared by every node this worker feeds:
-    // count arrays charge before they are allocated, sorted outputs as
-    // they finish, map growth at checkpoints.
+    // Monotonic footprint ledger shared by every node this chunk feeds:
+    // sort buffers and count arrays charge before they are allocated,
+    // sorted outputs as they finish, map growth at checkpoints.
     int64_t charged = 0;
     int64_t partial_bytes = 0;
     auto charge_to = [&](int64_t now) {
@@ -354,17 +293,8 @@ std::vector<FrequencySet> FrequencySet::ComputeBatch(
       return true;
     };
     auto tick = [shard] { return shard == nullptr || shard->Check().ok(); };
-    for (size_t j = 0; j < b; ++j) {
-      if (!dense[j]) continue;
-      const size_t slots = size_t{1} << out[j].codec_.total_bits();
-      partial_bytes += static_cast<int64_t>(slots * sizeof(int64_t));
-      if (!charge_to(partial_bytes)) return;
-      wcount[wi][j].assign(slots, 0);
-      if (!CountPackedKeys(cols[j], maps[j], out[j].codec_, begin, end,
-                           wcount[wi][j].data(), tick)) {
-        return;
-      }
-    }
+    // Sorted nodes go first, so no count array lives beside the sort
+    // buffers.
     if (any_sort && chunk_rows > 0) {
       const int64_t buffer_bytes =
           static_cast<int64_t>(2 * chunk_rows * sizeof(uint64_t));
@@ -382,7 +312,7 @@ std::vector<FrequencySet> FrequencySet::ComputeBatch(
             ok = false;
             break;
           }
-          const size_t groups = ExtractGroups(keys, &wpart[wi][j]);
+          const size_t groups = ExtractGroups(keys, &cpart[c][j]);
           partial_bytes += static_cast<int64_t>(
               groups * sizeof(std::pair<uint64_t, int64_t>));
           ok = charge_to(partial_bytes);
@@ -391,14 +321,25 @@ std::vector<FrequencySet> FrequencySet::ComputeBatch(
       if (shard != nullptr) shard->ReleaseMemory(buffer_bytes);
       if (!ok) return;
     }
+    for (size_t j = 0; j < b; ++j) {
+      if (!dense[j]) continue;
+      const size_t slots = size_t{1} << out[j].codec_.total_bits();
+      partial_bytes += static_cast<int64_t>(slots * sizeof(int64_t));
+      if (!charge_to(partial_bytes)) return;
+      ccount[c][j].assign(slots, 0);
+      if (!CountPackedKeys(cols[j], maps[j], out[j].codec_, begin, end,
+                           ccount[c][j].data(), tick)) {
+        return;
+      }
+    }
     if (!any_wide) return;
     auto checkpoint = [&]() {
       if (shard == nullptr) return true;
       if (!shard->Check().ok()) return false;
       int64_t now = partial_bytes;
       for (size_t j = 0; j < b; ++j) {
-        if (wflat[wi][j] != nullptr) {
-          now += static_cast<int64_t>(wflat[wi][j]->MemoryBytes());
+        if (cflat[c][j] != nullptr) {
+          now += static_cast<int64_t>(cflat[c][j]->MemoryBytes());
         }
       }
       return charge_to(now);
@@ -407,7 +348,7 @@ std::vector<FrequencySet> FrequencySet::ComputeBatch(
     for (size_t j = 0; j < b; ++j) {
       if (out[j].packed_) continue;
       codes[j].resize(nodes[j].size());
-      wflat[wi][j] =
+      cflat[c][j] =
           std::make_unique<FlatCodeMap>(nodes[j].size(), chunk_rows / 4 + 8);
     }
     for (size_t r = begin; r < end; ++r) {
@@ -418,11 +359,17 @@ std::vector<FrequencySet> FrequencySet::ComputeBatch(
         for (size_t i = 0; i < n; ++i) {
           codes[j][i] = maps[j][i][cols[j][i][r]];
         }
-        wflat[wi][j]->Add(codes[j].data(), 1);
+        cflat[c][j]->Add(codes[j].data(), 1);
       }
     }
     checkpoint();
-  });
+  };
+  // One chunk runs inline, so a 1-worker pool records no chunk event.
+  if (chunks > 1) {
+    pool->Run(rows, scan_chunk);
+  } else {
+    scan_chunk(0, 0, rows);
+  }
 
   // Transient charges return to the governor here; a trip (if any) is
   // already latched shared, so the caller's SharedTrip() check sees it.
@@ -432,40 +379,44 @@ std::vector<FrequencySet> FrequencySet::ComputeBatch(
     return out;
   }
 
-  // Merge each node in worker-id order: counted nodes sum their arrays and
-  // sweep them, the rest coalesce equal keys and sort canonically. Either
-  // way the reserve is exact, so the capacity (hence MemoryBytes())
-  // matches the serial scan.
+  // Merge each node in chunk order: counted nodes sum their arrays and
+  // sweep them, the rest coalesce equal keys and sort canonically; a
+  // single chunk's sorted run is already the set. Either way the reserve
+  // is exact, so the capacity (hence MemoryBytes()) is the same at every
+  // chunk count.
   for (size_t j = 0; j < b; ++j) {
     if (dense[j]) {
-      std::vector<int64_t> counts = std::move(wcount[0][j]);
-      for (size_t w = 1; w < workers; ++w) {
-        const std::vector<int64_t> part = std::move(wcount[w][j]);
+      std::vector<int64_t> counts = std::move(ccount[0][j]);
+      for (size_t c = 1; c < chunks; ++c) {
+        const std::vector<int64_t> part = std::move(ccount[c][j]);
         assert(part.size() == counts.size());
         for (size_t key = 0; key < part.size(); ++key) {
           counts[key] += part[key];
         }
       }
       SweepCounts(counts, &out[j].groups_);
+    } else if (out[j].packed_ && chunks == 1) {
+      // ExtractGroups left it sorted, unique and exactly reserved.
+      out[j].groups_ = std::move(cpart[0][j]);
     } else if (out[j].packed_) {
       std::vector<std::pair<uint64_t, int64_t>> all;
       size_t total = 0;
-      for (size_t w = 0; w < workers; ++w) total += wpart[w][j].size();
+      for (size_t c = 0; c < chunks; ++c) total += cpart[c][j].size();
       all.reserve(total);
-      for (size_t w = 0; w < workers; ++w) {
-        all.insert(all.end(), wpart[w][j].begin(), wpart[w][j].end());
+      for (size_t c = 0; c < chunks; ++c) {
+        all.insert(all.end(), cpart[c][j].begin(), cpart[c][j].end());
       }
       std::sort(all.begin(), all.end());
       CoalescePacked(all, &out[j].groups_);
     } else {
       std::vector<std::pair<std::vector<int32_t>, int64_t>> all;
       size_t total = 0;
-      for (size_t w = 0; w < workers; ++w) {
-        total += wflat[w][j] != nullptr ? wflat[w][j]->size() : 0;
+      for (size_t c = 0; c < chunks; ++c) {
+        total += cflat[c][j] != nullptr ? cflat[c][j]->size() : 0;
       }
       all.reserve(total);
-      for (size_t w = 0; w < workers; ++w) {
-        if (wflat[w][j] != nullptr) wflat[w][j]->AppendTo(&all);
+      for (size_t c = 0; c < chunks; ++c) {
+        if (cflat[c][j] != nullptr) cflat[c][j]->AppendTo(&all);
       }
       std::sort(all.begin(), all.end());
       CoalesceVec(all, &out[j].vgroups_);

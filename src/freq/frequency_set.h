@@ -36,8 +36,8 @@ class FrequencySet {
 
   /// Computes the frequency set by scanning the table once — the paper's
   /// COUNT(*) GROUP BY query. `node` selects the participating attributes
-  /// (dims, as QID indices) and the generalization level of each. A serial,
-  /// ungoverned batch of one over ComputeBatch.
+  /// (dims, as QID indices) and the generalization level of each. An
+  /// ungoverned one-chunk batch of one over ComputeBatch.
   ///
   /// `substrate` serves only the two benches that time the group-by
   /// engines (freq/substrate.h): kHash on a packed key runs a serial
@@ -54,26 +54,26 @@ class FrequencySet {
   /// level's scan-required nodes cost one scan instead of one each. Each
   /// node's key width picks its engine (DESIGN.md "Group-by substrates"):
   /// a packed node gathers its keys column by column, then counts them
-  /// into a key-indexed array when 2^bits ≤ 2 × rows (rows / workers when
-  /// pooled), and radix-sorts them otherwise; a node whose key is wider
-  /// than 64 bits is aggregated row by row into a FlatCodeMap. result[j]
-  /// is bit-identical to Compute(table, qid, nodes[j]), including the
-  /// canonical group order and the exact MemoryBytes().
+  /// into a key-indexed array when 2^bits ≤ 2 × a chunk's rows, and
+  /// radix-sorts them otherwise; a node whose key is wider than 64 bits is
+  /// aggregated row by row into a FlatCodeMap. result[j] is bit-identical
+  /// to Compute(table, qid, nodes[j]), including the canonical group order
+  /// and the exact MemoryBytes().
   ///
-  /// With a non-null `pool` of size > 1 the rows are statically chunked
-  /// across the workers (docs/PARALLELISM.md "Intra-node parallelism"):
-  /// each aggregates its chunk into thread-local per-node state, then the
-  /// partials merge in worker-id order — count arrays by summing, the rest
-  /// with one canonical sort — using an exact reserve so the result is
-  /// bit-identical to the serial scan at any thread count. When `governor`
-  /// is non-null the scan is governed: the parallel path charges every
-  /// node's running footprint to transient per-worker shards (drained
-  /// before returning) and polls for trips every few thousand rows; a
-  /// worker's count arrays and sort buffers are charged before they are
-  /// allocated. Both paths consult the "freq.batch.scan" fault site (once
-  /// per chunk when parallel, once up front when serial). A tripped batch
-  /// latches the governor and returns all-empty sets; callers detect it
-  /// via governor->SharedTrip().
+  /// The rows are split into C static chunks, C = pool->size() (1 without
+  /// a pool), which all run one chunk body (docs/PARALLELISM.md
+  /// "Intra-node parallelism"): several across the pool, a single one
+  /// inline on the calling thread. Each chunk aggregates into its own
+  /// per-node state, sorted nodes before counted ones; then each node
+  /// merges in chunk order — count arrays by summing, sorted runs with one
+  /// canonical sort (a single run is already the set) — using an exact
+  /// reserve, so the result is bit-identical at any C. When `governor` is
+  /// non-null every chunk is governed alike: it consults the
+  /// "freq.batch.scan" fault site once, charges its sort buffers, count
+  /// arrays and partials to a transient shard (drained before returning)
+  /// before allocating them, and polls for trips every few thousand rows.
+  /// A tripped batch latches the governor and returns all-empty sets;
+  /// callers detect it via governor->SharedTrip().
   static std::vector<FrequencySet> ComputeBatch(
       const Table& table, const QuasiIdentifier& qid,
       const std::vector<SubsetNode>& nodes, WorkerPool* pool = nullptr,

@@ -13,28 +13,6 @@
 
 namespace incognito {
 
-CandidateGraph MakeSingleAttributeGraph(const QuasiIdentifier& qid) {
-  INCOGNITO_SPAN("lattice.single_attribute_graph");
-  CandidateGraph graph;
-  std::vector<std::vector<int64_t>> level_ids(qid.size());
-  for (size_t d = 0; d < qid.size(); ++d) {
-    size_t height = qid.hierarchy(d).height();
-    level_ids[d].resize(height + 1);
-    for (size_t l = 0; l <= height; ++l) {
-      NodeRow row;
-      row.pairs = {{static_cast<int32_t>(d), static_cast<int32_t>(l)}};
-      level_ids[d][l] = graph.AddNode(std::move(row));
-    }
-  }
-  for (size_t d = 0; d < qid.size(); ++d) {
-    for (size_t l = 0; l + 1 < level_ids[d].size(); ++l) {
-      graph.AddEdge(level_ids[d][l], level_ids[d][l + 1]);
-    }
-  }
-  graph.BuildAdjacency();
-  return graph;
-}
-
 namespace {
 
 /// Key for grouping nodes by all pairs except the last (the join phase's
@@ -149,68 +127,6 @@ void ConnectCandidates(const CandidateGraph& p_side,
 
 }  // namespace
 
-CandidateGraph GenerateNextGraph(const CandidateGraph& survivors,
-                                 GraphGenStats* stats,
-                                 ExecutionGovernor* governor) {
-  INCOGNITO_SPAN("lattice.candidate_gen");
-  INCOGNITO_PHASE_TIMER("phase.candidate_gen_seconds");
-  INCOGNITO_COUNT("lattice.candidate_gen_calls");
-  GraphGenStats local_stats;
-  CandidateGraph next;
-  if (survivors.num_nodes() == 0) {
-    next.BuildAdjacency();
-    if (stats != nullptr) *stats = local_stats;
-    return next;
-  }
-
-  // ---- Join phase -------------------------------------------------------
-  // Group surviving nodes by their first i-1 pairs; within a group, every
-  // ordered pair (p, q) with p's last dimension < q's last dimension joins
-  // into a candidate of size i+1 (paper's INSERT INTO C_i ... SELECT).
-  std::map<std::vector<DimIndexPair>, std::vector<int64_t>> groups;
-  for (const NodeRow& row : survivors.nodes()) {
-    groups[PrefixKey(row)].push_back(row.id);
-  }
-  for (auto& [prefix, ids] : groups) {
-    (void)prefix;
-    for (int64_t p_id : ids) {
-      for (int64_t q_id : ids) {
-        const NodeRow& p = survivors.node(p_id);
-        const NodeRow& q = survivors.node(q_id);
-        if (p.pairs.back().dim >= q.pairs.back().dim) continue;
-        NodeRow cand;
-        cand.pairs = p.pairs;
-        cand.pairs.push_back(q.pairs.back());
-        cand.parent1 = p_id;
-        cand.parent2 = q_id;
-        next.AddNode(std::move(cand));
-        ++local_stats.joined;
-      }
-    }
-  }
-
-  // ---- Prune phase ------------------------------------------------------
-  // The membership tests query S_i, held in an Apriori hash tree that is
-  // charged while the prune runs.
-  SubsetHashTree tree;
-  for (const NodeRow& row : survivors.nodes()) tree.Insert(row.pairs);
-  int64_t tree_bytes = 0;
-  if (governor != nullptr) {
-    tree_bytes = static_cast<int64_t>(tree.MemoryBytes());
-    if (!governor->ChargeMemory(tree_bytes).ok()) tree_bytes = 0;
-  }
-  CandidateGraph graph = PruneCandidates(next, tree, &local_stats);
-  if (governor != nullptr && tree_bytes > 0) {
-    governor->ReleaseMemory(tree_bytes);
-  }
-
-  // ---- Edge generation --------------------------------------------------
-  // Both parents of every candidate are survivors of S_i.
-  ConnectCandidates(survivors, survivors, &local_stats, &graph);
-  if (stats != nullptr) *stats = local_stats;
-  return graph;
-}
-
 CandidateGraph MakeSingleDimensionChain(const QuasiIdentifier& qid,
                                         size_t dim) {
   CandidateGraph graph;
@@ -248,7 +164,7 @@ CandidateGraph GenerateSubsetGraph(
   }
 
   // ---- Join phase -------------------------------------------------------
-  // Batch GenerateNextGraph joins p, q from the same prefix group with
+  // The level-wise join pairs p, q from the same prefix group with
   // p.last.dim < q.last.dim. Restricted to subset D that is exactly: p
   // from D minus its largest dimension, q from D minus its second-largest,
   // equal on the shared prefix — the ordering predicate holds for every
@@ -274,11 +190,11 @@ CandidateGraph GenerateSubsetGraph(
   }
 
   // ---- Prune phase ------------------------------------------------------
-  // The batch prune drops each non-designated position of a candidate and
-  // tests membership in S_i; a candidate of subset D with position `drop`
+  // The prune drops each non-designated position of a candidate and tests
+  // membership in S_i; a candidate of subset D with position `drop`
   // dropped lies in subset D minus its drop-th dimension — i.e. among
   // parents[drop]'s nodes. The tree over parents[0..size-3] therefore
-  // answers exactly the queries the batch tree (over all of S_i) would.
+  // answers exactly the queries a tree over all of S_i would.
   SubsetHashTree tree;
   for (size_t j = 0; j + 2 < parents.size(); ++j) {
     for (const NodeRow& row : parents[j]->nodes()) tree.Insert(row.pairs);
@@ -294,9 +210,9 @@ CandidateGraph GenerateSubsetGraph(
   }
 
   // ---- Edge generation --------------------------------------------------
-  // The batch join, with the parent ids local to p_graph / q_graph. Edges
-  // never cross subsets, so the batch edge set restricted to D is
-  // reproduced exactly.
+  // The paper's edge join, with the parent ids local to p_graph / q_graph.
+  // Edges never cross subsets, so the level-wise edge set restricted to D
+  // is reproduced exactly.
   ConnectCandidates(p_graph, q_graph, &local_stats, &graph);
   if (stats != nullptr) *stats = local_stats;
   return graph;

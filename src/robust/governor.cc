@@ -77,6 +77,7 @@ Status ExecutionGovernor::SharedTrip() const {
 }
 
 void ExecutionGovernor::AbsorbShardTrips(const GovernorTrips& trips) {
+  std::lock_guard<std::mutex> lock(shared_mu_);
   trips_.checks += trips.checks;
   trips_.deadline_trips += trips.deadline_trips;
   trips_.memory_trips += trips.memory_trips;

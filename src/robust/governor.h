@@ -207,8 +207,8 @@ class ExecutionGovernor {
   Status SharedTrip() const;
 
   /// Folds a drained shard's trip counters into this governor's totals so
-  /// ExportTrips reflects the whole parallel run. Call only while the
-  /// worker pool is quiescent (GovernorShard::Drain does).
+  /// ExportTrips reflects the whole parallel run. Thread-safe: subset
+  /// tasks drain their scans' transient shards on their own workers.
   void AbsorbShardTrips(const GovernorTrips& trips);
 
  private:
@@ -217,7 +217,7 @@ class ExecutionGovernor {
   MemoryBudget memory_;
   GovernorTrips trips_;
   Status trip_;  // first trip, latched
-  mutable std::mutex shared_mu_;  // guards trip_ for the shard-side calls
+  mutable std::mutex shared_mu_;  // guards trip_ and shard absorbs
 };
 
 /// A worker-local view of a shared ExecutionGovernor for parallel search

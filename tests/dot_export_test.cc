@@ -4,13 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include "test_util.h"
+
 namespace incognito {
 namespace {
 
 TEST(DotExportTest, CandidateGraphDot) {
   Result<PatientsDataset> ds = MakePatientsDataset();
   ASSERT_TRUE(ds.ok());
-  CandidateGraph c1 = MakeSingleAttributeGraph(ds->qid);
+  CandidateGraph c1 = testing_util::MakeSingleAttributeGraph(ds->qid);
   std::string dot = CandidateGraphToDot(c1, &ds->qid);
   EXPECT_NE(dot.find("digraph candidates"), std::string::npos);
   EXPECT_NE(dot.find("<Zipcode:2>"), std::string::npos);

@@ -384,6 +384,20 @@ TEST_F(LDiversityTest, DiverseRecoderRejectsOverBudget) {
   EXPECT_EQ(view.status().code(), StatusCode::kFailedPrecondition);
 }
 
+TEST_F(LDiversityTest, DiverseRecoderRejectsLevelsOutsideTheHierarchy) {
+  const LDiversityConfig config = Config(2, 2, 2, "Disease");
+  const int32_t above =
+      static_cast<int32_t>(qid_.hierarchy(0).height()) + 1;
+  for (const SubsetNode& node :
+       {SubsetNode::Full({above, 0, 0}), SubsetNode::Full({0, -1, 0})}) {
+    EXPECT_EQ(ApplyDiverseGeneralization(table_, qid_, node, config)
+                  .status()
+                  .code(),
+              StatusCode::kOutOfRange)
+        << node.ToString();
+  }
+}
+
 TEST(LDiversityRandomTest, MonotoneUnderGeneralization) {
   // The property that justifies reusing Incognito's search: if a node is
   // (k,l)-diverse, so are its direct generalizations. The key-QID set's

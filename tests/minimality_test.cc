@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "core/incognito.h"
 #include "core/minimality.h"
 #include "data/patients.h"
@@ -80,6 +83,22 @@ TEST(MinimalByWeightTest, RejectsBadArity) {
   // Nodes over a partial QID are rejected.
   EXPECT_FALSE(
       MinimalByWeight({SubsetNode({0}, {1})}, {1, 1, 1}, ds->qid).ok());
+}
+
+TEST(MinimalByWeightTest, RejectsNonFiniteWeightsNamingTheAttribute) {
+  Result<PatientsDataset> ds = MakePatientsDataset();
+  ASSERT_TRUE(ds.ok());
+  // A NaN cost compares false both ways, so it once left no node chosen.
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    Result<std::vector<SubsetNode>> minimal =
+        MinimalByWeight(PatientsResultNodes(), {1.0, bad, 1.0}, ds->qid);
+    ASSERT_EQ(minimal.status().code(), StatusCode::kInvalidArgument) << bad;
+    EXPECT_NE(minimal.status().message().find(ds->qid.name(1)),
+              std::string::npos)
+        << minimal.status().ToString();
+  }
 }
 
 TEST(ParetoMinimalTest, PatientsAntichain) {

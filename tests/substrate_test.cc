@@ -6,7 +6,7 @@
 // footprint. Compute's kHash reference scan must stay bit-identical to the
 // kernel on packed keys, since the benches time the two against each
 // other. And the governed scans' byte accounting (drain-to-zero,
-// count-array and sort-buffer memory trips, cancels).
+// count-array and sort-buffer memory trips, cancels) at every chunk count.
 
 #include "freq/substrate.h"
 
@@ -824,6 +824,59 @@ TEST(SubstrateGovernedTest, GovernedBatchDrainsToZero) {
     ExpectMatchesOracle(data->table, data->qid, fs, fs.node().ToString());
   }
   EXPECT_EQ(governor.memory().used(), 0);
+}
+
+/// The zero node of every attribute of an n-attribute QID. On Adults at
+/// the paper's 45,222 rows and QID 9 it sorts (37,021 groups), on one
+/// chunk and on four.
+SubsetNode ZeroNode(size_t n) {
+  std::vector<int32_t> dims(n);
+  for (size_t i = 0; i < n; ++i) dims[i] = static_cast<int32_t>(i);
+  return SubsetNode(dims, std::vector<int32_t>(n, 0));
+}
+
+TEST(SubstrateGovernedTest, OneThreadCheckChargesItsSortBuffers) {
+  // A 1-thread governed check runs the same chunk body as a pooled one,
+  // so its peak covers the radix key and scratch buffers (2 × 8 B a row),
+  // not just the finished set.
+  Result<SyntheticDataset> data = MakeAdultsDataset();
+  ASSERT_TRUE(data.ok());
+  const Table& table = data->table;
+  const QuasiIdentifier& qid = data->qid;
+  const SubsetNode node = ZeroNode(qid.size());
+  ASSERT_EQ(table.num_rows(), 45222u);
+  ASSERT_FALSE(ScanCountsDensely(qid, node, table.num_rows(), 1));
+  ASSERT_EQ(FrequencySet::Compute(table, qid, node).NumGroups(), 37021u);
+  AnonymizationConfig config;
+  config.k = 2;
+  ExecutionGovernor governor;
+  Result<bool> governed = IsKAnonymous(table, qid, node, config,
+                                       RunContext::Governed(governor, 1));
+  ASSERT_TRUE(governed.ok()) << governed.status().ToString();
+  EXPECT_EQ(governed.value(), IsKAnonymous(table, qid, node, config));
+  EXPECT_GE(governor.memory().peak(),
+            static_cast<int64_t>(2 * sizeof(uint64_t) * table.num_rows()));
+  EXPECT_EQ(governor.memory().used(), 0);
+}
+
+TEST(SubstrateGovernedTest, MebibyteBudgetTripsTheCheckAtOneAndFourThreads) {
+  // The set alone (37,021 groups, 592,336 B) fits 1 MiB; the set plus the
+  // sort buffers does not, at one chunk as at four.
+  Result<SyntheticDataset> data = MakeAdultsDataset();
+  ASSERT_TRUE(data.ok());
+  const SubsetNode node = ZeroNode(data->qid.size());
+  AnonymizationConfig config;
+  config.k = 2;
+  for (int threads : {1, 4}) {
+    ExecutionGovernor governor;
+    governor.SetMemoryLimitBytes(int64_t{1} << 20);
+    Result<bool> governed =
+        IsKAnonymous(data->table, data->qid, node, config,
+                     RunContext::Governed(governor, threads));
+    EXPECT_EQ(governed.status().code(), StatusCode::kResourceExhausted)
+        << "threads=" << threads;
+    EXPECT_EQ(governor.memory().used(), 0) << "threads=" << threads;
+  }
 }
 
 TEST(SubstrateGovernedTest, GovernedSearchMatchesUngoverned) {

@@ -15,6 +15,8 @@
 #include "core/worker_pool.h"
 #include "freq/frequency_set.h"
 #include "hierarchy/hierarchy.h"
+#include "lattice/candidate_gen.h"
+#include "lattice/graph_tables.h"
 #include "lattice/lattice.h"
 #include "lattice/node.h"
 #include "relation/csv.h"
@@ -259,6 +261,105 @@ inline std::set<std::string> DiverseNodesByOracle(
   return out;
 }
 
+/// The first-iteration candidate graph (C1, E1) of paper Fig. 8: every
+/// domain of every attribute's hierarchy as a node, each hierarchy's chain
+/// as edges.
+inline CandidateGraph MakeSingleAttributeGraph(const QuasiIdentifier& qid) {
+  CandidateGraph graph;
+  for (size_t d = 0; d < qid.size(); ++d) {
+    const auto height = static_cast<int32_t>(qid.hierarchy(d).height());
+    for (int32_t level = 0; level <= height; ++level) {
+      NodeRow row;
+      row.pairs = {{static_cast<int32_t>(d), level}};
+      const int64_t id = graph.AddNode(std::move(row));
+      if (level > 0) graph.AddEdge(id - 1, id);
+    }
+  }
+  graph.BuildAdjacency();
+  return graph;
+}
+
+/// The level-wise GraphGeneration of paper §3.1.2 over the whole survivor
+/// graph S_i (every i-attribute subset at once), transcribed from its
+/// three statements over std::set; the oracle the search's per-subset
+/// GenerateSubsetGraph is checked against. `stats` counts as the search's
+/// generator does.
+///   Join:  C_{i+1} = { p ++ q.last : p, q in S_i agree on their first
+///          i-1 pairs and p.last.dim < q.last.dim }, parents (p, q).
+///   Prune: drop every candidate with an i-subset of its pairs not in S_i.
+///   Edges: (p, q) when E_i links p.parent1 → q.parent1 and p.parent2 →
+///          q.parent2, or one of them while the other parents are equal;
+///          EXCEPT every (a, c) with candidate edges (a, b) and (b, c).
+inline CandidateGraph GenerateNextGraph(const CandidateGraph& survivors,
+                                        GraphGenStats* stats = nullptr) {
+  GraphGenStats local;
+  std::vector<NodeRow> joined;
+  for (const NodeRow& p : survivors.nodes()) {
+    for (const NodeRow& q : survivors.nodes()) {
+      if (p.pairs.size() != q.pairs.size() ||
+          !std::equal(p.pairs.begin(), p.pairs.end() - 1, q.pairs.begin()) ||
+          p.pairs.back().dim >= q.pairs.back().dim) {
+        continue;
+      }
+      NodeRow cand;
+      cand.pairs = p.pairs;
+      cand.pairs.push_back(q.pairs.back());
+      cand.parent1 = p.id;
+      cand.parent2 = q.id;
+      joined.push_back(std::move(cand));
+    }
+  }
+  local.joined = joined.size();
+
+  std::set<std::vector<DimIndexPair>> s_i;
+  for (const NodeRow& row : survivors.nodes()) s_i.insert(row.pairs);
+  CandidateGraph next;
+  for (const NodeRow& cand : joined) {
+    bool keep = true;
+    for (size_t drop = 0; keep && drop < cand.pairs.size(); ++drop) {
+      std::vector<DimIndexPair> subset = cand.pairs;
+      subset.erase(subset.begin() + static_cast<std::ptrdiff_t>(drop));
+      keep = s_i.count(subset) > 0;
+    }
+    if (keep) {
+      next.AddNode(cand);
+    } else {
+      ++local.pruned;
+    }
+  }
+
+  const std::set<std::pair<int64_t, int64_t>> e_i(survivors.edges().begin(),
+                                                  survivors.edges().end());
+  std::set<std::pair<int64_t, int64_t>> candidate_edges;
+  for (const NodeRow& p : next.nodes()) {
+    for (const NodeRow& q : next.nodes()) {
+      const bool up1 = e_i.count({p.parent1, q.parent1}) > 0;
+      const bool up2 = e_i.count({p.parent2, q.parent2}) > 0;
+      if ((up1 && up2) || (up1 && p.parent2 == q.parent2) ||
+          (up2 && p.parent1 == q.parent1)) {
+        candidate_edges.insert({p.id, q.id});
+      }
+    }
+  }
+  local.candidate_edges = candidate_edges.size();
+  std::set<std::pair<int64_t, int64_t>> implied;
+  for (const auto& [start, mid] : candidate_edges) {
+    for (const auto& [mid_start, end] : candidate_edges) {
+      if (mid_start == mid) implied.insert({start, end});
+    }
+  }
+  for (const auto& [start, end] : candidate_edges) {
+    if (implied.count({start, end}) > 0) {
+      ++local.implied_removed;
+    } else {
+      next.AddEdge(start, end);
+    }
+  }
+  next.BuildAdjacency();
+  if (stats != nullptr) *stats = local;
+  return next;
+}
+
 /// Canonical comparable form of a node set.
 inline std::set<std::string> NodeSet(const std::vector<SubsetNode>& nodes) {
   std::set<std::string> out;
@@ -266,8 +367,8 @@ inline std::set<std::string> NodeSet(const std::vector<SubsetNode>& nodes) {
   return out;
 }
 
-/// One node's frequency set through FrequencySet::ComputeBatch's chunked,
-/// pool-parallel path (the serial path when the pool has one worker).
+/// One node's frequency set through FrequencySet::ComputeBatch, in one row
+/// chunk per worker of `pool` (one chunk, inline, for a 1-worker pool).
 inline FrequencySet PooledScan(const Table& table, const QuasiIdentifier& qid,
                                const SubsetNode& node, WorkerPool& pool,
                                ExecutionGovernor* governor = nullptr) {

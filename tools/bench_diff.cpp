@@ -30,11 +30,9 @@
 //             on any difference, in either direction.
 //   table_scans  leaf key "table_scans" or ending in "_table_scans"
 //             (the scan-economy contract of the scan-sharing batch
-//             evaluator — docs/PARALLELISM.md): REGRESSION when
-//             new > old * (1 + table-scans-threshold). Defaults to
-//             exact growth gating, same as counters, but with its own
-//             knob so the --no-batch-scan ablation leg can relax (or
-//             --ignore) table scans without loosening every counter.
+//             evaluator — docs/PARALLELISM.md): REGRESSION on any growth,
+//             whatever --counter-threshold allows. The --no-batch-scan
+//             ablation leg, which adds scans by design, --ignore's them.
 //   counter   everything else (deterministic work counters, lower is
 //             better): REGRESSION when new > old * (1 + counter-threshold)
 //             — defaults to exact, since the synthetic datasets are
@@ -47,8 +45,6 @@
 //   --time-threshold=R      allowed relative slowdown (default 0.5)
 //   --speedup-threshold=R   allowed relative speedup loss (default 0.5)
 //   --counter-threshold=R   allowed relative counter growth (default 0)
-//   --table-scans-threshold=R  allowed relative table-scan growth
-//                           (default 0: any extra scan is a regression)
 //   --overhead-threshold=R  allowed absolute overhead-ratio excess over
 //                           1.0 (default 0.02)
 //   --time-floor=S          ignore time keys whose OLD value is below S
@@ -57,6 +53,8 @@
 //                           leading '^' anchors the match at the start of
 //                           the dotted path
 //   --list                  also print improvements and skipped keys
+//
+// Every R and S is a whole decimal number; anything else is a usage error.
 //
 // Exit codes (the CI contract):
 //   0  no regressions          3  malformed/incompatible input JSON
@@ -69,7 +67,6 @@
 // .github/workflows/ci.yml and docs/OBSERVABILITY.md.
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <map>
@@ -92,7 +89,6 @@ struct Options {
   double time_threshold = 0.5;
   double speedup_threshold = 0.5;
   double counter_threshold = 0.0;
-  double table_scans_threshold = 0.0;
   double overhead_threshold = 0.02;
   double time_floor = 1e-3;
   std::vector<std::string> ignore;
@@ -246,9 +242,8 @@ struct Diff {
         return;
       case KeyClass::kTableScans:
         // Lower is better: the scan-sharing evaluator may only shrink
-        // scan counts, so growth past the allowance is a regression.
-        if (new_value > old_value * (1.0 + opts.table_scans_threshold) &&
-            new_value > old_value) {
+        // scan counts, so any growth is a regression.
+        if (new_value > old_value) {
           Regress(path, old_value, new_value);
         } else if (opts.list && new_value < old_value) {
           Improve(path, old_value, new_value);
@@ -327,7 +322,7 @@ int Usage() {
   fprintf(stderr,
           "usage: bench_diff OLD.json NEW.json [--time-threshold=R] "
           "[--speedup-threshold=R] [--counter-threshold=R] "
-          "[--table-scans-threshold=R] [--overhead-threshold=R] "
+          "[--overhead-threshold=R] "
           "[--time-floor=S] [--ignore=SUBSTR,...] [--list]\n"
           "see the header of tools/bench_diff.cpp for the full contract\n");
   return 2;
@@ -371,18 +366,19 @@ int main(int argc, char** argv) {
     std::string name = arg.substr(2, eq == std::string::npos ? std::string::npos
                                                              : eq - 2);
     std::string value = eq == std::string::npos ? "" : arg.substr(eq + 1);
-    if (name == "time-threshold") {
-      opts.time_threshold = atof(value.c_str());
-    } else if (name == "speedup-threshold") {
-      opts.speedup_threshold = atof(value.c_str());
-    } else if (name == "counter-threshold") {
-      opts.counter_threshold = atof(value.c_str());
-    } else if (name == "table-scans-threshold") {
-      opts.table_scans_threshold = atof(value.c_str());
-    } else if (name == "overhead-threshold") {
-      opts.overhead_threshold = atof(value.c_str());
-    } else if (name == "time-floor") {
-      opts.time_floor = atof(value.c_str());
+    const std::map<std::string, double*> numeric = {
+        {"time-threshold", &opts.time_threshold},
+        {"speedup-threshold", &opts.speedup_threshold},
+        {"counter-threshold", &opts.counter_threshold},
+        {"overhead-threshold", &opts.overhead_threshold},
+        {"time-floor", &opts.time_floor}};
+    auto number = numeric.find(name);
+    if (number != numeric.end()) {
+      if (!incognito::ParseDouble(value, number->second)) {
+        fprintf(stderr, "error: bad --%s value '%s' (want a number)\n",
+                name.c_str(), value.c_str());
+        return Usage();
+      }
     } else if (name == "ignore") {
       for (const std::string& needle : Split(value, ',')) {
         if (!needle.empty()) opts.ignore.push_back(needle);

@@ -650,12 +650,14 @@ Result<SubsetNode> ParseLevels(const std::map<std::string, std::string>& args,
   std::vector<int32_t> levels;
   for (const std::string& p : parts) {
     int64_t v = 0;
-    if (!ParseInt64(p, &v)) {
+    if (!ParseInt64(p, &v) || v < INT32_MIN || v > INT32_MAX) {
       return Status::InvalidArgument("bad level '" + p + "'");
     }
     levels.push_back(static_cast<int32_t>(v));
   }
-  return SubsetNode::Full(std::move(levels));
+  SubsetNode node = SubsetNode::Full(std::move(levels));
+  INCOGNITO_RETURN_IF_ERROR(CheckFullQidNode(qid, node));
+  return node;
 }
 
 /// Parses integer flag `key` (default `def`) as a whole decimal string,

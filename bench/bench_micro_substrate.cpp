@@ -630,9 +630,9 @@ int main(int argc, char** argv) {
       report.SetDerived("checkpoint_overhead_ratio", median_ratio);
       // Deterministic proxies for the same cost: how often and how much
       // the policy above actually wrote. Unlike the wall-clock ratio
-      // these are exact on every machine (counter class, gated at zero
-      // growth by default), so a change that makes checkpointing
-      // chattier fails the diff even when timing noise would hide it.
+      // these are exact on every machine (counter class, gated by CI's
+      // --counter-threshold=0.5), so a change that makes checkpointing
+      // much chattier fails the diff even when timing noise would hide it.
       report.SetDerived("checkpoint_overhead_writes",
                         static_cast<double>(ckpt_writes));
       report.SetDerived("checkpoint_overhead_bytes_per_write",

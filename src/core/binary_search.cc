@@ -29,7 +29,9 @@ Result<bool> AnyAnonymousAtHeight(const Table& table,
     SubsetNode node = SubsetNode::Full(levels);
     ++stats->nodes_checked;
     ++stats->table_scans;
-    FrequencySet fs = FrequencySet::Compute(table, qid, node);
+    FrequencySet fs = std::move(
+        FrequencySet::ComputeBatch(table, qid, {node}, nullptr, governor)
+            .front());
     int64_t fs_bytes = static_cast<int64_t>(fs.MemoryBytes());
     if (governor != nullptr) {
       INCOGNITO_RETURN_IF_ERROR(governor->ChargeMemory(fs_bytes));
@@ -119,7 +121,9 @@ PartialResult<BinarySearchResult> RunBinarySearchImpl(
     SubsetNode node = SubsetNode::Full(levels);
     ++result.stats.nodes_checked;
     ++result.stats.table_scans;
-    FrequencySet fs = FrequencySet::Compute(table, qid, node);
+    FrequencySet fs = std::move(
+        FrequencySet::ComputeBatch(table, qid, {node}, nullptr, governor)
+            .front());
     int64_t fs_bytes = static_cast<int64_t>(fs.MemoryBytes());
     if (governor != nullptr) {
       Status charged = governor->ChargeMemory(fs_bytes);

@@ -110,7 +110,9 @@ PartialResult<BottomUpResult> RunBottomUpImpl(
         }
       }
       if (!rolled) {
-        freq = FrequencySet::Compute(table, qid, node);
+        freq = std::move(
+            FrequencySet::ComputeBatch(table, qid, {node}, nullptr, governor)
+                .front());
         ++result.stats.table_scans;
       }
       int64_t freq_bytes = static_cast<int64_t>(freq.MemoryBytes());

@@ -80,12 +80,6 @@ struct IncognitoResult {
 
   AlgorithmStats stats;
 
-  /// Each worker shard's high-water lease against the shared memory
-  /// budget, in bytes, indexed by worker id. Because shard leases are
-  /// monotonic until drain, the sum of these marks never exceeds the
-  /// governor's global memory limit (docs/PARALLELISM.md).
-  std::vector<int64_t> shard_high_water_bytes;
-
   /// Fraction of the run's makespan each worker spent executing tasks,
   /// indexed by worker id (worker 0 is the calling thread). Derived from
   /// the scheduler's TaskTimeline (obs/timeline.h); empty when
@@ -121,8 +115,8 @@ inline constexpr size_t kMaxCubeQidAttributes = 24;
 ///   - The effective thread count (ctx.num_threads, or options.num_threads
 ///     when ctx leaves it 0) sizes the worker pool of the subset-DAG
 ///     search (core/parallel.h); every count returns the identical answer
-///     set, survivor sets, and node-count statistics, with each worker
-///     charging a GovernorShard leased from ctx.governor.
+///     set, survivor sets, and node-count statistics, with every worker
+///     charging ctx.governor itself.
 ///   - A QID wider than kMaxQidAttributes, or a Cube run's QID wider than
 ///     kMaxCubeQidAttributes, is InvalidArgument, before any work.
 PartialResult<IncognitoResult> RunIncognito(const Table& table,

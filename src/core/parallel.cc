@@ -39,10 +39,10 @@ int Popcount(uint64_t mask) { return __builtin_popcountll(mask); }
 uint64_t LowestBit(uint64_t mask) { return mask & (~mask + 1); }
 
 /// What every walk of one run shares: the problem, the Cube Incognito cube
-/// (null for the other variants), the governor every shard leases from
-/// (never null — a private unlimited one when the run is ungoverned), per
-/// worker one GovernorShard and one private stats object, and for
-/// ℓ-diversity the key QID (null for k-anonymity) and ℓ.
+/// (null for the other variants), the governor every worker charges and
+/// polls (never null — a private unlimited one when the run is
+/// ungoverned), one private stats object per worker, and for ℓ-diversity
+/// the key QID (null for k-anonymity) and ℓ.
 struct SearchRun {
   const Table& table;
   const QuasiIdentifier& qid;
@@ -50,7 +50,6 @@ struct SearchRun {
   const IncognitoOptions& options;
   const ZeroGenCube* cube;
   ExecutionGovernor* governor;
-  std::vector<std::unique_ptr<GovernorShard>>& shards;
   std::vector<AlgorithmStats>& worker_stats;
   const QuasiIdentifier* key_qid;
   int64_t l;
@@ -65,11 +64,11 @@ struct SearchRun {
 /// visits exactly the nodes the paper's (height, id)-ordered queue visits,
 /// with the same outcomes and counters.
 ///
-/// Given a pool, Phase A and the shared scans fan out across its workers,
-/// each charging its own shard: the apex graph, which has the pool to
-/// itself. Without one, the walk stays inline on worker `worker` and
-/// charges only that worker's shard: a subset task, whose siblings keep the
-/// rest of the pool busy.
+/// Given a pool, Phase A and the shared scans fan out across its workers:
+/// the apex graph, which has the pool to itself. Without one, the walk
+/// stays inline on worker `worker`: a subset task, whose siblings keep the
+/// rest of the pool busy. Either way every byte is charged to the run's one
+/// governor.
 ///
 /// Under ℓ-diversity every frequency set is built over the key QID, for
 /// the candidate node with the sensitive dimension appended (SetNode).
@@ -79,9 +78,9 @@ class LatticeWalk {
       : run_(run),
         options_(run.options),
         set_qid_(run.key_qid != nullptr ? *run.key_qid : run.qid),
+        governor_(*run.governor),
         pool_(pool),
         worker_(worker),
-        own_(Shard(worker)),
         stats_(run.worker_stats[static_cast<size_t>(worker)]) {}
 
   /// failed[id] == true iff T was checked and found NOT to satisfy the
@@ -98,7 +97,7 @@ class LatticeWalk {
 
     // Frequency sets of failed nodes, kept for their generalizations to
     // roll up from. Written only in Phase B; Phase A only reads it.
-    std::unordered_map<int64_t, StoredSet> stored;
+    std::unordered_map<int64_t, RetainedSet> stored;
     std::unordered_map<int64_t, int64_t> pending_uses;
     // Super-roots: each multi-root family's super-root set, by the dims of
     // its SetNode.
@@ -114,7 +113,7 @@ class LatticeWalk {
         if (it != pending_uses.end() && --it->second == 0) {
           auto sit = stored.find(spec);
           if (sit != stored.end()) {
-            Shard(sit->second.owner).ReleaseMemory(sit->second.bytes);
+            governor_.ReleaseMemory(sit->second.bytes);
             stored.erase(sit);
           }
           pending_uses.erase(it);
@@ -124,15 +123,15 @@ class LatticeWalk {
     auto release_all = [&]() {
       for (const auto& [id, set] : stored) {
         (void)id;
-        Shard(set.owner).ReleaseMemory(set.bytes);
+        governor_.ReleaseMemory(set.bytes);
       }
       for (const auto& [dims, set] : families) {
         (void)dims;
-        ReleaseRetained(set.bytes);
+        governor_.ReleaseMemory(set.bytes);
       }
       for (const auto& [id, set] : batch) {
         (void)id;
-        ReleaseRetained(set.bytes);  // zero once taken
+        governor_.ReleaseMemory(set.bytes);  // zero once taken
       }
     };
 
@@ -162,12 +161,12 @@ class LatticeWalk {
         ++stats_.table_scans;
         FrequencySet set = std::move(
             FrequencySet::ComputeBatch(run_.table, set_qid_, {super}, pool_,
-                                       run_.governor)
+                                       &governor_)
                 .front());
         stats_.freq_groups_built += static_cast<int64_t>(set.NumGroups());
         const int64_t bytes = static_cast<int64_t>(set.MemoryBytes());
-        Status charged = own_.Check();
-        if (charged.ok()) charged = ChargeRetained(bytes);
+        Status charged = governor_.Check();
+        if (charged.ok()) charged = governor_.ChargeMemory(bytes);
         if (!charged.ok()) {
           release_all();
           return charged;
@@ -211,12 +210,12 @@ class LatticeWalk {
         stats_.batched_scan_nodes += static_cast<int64_t>(group.size());
         Stopwatch timer;
         std::vector<FrequencySet> sets = FrequencySet::ComputeBatch(
-            run_.table, set_qid_, nodes, pool_, run_.governor);
+            run_.table, set_qid_, nodes, pool_, &governor_);
         stats_.batch_scan_seconds += timer.ElapsedSeconds();
-        Status status = own_.Check();
+        Status status = governor_.Check();
         for (size_t j = 0; j < group.size() && status.ok(); ++j) {
           const int64_t bytes = static_cast<int64_t>(sets[j].MemoryBytes());
-          status = ChargeRetained(bytes);
+          status = governor_.ChargeMemory(bytes);
           if (status.ok()) {
             batch.emplace(group[j], RetainedSet{std::move(sets[j]), bytes});
           }
@@ -249,7 +248,6 @@ class LatticeWalk {
     enum OutcomeKind : uint8_t { kSkipped, kMarked, kAnonymous, kFailed };
     struct NodeOutcome {
       OutcomeKind kind = kSkipped;
-      int owner = 0;
       int64_t bytes = 0;
       FrequencySet freq;
     };
@@ -257,7 +255,7 @@ class LatticeWalk {
     while (!by_height.empty()) {
       // Catches trips latched by candidate generation, the cube build, or
       // a previous level.
-      Status checkpoint = own_.Check();
+      Status checkpoint = governor_.Check();
       if (!checkpoint.ok()) {
         release_all();
         return checkpoint;
@@ -277,14 +275,13 @@ class LatticeWalk {
       }
 
       // Phase A: evaluate every node of the level. Workers only read the
-      // walk's shared state and write their own outcome slots, stats, and
-      // shard; a trip latches shared and stops every worker.
+      // walk's shared state and write their own outcome slots and stats; a
+      // trip latches the governor and stops every worker.
       std::vector<NodeOutcome> outcomes(ids.size());
       auto evaluate = [&](int w, size_t begin, size_t end) {
-        GovernorShard& shard = Shard(w);
         AlgorithmStats& wstats = run_.worker_stats[static_cast<size_t>(w)];
         for (size_t i = begin; i < end; ++i) {
-          if (!shard.Check().ok()) return;
+          if (!governor_.Check().ok()) return;
           const int64_t id = ids[i];
           NodeOutcome& out = outcomes[i];
           if (marked[static_cast<size_t>(id)]) {
@@ -295,15 +292,15 @@ class LatticeWalk {
           auto bit = batch.find(id);
           if (bit != batch.end()) {
             // Pre-built (and counted) by a shared scan: swap its retained
-            // charge for this worker's per-node charge below.
-            ReleaseRetained(bit->second.bytes);
+            // charge for the per-node charge below.
+            governor_.ReleaseMemory(bit->second.bytes);
             bit->second.bytes = 0;
             freq = std::move(bit->second.freq);
           } else {
             freq = ComputeFrequencySet(graph, id, stored, families, &wstats);
           }
           const int64_t bytes = static_cast<int64_t>(freq.MemoryBytes());
-          if (!shard.ChargeMemory(bytes).ok()) return;
+          if (!governor_.ChargeMemory(bytes).ok()) return;
           ++wstats.nodes_checked;
           wstats.freq_groups_built += static_cast<int64_t>(freq.NumGroups());
           INCOGNITO_COUNT("incognito.kchecks");
@@ -318,11 +315,10 @@ class LatticeWalk {
                           run_.config.max_suppressed;
           }
           if (anonymous) {
-            shard.ReleaseMemory(bytes);
+            governor_.ReleaseMemory(bytes);
             out.kind = kAnonymous;
           } else {
             out.kind = kFailed;
-            out.owner = w;
             out.bytes = bytes;
             out.freq = std::move(freq);
           }
@@ -334,11 +330,11 @@ class LatticeWalk {
         evaluate(worker_, 0, ids.size());
       }
 
-      // Every worker-side trip latched the shared status.
-      Status trip = own_.Check();
+      // Every worker-side trip latched the governor.
+      Status trip = governor_.Check();
       if (!trip.ok()) {
         for (NodeOutcome& out : outcomes) {
-          if (out.kind == kFailed) Shard(out.owner).ReleaseMemory(out.bytes);
+          if (out.kind == kFailed) governor_.ReleaseMemory(out.bytes);
         }
         release_all();
         return trip;
@@ -357,10 +353,9 @@ class LatticeWalk {
           const auto& gens = graph.OutEdges(id);
           if (!gens.empty() && options_.use_rollup) {
             pending_uses[id] = static_cast<int64_t>(gens.size());
-            stored.emplace(id,
-                           StoredSet{std::move(out.freq), out.bytes, out.owner});
+            stored.emplace(id, RetainedSet{std::move(out.freq), out.bytes});
           } else {
-            Shard(out.owner).ReleaseMemory(out.bytes);
+            governor_.ReleaseMemory(out.bytes);
           }
           for (int64_t g : gens) {
             if (!enqueued[static_cast<size_t>(g)]) {
@@ -377,24 +372,13 @@ class LatticeWalk {
   }
 
  private:
-  /// A failed node's retained frequency set and the shard its bytes are
-  /// charged to.
-  struct StoredSet {
-    FrequencySet freq;
-    int64_t bytes = 0;
-    int owner = 0;
-  };
-
-  /// A set built ahead of its nodes (super-root or shared-scan output) and
-  /// the bytes it holds charged via ChargeRetained.
+  /// A set held charged to the governor: a failed node's set kept for its
+  /// generalizations, or one built ahead of its nodes (super-root or
+  /// shared-scan output).
   struct RetainedSet {
     FrequencySet freq;
     int64_t bytes = 0;
   };
-
-  GovernorShard& Shard(int w) const {
-    return *run_.shards[static_cast<size_t>(w)];
-  }
 
   /// The node a candidate's frequency set is built for: the candidate
   /// itself, or under ℓ-diversity the candidate with the sensitive
@@ -407,27 +391,12 @@ class LatticeWalk {
     return node;
   }
 
-  // Retained sets are charged to the walk's own shard when it runs inline,
-  // and to the governor when pooled, because then any worker may take (and
-  // un-charge) a shared-scan output.
-  Status ChargeRetained(int64_t bytes) {
-    return pool_ != nullptr ? run_.governor->ChargeMemory(bytes)
-                            : own_.ChargeMemory(bytes);
-  }
-  void ReleaseRetained(int64_t bytes) {
-    if (pool_ != nullptr) {
-      run_.governor->ReleaseMemory(bytes);
-    } else {
-      own_.ReleaseMemory(bytes);
-    }
-  }
-
   /// A node's frequency set, preferring (Rollup Property) a failed direct
   /// specialization's set, then the cube, then its super-root family, and
   /// scanning T only as a last resort. Reads only level-frozen state.
   FrequencySet ComputeFrequencySet(
       const CandidateGraph& graph, int64_t id,
-      const std::unordered_map<int64_t, StoredSet>& stored,
+      const std::unordered_map<int64_t, RetainedSet>& stored,
       const std::map<std::vector<int32_t>, RetainedSet>& families,
       AlgorithmStats* wstats) const {
     const SubsetNode node = SetNode(graph.node(id).ToSubsetNode());
@@ -439,7 +408,7 @@ class LatticeWalk {
           // while aggregating latches like a refused charge; every worker
           // stops at its next checkpoint.
           if (INCOGNITO_FAULT_FIRED("incognito.rollup")) {
-            run_.governor->LatchInjectedFailure("incognito.rollup");
+            governor_.LatchInjectedFailure("incognito.rollup");
           }
           ++wstats->rollups;
           return it->second.freq.RollupTo(node, set_qid_);
@@ -456,7 +425,9 @@ class LatticeWalk {
       return family->second.freq.RollupTo(node, set_qid_);
     }
     ++wstats->table_scans;
-    return FrequencySet::Compute(run_.table, set_qid_, node);
+    return std::move(FrequencySet::ComputeBatch(run_.table, set_qid_, {node},
+                                                nullptr, &governor_)
+                         .front());
   }
 
   void MarkGeneralizations(const CandidateGraph& graph, int64_t id,
@@ -476,9 +447,9 @@ class LatticeWalk {
   const SearchRun& run_;
   const IncognitoOptions& options_;
   const QuasiIdentifier& set_qid_;  // every frequency set's QID
+  ExecutionGovernor& governor_;
   WorkerPool* pool_;     // null: inline on worker_
   int worker_;           // the calling thread's worker id
-  GovernorShard& own_;   // worker_'s shard
   AlgorithmStats& stats_;  // worker_'s stats
 };
 
@@ -531,11 +502,6 @@ PartialResult<IncognitoResult> RunSubsetDag(
   obs::TaskTimeline timeline(workers);
   pool.set_timeline(&timeline, "pool.chunk");
 #endif
-  std::vector<std::unique_ptr<GovernorShard>> shards;
-  shards.reserve(static_cast<size_t>(workers));
-  for (int w = 0; w < workers; ++w) {
-    shards.push_back(std::make_unique<GovernorShard>(governor));
-  }
   std::vector<AlgorithmStats> worker_stats(static_cast<size_t>(workers));
 
   // Crash-safe checkpointing (robust/checkpoint.h): one mask record per
@@ -552,9 +518,9 @@ PartialResult<IncognitoResult> RunSubsetDag(
   int64_t task_table_bytes = 0;  // charged to the governor while held
   ZeroGenCube cube;
 
-  // Drains every shard back into the governor, folds the workers' stats
-  // into the result, and derives the scheduler telemetry. Runs exactly
-  // once, on every return path.
+  // Releases the run's own charges, folds the workers' stats into the
+  // result, and derives the scheduler telemetry. Runs exactly once, on
+  // every return path.
   auto finalize = [&]() {
     cube.ReleaseMemory(governor);
     governor->ReleaseMemory(task_table_bytes);
@@ -562,10 +528,6 @@ PartialResult<IncognitoResult> RunSubsetDag(
       result.stats.checkpoint_writes = ckpt->writes();
       result.stats.checkpoint_bytes = ckpt->bytes_written();
       result.stats.checkpoint_write_failures = ckpt->write_failures();
-    }
-    for (auto& shard : shards) {
-      result.shard_high_water_bytes.push_back(shard->high_water_bytes());
-      shard->Drain();
     }
     for (const AlgorithmStats& ws : worker_stats) {
       result.stats.MergeCounters(ws);
@@ -621,7 +583,7 @@ PartialResult<IncognitoResult> RunSubsetDag(
     const int64_t physical =
         pages > 0 && page_bytes > 0 ? int64_t{pages} * page_bytes : 0;
     if (physical > 0 && bytes > physical) {
-      return stop_early(governor->LatchSharedTrip(
+      return stop_early(governor->Latch(
           Status::ResourceExhausted(StringPrintf(
               "%zu-attribute quasi-identifier needs a %lld-byte subset task "
               "table, more than the %lld bytes of physical memory",
@@ -638,7 +600,7 @@ PartialResult<IncognitoResult> RunSubsetDag(
   // generated from the survivor graphs of m's immediate sub-subsets in
   // ascending order of the dropped dimension (GenerateSubsetGraph's
   // contract).
-  auto candidates = [&](uint64_t m, GovernorShard* shard) {
+  auto candidates = [&](uint64_t m, ExecutionGovernor* charge_to) {
     if (Popcount(m) == 1) {
       return MakeSingleDimensionChain(
           qid, static_cast<size_t>(__builtin_ctzll(m)));
@@ -648,7 +610,7 @@ PartialResult<IncognitoResult> RunSubsetDag(
     for (uint64_t bits = m; bits != 0; bits &= bits - 1) {
       parents.push_back(&tasks[m ^ LowestBit(bits)].survivors);
     }
-    return GenerateSubsetGraph(parents, nullptr, shard);
+    return GenerateSubsetGraph(parents, nullptr, charge_to);
   };
   // Unfinished immediate sub-subsets of m (none for a single attribute).
   auto pending_parents = [&](uint64_t m) {
@@ -710,8 +672,8 @@ PartialResult<IncognitoResult> RunSubsetDag(
     result.stats.freq_groups_built += static_cast<int64_t>(info.total_groups);
     if (governor->Tripped()) return stop_early(governor->TripStatus());
   }
-  const SearchRun run{table,    qid,    config,       options, cube_ptr,
-                      governor, shards, worker_stats, key_qid, l};
+  const SearchRun run{table,    qid,          config,  options, cube_ptr,
+                      governor, worker_stats, key_qid, l};
 
   // ---- Subset DAG: every proper subset, dependency-counted --------------
   // Ready tasks run in ascending (size, mask) order: small subsets first,
@@ -756,7 +718,6 @@ PartialResult<IncognitoResult> RunSubsetDag(
     std::condition_variable cv;
     bool stopped = false;
     pool.Run(static_cast<size_t>(workers), [&](int w, size_t, size_t) {
-      GovernorShard& shard = *shards[static_cast<size_t>(w)];
       AlgorithmStats& wstats = worker_stats[static_cast<size_t>(w)];
       LatticeWalk walk(run, nullptr, w);
       std::unique_lock<std::mutex> lock(mu);
@@ -776,17 +737,17 @@ PartialResult<IncognitoResult> RunSubsetDag(
         // Snapshot for the checkpoint delta; only this thread touches
         // this worker's stats.
         const AlgorithmStats task_before = wstats;
-        Status bad = shard.Check();
+        Status bad = governor->Check();
         if (bad.ok() && INCOGNITO_FAULT_FIRED("incognito.subset.schedule")) {
           // Fault site "incognito.subset.schedule": an injected failure
           // while dequeuing one subset task; siblings stop at their next
           // checkpoint.
           governor->LatchInjectedFailure("incognito.subset.schedule");
-          bad = shard.Check();
+          bad = governor->Check();
         }
         CandidateGraph survivors;
         if (bad.ok()) {
-          CandidateGraph graph = candidates(m, &shard);
+          CandidateGraph graph = candidates(m, governor);
           wstats.candidate_nodes += static_cast<int64_t>(graph.num_nodes());
           Result<std::vector<bool>> failed = walk.Run(graph);
           if (failed.ok()) {
@@ -843,8 +804,8 @@ PartialResult<IncognitoResult> RunSubsetDag(
 #endif
   }
 
-  // Every worker-side trip also latched the shared status.
-  const Status trip = dag_status.ok() ? shards[0]->Check() : dag_status;
+  // Every worker-side trip also latched the governor.
+  const Status trip = dag_status.ok() ? governor->Check() : dag_status;
 
   // Merge the published survivor sets per subset size (the per-mask sets
   // are disjoint; one sort per size gives the sorted S_i). On a trip only
@@ -884,7 +845,7 @@ PartialResult<IncognitoResult> RunSubsetDag(
       return sum;
     };
     const CheckpointCounters before = sum_counters();
-    CandidateGraph apex = candidates(full, shards[0].get());
+    CandidateGraph apex = candidates(full, governor);
     result.stats.candidate_nodes += static_cast<int64_t>(apex.num_nodes());
     Result<std::vector<bool>> failed = LatticeWalk(run, &pool, 0).Run(apex);
     if (!failed.ok()) return stop_early(failed.status());

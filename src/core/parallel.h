@@ -21,12 +21,12 @@ namespace incognito {
 /// table_scans / rollups / freq_groups_built / candidate_nodes counts.
 /// (governor_checks may differ: checkpoint cadence is per worker.)
 ///
-/// Each worker charges memory against a GovernorShard leased from
-/// `governor`; a trip in any worker latches the shared trip, the pool
-/// drains, and the run returns PartialResult::Partial whose
-/// completed_iterations means "every subset of this size finished". A null
-/// governor runs ungoverned: the workers still lease from a private
-/// unlimited governor, so the accounting is exercised identically.
+/// Every worker charges and polls `governor` itself; a trip in any worker
+/// latches it for all of them, the pool drains, and the run returns
+/// PartialResult::Partial whose completed_iterations means "every subset
+/// of this size finished". A null governor runs ungoverned: the workers
+/// charge a private unlimited governor, so the accounting is exercised
+/// identically.
 ///
 /// The walk's criterion is k-anonymity with config's suppression budget.
 /// With a non-null `key_qid` it is distinct (k, ℓ)-diversity instead

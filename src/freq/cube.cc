@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cassert>
-#include <memory>
 
 #include "core/incognito.h"
 #include "core/worker_pool.h"
@@ -97,29 +96,19 @@ ZeroGenCube ZeroGenCube::Build(const Table& table, const QuasiIdentifier& qid,
   }
 
   const size_t workers = static_cast<size_t>(pool.size());
-  std::vector<std::unique_ptr<GovernorShard>> shards;
-  if (governor != nullptr) {
-    shards.reserve(workers);
-    for (size_t w = 0; w < workers; ++w) {
-      shards.push_back(std::make_unique<GovernorShard>(governor));
-    }
-  }
-
   std::atomic<bool> stopped{false};
   std::atomic<int64_t> projections{0};
   // Each Run's barrier publishes a finished tier to the next one.
   for (size_t p = n - 1; p >= 1 && !stopped.load(); --p) {
     const std::vector<uint32_t>& tier = tiers[p];
     std::atomic<size_t> next{0};
-    pool.Run(workers, [&](int w, size_t, size_t) {
+    pool.Run(workers, [&](int, size_t, size_t) {
       INCOGNITO_SPAN("cube.project.worker");
-      GovernorShard* shard =
-          governor != nullptr ? shards[static_cast<size_t>(w)].get() : nullptr;
       for (size_t t = next.fetch_add(1); t < tier.size() && !stopped.load();
            t = next.fetch_add(1)) {
         const uint32_t m = tier[t];
-        if (shard != nullptr) {
-          if (!shard->Check().ok()) {
+        if (governor != nullptr) {
+          if (!governor->Check().ok()) {
             stopped = true;
             return;
           }
@@ -143,8 +132,9 @@ ZeroGenCube ZeroGenCube::Build(const Table& table, const QuasiIdentifier& qid,
           }
         }
         FrequencySet projected = best->ProjectTo(ZeroNodeForMask(m), qid);
-        if (shard != nullptr &&
-            !shard->ChargeMemory(static_cast<int64_t>(projected.MemoryBytes()))
+        if (governor != nullptr &&
+            !governor
+                 ->ChargeMemory(static_cast<int64_t>(projected.MemoryBytes()))
                  .ok()) {
           // Refused: the set was never admitted, so it is not kept.
           stopped = true;
@@ -157,24 +147,18 @@ ZeroGenCube ZeroGenCube::Build(const Table& table, const QuasiIdentifier& qid,
   }
   local.projections = projections.load();
 
-  // The worker charges were transient leases: drain them, then (on
-  // success) charge the whole projection footprint once on the main
-  // thread. The recharge always fits — the drained leases covered at
-  // least this many bytes — so ReleaseMemory balances it back to zero.
-  for (auto& shard : shards) shard->Drain();
-  bool build_tripped =
-      stopped.load() || (governor != nullptr && !governor->SharedTrip().ok());
-  if (!build_tripped && governor != nullptr) {
-    int64_t projection_bytes = 0;
-    for (uint32_t m = 1; m < full; ++m) {
-      projection_bytes += static_cast<int64_t>(cube.sets_[m].MemoryBytes());
+  // Every kept projection stays charged: ReleaseMemory balances them with
+  // the root and the slots. A stopped build releases all of it, and the
+  // tier lists, itself.
+  if (stopped.load() || (governor != nullptr && governor->Tripped())) {
+    if (governor != nullptr) {
+      int64_t projection_bytes = 0;
+      for (uint32_t m = 1; m < full; ++m) {
+        projection_bytes += static_cast<int64_t>(cube.sets_[m].MemoryBytes());
+      }
+      governor->ReleaseMemory(held_bytes + projection_bytes);
     }
-    build_tripped =
-        projection_bytes > 0 && !governor->ChargeMemory(projection_bytes).ok();
-  }
-  if (build_tripped) {
     std::vector<FrequencySet>().swap(cube.sets_);
-    if (governor != nullptr) governor->ReleaseMemory(held_bytes);
     if (info != nullptr) *info = local;
     return cube;
   }

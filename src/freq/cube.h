@@ -46,14 +46,13 @@ class ZeroGenCube {
   /// When `governor` is non-null the root is charged on the main thread
   /// ("cube.build" fault site) together with the mask-indexed slot vector
   /// (2^n FrequencySet slots) and the per-tier mask lists, before either
-  /// is allocated; each projection is charged to the running worker's
-  /// GovernorShard ("cube.project" fault site, once per projection), the
-  /// shards drain at the end, and a complete build charges the
-  /// projections' exact footprint once on the main thread and releases the
-  /// tier lists, so ReleaseMemory balances the governor back to zero. A
-  /// refused charge, a tripped deadline or a cancellation stops the build:
-  /// it latches the governor and returns an empty cube with every charged
-  /// byte released.
+  /// is allocated; the worker that makes a projection charges it before
+  /// keeping it ("cube.project" fault site, once per projection), and a
+  /// complete build releases the tier lists, so ReleaseMemory balances the
+  /// governor back to zero. A refused charge, a tripped deadline or a
+  /// cancellation stops the build: it latches the governor and returns an
+  /// empty cube with every charged byte — root, slots, tier lists and kept
+  /// projections — released.
   static ZeroGenCube Build(const Table& table, const QuasiIdentifier& qid,
                            WorkerPool& pool, BuildInfo* info = nullptr,
                            ExecutionGovernor* governor = nullptr);

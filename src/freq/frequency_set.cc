@@ -255,21 +255,16 @@ std::vector<FrequencySet> FrequencySet::ComputeBatch(
     cflat[c].resize(b);
   }
 
-  std::vector<std::unique_ptr<GovernorShard>> shards;
-  if (governor != nullptr) {
-    shards.reserve(chunks);
-    for (size_t c = 0; c < chunks; ++c) {
-      shards.push_back(std::make_unique<GovernorShard>(governor));
-    }
-  }
+  // The bytes each chunk holds charged when it returns, released together
+  // once every chunk has finished.
+  std::vector<int64_t> held(chunks, 0);
 
   // The one chunk body: rows [begin, end) into chunk c's state.
   auto scan_chunk = [&](int chunk, size_t begin, size_t end) {
     INCOGNITO_SPAN("freq.batch_scan.chunk");
     const size_t c = static_cast<size_t>(chunk);
-    GovernorShard* shard = governor != nullptr ? shards[c].get() : nullptr;
-    if (shard != nullptr) {
-      if (!shard->Check().ok()) return;
+    if (governor != nullptr) {
+      if (!governor->Check().ok()) return;
       // Fault site "freq.batch.scan": an injected allocation failure at
       // the start of a row chunk latches like a refused charge; sibling
       // chunks stop at their next checkpoint.
@@ -280,25 +275,30 @@ std::vector<FrequencySet> FrequencySet::ComputeBatch(
     }
     const size_t chunk_rows = end - begin;
     // Monotonic footprint ledger shared by every node this chunk feeds:
-    // sort buffers and count arrays charge before they are allocated,
-    // sorted outputs as they finish, map growth at checkpoints.
-    int64_t charged = 0;
+    // count arrays charge before they are allocated, sorted outputs as
+    // they finish, map growth at checkpoints. The sort buffers are charged
+    // for the sort alone.
+    int64_t& charged = held[c];
     int64_t partial_bytes = 0;
     auto charge_to = [&](int64_t now) {
-      if (shard == nullptr) return true;
+      if (governor == nullptr) return true;
       if (now > charged) {
-        if (!shard->ChargeMemory(now - charged).ok()) return false;
+        if (!governor->ChargeMemory(now - charged).ok()) return false;
         charged = now;
       }
       return true;
     };
-    auto tick = [shard] { return shard == nullptr || shard->Check().ok(); };
+    auto tick = [governor] {
+      return governor == nullptr || governor->Check().ok();
+    };
     // Sorted nodes go first, so no count array lives beside the sort
     // buffers.
     if (any_sort && chunk_rows > 0) {
       const int64_t buffer_bytes =
           static_cast<int64_t>(2 * chunk_rows * sizeof(uint64_t));
-      if (shard != nullptr && !shard->ChargeMemory(buffer_bytes).ok()) return;
+      if (governor != nullptr && !governor->ChargeMemory(buffer_bytes).ok()) {
+        return;
+      }
       bool ok = true;
       {
         std::vector<uint64_t> keys;
@@ -318,7 +318,7 @@ std::vector<FrequencySet> FrequencySet::ComputeBatch(
           ok = charge_to(partial_bytes);
         }
       }
-      if (shard != nullptr) shard->ReleaseMemory(buffer_bytes);
+      if (governor != nullptr) governor->ReleaseMemory(buffer_bytes);
       if (!ok) return;
     }
     for (size_t j = 0; j < b; ++j) {
@@ -334,8 +334,8 @@ std::vector<FrequencySet> FrequencySet::ComputeBatch(
     }
     if (!any_wide) return;
     auto checkpoint = [&]() {
-      if (shard == nullptr) return true;
-      if (!shard->Check().ok()) return false;
+      if (governor == nullptr) return true;
+      if (!governor->Check().ok()) return false;
       int64_t now = partial_bytes;
       for (size_t j = 0; j < b; ++j) {
         if (cflat[c][j] != nullptr) {
@@ -371,12 +371,16 @@ std::vector<FrequencySet> FrequencySet::ComputeBatch(
     scan_chunk(0, 0, rows);
   }
 
-  // Transient charges return to the governor here; a trip (if any) is
-  // already latched shared, so the caller's SharedTrip() check sees it.
-  for (auto& shard : shards) shard->Drain();
-  if (governor != nullptr && !governor->SharedTrip().ok()) {
-    for (size_t j = 0; j < b; ++j) out[j] = MakeEmpty(nodes[j], qid);
-    return out;
+  // The chunks' charges return to the governor here; a trip (if any) is
+  // already latched, so the caller's next Check() or charge sees it.
+  if (governor != nullptr) {
+    int64_t bytes = 0;
+    for (int64_t h : held) bytes += h;
+    governor->ReleaseMemory(bytes);
+    if (governor->Tripped()) {
+      for (size_t j = 0; j < b; ++j) out[j] = MakeEmpty(nodes[j], qid);
+      return out;
+    }
   }
 
   // Merge each node in chunk order: counted nodes sum their arrays and

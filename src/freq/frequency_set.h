@@ -69,11 +69,12 @@ class FrequencySet {
   /// canonical sort (a single run is already the set) — using an exact
   /// reserve, so the result is bit-identical at any C. When `governor` is
   /// non-null every chunk is governed alike: it consults the
-  /// "freq.batch.scan" fault site once, charges its sort buffers, count
-  /// arrays and partials to a transient shard (drained before returning)
-  /// before allocating them, and polls for trips every few thousand rows.
-  /// A tripped batch latches the governor and returns all-empty sets;
-  /// callers detect it via governor->SharedTrip().
+  /// "freq.batch.scan" fault site once, charges the governor for its sort
+  /// buffers, count arrays and partials before allocating them, and polls
+  /// for trips every few thousand rows. The chunks' charges are released
+  /// once every chunk has finished, before returning. A tripped batch
+  /// latches the governor and returns all-empty sets; callers detect it
+  /// via governor->Tripped(), or at their next Check() or charge.
   static std::vector<FrequencySet> ComputeBatch(
       const Table& table, const QuasiIdentifier& qid,
       const std::vector<SubsetNode>& nodes, WorkerPool* pool = nullptr,

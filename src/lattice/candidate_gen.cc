@@ -145,7 +145,7 @@ CandidateGraph MakeSingleDimensionChain(const QuasiIdentifier& qid,
 
 CandidateGraph GenerateSubsetGraph(
     const std::vector<const CandidateGraph*>& parents, GraphGenStats* stats,
-    GovernorShard* shard) {
+    ExecutionGovernor* governor) {
   INCOGNITO_SPAN("lattice.subset_candidate_gen");
   INCOGNITO_PHASE_TIMER("phase.candidate_gen_seconds");
   INCOGNITO_COUNT("lattice.subset_candidate_gen_calls");
@@ -200,13 +200,13 @@ CandidateGraph GenerateSubsetGraph(
     for (const NodeRow& row : parents[j]->nodes()) tree.Insert(row.pairs);
   }
   int64_t tree_bytes = 0;
-  if (shard != nullptr) {
+  if (governor != nullptr) {
     tree_bytes = static_cast<int64_t>(tree.MemoryBytes());
-    if (!shard->ChargeMemory(tree_bytes).ok()) tree_bytes = 0;
+    if (!governor->ChargeMemory(tree_bytes).ok()) tree_bytes = 0;
   }
   CandidateGraph graph = PruneCandidates(next, tree, &local_stats);
-  if (shard != nullptr && tree_bytes > 0) {
-    shard->ReleaseMemory(tree_bytes);
+  if (governor != nullptr && tree_bytes > 0) {
+    governor->ReleaseMemory(tree_bytes);
   }
 
   // ---- Edge generation --------------------------------------------------

@@ -8,7 +8,7 @@
 
 namespace incognito {
 
-class GovernorShard;
+class ExecutionGovernor;
 
 /// Counters describing one GraphGeneration step (the tests use them to
 /// quantify a-priori pruning).
@@ -50,13 +50,13 @@ CandidateGraph MakeSingleDimensionChain(const QuasiIdentifier& qid,
 /// subset-local, and ids are never part of the search outcome. The
 /// returned graph has adjacency built.
 ///
-/// When `shard` is non-null the prune hash tree is charged against the
-/// worker's shard lease for the duration of the prune; a refused charge
-/// latches the trip (for the caller to observe) but the graph is still
-/// generated — candidate generation is never the step that loses work.
+/// When `governor` is non-null the prune hash tree is charged against it
+/// for the duration of the prune; a refused charge latches the trip (for
+/// the caller to observe) but the graph is still generated — candidate
+/// generation is never the step that loses work.
 CandidateGraph GenerateSubsetGraph(
     const std::vector<const CandidateGraph*>& parents,
-    GraphGenStats* stats = nullptr, GovernorShard* shard = nullptr);
+    GraphGenStats* stats = nullptr, ExecutionGovernor* governor = nullptr);
 
 }  // namespace incognito
 

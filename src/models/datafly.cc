@@ -53,7 +53,9 @@ PartialResult<DataflyResult> RunDataflyImpl(const Table& table,
       Status checkpoint = governor->Check();
       if (!checkpoint.ok()) return stop_early(std::move(checkpoint));
     }
-    FrequencySet freq = FrequencySet::Compute(table, qid, node);
+    FrequencySet freq = std::move(
+        FrequencySet::ComputeBatch(table, qid, {node}, nullptr, governor)
+            .front());
     int64_t freq_bytes = static_cast<int64_t>(freq.MemoryBytes());
     if (governor != nullptr) {
       Status charged = governor->ChargeMemory(freq_bytes);

@@ -122,12 +122,13 @@ class MemoryBudget {
 };
 
 /// Counts of governor activity during one governed run; exported into
-/// AlgorithmStats so run reports show *why* a run degraded.
+/// AlgorithmStats so run reports show *why* a run degraded. Only the trip
+/// that latches is counted, so each trip counter is 0 or 1 per run.
 struct GovernorTrips {
   int64_t checks = 0;          ///< cooperative checkpoints evaluated
-  int64_t deadline_trips = 0;  ///< checkpoints that saw an expired deadline
-  int64_t memory_trips = 0;    ///< charges refused by the memory budget
-  int64_t cancel_trips = 0;    ///< checkpoints that saw cancellation
+  int64_t deadline_trips = 0;  ///< the latched trip was an expired deadline
+  int64_t memory_trips = 0;    ///< the latched trip was a refused charge
+  int64_t cancel_trips = 0;    ///< the latched trip was a cancellation
 };
 
 /// Bundles the three cooperative budgets every governed entry point
@@ -135,10 +136,14 @@ struct GovernorTrips {
 /// may Cancel() it from another thread), and a MemoryBudget.
 ///
 /// Algorithms call Check() once per lattice node and ChargeMemory() at
-/// every frequency-set/cube/hash-tree allocation site. The first non-OK
-/// outcome latches: every later Check() returns the same status, so one
-/// trip unwinds the whole search deterministically. Construct a fresh
-/// governor per run; trip state and byte accounting are not reusable.
+/// every frequency-set/cube/hash-tree allocation site. Every method but
+/// the setters is safe to call from any thread, so all workers of a
+/// parallel run charge and poll the one governor (docs/PARALLELISM.md
+/// "One governor"); call the setters before the run. The first non-OK
+/// outcome latches for every thread: every later Check() and
+/// ChargeMemory() returns the same status, so one trip unwinds the whole
+/// search deterministically. Construct a fresh governor per run; trip
+/// state and byte accounting are not reusable.
 class ExecutionGovernor {
  public:
   ExecutionGovernor() = default;
@@ -151,12 +156,13 @@ class ExecutionGovernor {
 
   /// The cooperative checkpoint: returns OK to continue, or the (latched)
   /// trip status. Cancellation is checked before the deadline so an
-  /// explicit Cancel() wins the race against an expiring clock.
+  /// explicit Cancel() wins the race against an expiring clock. Takes no
+  /// lock until something has tripped.
   Status Check();
 
-  /// Charges `bytes` against the memory budget; kResourceExhausted (also
-  /// latched) when the budget refuses. Compiled with INCOGNITO_FAULTS this
-  /// is an allocation-failure injection site ("governor.charge").
+  /// Charges exactly `bytes` against the memory budget; kResourceExhausted
+  /// (also latched) when the budget refuses. Compiled with INCOGNITO_FAULTS
+  /// this is an allocation-failure injection site ("governor.charge").
   Status ChargeMemory(int64_t bytes);
 
   void ReleaseMemory(int64_t bytes) { memory_.Release(bytes); }
@@ -165,15 +171,19 @@ class ExecutionGovernor {
   /// memory budget had refused a charge (used by the compute-path fault
   /// points in the rollup/cube code, whose enclosing functions cannot
   /// return a Status directly; the search unwinds at its next checkpoint
-  /// or charge). Thread-safe. Returns the latched trip.
+  /// or charge). Returns the latched trip.
   Status LatchInjectedFailure(const char* site);
 
-  bool Tripped() const { return !trip_.ok(); }
-  const Status& TripStatus() const { return trip_; }
-  const GovernorTrips& trips() const { return trips_; }
+  /// Latches `trip` unless another trip latched first, and returns the
+  /// latched status. The trip that latches is counted once, by its code
+  /// (kCancelled, kDeadlineExceeded, kResourceExhausted).
+  Status Latch(Status trip);
+
+  bool Tripped() const { return tripped_.load(std::memory_order_acquire); }
+  /// The latched trip, or OK when nothing has tripped.
+  Status TripStatus() const;
+  GovernorTrips trips() const;
   const MemoryBudget& memory() const { return memory_; }
-  const Deadline& deadline() const { return deadline_; }
-  const CancelToken* cancel_token() const { return cancel_; }
 
   /// Snapshots this governor's trip counters into `stats` (the governed
   /// entry points call this before returning). Overwrite semantics: the
@@ -181,107 +191,20 @@ class ExecutionGovernor {
   /// repeated exports during one run never double-count.
   void ExportTrips(AlgorithmStats* stats) const;
 
-  // --- Shard support (thread-safe; used by GovernorShard) -----------------
-  //
-  // The serial methods above touch trip state without locking, which is
-  // fine for the single-threaded search loops. Parallel search instead
-  // gives each worker a GovernorShard; shards reach the shared budget only
-  // through the three calls below (an atomic budget operation plus a
-  // mutex-guarded trip latch), so worker threads never race the governor's
-  // plain members. The parallel driver itself only calls the serial
-  // methods while the worker pool is quiescent.
-
-  /// Leases `bytes` straight from the memory budget without touching trip
-  /// state. Returns false when the budget refuses. Thread-safe.
-  bool TryLeaseMemory(int64_t bytes) { return memory_.TryCharge(bytes); }
-
-  /// Returns previously leased bytes to the budget. Thread-safe.
-  void ReturnLeasedMemory(int64_t bytes) { memory_.Release(bytes); }
-
-  /// First-trip latch shared by all shards: the first caller's status is
-  /// stored and returned to everyone (so one worker's trip stops the
-  /// others at their next checkpoint). Thread-safe.
-  Status LatchSharedTrip(Status trip);
-
-  /// The latched shared trip, or OK when none. Thread-safe.
-  Status SharedTrip() const;
-
-  /// Folds a drained shard's trip counters into this governor's totals so
-  /// ExportTrips reflects the whole parallel run. Thread-safe: subset
-  /// tasks drain their scans' transient shards on their own workers.
-  void AbsorbShardTrips(const GovernorTrips& trips);
-
  private:
-  Deadline deadline_;
+  // Read by every Check() and charge; written only by the setters and,
+  // once, by the latching trip. Kept off the cache lines below, which
+  // every charge and every Check() writes.
+  alignas(64) Deadline deadline_;
   const CancelToken* cancel_ = nullptr;
-  MemoryBudget memory_;
-  GovernorTrips trips_;
-  Status trip_;  // first trip, latched
-  mutable std::mutex shared_mu_;  // guards trip_ and shard absorbs
-};
-
-/// A worker-local view of a shared ExecutionGovernor for parallel search
-/// (docs/PARALLELISM.md). Each worker owns one shard and charges its
-/// frequency sets against it; the shard leases bytes from the shared
-/// MemoryBudget in `lease_chunk_bytes` slabs so workers do not contend on
-/// the global counter for every small charge.
-///
-/// Leases are monotonic: a shard never returns bytes mid-run, only at
-/// Drain(). Because every live lease is charged to the shared budget, the
-/// sum of all shards' high-water (peak-lease) marks can never exceed the
-/// global limit — the invariant tests/property_test.cc checks.
-///
-/// Check() observes the parent's Deadline/CancelToken and the shared trip
-/// latch, so a trip in any worker (or in the main thread) stops every
-/// shard within one node-check. Not thread-safe itself: one shard belongs
-/// to exactly one worker, plus the quiescent main thread during merges.
-class GovernorShard {
- public:
-  static constexpr int64_t kDefaultLeaseChunkBytes = int64_t{256} << 10;
-
-  explicit GovernorShard(ExecutionGovernor* parent,
-                         int64_t lease_chunk_bytes = kDefaultLeaseChunkBytes);
-  ~GovernorShard();
-  GovernorShard(const GovernorShard&) = delete;
-  GovernorShard& operator=(const GovernorShard&) = delete;
-
-  /// The cooperative checkpoint: local latch, then the shared latch, then
-  /// cancellation, then the deadline. A fresh trip is published to the
-  /// shared latch so sibling shards stop too.
-  Status Check();
-
-  /// Charges `bytes` against this shard, leasing another slab from the
-  /// shared budget when the current lease is exhausted. A refused lease
-  /// trips (kResourceExhausted), latches shared, and is retried at exact
-  /// size first so small global budgets behave like the serial path.
-  /// Compiled with INCOGNITO_FAULTS this hits the "governor.charge" site.
-  Status ChargeMemory(int64_t bytes);
-
-  /// Returns `bytes` to this shard's local accounting (the lease itself
-  /// stays; Drain returns it to the shared budget).
-  void ReleaseMemory(int64_t bytes);
-
-  /// Returns every leased byte to the parent and folds this shard's trip
-  /// counters into it. Idempotent; called by the destructor. After Drain
-  /// the shard must not be charged again.
-  void Drain();
-
-  int64_t leased_bytes() const { return leased_; }
-  int64_t used_bytes() const { return used_; }
-  /// Peak lease, == final lease since leases are monotonic until Drain.
-  int64_t high_water_bytes() const { return high_water_; }
-  const GovernorTrips& trips() const { return trips_; }
-  bool tripped() const { return !trip_.ok(); }
-
- private:
-  ExecutionGovernor* parent_;
-  int64_t chunk_;
-  int64_t leased_ = 0;
-  int64_t used_ = 0;
-  int64_t high_water_ = 0;
-  GovernorTrips trips_;
-  Status trip_;  // local copy of the first trip this shard observed
-  bool drained_ = false;
+  std::atomic<bool> tripped_{false};
+  alignas(64) MemoryBudget memory_;
+  alignas(64) std::atomic<int64_t> checks_{0};
+  // The latch: trip_ and the trip counters are written once, under mu_,
+  // before tripped_ publishes them.
+  alignas(64) mutable std::mutex mu_;
+  Status trip_;
+  GovernorTrips trips_;  // checks stays 0 here; checks_ counts them
 };
 
 }  // namespace incognito

@@ -27,10 +27,8 @@ const char* JobStateName(JobState state) {
   return "queued";
 }
 
-ServiceCore::ServiceCore(const ServiceConfig& config) : config_(config) {
-  if (config_.memory_limit_bytes > 0) {
-    lease_pool_.SetMemoryLimitBytes(config_.memory_limit_bytes);
-  }
+ServiceCore::ServiceCore(const ServiceConfig& config)
+    : config_(config), lease_pool_(config.memory_limit_bytes) {
   StartWorkers(config_.num_workers);
 }
 
@@ -97,7 +95,7 @@ Result<JobId> ServiceCore::Submit(JobSpec spec) {
                       ? spec.exec.memory_budget_bytes
                       : config_.default_job_lease_bytes;
   if (config_.memory_limit_bytes > 0 &&
-      !lease_pool_.TryLeaseMemory(lease)) {
+      !lease_pool_.TryCharge(lease)) {
     ++stats_.rejected_memory;
     return Status::ResourceExhausted(
         "service memory lease pool exhausted (backpressure: retry after a "
@@ -230,7 +228,7 @@ void ServiceCore::FinishLocked(JobRecord* job) {
   job->state = JobState::kDone;
   job->finish_seq = ++finish_seq_;
   if (job->lease_bytes > 0) {
-    lease_pool_.ReturnLeasedMemory(job->lease_bytes);
+    lease_pool_.Release(job->lease_bytes);
     job->lease_bytes = 0;
   }
 }

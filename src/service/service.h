@@ -177,9 +177,9 @@ class ServiceCore {
   void FinishLocked(JobRecord* job);
 
   const ServiceConfig config_;
-  /// Admission-side lease pool (memory_limit_bytes); only its thread-safe
-  /// shard interface is used.
-  ExecutionGovernor lease_pool_;
+  /// Admission-side lease pool: every queued or running job's lease, limited
+  /// to memory_limit_bytes.
+  MemoryBudget lease_pool_;
 
   mutable std::mutex mu_;
   std::condition_variable work_cv_;  ///< workers wait for queued jobs

@@ -1,7 +1,7 @@
 // Differential tests for the subset-DAG Incognito search
-// (src/core/parallel.h): the worker pool, the GovernorShard lease
-// protocol, and — the core guarantee — bit-identical results at every
-// thread count against the 1-worker (serial) case, plus the sound
+// (src/core/parallel.h): the worker pool, the one governor every worker
+// charges and polls, and — the core guarantee — bit-identical results at
+// every thread count against the 1-worker (serial) case, plus the sound
 // partial-result contract when a budget trips mid-search.
 
 #include <gtest/gtest.h>
@@ -92,80 +92,116 @@ TEST(WorkerPoolTest, DistinctWorkersRunDistinctChunks) {
 }
 
 // ---------------------------------------------------------------------------
-// GovernorShard lease protocol
+// One governor, charged and polled from every thread
 // ---------------------------------------------------------------------------
 
-TEST(GovernorShardTest, LeasesInChunksAndDrainReturnsEverything) {
-  ExecutionGovernor governor;  // unlimited
-  {
-    GovernorShard shard(&governor, /*lease_chunk_bytes=*/1024);
-    EXPECT_TRUE(shard.ChargeMemory(100).ok());
-    // One whole chunk was leased for a 100-byte charge.
-    EXPECT_EQ(shard.leased_bytes(), 1024);
-    EXPECT_EQ(shard.used_bytes(), 100);
-    EXPECT_EQ(governor.memory().used(), 1024);
-    // Fits inside the existing lease: no new chunk.
-    EXPECT_TRUE(shard.ChargeMemory(900).ok());
-    EXPECT_EQ(shard.leased_bytes(), 1024);
-    // Overflows the lease: another chunk.
-    EXPECT_TRUE(shard.ChargeMemory(100).ok());
-    EXPECT_EQ(shard.leased_bytes(), 2048);
-    EXPECT_EQ(shard.high_water_bytes(), 2048);
-    shard.ReleaseMemory(1100);
-    EXPECT_EQ(shard.used_bytes(), 0);
-    // Releases stay local: the lease is monotonic until Drain.
-    EXPECT_EQ(governor.memory().used(), 2048);
-    shard.Drain();
-    EXPECT_EQ(governor.memory().used(), 0);
-    EXPECT_EQ(shard.high_water_bytes(), 2048);  // high-water survives Drain
-  }
-  EXPECT_EQ(governor.memory().used(), 0);
-}
-
-TEST(GovernorShardTest, ExactSizeRetryWhenChunkRefused) {
+TEST(ExecutionGovernorTest, ChargesExactBytesUnderASmallLimit) {
+  // Every charge counts its exact bytes, so a limit of a few hundred bytes
+  // admits exactly what fits.
   ExecutionGovernor governor;
-  governor.SetMemoryLimitBytes(500);  // smaller than one chunk
-  GovernorShard shard(&governor, /*lease_chunk_bytes=*/1024);
-  // The whole-chunk lease is refused but the exact-size retry fits, so a
-  // global budget smaller than the chunk still admits what fits (like the
-  // serial path's exact accounting).
-  EXPECT_TRUE(shard.ChargeMemory(400).ok());
-  EXPECT_EQ(shard.leased_bytes(), 400);
+  governor.SetMemoryLimitBytes(500);
+  EXPECT_TRUE(governor.ChargeMemory(100).ok());
+  EXPECT_EQ(governor.memory().used(), 100);
+  EXPECT_TRUE(governor.ChargeMemory(400).ok());  // exactly the limit
+  EXPECT_EQ(governor.memory().peak(), 500);
   EXPECT_FALSE(governor.Tripped());
-  shard.Drain();
+  governor.ReleaseMemory(500);
   EXPECT_EQ(governor.memory().used(), 0);
 }
 
-TEST(GovernorShardTest, RefusalLatchesSharedTripForSiblings) {
+TEST(ExecutionGovernorTest, OneThreadsRefusalStopsAnotherThread) {
   ExecutionGovernor governor;
   governor.SetMemoryLimitBytes(1000);
-  GovernorShard a(&governor, 256);
-  GovernorShard b(&governor, 256);
-  EXPECT_TRUE(a.ChargeMemory(900).ok());
-  Status refused = b.ChargeMemory(900);
+  ASSERT_TRUE(governor.ChargeMemory(900).ok());
+  Status refused;
+  std::thread other([&] { refused = governor.ChargeMemory(900); });
+  other.join();
   EXPECT_EQ(refused.code(), StatusCode::kResourceExhausted);
-  EXPECT_EQ(b.trips().memory_trips, 1);
-  // The sibling observes the shared trip at its next checkpoint.
-  EXPECT_EQ(a.Check().code(), StatusCode::kResourceExhausted);
-  a.Drain();
-  b.Drain();
+  // This thread's next checkpoint and charge both see the latched trip.
+  EXPECT_EQ(governor.Check().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(governor.ChargeMemory(1).code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(governor.memory().used(), 900);
+  governor.ReleaseMemory(900);
   EXPECT_EQ(governor.memory().used(), 0);
-  // Drain folded both shards' counters into the governor.
-  EXPECT_GE(governor.trips().memory_trips, 1);
-  EXPECT_GE(governor.trips().checks, 1);
+  EXPECT_EQ(governor.trips().memory_trips, 1);
 }
 
-TEST(GovernorShardTest, ChecksObserveParentDeadlineAndCancel) {
+TEST(ExecutionGovernorTest, CheckObservesCancelAndDeadlineAndLatches) {
+  CancelToken token;
+  ExecutionGovernor cancelled;
+  cancelled.SetCancelToken(&token);
+  EXPECT_TRUE(cancelled.Check().ok());
+  token.Cancel();
+  EXPECT_EQ(cancelled.Check().code(), StatusCode::kCancelled);
+  EXPECT_EQ(cancelled.TripStatus().code(), StatusCode::kCancelled);
+  EXPECT_EQ(cancelled.ChargeMemory(1).code(), StatusCode::kCancelled);
+  EXPECT_EQ(cancelled.memory().used(), 0);
+  EXPECT_EQ(cancelled.trips().cancel_trips, 1);
+  EXPECT_EQ(cancelled.trips().checks, 2);  // a latched Check is not counted
+
+  ExecutionGovernor expired;
+  expired.SetDeadline(Deadline::AfterMillis(0));
+  EXPECT_TRUE(expired.TripStatus().ok());
+  EXPECT_EQ(expired.Check().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(expired.Check().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(expired.trips().deadline_trips, 1);
+}
+
+TEST(ExecutionGovernorTest, FourThreadsChargeReleaseAndPollUntilCancelled) {
   CancelToken token;
   ExecutionGovernor governor;
   governor.SetCancelToken(&token);
-  GovernorShard shard(&governor);
-  EXPECT_TRUE(shard.Check().ok());
+  constexpr int kThreads = 4;
+  std::atomic<int> running{0};
+  std::vector<StatusCode> ended(kThreads, StatusCode::kOk);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      running.fetch_add(1);
+      for (int64_t i = 0;; ++i) {
+        const int64_t bytes = 1 + (i + t) % 64;
+        Status status = governor.Check();
+        if (status.ok()) status = governor.ChargeMemory(bytes);
+        if (!status.ok()) {
+          ended[static_cast<size_t>(t)] = status.code();
+          return;
+        }
+        governor.ReleaseMemory(bytes);
+      }
+    });
+  }
+  while (running.load() < kThreads) std::this_thread::yield();
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
   token.Cancel();
-  EXPECT_EQ(shard.Check().code(), StatusCode::kCancelled);
-  // Latched locally and shared.
-  EXPECT_EQ(shard.Check().code(), StatusCode::kCancelled);
-  EXPECT_EQ(governor.SharedTrip().code(), StatusCode::kCancelled);
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(governor.memory().used(), 0);
+  for (StatusCode code : ended) EXPECT_EQ(code, StatusCode::kCancelled);
+  const GovernorTrips trips = governor.trips();
+  EXPECT_EQ(trips.cancel_trips, 1);
+  EXPECT_EQ(trips.memory_trips, 0);
+  EXPECT_EQ(trips.deadline_trips, 0);
+  EXPECT_GE(trips.checks, kThreads);
+}
+
+TEST(ExecutionGovernorTest, PatientsSearchPeakIsTheBytesHeld) {
+  // The governor counts exact charges: a search of the six-row Patients
+  // table holds a few frequency sets of a few groups each, at any thread
+  // count.
+  Result<PatientsDataset> patients = MakePatientsDataset();
+  ASSERT_TRUE(patients.ok());
+  AnonymizationConfig config;
+  config.k = 2;
+  for (int threads : {1, 4}) {
+    ExecutionGovernor governor;
+    PartialResult<IncognitoResult> run =
+        RunIncognito(patients->table, patients->qid, config, {},
+                     RunContext::Governed(governor, threads));
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    EXPECT_GT(governor.memory().peak(), 0) << "threads=" << threads;
+    EXPECT_LT(governor.memory().peak(), int64_t{64} << 10)
+        << "threads=" << threads;
+    EXPECT_EQ(governor.memory().used(), 0) << "threads=" << threads;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -235,8 +271,6 @@ TEST(ParallelIncognitoTest, AdultsSweepMatchesSerialAtEveryThreadCount) {
       ASSERT_TRUE(parallel.ok()) << "threads=" << threads;
       ExpectBitIdentical(*serial, *parallel);
       EXPECT_EQ(parallel->stats.parallel_workers, threads);
-      EXPECT_EQ(parallel->shard_high_water_bytes.size(),
-                static_cast<size_t>(threads));
     }
   }
 }
@@ -331,7 +365,7 @@ TEST(ParallelIncognitoTest, GovernedGenerousBudgetMatchesSerial) {
 }
 
 // ---------------------------------------------------------------------------
-// Trips: cancellation, deadline, shard memory budgets
+// Trips: cancellation, deadline, memory budgets
 // ---------------------------------------------------------------------------
 
 TEST(ParallelIncognitoTest, DeadlineZeroReturnsEmptyValidPartial) {
@@ -376,7 +410,7 @@ TEST(ParallelIncognitoTest, PreCancelledTokenTripsCleanly) {
 TEST(ParallelIncognitoTest, MidSearchCancelFromSecondThreadDrainsCleanly) {
   // A search slow enough (5 attributes, no rollup, larger table) that the
   // canceller thread reliably lands mid-run; every worker must latch and
-  // the pool must drain with all shard memory returned.
+  // the pool must drain with every charged byte released.
   Rng rng(11);
   testing_util::RandomDatasetOptions opts;
   opts.num_attrs = 5;
@@ -410,7 +444,7 @@ TEST(ParallelIncognitoTest, MidSearchCancelFromSecondThreadDrainsCleanly) {
   EXPECT_EQ(governor.memory().used(), 0);
 }
 
-TEST(ParallelIncognitoTest, ShardBudgetTripYieldsSoundPrefixAndBoundedPeaks) {
+TEST(ParallelIncognitoTest, BudgetTripYieldsSoundPrefixAndBoundedPeak) {
   Rng rng(33);
   RandomDataset data = MakeRandomDataset(rng);
   AnonymizationConfig config;
@@ -426,11 +460,9 @@ TEST(ParallelIncognitoTest, ShardBudgetTripYieldsSoundPrefixAndBoundedPeaks) {
     PartialResult<IncognitoResult> run =
         RunIncognito(data.table, data.qid, config, {}, RunContext::Governed(governor, 4));
     ASSERT_FALSE(run.hard_error()) << run.status().ToString();
-    // Sum of per-shard high-water leases never exceeds the global limit —
-    // leases are charged to the shared budget before they count.
-    int64_t high_water_sum = 0;
-    for (int64_t hw : run->shard_high_water_bytes) high_water_sum += hw;
-    EXPECT_LE(high_water_sum, limit) << "limit=" << limit;
+    // Every worker's charge goes to the one budget, which refuses any
+    // charge past the limit, so its peak never exceeds it.
+    EXPECT_LE(governor.memory().peak(), limit) << "limit=" << limit;
     EXPECT_EQ(governor.memory().used(), 0) << "limit=" << limit;
     if (run.partial()) {
       saw_partial = true;
@@ -516,7 +548,7 @@ TEST(PooledScanTest, MatchesSerialOnEveryFixture) {
   }
 }
 
-TEST(PooledScanTest, GovernedScanMatchesAndDrainsShardsToZero) {
+TEST(PooledScanTest, GovernedScanMatchesAndReleasesToZero) {
   AdultsOptions adults;
   adults.num_rows = 300;
   Result<SyntheticDataset> data = MakeAdultsDataset(adults);
@@ -531,8 +563,8 @@ TEST(PooledScanTest, GovernedScanMatchesAndDrainsShardsToZero) {
   FrequencySet parallel = PooledScan(data->table, qid, node, pool, &governor);
   EXPECT_FALSE(governor.Tripped());
   ExpectSameFrequencySet(serial, parallel);
-  // The per-worker shard leases are transient: drained before returning,
-  // so the caller owns the only live charge (here: none yet).
+  // The chunks' charges are transient: released before returning, so the
+  // caller owns the only live charge (here: none yet).
   EXPECT_EQ(governor.memory().used(), 0);
   EXPECT_GE(governor.trips().checks, 1);
 }
@@ -580,7 +612,7 @@ TEST(ParallelIncognitoTest, CubeVariantMatchesSerialAtEveryThreadCount) {
   }
 }
 
-TEST(ParallelIncognitoTest, GovernedCubeVariantDrainsEveryShardToZero) {
+TEST(ParallelIncognitoTest, GovernedCubeVariantReleasesEveryChargeToZero) {
   AdultsOptions adults;
   adults.num_rows = 300;
   Result<SyntheticDataset> data = MakeAdultsDataset(adults);
@@ -600,8 +632,8 @@ TEST(ParallelIncognitoTest, GovernedCubeVariantDrainsEveryShardToZero) {
   ASSERT_TRUE(governed.complete()) << governed.status().ToString();
   ExpectBitIdentical(*serial, governed.value());
   EXPECT_EQ(governed->stats.parallel_workers, 4);
-  // Acceptance: every shard — search workers, scan chunks, cube
-  // projections — drained back to the shared budget.
+  // Acceptance: every charge — search workers, scan chunks, cube
+  // projections — released back to the budget.
   EXPECT_EQ(governor.memory().used(), 0);
 }
 

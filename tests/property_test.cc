@@ -157,9 +157,9 @@ TEST_P(SeededPropertyTest, ParallelIncognitoMatchesOracle) {
 
 TEST_P(SeededPropertyTest, ParallelGovernorAlwaysDrainsToZero) {
   // Invariant: whatever way a parallel run ends — completed, deadline,
-  // cancelled, or shard-budget-tripped — every leased byte is returned
-  // (used() == 0) and the shard high-water leases sum to at most the
-  // global limit (docs/PARALLELISM.md).
+  // cancelled, or budget-tripped — every charged byte is released
+  // (used() == 0) and the budget's peak stays within its limit
+  // (docs/PARALLELISM.md).
   const int64_t limit = int64_t{16} << 10;
   CancelToken cancelled;
   cancelled.Cancel();
@@ -183,10 +183,8 @@ TEST_P(SeededPropertyTest, ParallelGovernorAlwaysDrainsToZero) {
         dataset_.table, dataset_.qid, config_, IncognitoOptions{}, RunContext::Governed(governor, 4));
     ASSERT_FALSE(run.hard_error()) << s.name << ": " << run.status().ToString();
     EXPECT_EQ(governor.memory().used(), 0) << s.name;
-    int64_t high_water_sum = 0;
-    for (int64_t hw : run->shard_high_water_bytes) high_water_sum += hw;
     if (s.memory_limit > 0) {
-      EXPECT_LE(high_water_sum, s.memory_limit) << s.name;
+      EXPECT_LE(governor.memory().peak(), s.memory_limit) << s.name;
     }
     if (run.complete()) {
       EXPECT_EQ(NodeSet(run->anonymous_nodes), Oracle(config_)) << s.name;

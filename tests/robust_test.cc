@@ -457,6 +457,27 @@ TEST(GovernedSearchTest, IncognitoMemoryTripReleasesAllCharges) {
   }
 }
 
+TEST(GovernedSearchTest, BottomUpChargesItsTableScans) {
+  // Without rollup every node is its own scan, charged like every other
+  // governed scan: the zero node of Age, Gender, Race and Marital status
+  // (7 + 1 + 3 + 3 key bits) counts into a 2^14-slot array.
+  Result<SyntheticDataset> data = MakeAdultsDataset();
+  ASSERT_TRUE(data.ok());
+  ASSERT_EQ(data->table.num_rows(), 45222u);
+  AnonymizationConfig config;
+  config.k = 2;
+  BottomUpOptions options;
+  options.use_rollup = false;
+  ExecutionGovernor governor;
+  PartialResult<BottomUpResult> run =
+      RunBottomUpBfs(data->table, data->qid.Prefix(4), config, options,
+                     RunContext::Governed(governor));
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  EXPECT_GE(governor.memory().peak(),
+            static_cast<int64_t>((size_t{1} << 14) * sizeof(int64_t)));
+  EXPECT_EQ(governor.memory().used(), 0);
+}
+
 TEST(GovernedCheckerTest, GovernedCheckMatchesAndTrips) {
   RandomDataset data = SmallDataset(77);
   AnonymizationConfig config;
@@ -656,6 +677,68 @@ TEST_F(FaultPointTest, GovernorChargeFaultBehavesLikeBudgetRefusal) {
   EXPECT_FALSE(charged.ok());
   EXPECT_EQ(charged.code(), StatusCode::kResourceExhausted);
   EXPECT_EQ(governor.memory().used(), 0);  // nothing was charged
+}
+
+TEST_F(FaultPointTest, ScanFaultStopsEveryNodeAtATimeSearch) {
+  // These runs scan one node at a time instead of through the walk's
+  // shared scans; every such scan runs under the run's governor, so the
+  // scan's fault site trips the run at its first scan.
+  RandomDataset data = SmallDataset();
+  AnonymizationConfig config;
+  config.k = 2;
+  auto arm = [] {
+    FaultInjector::Global().Reset();
+    FaultInjector::Global().ScriptFailNthHit("freq.batch.scan", 1);
+  };
+  {
+    arm();
+    IncognitoOptions unbatched;
+    unbatched.batch_scans = false;
+    ExecutionGovernor governor;
+    PartialResult<IncognitoResult> run =
+        RunIncognito(data.table, data.qid, config, unbatched,
+                     RunContext::Governed(governor));
+    ASSERT_TRUE(run.partial()) << run.status().ToString();
+    EXPECT_EQ(run.status().code(), StatusCode::kResourceExhausted);
+    EXPECT_TRUE(run->anonymous_nodes.empty());
+    EXPECT_EQ(FaultInjector::Global().FaultsFired(), 1);
+    EXPECT_EQ(governor.memory().used(), 0);
+  }
+  {
+    arm();
+    ExecutionGovernor governor;
+    PartialResult<BottomUpResult> run = RunBottomUpBfs(
+        data.table, data.qid, config, {}, RunContext::Governed(governor));
+    ASSERT_TRUE(run.partial()) << run.status().ToString();
+    EXPECT_EQ(run.status().code(), StatusCode::kResourceExhausted);
+    EXPECT_TRUE(run->anonymous_nodes.empty());
+    EXPECT_EQ(run->completed_heights, 0);
+    EXPECT_EQ(FaultInjector::Global().FaultsFired(), 1);
+    EXPECT_EQ(governor.memory().used(), 0);
+  }
+  {
+    arm();
+    ExecutionGovernor governor;
+    PartialResult<BinarySearchResult> run = RunSamaratiBinarySearch(
+        data.table, data.qid, config, RunContext::Governed(governor));
+    ASSERT_TRUE(run.partial()) << run.status().ToString();
+    EXPECT_EQ(run.status().code(), StatusCode::kResourceExhausted);
+    EXPECT_FALSE(run->found);
+    EXPECT_EQ(run->bracket_high, -1);
+    EXPECT_EQ(FaultInjector::Global().FaultsFired(), 1);
+    EXPECT_EQ(governor.memory().used(), 0);
+  }
+  {
+    arm();
+    ExecutionGovernor governor;
+    PartialResult<DataflyResult> run = RunDatafly(
+        data.table, data.qid, config, RunContext::Governed(governor));
+    ASSERT_TRUE(run.partial()) << run.status().ToString();
+    EXPECT_EQ(run.status().code(), StatusCode::kResourceExhausted);
+    EXPECT_EQ(run->view.num_rows(), 0u);
+    EXPECT_EQ(FaultInjector::Global().FaultsFired(), 1);
+    EXPECT_EQ(governor.memory().used(), 0);
+  }
 }
 
 TEST_F(FaultPointTest, EveryKnownSitePropagatesACleanStatus) {

@@ -405,6 +405,26 @@ TEST(ServiceCoreTest, SubmitPollWaitFetch) {
   EXPECT_EQ(core.Poll(999).status().code(), StatusCode::kNotFound);
 }
 
+TEST(ServiceCoreTest, MemoryGaugesReadTheJobsExactCharges) {
+  // A finished job has released every byte its governor charged, and its
+  // peak is what the demo search held: a few small frequency sets.
+  ServiceConfig config;
+  config.num_workers = 1;
+  ServiceCore core(config);
+  JobSpec spec = DemoSpec(JobModel::kKAnonymity);
+  spec.exec.memory_budget_bytes = int64_t{64} << 20;
+  Result<JobId> id = core.Submit(spec);
+  ASSERT_TRUE(id.ok());
+  Result<JobResult> result = core.Wait(id.value());
+  ASSERT_TRUE(result.ok());
+  EXPECT_TRUE(result->status.ok()) << result->status.ToString();
+  Result<JobSnapshot> snapshot = core.Poll(id.value());
+  ASSERT_TRUE(snapshot.ok());
+  EXPECT_EQ(snapshot->memory_used_bytes, 0);
+  EXPECT_GT(snapshot->memory_peak_bytes, 0);
+  EXPECT_LT(snapshot->memory_peak_bytes, int64_t{256} << 10);
+}
+
 TEST(ServiceCoreTest, QueueDepthAndTenantQuotaBackpressure) {
   ServiceConfig config;
   config.num_workers = 0;  // nothing dequeues: the queue state is exact

@@ -630,7 +630,6 @@ std::vector<std::string> Strings(const std::vector<SubsetNode>& nodes) {
 }
 
 /// Survivors, per-iteration sets, and every deterministic counter agree.
-/// (Shard high-water marks legitimately differ and are excluded.)
 void ExpectSameSearch(const IncognitoResult& expected,
                       const IncognitoResult& actual,
                       const std::string& context) {
@@ -732,8 +731,8 @@ TEST(SubstrateGovernedTest, RadixBufferChargeTripsTinyBudgets) {
   FrequencySet tripped =
       PooledScan(data->table, data->qid, node, pool, &governor);
   EXPECT_EQ(tripped.NumGroups(), 0u);
-  EXPECT_FALSE(governor.SharedTrip().ok());
-  EXPECT_EQ(governor.SharedTrip().code(), StatusCode::kResourceExhausted);
+  EXPECT_FALSE(governor.TripStatus().ok());
+  EXPECT_EQ(governor.TripStatus().code(), StatusCode::kResourceExhausted);
   EXPECT_EQ(governor.memory().used(), 0);
 }
 
@@ -755,7 +754,7 @@ TEST(SubstrateGovernedTest, MidSortCancelAbandonsTheSortCleanly) {
   FrequencySet tripped =
       PooledScan(data->table, data->qid, node, pool, &governor);
   EXPECT_EQ(tripped.NumGroups(), 0u);
-  EXPECT_EQ(governor.SharedTrip().code(), StatusCode::kCancelled);
+  EXPECT_EQ(governor.TripStatus().code(), StatusCode::kCancelled);
   EXPECT_EQ(governor.memory().used(), 0);
 }
 
@@ -776,7 +775,7 @@ TEST(SubstrateGovernedTest, CountArrayChargeTripsBudgetsBelowOneArray) {
   FrequencySet tripped =
       PooledScan(data->table, data->qid, node, pool, &governor);
   EXPECT_EQ(tripped.NumGroups(), 0u);
-  EXPECT_EQ(governor.SharedTrip().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(governor.TripStatus().code(), StatusCode::kResourceExhausted);
   EXPECT_EQ(governor.memory().used(), 0);
 }
 
@@ -800,7 +799,7 @@ TEST(SubstrateGovernedTest, CancelBeforeACountedScanReturnsEmptyAndBalanced) {
       data->table, data->qid, batch, &pool, &governor);
   ASSERT_EQ(sets.size(), batch.size());
   for (const FrequencySet& fs : sets) EXPECT_EQ(fs.NumGroups(), 0u);
-  EXPECT_EQ(governor.SharedTrip().code(), StatusCode::kCancelled);
+  EXPECT_EQ(governor.TripStatus().code(), StatusCode::kCancelled);
   EXPECT_EQ(governor.memory().used(), 0);
 }
 
@@ -859,24 +858,35 @@ TEST(SubstrateGovernedTest, OneThreadCheckChargesItsSortBuffers) {
   EXPECT_EQ(governor.memory().used(), 0);
 }
 
-TEST(SubstrateGovernedTest, MebibyteBudgetTripsTheCheckAtOneAndFourThreads) {
-  // The set alone (37,021 groups, 592,336 B) fits 1 MiB; the set plus the
-  // sort buffers does not, at one chunk as at four.
+TEST(SubstrateGovernedTest, BudgetsBelowTheSortBuffersTripTheCheck) {
+  // One thread: the set alone (37,021 groups, 592,336 B) fits 1 MiB; the
+  // set plus the one chunk's sort buffers (2 × 8 B a row) does not.
   Result<SyntheticDataset> data = MakeAdultsDataset();
   ASSERT_TRUE(data.ok());
   const SubsetNode node = ZeroNode(data->qid.size());
   AnonymizationConfig config;
   config.k = 2;
-  for (int threads : {1, 4}) {
+  {
     ExecutionGovernor governor;
     governor.SetMemoryLimitBytes(int64_t{1} << 20);
-    Result<bool> governed =
-        IsKAnonymous(data->table, data->qid, node, config,
-                     RunContext::Governed(governor, threads));
-    EXPECT_EQ(governed.status().code(), StatusCode::kResourceExhausted)
-        << "threads=" << threads;
-    EXPECT_EQ(governor.memory().used(), 0) << "threads=" << threads;
+    Result<bool> governed = IsKAnonymous(data->table, data->qid, node, config,
+                                         RunContext::Governed(governor, 1));
+    EXPECT_EQ(governed.status().code(), StatusCode::kResourceExhausted);
+    EXPECT_EQ(governor.memory().used(), 0);
   }
+  // Four threads: each chunk charges its own sort buffers before sorting,
+  // so a budget one byte below the smallest chunk's refuses every chunk,
+  // however the chunks overlap.
+  const int64_t chunk_buffers =
+      static_cast<int64_t>(2 * sizeof(uint64_t) * (data->table.num_rows() / 4));
+  ASSERT_EQ(chunk_buffers, 180880);
+  ASSERT_FALSE(ScanCountsDensely(data->qid, node, data->table.num_rows(), 4));
+  ExecutionGovernor governor;
+  governor.SetMemoryLimitBytes(chunk_buffers - 1);
+  Result<bool> governed = IsKAnonymous(data->table, data->qid, node, config,
+                                       RunContext::Governed(governor, 4));
+  EXPECT_EQ(governed.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(governor.memory().used(), 0);
 }
 
 TEST(SubstrateGovernedTest, GovernedSearchMatchesUngoverned) {

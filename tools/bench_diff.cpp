@@ -9,8 +9,7 @@
 //
 // Keys are classified by name and each class has its own relative
 // threshold:
-//   time      leaf key "seconds" or ending in "_seconds", plus keys
-//             containing "bytes" or "utilization" (noisy, lower is
+//   time      leaf key "seconds" or ending in "_seconds" (noisy, lower is
 //             better): REGRESSION when new > old * (1 + time-threshold).
 //             Old values below --time-floor seconds are skipped — sub-
 //             millisecond timings are scheduler noise, not signal.
@@ -18,9 +17,11 @@
 //             REGRESSION when new < old * (1 - speedup-threshold).
 //             Floor: a key ending in "speedup_threads_N", with 2 <= N <=
 //             this machine's hardware threads, whose baseline shows
-//             scaling (old > 1.0) is also a REGRESSION unless new > 1.0,
-//             whatever the threshold allows — N workers on N cores must
-//             beat one.
+//             scaling (old > 1.0) is also a REGRESSION unless
+//             new > 1 + (old - 1) / 3, a third of the way from 1.0 to the
+//             baseline, whatever the threshold allows — N workers on N
+//             cores must keep a share of the scaling they showed, and a
+//             run that stopped scaling sits at 1.0 give or take noise.
 //   overhead  keys containing "overhead_ratio" (a with/without timing
 //             ratio whose contract is absolute, not relative to the
 //             baseline): REGRESSION when new > 1 + overhead-threshold.
@@ -113,10 +114,7 @@ KeyClass ClassifyKey(const std::string& path) {
     return KeyClass::kOverhead;
   }
   if (leaf == "seconds" ||
-      (leaf.size() > 8 &&
-       leaf.compare(leaf.size() - 8, 8, "_seconds") == 0) ||
-      leaf.find("bytes") != std::string::npos ||
-      leaf.find("utilization") != std::string::npos) {
+      (leaf.size() > 8 && leaf.compare(leaf.size() - 8, 8, "_seconds") == 0)) {
     return KeyClass::kTime;
   }
   if (leaf == "solutions") return KeyClass::kExact;
@@ -131,13 +129,15 @@ KeyClass ClassifyKey(const std::string& path) {
 }
 
 /// The speedup floor (see file header): true when `path` names an N-thread
-/// speedup the baseline shows (old > 1.0) that has fallen to 1.0 or below,
-/// with N within this machine's hardware threads.
+/// speedup the baseline shows (old > 1.0) that has fallen to a third of
+/// the way from 1.0 to it or below, with N within this machine's hardware
+/// threads.
 bool BelowScalingFloor(const std::string& path, double old_value,
                        double new_value) {
   static const std::string kSuffix = "speedup_threads_";
   const size_t at = path.rfind(kSuffix);
-  if (at == std::string::npos || old_value <= 1.0 || new_value > 1.0) {
+  if (at == std::string::npos || old_value <= 1.0 ||
+      new_value > 1.0 + (old_value - 1.0) / 3.0) {
     return false;
   }
   int64_t threads = 0;

@@ -47,7 +47,7 @@ void NodeColumns(const Table& table, const QuasiIdentifier& qid,
 /// instead of sorting: the `bits`-bit key space is at most twice the
 /// `input` it aggregates — a row chunk's rows for a scan, source groups
 /// for a rollup or projection. The array's 8 B slots then cost at most
-/// 16 B per input entry, no more than a sort's key + scratch buffers.
+/// 16 B per input entry, what a one-bucket sort's buffer and temp hold.
 bool CountsDensely(size_t bits, size_t input) {
   return bits < 64 &&
          (uint64_t{1} << bits) <= 2 * static_cast<uint64_t>(input);
@@ -81,50 +81,19 @@ bool CountPackedKeys(const std::vector<const int32_t*>& cols,
                      const std::vector<const int32_t*>& maps,
                      const KeyCodec& codec, size_t begin, size_t end,
                      int64_t* counts, Tick&& tick) {
-  std::vector<uint64_t> block;
+  uint64_t block[kCountBlockRows] = {};
   for (size_t r = begin; r < end; r += kCountBlockRows) {
     if ((r - begin) % kCheckEveryRows == 0 && !tick()) return false;
-    GatherPackedKeys(cols, maps, codec, r, std::min(end, r + kCountBlockRows),
-                     &block);
-    for (uint64_t key : block) ++counts[key];
+    const size_t e = std::min(end, r + kCountBlockRows);
+    GatherPackedKeys(cols, maps, codec, r, e, block);
+    for (size_t i = 0; i < e - r; ++i) ++counts[block[i]];
   }
   return true;
 }
 
-/// Coalesces a key-sorted (key, count) run into unique groups with an
-/// exact-capacity reserve — `out` must be empty so its final capacity is
+/// Coalesces a code-vector-sorted (key, count) run into unique groups with
+/// an exact-capacity reserve — `out` must be empty so its final capacity is
 /// the group count, as every other build of a set leaves it.
-void CoalescePacked(const std::vector<std::pair<uint64_t, int64_t>>& all,
-                    std::vector<std::pair<uint64_t, int64_t>>* out) {
-  size_t unique = 0;
-  for (size_t i = 0; i < all.size(); ++i) {
-    if (i == 0 || all[i].first != all[i - 1].first) ++unique;
-  }
-  out->reserve(unique);
-  for (size_t i = 0; i < all.size();) {
-    const uint64_t key = all[i].first;
-    int64_t count = 0;
-    for (; i < all.size() && all[i].first == key; ++i) count += all[i].second;
-    out->emplace_back(key, count);
-  }
-}
-
-/// Radix-sorts (key, count) pairs on their low `total_bits` bits and
-/// coalesces them into `out` (empty on entry) — the canonical order, since
-/// packing is order-preserving. The sort's ping-pong buffer is freed before
-/// the coalesced copy is allocated, so at most two item-sized buffers live
-/// at once.
-void SortAndCoalescePacked(std::vector<std::pair<uint64_t, int64_t>>& items,
-                           size_t total_bits,
-                           std::vector<std::pair<uint64_t, int64_t>>* out) {
-  {
-    std::vector<std::pair<uint64_t, int64_t>> scratch;
-    RadixSortCounted(items, scratch, total_bits);
-  }
-  CoalescePacked(items, out);
-}
-
-/// Vector-key twin of CoalescePacked.
 void CoalesceVec(
     const std::vector<std::pair<std::vector<int32_t>, int64_t>>& all,
     std::vector<std::pair<std::vector<int32_t>, int64_t>>* out) {
@@ -244,40 +213,80 @@ std::vector<FrequencySet> FrequencySet::ComputeBatch(
     INCOGNITO_COUNT_ADD("freq.scan_chunks", static_cast<int64_t>(chunks));
   }
 
-  // Per-chunk, per-node aggregation state, merged per node in chunk order.
+  // Per-chunk, per-node state of the counted and wide nodes, merged per
+  // node in chunk order.
   std::vector<std::vector<std::vector<int64_t>>> ccount(chunks);
-  std::vector<std::vector<std::vector<std::pair<uint64_t, int64_t>>>> cpart(
-      chunks);
   std::vector<std::vector<std::unique_ptr<FlatCodeMap>>> cflat(chunks);
   for (size_t c = 0; c < chunks; ++c) {
     ccount[c].resize(b);
-    cpart[c].resize(b);
     cflat[c].resize(b);
   }
 
-  // The bytes each chunk holds charged when it returns, released together
-  // once every chunk has finished.
+  // The bytes each chunk holds charged when it returns, and the sorted
+  // nodes' sets, released together once the scan has finished.
   std::vector<int64_t> held(chunks, 0);
+  int64_t sorted_bytes = 0;
+  auto tick = [governor] {
+    return governor == nullptr || governor->Check().ok();
+  };
+  SortHooks hooks;
+  if (governor != nullptr) {
+    hooks.tick = tick;
+    hooks.charge = [governor](int64_t bytes) {
+      return governor->ChargeMemory(bytes).ok();
+    };
+    hooks.release = [governor](int64_t bytes) {
+      governor->ReleaseMemory(bytes);
+    };
+  }
 
-  // The one chunk body: rows [begin, end) into chunk c's state.
+  bool ok = tick();
+  // Fault site "freq.batch.scan": an injected allocation failure, consulted
+  // once per row chunk before the scan starts, latches like a refused
+  // charge.
+  for (size_t c = 0; governor != nullptr && ok && c < chunks; ++c) {
+    if (INCOGNITO_FAULT_FIRED("freq.batch.scan")) {
+      governor->LatchInjectedFailure("freq.batch.scan");
+      ok = false;
+    }
+  }
+
+  // Sorted nodes first, one at a time through the bucket sort, whose
+  // phases run over the same C row chunks. They share one bucket buffer
+  // of 8 B a row, charged before it is allocated and freed before any
+  // count array is allocated.
+  if (ok && any_sort && rows > 0) {
+    const int64_t buffer_bytes = static_cast<int64_t>(rows * sizeof(uint64_t));
+    ok = governor == nullptr || governor->ChargeMemory(buffer_bytes).ok();
+    if (ok) {
+      auto buffer = std::make_unique_for_overwrite<uint64_t[]>(rows);
+      for (size_t j = 0; j < b && ok; ++j) {
+        if (!out[j].packed_ || dense[j]) continue;
+        const KeyCodec& codec = out[j].codec_;
+        const size_t bits = codec.total_bits();
+        ok = BucketSortKeys(
+            rows, bits, BucketBits(rows, bits, chunks),
+            [&](size_t begin, size_t end, uint64_t* keys) {
+              GatherPackedKeys(cols[j], maps[j], codec, begin, end, keys);
+            },
+            hooks, pool, buffer.get(), &out[j].groups_);
+        sorted_bytes += static_cast<int64_t>(out[j].groups_.capacity() *
+                                             sizeof(out[j].groups_[0]));
+      }
+      buffer.reset();
+      if (governor != nullptr) governor->ReleaseMemory(buffer_bytes);
+    }
+  }
+
+  // The one chunk body of the counted and wide nodes: rows [begin, end)
+  // into chunk c's state.
   auto scan_chunk = [&](int chunk, size_t begin, size_t end) {
     INCOGNITO_SPAN("freq.batch_scan.chunk");
     const size_t c = static_cast<size_t>(chunk);
-    if (governor != nullptr) {
-      if (!governor->Check().ok()) return;
-      // Fault site "freq.batch.scan": an injected allocation failure at
-      // the start of a row chunk latches like a refused charge; sibling
-      // chunks stop at their next checkpoint.
-      if (INCOGNITO_FAULT_FIRED("freq.batch.scan")) {
-        governor->LatchInjectedFailure("freq.batch.scan");
-        return;
-      }
-    }
     const size_t chunk_rows = end - begin;
     // Monotonic footprint ledger shared by every node this chunk feeds:
-    // count arrays charge before they are allocated, sorted outputs as
-    // they finish, map growth at checkpoints. The sort buffers are charged
-    // for the sort alone.
+    // count arrays charge before they are allocated, map growth at
+    // checkpoints.
     int64_t& charged = held[c];
     int64_t partial_bytes = 0;
     auto charge_to = [&](int64_t now) {
@@ -288,39 +297,6 @@ std::vector<FrequencySet> FrequencySet::ComputeBatch(
       }
       return true;
     };
-    auto tick = [governor] {
-      return governor == nullptr || governor->Check().ok();
-    };
-    // Sorted nodes go first, so no count array lives beside the sort
-    // buffers.
-    if (any_sort && chunk_rows > 0) {
-      const int64_t buffer_bytes =
-          static_cast<int64_t>(2 * chunk_rows * sizeof(uint64_t));
-      if (governor != nullptr && !governor->ChargeMemory(buffer_bytes).ok()) {
-        return;
-      }
-      bool ok = true;
-      {
-        std::vector<uint64_t> keys;
-        std::vector<uint64_t> scratch;
-        for (size_t j = 0; j < b && ok; ++j) {
-          if (!out[j].packed_ || dense[j]) continue;
-          GatherPackedKeys(cols[j], maps[j], out[j].codec_, begin, end,
-                           &keys);
-          if (!RadixSortKeys(keys, scratch, out[j].codec_.total_bits(),
-                             tick)) {
-            ok = false;
-            break;
-          }
-          const size_t groups = ExtractGroups(keys, &cpart[c][j]);
-          partial_bytes += static_cast<int64_t>(
-              groups * sizeof(std::pair<uint64_t, int64_t>));
-          ok = charge_to(partial_bytes);
-        }
-      }
-      if (governor != nullptr) governor->ReleaseMemory(buffer_bytes);
-      if (!ok) return;
-    }
     for (size_t j = 0; j < b; ++j) {
       if (!dense[j]) continue;
       const size_t slots = size_t{1} << out[j].codec_.total_bits();
@@ -334,8 +310,7 @@ std::vector<FrequencySet> FrequencySet::ComputeBatch(
     }
     if (!any_wide) return;
     auto checkpoint = [&]() {
-      if (governor == nullptr) return true;
-      if (!governor->Check().ok()) return false;
+      if (!tick()) return false;
       int64_t now = partial_bytes;
       for (size_t j = 0; j < b; ++j) {
         if (cflat[c][j] != nullptr) {
@@ -365,16 +340,16 @@ std::vector<FrequencySet> FrequencySet::ComputeBatch(
     checkpoint();
   };
   // One chunk runs inline, so a 1-worker pool records no chunk event.
-  if (chunks > 1) {
+  if (ok && chunks > 1) {
     pool->Run(rows, scan_chunk);
-  } else {
+  } else if (ok) {
     scan_chunk(0, 0, rows);
   }
 
-  // The chunks' charges return to the governor here; a trip (if any) is
-  // already latched, so the caller's next Check() or charge sees it.
+  // The charges return to the governor here; a trip (if any) is already
+  // latched, so the caller's next Check() or charge sees it.
   if (governor != nullptr) {
-    int64_t bytes = 0;
+    int64_t bytes = sorted_bytes;
     for (int64_t h : held) bytes += h;
     governor->ReleaseMemory(bytes);
     if (governor->Tripped()) {
@@ -383,11 +358,10 @@ std::vector<FrequencySet> FrequencySet::ComputeBatch(
     }
   }
 
-  // Merge each node in chunk order: counted nodes sum their arrays and
-  // sweep them, the rest coalesce equal keys and sort canonically; a
-  // single chunk's sorted run is already the set. Either way the reserve
-  // is exact, so the capacity (hence MemoryBytes()) is the same at every
-  // chunk count.
+  // Merge the counted and wide nodes in chunk order: count arrays are
+  // summed and swept, flat maps' groups coalesced and sorted canonically.
+  // A sorted node's set is already built. Every reserve is exact, so the
+  // capacity (hence MemoryBytes()) is the same at every chunk count.
   for (size_t j = 0; j < b; ++j) {
     if (dense[j]) {
       std::vector<int64_t> counts = std::move(ccount[0][j]);
@@ -399,20 +373,7 @@ std::vector<FrequencySet> FrequencySet::ComputeBatch(
         }
       }
       SweepCounts(counts, &out[j].groups_);
-    } else if (out[j].packed_ && chunks == 1) {
-      // ExtractGroups left it sorted, unique and exactly reserved.
-      out[j].groups_ = std::move(cpart[0][j]);
-    } else if (out[j].packed_) {
-      std::vector<std::pair<uint64_t, int64_t>> all;
-      size_t total = 0;
-      for (size_t c = 0; c < chunks; ++c) total += cpart[c][j].size();
-      all.reserve(total);
-      for (size_t c = 0; c < chunks; ++c) {
-        all.insert(all.end(), cpart[c][j].begin(), cpart[c][j].end());
-      }
-      std::sort(all.begin(), all.end());
-      CoalescePacked(all, &out[j].groups_);
-    } else {
+    } else if (!out[j].packed_) {
       std::vector<std::pair<std::vector<int32_t>, int64_t>> all;
       size_t total = 0;
       for (size_t c = 0; c < chunks; ++c) {
@@ -549,37 +510,46 @@ FrequencySet FrequencySet::RegroupTo(
       for (int32_t code : to) field.table.push_back(placed(code));
     }
   }
-  // Calls emit(target key, count) once per source group.
-  auto for_each_target_key = [&](auto&& emit) {
+  // Calls emit(target key, count) once per source group in [begin, end).
+  auto for_each_target_key = [&](size_t begin, size_t end, auto&& emit) {
     if (packed_) {
-      for (const auto& [key, count] : groups_) {
+      for (size_t g = begin; g < end; ++g) {
+        const uint64_t key = groups_[g].first;
         uint64_t target_key = fixed;
         for (const Field& field : fields) {
           target_key |= field.table[(key >> field.shift) & field.mask];
         }
-        emit(target_key, count);
+        emit(target_key, groups_[g].second);
       }
       return;
     }
-    for (const auto& [src, count] : vgroups_) {
-      emit(out.codec_.Pack(remap_codes(src)), count);
+    for (size_t g = begin; g < end; ++g) {
+      emit(out.codec_.Pack(remap_codes(vgroups_[g].first)),
+           vgroups_[g].second);
     }
   };
 
   const size_t bits = out.codec_.total_bits();
-  if (CountsDensely(bits, NumGroups())) {
+  const size_t groups = NumGroups();
+  if (CountsDensely(bits, groups)) {
     // Dense target space: the array is at most the source set's own size.
     std::vector<int64_t> counts(size_t{1} << bits, 0);
-    for_each_target_key(
-        [&](uint64_t key, int64_t count) { counts[key] += count; });
+    for_each_target_key(0, groups, [&](uint64_t key, int64_t count) {
+      counts[key] += count;
+    });
     SweepCounts(counts, &out.groups_);
   } else {
-    std::vector<std::pair<uint64_t, int64_t>> items;
-    items.reserve(NumGroups());
-    for_each_target_key([&](uint64_t key, int64_t count) {
-      items.emplace_back(key, count);
-    });
-    SortAndCoalescePacked(items, bits, &out.groups_);
+    // The bucket sort's counted form takes the target keys twice, to
+    // histogram and to scatter, into one 16 B-per-group buffer.
+    const auto buffer = std::make_unique_for_overwrite<CountedKey[]>(groups);
+    BucketSortCounted(
+        groups, bits, BucketBits(groups, bits, 1),
+        [&](size_t begin, size_t end, CountedKey* items) {
+          for_each_target_key(begin, end, [&](uint64_t key, int64_t count) {
+            *items++ = {key, count};
+          });
+        },
+        {}, nullptr, buffer.get(), &out.groups_);
   }
   return out;
 }

@@ -55,26 +55,31 @@ class FrequencySet {
   /// node's key width picks its engine (DESIGN.md "Group-by substrates"):
   /// a packed node gathers its keys column by column, then counts them
   /// into a key-indexed array when 2^bits ≤ 2 × a chunk's rows, and
-  /// radix-sorts them otherwise; a node whose key is wider than 64 bits is
-  /// aggregated row by row into a FlatCodeMap. result[j] is bit-identical
-  /// to Compute(table, qid, nodes[j]), including the canonical group order
-  /// and the exact MemoryBytes().
+  /// bucket-sorts them otherwise (freq/substrate.h BucketSortKeys); a node
+  /// whose key is wider than 64 bits is aggregated row by row into a
+  /// FlatCodeMap. result[j] is bit-identical to Compute(table, qid,
+  /// nodes[j]), including the canonical group order and the exact
+  /// MemoryBytes().
   ///
   /// The rows are split into C static chunks, C = pool->size() (1 without
-  /// a pool), which all run one chunk body (docs/PARALLELISM.md
-  /// "Intra-node parallelism"): several across the pool, a single one
-  /// inline on the calling thread. Each chunk aggregates into its own
-  /// per-node state, sorted nodes before counted ones; then each node
-  /// merges in chunk order — count arrays by summing, sorted runs with one
-  /// canonical sort (a single run is already the set) — using an exact
-  /// reserve, so the result is bit-identical at any C. When `governor` is
-  /// non-null every chunk is governed alike: it consults the
-  /// "freq.batch.scan" fault site once, charges the governor for its sort
-  /// buffers, count arrays and partials before allocating them, and polls
-  /// for trips every few thousand rows. The chunks' charges are released
-  /// once every chunk has finished, before returning. A tripped batch
-  /// latches the governor and returns all-empty sets; callers detect it
-  /// via governor->Tripped(), or at their next Check() or charge.
+  /// a pool; docs/PARALLELISM.md "Intra-node parallelism"). Sorted nodes
+  /// go first, one at a time through the bucket sort, sharing one bucket
+  /// buffer of 8 B a row: the C chunks histogram and scatter their rows,
+  /// and the C workers share the bucket sorts. Then every chunk runs one
+  /// chunk body for the counted and wide nodes, into its own per-node
+  /// state, and each of those nodes merges in chunk order — count arrays
+  /// by summing, flat maps with one canonical sort. Several chunks run
+  /// across the pool, a single one inline on the calling thread. Every
+  /// reserve is exact, so the result is bit-identical at any C. When
+  /// `governor` is non-null every chunk is governed alike: the scan
+  /// consults the "freq.batch.scan" fault site once per chunk before it
+  /// starts, charges the governor for its bucket buffer, sort temps, count
+  /// arrays and partials before allocating them, and polls for trips every
+  /// few thousand rows. The charges are released once the scan has
+  /// finished (the bucket buffer and temps once the sorts have), before
+  /// returning. A tripped batch latches the governor and returns all-empty
+  /// sets; callers detect it via governor->Tripped(), or at their next
+  /// Check() or charge.
   static std::vector<FrequencySet> ComputeBatch(
       const Table& table, const QuasiIdentifier& qid,
       const std::vector<SubsetNode>& nodes, WorkerPool* pool = nullptr,
@@ -155,10 +160,11 @@ class FrequencySet {
   /// ProjectTo: target field j holds remap[j][c] for the code c of the
   /// source field over the same dimension, and source dimensions missing
   /// from target.dims (an ordered subset of node().dims) are summed away.
-  /// Packed targets are counted into a key-indexed array or radix-sorted
-  /// by the scans' count-or-sort rule; vector targets go through a
-  /// FlatCodeMap. Either way the reserve is exact, so the result is
-  /// bit-identical to a scan at `target`, MemoryBytes() included.
+  /// Packed targets are counted into a key-indexed array or bucket-sorted
+  /// (the counted form, one 16 B-per-group buffer) by the scans'
+  /// count-or-sort rule; vector targets go through a FlatCodeMap. Either
+  /// way the reserve is exact, so the result is bit-identical to a scan at
+  /// `target`, MemoryBytes() included.
   FrequencySet RegroupTo(const SubsetNode& target, const QuasiIdentifier& qid,
                          const std::vector<std::vector<int32_t>>& remap) const;
 

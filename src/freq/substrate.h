@@ -11,6 +11,8 @@
 
 namespace incognito {
 
+class WorkerPool;
+
 /// The group-by engine of one FrequencySet::Compute call, and nothing else.
 /// Every other build, the searches' included, picks its engine from the
 /// key width alone: a key that packs into 64 bits runs the count-or-sort
@@ -25,41 +27,90 @@ enum class SubstrateMode {
   kAuto,   ///< the default; resolves exactly like kRadix
 };
 
-// --- Radix kernels (packed uint64 keys) ---
+// --- Bucket sort (packed uint64 keys) ---
 
 /// Columnar key gather: packs rows [begin, end) of the mapped code columns
-/// into `out` exactly as per-row KeyCodec::Pack would, but column-outer —
-/// each dimension's fold is a tight contiguous loop over the chunk with no
-/// per-row re-dispatch, which is what lets the compiler vectorize it.
+/// into out[0, end - begin) exactly as per-row KeyCodec::Pack would, but
+/// column-outer — each dimension's fold is a tight contiguous loop over the
+/// rows with no per-row re-dispatch, which is what lets the compiler
+/// vectorize it.
 void GatherPackedKeys(const std::vector<const int32_t*>& cols,
                       const std::vector<const int32_t*>& maps,
                       const KeyCodec& codec, size_t begin, size_t end,
-                      std::vector<uint64_t>* out);
+                      uint64_t* out);
 
-/// LSD radix sort (8-bit digits) over the low `total_bits` bits of `keys`,
-/// ascending. `scratch` is the ping-pong buffer, resized to keys.size().
-/// All digit histograms come from one pre-pass, and digits whose histogram
-/// is a single bucket are skipped, so constant high bytes cost nothing.
-/// When `tick` is set it is polled before every scatter pass; returning
-/// false abandons the sort (keys left in an unspecified permutation) and
-/// makes RadixSortKeys return false — the governed scans' mid-sort trip.
-bool RadixSortKeys(std::vector<uint64_t>& keys, std::vector<uint64_t>& scratch,
-                   size_t total_bits,
-                   const std::function<bool()>& tick = nullptr);
+/// Keys per bucket of a partitioned sort: 2^15 keys, 256 KiB of 8-byte keys
+/// plus as much sort temp, which stays in a core's L2 while the bucket is
+/// sorted. The one size constant of the bucket sort (DESIGN.md "Group-by
+/// substrates").
+constexpr size_t kBucketKeys = size_t{1} << 15;
 
-/// Weighted twin for (key, count) pairs (projection inputs). Stable, so
-/// equal keys keep their input order; callers coalesce afterwards.
-bool RadixSortCounted(std::vector<std::pair<uint64_t, int64_t>>& items,
-                      std::vector<std::pair<uint64_t, int64_t>>& scratch,
-                      size_t total_bits,
-                      const std::function<bool()>& tick = nullptr);
+/// The bucket bits h of a sort of `n` keys of `total_bits`, on `chunks`
+/// row chunks: the largest h with n >> h ≥ kBucketKeys, so a bucket holds
+/// 2^15 to 2^16 keys on average, and 0 below 2 × kBucketKeys keys. With
+/// chunks > 1, at least enough bits for 4 × chunks buckets, so the chunks
+/// share the bucket sorts even when the size rule gives one bucket. Never
+/// more than total_bits.
+size_t BucketBits(size_t n, size_t total_bits, size_t chunks);
 
-/// Run-length extracts sorted `keys` into (key, count) groups appended to
-/// `out` with an exact-capacity reserve (pass it empty to get capacity ==
-/// group count, the capacity MemoryBytes() expects). Returns the number of
-/// groups appended.
-size_t ExtractGroups(const std::vector<uint64_t>& keys,
-                     std::vector<std::pair<uint64_t, int64_t>>* out);
+/// One (packed key, count) entry of the counted form. Trivially
+/// constructible, so a buffer of them is allocated without being zeroed.
+struct CountedKey {
+  uint64_t key;
+  int64_t count;
+};
+
+/// What a sort polls and charges; an empty member polls or charges
+/// nothing. Every member may be called from any worker at once.
+struct SortHooks {
+  std::function<bool()> tick;            ///< false abandons the sort
+  std::function<bool(int64_t)> charge;   ///< false refuses the bytes
+  std::function<void(int64_t)> release;  ///< returns charged bytes
+};
+
+/// Writes the items of inputs [begin, end) to out[0, end - begin): the
+/// keys of those rows, or the (target key, count) of those source groups.
+template <typename Item>
+using ItemSource = std::function<void(size_t begin, size_t end, Item* out)>;
+
+/// Groups the `n` items of `source` (keys < 2^total_bits) into `out`, empty
+/// on entry, as ascending unique keys with their counts — a key's count is
+/// its number of items in the keys form and the sum of its items' counts
+/// in the counted form — with an exact reserve, so the capacity is the
+/// group count. `buffer` holds at least n items; the caller allocates it
+/// and may reuse it across sorts. On success buffer[0, n) holds the items
+/// sorted by key, stably: equal keys keep their source order.
+///
+/// The bucket sort: one histogram of the top `bucket_bits` key bits (at
+/// most total_bits), one stable scatter into `buffer`, bucket-major; then each bucket is sorted
+/// on its low bits while it sits in L2 (8-bit LSD digits from one
+/// histogram pre-pass, single-bucket digits skipped) and its unique keys
+/// counted, and the groups are run-length emitted. At bucket_bits 0 the
+/// source is gathered once, straight into the buffer, and sorted whole.
+/// With a pool of C workers, worker c histograms and scatters the pool's
+/// static row chunk c at its (bucket, chunk) offsets, and the workers
+/// claim disjoint bucket ranges to sort; the groups do not depend on C or
+/// on bucket_bits.
+///
+/// `hooks.tick` is polled between phases, every 16,384 items while
+/// gathering and every few buckets while sorting; a refused tick or
+/// charge abandons the sort, releases everything the sort charged, and
+/// returns false with `out` empty. Each worker charges its sort temp (the
+/// largest bucket's items) before allocating it and releases it when the
+/// sorting ends; the groups are charged before `out` is reserved, and that
+/// charge stays with the caller on success.
+bool BucketSortKeys(size_t n, size_t total_bits, size_t bucket_bits,
+                    const ItemSource<uint64_t>& source, const SortHooks& hooks,
+                    WorkerPool* pool, uint64_t* buffer,
+                    std::vector<std::pair<uint64_t, int64_t>>* out);
+
+/// The counted form of BucketSortKeys: stable, and equal keys' counts are
+/// summed.
+bool BucketSortCounted(size_t n, size_t total_bits, size_t bucket_bits,
+                       const ItemSource<CountedKey>& source,
+                       const SortHooks& hooks, WorkerPool* pool,
+                       CountedKey* buffer,
+                       std::vector<std::pair<uint64_t, int64_t>>* out);
 
 // --- Flat arena map (wide / vector keys) ---
 

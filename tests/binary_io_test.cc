@@ -6,13 +6,12 @@
 #include "data/adults.h"
 #include "data/patients.h"
 #include "relation/binary_io.h"
+#include "test_util.h"
 
 namespace incognito {
 namespace {
 
-std::string TempPath(const char* name) {
-  return ::testing::TempDir() + "/" + name;
-}
+using testing_util::TempPath;
 
 TEST(BinaryIoTest, RoundTripPatients) {
   Result<PatientsDataset> ds = MakePatientsDataset();

@@ -29,9 +29,7 @@ using testing_util::MakeRandomDataset;
 using testing_util::NodeSet;
 using testing_util::RandomDataset;
 
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
+using testing_util::TempPath;
 
 std::string ReadAll(const std::string& path) {
   std::ifstream in(path);

@@ -138,9 +138,9 @@ TEST(CrashRecoveryTest, KillAtEveryFaultSiteThenResumeIsBitIdentical) {
     for (const std::string& site : sites) {
       for (int64_t nth : {int64_t{1}, int64_t{3}}) {
         CrashConfig crash{threads, site, nth};
-        const std::string path = ::testing::TempDir() + "/crash_" +
-                                 std::to_string(threads) + "_" + site + "_" +
-                                 std::to_string(nth) + ".ckpt";
+        const std::string path = testing_util::TempPath(
+            "crash_" + std::to_string(threads) + "_" + site + "_" +
+            std::to_string(nth) + ".ckpt");
         RunChildUntilKilled(data, config, crash, path);
         PartialResult<IncognitoResult> resumed =
             Resume(data, config, threads, path);
@@ -168,8 +168,8 @@ TEST(CrashRecoveryTest, CheckpointsArePortableAcrossThreadCounts) {
     CrashConfig crash{write_threads, "incognito.subset.schedule", 4};
     const std::string name = ConfigName(crash) + " resume_threads=" +
                              std::to_string(resume_threads);
-    const std::string path = ::testing::TempDir() + "/crash_portable_" +
-                             std::to_string(write_threads) + ".ckpt";
+    const std::string path = testing_util::TempPath(
+        "crash_portable_" + std::to_string(write_threads) + ".ckpt");
     RunChildUntilKilled(data, config, crash, path);
     PartialResult<IncognitoResult> resumed =
         Resume(data, config, resume_threads, path);

@@ -6,6 +6,7 @@
 #include "hierarchy/builders.h"
 #include "hierarchy/csv_hierarchy.h"
 #include "hierarchy/validation.h"
+#include "test_util.h"
 
 namespace incognito {
 namespace {
@@ -111,7 +112,7 @@ TEST(CsvHierarchyTest, FileRoundTrip) {
   for (int64_t v = 0; v <= 20; ++v) d.GetOrInsert(Value(v));
   Result<ValueHierarchy> h = BuildIntervalHierarchy("n", d, {5, 10});
   ASSERT_TRUE(h.ok());
-  std::string path = ::testing::TempDir() + "/incognito_hierarchy_test.csv";
+  std::string path = testing_util::TempPath("incognito_hierarchy_test.csv");
   ASSERT_TRUE(WriteHierarchyCsv(h.value(), path).ok());
   Result<ValueHierarchy> back = ReadHierarchyCsv("n", path, d);
   ASSERT_TRUE(back.ok()) << back.status().ToString();

@@ -103,7 +103,7 @@ TEST(CsvTest, RoundTripThroughString) {
 TEST(CsvTest, RoundTripThroughFile) {
   Result<Table> t = ParseCsv("a,b\n1,x\n2,y\n");
   ASSERT_TRUE(t.ok());
-  std::string path = ::testing::TempDir() + "/incognito_csv_test.csv";
+  std::string path = testing_util::TempPath("incognito_csv_test.csv");
   ASSERT_TRUE(WriteCsv(t.value(), path).ok());
   Result<Table> back = ReadCsv(path);
   ASSERT_TRUE(back.ok());

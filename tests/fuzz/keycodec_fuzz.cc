@@ -1,16 +1,17 @@
-// libFuzzer harness for the key codec and the radix group-by kernels: the
-// fuzzer chooses a cardinality vector and a batch of rows, and every
-// property the substrates lean on must hold — Pack/Unpack round-trips
-// byte-stably, Pack preserves lexicographic order, and the radix
-// sort + run-length extraction groups exactly like a naive std::map
-// oracle. Any violation traps (caught by the fuzzer as a crash). Seed the
-// corpus from the checked-in fixtures:
+// libFuzzer harness for the key codec and the bucket sort: the fuzzer
+// chooses a cardinality vector, a batch of rows and a bucket width, and
+// every property the substrates lean on must hold — Pack/Unpack
+// round-trips byte-stably, Pack preserves lexicographic order, and the
+// bucket sort groups exactly like a naive std::map oracle. Any violation
+// traps (caught by the fuzzer as a crash). Seed the corpus from the
+// checked-in fixtures:
 //
 //   mkdir -p corpus && cp tests/data/*.csv corpus/
 //   ./build-fuzz/tests/fuzz/keycodec_fuzz corpus -max_total_time=30
 //
 // Build with -DINCOGNITO_FUZZERS=ON (see tests/fuzz/CMakeLists.txt).
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -95,25 +96,33 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
     if (!code_lt && !code_gt && keys[i - 1] != keys[i]) __builtin_trap();
   }
 
-  // Property 3: radix sort + run-length extraction == std::map oracle.
+  // Property 3: the bucket sort, at a bucket width the fuzzer picks from
+  // 0 (one whole-input bucket) to the key width (up to 16 bits), groups
+  // exactly like a naive std::map oracle and leaves the keys sorted.
   std::map<uint64_t, int64_t> oracle;
   for (uint64_t key : keys) ++oracle[key];
-  std::vector<uint64_t> scratch;
-  if (!incognito::RadixSortKeys(keys, scratch, codec.total_bits())) {
-    __builtin_trap();  // no tick: the sort cannot abort
-  }
-  for (size_t i = 1; i < keys.size(); ++i) {
-    if (keys[i - 1] > keys[i]) __builtin_trap();
-  }
+  const size_t bucket_bits =
+      in.Below(std::min<size_t>(codec.total_bits(), 16) + 1);
+  std::vector<uint64_t> buffer(keys.size());
   std::vector<std::pair<uint64_t, int64_t>> groups;
-  if (incognito::ExtractGroups(keys, &groups) != oracle.size()) {
+  if (!incognito::BucketSortKeys(
+          keys.size(), codec.total_bits(), bucket_bits,
+          [&](size_t begin, size_t end, uint64_t* items) {
+            std::copy(keys.begin() + static_cast<std::ptrdiff_t>(begin),
+                      keys.begin() + static_cast<std::ptrdiff_t>(end), items);
+          },
+          {}, nullptr, buffer.data(), &groups)) {
+    __builtin_trap();  // no hooks: the sort cannot abort
+  }
+  for (size_t i = 1; i < buffer.size(); ++i) {
+    if (buffer[i - 1] > buffer[i]) __builtin_trap();
+  }
+  if (groups.size() != oracle.size() || groups.capacity() != groups.size()) {
     __builtin_trap();
   }
   auto it = oracle.begin();
   for (const auto& [key, count] : groups) {
-    if (it == oracle.end() || key != it->first || count != it->second) {
-      __builtin_trap();
-    }
+    if (key != it->first || count != it->second) __builtin_trap();
     ++it;
   }
   return 0;

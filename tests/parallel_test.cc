@@ -822,7 +822,7 @@ TEST(WideQidTest, SeventeenAttributesMatchOracleAndResumeFromBit16Masks) {
   }
   ASSERT_EQ(oracle.size(), 1u);
 
-  const std::string path = ::testing::TempDir() + "/wide_qid.ckpt";
+  const std::string path = testing_util::TempPath("wide_qid.ckpt");
   std::remove(path.c_str());
   CheckpointPolicy writer;
   writer.path = path;

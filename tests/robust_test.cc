@@ -47,6 +47,7 @@ namespace {
 using testing_util::MakeRandomDataset;
 using testing_util::NodeSet;
 using testing_util::RandomDataset;
+using testing_util::TempPath;
 
 // ---------------------------------------------------------------------------
 // Budget primitives
@@ -571,7 +572,7 @@ TEST(SafeIoTest, ConcurrentWritersOfOnePathNeverTear) {
   // Two daemon jobs naming one checkpoint or output path write it from two
   // threads at once: each write needs its own temporary, or one thread's
   // rename publishes the other's half-written bytes.
-  const std::string path = ::testing::TempDir() + "/safe_io_race.txt";
+  const std::string path = TempPath("safe_io_race.txt");
   const std::string contents[2] = {std::string(200 * 1024, 'a'),
                                    std::string(100 * 1024, 'b')};
   ASSERT_TRUE(WriteFileAtomic(path, contents[0], "checkpoint.write").ok());
@@ -616,10 +617,6 @@ TEST(SafeIoTest, ConcurrentWritersOfOnePathNeverTear) {
 class FaultPointTest : public ::testing::Test {
  protected:
   void TearDown() override { FaultInjector::Global().Reset(); }
-
-  std::string TempPath(const std::string& name) {
-    return ::testing::TempDir() + "/" + name;
-  }
 };
 
 TEST_F(FaultPointTest, EveryWriteSiteFailsCleanlyWithoutPartialFile) {

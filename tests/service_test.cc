@@ -37,6 +37,7 @@
 #include "service/problem_loader.h"
 #include "service/server.h"
 #include "service/service.h"
+#include "test_util.h"
 
 namespace incognito {
 namespace {
@@ -357,15 +358,14 @@ TEST(ReleasedViewPinTest, ServiceMixedInputsAtGeneratorOrder) {
   // first five attributes through file: hierarchies, k = 10.
   Result<SyntheticDataset> adults = MakeAdultsDataset(AdultsOptions{45222});
   ASSERT_TRUE(adults.ok()) << adults.status().ToString();
-  const std::string dir = ::testing::TempDir();
   JobSpec spec;
-  spec.input = dir + "/pin_adults.csv";
+  spec.input = testing_util::TempPath("pin_adults.csv");
   spec.k = 10;
   ASSERT_TRUE(WriteCsv(adults->table, spec.input).ok());
   std::vector<std::string> files = {spec.input};
   for (size_t i = 0; i < 5; ++i) {
-    const std::string path = dir + "/pin_hierarchy_" + std::to_string(i) +
-                             ".csv";
+    const std::string path =
+        testing_util::TempPath("pin_hierarchy_" + std::to_string(i) + ".csv");
     ASSERT_TRUE(WriteHierarchyCsv(adults->qid.hierarchy(i), path).ok());
     spec.qid.push_back(adults->qid.name(i));
     spec.hierarchies[adults->qid.name(i)] = "file:" + path;
@@ -478,6 +478,30 @@ TEST(ServiceCoreTest, MemoryLeasePoolBoundsAdmission) {
   EXPECT_TRUE(core.Submit(spec).ok());
 }
 
+TEST(ServiceCoreTest, JobsLeaseTheirBudgetAndTheDefaultOnlyWithoutOne) {
+  // A job with a memory budget leases exactly that budget, even below the
+  // default; only a job without one leases the default.
+  ServiceConfig config;
+  config.num_workers = 0;  // nothing dequeues: every lease stays held
+  config.memory_limit_bytes = 4 << 20;
+  config.default_job_lease_bytes = 16 << 20;
+  ServiceCore core(config);
+  // The 16 MiB default exceeds the whole pool: refused while it is empty.
+  Result<JobId> unbudgeted = core.Submit(DemoSpec(JobModel::kKAnonymity));
+  ASSERT_FALSE(unbudgeted.ok());
+  EXPECT_EQ(unbudgeted.status().code(), StatusCode::kResourceExhausted);
+  JobSpec budgeted = DemoSpec(JobModel::kKAnonymity);
+  budgeted.exec.memory_budget_bytes = 1 << 20;
+  for (int job = 0; job < 4; ++job) {
+    EXPECT_TRUE(core.Submit(budgeted).ok()) << "job " << job;
+  }
+  Result<JobId> fifth = core.Submit(budgeted);
+  ASSERT_FALSE(fifth.ok());
+  EXPECT_EQ(fifth.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(core.stats().admitted, 4);
+  EXPECT_EQ(core.stats().rejected_memory, 2);
+}
+
 TEST(ServiceCoreTest, CancelQueuedJobCompletesWithCancelled) {
   ServiceConfig config;
   config.num_workers = 0;
@@ -571,7 +595,7 @@ TEST(ServiceCoreTest, WideQidJobIsRefusedAndTheDaemonKeepsServing) {
   // Cube job a 2^25-set cube. Jobs without a memory budget must finish
   // with the refusal instead of aborting the process, and the same core
   // then serves the next job.
-  const std::string path = ::testing::TempDir() + "/service_wide_qid.csv";
+  const std::string path = testing_util::TempPath("service_wide_qid.csv");
   JobSpec wide;
   wide.input = path;
   wide.model = JobModel::kKAnonymity;

@@ -13,8 +13,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -25,6 +28,7 @@
 #include "core/run_context.h"
 #include "core/worker_pool.h"
 #include "data/adults.h"
+#include "data/landsend.h"
 #include "data/patients.h"
 #include "freq/frequency_set.h"
 #include "freq/key_codec.h"
@@ -81,91 +85,267 @@ void ExpectCanonicalOrder(const FrequencySet& fs, const std::string& context) {
 }
 
 // ---------------------------------------------------------------------------
-// Radix kernels against naive oracles
+// The bucket sort against std::sort and a std::map oracle
 // ---------------------------------------------------------------------------
 
-TEST(RadixKernelTest, SortsExactlyLikeStdSort) {
+using Groups = std::vector<std::pair<uint64_t, int64_t>>;
+
+/// The naive grouping of (key, count) items: std::map sums, in key order.
+Groups SumOracle(const std::vector<CountedKey>& items) {
+  std::map<uint64_t, int64_t> sums;
+  for (const CountedKey& item : items) sums[item.key] += item.count;
+  return Groups(sums.begin(), sums.end());
+}
+
+/// Random keys below 2^total_bits.
+std::vector<uint64_t> RandomKeys(Rng& rng, size_t n, size_t total_bits) {
+  const uint64_t mask =
+      total_bits >= 64 ? ~uint64_t{0} : (uint64_t{1} << total_bits) - 1;
+  std::vector<uint64_t> keys(n);
+  for (uint64_t& k : keys) k = rng.Next() & mask;
+  return keys;
+}
+
+/// BucketSortKeys over `keys`; `buffer` is left holding the sorted run.
+bool SortKeys(const std::vector<uint64_t>& keys, size_t total_bits,
+              size_t bucket_bits, WorkerPool* pool, const SortHooks& hooks,
+              std::vector<uint64_t>* buffer, Groups* out) {
+  buffer->resize(keys.size());
+  return BucketSortKeys(
+      keys.size(), total_bits, bucket_bits,
+      [&](size_t begin, size_t end, uint64_t* items) {
+        std::copy(keys.begin() + static_cast<std::ptrdiff_t>(begin),
+                  keys.begin() + static_cast<std::ptrdiff_t>(end), items);
+      },
+      hooks, pool, buffer->data(), out);
+}
+
+/// The run and the groups the kernel must leave for `keys`: std::sort's
+/// order, and the std::map oracle's groups.
+struct KeyOracle {
+  explicit KeyOracle(const std::vector<uint64_t>& keys) : sorted(keys) {
+    std::sort(sorted.begin(), sorted.end());
+    std::vector<CountedKey> items;
+    for (uint64_t k : keys) items.push_back({k, 1});
+    groups = SumOracle(items);
+  }
+  void Expect(const std::vector<uint64_t>& buffer, const Groups& actual,
+              const std::string& context) const {
+    EXPECT_EQ(buffer, sorted) << context;
+    EXPECT_EQ(actual, groups) << context;
+    // Exact-capacity reserve: the footprint contract MemoryBytes leans on.
+    EXPECT_EQ(actual.capacity(), actual.size()) << context;
+  }
+  std::vector<uint64_t> sorted;
+  Groups groups;
+};
+
+TEST(BucketSortTest, MatchesStdSortAndMapOracleAtEveryBucketWidth) {
+  // h = 0 is the whole-input pass sequence, 1 splits on the top bit, and
+  // the key width (up to 16 bits) gives every key value its own bucket.
   Rng rng(7);
+  WorkerPool pools[] = {WorkerPool(1), WorkerPool(2), WorkerPool(4),
+                        WorkerPool(8)};
   for (size_t total_bits : {0u, 1u, 7u, 8u, 9u, 16u, 24u, 33u, 64u}) {
-    for (size_t n : {size_t{0}, size_t{1}, size_t{2}, size_t{1000}}) {
-      std::vector<uint64_t> keys(n);
-      const uint64_t mask =
-          total_bits >= 64 ? ~uint64_t{0} : (uint64_t{1} << total_bits) - 1;
-      for (auto& k : keys) k = rng.Next() & mask;
-      std::vector<uint64_t> expected = keys;
-      std::sort(expected.begin(), expected.end());
-      std::vector<uint64_t> scratch;
-      ASSERT_TRUE(RadixSortKeys(keys, scratch, total_bits));
-      EXPECT_EQ(keys, expected) << "bits=" << total_bits << " n=" << n;
+    for (size_t n : {size_t{0}, size_t{1}, size_t{2}, size_t{1000},
+                     size_t{70000}}) {
+      const std::vector<uint64_t> keys = RandomKeys(rng, n, total_bits);
+      const KeyOracle oracle(keys);
+      std::vector<size_t> widths = {0, std::min<size_t>(1, total_bits),
+                                    std::min<size_t>(16, total_bits)};
+      for (size_t h : widths) {
+        for (WorkerPool& pool : pools) {
+          const std::string context =
+              "bits=" + std::to_string(total_bits) + " n=" +
+              std::to_string(n) + " h=" + std::to_string(h) +
+              " threads=" + std::to_string(pool.size());
+          std::vector<uint64_t> buffer;
+          Groups groups;
+          ASSERT_TRUE(SortKeys(keys, total_bits, h, &pool, {}, &buffer,
+                               &groups))
+              << context;
+          oracle.Expect(buffer, groups, context);
+        }
+      }
     }
   }
 }
 
-TEST(RadixKernelTest, CountedSortIsStable) {
-  // Equal keys must keep their input order (the second pair member tags
-  // the original position), or parallel merges would reorder chunk counts.
+TEST(BucketSortTest, OneFullBucketEmptyBucketsAndSixtyFourBitKeys) {
   Rng rng(11);
-  std::vector<std::pair<uint64_t, int64_t>> items;
-  for (int64_t i = 0; i < 2000; ++i) {
-    items.emplace_back(rng.Next() % 17, i);
+  struct Case {
+    std::string name;
+    size_t total_bits;
+    size_t bucket_bits;
+    std::vector<uint64_t> keys;
+  };
+  std::vector<Case> cases;
+  // Every key shares its top four bits: one bucket of sixteen holds all.
+  {
+    std::vector<uint64_t> keys = RandomKeys(rng, 50000, 16);
+    for (uint64_t& k : keys) k |= uint64_t{5} << 16;
+    cases.push_back({"one bucket", 20, 4, keys});
   }
-  std::vector<std::pair<uint64_t, int64_t>> expected = items;
-  std::stable_sort(expected.begin(), expected.end(),
-                   [](const auto& a, const auto& b) {
-                     return a.first < b.first;
-                   });
-  std::vector<std::pair<uint64_t, int64_t>> scratch;
-  ASSERT_TRUE(RadixSortCounted(items, scratch, 5));
-  EXPECT_EQ(items, expected);
+  // Only two of 256 buckets are used.
+  {
+    std::vector<uint64_t> keys = RandomKeys(rng, 50000, 12);
+    for (size_t i = 0; i < keys.size(); ++i) {
+      keys[i] |= uint64_t{i % 3 == 0 ? 3u : 200u} << 12;
+    }
+    cases.push_back({"empty buckets", 20, 8, keys});
+  }
+  // Full-width keys, top bit included, few enough values to repeat.
+  {
+    std::vector<uint64_t> keys = RandomKeys(rng, 100000, 64);
+    for (size_t i = 0; i < keys.size(); i += 3) keys[i] = keys[i / 2];
+    for (size_t h : {size_t{1}, size_t{8}, BucketBits(keys.size(), 64, 1)}) {
+      cases.push_back({"64-bit h=" + std::to_string(h), 64, h, keys});
+    }
+  }
+  WorkerPool one(1);
+  WorkerPool four(4);
+  for (const Case& c : cases) {
+    const KeyOracle oracle(c.keys);
+    for (WorkerPool* pool : {static_cast<WorkerPool*>(nullptr), &one, &four}) {
+      const std::string context =
+          c.name + " threads=" + std::to_string(pool ? pool->size() : 0);
+      std::vector<uint64_t> buffer;
+      Groups groups;
+      ASSERT_TRUE(SortKeys(c.keys, c.total_bits, c.bucket_bits, pool, {},
+                           &buffer, &groups))
+          << context;
+      oracle.Expect(buffer, groups, context);
+    }
+  }
 }
 
-TEST(RadixKernelTest, TickAbortStopsTheSortAndReportsFalse) {
+TEST(BucketSortTest, CountedFormIsStableAndSumsEqualKeys) {
+  // The count tags each item with its source position, so the sorted
+  // buffer shows whether equal keys kept their order.
   Rng rng(13);
-  std::vector<uint64_t> keys(4096);
-  for (auto& k : keys) k = rng.Next();
-  std::vector<uint64_t> sum_check = keys;
-  std::sort(sum_check.begin(), sum_check.end());
-  std::vector<uint64_t> scratch;
-  int ticks = 0;
-  // Deny the second scatter pass: the sort must abandon cleanly (returning
-  // the permutation in `keys`, not half of it in scratch) and report false.
-  EXPECT_FALSE(RadixSortKeys(keys, scratch, 64, [&] { return ++ticks < 2; }));
-  std::sort(keys.begin(), keys.end());
-  EXPECT_EQ(keys, sum_check);  // still a permutation of the input
-  // A tick that always allows completes normally.
-  EXPECT_TRUE(RadixSortKeys(keys, scratch, 64, [] { return true; }));
+  for (size_t n : {size_t{1}, size_t{2}, size_t{3000}, size_t{90000}}) {
+    std::vector<CountedKey> items(n);
+    for (size_t i = 0; i < n; ++i) {
+      items[i] = {rng.Next() % 40000, static_cast<int64_t>(i)};
+    }
+    std::vector<CountedKey> stable = items;
+    std::stable_sort(stable.begin(), stable.end(),
+                     [](const CountedKey& a, const CountedKey& b) {
+                       return a.key < b.key;
+                     });
+    const Groups oracle = SumOracle(items);
+    WorkerPool four(4);
+    for (size_t h : {size_t{0}, size_t{1}, size_t{16}}) {
+      for (WorkerPool* pool : {static_cast<WorkerPool*>(nullptr), &four}) {
+        const std::string context = "n=" + std::to_string(n) +
+                                    " h=" + std::to_string(h) +
+                                    (pool ? " pooled" : " inline");
+        std::vector<CountedKey> buffer(n);
+        Groups groups;
+        ASSERT_TRUE(BucketSortCounted(
+            n, 16, h,
+            [&](size_t begin, size_t end, CountedKey* out) {
+              std::copy(items.begin() + static_cast<std::ptrdiff_t>(begin),
+                        items.begin() + static_cast<std::ptrdiff_t>(end), out);
+            },
+            {}, pool, buffer.data(), &groups))
+            << context;
+        for (size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(buffer[i].key, stable[i].key) << context << " item " << i;
+          ASSERT_EQ(buffer[i].count, stable[i].count)
+              << context << " item " << i;
+        }
+        EXPECT_EQ(groups, oracle) << context;
+        EXPECT_EQ(groups.capacity(), groups.size()) << context;
+      }
+    }
+  }
 }
 
-TEST(RadixKernelTest, ExtractGroupsMatchesMapOracle) {
+TEST(BucketSortTest, RefusalsInEveryPhaseLeaveNothingCharged) {
+  // Deny the Nth tick, then the Nth charge, for every N until the sort
+  // completes: each refusal returns false with nothing left charged, and
+  // the ticks refused before, during and after the two gathers cover the
+  // histogram, the scatter and the bucket sorts.
   Rng rng(17);
-  std::vector<uint64_t> keys(3000);
-  std::map<uint64_t, int64_t> oracle;
-  for (auto& k : keys) {
-    k = rng.Next() % 100;
-    ++oracle[k];
-  }
-  std::sort(keys.begin(), keys.end());
-  std::vector<std::pair<uint64_t, int64_t>> groups;
-  EXPECT_EQ(ExtractGroups(keys, &groups), oracle.size());
-  ASSERT_EQ(groups.size(), oracle.size());
-  // Exact-capacity reserve: the footprint contract MemoryBytes leans on.
-  EXPECT_EQ(groups.capacity(), groups.size());
-  size_t i = 0;
-  for (const auto& [key, count] : oracle) {
-    EXPECT_EQ(groups[i].first, key);
-    EXPECT_EQ(groups[i].second, count);
-    ++i;
+  const std::vector<uint64_t> keys = RandomKeys(rng, 100000, 24);
+  const KeyOracle oracle(keys);
+  WorkerPool four(4);
+  for (WorkerPool* pool : {static_cast<WorkerPool*>(nullptr), &four}) {
+    const size_t chunks = pool ? 4 : 1;
+    const size_t h = BucketBits(keys.size(), 24, chunks);
+    ASSERT_GT(h, 0u);
+    // Blocks of at most 2,048 keys, histogrammed then scattered.
+    const int64_t gathers_per_pass =
+        static_cast<int64_t>(chunks * ((keys.size() / chunks + 2047) / 2048));
+    for (bool deny_charge : {false, true}) {
+      std::set<std::string> phases;
+      bool done = false;
+      for (int64_t deny = 1; !done; ++deny) {
+        ASSERT_LT(deny, 1000) << "the sort never completed";
+        std::atomic<int64_t> ticks{0};
+        std::atomic<int64_t> charges{0};
+        std::atomic<int64_t> charged{0};
+        std::atomic<int64_t> gathers{0};
+        SortHooks hooks;
+        hooks.tick = [&] { return deny_charge || ++ticks != deny; };
+        hooks.charge = [&](int64_t bytes) {
+          if (deny_charge && ++charges == deny) return false;
+          charged += bytes;
+          return true;
+        };
+        hooks.release = [&](int64_t bytes) { charged -= bytes; };
+        std::vector<uint64_t> buffer(keys.size());
+        Groups groups;
+        const bool ok = BucketSortKeys(
+            keys.size(), 24, h,
+            [&](size_t begin, size_t end, uint64_t* out) {
+              ++gathers;
+              std::copy(keys.begin() + static_cast<std::ptrdiff_t>(begin),
+                        keys.begin() + static_cast<std::ptrdiff_t>(end), out);
+            },
+            hooks, pool, buffer.data(), &groups);
+        const std::string context = std::string(pool ? "pooled" : "inline") +
+                                    (deny_charge ? " charge " : " tick ") +
+                                    std::to_string(deny);
+        if (ok) {
+          oracle.Expect(buffer, groups, context);
+          EXPECT_EQ(charged.load(),
+                    static_cast<int64_t>(groups.capacity() *
+                                         sizeof(groups[0])))
+              << context;
+          done = true;
+          continue;
+        }
+        EXPECT_EQ(charged.load(), 0) << context;
+        EXPECT_TRUE(groups.empty()) << context;
+        EXPECT_EQ(groups.capacity(), 0u) << context;
+        const int64_t g = gathers.load();
+        phases.insert(g == 0                      ? "start"
+                      : g <= gathers_per_pass     ? "histogram"
+                      : g < 2 * gathers_per_pass  ? "scatter"
+                                                  : "sort");
+      }
+      if (deny_charge) {
+        // The temps, then the groups.
+        EXPECT_EQ(phases, (std::set<std::string>{"sort"}));
+      } else {
+        EXPECT_EQ(phases, (std::set<std::string>{"start", "histogram",
+                                                 "scatter", "sort"}))
+            << (pool ? "pooled" : "inline");
+      }
+    }
   }
 }
 
-TEST(RadixKernelTest, GatherMatchesPerRowPack) {
+TEST(BucketSortTest, GatherMatchesPerRowPack) {
   Rng rng(23);
   const std::vector<size_t> domains = {5, 3, 17, 2};
   KeyCodec codec = KeyCodec::Create(domains);
   ASSERT_TRUE(codec.packed());
   const size_t n = domains.size();
   const size_t rows = 500;
-  // Base columns plus identity maps — GatherPackedKeys folds maps[i][col]
+  // Base columns plus random maps — GatherPackedKeys folds maps[i][col]
   // exactly like the per-row scan does.
   std::vector<std::vector<int32_t>> cols(n);
   std::vector<std::vector<int32_t>> maps(n);
@@ -183,9 +363,8 @@ TEST(RadixKernelTest, GatherMatchesPerRowPack) {
     col_ptrs[i] = cols[i].data();
     map_ptrs[i] = maps[i].data();
   }
-  std::vector<uint64_t> keys;
-  GatherPackedKeys(col_ptrs, map_ptrs, codec, 100, 400, &keys);
-  ASSERT_EQ(keys.size(), 300u);
+  std::vector<uint64_t> keys(300);
+  GatherPackedKeys(col_ptrs, map_ptrs, codec, 100, 400, keys.data());
   std::vector<int32_t> codes(n);
   for (size_t r = 100; r < 400; ++r) {
     for (size_t i = 0; i < n; ++i) codes[i] = maps[i][cols[i][r]];
@@ -619,6 +798,118 @@ TEST(SubstrateDifferentialTest, RollupsAndProjectionsMatchMapOracle) {
 }
 
 // ---------------------------------------------------------------------------
+// Scans, rollups and projections large enough to bucket
+// ---------------------------------------------------------------------------
+
+/// Lands End at 200,000 rows: its sorted scans and the rollups of its
+/// largest sets take more than one bucket.
+SyntheticDataset LandsEnd200k() {
+  LandsEndOptions options;
+  options.num_rows = 200000;
+  return std::move(MakeLandsEndDataset(options)).value();
+}
+
+/// A set equals its oracle group for group, in order, with the exact
+/// footprint of `expected_bytes`.
+void ExpectSet(const FrequencySet& fs, const CodeGroups& oracle,
+               size_t rows, size_t expected_bytes, const std::string& context) {
+  EXPECT_EQ(GroupsOf(fs), oracle) << context;
+  EXPECT_EQ(fs.TotalCount(), static_cast<int64_t>(rows)) << context;
+  EXPECT_EQ(fs.MemoryBytes(), expected_bytes) << context;
+}
+
+/// A packed set's footprint: one 16 B pair per group, exactly.
+size_t PackedBytes(const CodeGroups& oracle) {
+  return oracle.size() * sizeof(std::pair<uint64_t, int64_t>);
+}
+
+TEST(BucketedScanTest, BatchesMatchMapOracleAtEveryThreadCount) {
+  // Lands End: two bucketed sorts beside a counted node. The wide fixture:
+  // a bucketed 60-bit sort beside a counted node and a 72-bit flat-map node.
+  const SyntheticDataset landsend = LandsEnd200k();
+  const RandomDataset wide = MakeWideFallbackDataset(200000);
+  struct Batch {
+    const Table* table;
+    const QuasiIdentifier* qid;
+    std::vector<SubsetNode> nodes;
+  };
+  const Batch batches[] = {
+      {&landsend.table, &landsend.qid,
+       {SubsetNode({0, 3}, {0, 0}), SubsetNode({2, 3}, {0, 0}),
+        SubsetNode({0, 1}, {0, 0})}},
+      {&wide.table, &wide.qid,
+       {SubsetNode({0, 1, 2, 3, 4}, std::vector<int32_t>(5, 0)),
+        SubsetNode({0}, {0}),
+        SubsetNode({0, 1, 2, 3, 4, 5}, std::vector<int32_t>(6, 0))}},
+  };
+  for (const Batch& batch : batches) {
+    const size_t rows = batch.table->num_rows();
+    ASSERT_EQ(rows, 200000u);
+    std::vector<CodeGroups> oracles;
+    std::vector<size_t> bytes;
+    bool counts = false;
+    bool buckets = false;
+    for (const SubsetNode& node : batch.nodes) {
+      oracles.push_back(MapOracle(*batch.table, *batch.qid, node));
+      const size_t bits = KeyBits(*batch.qid, node);
+      bytes.push_back(
+          bits > 64 ? FrequencySet::Compute(*batch.table, *batch.qid, node)
+                          .MemoryBytes()
+                    : PackedBytes(oracles.back()));
+      const bool dense = ScanCountsDensely(*batch.qid, node, rows, 8);
+      counts = counts || dense;
+      buckets =
+          buckets || (bits <= 64 && !dense && BucketBits(rows, bits, 1) > 0);
+    }
+    ASSERT_TRUE(counts && buckets);
+    for (int threads : {1, 2, 4, 8}) {
+      WorkerPool pool(threads);
+      std::vector<FrequencySet> sets = FrequencySet::ComputeBatch(
+          *batch.table, *batch.qid, batch.nodes, &pool);
+      ASSERT_EQ(sets.size(), batch.nodes.size());
+      for (size_t j = 0; j < sets.size(); ++j) {
+        ExpectSet(sets[j], oracles[j], rows, bytes[j],
+                  batch.nodes[j].ToString() +
+                      " threads=" + std::to_string(threads));
+      }
+    }
+  }
+}
+
+TEST(BucketedScanTest, RollupsAndProjectionsMatchMapOracle) {
+  // Each source has more than 65,536 groups and each target key is too
+  // wide to count, so every regroup sorts more than one bucket.
+  const SyntheticDataset data = LandsEnd200k();
+  const size_t rows = data.table.num_rows();
+  struct Case {
+    SubsetNode source;
+    SubsetNode target;
+    bool project;
+  };
+  const Case cases[] = {
+      {SubsetNode({0, 1}, {0, 0}), SubsetNode({0, 1}, {1, 0}), false},
+      {SubsetNode({0, 3}, {0, 0}), SubsetNode({0, 3}, {1, 0}), false},
+      {SubsetNode({0, 1, 3}, {0, 0, 0}), SubsetNode({0, 3}, {0, 0}), true},
+      {SubsetNode({0, 1, 3}, {0, 0, 0}), SubsetNode({0, 1}, {0, 0}), true},
+  };
+  for (const Case& c : cases) {
+    const std::string context =
+        c.source.ToString() + (c.project ? " projected to " : " rolled to ") +
+        c.target.ToString();
+    const FrequencySet source =
+        FrequencySet::Compute(data.table, data.qid, c.source);
+    const size_t bits = KeyBits(data.qid, c.target);
+    ASSERT_GT(uint64_t{1} << bits, 2 * source.NumGroups()) << context;
+    ASSERT_GT(BucketBits(source.NumGroups(), bits, 1), 0u) << context;
+    const FrequencySet result = c.project
+                                    ? source.ProjectTo(c.target, data.qid)
+                                    : source.RollupTo(c.target, data.qid);
+    const CodeGroups oracle = MapOracle(data.table, data.qid, c.target);
+    ExpectSet(result, oracle, rows, PackedBytes(oracle), context);
+  }
+}
+
+// ---------------------------------------------------------------------------
 // The checker and the governed search
 // ---------------------------------------------------------------------------
 
@@ -716,8 +1007,8 @@ TEST(SubstrateGovernedTest, ParallelScanDrainsToZero) {
 }
 
 TEST(SubstrateGovernedTest, RadixBufferChargeTripsTinyBudgets) {
-  // The budget is smaller than one worker's gather+scratch buffers, so the
-  // radix scan must trip at the up-front buffer charge — before the sort —
+  // The budget is smaller than the scan's bucket buffer, so the sorted
+  // scan must trip at the up-front buffer charge — before any gather —
   // and unwind with nothing leaked.
   AdultsOptions adults;
   adults.num_rows = 5000;
@@ -726,7 +1017,7 @@ TEST(SubstrateGovernedTest, RadixBufferChargeTripsTinyBudgets) {
   SubsetNode node({0, 3, 4}, {0, 0, 0});  // 14 bits against 1250-row chunks
   ASSERT_FALSE(ScanCountsDensely(data->qid, node, 5000, 4));
   ExecutionGovernor governor;
-  governor.SetMemoryLimitBytes(1024);  // << 2 * chunk_rows * 8 bytes
+  governor.SetMemoryLimitBytes(1024);  // << rows * 8 bytes
   WorkerPool pool(4);
   FrequencySet tripped =
       PooledScan(data->table, data->qid, node, pool, &governor);
@@ -737,9 +1028,9 @@ TEST(SubstrateGovernedTest, RadixBufferChargeTripsTinyBudgets) {
 }
 
 TEST(SubstrateGovernedTest, MidSortCancelAbandonsTheSortCleanly) {
-  // Cancel before the scan starts: the radix workers see the trip at their
-  // sort tick (or the initial Check), abandon, and the scan returns empty
-  // with the budget balanced — the mid-sort trip soundness check.
+  // Cancel before the scan starts: the scan sees the trip at its first
+  // tick, abandons, and returns empty with the budget balanced — the
+  // mid-sort trip soundness check.
   AdultsOptions adults;
   adults.num_rows = 5000;
   Result<SyntheticDataset> data = MakeAdultsDataset(adults);
@@ -835,9 +1126,10 @@ SubsetNode ZeroNode(size_t n) {
 }
 
 TEST(SubstrateGovernedTest, OneThreadCheckChargesItsSortBuffers) {
-  // A 1-thread governed check runs the same chunk body as a pooled one,
-  // so its peak covers the radix key and scratch buffers (2 × 8 B a row),
-  // not just the finished set.
+  // A 1-thread governed check runs the same bucket sort as a pooled one.
+  // Below 65,536 rows it sorts one bucket, so its peak covers the bucket
+  // buffer beside the sort temp (2 × 8 B a row), and then the buffer
+  // beside the finished set: 8 B a row plus 16 B a group, exactly.
   Result<SyntheticDataset> data = MakeAdultsDataset();
   ASSERT_TRUE(data.ok());
   const Table& table = data->table;
@@ -845,6 +1137,7 @@ TEST(SubstrateGovernedTest, OneThreadCheckChargesItsSortBuffers) {
   const SubsetNode node = ZeroNode(qid.size());
   ASSERT_EQ(table.num_rows(), 45222u);
   ASSERT_FALSE(ScanCountsDensely(qid, node, table.num_rows(), 1));
+  ASSERT_EQ(BucketBits(table.num_rows(), KeyBits(qid, node), 1), 0u);
   ASSERT_EQ(FrequencySet::Compute(table, qid, node).NumGroups(), 37021u);
   AnonymizationConfig config;
   config.k = 2;
@@ -855,38 +1148,76 @@ TEST(SubstrateGovernedTest, OneThreadCheckChargesItsSortBuffers) {
   EXPECT_EQ(governed.value(), IsKAnonymous(table, qid, node, config));
   EXPECT_GE(governor.memory().peak(),
             static_cast<int64_t>(2 * sizeof(uint64_t) * table.num_rows()));
+  EXPECT_EQ(governor.memory().peak(), 361776 + 592336);
   EXPECT_EQ(governor.memory().used(), 0);
 }
 
 TEST(SubstrateGovernedTest, BudgetsBelowTheSortBuffersTripTheCheck) {
-  // One thread: the set alone (37,021 groups, 592,336 B) fits 1 MiB; the
-  // set plus the one chunk's sort buffers (2 × 8 B a row) does not.
+  // One thread: the set alone (37,021 groups, 592,336 B) fits; the set
+  // beside the bucket buffer (8 B a row, 361,776 B) does not.
   Result<SyntheticDataset> data = MakeAdultsDataset();
   ASSERT_TRUE(data.ok());
   const SubsetNode node = ZeroNode(data->qid.size());
   AnonymizationConfig config;
   config.k = 2;
+  const int64_t bucket_buffer =
+      static_cast<int64_t>(sizeof(uint64_t) * data->table.num_rows());
+  ASSERT_EQ(bucket_buffer, 361776);
   {
     ExecutionGovernor governor;
-    governor.SetMemoryLimitBytes(int64_t{1} << 20);
+    governor.SetMemoryLimitBytes(bucket_buffer + 592336 - 1);
     Result<bool> governed = IsKAnonymous(data->table, data->qid, node, config,
                                          RunContext::Governed(governor, 1));
     EXPECT_EQ(governed.status().code(), StatusCode::kResourceExhausted);
     EXPECT_EQ(governor.memory().used(), 0);
   }
-  // Four threads: each chunk charges its own sort buffers before sorting,
-  // so a budget one byte below the smallest chunk's refuses every chunk,
-  // however the chunks overlap.
-  const int64_t chunk_buffers =
-      static_cast<int64_t>(2 * sizeof(uint64_t) * (data->table.num_rows() / 4));
-  ASSERT_EQ(chunk_buffers, 180880);
+  // Four threads: the scan charges its one bucket buffer before any chunk
+  // gathers into it, so a budget one byte below it refuses the scan.
   ASSERT_FALSE(ScanCountsDensely(data->qid, node, data->table.num_rows(), 4));
   ExecutionGovernor governor;
-  governor.SetMemoryLimitBytes(chunk_buffers - 1);
+  governor.SetMemoryLimitBytes(bucket_buffer - 1);
   Result<bool> governed = IsKAnonymous(data->table, data->qid, node, config,
                                        RunContext::Governed(governor, 4));
   EXPECT_EQ(governed.status().code(), StatusCode::kResourceExhausted);
   EXPECT_EQ(governor.memory().used(), 0);
+}
+
+TEST(SubstrateGovernedTest, BudgetBelowTheBucketBufferTripsABucketedScan) {
+  // Lands End at 200,000 rows buckets its Zipcode+Style keys at one chunk
+  // and at four. A budget one byte below the bucket buffer trips either
+  // scan with nothing charged; at the buffer plus the largest temps and
+  // the set it completes.
+  const SyntheticDataset data = LandsEnd200k();
+  const SubsetNode node({0, 3}, {0, 0});
+  const size_t rows = data.table.num_rows();
+  const int64_t bucket_buffer = static_cast<int64_t>(sizeof(uint64_t) * rows);
+  for (int threads : {1, 4}) {
+    ASSERT_GT(BucketBits(rows, KeyBits(data.qid, node), 1), 0u);
+    WorkerPool pool(threads);
+    {
+      ExecutionGovernor governor;
+      governor.SetMemoryLimitBytes(bucket_buffer - 1);
+      FrequencySet tripped =
+          PooledScan(data.table, data.qid, node, pool, &governor);
+      EXPECT_EQ(tripped.NumGroups(), 0u) << threads;
+      EXPECT_EQ(governor.TripStatus().code(), StatusCode::kResourceExhausted)
+          << threads;
+      EXPECT_EQ(governor.memory().used(), 0) << threads;
+    }
+    ExecutionGovernor governor;
+    governor.SetMemoryLimitBytes(int64_t{1} << 30);
+    FrequencySet fs = PooledScan(data.table, data.qid, node, pool, &governor);
+    EXPECT_TRUE(governor.Check().ok()) << threads;
+    EXPECT_EQ(governor.memory().used(), 0) << threads;
+    // The bucket buffer beside the set, at least; the temps are a bucket's
+    // worth, far below the 8 B a row of a whole-input sort's scratch.
+    EXPECT_GE(governor.memory().peak(),
+              bucket_buffer + static_cast<int64_t>(fs.MemoryBytes()))
+        << threads;
+    EXPECT_LT(governor.memory().peak(),
+              2 * bucket_buffer + static_cast<int64_t>(fs.MemoryBytes()))
+        << threads;
+  }
 }
 
 TEST(SubstrateGovernedTest, GovernedSearchMatchesUngoverned) {

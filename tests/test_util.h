@@ -1,6 +1,9 @@
 #ifndef INCOGNITO_TESTS_TEST_UTIL_H_
 #define INCOGNITO_TESTS_TEST_UTIL_H_
 
+#include <gtest/gtest.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <map>
 #include <set>
@@ -24,6 +27,13 @@
 
 namespace incognito {
 namespace testing_util {
+
+/// A path under the test temp directory whose file name carries this
+/// process's id, so two test binaries running at once (say a sanitizer
+/// tree's beside the default tree's) never write or delete one file.
+inline std::string TempPath(const std::string& name) {
+  return ::testing::TempDir() + "/" + std::to_string(getpid()) + "_" + name;
+}
 
 /// A randomly generated dataset for property tests.
 struct RandomDataset {

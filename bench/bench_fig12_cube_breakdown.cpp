@@ -68,7 +68,9 @@ void ThreadSweep(const SyntheticDataset& dataset, size_t qid_size,
     WorkerPool pool(threads);
     Stopwatch timer;
     ZeroGenCube::BuildInfo info;
-    ZeroGenCube cube = ZeroGenCube::Build(dataset.table, qid, pool, &info);
+    ExecutionGovernor governor;
+    ZeroGenCube cube =
+        ZeroGenCube::Build(dataset.table, qid, pool, governor, &info);
     double seconds = timer.ElapsedSeconds();
     if (threads == 1) {
       base_seconds = seconds;

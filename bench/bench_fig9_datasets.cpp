@@ -8,7 +8,9 @@
 //        --landsend_rows=N (default 200000; the paper's 4591581 also works)
 //        --quick           (small tables, for CI)
 //        --json[=FILE]     (also time the six algorithms on a small Adults
-//                           QID and write a machine-readable report)
+//                           QID, and the parallel speedup sweep on Adults
+//                           at 45,222 rows and QID 9, and write a
+//                           machine-readable report)
 //        --threads=N       (cap for the parallel speedup sweep, default 8;
 //                           the sweep runs at 1, 2, 4, ... up to the cap)
 //        --no-batch-scan   (ablation: disable the scan-sharing batched
@@ -165,32 +167,44 @@ int main(int argc, char** argv) {
 
     // Parallel speedup sweep: every thread count is bit-identical
     // (docs/PARALLELISM.md), so wall time is the only axis worth plotting.
-    // The 1-thread run is the speedup baseline.
-    printf("\n--- parallel search speedup (Adults, QID 3, k=2) ---\n");
+    // The gated speedups come from a search long enough to measure the
+    // scheduler, not its wake-up latency: Adults at the paper's 45,222
+    // rows whatever --adults_rows says, QID 9 (about 1.0 s at 1 thread
+    // and 0.35 s at 4 on a 4-vCPU VM, where QID 8 takes 0.13 s at 4),
+    // each thread count the median of kSpeedupRuns runs against the
+    // 1-thread median.
+    constexpr int kSpeedupRuns = 5;
+    Result<SyntheticDataset> sweep = MakeAdultsDataset(AdultsOptions());
+    if (!sweep.ok()) {
+      fprintf(stderr, "adults generation failed: %s\n",
+              sweep.status().ToString().c_str());
+      return 1;
+    }
+    QuasiIdentifier sweep_qid = sweep->qid.Prefix(9);
+    printf("\n--- parallel search speedup (Adults 45,222 rows, QID 9, k=2, "
+           "median of %d) ---\n",
+           kSpeedupRuns);
     double base_seconds = 0;
     for (int threads = 1; threads <= max_threads; threads *= 2) {
-      obs::MetricsSnapshot before = obs::MetricsSnapshot::Take();
-      Stopwatch timer;
-      PartialResult<IncognitoResult> r =
-          RunIncognito(adults->table, qid, config, parallel_opts,
-                       RunContext::WithThreads(threads));
-      double seconds = timer.ElapsedSeconds();
-      if (!r.ok()) {
+      const TimedSearch median =
+          MedianSearch(sweep->table, sweep_qid, config, parallel_opts, threads,
+                       kSpeedupRuns);
+      if (!median.result.ok()) {
         fprintf(stderr, "parallel search (%d threads) failed: %s\n", threads,
-                r.status().ToString().c_str());
+                median.result.status().ToString().c_str());
         continue;
       }
-      if (threads == 1) base_seconds = seconds;
-      last_stats = r->stats;
-      last_utilization = r->worker_utilization;
+      if (threads == 1) base_seconds = median.seconds;
+      last_stats = median.result->stats;
+      last_utilization = median.result->worker_utilization;
       have_parallel_run = true;
-      double speedup = seconds > 0 ? base_seconds / seconds : 0;
+      double speedup = median.seconds > 0 ? base_seconds / median.seconds : 0;
       printf("threads=%-2d  %10.3fs  speedup=%.2fx  solutions=%zu\n", threads,
-             seconds, speedup, r->anonymous_nodes.size());
-      report.Add("adults", config.k, qid.size(),
+             median.seconds, speedup, median.result->anonymous_nodes.size());
+      report.Add("adults-45k", config.k, sweep_qid.size(),
                  StringPrintf("Parallel Incognito (%d threads)", threads),
-                 seconds, r->anonymous_nodes.size(), r->stats,
-                 obs::MetricsSnapshot::Take().DeltaSince(before));
+                 median.seconds, median.result->anonymous_nodes.size(),
+                 median.result->stats, median.delta);
       report.SetDerived(StringPrintf("speedup_threads_%d", threads), speedup);
     }
   }

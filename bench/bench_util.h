@@ -1,6 +1,7 @@
 #ifndef INCOGNITO_BENCH_BENCH_UTIL_H_
 #define INCOGNITO_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -398,6 +399,38 @@ class BenchReport {
 
 /// Prints a standard measurement row (shared layout across the figure
 /// benches so the series are easy to diff against the paper's plots).
+/// One timed search of a speedup sweep: its wall time, its result and its
+/// metrics delta.
+struct TimedSearch {
+  double seconds;
+  PartialResult<IncognitoResult> result;
+  obs::MetricsSnapshot delta;
+};
+
+/// Runs Incognito over `qid` `runs` times at `threads` threads and returns
+/// the median run by wall time — the statistic the gated speedups divide,
+/// so one preempted run moves neither side of a speedup.
+inline TimedSearch MedianSearch(const Table& table, const QuasiIdentifier& qid,
+                                const AnonymizationConfig& config,
+                                const IncognitoOptions& options, int threads,
+                                int runs) {
+  std::vector<TimedSearch> timed;
+  for (int rep = 0; rep < runs; ++rep) {
+    obs::MetricsSnapshot before = obs::MetricsSnapshot::Take();
+    Stopwatch timer;
+    PartialResult<IncognitoResult> r = RunIncognito(
+        table, qid, config, options, RunContext::WithThreads(threads));
+    const double seconds = timer.ElapsedSeconds();
+    timed.push_back({seconds, std::move(r),
+                     obs::MetricsSnapshot::Take().DeltaSince(before)});
+  }
+  std::sort(timed.begin(), timed.end(),
+            [](const TimedSearch& a, const TimedSearch& b) {
+              return a.seconds < b.seconds;
+            });
+  return std::move(timed[timed.size() / 2]);
+}
+
 inline void PrintRowHeader() {
   printf("%-10s %3s %4s %-24s %10s %9s %8s %8s %10s\n", "database", "k",
          "qid", "algorithm", "seconds", "checked", "scans", "rollups",

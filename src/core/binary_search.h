@@ -46,10 +46,11 @@ struct BinarySearchResult {
 /// height-minimal generalization — not the complete result set Incognito
 /// produces.
 ///
-/// `ctx` carries the execution parameters (docs/API.md): a default
-/// RunContext reproduces the legacy ungoverned call. With ctx.governor
-/// set, the search polls the governor at every node probe and charges each
-/// probe's frequency set against its memory budget; a budget trip stops
+/// `ctx` carries the execution parameters (docs/API.md). The search polls
+/// the governor at every node probe and charges each probe's frequency set
+/// against its memory budget: ctx.governor, or a private unlimited one when it is
+/// null, so a default RunContext never trips and reports zero trip
+/// counters. A budget trip stops
 /// the search and returns PartialResult::Partial with found == false and
 /// the bracket proven so far (see BinarySearchResult::bracket_low/_high).
 /// The algorithm is single-threaded: ctx.num_threads is ignored.

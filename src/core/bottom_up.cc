@@ -12,11 +12,19 @@ namespace incognito {
 
 namespace {
 
-/// Shared implementation; `governor` == nullptr is the ungoverned path.
-PartialResult<BottomUpResult> RunBottomUpImpl(
-    const Table& table, const QuasiIdentifier& qid,
-    const AnonymizationConfig& config, const BottomUpOptions& options,
-    ExecutionGovernor* governor) {
+/// A previous-height node's frequency set, kept for rollup, and its charge.
+struct HeldSet {
+  FrequencySet freq;
+  MemoryCharge charge;
+};
+
+}  // namespace
+
+PartialResult<BottomUpResult> RunBottomUpBfs(const Table& table,
+                                             const QuasiIdentifier& qid,
+                                             const AnonymizationConfig& config,
+                                             const BottomUpOptions& options,
+                                             const RunContext& ctx) {
   if (config.k < 1) return Status::InvalidArgument("k must be >= 1");
   if (qid.size() == 0) {
     return Status::InvalidArgument("quasi-identifier must be non-empty");
@@ -24,6 +32,8 @@ PartialResult<BottomUpResult> RunBottomUpImpl(
 
   INCOGNITO_SPAN("bottom_up.run");
   INCOGNITO_COUNT("bottom_up.runs");
+  ExecutionGovernor local;  // unlimited: accounting only
+  ExecutionGovernor& governor = ctx.governor != nullptr ? *ctx.governor : local;
   Stopwatch timer;
   BottomUpResult result;
   GeneralizationLattice lattice(qid.MaxLevels());
@@ -36,43 +46,29 @@ PartialResult<BottomUpResult> RunBottomUpImpl(
   }
 
   // Frequency sets of the previous height's nodes, for rollup.
-  std::unordered_map<uint64_t, FrequencySet> prev_freq;
+  std::unordered_map<uint64_t, HeldSet> prev_freq;
 
-  // Returns all bytes still charged for retained frequency sets.
-  auto release_retained = [&](std::unordered_map<uint64_t, FrequencySet>& m) {
-    if (governor == nullptr) return;
-    for (const auto& [idx, fs] : m) {
-      (void)idx;
-      governor->ReleaseMemory(static_cast<int64_t>(fs.MemoryBytes()));
-    }
-  };
-
-  // Finalizes stats and wraps a budget trip into a partial result carrying
-  // the nodes confirmed so far.
-  auto stop_early = [&](Status trip) -> PartialResult<BottomUpResult> {
+  // Stamps the run's time and, for a caller's governor, its trips; wraps a
+  // budget trip into a partial result carrying the nodes confirmed so far.
+  auto finalize = [&](Status status) -> PartialResult<BottomUpResult> {
     result.stats.total_seconds = timer.ElapsedSeconds();
-    if (governor != nullptr) governor->ExportTrips(&result.stats);
-    if (IsResourceGovernance(trip.code())) {
-      return PartialResult<BottomUpResult>::Partial(std::move(trip),
+    if (ctx.governor != nullptr) ctx.governor->ExportTrips(&result.stats);
+    if (status.ok()) return std::move(result);
+    if (IsResourceGovernance(status.code())) {
+      return PartialResult<BottomUpResult>::Partial(std::move(status),
                                                     std::move(result));
     }
-    return trip;
+    return status;
   };
 
   for (int32_t h = 0; h <= lattice.MaxHeight(); ++h) {
     INCOGNITO_SPAN("bottom_up.height");
     INCOGNITO_COUNT("bottom_up.heights");
-    std::unordered_map<uint64_t, FrequencySet> cur_freq;
+    std::unordered_map<uint64_t, HeldSet> cur_freq;
     for (const LevelVector& levels : lattice.NodesAtHeight(h)) {
       uint64_t idx = lattice.Index(levels);
-      if (governor != nullptr) {
-        Status checkpoint = governor->Check();
-        if (!checkpoint.ok()) {
-          release_retained(prev_freq);
-          release_retained(cur_freq);
-          return stop_early(std::move(checkpoint));
-        }
-      }
+      Status checkpoint = governor.Check();
+      if (!checkpoint.ok()) return finalize(std::move(checkpoint));
 
       if (options.use_generalization_marking && marked[idx]) {
         // Known k-anonymous via the generalization property; propagate the
@@ -86,7 +82,7 @@ PartialResult<BottomUpResult> RunBottomUpImpl(
       }
 
       SubsetNode node = SubsetNode::Full(levels);
-      FrequencySet freq;
+      HeldSet set{FrequencySet(), MemoryCharge(governor)};
       bool rolled = false;
       if (options.use_rollup && h > 0) {
         for (const LevelVector& spec : lattice.DirectSpecializations(levels)) {
@@ -94,15 +90,11 @@ PartialResult<BottomUpResult> RunBottomUpImpl(
           if (it != prev_freq.end()) {
             // Fault site "bottom_up.rollup": an injected allocation failure
             // while aggregating the rollup unwinds like a refused charge.
-            if (governor != nullptr &&
-                INCOGNITO_FAULT_FIRED("bottom_up.rollup")) {
-              Status injected =
-                  governor->LatchInjectedFailure("bottom_up.rollup");
-              release_retained(prev_freq);
-              release_retained(cur_freq);
-              return stop_early(std::move(injected));
+            if (INCOGNITO_FAULT_FIRED("bottom_up.rollup")) {
+              return finalize(
+                  governor.LatchInjectedFailure("bottom_up.rollup"));
             }
-            freq = it->second.RollupTo(node, qid);
+            set.freq = it->second.freq.RollupTo(node, qid);
             ++result.stats.rollups;
             rolled = true;
             break;
@@ -110,28 +102,23 @@ PartialResult<BottomUpResult> RunBottomUpImpl(
         }
       }
       if (!rolled) {
-        freq = std::move(
-            FrequencySet::ComputeBatch(table, qid, {node}, nullptr, governor)
+        set.freq = std::move(
+            FrequencySet::ComputeBatch(table, qid, {node}, nullptr, &governor)
                 .front());
         ++result.stats.table_scans;
       }
-      int64_t freq_bytes = static_cast<int64_t>(freq.MemoryBytes());
-      if (governor != nullptr) {
-        Status charged = governor->ChargeMemory(freq_bytes);
-        if (!charged.ok()) {
-          release_retained(prev_freq);
-          release_retained(cur_freq);
-          return stop_early(std::move(charged));
-        }
-      }
+      Status charged =
+          set.charge.Add(static_cast<int64_t>(set.freq.MemoryBytes()));
+      if (!charged.ok()) return finalize(std::move(charged));
       ++result.stats.nodes_checked;
-      result.stats.freq_groups_built += static_cast<int64_t>(freq.NumGroups());
+      result.stats.freq_groups_built +=
+          static_cast<int64_t>(set.freq.NumGroups());
       INCOGNITO_COUNT("bottom_up.kchecks");
 
       bool anonymous;
       {
         INCOGNITO_PHASE_TIMER("phase.kcheck_seconds");
-        anonymous = freq.IsKAnonymous(config.k, config.max_suppressed);
+        anonymous = set.freq.IsKAnonymous(config.k, config.max_suppressed);
       }
       if (anonymous) {
         result.anonymous_nodes.push_back(node);
@@ -141,31 +128,13 @@ PartialResult<BottomUpResult> RunBottomUpImpl(
           }
         }
       }
-      if (options.use_rollup) {
-        cur_freq.emplace(idx, std::move(freq));  // charge stays retained
-      } else if (governor != nullptr) {
-        governor->ReleaseMemory(freq_bytes);
-      }
+      // Without rollup the set and its charge go at the end of the node.
+      if (options.use_rollup) cur_freq.emplace(idx, std::move(set));
     }
-    release_retained(prev_freq);
-    prev_freq = std::move(cur_freq);
+    prev_freq = std::move(cur_freq);  // releases the older height's sets
     result.completed_heights = static_cast<int64_t>(h) + 1;
   }
-  release_retained(prev_freq);
-
-  result.stats.total_seconds = timer.ElapsedSeconds();
-  if (governor != nullptr) governor->ExportTrips(&result.stats);
-  return result;
-}
-
-}  // namespace
-
-PartialResult<BottomUpResult> RunBottomUpBfs(const Table& table,
-                                             const QuasiIdentifier& qid,
-                                             const AnonymizationConfig& config,
-                                             const BottomUpOptions& options,
-                                             const RunContext& ctx) {
-  return RunBottomUpImpl(table, qid, config, options, ctx.governor);
+  return finalize(Status::OK());
 }
 
 }  // namespace incognito

@@ -48,10 +48,11 @@ struct BottomUpResult {
 /// generalization lattice, optionally with rollup aggregation along the
 /// dimension hierarchies (paper §2.2, run exhaustively as in §4).
 ///
-/// `ctx` carries the execution parameters (docs/API.md): a default
-/// RunContext reproduces the legacy ungoverned call. With ctx.governor
-/// set, the walk polls the governor at every lattice node and charges
-/// frequency sets against its memory budget; a budget trip stops the walk
+/// `ctx` carries the execution parameters (docs/API.md). The walk polls
+/// the governor at every lattice node and charges frequency sets against
+/// its memory budget: ctx.governor, or a private unlimited one when it is
+/// null, so a default RunContext never trips and reports zero trip
+/// counters. A budget trip stops the walk
 /// and returns PartialResult::Partial whose anonymous_nodes are the nodes
 /// confirmed so far (a subset of the complete answer; see
 /// BottomUpResult::completed_heights). The algorithm is single-threaded:

@@ -11,15 +11,41 @@ namespace incognito {
 
 namespace {
 
-/// One-scan frequency-set computation, serial or fanned out across a
-/// transient pool (bit-identical either way; see docs/PARALLELISM.md).
-FrequencySet CheckScan(const Table& table, const QuasiIdentifier& qid,
-                       const SubsetNode& node, int num_threads,
-                       ExecutionGovernor* governor) {
-  WorkerPool pool(num_threads);
-  return std::move(
-      FrequencySet::ComputeBatch(table, qid, {node}, &pool, governor)
-          .front());
+/// The one body of both IsKAnonymous entry points: polls the governor,
+/// scans once, serially or fanned out across a transient pool
+/// (bit-identical either way; see docs/PARALLELISM.md), and charges the
+/// set for the check. A null `caller` checks on a private unlimited
+/// governor and leaves the trip counters alone.
+Result<bool> CheckNode(const Table& table, const QuasiIdentifier& qid,
+                       const SubsetNode& node,
+                       const AnonymizationConfig& config, int num_threads,
+                       ExecutionGovernor* caller, AlgorithmStats* stats) {
+  INCOGNITO_SPAN("checker.is_k_anonymous");
+  INCOGNITO_COUNT("checker.direct_checks");
+  INCOGNITO_HIST_TIMER("checker.check_seconds");
+  ExecutionGovernor local;  // unlimited: accounting only
+  ExecutionGovernor& governor = caller != nullptr ? *caller : local;
+  Stopwatch timer;
+  Result<bool> checked = [&]() -> Result<bool> {
+    INCOGNITO_RETURN_IF_ERROR(governor.Check());
+    WorkerPool pool(num_threads);
+    FrequencySet fs = std::move(
+        FrequencySet::ComputeBatch(table, qid, {node}, &pool, &governor)
+            .front());
+    MemoryCharge charge(governor);
+    INCOGNITO_RETURN_IF_ERROR(
+        charge.Add(static_cast<int64_t>(fs.MemoryBytes())));
+    const bool anonymous = fs.IsKAnonymous(config.k, config.max_suppressed);
+    if (stats != nullptr) {
+      ++stats->nodes_checked;
+      ++stats->table_scans;
+      stats->freq_groups_built += static_cast<int64_t>(fs.NumGroups());
+      stats->total_seconds += timer.ElapsedSeconds();
+    }
+    return anonymous;
+  }();
+  if (stats != nullptr && caller != nullptr) caller->ExportTrips(stats);
+  return checked;
 }
 
 }  // namespace
@@ -99,18 +125,10 @@ Status CheckFullQidNode(const QuasiIdentifier& qid, const SubsetNode& node) {
 bool IsKAnonymous(const Table& table, const QuasiIdentifier& qid,
                   const SubsetNode& node, const AnonymizationConfig& config,
                   AlgorithmStats* stats, int num_threads) {
-  INCOGNITO_SPAN("checker.is_k_anonymous");
-  INCOGNITO_COUNT("checker.direct_checks");
-  Stopwatch timer;
-  FrequencySet fs = CheckScan(table, qid, node, num_threads, nullptr);
-  bool anonymous = fs.IsKAnonymous(config.k, config.max_suppressed);
-  if (stats != nullptr) {
-    ++stats->nodes_checked;
-    ++stats->table_scans;
-    stats->freq_groups_built += static_cast<int64_t>(fs.NumGroups());
-    stats->total_seconds += timer.ElapsedSeconds();
-  }
-  return anonymous;
+  // An unlimited governor refuses nothing; only an injected fault fails.
+  Result<bool> anonymous =
+      CheckNode(table, qid, node, config, num_threads, nullptr, stats);
+  return anonymous.ok() && anonymous.value();
 }
 
 Result<bool> IsKAnonymous(const Table& table, const QuasiIdentifier& qid,
@@ -118,31 +136,9 @@ Result<bool> IsKAnonymous(const Table& table, const QuasiIdentifier& qid,
                           const AnonymizationConfig& config,
                           const RunContext& ctx, AlgorithmStats* stats) {
   INCOGNITO_RETURN_IF_ERROR(CheckFullQidNode(qid, node));
-  int num_threads = ctx.num_threads > 0 ? ctx.num_threads : 1;
-  if (ctx.governor == nullptr) {
-    return IsKAnonymous(table, qid, node, config, stats, num_threads);
-  }
-  ExecutionGovernor& governor = *ctx.governor;
-  INCOGNITO_RETURN_IF_ERROR(governor.Check());
-  INCOGNITO_HIST_TIMER("checker.check_seconds");
-  Stopwatch timer;
-  FrequencySet fs = CheckScan(table, qid, node, num_threads, &governor);
-  Status charge = governor.ChargeMemory(
-      static_cast<int64_t>(fs.MemoryBytes()));
-  if (!charge.ok()) {
-    if (stats != nullptr) governor.ExportTrips(stats);
-    return charge;
-  }
-  bool anonymous = fs.IsKAnonymous(config.k, config.max_suppressed);
-  governor.ReleaseMemory(static_cast<int64_t>(fs.MemoryBytes()));
-  if (stats != nullptr) {
-    ++stats->nodes_checked;
-    ++stats->table_scans;
-    stats->freq_groups_built += static_cast<int64_t>(fs.NumGroups());
-    stats->total_seconds += timer.ElapsedSeconds();
-    governor.ExportTrips(stats);
-  }
-  return anonymous;
+  return CheckNode(table, qid, node, config,
+                   ctx.num_threads > 0 ? ctx.num_threads : 1, ctx.governor,
+                   stats);
 }
 
 }  // namespace incognito

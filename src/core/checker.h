@@ -102,16 +102,21 @@ Status CheckFullQidNode(const QuasiIdentifier& qid, const SubsetNode& node);
 /// When `stats` is non-null, the check's costs are accumulated into it.
 /// `num_threads` > 1 fans the scan out across a worker pool
 /// (FrequencySet::ComputeBatch) with a bit-identical verdict and stats.
+/// The same body as the RunContext variant below, on a private unlimited
+/// governor; only an injected fault (INCOGNITO_FAULTS builds) can fail it,
+/// and reads as not k-anonymous.
 bool IsKAnonymous(const Table& table, const QuasiIdentifier& qid,
                   const SubsetNode& node, const AnonymizationConfig& config,
                   AlgorithmStats* stats = nullptr, int num_threads = 1);
 
 /// RunContext variant (docs/API.md): returns CheckFullQidNode's error for
-/// a node that fails it. ctx.governor (when non-null) is polled before the
-/// scan, governs every row chunk of the scan (ctx.num_threads of them),
-/// and is charged the frequency set's heap footprint (released after the
-/// check); kDeadlineExceeded / kResourceExhausted / kCancelled replace the
-/// answer when a budget trips. An ungoverned context never trips.
+/// a node that fails it. The governor is polled before the scan, governs
+/// every row chunk of the scan (ctx.num_threads of them), and is charged
+/// the frequency set's heap footprint (released after the check);
+/// kDeadlineExceeded / kResourceExhausted / kCancelled replace the
+/// answer when a budget trips. An ungoverned context checks on a private
+/// unlimited governor, so it never trips and leaves the trip counters
+/// alone.
 Result<bool> IsKAnonymous(const Table& table, const QuasiIdentifier& qid,
                           const SubsetNode& node,
                           const AnonymizationConfig& config,

@@ -35,8 +35,8 @@ struct ExecProfile {
   CheckpointPolicy checkpoint;
 
   /// True when any budget is configured — only then does MakeContext arm
-  /// and attach the governor (an unattached governor stays inert and trip
-  /// counters stay zero, matching the ungoverned fast path).
+  /// and attach the governor. Otherwise the run charges a private
+  /// unlimited governor and its trip counters stay zero.
   bool governed() const {
     return deadline_ms >= 0 || memory_budget_bytes > 0 || cancel != nullptr;
   }

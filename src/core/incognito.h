@@ -102,11 +102,11 @@ inline constexpr size_t kMaxCubeQidAttributes = 24;
 /// `config`.
 ///
 /// `ctx` carries the execution parameters (docs/API.md):
-///   - A default RunContext reproduces the legacy ungoverned call; the
-///     result is complete() and the trip counters stay zero.
-///   - ctx.governor non-null polls the governor at every lattice-node
-///     check and charges frequency-set / cube / hash-tree construction
-///     against its memory budget. When a budget trips mid-search the run
+///   - The search polls the governor at every lattice-node check and
+///     charges frequency-set / cube / hash-tree construction against its
+///     memory budget: ctx.governor, or a private unlimited one when it is
+///     null, so a default RunContext's result is complete() and its trip
+///     counters stay zero. When a budget trips mid-search the run
 ///     stops cleanly and returns PartialResult::Partial carrying
 ///     everything proven so far (completed iterations' survivor sets; see
 ///     IncognitoResult::completed_iterations) with status

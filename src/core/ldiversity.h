@@ -103,13 +103,13 @@ class DiversityKey {
 /// Incognito with the default IncognitoOptions. Arguments are checked as
 /// in DiversityKey::Create, before any work.
 ///
-/// `ctx` carries the execution parameters (docs/API.md): a default
-/// RunContext reproduces the ungoverned call. ctx.num_threads (0 means 1)
-/// sizes the worker pool; every thread count returns the same
-/// diverse_nodes and counters. With
-/// ctx.governor set, the search polls the governor at every candidate node
-/// and charges each frequency set against its memory budget through
-/// per-worker shard leases; a budget trip stops the search cleanly and
+/// `ctx` carries the execution parameters (docs/API.md). ctx.num_threads
+/// (0 means 1) sizes the worker pool; every thread count returns the same
+/// diverse_nodes and counters. The search polls the governor at every
+/// candidate node and charges each frequency set against its memory
+/// budget: ctx.governor, or a private unlimited one when it is
+/// null, so a default RunContext never trips and reports zero trip
+/// counters. A budget trip stops the search cleanly and
 /// returns PartialResult::Partial with diverse_nodes EMPTY and
 /// completed_iterations recording how many subset sizes finished (the same
 /// contract as RunIncognito's governed path). ctx.checkpoint is ignored:

@@ -86,8 +86,8 @@ class LatticeWalk {
   /// failed[id] == true iff T was checked and found NOT to satisfy the
   /// criterion w.r.t. node id; every other node satisfies it (checked,
   /// marked, or implied) — exactly the deletion set for S_i. A budget trip
-  /// aborts the walk and returns the trip status, with every charged byte
-  /// released.
+  /// aborts the walk and returns the trip status; every set it held goes
+  /// with its charge.
   Result<std::vector<bool>> Run(const CandidateGraph& graph) {
     INCOGNITO_SPAN("incognito.graph_search");
     const size_t n = graph.num_nodes();
@@ -103,35 +103,17 @@ class LatticeWalk {
     // its SetNode.
     std::map<std::vector<int32_t>, RetainedSet> families;
     // Sets pre-built by the shared scans, by node id. A worker that takes
-    // one zeroes its bytes; Phase B erases it. Front entries for higher
-    // levels persist across levels.
+    // one takes its charge too; Phase B erases it. Front entries for
+    // higher levels persist across levels.
     std::unordered_map<int64_t, RetainedSet> batch;
 
     auto release_parents = [&](int64_t id) {
       for (int64_t spec : graph.InEdges(id)) {
         auto it = pending_uses.find(spec);
         if (it != pending_uses.end() && --it->second == 0) {
-          auto sit = stored.find(spec);
-          if (sit != stored.end()) {
-            governor_.ReleaseMemory(sit->second.bytes);
-            stored.erase(sit);
-          }
+          stored.erase(spec);
           pending_uses.erase(it);
         }
-      }
-    };
-    auto release_all = [&]() {
-      for (const auto& [id, set] : stored) {
-        (void)id;
-        governor_.ReleaseMemory(set.bytes);
-      }
-      for (const auto& [dims, set] : families) {
-        (void)dims;
-        governor_.ReleaseMemory(set.bytes);
-      }
-      for (const auto& [id, set] : batch) {
-        (void)id;
-        governor_.ReleaseMemory(set.bytes);  // zero once taken
       }
     };
 
@@ -164,14 +146,14 @@ class LatticeWalk {
                                        &governor_)
                 .front());
         stats_.freq_groups_built += static_cast<int64_t>(set.NumGroups());
-        const int64_t bytes = static_cast<int64_t>(set.MemoryBytes());
+        MemoryCharge charge(governor_);
         Status charged = governor_.Check();
-        if (charged.ok()) charged = governor_.ChargeMemory(bytes);
-        if (!charged.ok()) {
-          release_all();
-          return charged;
+        if (charged.ok()) {
+          charged = charge.Add(static_cast<int64_t>(set.MemoryBytes()));
         }
-        families.emplace(super.dims, RetainedSet{std::move(set), bytes});
+        if (!charged.ok()) return charged;
+        families.emplace(super.dims,
+                         RetainedSet{std::move(set), std::move(charge)});
       }
     }
 
@@ -214,13 +196,14 @@ class LatticeWalk {
         stats_.batch_scan_seconds += timer.ElapsedSeconds();
         Status status = governor_.Check();
         for (size_t j = 0; j < group.size() && status.ok(); ++j) {
-          const int64_t bytes = static_cast<int64_t>(sets[j].MemoryBytes());
-          status = governor_.ChargeMemory(bytes);
+          MemoryCharge charge(governor_);
+          status = charge.Add(static_cast<int64_t>(sets[j].MemoryBytes()));
           if (status.ok()) {
-            batch.emplace(group[j], RetainedSet{std::move(sets[j]), bytes});
+            batch.emplace(group[j],
+                          RetainedSet{std::move(sets[j]), std::move(charge)});
           }
         }
-        if (!status.ok()) return status;  // the caller's release_all unwinds
+        if (!status.ok()) return status;
       }
       return Status::OK();
     };
@@ -239,27 +222,20 @@ class LatticeWalk {
       // marked, so one shared scan per subset covers the whole front even
       // when its roots span several heights.
       Status batched = build_batches(roots);
-      if (!batched.ok()) {
-        release_all();
-        return batched;
-      }
+      if (!batched.ok()) return batched;
     }
 
     enum OutcomeKind : uint8_t { kSkipped, kMarked, kAnonymous, kFailed };
     struct NodeOutcome {
       OutcomeKind kind = kSkipped;
-      int64_t bytes = 0;
-      FrequencySet freq;
+      RetainedSet failed;  // a failed node's set and its charge
     };
 
     while (!by_height.empty()) {
       // Catches trips latched by candidate generation, the cube build, or
       // a previous level.
       Status checkpoint = governor_.Check();
-      if (!checkpoint.ok()) {
-        release_all();
-        return checkpoint;
-      }
+      if (!checkpoint.ok()) return checkpoint;
       std::vector<int64_t> ids = std::move(by_height.begin()->second);
       by_height.erase(by_height.begin());
       std::sort(ids.begin(), ids.end());
@@ -268,10 +244,7 @@ class LatticeWalk {
       // have covered.
       if (batching) {
         Status batched = build_batches(ids);
-        if (!batched.ok()) {
-          release_all();
-          return batched;
-        }
+        if (!batched.ok()) return batched;
       }
 
       // Phase A: evaluate every node of the level. Workers only read the
@@ -288,19 +261,19 @@ class LatticeWalk {
             out.kind = kMarked;
             continue;
           }
-          FrequencySet freq;
+          RetainedSet set{FrequencySet(), MemoryCharge(governor_)};
           auto bit = batch.find(id);
           if (bit != batch.end()) {
-            // Pre-built (and counted) by a shared scan: swap its retained
-            // charge for the per-node charge below.
-            governor_.ReleaseMemory(bit->second.bytes);
-            bit->second.bytes = 0;
-            freq = std::move(bit->second.freq);
+            // Pre-built (and counted) by a shared scan; its charge comes
+            // with it.
+            set = std::move(bit->second);
           } else {
-            freq = ComputeFrequencySet(graph, id, stored, families, &wstats);
+            set.freq =
+                ComputeFrequencySet(graph, id, stored, families, &wstats);
+            const int64_t bytes = static_cast<int64_t>(set.freq.MemoryBytes());
+            if (!set.charge.Add(bytes).ok()) return;
           }
-          const int64_t bytes = static_cast<int64_t>(freq.MemoryBytes());
-          if (!governor_.ChargeMemory(bytes).ok()) return;
+          const FrequencySet& freq = set.freq;
           ++wstats.nodes_checked;
           wstats.freq_groups_built += static_cast<int64_t>(freq.NumGroups());
           INCOGNITO_COUNT("incognito.kchecks");
@@ -315,12 +288,10 @@ class LatticeWalk {
                           run_.config.max_suppressed;
           }
           if (anonymous) {
-            governor_.ReleaseMemory(bytes);
-            out.kind = kAnonymous;
+            out.kind = kAnonymous;  // the set and its charge go here
           } else {
             out.kind = kFailed;
-            out.bytes = bytes;
-            out.freq = std::move(freq);
+            out.failed = std::move(set);
           }
         }
       };
@@ -332,15 +303,11 @@ class LatticeWalk {
 
       // Every worker-side trip latched the governor.
       Status trip = governor_.Check();
-      if (!trip.ok()) {
-        for (NodeOutcome& out : outcomes) {
-          if (out.kind == kFailed) governor_.ReleaseMemory(out.bytes);
-        }
-        release_all();
-        return trip;
-      }
+      if (!trip.ok()) return trip;
 
-      // Phase B: merge the level's outcomes in ascending node id.
+      // Phase B: merge the level's outcomes in ascending node id. A failed
+      // set no rollup keeps is released with `outcomes`, before the next
+      // level charges anything.
       for (size_t i = 0; i < ids.size(); ++i) {
         const int64_t id = ids[i];
         NodeOutcome& out = outcomes[i];
@@ -353,9 +320,7 @@ class LatticeWalk {
           const auto& gens = graph.OutEdges(id);
           if (!gens.empty() && options_.use_rollup) {
             pending_uses[id] = static_cast<int64_t>(gens.size());
-            stored.emplace(id, RetainedSet{std::move(out.freq), out.bytes});
-          } else {
-            governor_.ReleaseMemory(out.bytes);
+            stored.emplace(id, std::move(out.failed));
           }
           for (int64_t g : gens) {
             if (!enqueued[static_cast<size_t>(g)]) {
@@ -367,17 +332,16 @@ class LatticeWalk {
         release_parents(id);
       }
     }
-    release_all();
     return failed;
   }
 
  private:
-  /// A set held charged to the governor: a failed node's set kept for its
+  /// A set and its charge: a failed node's set kept for its
   /// generalizations, or one built ahead of its nodes (super-root or
   /// shared-scan output).
   struct RetainedSet {
     FrequencySet freq;
-    int64_t bytes = 0;
+    MemoryCharge charge;
   };
 
   /// The node a candidate's frequency set is built for: the candidate
@@ -515,15 +479,13 @@ PartialResult<IncognitoResult> RunSubsetDag(
                                                fingerprint);
   }
 
-  int64_t task_table_bytes = 0;  // charged to the governor while held
+  MemoryCharge task_table(*governor);
   ZeroGenCube cube;
 
-  // Releases the run's own charges, folds the workers' stats into the
-  // result, and derives the scheduler telemetry. Runs exactly once, on
-  // every return path.
+  // Folds the workers' stats into the result and derives the scheduler
+  // telemetry. Runs exactly once, on every return path; the run's own
+  // charges go with `task_table` and `cube` when it returns.
   auto finalize = [&]() {
-    cube.ReleaseMemory(governor);
-    governor->ReleaseMemory(task_table_bytes);
     if (ckpt != nullptr) {
       result.stats.checkpoint_writes = ckpt->writes();
       result.stats.checkpoint_bytes = ckpt->bytes_written();
@@ -590,9 +552,8 @@ PartialResult<IncognitoResult> RunSubsetDag(
               n, static_cast<long long>(bytes),
               static_cast<long long>(physical)))));
     }
-    Status charged = governor->ChargeMemory(bytes);
+    Status charged = task_table.Add(bytes);
     if (!charged.ok()) return stop_early(charged);
-    task_table_bytes = bytes;
   }
   std::vector<SubsetTask> tasks(static_cast<size_t>(full) + 1);
 
@@ -665,7 +626,7 @@ PartialResult<IncognitoResult> RunSubsetDag(
   if (options.variant == IncognitoVariant::kCube) {
     Stopwatch cube_timer;
     ZeroGenCube::BuildInfo info;
-    cube = ZeroGenCube::Build(table, qid, pool, &info, governor);
+    cube = ZeroGenCube::Build(table, qid, pool, *governor, &info);
     cube_ptr = &cube;
     result.stats.cube_build_seconds = cube_timer.ElapsedSeconds();
     result.stats.table_scans += info.table_scans;

@@ -24,9 +24,9 @@ namespace incognito {
 /// Every worker charges and polls `governor` itself; a trip in any worker
 /// latches it for all of them, the pool drains, and the run returns
 /// PartialResult::Partial whose completed_iterations means "every subset
-/// of this size finished". A null governor runs ungoverned: the workers
-/// charge a private unlimited governor, so the accounting is exercised
-/// identically.
+/// of this size finished". A null governor resolves once, at the top, to
+/// a private unlimited one on the same path, and the trip counters are
+/// exported only for a caller's governor.
 ///
 /// The walk's criterion is k-anonymity with config's suppression budget.
 /// With a non-null `key_qid` it is distinct (k, ℓ)-diversity instead

@@ -22,7 +22,8 @@ struct CheckpointPolicy;
 /// governor per run; trips latch.
 struct RunContext {
   /// Optional resource governor. Null runs ungoverned: no deadline, no
-  /// memory budget, trip counters stay zero.
+  /// memory budget, trip counters stay zero — the algorithm charges a
+  /// private unlimited governor on the same path.
   ExecutionGovernor* governor = nullptr;
 
   /// Worker threads. 0 (default) inherits the algorithm's own option where

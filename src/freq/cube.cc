@@ -32,8 +32,8 @@ SubsetNode ZeroNodeForMask(uint32_t mask) {
 }  // namespace
 
 ZeroGenCube ZeroGenCube::Build(const Table& table, const QuasiIdentifier& qid,
-                               WorkerPool& pool, BuildInfo* info,
-                               ExecutionGovernor* governor) {
+                               WorkerPool& pool, ExecutionGovernor& governor,
+                               BuildInfo* info) {
   INCOGNITO_SPAN("cube.build");
   INCOGNITO_PHASE_TIMER("phase.cube_build_seconds");
   INCOGNITO_COUNT("cube.builds");
@@ -45,42 +45,34 @@ ZeroGenCube ZeroGenCube::Build(const Table& table, const QuasiIdentifier& qid,
 
   // Root: one parallel scan of T (the cube's only table access). A trip
   // inside the scan latches the governor and yields an empty set; the
-  // main-thread charge below observes the latch via Check().
+  // main-thread check below observes the latch.
   FrequencySet root_fs = std::move(
       FrequencySet::ComputeBatch(table, qid, {ZeroNodeForMask(full)}, &pool,
-                                 governor)
+                                 &governor)
           .front());
   local.table_scans = 1;
 
-  // The root is charged with the mask-indexed slot vector and the tier
+  // The root is charged with the mask-indexed slot vector, then the tier
   // lists, before either is allocated; the tier lists are released once
-  // the last tier is built, the rest by ReleaseMemory.
-  const int64_t slot_bytes =
-      static_cast<int64_t>((size_t{full} + 1) * sizeof(FrequencySet));
+  // the last tier is built, the rest when the cube is discarded.
+  const int64_t root_bytes = static_cast<int64_t>(
+      root_fs.MemoryBytes() + (size_t{full} + 1) * sizeof(FrequencySet));
   const int64_t tier_bytes =
       static_cast<int64_t>((size_t{full} - 1) * sizeof(uint32_t));
-  bool tripped = false;
-  int64_t held_bytes = 0;
-  if (governor != nullptr) {
-    if (!governor->Check().ok()) {
-      tripped = true;
-    } else if (INCOGNITO_FAULT_FIRED("cube.build")) {
-      // Fault site "cube.build": an injected allocation failure while
-      // materializing the root latches like a refused charge.
-      governor->LatchInjectedFailure("cube.build");
-      tripped = true;
-    } else {
-      held_bytes = static_cast<int64_t>(root_fs.MemoryBytes()) + slot_bytes +
-                   tier_bytes;
-      if (!governor->ChargeMemory(held_bytes).ok()) {
-        held_bytes = 0;
-        tripped = true;
-      }
-    }
+  cube.root_charge_ = MemoryCharge(governor);
+  MemoryCharge tier_charge(governor);
+  bool tripped = !governor.Check().ok();
+  if (!tripped && INCOGNITO_FAULT_FIRED("cube.build")) {
+    // Fault site "cube.build": an injected allocation failure while
+    // materializing the root latches like a refused charge.
+    governor.LatchInjectedFailure("cube.build");
+    tripped = true;
   }
+  tripped = tripped || !cube.root_charge_.Add(root_bytes).ok() ||
+            !tier_charge.Add(tier_bytes).ok();
   if (tripped) {
     if (info != nullptr) *info = local;
-    return cube;
+    return ZeroGenCube();
   }
   cube.sets_.resize(static_cast<size_t>(full) + 1);
   cube.sets_[full] = std::move(root_fs);
@@ -95,30 +87,33 @@ ZeroGenCube ZeroGenCube::Build(const Table& table, const QuasiIdentifier& qid,
     tiers[static_cast<size_t>(__builtin_popcount(m))].push_back(m);
   }
 
+  // Each worker holds the charges of the projections it keeps.
   const size_t workers = static_cast<size_t>(pool.size());
+  for (size_t w = 0; w < workers; ++w) {
+    cube.projection_charges_.emplace_back(governor);
+  }
   std::atomic<bool> stopped{false};
   std::atomic<int64_t> projections{0};
   // Each Run's barrier publishes a finished tier to the next one.
   for (size_t p = n - 1; p >= 1 && !stopped.load(); --p) {
     const std::vector<uint32_t>& tier = tiers[p];
     std::atomic<size_t> next{0};
-    pool.Run(workers, [&](int, size_t, size_t) {
+    pool.Run(workers, [&](int w, size_t, size_t) {
       INCOGNITO_SPAN("cube.project.worker");
+      MemoryCharge& charge = cube.projection_charges_[static_cast<size_t>(w)];
       for (size_t t = next.fetch_add(1); t < tier.size() && !stopped.load();
            t = next.fetch_add(1)) {
         const uint32_t m = tier[t];
-        if (governor != nullptr) {
-          if (!governor->Check().ok()) {
-            stopped = true;
-            return;
-          }
-          // Fault site "cube.project": an injected allocation failure in
-          // one worker's projection; siblings stop at their next claim.
-          if (INCOGNITO_FAULT_FIRED("cube.project")) {
-            governor->LatchInjectedFailure("cube.project");
-            stopped = true;
-            return;
-          }
+        if (!governor.Check().ok()) {
+          stopped = true;
+          return;
+        }
+        // Fault site "cube.project": an injected allocation failure in
+        // one worker's projection; siblings stop at their next claim.
+        if (INCOGNITO_FAULT_FIRED("cube.project")) {
+          governor.LatchInjectedFailure("cube.project");
+          stopped = true;
+          return;
         }
         // Candidate parents, m plus one attribute, in ascending order: the
         // first strict improvement wins.
@@ -132,10 +127,7 @@ ZeroGenCube ZeroGenCube::Build(const Table& table, const QuasiIdentifier& qid,
           }
         }
         FrequencySet projected = best->ProjectTo(ZeroNodeForMask(m), qid);
-        if (governor != nullptr &&
-            !governor
-                 ->ChargeMemory(static_cast<int64_t>(projected.MemoryBytes()))
-                 .ok()) {
+        if (!charge.Add(static_cast<int64_t>(projected.MemoryBytes())).ok()) {
           // Refused: the set was never admitted, so it is not kept.
           stopped = true;
           return;
@@ -147,22 +139,12 @@ ZeroGenCube ZeroGenCube::Build(const Table& table, const QuasiIdentifier& qid,
   }
   local.projections = projections.load();
 
-  // Every kept projection stays charged: ReleaseMemory balances them with
-  // the root and the slots. A stopped build releases all of it, and the
-  // tier lists, itself.
-  if (stopped.load() || (governor != nullptr && governor->Tripped())) {
-    if (governor != nullptr) {
-      int64_t projection_bytes = 0;
-      for (uint32_t m = 1; m < full; ++m) {
-        projection_bytes += static_cast<int64_t>(cube.sets_[m].MemoryBytes());
-      }
-      governor->ReleaseMemory(held_bytes + projection_bytes);
-    }
-    std::vector<FrequencySet>().swap(cube.sets_);
+  // A stopped build discards the cube, and with it every charge.
+  if (stopped.load() || governor.Tripped()) {
     if (info != nullptr) *info = local;
-    return cube;
+    return ZeroGenCube();
   }
-  if (governor != nullptr) governor->ReleaseMemory(tier_bytes);
+  tier_charge.Reset();
 
   INCOGNITO_COUNT_ADD("cube.subsets", static_cast<int64_t>(full));
   local.num_subsets = full;
@@ -172,15 +154,6 @@ ZeroGenCube ZeroGenCube::Build(const Table& table, const QuasiIdentifier& qid,
   }
   if (info != nullptr) *info = local;
   return cube;
-}
-
-void ZeroGenCube::ReleaseMemory(ExecutionGovernor* governor) const {
-  if (governor == nullptr) return;
-  int64_t bytes = static_cast<int64_t>(sets_.size() * sizeof(FrequencySet));
-  for (const FrequencySet& fs : sets_) {
-    bytes += static_cast<int64_t>(fs.MemoryBytes());
-  }
-  governor->ReleaseMemory(bytes);
 }
 
 const FrequencySet& ZeroGenCube::Get(const std::vector<int32_t>& dims) const {

@@ -43,23 +43,20 @@ class ZeroGenCube {
   /// build is bit-identical at every pool size, BuildInfo totals included.
   /// A 1-worker pool is the serial build.
   ///
-  /// When `governor` is non-null the root is charged on the main thread
-  /// ("cube.build" fault site) together with the mask-indexed slot vector
-  /// (2^n FrequencySet slots) and the per-tier mask lists, before either
-  /// is allocated; the worker that makes a projection charges it before
-  /// keeping it ("cube.project" fault site, once per projection), and a
-  /// complete build releases the tier lists, so ReleaseMemory balances the
-  /// governor back to zero. A refused charge, a tripped deadline or a
-  /// cancellation stops the build: it latches the governor and returns an
-  /// empty cube with every charged byte — root, slots, tier lists and kept
-  /// projections — released.
+  /// Every byte is charged to `governor`, and the cube holds its charges
+  /// until it is discarded, so the governor must outlive it. The root is
+  /// charged on the main thread ("cube.build" fault site) with the
+  /// mask-indexed slot vector (2^n FrequencySet slots), then the per-tier
+  /// mask lists, before either is allocated; the worker that makes a
+  /// projection charges it before keeping it ("cube.project" fault site,
+  /// once per projection), and a complete build releases the tier lists.
+  /// A refused charge, a tripped deadline or a cancellation stops the
+  /// build: it latches the governor and returns an empty cube with every
+  /// charged byte — root, slots, tier lists and kept projections —
+  /// released.
   static ZeroGenCube Build(const Table& table, const QuasiIdentifier& qid,
-                           WorkerPool& pool, BuildInfo* info = nullptr,
-                           ExecutionGovernor* governor = nullptr);
-
-  /// Releases every byte Build() charged against `governor` (call when the
-  /// cube is discarded).
-  void ReleaseMemory(ExecutionGovernor* governor) const;
+                           WorkerPool& pool, ExecutionGovernor& governor,
+                           BuildInfo* info = nullptr);
 
   /// The zero-generalization frequency set for an attribute subset
   /// (ascending QID indices). Requires the subset to be non-empty and
@@ -74,6 +71,9 @@ class ZeroGenCube {
   /// Indexed by attribute mask; slot 0 stays empty. Empty, with no
   /// capacity, after a trip.
   std::vector<FrequencySet> sets_;
+  /// The root and the slot vector, and each build worker's projections.
+  MemoryCharge root_charge_;
+  std::vector<MemoryCharge> projection_charges_;
 };
 
 }  // namespace incognito

@@ -164,7 +164,9 @@ void FrequencySet::HashReferenceScan(const Table& table,
 std::vector<FrequencySet> FrequencySet::ComputeBatch(
     const Table& table, const QuasiIdentifier& qid,
     const std::vector<SubsetNode>& nodes, WorkerPool* pool,
-    ExecutionGovernor* governor) {
+    ExecutionGovernor* caller) {
+  ExecutionGovernor local;  // unlimited: accounting only
+  ExecutionGovernor& governor = caller != nullptr ? *caller : local;
   std::vector<FrequencySet> out;
   out.reserve(nodes.size());
   for (const SubsetNode& node : nodes) {
@@ -222,31 +224,25 @@ std::vector<FrequencySet> FrequencySet::ComputeBatch(
     cflat[c].resize(b);
   }
 
-  // The bytes each chunk holds charged when it returns, and the sorted
-  // nodes' sets, released together once the scan has finished.
-  std::vector<int64_t> held(chunks, 0);
-  int64_t sorted_bytes = 0;
-  auto tick = [governor] {
-    return governor == nullptr || governor->Check().ok();
-  };
-  SortHooks hooks;
-  if (governor != nullptr) {
-    hooks.tick = tick;
-    hooks.charge = [governor](int64_t bytes) {
-      return governor->ChargeMemory(bytes).ok();
-    };
-    hooks.release = [governor](int64_t bytes) {
-      governor->ReleaseMemory(bytes);
-    };
-  }
+  // What each chunk holds charged when it returns, and the sorted nodes'
+  // sets, released together once the scan has finished.
+  std::vector<MemoryCharge> held;
+  held.reserve(chunks);
+  for (size_t c = 0; c < chunks; ++c) held.emplace_back(governor);
+  MemoryCharge sorted(governor);
+  auto tick = [&governor] { return governor.Check().ok(); };
+  const SortHooks hooks{
+      tick,
+      [&governor](int64_t bytes) { return governor.ChargeMemory(bytes).ok(); },
+      [&governor](int64_t bytes) { governor.ReleaseMemory(bytes); }};
 
   bool ok = tick();
   // Fault site "freq.batch.scan": an injected allocation failure, consulted
   // once per row chunk before the scan starts, latches like a refused
   // charge.
-  for (size_t c = 0; governor != nullptr && ok && c < chunks; ++c) {
+  for (size_t c = 0; ok && c < chunks; ++c) {
     if (INCOGNITO_FAULT_FIRED("freq.batch.scan")) {
-      governor->LatchInjectedFailure("freq.batch.scan");
+      governor.LatchInjectedFailure("freq.batch.scan");
       ok = false;
     }
   }
@@ -254,10 +250,11 @@ std::vector<FrequencySet> FrequencySet::ComputeBatch(
   // Sorted nodes first, one at a time through the bucket sort, whose
   // phases run over the same C row chunks. They share one bucket buffer
   // of 8 B a row, charged before it is allocated and freed before any
-  // count array is allocated.
+  // count array is allocated. A finished sort leaves its groups charged,
+  // and `sorted` takes that charge over.
   if (ok && any_sort && rows > 0) {
-    const int64_t buffer_bytes = static_cast<int64_t>(rows * sizeof(uint64_t));
-    ok = governor == nullptr || governor->ChargeMemory(buffer_bytes).ok();
+    MemoryCharge buffer_charge(governor);
+    ok = buffer_charge.Add(static_cast<int64_t>(rows * sizeof(uint64_t))).ok();
     if (ok) {
       auto buffer = std::make_unique_for_overwrite<uint64_t[]>(rows);
       for (size_t j = 0; j < b && ok; ++j) {
@@ -270,11 +267,9 @@ std::vector<FrequencySet> FrequencySet::ComputeBatch(
               GatherPackedKeys(cols[j], maps[j], codec, begin, end, keys);
             },
             hooks, pool, buffer.get(), &out[j].groups_);
-        sorted_bytes += static_cast<int64_t>(out[j].groups_.capacity() *
-                                             sizeof(out[j].groups_[0]));
+        sorted.Adopt(static_cast<int64_t>(out[j].groups_.capacity() *
+                                          sizeof(out[j].groups_[0])));
       }
-      buffer.reset();
-      if (governor != nullptr) governor->ReleaseMemory(buffer_bytes);
     }
   }
 
@@ -284,18 +279,12 @@ std::vector<FrequencySet> FrequencySet::ComputeBatch(
     INCOGNITO_SPAN("freq.batch_scan.chunk");
     const size_t c = static_cast<size_t>(chunk);
     const size_t chunk_rows = end - begin;
-    // Monotonic footprint ledger shared by every node this chunk feeds:
-    // count arrays charge before they are allocated, map growth at
-    // checkpoints.
-    int64_t& charged = held[c];
+    // Monotonic footprint shared by every node this chunk feeds: count
+    // arrays charge before they are allocated, map growth at checkpoints.
+    MemoryCharge& charged = held[c];
     int64_t partial_bytes = 0;
     auto charge_to = [&](int64_t now) {
-      if (governor == nullptr) return true;
-      if (now > charged) {
-        if (!governor->ChargeMemory(now - charged).ok()) return false;
-        charged = now;
-      }
-      return true;
+      return now <= charged.bytes() || charged.Add(now - charged.bytes()).ok();
     };
     for (size_t j = 0; j < b; ++j) {
       if (!dense[j]) continue;
@@ -348,14 +337,11 @@ std::vector<FrequencySet> FrequencySet::ComputeBatch(
 
   // The charges return to the governor here; a trip (if any) is already
   // latched, so the caller's next Check() or charge sees it.
-  if (governor != nullptr) {
-    int64_t bytes = sorted_bytes;
-    for (int64_t h : held) bytes += h;
-    governor->ReleaseMemory(bytes);
-    if (governor->Tripped()) {
-      for (size_t j = 0; j < b; ++j) out[j] = MakeEmpty(nodes[j], qid);
-      return out;
-    }
+  held.clear();
+  sorted.Reset();
+  if (governor.Tripped()) {
+    for (size_t j = 0; j < b; ++j) out[j] = MakeEmpty(nodes[j], qid);
+    return out;
   }
 
   // Merge the counted and wide nodes in chunk order: count arrays are

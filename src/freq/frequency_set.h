@@ -36,8 +36,9 @@ class FrequencySet {
 
   /// Computes the frequency set by scanning the table once — the paper's
   /// COUNT(*) GROUP BY query. `node` selects the participating attributes
-  /// (dims, as QID indices) and the generalization level of each. An
-  /// ungoverned one-chunk batch of one over ComputeBatch.
+  /// (dims, as QID indices) and the generalization level of each. A
+  /// one-chunk batch of one over ComputeBatch, on its private unlimited
+  /// governor.
   ///
   /// `substrate` serves only the two benches that time the group-by
   /// engines (freq/substrate.h): kHash on a packed key runs a serial
@@ -70,16 +71,16 @@ class FrequencySet {
   /// state, and each of those nodes merges in chunk order — count arrays
   /// by summing, flat maps with one canonical sort. Several chunks run
   /// across the pool, a single one inline on the calling thread. Every
-  /// reserve is exact, so the result is bit-identical at any C. When
-  /// `governor` is non-null every chunk is governed alike: the scan
-  /// consults the "freq.batch.scan" fault site once per chunk before it
-  /// starts, charges the governor for its bucket buffer, sort temps, count
-  /// arrays and partials before allocating them, and polls for trips every
-  /// few thousand rows. The charges are released once the scan has
-  /// finished (the bucket buffer and temps once the sorts have), before
-  /// returning. A tripped batch latches the governor and returns all-empty
-  /// sets; callers detect it via governor->Tripped(), or at their next
-  /// Check() or charge.
+  /// reserve is exact, so the result is bit-identical at any C. Every
+  /// chunk is governed alike, by `governor` or, when it is null, a private
+  /// unlimited one: the scan consults the "freq.batch.scan" fault site once
+  /// per chunk before it starts, charges the governor for its bucket
+  /// buffer, sort temps, count arrays and partials before allocating them,
+  /// and polls for trips every few thousand rows. The charges are released
+  /// once the scan has finished (the bucket buffer and temps once the
+  /// sorts have), before returning. A tripped batch latches the governor
+  /// and returns all-empty sets; callers detect it via
+  /// governor->Tripped(), or at their next Check() or charge.
   static std::vector<FrequencySet> ComputeBatch(
       const Table& table, const QuasiIdentifier& qid,
       const std::vector<SubsetNode>& nodes, WorkerPool* pool = nullptr,

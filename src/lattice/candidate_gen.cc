@@ -145,10 +145,12 @@ CandidateGraph MakeSingleDimensionChain(const QuasiIdentifier& qid,
 
 CandidateGraph GenerateSubsetGraph(
     const std::vector<const CandidateGraph*>& parents, GraphGenStats* stats,
-    ExecutionGovernor* governor) {
+    ExecutionGovernor* caller) {
   INCOGNITO_SPAN("lattice.subset_candidate_gen");
   INCOGNITO_PHASE_TIMER("phase.candidate_gen_seconds");
   INCOGNITO_COUNT("lattice.subset_candidate_gen_calls");
+  ExecutionGovernor local;  // unlimited: accounting only
+  ExecutionGovernor& governor = caller != nullptr ? *caller : local;
   GraphGenStats local_stats;
   CandidateGraph next;
   assert(parents.size() >= 2);
@@ -195,18 +197,17 @@ CandidateGraph GenerateSubsetGraph(
   // dropped lies in subset D minus its drop-th dimension — i.e. among
   // parents[drop]'s nodes. The tree over parents[0..size-3] therefore
   // answers exactly the queries a tree over all of S_i would.
-  SubsetHashTree tree;
-  for (size_t j = 0; j + 2 < parents.size(); ++j) {
-    for (const NodeRow& row : parents[j]->nodes()) tree.Insert(row.pairs);
-  }
-  int64_t tree_bytes = 0;
-  if (governor != nullptr) {
-    tree_bytes = static_cast<int64_t>(tree.MemoryBytes());
-    if (!governor->ChargeMemory(tree_bytes).ok()) tree_bytes = 0;
-  }
-  CandidateGraph graph = PruneCandidates(next, tree, &local_stats);
-  if (governor != nullptr && tree_bytes > 0) {
-    governor->ReleaseMemory(tree_bytes);
+  // The tree is charged while it prunes; a refused charge latches the
+  // trip, which the caller sees at its next Check().
+  CandidateGraph graph;
+  {
+    SubsetHashTree tree;
+    for (size_t j = 0; j + 2 < parents.size(); ++j) {
+      for (const NodeRow& row : parents[j]->nodes()) tree.Insert(row.pairs);
+    }
+    MemoryCharge tree_charge(governor);
+    (void)tree_charge.Add(static_cast<int64_t>(tree.MemoryBytes()));
+    graph = PruneCandidates(next, tree, &local_stats);
   }
 
   // ---- Edge generation --------------------------------------------------

@@ -50,10 +50,10 @@ CandidateGraph MakeSingleDimensionChain(const QuasiIdentifier& qid,
 /// subset-local, and ids are never part of the search outcome. The
 /// returned graph has adjacency built.
 ///
-/// When `governor` is non-null the prune hash tree is charged against it
-/// for the duration of the prune; a refused charge latches the trip (for
-/// the caller to observe) but the graph is still generated — candidate
-/// generation is never the step that loses work.
+/// The prune hash tree is charged to `governor` (a private unlimited one
+/// when null) for the duration of the prune; a refused charge latches the
+/// trip (for the caller to observe) but the graph is still generated —
+/// candidate generation is never the step that loses work.
 CandidateGraph GenerateSubsetGraph(
     const std::vector<const CandidateGraph*>& parents,
     GraphGenStats* stats = nullptr, ExecutionGovernor* governor = nullptr);

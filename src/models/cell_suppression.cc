@@ -26,10 +26,11 @@ struct VecHash {
 
 constexpr int32_t kSuppressed = -1;
 
-/// Shared implementation; `governor` == nullptr is the ungoverned path.
-PartialResult<CellSuppressionResult> RunCellSuppressionImpl(
+}  // namespace
+
+PartialResult<CellSuppressionResult> RunCellSuppression(
     const Table& table, const QuasiIdentifier& qid,
-    const AnonymizationConfig& config, ExecutionGovernor* governor) {
+    const AnonymizationConfig& config, const RunContext& ctx) {
   INCOGNITO_SPAN("model.cell_suppression");
   INCOGNITO_COUNT("model.cell_suppression.runs");
   if (config.k < 1) return Status::InvalidArgument("k must be >= 1");
@@ -50,6 +51,8 @@ PartialResult<CellSuppressionResult> RunCellSuppressionImpl(
     for (size_t i = 0; i < n; ++i) cell[r][i] = cols[i][r];
   }
 
+  ExecutionGovernor local;  // unlimited: accounting only
+  ExecutionGovernor& governor = ctx.governor != nullptr ? *ctx.governor : local;
   CellSuppressionResult result;
   Stopwatch timer;
   // Per round the grouping pass materializes one hash-map entry per group
@@ -58,29 +61,30 @@ PartialResult<CellSuppressionResult> RunCellSuppressionImpl(
       static_cast<int64_t>(rows) *
       (static_cast<int64_t>(n) * static_cast<int64_t>(sizeof(int32_t)) + 48);
 
-  // Wraps a budget trip into a partial result with an EMPTY view: the
+  // Stamps the run's time and, for a caller's governor, its trips. A
+  // budget trip yields a partial result with an EMPTY view: the
   // intermediate recoding is not yet k-anonymous.
-  auto stop_early = [&](Status trip) -> PartialResult<CellSuppressionResult> {
-    CellSuppressionResult partial;
-    partial.stats = result.stats;
-    partial.stats.total_seconds = timer.ElapsedSeconds();
-    if (governor != nullptr) governor->ExportTrips(&partial.stats);
-    if (IsResourceGovernance(trip.code())) {
+  auto finalize = [&](Status status) -> PartialResult<CellSuppressionResult> {
+    result.stats.total_seconds = timer.ElapsedSeconds();
+    if (ctx.governor != nullptr) ctx.governor->ExportTrips(&result.stats);
+    if (status.ok()) return std::move(result);
+    if (IsResourceGovernance(status.code())) {
+      CellSuppressionResult partial;
+      partial.stats = result.stats;
       return PartialResult<CellSuppressionResult>::Partial(
-          std::move(trip), std::move(partial));
+          std::move(status), std::move(partial));
     }
-    return trip;
+    return status;
   };
 
   std::vector<bool> violating(rows, false);
   std::vector<bool> removed(rows, false);
   while (true) {
-    if (governor != nullptr) {
-      Status checkpoint = governor->Check();
-      if (!checkpoint.ok()) return stop_early(std::move(checkpoint));
-      Status charged = governor->ChargeMemory(round_bytes);
-      if (!charged.ok()) return stop_early(std::move(charged));
-    }
+    Status checkpoint = governor.Check();
+    if (!checkpoint.ok()) return finalize(std::move(checkpoint));
+    MemoryCharge charge(governor);
+    Status charged = charge.Add(round_bytes);
+    if (!charged.ok()) return finalize(std::move(charged));
     ++result.stats.nodes_checked;
     ++result.stats.table_scans;
     std::unordered_map<std::vector<int32_t>, int64_t, VecHash> groups;
@@ -92,10 +96,7 @@ PartialResult<CellSuppressionResult> RunCellSuppressionImpl(
       violating[r] = !removed[r] && groups[cell[r]] < config.k;
       if (violating[r]) ++below;
     }
-    if (below == 0) {
-      if (governor != nullptr) governor->ReleaseMemory(round_bytes);
-      break;
-    }
+    if (below == 0) break;
 
     // Pick the attribute with the most distinct (unsuppressed) values
     // among the violating tuples; suppressing it merges the most groups.
@@ -119,7 +120,6 @@ PartialResult<CellSuppressionResult> RunCellSuppressionImpl(
           ++result.tuples_suppressed;
         }
       }
-      if (governor != nullptr) governor->ReleaseMemory(round_bytes);
       break;
     }
     size_t best = 0;
@@ -132,7 +132,6 @@ PartialResult<CellSuppressionResult> RunCellSuppressionImpl(
         ++result.cells_suppressed;
       }
     }
-    if (governor != nullptr) governor->ReleaseMemory(round_bytes);
   }
 
   // Materialize the view: a cell keeps its value's text, or reads "*"
@@ -157,17 +156,7 @@ PartialResult<CellSuppressionResult> RunCellSuppressionImpl(
     }
   }
   result.view = BuildView(table, released, std::move(replaced));
-  result.stats.total_seconds = timer.ElapsedSeconds();
-  if (governor != nullptr) governor->ExportTrips(&result.stats);
-  return result;
-}
-
-}  // namespace
-
-PartialResult<CellSuppressionResult> RunCellSuppression(
-    const Table& table, const QuasiIdentifier& qid,
-    const AnonymizationConfig& config, const RunContext& ctx) {
-  return RunCellSuppressionImpl(table, qid, config, ctx.governor);
+  return finalize(Status::OK());
 }
 
 }  // namespace incognito

@@ -35,11 +35,11 @@ struct CellSuppressionResult {
 /// Tuples still violating after all their QID cells are suppressed are
 /// removed.
 ///
-/// `ctx` carries the execution parameters (docs/API.md): a default
-/// RunContext reproduces the legacy ungoverned call. With ctx.governor
-/// set, the recoder polls the governor per suppression round and charges
-/// each round's grouping structure against its memory budget; a budget
-/// trip returns PartialResult::Partial with an EMPTY view (the
+/// `ctx` carries the execution parameters (docs/API.md). The recoder polls
+/// the governor per suppression round and charges each round's grouping
+/// structure against its memory budget: ctx.governor, or a private unlimited one when it is
+/// null, so a default RunContext never trips and reports zero trip
+/// counters. A budget trip returns PartialResult::Partial with an EMPTY view (the
 /// intermediate recoding is not yet k-anonymous and must not be released);
 /// only the stats carry the progress made. The algorithm is
 /// single-threaded: ctx.num_threads is ignored.

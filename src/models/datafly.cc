@@ -11,13 +11,10 @@
 
 namespace incognito {
 
-namespace {
-
-/// Shared implementation; `governor` == nullptr is the ungoverned path.
-PartialResult<DataflyResult> RunDataflyImpl(const Table& table,
-                                            const QuasiIdentifier& qid,
-                                            const AnonymizationConfig& config,
-                                            ExecutionGovernor* governor) {
+PartialResult<DataflyResult> RunDatafly(const Table& table,
+                                        const QuasiIdentifier& qid,
+                                        const AnonymizationConfig& config,
+                                        const RunContext& ctx) {
   INCOGNITO_SPAN("model.datafly");
   INCOGNITO_COUNT("model.datafly.runs");
   if (config.k < 1) return Status::InvalidArgument("k must be >= 1");
@@ -25,6 +22,8 @@ PartialResult<DataflyResult> RunDataflyImpl(const Table& table,
     return Status::InvalidArgument("quasi-identifier must be non-empty");
   }
 
+  ExecutionGovernor local;  // unlimited: accounting only
+  ExecutionGovernor& governor = ctx.governor != nullptr ? *ctx.governor : local;
   Stopwatch timer;
   DataflyResult result;
   const size_t n = qid.size();
@@ -34,40 +33,35 @@ PartialResult<DataflyResult> RunDataflyImpl(const Table& table,
   // tuples violate k-anonymity; the remainder is suppressed.
   const int64_t budget = std::max(config.k, config.max_suppressed);
 
-  // Wraps a budget trip into a partial result: the greedy walk's current
-  // node is reported, but the view stays empty — the intermediate state is
-  // not k-anonymous and releasing it would violate the privacy contract.
-  auto stop_early = [&](Status trip) -> PartialResult<DataflyResult> {
+  // Stamps the run's time and, for a caller's governor, its trips. A budget
+  // trip reports the greedy walk's current node, but the view stays empty —
+  // the intermediate state is not k-anonymous and releasing it would
+  // violate the privacy contract.
+  auto finalize = [&](Status status) -> PartialResult<DataflyResult> {
     result.node = node;
     result.stats.total_seconds = timer.ElapsedSeconds();
-    if (governor != nullptr) governor->ExportTrips(&result.stats);
-    if (IsResourceGovernance(trip.code())) {
-      return PartialResult<DataflyResult>::Partial(std::move(trip),
+    if (ctx.governor != nullptr) ctx.governor->ExportTrips(&result.stats);
+    if (status.ok()) return std::move(result);
+    if (IsResourceGovernance(status.code())) {
+      return PartialResult<DataflyResult>::Partial(std::move(status),
                                                    std::move(result));
     }
-    return trip;
+    return status;
   };
 
   while (true) {
-    if (governor != nullptr) {
-      Status checkpoint = governor->Check();
-      if (!checkpoint.ok()) return stop_early(std::move(checkpoint));
-    }
+    Status checkpoint = governor.Check();
+    if (!checkpoint.ok()) return finalize(std::move(checkpoint));
     FrequencySet freq = std::move(
-        FrequencySet::ComputeBatch(table, qid, {node}, nullptr, governor)
+        FrequencySet::ComputeBatch(table, qid, {node}, nullptr, &governor)
             .front());
-    int64_t freq_bytes = static_cast<int64_t>(freq.MemoryBytes());
-    if (governor != nullptr) {
-      Status charged = governor->ChargeMemory(freq_bytes);
-      if (!charged.ok()) return stop_early(std::move(charged));
-    }
+    MemoryCharge charge(governor);
+    Status charged = charge.Add(static_cast<int64_t>(freq.MemoryBytes()));
+    if (!charged.ok()) return finalize(std::move(charged));
     ++result.stats.table_scans;
     ++result.stats.nodes_checked;
     result.stats.freq_groups_built += static_cast<int64_t>(freq.NumGroups());
-    if (freq.TuplesBelowK(config.k) <= budget) {
-      if (governor != nullptr) governor->ReleaseMemory(freq_bytes);
-      break;
-    }
+    if (freq.TuplesBelowK(config.k) <= budget) break;
 
     // Count distinct generalized values per attribute in the current view.
     std::vector<std::unordered_set<int32_t>> distinct(n);
@@ -88,7 +82,6 @@ PartialResult<DataflyResult> RunDataflyImpl(const Table& table,
         best_distinct = distinct[i].size();
       }
     }
-    if (governor != nullptr) governor->ReleaseMemory(freq_bytes);
     if (best < 0) break;  // everything at the top; suppression must finish it
     ++node.levels[static_cast<size_t>(best)];
   }
@@ -99,21 +92,9 @@ PartialResult<DataflyResult> RunDataflyImpl(const Table& table,
       ApplyFullDomainGeneralization(table, qid, node, recode_config);
   if (!recoded.ok()) return recoded.status();
 
-  result.node = std::move(node);
   result.view = std::move(recoded.value().view);
   result.suppressed_tuples = recoded.value().suppressed_tuples;
-  result.stats.total_seconds = timer.ElapsedSeconds();
-  if (governor != nullptr) governor->ExportTrips(&result.stats);
-  return result;
-}
-
-}  // namespace
-
-PartialResult<DataflyResult> RunDatafly(const Table& table,
-                                        const QuasiIdentifier& qid,
-                                        const AnonymizationConfig& config,
-                                        const RunContext& ctx) {
-  return RunDataflyImpl(table, qid, config, ctx.governor);
+  return finalize(Status::OK());
 }
 
 }  // namespace incognito

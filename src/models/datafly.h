@@ -29,11 +29,11 @@ struct DataflyResult {
 /// Incognito — carries no minimality guarantee; the model-comparison bench
 /// quantifies the quality gap.
 ///
-/// `ctx` carries the execution parameters (docs/API.md): a default
-/// RunContext reproduces the legacy ungoverned call. With ctx.governor
-/// set, the walk polls the governor per greedy generalization step and
-/// charges each step's frequency set against its memory budget; a budget
-/// trip returns PartialResult::Partial carrying the node the greedy walk
+/// `ctx` carries the execution parameters (docs/API.md). The walk polls
+/// the governor per greedy generalization step and charges each step's
+/// frequency set against its memory budget: ctx.governor, or a private unlimited one when it is
+/// null, so a default RunContext never trips and reports zero trip
+/// counters. A budget trip returns PartialResult::Partial carrying the node the greedy walk
 /// had reached — but an EMPTY view and suppressed_tuples == 0, because
 /// Datafly's intermediate state is NOT yet k-anonymous and must not be
 /// released. The algorithm is single-threaded: ctx.num_threads is

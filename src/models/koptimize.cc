@@ -32,7 +32,7 @@ class Search {
          std::vector<int64_t> counts,
          std::vector<std::pair<size_t, size_t>> cut_points, int64_t total,
          const AnonymizationConfig& config, const KOptimizeOptions& options,
-         ExecutionGovernor* governor)
+         ExecutionGovernor& governor)
       : qid_(qid),
         ranks_(std::move(ranks)),
         counts_(std::move(counts)),
@@ -77,7 +77,7 @@ class Search {
   }
 
   void Dfs(uint32_t mask, size_t next_index) {
-    if (governor_ != nullptr && trip_.ok()) trip_ = governor_->Check();
+    if (trip_.ok()) trip_ = governor_.Check();
     if (!trip_.ok()) return;
     if (options_.max_nodes > 0 && nodes_visited_ >= options_.max_nodes) {
       complete_ = false;
@@ -162,7 +162,7 @@ class Search {
   int64_t total_;
   const AnonymizationConfig& config_;
   const KOptimizeOptions& options_;
-  ExecutionGovernor* governor_;
+  ExecutionGovernor& governor_;
   Status trip_;
 
   double best_cost_ = 1e300;
@@ -182,7 +182,6 @@ PartialResult<KOptimizeResult> RunKOptimize(const Table& table,
                                             const RunContext& ctx) {
   INCOGNITO_SPAN("model.koptimize");
   INCOGNITO_COUNT("model.koptimize.runs");
-  ExecutionGovernor* governor = ctx.governor;
   if (config.k < 1) return Status::InvalidArgument("k must be >= 1");
   const size_t n = qid.size();
   if (n == 0) {
@@ -219,21 +218,27 @@ PartialResult<KOptimizeResult> RunKOptimize(const Table& table,
   }
   std::vector<int32_t> dims(n);
   for (size_t i = 0; i < n; ++i) dims[i] = static_cast<int32_t>(i);
+  ExecutionGovernor local;  // unlimited: accounting only
+  ExecutionGovernor& governor = ctx.governor != nullptr ? *ctx.governor : local;
   Stopwatch timer;
   KOptimizeResult result;
+
+  // Stamps the run's time and, for a caller's governor, its trips; a trip
+  // makes the result partial.
+  auto finalize = [&](Status status) -> PartialResult<KOptimizeResult> {
+    result.stats.total_seconds = timer.ElapsedSeconds();
+    if (ctx.governor != nullptr) ctx.governor->ExportTrips(&result.stats);
+    if (status.ok()) return std::move(result);
+    return PartialResult<KOptimizeResult>::Partial(std::move(status),
+                                                   std::move(result));
+  };
+
   FrequencySet freq = FrequencySet::Compute(
       table, qid, SubsetNode(dims, std::vector<int32_t>(n, 0)));
   ++result.stats.table_scans;
-  const int64_t freq_bytes = static_cast<int64_t>(freq.MemoryBytes());
-  if (governor != nullptr) {
-    Status charged = governor->ChargeMemory(freq_bytes);
-    if (!charged.ok()) {
-      result.stats.total_seconds = timer.ElapsedSeconds();
-      governor->ExportTrips(&result.stats);
-      return PartialResult<KOptimizeResult>::Partial(std::move(charged),
-                                                     std::move(result));
-    }
-  }
+  MemoryCharge charge(governor);
+  Status charged = charge.Add(static_cast<int64_t>(freq.MemoryBytes()));
+  if (!charged.ok()) return finalize(std::move(charged));
   std::vector<std::vector<int32_t>> vectors;
   std::vector<int64_t> counts;
   freq.ForEachGroup([&](const int32_t* codes, int64_t count) {
@@ -249,16 +254,9 @@ PartialResult<KOptimizeResult> RunKOptimize(const Table& table,
                 static_cast<int64_t>(table.num_rows()), config, options,
                 governor);
   search.Dfs(0, 0);
-  if (governor != nullptr) governor->ReleaseMemory(freq_bytes);
-
-  // Stamps search effort and governor activity into the result.
-  auto finalize = [&]() {
-    result.nodes_visited = search.nodes_visited();
-    result.nodes_pruned = search.nodes_pruned();
-    result.stats.nodes_checked = search.nodes_visited();
-    result.stats.total_seconds = timer.ElapsedSeconds();
-    if (governor != nullptr) governor->ExportTrips(&result.stats);
-  };
+  result.nodes_visited = search.nodes_visited();
+  result.nodes_pruned = search.nodes_pruned();
+  result.stats.nodes_checked = search.nodes_visited();
 
   // Materializes the partition induced by `mask` (cuts, cost, released
   // view with undersized classes suppressed) into `result`.
@@ -327,28 +325,19 @@ PartialResult<KOptimizeResult> RunKOptimize(const Table& table,
     result.view = BuildView(table, released, std::move(replaced));
   };
 
-  if (!search.trip().ok()) {
-    // Budget tripped mid-enumeration: release the best cut set proven so
-    // far. Any mask induces a k-anonymous view (undersized classes are
-    // suppressed), so the partial value is sound — just not provably
-    // optimal. A trip before the first node leaves best_mask() == 0, the
-    // fully-generalized partition.
-    materialize(search.best_mask());
-    finalize();
-    return PartialResult<KOptimizeResult>::Partial(search.trip(),
-                                                   std::move(result));
-  }
-  if (!search.complete()) {
+  if (search.trip().ok() && !search.complete()) {
     return Status::Internal(StringPrintf(
         "search aborted after %lld nodes (max_nodes); result would not be "
         "provably optimal",
         static_cast<long long>(search.nodes_visited())));
   }
-
-  // Materialize the winning partition.
+  // Materialize the winning partition. A budget trip mid-enumeration
+  // releases the best cut set proven so far: any mask induces a
+  // k-anonymous view (undersized classes are suppressed), so the partial
+  // value is sound — just not provably optimal. A trip before the first
+  // node leaves best_mask() == 0, the fully-generalized partition.
   materialize(search.best_mask());
-  finalize();
-  return result;
+  return finalize(search.trip());
 }
 
 }  // namespace incognito

@@ -58,10 +58,11 @@ struct KOptimizeResult {
 /// infeasible). Exact but exponential in the number of cuts: intended for
 /// small/pre-binned domains; see KOptimizeOptions::max_total_cuts.
 ///
-/// `ctx` carries the execution parameters (docs/API.md): a default
-/// RunContext reproduces the ungoverned call. With ctx.governor set, the
-/// search polls the governor at every set-enumeration node and charges the
-/// initial frequency set against its memory budget. A budget trip stops
+/// `ctx` carries the execution parameters (docs/API.md). The search polls
+/// the governor at every set-enumeration node and charges the initial
+/// frequency set against its memory budget: ctx.governor, or a private unlimited one when it is
+/// null, so a default RunContext never trips and reports zero trip
+/// counters. A budget trip stops
 /// the enumeration and materializes the BEST CUT SET FOUND SO FAR: because
 /// every cut-set mask induces a k-anonymous release (undersized classes
 /// are suppressed), the partial view is sound — it is just not provably

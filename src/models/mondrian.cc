@@ -17,10 +17,12 @@ struct Partition {
   std::vector<size_t> row_indices;
 };
 
-/// Shared implementation; `governor` == nullptr is the ungoverned path.
-PartialResult<MondrianResult> RunMondrianImpl(
-    const Table& table, const QuasiIdentifier& qid,
-    const AnonymizationConfig& config, ExecutionGovernor* governor) {
+}  // namespace
+
+PartialResult<MondrianResult> RunMondrian(const Table& table,
+                                          const QuasiIdentifier& qid,
+                                          const AnonymizationConfig& config,
+                                          const RunContext& ctx) {
   INCOGNITO_SPAN("model.mondrian");
   INCOGNITO_COUNT("model.mondrian.runs");
   if (config.k < 1) return Status::InvalidArgument("k must be >= 1");
@@ -61,23 +63,23 @@ PartialResult<MondrianResult> RunMondrianImpl(
     for (size_t r = 0; r < table.num_rows(); ++r) all.row_indices[r] = r;
     work.push_back(std::move(all));
   }
+  ExecutionGovernor local;  // unlimited: polled only
+  ExecutionGovernor& governor = ctx.governor != nullptr ? *ctx.governor : local;
   Stopwatch timer;
   AlgorithmStats stats;
   Status trip;  // first governance trip (refinement stops, view released)
   std::vector<size_t> scratch;
   while (!work.empty()) {
-    if (governor != nullptr) {
-      Status checkpoint = governor->Check();
-      if (!checkpoint.ok()) {
-        if (!IsResourceGovernance(checkpoint.code())) return checkpoint;
-        // Graceful degradation: stop refining and release every pending
-        // partition unsplit — each still holds >= k tuples, so the coarser
-        // view remains k-anonymous.
-        trip = std::move(checkpoint);
-        for (Partition& p : work) done.push_back(std::move(p));
-        work.clear();
-        break;
-      }
+    Status checkpoint = governor.Check();
+    if (!checkpoint.ok()) {
+      if (!IsResourceGovernance(checkpoint.code())) return checkpoint;
+      // Graceful degradation: stop refining and release every pending
+      // partition unsplit — each still holds >= k tuples, so the coarser
+      // view remains k-anonymous.
+      trip = std::move(checkpoint);
+      for (Partition& p : work) done.push_back(std::move(p));
+      work.clear();
+      break;
     }
     ++stats.nodes_checked;
     Partition part = std::move(work.back());
@@ -192,22 +194,13 @@ PartialResult<MondrianResult> RunMondrianImpl(
   }
   result.view = BuildView(table, rows, std::move(replaced));
   stats.total_seconds = timer.ElapsedSeconds();
-  if (governor != nullptr) governor->ExportTrips(&stats);
+  if (ctx.governor != nullptr) ctx.governor->ExportTrips(&stats);
   result.stats = stats;
   if (!trip.ok()) {
     return PartialResult<MondrianResult>::Partial(std::move(trip),
                                                   std::move(result));
   }
   return result;
-}
-
-}  // namespace
-
-PartialResult<MondrianResult> RunMondrian(const Table& table,
-                                          const QuasiIdentifier& qid,
-                                          const AnonymizationConfig& config,
-                                          const RunContext& ctx) {
-  return RunMondrianImpl(table, qid, config, ctx.governor);
 }
 
 }  // namespace incognito

@@ -34,10 +34,10 @@ struct MondrianResult {
 /// produce better anonymizations than their single-dimension
 /// counterparts"; the model-comparison bench quantifies this.
 ///
-/// `ctx` carries the execution parameters (docs/API.md): a default
-/// RunContext reproduces the legacy ungoverned call. With ctx.governor
-/// set, the partitioner polls the governor once per split step; on a
-/// budget trip, refinement stops and every unrefined partition is released
+/// `ctx` carries the execution parameters (docs/API.md). The partitioner
+/// polls the governor once per split step: ctx.governor, or a private unlimited one when it is
+/// null, so a default RunContext never trips and reports zero trip
+/// counters. On a budget trip, refinement stops and every unrefined partition is released
 /// as-is — the partial view is COARSER than the full answer but still
 /// k-anonymous (every partition holds >= k tuples by construction), the
 /// model's graceful degradation. The algorithm is single-threaded:

@@ -67,10 +67,11 @@ struct AttributePartition {
   }
 };
 
-/// Shared implementation; `governor` == nullptr is the ungoverned path.
-PartialResult<OrderedSetResult> RunOrderedSetImpl(
+}  // namespace
+
+PartialResult<OrderedSetResult> RunOrderedSetPartition(
     const Table& table, const QuasiIdentifier& qid,
-    const AnonymizationConfig& config, ExecutionGovernor* governor) {
+    const AnonymizationConfig& config, const RunContext& ctx) {
   INCOGNITO_SPAN("model.ordered_set");
   INCOGNITO_COUNT("model.ordered_set.runs");
   if (config.k < 1) return Status::InvalidArgument("k must be >= 1");
@@ -88,38 +89,41 @@ PartialResult<OrderedSetResult> RunOrderedSetImpl(
     cols[i] = table.ColumnCodes(qid.column(i)).data();
   }
 
+  ExecutionGovernor local;  // unlimited: accounting only
+  ExecutionGovernor& governor = ctx.governor != nullptr ? *ctx.governor : local;
   Stopwatch timer;
-  AlgorithmStats stats;
+  OrderedSetResult result;
   // Per round the grouping pass materializes one interval key per row plus
   // the group hash map — the frequency-set analogue this model charges.
   const int64_t round_bytes =
       static_cast<int64_t>(rows) *
       (static_cast<int64_t>(n) * static_cast<int64_t>(sizeof(int32_t)) + 48);
 
-  // Wraps a budget trip into a partial result with an EMPTY view: the
+  // Stamps the run's time and, for a caller's governor, its trips. A
+  // budget trip yields a partial result with an EMPTY view: the
   // intermediate partitioning is not yet k-anonymous.
-  auto stop_early = [&](Status trip) -> PartialResult<OrderedSetResult> {
-    OrderedSetResult partial;
-    stats.total_seconds = timer.ElapsedSeconds();
-    if (governor != nullptr) governor->ExportTrips(&stats);
-    partial.stats = stats;
-    if (IsResourceGovernance(trip.code())) {
-      return PartialResult<OrderedSetResult>::Partial(std::move(trip),
+  auto finalize = [&](Status status) -> PartialResult<OrderedSetResult> {
+    result.stats.total_seconds = timer.ElapsedSeconds();
+    if (ctx.governor != nullptr) ctx.governor->ExportTrips(&result.stats);
+    if (status.ok()) return std::move(result);
+    if (IsResourceGovernance(status.code())) {
+      OrderedSetResult partial;
+      partial.stats = result.stats;
+      return PartialResult<OrderedSetResult>::Partial(std::move(status),
                                                       std::move(partial));
     }
-    return trip;
+    return status;
   };
 
   std::vector<bool> violating(rows, false);
   while (true) {
-    if (governor != nullptr) {
-      Status checkpoint = governor->Check();
-      if (!checkpoint.ok()) return stop_early(std::move(checkpoint));
-      Status charged = governor->ChargeMemory(round_bytes);
-      if (!charged.ok()) return stop_early(std::move(charged));
-    }
-    ++stats.nodes_checked;
-    ++stats.table_scans;
+    Status checkpoint = governor.Check();
+    if (!checkpoint.ok()) return finalize(std::move(checkpoint));
+    MemoryCharge charge(governor);
+    Status charged = charge.Add(round_bytes);
+    if (!charged.ok()) return finalize(std::move(charged));
+    ++result.stats.nodes_checked;
+    ++result.stats.table_scans;
     std::unordered_map<std::vector<int32_t>, int64_t, VecHash> groups;
     std::vector<std::vector<int32_t>> keys(rows, std::vector<int32_t>(n));
     for (size_t r = 0; r < rows; ++r) {
@@ -135,7 +139,6 @@ PartialResult<OrderedSetResult> RunOrderedSetImpl(
       violating[r] = groups[keys[r]] < config.k;
       if (violating[r]) ++below;
     }
-    if (governor != nullptr) governor->ReleaseMemory(round_bytes);
     if (below <= budget) break;
 
     // Halve the partition of the attribute with the most intervals.
@@ -148,7 +151,6 @@ PartialResult<OrderedSetResult> RunOrderedSetImpl(
   }
 
   // Materialize the view, with one label per interval of each attribute.
-  OrderedSetResult result;
   std::vector<size_t> released;
   for (size_t r = 0; r < rows; ++r) {
     if (violating[r]) {
@@ -173,18 +175,7 @@ PartialResult<OrderedSetResult> RunOrderedSetImpl(
     }
   }
   result.view = BuildView(table, released, std::move(replaced));
-  stats.total_seconds = timer.ElapsedSeconds();
-  if (governor != nullptr) governor->ExportTrips(&stats);
-  result.stats = stats;
-  return result;
-}
-
-}  // namespace
-
-PartialResult<OrderedSetResult> RunOrderedSetPartition(
-    const Table& table, const QuasiIdentifier& qid,
-    const AnonymizationConfig& config, const RunContext& ctx) {
-  return RunOrderedSetImpl(table, qid, config, ctx.governor);
+  return finalize(Status::OK());
 }
 
 Result<OptimalUnivariateResult> OptimalUnivariatePartition(

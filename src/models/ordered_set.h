@@ -36,11 +36,11 @@ struct OrderedSetResult {
 /// adjacent interval pairs) until the view satisfies k-anonymity within
 /// the Datafly-style suppression budget.
 ///
-/// `ctx` carries the execution parameters (docs/API.md): a default
-/// RunContext reproduces the legacy ungoverned call. With ctx.governor
-/// set, the recoder polls the governor per merge round and charges each
-/// round's grouping structure against its memory budget; a budget trip
-/// returns PartialResult::Partial with an EMPTY view (the intermediate
+/// `ctx` carries the execution parameters (docs/API.md). The recoder polls
+/// the governor per merge round and charges each round's grouping
+/// structure against its memory budget: ctx.governor, or a private unlimited one when it is
+/// null, so a default RunContext never trips and reports zero trip
+/// counters. A budget trip returns PartialResult::Partial with an EMPTY view (the intermediate
 /// partitioning is not yet k-anonymous and must not be released); only the
 /// stats carry the progress made. The algorithm is single-threaded:
 /// ctx.num_threads is ignored.

@@ -1,5 +1,6 @@
 #include "obs/counters.h"
 
+#include <algorithm>
 #include <cmath>
 
 namespace incognito {
@@ -138,9 +139,18 @@ HistogramSnapshot HistogramSnapshot::DeltaSince(
   HistogramSnapshot delta;
   delta.count = count - before.count;
   delta.sum_ns = sum_ns - before.sum_ns;
-  delta.max_ns = max_ns;  // cumulative max: an upper bound for the interval
+  int top = -1;  // the delta's highest non-empty bucket
   for (int b = 0; b < kNumBuckets; ++b) {
     delta.buckets[b] = buckets[b] - before.buckets[b];
+    if (delta.buckets[b] != 0) top = b;
+  }
+  if (max_ns > before.max_ns) {
+    delta.max_ns = max_ns;  // the interval raised the max: exact
+  } else if (top >= 0) {
+    // Bucket b holds [2^(b-1), 2^b) ns, so its upper edge bounds the
+    // interval's max to within 2x.
+    delta.max_ns = top >= 63 ? max_ns
+                             : std::min(max_ns, (int64_t{1} << top) - 1);
   }
   return delta;
 }

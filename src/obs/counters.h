@@ -77,9 +77,10 @@ struct HistogramSnapshot {
   double MaxSeconds() const { return static_cast<double>(max_ns) * 1e-9; }
   double SumSeconds() const { return static_cast<double>(sum_ns) * 1e-9; }
 
-  /// This snapshot minus `before`, bucket-wise. `max_ns` is not
-  /// subtractable and keeps this (cumulative) snapshot's value — an upper
-  /// bound on the interval's true max.
+  /// This snapshot minus `before`, bucket-wise. `max_ns` is the
+  /// interval's own: exact when the interval raised the cumulative max,
+  /// otherwise the smaller of that max and the upper edge of the delta's
+  /// highest non-empty bucket — within 2x of the interval's true max.
   HistogramSnapshot DeltaSince(const HistogramSnapshot& before) const;
 };
 

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <limits>
 #include <mutex>
+#include <utility>
 
 #include "common/status.h"
 
@@ -135,11 +136,12 @@ struct GovernorTrips {
 /// accepts: a Deadline, an optional CancelToken (owned by the caller, who
 /// may Cancel() it from another thread), and a MemoryBudget.
 ///
-/// Algorithms call Check() once per lattice node and ChargeMemory() at
-/// every frequency-set/cube/hash-tree allocation site. Every method but
-/// the setters is safe to call from any thread, so all workers of a
-/// parallel run charge and poll the one governor (docs/PARALLELISM.md
-/// "One governor"); call the setters before the run. The first non-OK
+/// Algorithms call Check() once per lattice node and charge every
+/// frequency-set/cube/hash-tree allocation site, through a MemoryCharge
+/// when the bytes outlive the statement. Every method but the setters is
+/// safe to call from any thread, so all workers of a parallel run charge
+/// and poll the one governor (docs/PARALLELISM.md "One governor"); call
+/// the setters before the run. The first non-OK
 /// outcome latches for every thread: every later Check() and
 /// ChargeMemory() returns the same status, so one trip unwinds the whole
 /// search deterministically. Construct a fresh governor per run; trip
@@ -205,6 +207,53 @@ class ExecutionGovernor {
   alignas(64) mutable std::mutex mu_;
   Status trip_;
   GovernorTrips trips_;  // checks stays 0 here; checks_ counts them
+};
+
+/// Bytes charged to one ExecutionGovernor, released when the charge is
+/// destroyed, reset or moved over: the one way a structure that outlives
+/// a statement holds its bytes (docs/ROBUSTNESS.md "One governed path").
+/// Move-only, with one owner at a time; a set that moves to another worker
+/// takes its charge with it. Not otherwise thread-safe.
+class MemoryCharge {
+ public:
+  /// Holds nothing and charges nothing.
+  MemoryCharge() = default;
+  /// Holds 0 bytes of `governor`, which must outlive the charge.
+  explicit MemoryCharge(ExecutionGovernor& governor) : governor_(&governor) {}
+  MemoryCharge(MemoryCharge&& other) noexcept
+      : governor_(other.governor_), bytes_(std::exchange(other.bytes_, 0)) {}
+  MemoryCharge& operator=(MemoryCharge&& other) noexcept {
+    if (this != &other) {
+      Reset();
+      governor_ = other.governor_;
+      bytes_ = std::exchange(other.bytes_, 0);
+    }
+    return *this;
+  }
+  ~MemoryCharge() { Reset(); }
+
+  /// Charges `bytes` more through ExecutionGovernor::ChargeMemory (fault
+  /// site and latch included); a refused add holds no more than before.
+  Status Add(int64_t bytes) {
+    Status charged = governor_->ChargeMemory(bytes);
+    if (charged.ok()) bytes_ += bytes;
+    return charged;
+  }
+
+  /// Takes over `bytes` already charged to the governor — what a sort
+  /// charged through its SortHooks and left with its caller.
+  void Adopt(int64_t bytes) { bytes_ += bytes; }
+
+  /// Releases every byte held.
+  void Reset() {
+    if (bytes_ != 0) governor_->ReleaseMemory(std::exchange(bytes_, 0));
+  }
+
+  int64_t bytes() const { return bytes_; }
+
+ private:
+  ExecutionGovernor* governor_ = nullptr;
+  int64_t bytes_ = 0;
 };
 
 }  // namespace incognito

@@ -78,7 +78,9 @@ TEST(CubeTest, PatientsCubeCoversAllSubsets) {
   ASSERT_TRUE(ds.ok());
   WorkerPool pool(1);
   ZeroGenCube::BuildInfo info;
-  ZeroGenCube cube = ZeroGenCube::Build(ds->table, ds->qid, pool, &info);
+  ExecutionGovernor governor;
+  ZeroGenCube cube =
+      ZeroGenCube::Build(ds->table, ds->qid, pool, governor, &info);
   EXPECT_EQ(cube.num_subsets(), 7u);  // 2^3 - 1
   EXPECT_EQ(info.num_subsets, 7u);
   EXPECT_EQ(info.table_scans, 1);      // only the full set scans T
@@ -93,7 +95,9 @@ TEST(CubeTest, BuildMatchesScansOnPatients) {
   for (int threads : kThreadCounts) {
     WorkerPool pool(threads);
     ZeroGenCube::BuildInfo info;
-    ZeroGenCube cube = ZeroGenCube::Build(ds->table, ds->qid, pool, &info);
+    ExecutionGovernor governor;
+    ZeroGenCube cube =
+        ZeroGenCube::Build(ds->table, ds->qid, pool, governor, &info);
     SCOPED_TRACE(threads);
     ExpectCubeMatchesScans(ds->table, ds->qid, cube, info);
   }
@@ -103,7 +107,8 @@ TEST(CubeTest, RollupFromCubeEntryMatchesScan) {
   Result<PatientsDataset> ds = MakePatientsDataset();
   ASSERT_TRUE(ds.ok());
   WorkerPool pool(1);
-  ZeroGenCube cube = ZeroGenCube::Build(ds->table, ds->qid, pool);
+  ExecutionGovernor governor;
+  ZeroGenCube cube = ZeroGenCube::Build(ds->table, ds->qid, pool, governor);
   // Cube Incognito's access pattern: roll a zero-generalization entry up
   // to an arbitrary node of the same attribute subset.
   SubsetNode target({1, 2}, {1, 1});
@@ -123,7 +128,9 @@ TEST(CubeTest, BuildMatchesScansOnRandomData) {
     for (int threads : kThreadCounts) {
       WorkerPool pool(threads);
       ZeroGenCube::BuildInfo info;
-      ZeroGenCube cube = ZeroGenCube::Build(ds.table, ds.qid, pool, &info);
+      ExecutionGovernor governor;
+      ZeroGenCube cube =
+          ZeroGenCube::Build(ds.table, ds.qid, pool, governor, &info);
       SCOPED_TRACE(trial * 100 + threads);
       ExpectCubeMatchesScans(ds.table, ds.qid, cube, info);
     }
@@ -142,7 +149,9 @@ TEST(CubeTest, BuildMatchesScansOnWideKeys) {
   for (int threads : kThreadCounts) {
     WorkerPool pool(threads);
     ZeroGenCube::BuildInfo info;
-    ZeroGenCube cube = ZeroGenCube::Build(ds.table, ds.qid, pool, &info);
+    ExecutionGovernor governor;
+    ZeroGenCube cube =
+        ZeroGenCube::Build(ds.table, ds.qid, pool, governor, &info);
     SCOPED_TRACE(threads);
     ExpectCubeMatchesScans(ds.table, ds.qid, cube, info);
   }
@@ -156,7 +165,9 @@ TEST(CubeTest, SingleAttributeQid) {
   for (int threads : {1, 4}) {
     WorkerPool pool(threads);
     ZeroGenCube::BuildInfo info;
-    ZeroGenCube cube = ZeroGenCube::Build(ds->table, qid1, pool, &info);
+    ExecutionGovernor governor;
+    ZeroGenCube cube =
+        ZeroGenCube::Build(ds->table, qid1, pool, governor, &info);
     EXPECT_EQ(cube.num_subsets(), 1u);
     EXPECT_EQ(info.projections, 0);
     EXPECT_EQ(info.table_scans, 1);
@@ -186,19 +197,19 @@ TEST(CubeTest, GovernedBuildMatchesScansAndBalances) {
       governor.SetMemoryLimitBytes(int64_t{1} << 30);
       ZeroGenCube::BuildInfo info;
       ZeroGenCube cube =
-          ZeroGenCube::Build(*table, *qid, pool, &info, &governor);
+          ZeroGenCube::Build(*table, *qid, pool, governor, &info);
       SCOPED_TRACE(std::to_string(qid->size()) + " attributes, threads=" +
                    std::to_string(threads));
       ASSERT_FALSE(governor.Tripped());
       ExpectCubeMatchesScans(*table, *qid, cube, info);
       // The governor holds exactly the cube's footprint, its sets and its
-      // 2^n mask-indexed slots: the transient worker leases and the tier
-      // lists are gone, and ReleaseMemory balances to zero.
+      // 2^n mask-indexed slots: the scan's transient charges and the tier
+      // lists are gone, and discarding the cube balances to zero.
       const size_t slot_bytes =
           (size_t{1} << qid->size()) * sizeof(FrequencySet);
       EXPECT_EQ(governor.memory().used(),
                 static_cast<int64_t>(info.total_bytes + slot_bytes));
-      cube.ReleaseMemory(&governor);
+      cube = ZeroGenCube();
       EXPECT_EQ(governor.memory().used(), 0);
     }
   }
@@ -215,17 +226,15 @@ TEST(CubeTest, GovernedBuildChargesTheSlotVector) {
     WorkerPool pool(threads);
     ExecutionGovernor governor;
     governor.SetMemoryLimitBytes(int64_t{1} << 30);
-    ZeroGenCube cube =
-        ZeroGenCube::Build(ds.table, ds.qid, pool, nullptr, &governor);
+    ZeroGenCube cube = ZeroGenCube::Build(ds.table, ds.qid, pool, governor);
     ASSERT_FALSE(governor.Tripped());
     EXPECT_GE(governor.memory().peak(), slot_bytes);
-    cube.ReleaseMemory(&governor);
+    cube = ZeroGenCube();
     EXPECT_EQ(governor.memory().used(), 0);
 
     ExecutionGovernor tight;
     tight.SetMemoryLimitBytes(slot_bytes - 1);
-    ZeroGenCube tripped =
-        ZeroGenCube::Build(ds.table, ds.qid, pool, nullptr, &tight);
+    ZeroGenCube tripped = ZeroGenCube::Build(ds.table, ds.qid, pool, tight);
     EXPECT_TRUE(tight.Tripped());
     EXPECT_EQ(tripped.num_subsets(), 0u);
     EXPECT_EQ(tight.memory().used(), 0);
@@ -241,7 +250,7 @@ TEST(CubeTest, GovernedBuildTinyBudgetTripsCleanly) {
     governor.SetMemoryLimitBytes(64);
     ZeroGenCube::BuildInfo info;
     ZeroGenCube cube =
-        ZeroGenCube::Build(ds->table, ds->qid, pool, &info, &governor);
+        ZeroGenCube::Build(ds->table, ds->qid, pool, governor, &info);
     SCOPED_TRACE(threads);
     EXPECT_TRUE(governor.Tripped());
     // A tripped build hands back nothing and leaks nothing.

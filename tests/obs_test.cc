@@ -250,11 +250,22 @@ TEST(HistogramTest, DeltaSinceSubtractsBucketwise) {
   HistogramSnapshot delta = hist->Snapshot().DeltaSince(before);
   EXPECT_EQ(delta.count, 2);
   EXPECT_EQ(delta.sum_ns, 600);
-  // max_ns is not subtractable: the cumulative value is an upper bound.
-  EXPECT_EQ(delta.max_ns, 1000000);
+  // The interval's max, not the cumulative 1 ms: bounded by the upper
+  // edge of its highest bucket, [256, 512) ns.
+  EXPECT_GE(delta.max_ns, 500);
+  EXPECT_LE(delta.max_ns, 511);
   int64_t bucket_total = 0;
   for (int64_t b : delta.buckets) bucket_total += b;
   EXPECT_EQ(bucket_total, 2);
+}
+
+TEST(HistogramTest, DeltaMaxIsExactWhenTheIntervalRaisesIt) {
+  CounterRegistry registry;
+  Histogram* hist = registry.GetHistogram("test.delta_max");
+  hist->RecordNanos(1000);
+  HistogramSnapshot before = hist->Snapshot();
+  hist->RecordNanos(2000);
+  EXPECT_EQ(hist->Snapshot().DeltaSince(before).max_ns, 2000);
 }
 
 TEST(HistogramTest, ConcurrentRecordsAreLossless) {

@@ -730,7 +730,7 @@ TEST(ParallelFaultTest, CubeProjectFaultYieldsEmptyCubeAndBalances) {
   ExecutionGovernor governor;
   ZeroGenCube::BuildInfo info;
   ZeroGenCube cube =
-      ZeroGenCube::Build(data.table, data.qid, pool, &info, &governor);
+      ZeroGenCube::Build(data.table, data.qid, pool, governor, &info);
   EXPECT_EQ(FaultInjector::Global().FaultsFired(), 1);
   EXPECT_TRUE(governor.Tripped());
   EXPECT_EQ(cube.num_subsets(), 0u);

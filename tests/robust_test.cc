@@ -146,6 +146,70 @@ TEST(GovernorTest, ExportTripsOverwrites) {
   EXPECT_EQ(stats.deadline_trips, 0);
 }
 
+TEST(MemoryChargeTest, AddChargesAndResetReleases) {
+  ExecutionGovernor governor;
+  MemoryCharge charge(governor);
+  EXPECT_EQ(charge.bytes(), 0);
+  EXPECT_TRUE(charge.Add(300).ok());
+  EXPECT_TRUE(charge.Add(200).ok());
+  EXPECT_EQ(charge.bytes(), 500);
+  EXPECT_EQ(governor.memory().used(), 500);
+  charge.Reset();
+  EXPECT_EQ(charge.bytes(), 0);
+  EXPECT_EQ(governor.memory().used(), 0);
+  EXPECT_EQ(governor.memory().peak(), 500);
+}
+
+TEST(MemoryChargeTest, RefusedAddKeepsBytesAndLatches) {
+  ExecutionGovernor governor;
+  governor.SetMemoryLimitBytes(1000);
+  MemoryCharge charge(governor);
+  ASSERT_TRUE(charge.Add(600).ok());
+  EXPECT_EQ(charge.Add(600).code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(charge.bytes(), 600);
+  EXPECT_TRUE(governor.Tripped());
+  EXPECT_EQ(governor.trips().memory_trips, 1);
+  // The latch refuses even a charge that would fit.
+  EXPECT_EQ(charge.Add(1).code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(charge.bytes(), 600);
+  EXPECT_EQ(governor.memory().used(), 600);
+}
+
+TEST(MemoryChargeTest, MoveTakesTheBytes) {
+  ExecutionGovernor governor;
+  MemoryCharge source(governor);
+  ASSERT_TRUE(source.Add(100).ok());
+  MemoryCharge moved(std::move(source));
+  EXPECT_EQ(source.bytes(), 0);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(moved.bytes(), 100);
+  EXPECT_EQ(governor.memory().used(), 100);
+
+  // Move-assignment releases the target's own bytes first.
+  MemoryCharge target(governor);
+  ASSERT_TRUE(target.Add(40).ok());
+  EXPECT_EQ(governor.memory().used(), 140);
+  target = std::move(moved);
+  EXPECT_EQ(moved.bytes(), 0);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(target.bytes(), 100);
+  EXPECT_EQ(governor.memory().used(), 100);
+}
+
+TEST(MemoryChargeTest, DestructorAndAdoptBalance) {
+  ExecutionGovernor governor;
+  {
+    MemoryCharge charge(governor);
+    ASSERT_TRUE(charge.Add(64).ok());
+    // Bytes charged directly, as a sort's hooks charge its groups.
+    ASSERT_TRUE(governor.ChargeMemory(32).ok());
+    charge.Adopt(32);
+    EXPECT_EQ(charge.bytes(), 96);
+    EXPECT_EQ(governor.memory().used(), 96);
+  }
+  EXPECT_EQ(governor.memory().used(), 0);
+  MemoryCharge empty;  // holds nothing, charges nothing
+  EXPECT_EQ(empty.bytes(), 0);
+}
+
 TEST(PartialResultTest, ThreeStates) {
   PartialResult<int> complete(7);
   EXPECT_TRUE(complete.complete());

@@ -19,6 +19,7 @@
 #include "core/incognito.h"
 #include "core/ldiversity.h"
 #include "data/patients.h"
+#include "lattice/lattice.h"
 #include "models/cell_suppression.h"
 #include "models/datafly.h"
 #include "models/koptimize.h"
@@ -229,6 +230,165 @@ TEST(RunContextLDiversityTest, TinyMemoryBudgetTripsCleanly) {
     EXPECT_EQ(r->completed_iterations, 0) << context;
     EXPECT_EQ(governor.memory().used(), 0) << context;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Governed peaks: each entry point's 1-thread memory().peak() on a fixed
+// fixture, pinned, and the trip one byte below it
+// ---------------------------------------------------------------------------
+
+/// Runs `run` on an unlimited governor and pins its peak; then reruns it on
+/// a budget one byte below that peak, where it must trip with nothing left
+/// charged. `run(governor, tight)` asserts the complete result, or under
+/// the tight budget the entry point's documented partial.
+template <typename Run>
+void ExpectPeakPinned(const char* name, int64_t pinned, Run run) {
+  SCOPED_TRACE(name);
+  ExecutionGovernor governor;
+  run(governor, false);
+  EXPECT_EQ(governor.memory().peak(), pinned);
+  EXPECT_EQ(governor.memory().used(), 0);
+  ExecutionGovernor tight;
+  tight.SetMemoryLimitBytes(pinned - 1);
+  run(tight, true);
+  EXPECT_EQ(tight.trips().memory_trips, 1);
+  EXPECT_EQ(tight.memory().used(), 0);
+}
+
+TEST(GovernedPeakPinTest, EveryGovernedEntryPointKeepsItsPeak) {
+  RandomDataset data = Fixture();
+  const AnonymizationConfig config = Config();
+  const std::pair<IncognitoVariant, int64_t> variants[] = {
+      {IncognitoVariant::kBasic, 1304},
+      {IncognitoVariant::kSuperRoots, 1488},
+      {IncognitoVariant::kCube, 4312}};
+  for (const auto& [variant, pinned] : variants) {
+    IncognitoOptions options;
+    options.variant = variant;
+    ExpectPeakPinned(
+        IncognitoVariantName(variant), pinned,
+        [&](ExecutionGovernor& g, bool tight) {
+          PartialResult<IncognitoResult> r = RunIncognito(
+              data.table, data.qid, config, options,
+              RunContext::Governed(g, 1));
+          ASSERT_EQ(r.complete(), !tight) << r.status().ToString();
+          if (tight) {
+            EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
+            EXPECT_LT(r->completed_iterations,
+                      static_cast<int64_t>(data.qid.size()));
+            EXPECT_TRUE(r->anonymous_nodes.empty());
+          }
+        });
+  }
+
+  Result<PatientsDataset> patients = MakePatientsDataset();
+  ASSERT_TRUE(patients.ok());
+  ExpectPeakPinned(
+      "RunLDiversityIncognito", 1296, [&](ExecutionGovernor& g, bool tight) {
+        PartialResult<LDiversityResult> r =
+            RunLDiversityIncognito(patients->table, patients->qid,
+                                   DiversityConfig(),
+                                   RunContext::Governed(g, 1));
+        ASSERT_EQ(r.complete(), !tight) << r.status().ToString();
+        if (tight) {
+          EXPECT_TRUE(r->diverse_nodes.empty());
+        }
+      });
+
+  ExpectPeakPinned("RunBottomUpBfs", 1072, [&](ExecutionGovernor& g,
+                                              bool tight) {
+    PartialResult<BottomUpResult> r = RunBottomUpBfs(
+        data.table, data.qid, config, {}, RunContext::Governed(g, 1));
+    ASSERT_EQ(r.complete(), !tight) << r.status().ToString();
+    if (tight) {
+      EXPECT_LT(r->completed_heights,
+                static_cast<int64_t>(
+                    GeneralizationLattice(data.qid.MaxLevels()).MaxHeight()) +
+                    1);
+    }
+  });
+
+  ExpectPeakPinned("RunSamaratiBinarySearch", 512,
+                   [&](ExecutionGovernor& g, bool tight) {
+                     PartialResult<BinarySearchResult> r =
+                         RunSamaratiBinarySearch(data.table, data.qid, config,
+                                                 RunContext::Governed(g, 1));
+                     ASSERT_EQ(r.complete(), !tight)
+                         << r.status().ToString();
+                     EXPECT_EQ(r->found, !tight);
+                   });
+
+  ExpectPeakPinned("RunDatafly", 1072, [&](ExecutionGovernor& g, bool tight) {
+    PartialResult<DataflyResult> r = RunDatafly(
+        data.table, data.qid, config, RunContext::Governed(g, 1));
+    ASSERT_EQ(r.complete(), !tight) << r.status().ToString();
+    if (tight) {
+      EXPECT_EQ(r->view.num_rows(), 0u);
+    }
+  });
+
+  ExpectPeakPinned("RunOrderedSetPartition", 3600,
+                   [&](ExecutionGovernor& g, bool tight) {
+                     PartialResult<OrderedSetResult> r =
+                         RunOrderedSetPartition(data.table, data.qid, config,
+                                                RunContext::Governed(g, 1));
+                     ASSERT_EQ(r.complete(), !tight)
+                         << r.status().ToString();
+                     if (tight) {
+                       EXPECT_EQ(r->view.num_rows(), 0u);
+                     }
+                   });
+
+  ExpectPeakPinned("RunCellSuppression", 3600,
+                   [&](ExecutionGovernor& g, bool tight) {
+                     PartialResult<CellSuppressionResult> r =
+                         RunCellSuppression(data.table, data.qid, config,
+                                            RunContext::Governed(g, 1));
+                     ASSERT_EQ(r.complete(), !tight)
+                         << r.status().ToString();
+                     if (tight) {
+                       EXPECT_EQ(r->view.num_rows(), 0u);
+                     }
+                   });
+
+  ExpectPeakPinned("RunKOptimize", 592, [&](ExecutionGovernor& g, bool tight) {
+    PartialResult<KOptimizeResult> r = RunKOptimize(
+        data.table, data.qid, config, {}, RunContext::Governed(g, 1));
+    ASSERT_EQ(r.complete(), !tight) << r.status().ToString();
+    if (tight) {
+      // The set is refused before the search, so no mask was proven.
+      EXPECT_EQ(r->nodes_visited, 0);
+    } else {
+      EXPECT_EQ(static_cast<int64_t>(r->view.num_rows()) + r->suppressed_tuples,
+                static_cast<int64_t>(data.table.num_rows()));
+    }
+  });
+
+  ExpectPeakPinned("IsKAnonymous", 16, [&](ExecutionGovernor& g, bool tight) {
+    Result<bool> r = IsKAnonymous(data.table, data.qid,
+                                  SubsetNode::Full(data.qid.MaxLevels()),
+                                  config, RunContext::Governed(g, 1));
+    ASSERT_EQ(r.ok(), !tight) << r.status().ToString();
+    if (tight) {
+      EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
+    }
+  });
+
+  // Mondrian charges nothing, so it trips on a zero deadline instead, and
+  // degrades gracefully: the whole table is released, coarser.
+  ExecutionGovernor unlimited;
+  ASSERT_TRUE(RunMondrian(data.table, data.qid, config,
+                          RunContext::Governed(unlimited, 1))
+                  .complete());
+  EXPECT_EQ(unlimited.memory().peak(), 0);
+  ExecutionGovernor expired;
+  expired.SetDeadline(Deadline::AfterMillis(0));
+  PartialResult<MondrianResult> mondrian = RunMondrian(
+      data.table, data.qid, config, RunContext::Governed(expired, 1));
+  ASSERT_TRUE(mondrian.partial()) << mondrian.status().ToString();
+  EXPECT_EQ(mondrian.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(mondrian->view.num_rows(), data.table.num_rows());
+  EXPECT_EQ(expired.memory().used(), 0);
 }
 
 // ---------------------------------------------------------------------------

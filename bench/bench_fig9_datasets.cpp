@@ -92,7 +92,6 @@ int main(int argc, char** argv) {
     if (i > 0) command += " ";
     command += argv[i];
   }
-  obs::MetricsSnapshot start_metrics = obs::MetricsSnapshot::Take();
   if (!trace_path.empty()) obs::TraceRecorder::Global().Enable();
 
   Result<SyntheticDataset> adults = MakeAdultsDataset(adults_opts);
@@ -136,9 +135,11 @@ int main(int argc, char** argv) {
       "rows — see --landsend_rows).\n");
 
   // The last successful parallel run feeds the --report summary: its
-  // AlgorithmStats and per-worker utilization become the RunReport body.
+  // AlgorithmStats, per-worker utilization and metrics become the
+  // RunReport body.
   AlgorithmStats last_stats{};
   std::vector<double> last_utilization;
+  obs::MetricsSnapshot last_metrics;
   bool have_parallel_run = false;
 
   bool timed_section =
@@ -197,6 +198,7 @@ int main(int argc, char** argv) {
       if (threads == 1) base_seconds = median.seconds;
       last_stats = median.result->stats;
       last_utilization = median.result->worker_utilization;
+      last_metrics = median.delta;
       have_parallel_run = true;
       double speedup = median.seconds > 0 ? base_seconds / median.seconds : 0;
       printf("threads=%-2d  %10.3fs  speedup=%.2fx  solutions=%zu\n", threads,
@@ -221,8 +223,7 @@ int main(int argc, char** argv) {
         run_report.SetDoubleList("worker_utilization", last_utilization);
       }
     }
-    run_report.AddMetrics(
-        obs::MetricsSnapshot::Take().DeltaSince(start_metrics));
+    run_report.AddMetrics(last_metrics);
     if (recorder.enabled()) {
       run_report.AddSpans(recorder);
       if (recorder.dropped_events() > 0) {

@@ -143,7 +143,9 @@ struct RunResult {
 
 /// Runs one algorithm on (table, qid, config) and reports wall-clock, the
 /// algorithm's counters, and the global observability metrics the run
-/// moved (per-phase seconds, scan/rollup counts, ...). `batch_scans`
+/// moved (per-phase seconds, scan/rollup counts, ...). The registry is
+/// reset first, so each histogram's max in the delta is this run's own
+/// rather than the process's running max. `batch_scans`
 /// only affects the Incognito variants: false disables the scan-sharing
 /// batched level evaluation (the --no-batch-scan ablation).
 inline RunResult RunAlgorithm(Algorithm algorithm, const Table& table,
@@ -151,6 +153,7 @@ inline RunResult RunAlgorithm(Algorithm algorithm, const Table& table,
                               const AnonymizationConfig& config,
                               bool batch_scans = true) {
   RunResult out;
+  obs::CounterRegistry::Global().Reset();
   obs::MetricsSnapshot before = obs::MetricsSnapshot::Take();
   Stopwatch timer;
   switch (algorithm) {
@@ -310,7 +313,8 @@ class BenchReport {
       }
       out += "\n  },\n";
     }
-    // Cumulative process-wide observability state, for cross-run context.
+    // Process-wide observability state, for cross-run context: cumulative
+    // since the last reset (RunAlgorithm and MedianSearch reset it).
     out += "  \"counters\": {";
     bool first = true;
     for (const auto& [name, value] :
@@ -409,13 +413,16 @@ struct TimedSearch {
 
 /// Runs Incognito over `qid` `runs` times at `threads` threads and returns
 /// the median run by wall time — the statistic the gated speedups divide,
-/// so one preempted run moves neither side of a speedup.
+/// so one preempted run moves neither side of a speedup. Like
+/// RunAlgorithm, each run resets the registry, so its delta's histogram
+/// maxima are its own.
 inline TimedSearch MedianSearch(const Table& table, const QuasiIdentifier& qid,
                                 const AnonymizationConfig& config,
                                 const IncognitoOptions& options, int threads,
                                 int runs) {
   std::vector<TimedSearch> timed;
   for (int rep = 0; rep < runs; ++rep) {
+    obs::CounterRegistry::Global().Reset();
     obs::MetricsSnapshot before = obs::MetricsSnapshot::Take();
     Stopwatch timer;
     PartialResult<IncognitoResult> r = RunIncognito(

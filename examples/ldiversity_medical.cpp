@@ -90,8 +90,10 @@ int main() {
   Result<DiversityKey> key =
       DiversityKey::Create(clinic->table, clinic->qid, lconfig);
   if (!key.ok()) return 1;
+  Result<FrequencySet> kclasses = key->Compute(clinic->table, kmin);
+  if (!kclasses.ok()) return 1;
   printf("Its equivalence classes (count / distinct diagnoses):\n");
-  DiversityKey::ForEachClass(key->Compute(clinic->table, kmin),
+  DiversityKey::ForEachClass(kclasses.value(),
                              [&](const int32_t* codes, int64_t count,
                                  int64_t distinct) {
     printf("  class [");
@@ -126,7 +128,9 @@ int main() {
     SubsetNode lmin = MinimalByHeight(diverse->diverse_nodes).front();
     printf("Minimal choice %s classes:\n",
            lmin.ToString(&clinic->qid).c_str());
-    DiversityKey::ForEachClass(key->Compute(clinic->table, lmin),
+    Result<FrequencySet> lclasses = key->Compute(clinic->table, lmin);
+    if (!lclasses.ok()) return 1;
+    DiversityKey::ForEachClass(lclasses.value(),
                                [&](const int32_t* codes, int64_t count,
                                    int64_t distinct) {
       (void)codes;

@@ -10,16 +10,6 @@
 
 namespace incognito {
 
-namespace {
-
-/// A previous-height node's frequency set, kept for rollup, and its charge.
-struct HeldSet {
-  FrequencySet freq;
-  MemoryCharge charge;
-};
-
-}  // namespace
-
 PartialResult<BottomUpResult> RunBottomUpBfs(const Table& table,
                                              const QuasiIdentifier& qid,
                                              const AnonymizationConfig& config,
@@ -46,7 +36,7 @@ PartialResult<BottomUpResult> RunBottomUpBfs(const Table& table,
   }
 
   // Frequency sets of the previous height's nodes, for rollup.
-  std::unordered_map<uint64_t, HeldSet> prev_freq;
+  std::unordered_map<uint64_t, ChargedFrequencySet> prev_freq;
 
   // Stamps the run's time and, for a caller's governor, its trips; wraps a
   // budget trip into a partial result carrying the nodes confirmed so far.
@@ -64,7 +54,7 @@ PartialResult<BottomUpResult> RunBottomUpBfs(const Table& table,
   for (int32_t h = 0; h <= lattice.MaxHeight(); ++h) {
     INCOGNITO_SPAN("bottom_up.height");
     INCOGNITO_COUNT("bottom_up.heights");
-    std::unordered_map<uint64_t, HeldSet> cur_freq;
+    std::unordered_map<uint64_t, ChargedFrequencySet> cur_freq;
     for (const LevelVector& levels : lattice.NodesAtHeight(h)) {
       uint64_t idx = lattice.Index(levels);
       Status checkpoint = governor.Check();
@@ -82,7 +72,7 @@ PartialResult<BottomUpResult> RunBottomUpBfs(const Table& table,
       }
 
       SubsetNode node = SubsetNode::Full(levels);
-      HeldSet set{FrequencySet(), MemoryCharge(governor)};
+      ChargedFrequencySet set{FrequencySet(), MemoryCharge(governor)};
       bool rolled = false;
       if (options.use_rollup && h > 0) {
         for (const LevelVector& spec : lattice.DirectSpecializations(levels)) {

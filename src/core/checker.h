@@ -104,7 +104,8 @@ Status CheckFullQidNode(const QuasiIdentifier& qid, const SubsetNode& node);
 /// (FrequencySet::ComputeBatch) with a bit-identical verdict and stats.
 /// The same body as the RunContext variant below, on a private unlimited
 /// governor; only an injected fault (INCOGNITO_FAULTS builds) can fail it,
-/// and reads as not k-anonymous.
+/// and reads as not k-anonymous, so the library and the CLI check through
+/// the RunContext variant, which returns that fault as its Status.
 bool IsKAnonymous(const Table& table, const QuasiIdentifier& qid,
                   const SubsetNode& node, const AnonymizationConfig& config,
                   AlgorithmStats* stats = nullptr, int num_threads = 1);

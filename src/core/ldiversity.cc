@@ -63,9 +63,9 @@ SubsetNode DiversityKey::KeyNode(SubsetNode node) const {
   return node;
 }
 
-FrequencySet DiversityKey::Compute(const Table& table,
-                                   const SubsetNode& node) const {
-  return FrequencySet::Compute(table, qid_, KeyNode(node));
+Result<FrequencySet> DiversityKey::Compute(const Table& table,
+                                           const SubsetNode& node) const {
+  return FrequencySet::TryCompute(table, qid_, KeyNode(node));
 }
 
 void DiversityKey::ForEachClass(
@@ -123,7 +123,9 @@ Result<RecodeResult> ApplyDiverseGeneralization(
   Result<DiversityKey> key = DiversityKey::Create(table, qid, config);
   if (!key.ok()) return key.status();
 
-  FrequencySet freq = key->Compute(table, node);
+  Result<FrequencySet> scanned = key->Compute(table, node);
+  if (!scanned.ok()) return scanned.status();
+  const FrequencySet& freq = scanned.value();
   int64_t violating = freq.TuplesViolatingDiversity(config.k, config.l);
   if (violating > config.max_suppressed) {
     return Status::FailedPrecondition(StringPrintf(

@@ -76,8 +76,9 @@ class DiversityKey {
   SubsetNode KeyNode(SubsetNode node) const;
 
   /// The key-QID frequency set of `node` (over the search QID), from one
-  /// scan of T.
-  FrequencySet Compute(const Table& table, const SubsetNode& node) const;
+  /// scan of T (FrequencySet::TryCompute: an injected scan fault fails it).
+  Result<FrequencySet> Compute(const Table& table,
+                               const SubsetNode& node) const;
 
   /// Visits the equivalence classes of a key-QID frequency set in
   /// canonical order: the class's codes on the search dims of its node,

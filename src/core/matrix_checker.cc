@@ -18,8 +18,10 @@ Result<DistanceVectorMatrix> DistanceVectorMatrix::Build(
   // set (one scan).
   std::vector<int32_t> dims(n);
   std::iota(dims.begin(), dims.end(), 0);
-  FrequencySet freq = FrequencySet::Compute(
+  Result<FrequencySet> scanned = FrequencySet::TryCompute(
       table, qid, SubsetNode(dims, std::vector<int32_t>(n, 0)));
+  if (!scanned.ok()) return scanned.status();
+  const FrequencySet& freq = scanned.value();
 
   DistanceVectorMatrix matrix;
   matrix.num_dims_ = n;

@@ -97,15 +97,15 @@ class LatticeWalk {
 
     // Frequency sets of failed nodes, kept for their generalizations to
     // roll up from. Written only in Phase B; Phase A only reads it.
-    std::unordered_map<int64_t, RetainedSet> stored;
+    std::unordered_map<int64_t, ChargedFrequencySet> stored;
     std::unordered_map<int64_t, int64_t> pending_uses;
     // Super-roots: each multi-root family's super-root set, by the dims of
     // its SetNode.
-    std::map<std::vector<int32_t>, RetainedSet> families;
+    std::map<std::vector<int32_t>, ChargedFrequencySet> families;
     // Sets pre-built by the shared scans, by node id. A worker that takes
     // one takes its charge too; Phase B erases it. Front entries for
     // higher levels persist across levels.
-    std::unordered_map<int64_t, RetainedSet> batch;
+    std::unordered_map<int64_t, ChargedFrequencySet> batch;
 
     auto release_parents = [&](int64_t id) {
       for (int64_t spec : graph.InEdges(id)) {
@@ -152,8 +152,8 @@ class LatticeWalk {
           charged = charge.Add(static_cast<int64_t>(set.MemoryBytes()));
         }
         if (!charged.ok()) return charged;
-        families.emplace(super.dims,
-                         RetainedSet{std::move(set), std::move(charge)});
+        families.emplace(
+            super.dims, ChargedFrequencySet{std::move(set), std::move(charge)});
       }
     }
 
@@ -199,8 +199,8 @@ class LatticeWalk {
           MemoryCharge charge(governor_);
           status = charge.Add(static_cast<int64_t>(sets[j].MemoryBytes()));
           if (status.ok()) {
-            batch.emplace(group[j],
-                          RetainedSet{std::move(sets[j]), std::move(charge)});
+            batch.emplace(group[j], ChargedFrequencySet{std::move(sets[j]),
+                                                        std::move(charge)});
           }
         }
         if (!status.ok()) return status;
@@ -228,7 +228,7 @@ class LatticeWalk {
     enum OutcomeKind : uint8_t { kSkipped, kMarked, kAnonymous, kFailed };
     struct NodeOutcome {
       OutcomeKind kind = kSkipped;
-      RetainedSet failed;  // a failed node's set and its charge
+      ChargedFrequencySet failed;  // a failed node's set
     };
 
     while (!by_height.empty()) {
@@ -261,7 +261,7 @@ class LatticeWalk {
             out.kind = kMarked;
             continue;
           }
-          RetainedSet set{FrequencySet(), MemoryCharge(governor_)};
+          ChargedFrequencySet set{FrequencySet(), MemoryCharge(governor_)};
           auto bit = batch.find(id);
           if (bit != batch.end()) {
             // Pre-built (and counted) by a shared scan; its charge comes
@@ -336,14 +336,6 @@ class LatticeWalk {
   }
 
  private:
-  /// A set and its charge: a failed node's set kept for its
-  /// generalizations, or one built ahead of its nodes (super-root or
-  /// shared-scan output).
-  struct RetainedSet {
-    FrequencySet freq;
-    MemoryCharge charge;
-  };
-
   /// The node a candidate's frequency set is built for: the candidate
   /// itself, or under ℓ-diversity the candidate with the sensitive
   /// dimension (the key QID's last) appended at level 0.
@@ -360,8 +352,8 @@ class LatticeWalk {
   /// scanning T only as a last resort. Reads only level-frozen state.
   FrequencySet ComputeFrequencySet(
       const CandidateGraph& graph, int64_t id,
-      const std::unordered_map<int64_t, RetainedSet>& stored,
-      const std::map<std::vector<int32_t>, RetainedSet>& families,
+      const std::unordered_map<int64_t, ChargedFrequencySet>& stored,
+      const std::map<std::vector<int32_t>, ChargedFrequencySet>& families,
       AlgorithmStats* wstats) const {
     const SubsetNode node = SetNode(graph.node(id).ToSubsetNode());
     if (options_.use_rollup) {

@@ -14,7 +14,9 @@ Result<RecodeResult> ApplyFullDomainGeneralization(
   INCOGNITO_RETURN_IF_ERROR(CheckFullQidNode(qid, node));
 
   // Identify the tuples to suppress: members of groups smaller than k.
-  FrequencySet freq = FrequencySet::Compute(table, qid, node);
+  Result<FrequencySet> scanned = FrequencySet::TryCompute(table, qid, node);
+  if (!scanned.ok()) return scanned.status();
+  const FrequencySet& freq = scanned.value();
   int64_t to_suppress = freq.TuplesBelowK(config.k);
   if (to_suppress > config.max_suppressed) {
     return Status::FailedPrecondition(StringPrintf(

@@ -136,6 +136,17 @@ FrequencySet FrequencySet::Compute(const Table& table,
   return std::move(ComputeBatch(table, qid, {node}).front());
 }
 
+Result<FrequencySet> FrequencySet::TryCompute(const Table& table,
+                                              const QuasiIdentifier& qid,
+                                              const SubsetNode& node) {
+  INCOGNITO_COUNT("freq.scans");
+  ExecutionGovernor governor;  // unlimited: only an injected fault trips it
+  FrequencySet set = std::move(
+      ComputeBatch(table, qid, {node}, nullptr, &governor).front());
+  if (governor.Tripped()) return governor.TripStatus();
+  return set;
+}
+
 void FrequencySet::HashReferenceScan(const Table& table,
                                      const QuasiIdentifier& qid) {
   INCOGNITO_SPAN("freq.hash_reference_scan");

@@ -10,10 +10,10 @@
 #include "freq/substrate.h"
 #include "lattice/node.h"
 #include "relation/table.h"
+#include "robust/governor.h"
 
 namespace incognito {
 
-class ExecutionGovernor;
 class WorkerPool;
 
 /// The frequency set of a table with respect to a generalization node
@@ -38,7 +38,10 @@ class FrequencySet {
   /// COUNT(*) GROUP BY query. `node` selects the participating attributes
   /// (dims, as QID indices) and the generalization level of each. A
   /// one-chunk batch of one over ComputeBatch, on its private unlimited
-  /// governor.
+  /// governor. That governor trips only on an injected fault
+  /// (-DINCOGNITO_FAULTS=ON), which leaves an empty set no caller can tell
+  /// from T's, so library paths scan through TryCompute instead; this
+  /// form serves benches and tests.
   ///
   /// `substrate` serves only the two benches that time the group-by
   /// engines (freq/substrate.h): kHash on a packed key runs a serial
@@ -48,6 +51,16 @@ class FrequencySet {
   static FrequencySet Compute(const Table& table, const QuasiIdentifier& qid,
                               const SubsetNode& node,
                               SubstrateMode substrate = SubstrateMode::kAuto);
+
+  /// Compute(table, qid, node), or the trip status of its private
+  /// governor in place of the empty set a tripped scan leaves. Every
+  /// library path that scans one node outside a search — the recoders,
+  /// the quality metrics, the models' initial scans — takes its set this
+  /// way, so an injected fault fails the call instead of releasing or
+  /// reporting an empty set.
+  static Result<FrequencySet> TryCompute(const Table& table,
+                                         const QuasiIdentifier& qid,
+                                         const SubsetNode& node);
 
   /// Scan-sharing batch build (docs/PARALLELISM.md "Scan-sharing batch
   /// evaluation"): computes the frequency sets of several nodes from one
@@ -178,6 +191,15 @@ class FrequencySet {
   std::vector<std::pair<uint64_t, int64_t>> groups_;  // packed path
   std::vector<std::pair<std::vector<int32_t>, int64_t>> vgroups_;  // fallback
   int64_t total_count_ = 0;
+};
+
+/// A frequency set held with the charge for its bytes: how a search keeps
+/// a set beyond the statement that built it (a failed node's set kept for
+/// its generalizations' rollups, or one built ahead of its nodes). The
+/// charge moves with the set and is released when the pair is destroyed.
+struct ChargedFrequencySet {
+  FrequencySet freq;
+  MemoryCharge charge;
 };
 
 }  // namespace incognito

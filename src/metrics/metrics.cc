@@ -28,7 +28,9 @@ Result<QualityReport> EvaluateFullDomain(const Table& table,
   QualityReport report;
   report.height = node.Height();
 
-  FrequencySet freq = FrequencySet::Compute(table, qid, node);
+  Result<FrequencySet> scanned = FrequencySet::TryCompute(table, qid, node);
+  if (!scanned.ok()) return scanned.status();
+  const FrequencySet& freq = scanned.value();
   const size_t n = qid.size();
   const double total = static_cast<double>(table.num_rows());
 

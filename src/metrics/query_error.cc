@@ -56,7 +56,9 @@ Result<QueryWorkloadReport> EvaluateQueryWorkload(
   }
 
   // The release's equivalence classes (with suppression applied).
-  FrequencySet freq = FrequencySet::Compute(table, qid, node);
+  Result<FrequencySet> scanned = FrequencySet::TryCompute(table, qid, node);
+  if (!scanned.ok()) return scanned.status();
+  const FrequencySet& freq = scanned.value();
   std::vector<std::vector<int32_t>> class_codes;
   std::vector<int64_t> class_counts;
   freq.ForEachGroup([&](const int32_t* codes, int64_t count) {

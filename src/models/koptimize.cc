@@ -233,9 +233,11 @@ PartialResult<KOptimizeResult> RunKOptimize(const Table& table,
                                                    std::move(result));
   };
 
-  FrequencySet freq = FrequencySet::Compute(
+  Result<FrequencySet> scanned = FrequencySet::TryCompute(
       table, qid, SubsetNode(dims, std::vector<int32_t>(n, 0)));
   ++result.stats.table_scans;
+  if (!scanned.ok()) return finalize(scanned.status());
+  const FrequencySet& freq = scanned.value();
   MemoryCharge charge(governor);
   Status charged = charge.Add(static_cast<int64_t>(freq.MemoryBytes()));
   if (!charged.ok()) return finalize(std::move(charged));

@@ -60,9 +60,11 @@ struct KOptimizeResult {
 ///
 /// `ctx` carries the execution parameters (docs/API.md). The search polls
 /// the governor at every set-enumeration node and charges the initial
-/// frequency set against its memory budget: ctx.governor, or a private unlimited one when it is
-/// null, so a default RunContext never trips and reports zero trip
-/// counters. A budget trip stops
+/// frequency set against its memory budget: ctx.governor, or a private
+/// unlimited one when it is null, so a default RunContext never trips and
+/// reports zero trip counters. The initial scan itself runs through
+/// FrequencySet::TryCompute; an injected fault there returns an empty
+/// partial result with the fault's status. A budget trip stops
 /// the enumeration and materializes the BEST CUT SET FOUND SO FAR: because
 /// every cut-set mask induces a k-anonymous release (undersized classes
 /// are suppressed), the partial view is sound — it is just not provably

@@ -95,8 +95,10 @@ Result<SubgraphResult> RunGreedySubgraph(const Table& table,
   // Distinct base vectors with multiplicities.
   std::vector<int32_t> dims(n);
   for (size_t i = 0; i < n; ++i) dims[i] = static_cast<int32_t>(i);
-  FrequencySet freq = FrequencySet::Compute(
+  Result<FrequencySet> scanned = FrequencySet::TryCompute(
       table, qid, SubsetNode(dims, std::vector<int32_t>(n, 0)));
+  if (!scanned.ok()) return scanned.status();
+  const FrequencySet& freq = scanned.value();
   std::vector<std::vector<int32_t>> vectors;
   std::vector<int64_t> counts;
   freq.ForEachGroup([&](const int32_t* codes, int64_t count) {

@@ -139,7 +139,7 @@ TEST_F(LDiversityTest, ComputeTracksDistinctSensitive) {
   // every class has 2 distinct sensitive values, in 6 (class, disease)
   // groups.
   const SubsetNode node({1, 2}, {1, 0});
-  FrequencySet fs = key_.Compute(table_, node);
+  FrequencySet fs = key_.Compute(table_, node).value();
   EXPECT_EQ(fs.node(), SubsetNode({1, 2, 3}, {1, 0, 0}));
   EXPECT_EQ(fs.NumGroups(), 6u);
   EXPECT_EQ(fs.TotalCount(), 6);
@@ -165,7 +165,8 @@ TEST_F(LDiversityTest, ComputeTracksDistinctSensitive) {
 }
 
 TEST_F(LDiversityTest, RollupUnionsSensitiveSets) {
-  FrequencySet base = key_.Compute(table_, SubsetNode({1, 2}, {0, 0}));
+  FrequencySet base =
+      key_.Compute(table_, SubsetNode({1, 2}, {0, 0})).value();
   const SubsetNode top({1, 2}, {1, 2});
   FrequencySet rolled = base.RollupTo(key_.KeyNode(top), key_.qid());
   // Fully generalized over Sex and Zip: one class, 6 tuples, 6 diseases.
@@ -180,13 +181,13 @@ TEST_F(LDiversityTest, RollupUnionsSensitiveSets) {
 
 TEST_F(LDiversityTest, RollupMatchesDirectComputation) {
   FrequencySet base =
-      key_.Compute(table_, SubsetNode({0, 1, 2}, {0, 0, 0}));
+      key_.Compute(table_, SubsetNode({0, 1, 2}, {0, 0, 0})).value();
   for (int32_t b = 0; b <= 1; ++b) {
     for (int32_t s = 0; s <= 1; ++s) {
       for (int32_t z = 0; z <= 2; ++z) {
         SubsetNode target({0, 1, 2}, {b, s, z});
         FrequencySet rolled = base.RollupTo(key_.KeyNode(target), key_.qid());
-        FrequencySet direct = key_.Compute(table_, target);
+        FrequencySet direct = key_.Compute(table_, target).value();
         EXPECT_EQ(GroupsOf(rolled), GroupsOf(direct)) << target.ToString();
         EXPECT_EQ(ClassesOf(rolled),
                   OracleClasses(table_, qid_, target, disease_col_))
@@ -208,7 +209,7 @@ TEST_F(LDiversityTest, SuppressionBudget) {
   // <S0, Z0>: classes of 1, 1, 2 and 2 tuples; the 2-tuple classes have 2
   // distinct diseases each, so at l = 2 only the two singletons violate.
   const SubsetNode node({1, 2}, {0, 0});
-  EXPECT_EQ(key_.Compute(table_, node).TuplesViolatingDiversity(1, 2), 2);
+  EXPECT_EQ(key_.Compute(table_, node)->TuplesViolatingDiversity(1, 2), 2);
   EXPECT_EQ(TuplesViolatingByOracle(table_, qid_, node, disease_col_, 1, 2),
             2);
   // As the full-QID <B1, S0, Z0> it is diverse within a budget of 2 tuples
@@ -419,7 +420,7 @@ TEST(LDiversityRandomTest, MonotoneUnderGeneralization) {
       SubsetNode node = SubsetNode::Full(v);
       const int64_t violating =
           TuplesViolatingByOracle(ds.table, qid2, node, sensitive_col, 2, 2);
-      EXPECT_EQ(key.Compute(ds.table, node).TuplesViolatingDiversity(2, 2),
+      EXPECT_EQ(key.Compute(ds.table, node)->TuplesViolatingDiversity(2, 2),
                 violating)
           << node.ToString();
       if (violating != 0) continue;
@@ -493,7 +494,7 @@ TEST(LDiversityWideKeyTest, VectorKeysAndPackedControlMatchTheOracle) {
     const SubsetNode bottom =
         SubsetNode::Full(std::vector<int32_t>(width, 0));
     EXPECT_EQ(KeyBits(key.qid(), key.KeyNode(bottom)), width * 12 + 12);
-    FrequencySet base = key.Compute(data.table, bottom);
+    FrequencySet base = key.Compute(data.table, bottom).value();
     EXPECT_EQ(ClassesOf(base),
               OracleClasses(data.table, qid, bottom, sensitive_col));
     for (int64_t l = 1; l <= 3; ++l) {

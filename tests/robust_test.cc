@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <set>
 #include <string>
@@ -24,11 +25,18 @@
 #include "core/bottom_up.h"
 #include "core/checker.h"
 #include "core/incognito.h"
+#include "core/ldiversity.h"
+#include "core/matrix_checker.h"
+#include "core/recoder.h"
 #include "data/adults.h"
 #include "hierarchy/builders.h"
 #include "hierarchy/csv_hierarchy.h"
+#include "metrics/metrics.h"
+#include "metrics/query_error.h"
 #include "models/datafly.h"
+#include "models/koptimize.h"
 #include "models/mondrian.h"
+#include "models/subgraph.h"
 #include "relation/binary_io.h"
 #include "relation/csv.h"
 #include "robust/checkpoint.h"
@@ -799,6 +807,72 @@ TEST_F(FaultPointTest, ScanFaultStopsEveryNodeAtATimeSearch) {
     EXPECT_EQ(run->view.num_rows(), 0u);
     EXPECT_EQ(FaultInjector::Global().FaultsFired(), 1);
     EXPECT_EQ(governor.memory().used(), 0);
+  }
+}
+
+TEST_F(FaultPointTest, ScanFaultFailsEveryOneNodeScanOutsideASearch) {
+  // Outside a search, a one-node scan charges a private unlimited governor
+  // that only an injected fault trips, and a tripped scan leaves an empty
+  // set. Each caller must return the fault's status instead of acting on
+  // that set: a recoder would otherwise find no undersized group and
+  // release every row unsuppressed.
+  RandomDataset data = SmallDataset();
+  AnonymizationConfig config;
+  config.k = 2;
+  const SubsetNode top = SubsetNode::Full(data.qid.MaxLevels());
+  const QuasiIdentifier search_qid = data.qid.Prefix(2);
+  const SubsetNode search_top = SubsetNode::Full(search_qid.MaxLevels());
+  LDiversityConfig diverse;
+  diverse.k = 2;
+  diverse.l = 1;
+  diverse.sensitive_attribute = data.qid.name(2);
+  const std::vector<std::pair<const char*, std::function<Status()>>> calls = {
+      {"ApplyFullDomainGeneralization",
+       [&] {
+         return ApplyFullDomainGeneralization(data.table, data.qid, top,
+                                              config)
+             .status();
+       }},
+      {"ApplyDiverseGeneralization",
+       [&] {
+         return ApplyDiverseGeneralization(data.table, search_qid, search_top,
+                                           diverse)
+             .status();
+       }},
+      {"EvaluateFullDomain",
+       [&] {
+         return EvaluateFullDomain(data.table, data.qid, top, config).status();
+       }},
+      {"EvaluateQueryWorkload",
+       [&] {
+         return EvaluateQueryWorkload(data.table, data.qid, top, config, {})
+             .status();
+       }},
+      {"DistanceVectorMatrix::Build",
+       [&] {
+         return DistanceVectorMatrix::Build(data.table, data.qid).status();
+       }},
+      {"RunGreedySubgraph",
+       [&] {
+         return RunGreedySubgraph(data.table, data.qid, config).status();
+       }},
+      {"RunKOptimize",
+       [&] { return RunKOptimize(data.table, data.qid, config).status(); }},
+      {"IsKAnonymous",
+       [&] {
+         return IsKAnonymous(data.table, data.qid, top, config, RunContext{})
+             .status();
+       }},
+  };
+  for (const auto& [name, call] : calls) {
+    FaultInjector::Global().Reset();
+    EXPECT_TRUE(call().ok()) << name;
+    FaultInjector::Global().Reset();
+    FaultInjector::Global().ScriptFailNthHit("freq.batch.scan", 1);
+    Status status = call();
+    EXPECT_EQ(status.code(), StatusCode::kResourceExhausted)
+        << name << ": " << status.ToString();
+    EXPECT_EQ(FaultInjector::Global().FaultsFired(), 1) << name;
   }
 }
 

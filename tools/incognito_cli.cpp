@@ -737,34 +737,29 @@ int CmdCheck(const std::map<std::string, std::string>& args,
     key = std::move(made).value();
   }
 
+  // A single-node check has no meaningful partial answer, so a budget trip
+  // (or an injected fault) always fails here regardless of --on-budget.
   AlgorithmStats stats;
-  bool ok;
-  if (gov->enabled()) {
-    // A single-node check has no meaningful partial answer, so a budget
-    // trip always fails here regardless of --on-budget.
-    ExecutionGovernor governor;
-    Result<bool> governed = IsKAnonymous(
-        problem->table, problem->qid, node.value(), config,
-        gov->MakeContext(&governor, run_opts->num_threads), &stats);
-    obs->RecordGovernorPeak(governor);
-    if (!governed.ok()) {
-      obs->RecordStats(stats);
-      return Fail(governed.status());
-    }
-    ok = governed.value();
-  } else {
-    ok = IsKAnonymous(problem->table, problem->qid, node.value(), config,
-                      &stats, run_opts->num_threads);
+  ExecutionGovernor governor;
+  Result<bool> checked = IsKAnonymous(
+      problem->table, problem->qid, node.value(), config,
+      gov->MakeContext(&governor, run_opts->num_threads), &stats);
+  if (gov->enabled()) obs->RecordGovernorPeak(governor);
+  if (!checked.ok()) {
+    obs->RecordStats(stats);
+    return Fail(checked.status());
   }
+  bool ok = checked.value();
   printf("%s at %s: %lld-anonymous = %s\n", Get(args, "input").c_str(),
          node->ToString(&problem->qid).c_str(),
          static_cast<long long>(config.k), ok ? "yes" : "NO");
   obs->RecordStats(stats);
 
   if (key.has_value()) {
+    Result<FrequencySet> set = key->Compute(problem->table, node.value());
+    if (!set.ok()) return Fail(set.status());
     const bool diverse =
-        key->Compute(problem->table, node.value())
-            .TuplesViolatingDiversity(lconfig.k, lconfig.l) <=
+        set->TuplesViolatingDiversity(lconfig.k, lconfig.l) <=
         lconfig.max_suppressed;
     printf("%s at %s: distinct %lld-diverse (sensitive=%s) = %s\n",
            Get(args, "input").c_str(),
